@@ -69,103 +69,9 @@ func main() {
 	jsonPath := flag.String("json", "", "also write a machine-readable report (e.g. BENCH_1.json)")
 	flag.Parse()
 
-	cost := bench.DefaultCost()
-	report := &bench.Report{Seed: *seed}
-	run := func(f *bench.Figure) {
-		f.Render(os.Stdout)
-		report.Figures = append(report.Figures, f)
-	}
-
-	// runConvergence renders the convergence figure and records the full
-	// per-strategy event timelines (scores, overlay edits) in the report.
-	runConvergence := func() {
-		run(bench.FigConvergence(cost, *seed))
-		report.Convergence = bench.Convergence(cost, *seed)
-	}
-
-	// runChurn renders the churn-at-scale recall timeline and records the
-	// full per-scheme breakdown in the report.
-	runChurn := func() {
-		f, res := bench.FigChurn(bench.DefaultChurnParams(), *seed)
-		run(f)
-		report.Churn = res
-		for _, sr := range res.Schemes {
-			fmt.Printf("churn %-6s mean recall %.3f, post-burst min %.3f, reconverged in %d rounds, %d msgs, %d repairs, cache %d/%d\n",
-				sr.Scheme, sr.MeanRecall, sr.PostBurstMinRecall,
-				sr.RepairConvergenceRounds, sr.Msgs, sr.Repairs, sr.CacheHits, sr.CacheLookups)
-		}
-		fmt.Println()
-	}
-
-	// runDHT renders the chord-vs-flood-vs-BPR comparison (T4) and
-	// records the full static and churn breakdown in the report.
-	runDHT := func() {
-		figs, res := bench.FigDHT(bench.DefaultDHTParams(), *seed)
-		for _, f := range figs {
-			run(f)
-		}
-		report.DHT = res
-		for _, sr := range res.Static {
-			fmt.Printf("dht %-6s %-8s recall %.3f, mean hops %.2f, %d msgs, %d bytes (%d lookups)\n",
-				sr.Scheme, sr.Workload, sr.Recall, sr.MeanHops, sr.Msgs, sr.Bytes, sr.Lookups)
-		}
-		fmt.Printf("dht hop bound: ceil(log2 %d)+1 = %d\n", res.Nodes, res.HopBound)
-		for _, sr := range res.Churn {
-			fmt.Printf("dht churn %-6s mean recall %.3f, post-burst min %.3f, reconverged in %d rounds, %d msgs\n",
-				sr.Scheme, sr.MeanRecall, sr.PostBurstMinRecall, sr.RepairConvergenceRounds, sr.Msgs)
-		}
-		fmt.Println()
-	}
-
-	// runTraffic renders the flood-vs-qroute message comparison and
-	// records the per-round breakdown in the report.
-	runTraffic := func() {
-		run(bench.FigTraffic(cost, *seed))
-		tr := bench.Traffic(cost, *seed)
-		report.Traffic = tr
-		fmt.Printf("traffic totals: flood %d msgs, qroute %d msgs (expected answers %d)\n\n",
-			tr.FloodMsgs, tr.QRouteMsgs, tr.Expected)
-	}
-
-	switch *fig {
-	case "all":
-		for _, f := range bench.AllFigures(cost, *seed) {
-			run(f)
-		}
-		runConvergence()
-		report.Traffic = bench.Traffic(cost, *seed)
-		runChurn()
-	case "5a":
-		run(bench.Fig5a(cost, *seed))
-	case "5b":
-		run(bench.Fig5b(cost, *seed))
-	case "5c":
-		run(bench.Fig5c(cost, *seed))
-	case "6":
-		run(bench.Fig6(cost, *seed))
-	case "7":
-		run(bench.Fig7(cost, *seed))
-	case "8a":
-		run(bench.Fig8a(cost, *seed))
-	case "8b":
-		run(bench.Fig8b(cost, *seed))
-	case "ablations":
-		run(bench.AblationStrategies(cost, *seed))
-		run(bench.AblationCompression(cost, *seed))
-		run(bench.AblationColdClass(cost, *seed))
-		run(bench.AblationResultMode(cost, *seed))
-		run(bench.AblationShipping(cost, *seed))
-	case "convergence":
-		runConvergence()
-	case "traffic":
-		run(bench.TrafficTable(cost, *seed))
-		runTraffic()
-	case "churn":
-		runChurn()
-	case "dht":
-		runDHT()
-	default:
-		fmt.Fprintf(os.Stderr, "bpbench: unknown figure %q\n", *fig)
+	report, err := bench.NewReport(*fig, *seed, os.Stdout)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "bpbench: %v\n", err)
 		flag.Usage()
 		os.Exit(2)
 	}
