@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet lint vetself vetgolden test race chaos fuzz cover adminsmoke bench churnsoak churnbench ci clean
+.PHONY: all build vet lint vetself vetgolden golden test race chaos fuzz cover adminsmoke bench dhtbench churnsoak churnbench ci clean
 
 all: build vet lint test
 
@@ -31,6 +31,14 @@ vetgolden:
 	$(GO) test ./internal/vet/ -run TestFixtureGolden -update
 	@git diff --exit-code -- internal/vet/testdata/golden || \
 		{ echo "bpvet golden fixtures drifted: review and commit the diff above"; exit 1; }
+
+# BENCH golden fence: regenerate the -fig churn and -fig dht reports at
+# seed 1 and demand byte equality with the committed BENCH_PR9.json and
+# BENCH_PR10.json — a simulator refactor that moves any figure fails here.
+# A reviewed change regenerates them with `make churnbench
+# CHURNJSON=BENCH_PR9.json` / `make dhtbench`.
+golden:
+	$(GO) test -count=1 -run 'TestBenchGolden' ./internal/bench/
 
 test:
 	$(GO) test ./...
@@ -81,9 +89,10 @@ adminsmoke:
 # Machine-readable benchmark report: every simulated figure (including
 # the flood-vs-qroute traffic comparison and the churn-at-scale run
 # with its health/alert timeline) plus the reconfiguration-convergence
-# timelines, as committed in BENCH_PR9.json and uploaded as a CI
-# artifact.
-BENCHJSON ?= BENCH_PR9.json
+# timelines, uploaded as a CI artifact. No committed file holds the
+# -fig all report (BENCH_PR9.json is the -fig churn one), so the default
+# output is untracked.
+BENCHJSON ?= bench-report.json
 bench:
 	$(GO) run ./cmd/bpbench -fig all -json $(BENCHJSON)
 
@@ -107,7 +116,7 @@ CHURNJSON ?= churn-report.json
 churnbench:
 	$(GO) run ./cmd/bpbench -fig churn -json $(CHURNJSON)
 
-ci: build vet lint vetself vetgolden race fuzz adminsmoke cover
+ci: build vet lint vetself vetgolden golden race fuzz adminsmoke cover
 
 clean:
 	$(GO) clean -testcache

@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	bpbench [-fig all|5a|5b|5c|6|7|8a|8b|ablations|convergence|traffic] [-seed N] [-live] [-json FILE]
+//	bpbench [-fig all|5a|5b|5c|6|7|8a|8b|ablations|convergence|traffic|churn|dht] [-seed N] [-live] [-json FILE]
 //
 // With -json the same data is also written as a machine-readable report;
 // live runs include a metrics section snapshotted from the node

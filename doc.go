@@ -126,13 +126,6 @@ const (
 // OpenStore opens (or creates) the object store at path.
 func OpenStore(path string, opts StoreOptions) (*Store, error) { return storm.Open(path, opts) }
 
-// IndexedStore couples a Store with an inverted keyword index that
-// accelerates repeated Match queries.
-type IndexedStore = storm.IndexedStore
-
-// NewIndexedStore wraps a store, building the index from its contents.
-func NewIndexedStore(s *Store) (*IndexedStore, error) { return storm.NewIndexedStore(s) }
-
 // PersistentIndex is the durable on-disk inverted keyword index enabled
 // by StoreOptions.PersistentIndex.
 type PersistentIndex = storm.PersistentIndex

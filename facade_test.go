@@ -106,24 +106,6 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	}
 }
 
-func TestPublicAPIIndexedStore(t *testing.T) {
-	store, err := bestpeer.OpenStore(filepath.Join(t.TempDir(), "ix.storm"), bestpeer.StoreOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer store.Close()
-	ix, err := bestpeer.NewIndexedStore(store)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ix.Put(&bestpeer.Object{Name: "a", Keywords: []string{"k"}, Data: []byte("1")})
-	ix.Put(&bestpeer.Object{Name: "b", Keywords: []string{"k"}, Data: []byte("2")})
-	hits, err := ix.Match("k")
-	if err != nil || len(hits) != 2 {
-		t.Fatalf("indexed match = %d, %v", len(hits), err)
-	}
-}
-
 func TestPublicAPIActiveObjects(t *testing.T) {
 	dir := t.TempDir()
 	nw := bestpeer.NewInProcNetwork()

@@ -1,15 +1,11 @@
 package bench
 
 import (
-	"sort"
 	"strconv"
 	"time"
 
-	"bestpeer/internal/netsim"
 	"bestpeer/internal/obs"
 	"bestpeer/internal/observatory"
-	"bestpeer/internal/qroute"
-	"bestpeer/internal/workload"
 )
 
 // ChurnParams configures the churn-at-scale experiment: a mesh of Nodes
@@ -196,657 +192,6 @@ func (r *ChurnResult) SchemeByName(name string) *ChurnSchemeRun {
 	return nil
 }
 
-// Mesh message kinds of the churn protocol model.
-const (
-	cmQuery int32 = iota + 1
-	cmAnswer
-	cmProbe
-	cmProbeOK
-	cmDepart
-)
-
-// aliveRegistry is the model's LIGLO: the set of members it believes
-// online, with O(1) add, swap-remove and uniform sampling. Graceful
-// leaves deregister immediately; crashes linger until a sweep notices.
-type aliveRegistry struct {
-	list []int32
-	pos  []int32 // node -> index in list, -1 when absent
-}
-
-func newAliveRegistry(n int) *aliveRegistry {
-	r := &aliveRegistry{list: make([]int32, n), pos: make([]int32, n)}
-	for i := range r.list {
-		r.list[i] = int32(i)
-		r.pos[i] = int32(i)
-	}
-	return r
-}
-
-func (r *aliveRegistry) Add(i int32) {
-	if r.pos[i] >= 0 {
-		return
-	}
-	r.pos[i] = int32(len(r.list))
-	r.list = append(r.list, i)
-}
-
-func (r *aliveRegistry) Remove(i int32) {
-	p := r.pos[i]
-	if p < 0 {
-		return
-	}
-	last := r.list[len(r.list)-1]
-	r.list[p] = last
-	r.pos[last] = p
-	r.list = r.list[:len(r.list)-1]
-	r.pos[i] = -1
-}
-
-// Sample draws a uniform member other than not; ok is false when none
-// exists.
-func (r *aliveRegistry) Sample(rng interface{ Intn(int) int }, not int32) (int32, bool) {
-	for attempt := 0; attempt < 8; attempt++ {
-		if len(r.list) == 0 || (len(r.list) == 1 && r.list[0] == not) {
-			return 0, false
-		}
-		j := r.list[rng.Intn(len(r.list))]
-		if j != not {
-			return j, true
-		}
-	}
-	return 0, false
-}
-
-// ansRec is one attributed answer (for routing-index feedback).
-type ansRec struct{ holder, first, hops int32 }
-
-// churnQuery is one in-flight query round member.
-type churnQuery struct {
-	kw       int
-	denom    int
-	answers  int
-	hopSum   int
-	wantRecs bool
-	closed   bool
-	recs     []ansRec
-	eng      *qroute.Engine // the issuing base's engine, nil without qroute
-	// visited is a per-node dedup bitset: queries run concurrently, so a
-	// shared last-qid stamp would thrash and re-process.
-	visited []uint64
-}
-
-func (q *churnQuery) visit(node int32) bool {
-	w, b := node>>6, uint(node&63)
-	if q.visited[w]&(1<<b) != 0 {
-		return false
-	}
-	q.visited[w] |= 1 << b
-	return true
-}
-
-// churnModel is one scheme's event-driven fleet: integer-indexed
-// adjacency over a netsim.Mesh, a probe/backfill repair loop, graceful
-// Depart notices with replacement hints, and (for the reconfigurable
-// scheme) a real qroute engine per base. Schemes:
-//
-//   - "bpr": repair loop + Depart hints + answer cache and learned
-//     selective routing at the bases,
-//   - "flood": repair loop, every query floods (the recall reference),
-//   - "bps": static — Departs remove edges but nothing probes or
-//     backfills, so the overlay erodes under churn.
-type churnModel struct {
-	p      ChurnParams
-	scheme string
-	repair bool
-	sim    *netsim.Sim
-	mesh   *netsim.Mesh
-	reg    *aliveRegistry
-
-	names   []string
-	adj     [][]int32
-	stamp   [][]int32 // probe round per edge, parallel to adj
-	hint    []int32   // stashed Depart replacement hint, -1 when none
-	holdKw  []int16   // node -> keyword it holds, -1 when none
-	byKw    [][]int32 // keyword -> holder nodes (fixed membership)
-	baseIdx []int16   // node -> base slot, -1 when not a base
-	bases   []int32
-	engines []*qroute.Engine
-
-	queries    []*churnQuery
-	probeRound int32
-	run        ChurnSchemeRun
-
-	// health folds each closed round into the observatory rule engine on
-	// the simulated clock; prev* carry the last round's cumulative
-	// counters so the signals are per-window rates, not running totals.
-	health           *observatory.Health
-	prevRepairs      uint64
-	prevCacheHits    uint64
-	prevCacheLookups uint64
-}
-
-func (m *churnModel) engineOf(node int32) *qroute.Engine {
-	if bi := m.baseIdx[node]; bi >= 0 {
-		return m.engines[bi]
-	}
-	return nil
-}
-
-// simTime maps simulated time onto the wall-clock the qroute engine
-// expects.
-func (m *churnModel) simTime() time.Time {
-	return time.Unix(0, 0).UTC().Add(m.sim.Now())
-}
-
-func (m *churnModel) kwName(kw int) string { return "kw" + strconv.Itoa(kw) }
-
-func (m *churnModel) hasEdge(i, j int32) bool {
-	for _, nb := range m.adj[i] {
-		if nb == j {
-			return true
-		}
-	}
-	return false
-}
-
-// addEdge links i->j (and the back edge, degree cap permitting, while j
-// is alive to maintain it).
-func (m *churnModel) addEdge(i, j int32) {
-	m.adj[i] = append(m.adj[i], j)
-	m.stamp[i] = append(m.stamp[i], 0)
-	if m.mesh.Alive(j) && len(m.adj[j]) < 2*m.p.Degree && !m.hasEdge(j, i) {
-		m.adj[j] = append(m.adj[j], i)
-		m.stamp[j] = append(m.stamp[j], 0)
-	}
-}
-
-func (m *churnModel) removeAt(i int32, idx int) {
-	last := len(m.adj[i]) - 1
-	m.adj[i][idx] = m.adj[i][last]
-	m.stamp[i][idx] = m.stamp[i][last]
-	m.adj[i] = m.adj[i][:last]
-	m.stamp[i] = m.stamp[i][:last]
-}
-
-func (m *churnModel) removeNeighbor(i, j int32) {
-	for idx, nb := range m.adj[i] {
-		if nb == j {
-			m.removeAt(i, idx)
-			return
-		}
-	}
-}
-
-func newChurnModel(p ChurnParams, scheme string, seed int64) *churnModel {
-	m := &churnModel{
-		p:      p,
-		scheme: scheme,
-		repair: scheme != "bps",
-		sim:    netsim.NewSimSeeded(seed),
-		reg:    newAliveRegistry(p.Nodes),
-		health: observatory.NewHealth(churnHealthRules(p), 256, 1024),
-	}
-	m.mesh = netsim.NewMesh(m.sim, p.Nodes, p.Latency)
-	m.mesh.SetHandler(m.handle)
-	m.names = make([]string, p.Nodes)
-	m.adj = make([][]int32, p.Nodes)
-	m.stamp = make([][]int32, p.Nodes)
-	m.hint = make([]int32, p.Nodes)
-	m.holdKw = make([]int16, p.Nodes)
-	m.baseIdx = make([]int16, p.Nodes)
-	for i := 0; i < p.Nodes; i++ {
-		m.names[i] = "n" + strconv.Itoa(i)
-		m.hint[i] = -1
-		m.holdKw[i] = -1
-		m.baseIdx[i] = -1
-	}
-
-	rng := m.sim.Rand()
-	// Random overlay at target mean degree: every node initiates
-	// Degree/2 edges, each mirrored by a back edge.
-	half := p.Degree / 2
-	if half < 1 {
-		half = 1
-	}
-	for i := 0; i < p.Nodes; i++ {
-		for k := 0; k < half; k++ {
-			j := int32(rng.Intn(p.Nodes))
-			if j != int32(i) && !m.hasEdge(int32(i), j) {
-				m.addEdge(int32(i), j)
-			}
-		}
-	}
-
-	// Bases are nodes [0, Bases) — excluded from churn and from holder
-	// sets, so recall measures the network, not base lifecycle.
-	m.bases = make([]int32, p.Bases)
-	m.engines = make([]*qroute.Engine, p.Bases)
-	for bi := range m.bases {
-		m.bases[bi] = int32(bi)
-		m.baseIdx[bi] = int16(bi)
-		if scheme == "bpr" {
-			m.engines[bi] = qroute.NewEngine(qroute.Options{
-				Enable: true,
-				Cache:  qroute.CacheOptions{TTL: 2 * p.SampleEvery},
-				Route: qroute.RouteOptions{
-					Epsilon:  -1, // deterministic message counts
-					TopF:     4,
-					MinScore: 2.0,
-					Seed:     seed,
-				},
-			}, nil)
-		}
-	}
-
-	m.byKw = make([][]int32, p.Keywords)
-	for kw := 0; kw < p.Keywords; kw++ {
-		for len(m.byKw[kw]) < p.HoldersPerKeyword {
-			j := int32(p.Bases + rng.Intn(p.Nodes-p.Bases))
-			if m.holdKw[j] < 0 {
-				m.holdKw[j] = int16(kw)
-				m.byKw[kw] = append(m.byKw[kw], j)
-			}
-		}
-	}
-	return m
-}
-
-// handle dispatches one delivered mesh message. Query payload packing:
-// A = qid, B = remaining TTL (low byte) | depth (rest), C = origin (low
-// 16 bits) | first-hop neighbor (rest) — which caps the model at 32k
-// nodes, comfortably above the 10k target.
-func (m *churnModel) handle(to int32, msg netsim.MeshMsg) {
-	switch msg.Kind {
-	case cmQuery:
-		qid := msg.A
-		q := m.queries[qid-1]
-		if !q.visit(to) {
-			return
-		}
-		ttl := msg.B & 0xff
-		depth := msg.B >> 8
-		if int(m.holdKw[to]) == q.kw {
-			// Answers return out-of-network: straight back to the base.
-			m.mesh.Send(msg.C&0xffff, netsim.MeshMsg{
-				From: to, Kind: cmAnswer, A: qid, B: depth, C: msg.C >> 16,
-			})
-		}
-		if ttl > 1 {
-			fwd := netsim.MeshMsg{
-				From: to, Kind: cmQuery, A: qid,
-				B: (ttl - 1) | (depth+1)<<8, C: msg.C,
-			}
-			for _, nb := range m.adj[to] {
-				if nb != msg.From {
-					m.mesh.Send(nb, fwd)
-				}
-			}
-		}
-	case cmAnswer:
-		q := m.queries[msg.A-1]
-		if q.closed {
-			return
-		}
-		q.answers++
-		q.hopSum += int(msg.B)
-		if q.wantRecs {
-			q.recs = append(q.recs, ansRec{holder: msg.From, first: msg.C, hops: msg.B})
-		}
-	case cmProbe:
-		m.mesh.Send(msg.From, netsim.MeshMsg{From: to, Kind: cmProbeOK, A: msg.A})
-	case cmProbeOK:
-		for idx, nb := range m.adj[to] {
-			if nb == msg.From {
-				if m.stamp[to][idx] == msg.A {
-					m.stamp[to][idx] = 0
-				}
-				return
-			}
-		}
-	case cmDepart:
-		m.removeNeighbor(to, msg.From)
-		m.run.DepartsDelivered++
-		if m.scheme != "bpr" {
-			return
-		}
-		if eng := m.engineOf(to); eng != nil {
-			eng.ForgetNeighbor(m.names[msg.From])
-		}
-		if h := msg.A; h >= 0 && h != to {
-			if len(m.adj[to]) < m.p.Degree && !m.hasEdge(to, h) {
-				m.addEdge(to, h)
-				m.run.HintAdopts++
-			} else if m.hint[to] < 0 {
-				m.hint[to] = h
-			}
-		}
-	}
-}
-
-// apply replays one churn event. Ops are idempotent against state (a
-// merged trace may crash an already-offline node).
-func (m *churnModel) apply(ev workload.ChurnEvent) {
-	node := int32(ev.Node)
-	switch ev.Op {
-	case workload.OpJoin:
-		if m.mesh.Alive(node) {
-			return
-		}
-		m.mesh.SetAlive(node, true)
-		m.reg.Add(node)
-		m.adj[node] = m.adj[node][:0]
-		m.stamp[node] = m.stamp[node][:0]
-		m.hint[node] = -1
-		for k := 0; k < m.p.Degree; k++ {
-			if j, ok := m.reg.Sample(m.sim.Rand(), node); ok && !m.hasEdge(node, j) {
-				m.addEdge(node, j)
-			}
-		}
-	case workload.OpLeave:
-		if !m.mesh.Alive(node) {
-			return
-		}
-		nbs := m.adj[node]
-		for i, nb := range nbs {
-			// Each Depart carries a rotating replacement hint drawn from
-			// the leaver's other neighbors.
-			h := int32(-1)
-			if len(nbs) > 1 {
-				h = nbs[(i+1)%len(nbs)]
-			}
-			m.mesh.Send(nb, netsim.MeshMsg{From: node, Kind: cmDepart, A: h})
-		}
-		m.reg.Remove(node) // deregister: the registry drops it immediately
-		m.mesh.SetAlive(node, false)
-		m.adj[node] = m.adj[node][:0]
-		m.stamp[node] = m.stamp[node][:0]
-	case workload.OpCrash:
-		if !m.mesh.Alive(node) {
-			return
-		}
-		// No notice, no deregistration: the registry keeps the corpse
-		// until its sweep, and neighbors only learn via probe timeouts.
-		m.mesh.SetAlive(node, false)
-	}
-}
-
-// probeTick starts one repair round: every live node probes each direct
-// peer; reap collects the silence after ProbeTimeout.
-func (m *churnModel) probeTick() {
-	m.probeRound++
-	r := m.probeRound
-	for i := range m.adj {
-		ii := int32(i)
-		if !m.mesh.Alive(ii) {
-			continue
-		}
-		for idx, nb := range m.adj[i] {
-			m.stamp[i][idx] = r
-			m.mesh.Send(nb, netsim.MeshMsg{From: ii, Kind: cmProbe, A: r})
-		}
-	}
-	m.sim.After(m.p.ProbeTimeout, func() { m.reap(r) })
-}
-
-// reap drops every edge whose round-r probe went unanswered, then
-// backfills toward the target degree: stashed Depart hint first, then a
-// registry sample.
-func (m *churnModel) reap(r int32) {
-	for i := range m.adj {
-		ii := int32(i)
-		if !m.mesh.Alive(ii) {
-			continue
-		}
-		for idx := len(m.adj[i]) - 1; idx >= 0; idx-- {
-			if m.stamp[i][idx] != r {
-				continue
-			}
-			dead := m.adj[i][idx]
-			m.removeAt(ii, idx)
-			if eng := m.engineOf(ii); eng != nil {
-				eng.ForgetNeighbor(m.names[dead])
-			}
-		}
-		for len(m.adj[i]) < m.p.Degree {
-			j := m.hint[ii]
-			m.hint[ii] = -1
-			if j < 0 || j == ii || m.hasEdge(ii, j) {
-				var ok bool
-				j, ok = m.reg.Sample(m.sim.Rand(), ii)
-				if !ok || m.hasEdge(ii, j) {
-					break // retry next round
-				}
-			}
-			m.addEdge(ii, j)
-			m.run.Repairs++
-		}
-	}
-}
-
-// sweep is the registry's failure detector: drop members that are no
-// longer alive (crashed without deregistering).
-func (m *churnModel) sweep() {
-	for idx := len(m.reg.list) - 1; idx >= 0; idx-- {
-		if n := m.reg.list[idx]; !m.mesh.Alive(n) {
-			m.reg.Remove(n)
-		}
-	}
-}
-
-func (m *churnModel) aliveHolders(kw int) int {
-	n := 0
-	for _, h := range m.byKw[kw] {
-		if m.mesh.Alive(h) {
-			n++
-		}
-	}
-	return n
-}
-
-// issueRound fires one query per base (keyword rotating by base slot)
-// and schedules the round's close. Cache-served queries are counted
-// against the holders alive *now*, so staleness costs recall exactly as
-// it would a real client.
-func (m *churnModel) issueRound(round int) {
-	alive := m.mesh.AliveCount()
-	msgsBefore := m.mesh.Stats().Sent
-	now := m.simTime()
-	var roundQs []*churnQuery
-	var keys []string
-	cachedRecall := 0.0
-	cachedN := 0
-	for bi, b := range m.bases {
-		kw := bi % m.p.Keywords
-		key := m.kwName(kw)
-		denom := m.aliveHolders(kw)
-		if denom == 0 {
-			continue
-		}
-		eng := m.engines[bi]
-		if eng != nil {
-			m.run.CacheLookups++
-			if val, neg, ok := eng.GetBase(key, now); ok && !neg {
-				m.run.CacheHits++
-				live := 0
-				for _, h := range val.([]int32) {
-					if m.mesh.Alive(h) {
-						live++
-					}
-				}
-				cachedRecall += float64(live) / float64(denom)
-				cachedN++
-				continue
-			}
-		}
-		qid := int32(len(m.queries) + 1)
-		q := &churnQuery{
-			kw: kw, denom: denom, wantRecs: eng != nil, eng: eng,
-			visited: make([]uint64, (m.p.Nodes+63)/64),
-		}
-		m.queries = append(m.queries, q)
-		roundQs = append(roundQs, q)
-		keys = append(keys, key)
-		q.visit(b)
-
-		ttl := int32(m.p.TTL)
-		targets := m.adj[b]
-		if eng != nil {
-			nbNames := make([]string, len(m.adj[b]))
-			for i, nb := range m.adj[b] {
-				nbNames[i] = m.names[nb]
-			}
-			plan := eng.Select([]string{key}, nbNames, uint8(m.p.TTL), now)
-			ttl = int32(plan.TTL)
-			if plan.Selective {
-				targets = make([]int32, 0, len(plan.Targets))
-				for _, name := range plan.Targets {
-					id, err := strconv.Atoi(name[1:])
-					if err == nil {
-						targets = append(targets, int32(id))
-					}
-				}
-			}
-		}
-		for _, nb := range targets {
-			m.mesh.Send(nb, netsim.MeshMsg{
-				From: b, Kind: cmQuery, A: qid,
-				B: ttl | 1<<8, C: b | nb<<16,
-			})
-		}
-	}
-	m.sim.After(m.p.CollectAfter, func() {
-		m.closeRound(round, roundQs, keys, alive, msgsBefore, cachedRecall, cachedN)
-	})
-}
-
-// closeRound finalizes a query round into one ChurnSample and feeds the
-// bases' engines (routing observations, answer-cache fills).
-func (m *churnModel) closeRound(round int, qs []*churnQuery, keys []string, alive int, msgsBefore uint64, recallSum float64, nq int) {
-	now := m.simTime()
-	hopSum, nans := 0, 0
-	for i, q := range qs {
-		q.closed = true
-		// A holder can rejoin inside the collect window and answer even
-		// though it was outside the issue-time denominator; cap at 1.
-		r := float64(q.answers) / float64(q.denom)
-		if r > 1 {
-			r = 1
-		}
-		recallSum += r
-		nq++
-		hopSum += q.hopSum
-		nans += q.answers
-		if !q.wantRecs || q.answers == 0 {
-			continue
-		}
-		m.feedEngine(keys[i], q, now)
-	}
-	sample := ChurnSample{
-		Round: round,
-		TMS:   ms(m.sim.Now()),
-		Alive: alive,
-		Msgs:  m.mesh.Stats().Sent - msgsBefore,
-	}
-	if nq > 0 {
-		sample.Recall = recallSum / float64(nq)
-	}
-	if nans > 0 {
-		sample.MeanHops = float64(hopSum) / float64(nans)
-	}
-	if m.run.CacheLookups > 0 {
-		sample.CacheHitRate = float64(m.run.CacheHits) / float64(m.run.CacheLookups)
-	}
-	m.run.Samples = append(m.run.Samples, sample)
-	m.ingestHealth(sample, nq, now)
-}
-
-// ingestHealth folds one closed round into the health engine as
-// per-window signals: recall only when the round actually measured
-// queries, cache hit rate only when the window had lookups (a quiet
-// window is not a collapse), and the repair rate as this window's edge
-// backfills over the round cadence.
-func (m *churnModel) ingestHealth(sample ChurnSample, nq int, now time.Time) {
-	window := m.p.SampleEvery.Seconds()
-	signals := map[string]float64{
-		"alive":                        float64(sample.Alive) / float64(m.p.Nodes),
-		observatory.SigRepairAddedPerS: float64(m.run.Repairs-m.prevRepairs) / window,
-	}
-	if nq > 0 {
-		signals["recall"] = sample.Recall
-	}
-	if lookups := m.run.CacheLookups - m.prevCacheLookups; lookups > 0 {
-		signals[observatory.SigCacheHitRate] =
-			float64(m.run.CacheHits-m.prevCacheHits) / float64(lookups)
-	}
-	m.prevRepairs = m.run.Repairs
-	m.prevCacheHits = m.run.CacheHits
-	m.prevCacheLookups = m.run.CacheLookups
-	m.health.Ingest(m.scheme, now, signals, "")
-}
-
-// feedEngine pushes one closed query's evidence into its base's engine.
-func (m *churnModel) feedEngine(key string, q *churnQuery, now time.Time) {
-	eng := q.eng
-	if eng == nil || len(q.recs) == 0 {
-		return
-	}
-	terms := []string{key}
-	holders := make([]int32, 0, len(q.recs))
-	var sites []string
-	seenFirst := make(map[int32]bool)
-	for _, rec := range q.recs {
-		holders = append(holders, rec.holder)
-		eng.Observe(terms, m.names[rec.first], 1, int(rec.hops), now)
-		if !seenFirst[rec.first] {
-			seenFirst[rec.first] = true
-			sites = append(sites, m.names[rec.first])
-		}
-	}
-	sort.Slice(holders, func(i, j int) bool { return holders[i] < holders[j] })
-	eng.PutBaseFrom(key, holders, 4*len(holders), false, eng.Epoch(), now, sites)
-}
-
-// runChurnScheme executes one scheme's full run.
-func runChurnScheme(p ChurnParams, scheme string, seed int64) ChurnSchemeRun {
-	m := newChurnModel(p, scheme, seed)
-	m.run.Scheme = scheme
-
-	// The same trace drives every scheme: exponential sessions plus one
-	// correlated burst, with base nodes filtered out.
-	trace := workload.Merge(
-		workload.ExponentialSessions(p.Nodes, p.Horizon, p.MeanSession, p.MeanDowntime, p.GracefulFrac, seed),
-		workload.CorrelatedFailureBurst(p.Nodes, p.BurstFrac, p.BurstAt, seed+1),
-	)
-	for _, ev := range trace {
-		if ev.Node < p.Bases {
-			continue
-		}
-		ev := ev
-		m.sim.At(ev.At, func() { m.apply(ev) })
-	}
-
-	if m.repair {
-		for t := p.RepairEvery; t <= p.Horizon; t += p.RepairEvery {
-			m.sim.At(t, m.probeTick)
-		}
-	}
-	for t := p.SweepEvery; t <= p.Horizon; t += p.SweepEvery {
-		m.sim.At(t, m.sweep)
-	}
-	round := 0
-	for t := p.SampleEvery; t+p.CollectAfter <= p.Horizon; t += p.SampleEvery {
-		round++
-		r := round
-		m.sim.At(t, func() { m.issueRound(r) })
-	}
-	m.sim.Run()
-
-	m.run.Msgs = m.mesh.Stats().Sent
-	m.run.Health = buildHealthTimeline(m.health, scheme)
-	finishChurnRun(&m.run, p)
-	return m.run
-}
-
 // buildHealthTimeline folds the run's health engine back onto the
 // simulated clock: every derived series the engine retained plus the
 // alert transitions from its journal, timestamps relative to sim zero.
@@ -915,32 +260,38 @@ func finishChurnRun(run *ChurnSchemeRun, p ChurnParams) {
 	}
 }
 
-// Churn runs the churn-at-scale experiment for the three schemes.
+// Churn runs the churn-at-scale experiment for the three overlay schemes.
 func Churn(p ChurnParams, seed int64) *ChurnResult {
-	out := &ChurnResult{
+	return &ChurnResult{
 		Nodes: p.Nodes, Degree: p.Degree,
 		HorizonMS: ms(p.Horizon), BurstAtMS: ms(p.BurstAt), BurstFrac: p.BurstFrac,
+		Schemes: []ChurnSchemeRun{
+			runChurnScheme(p, "bpr", seed, newReconfigOverlay),
+			runChurnScheme(p, "bps", seed, newStaticOverlay),
+			runChurnScheme(p, "flood", seed, newFloodOverlay),
+		},
 	}
-	for _, scheme := range []string{"bpr", "bps", "flood"} {
-		out.Schemes = append(out.Schemes, runChurnScheme(p, scheme, seed))
-	}
-	return out
 }
 
-// FigChurn renders recall over time per scheme.
-func FigChurn(p ChurnParams, seed int64) (*Figure, *ChurnResult) {
-	res := Churn(p, seed)
+// churnRecallFigure renders recall over time, one series per run.
+func churnRecallFigure(id, title string, p ChurnParams, runs []ChurnSchemeRun) *Figure {
 	fig := &Figure{
-		ID:     "C1",
-		Title:  "Recall under churn (" + strconv.Itoa(p.Nodes) + " nodes, burst at " + p.BurstAt.String() + ")",
+		ID:     id,
+		Title:  title + " (" + strconv.Itoa(p.Nodes) + " nodes, burst at " + p.BurstAt.String() + ")",
 		XLabel: "time (ms)", YLabel: "recall",
 	}
-	for _, run := range res.Schemes {
+	for _, run := range runs {
 		s := Series{Name: run.Scheme}
 		for _, smp := range run.Samples {
 			s.Points = append(s.Points, Point{smp.TMS, smp.Recall})
 		}
 		fig.Series = append(fig.Series, s)
 	}
-	return fig, res
+	return fig
+}
+
+// FigChurn renders recall over time per scheme.
+func FigChurn(p ChurnParams, seed int64) (*Figure, *ChurnResult) {
+	res := Churn(p, seed)
+	return churnRecallFigure("C1", "Recall under churn", p, res.Schemes), res
 }

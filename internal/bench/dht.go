@@ -9,7 +9,6 @@ import (
 	"bestpeer/internal/chord"
 	"bestpeer/internal/netsim"
 	"bestpeer/internal/wire"
-	"bestpeer/internal/workload"
 )
 
 // DHTParams configures the T4 experiment: the chord DHT ("chd") against
@@ -156,10 +155,7 @@ func newDHTPlan(p DHTParams, seed int64) *dhtPlan {
 				plan.kwHolders[kw] = append(plan.kwHolders[kw], j)
 			}
 		}
-		np := int(math.Ceil(p.PublishedFrac * float64(p.HoldersPerKeyword)))
-		if np > p.HoldersPerKeyword {
-			np = p.HoldersPerKeyword
-		}
+		np := min(p.HoldersPerKeyword, int(math.Ceil(p.PublishedFrac*float64(p.HoldersPerKeyword))))
 		plan.published[kw] = plan.kwHolders[kw][:np]
 	}
 	// Flood overlay: a ring (guaranteed connectivity) plus random
@@ -377,7 +373,6 @@ func dhtStaticKeyword(p DHTParams, plan *dhtPlan, scheme string, seed int64) DHT
 	n := newDHTNet(p, plan.names, seed)
 	run := DHTStaticRun{Scheme: scheme, Workload: "keyword", Lookups: p.KeywordQueries}
 	_, byAddr := chordTables(p, plan.names)
-	kwName := func(kw int) string { return "kw" + strconv.Itoa(kw) }
 	holds := func(kw, node int) bool {
 		for _, h := range plan.kwHolders[kw] {
 			if h == node {
@@ -392,7 +387,7 @@ func dhtStaticKeyword(p DHTParams, plan *dhtPlan, scheme string, seed int64) DHT
 		// the keyword's owner, then stores it there with one direct
 		// frame — the DHT put.
 		for kw := range plan.published {
-			k := chord.HashString(kwName(kw))
+			k := chord.HashString(churnKeyword(kw))
 			for _, h := range plan.published[kw] {
 				owner, _, ok := routeChord(n, byAddr, plan.names[h], k, p.ChordTTL)
 				if ok && owner.Addr != plan.names[h] {
@@ -411,7 +406,7 @@ func dhtStaticKeyword(p DHTParams, plan *dhtPlan, scheme string, seed int64) DHT
 		denom := len(plan.kwHolders[kw])
 		switch scheme {
 		case "chd":
-			k := chord.HashString(kwName(kw))
+			k := chord.HashString(churnKeyword(kw))
 			owner, hops, ok := routeChord(n, byAddr, plan.names[base], k, p.ChordTTL)
 			if !ok {
 				continue
@@ -421,20 +416,20 @@ func dhtStaticKeyword(p DHTParams, plan *dhtPlan, scheme string, seed int64) DHT
 			hopSum += hops
 			answered++
 		case "flood":
-			ans, depths := floodQuery(n, p, plan, base, kwName(kw), func(node int) bool { return holds(kw, node) })
+			ans, depths := floodQuery(n, p, plan, base, churnKeyword(kw), func(node int) bool { return holds(kw, node) })
 			recallSum += float64(ans) / float64(denom)
 			hopSum += depths
 			answered += ans
 		case "bpr":
 			if learned[kw] == nil {
-				ans, depths := floodQuery(n, p, plan, base, kwName(kw), func(node int) bool { return holds(kw, node) })
+				ans, depths := floodQuery(n, p, plan, base, churnKeyword(kw), func(node int) bool { return holds(kw, node) })
 				recallSum += float64(ans) / float64(denom)
 				hopSum += depths
 				answered += ans
 				learned[kw] = plan.kwHolders[kw]
 				continue
 			}
-			env := gnuQueryEnv(kwName(kw))
+			env := gnuQueryEnv(churnKeyword(kw))
 			for _, h := range learned[kw] {
 				n.nw.Send(plan.names[base], plan.names[h], env, 0)
 				n.nw.Send(plan.names[h], plan.names[base], gnuHitEnv(plan.names[h]), 0)
@@ -447,500 +442,21 @@ func dhtStaticKeyword(p DHTParams, plan *dhtPlan, scheme string, seed int64) DHT
 	return finishStatic(n, run, recallSum, hopSum, answered)
 }
 
-// ---------------------------------------------------------------------
-// Churn: the chord scheme on the C1 trace.
-
-// Mesh message kinds of the chord churn model, disjoint from the cm*
-// kinds of churn.go.
-const (
-	cdLookup int32 = iota + 101
-	cdAnswer
-	cdPublish
-	cdPing
-)
-
-const cdFinal = 1 << 8 // B flag: next delivery is to the key's owner
-
-// dhtChurnQuery is one in-flight keyword lookup.
-type dhtChurnQuery struct {
-	kw      int
-	key     chord.Key
-	base    int32
-	denom   int
-	answers int
-	hops    int
-	nAns    int
-	closed  bool
-}
-
-// dhtChurn is the chord fleet under the churn trace: every node keys
-// itself by name hash; successor lists and fingers are rebuilt each
-// repair tick from the registry's (possibly stale) membership view —
-// the same LIGLO-backed failure-detection window the other schemes live
-// with. Keyword postings live at the keyword's owner, refreshed by a
-// periodic republish, handed to the successor on graceful leave, and
-// stranded by a crash until the next republish.
-type dhtChurn struct {
-	p       DHTParams
-	sim     *netsim.Sim
-	mesh    *netsim.Mesh
-	reg     *aliveRegistry
-	key     []chord.Key
-	kwKey   []chord.Key
-	byKw    [][]int32
-	bases   []int32
-	succs   [][]int32
-	fingers [][]int32
-	// postings[node][kw] lists holders whose posting this node stores.
-	postings [][][]int32
-	// sorted scratch for rebuild: registry members in key order.
-	sorted []int32
-	skeys  []chord.Key
-	// fingerFloor skips finger levels whose span is far below the mean
-	// ring gap — they all resolve to the immediate successor anyway.
-	fingerFloor int
-
-	queries []*dhtChurnQuery
-	run     ChurnSchemeRun
-}
-
-func dhtRingLess(a, x, b chord.Key) bool { // x ∈ (a, b) clockwise
-	if a < b {
-		return a < x && x < b
-	}
-	return x > a || x < b
-}
-
-func dhtRingLeq(a, x, b chord.Key) bool { // x ∈ (a, b] clockwise
-	return x == b || dhtRingLess(a, x, b)
-}
-
-func newDHTChurn(p DHTParams, seed int64) *dhtChurn {
-	cp := p.Churn
-	m := &dhtChurn{
-		p:   p,
-		sim: netsim.NewSimSeeded(seed),
-		reg: newAliveRegistry(cp.Nodes),
-	}
-	m.mesh = netsim.NewMesh(m.sim, cp.Nodes, cp.Latency)
-	m.mesh.SetHandler(m.handle)
-	m.key = make([]chord.Key, cp.Nodes)
-	for i := range m.key {
-		m.key[i] = chord.HashString("n" + strconv.Itoa(i))
-	}
-	m.kwKey = make([]chord.Key, cp.Keywords)
-	for kw := range m.kwKey {
-		m.kwKey[kw] = chord.HashString("kw" + strconv.Itoa(kw))
-	}
-	m.succs = make([][]int32, cp.Nodes)
-	m.fingers = make([][]int32, cp.Nodes)
-	m.postings = make([][][]int32, cp.Nodes)
-	bits := 0
-	for 1<<bits < cp.Nodes {
-		bits++
-	}
-	m.fingerFloor = chord.Bits - bits - 4
-	if m.fingerFloor < 0 {
-		m.fingerFloor = 0
-	}
-
-	rng := m.sim.Rand()
-	m.bases = make([]int32, cp.Bases)
-	for bi := range m.bases {
-		m.bases[bi] = int32(bi)
-	}
-	// Same holder-placement rule as the churn model: keywords live on
-	// non-base nodes, one keyword per holder.
-	taken := make([]bool, cp.Nodes)
-	m.byKw = make([][]int32, cp.Keywords)
-	for kw := 0; kw < cp.Keywords; kw++ {
-		for len(m.byKw[kw]) < cp.HoldersPerKeyword {
-			j := int32(cp.Bases + rng.Intn(cp.Nodes-cp.Bases))
-			if !taken[j] {
-				taken[j] = true
-				m.byKw[kw] = append(m.byKw[kw], j)
-			}
-		}
-	}
-	return m
-}
-
-// rebuild refreshes every alive member's successor list and fingers from
-// the registry's current view, charging the maintenance pings that a
-// live ring would spend to arrive at the same state. Crashed-but-not-
-// swept members stay in the view as *targets* — the staleness neighbors
-// route into until the sweep.
-func (m *dhtChurn) rebuild() {
-	m.sorted = m.sorted[:0]
-	m.sorted = append(m.sorted, m.reg.list...)
-	sort.Slice(m.sorted, func(i, j int) bool { return m.key[m.sorted[i]] < m.key[m.sorted[j]] })
-	m.skeys = m.skeys[:0]
-	for _, id := range m.sorted {
-		m.skeys = append(m.skeys, m.key[id])
-	}
-	n := len(m.sorted)
-	if n == 0 {
-		return
-	}
-	succLen := m.p.SuccLen
-	// Each tick pings successors and finger extremes, so by the next
-	// rebuild every target that died before the previous tick has been
-	// condemned: the rebuilt tables skip currently-dead nodes. Deaths
-	// since the last tick — and crashed members the registry has not
-	// swept yet showing up as *candidates* — remain the staleness the
-	// routing pays for.
-	aliveAt := func(j int) (int32, bool) {
-		for step := 0; step < n; step++ {
-			if cand := m.sorted[(j+step)%n]; m.mesh.Alive(cand) {
-				return cand, true
-			}
-		}
-		return 0, false
-	}
-	for pos, id := range m.sorted {
-		if !m.mesh.Alive(id) {
-			continue // a corpse maintains nothing
-		}
-		succs := m.succs[id][:0]
-		for step := 1; step < n && len(succs) < succLen; step++ {
-			if cand := m.sorted[(pos+step)%n]; m.mesh.Alive(cand) {
-				succs = append(succs, cand)
-			}
-		}
-		m.succs[id] = succs
-		fingers := m.fingers[id][:0]
-		for lvl := m.fingerFloor; lvl < chord.Bits; lvl++ {
-			target := m.key[id] + chord.Key(1)<<uint(lvl)
-			j := sort.Search(n, func(i int) bool { return m.skeys[i] >= target })
-			if j == n {
-				j = 0
-			}
-			f, ok := aliveAt(j)
-			if !ok || f == id || (len(fingers) > 0 && fingers[len(fingers)-1] == f) {
-				continue
-			}
-			fingers = append(fingers, f)
-		}
-		m.fingers[id] = fingers
-		// Maintenance traffic: one ping per successor plus the finger
-		// extremes — the liveness checks a running ring pays each tick.
-		for _, s := range succs {
-			m.mesh.Send(s, netsim.MeshMsg{From: id, Kind: cdPing})
-		}
-		if len(fingers) > 0 {
-			m.mesh.Send(fingers[0], netsim.MeshMsg{From: id, Kind: cdPing})
-			m.mesh.Send(fingers[len(fingers)-1], netsim.MeshMsg{From: id, Kind: cdPing})
-		}
-	}
-}
-
-// nextHop picks the routing step for key t at node v: deliver to the
-// immediate successor when it owns t, otherwise the closest preceding
-// finger (then successor) — the chord rule over the model's tables.
-func (m *dhtChurn) nextHop(v int32, t chord.Key) (next int32, final, ok bool) {
-	succs := m.succs[v]
-	if len(succs) == 0 {
-		return 0, false, false
-	}
-	s0 := succs[0]
-	if dhtRingLeq(m.key[v], t, m.key[s0]) {
-		return s0, true, true
-	}
-	for i := len(m.fingers[v]) - 1; i >= 0; i-- {
-		if f := m.fingers[v][i]; dhtRingLess(m.key[v], m.key[f], t) {
-			return f, false, true
-		}
-	}
-	for i := len(succs) - 1; i >= 0; i-- {
-		if s := succs[i]; dhtRingLess(m.key[v], m.key[s], t) {
-			return s, false, true
-		}
-	}
-	return s0, false, true
-}
-
-// forward takes one routing step for a lookup (kind cdLookup, A = qid)
-// or a publish (kind cdPublish, A = holder<<4 | kw).
-func (m *dhtChurn) forward(v int32, kind, a int32, t chord.Key, hops int) {
-	if hops >= m.p.ChordTTL {
-		return
-	}
-	next, final, ok := m.nextHop(v, t)
-	if !ok {
-		return
-	}
-	b := int32(hops + 1)
-	if final {
-		b |= cdFinal
-	}
-	m.mesh.Send(next, netsim.MeshMsg{From: v, Kind: kind, A: a, B: b})
-}
-
-func (m *dhtChurn) handle(to int32, msg netsim.MeshMsg) {
-	switch msg.Kind {
-	case cdLookup:
-		q := m.queries[msg.A-1]
-		if q.closed {
-			return
-		}
-		hops := int(msg.B &^ cdFinal)
-		if msg.B&cdFinal == 0 {
-			m.forward(to, cdLookup, msg.A, q.key, hops)
-			return
-		}
-		// This node owns the key: answer with the posted holders that
-		// are alive right now.
-		cnt := int32(0)
-		if ps := m.postings[to]; ps != nil {
-			for _, h := range ps[q.kw] {
-				if m.mesh.Alive(h) {
-					cnt++
-				}
-			}
-		}
-		m.mesh.Send(q.base, netsim.MeshMsg{From: to, Kind: cdAnswer, A: msg.A, B: int32(hops), C: cnt})
-	case cdAnswer:
-		q := m.queries[msg.A-1]
-		if q.closed {
-			return
-		}
-		q.answers += int(msg.C)
-		q.hops += int(msg.B)
-		q.nAns++
-	case cdPublish:
-		// A packs holder<<4 | keyword, which caps the model at 16
-		// keywords — double the committed configuration.
-		kw := int(msg.A & 0xf)
-		holder := msg.A >> 4
-		hops := int(msg.B &^ cdFinal)
-		if msg.B&cdFinal == 0 {
-			m.forward(to, cdPublish, msg.A, m.kwKey[kw], hops)
-			return
-		}
-		m.store(to, kw, holder)
-	case cdPing:
-		// Pure maintenance cost; the registry is the failure detector.
-	}
-}
-
-// store indexes holder under kw at node `to`, deduplicating.
-func (m *dhtChurn) store(to int32, kw int, holder int32) {
-	if m.postings[to] == nil {
-		m.postings[to] = make([][]int32, m.p.Churn.Keywords)
-	}
-	for _, h := range m.postings[to][kw] {
-		if h == holder {
-			return
-		}
-	}
-	m.postings[to][kw] = append(m.postings[to][kw], holder)
-}
-
-// republish has every alive holder re-route its posting toward the
-// current owner — the index's self-repair after ownership shifts and
-// crashes.
-func (m *dhtChurn) republish() {
-	for kw, holders := range m.byKw {
-		for _, h := range holders {
-			if m.mesh.Alive(h) {
-				m.forward(h, cdPublish, h<<4|int32(kw), m.kwKey[kw], 0)
-			}
-		}
-	}
-}
-
-// seedIndex installs the initial postings directly at their owners: the
-// index predates the measurement window.
-func (m *dhtChurn) seedIndex() {
-	n := len(m.sorted)
-	for kw, holders := range m.byKw {
-		j := sort.Search(n, func(i int) bool { return m.skeys[i] >= m.kwKey[kw] })
-		if j == n {
-			j = 0
-		}
-		owner := m.sorted[j]
-		for _, h := range holders {
-			m.store(owner, kw, h)
-		}
-	}
-}
-
-func (m *dhtChurn) apply(ev workload.ChurnEvent) {
-	node := int32(ev.Node)
-	switch ev.Op {
-	case workload.OpJoin:
-		if m.mesh.Alive(node) {
-			return
-		}
-		m.mesh.SetAlive(node, true)
-		m.reg.Add(node)
-		// A fresh process: no routing state (until the next repair
-		// tick), no stored postings.
-		m.succs[node] = m.succs[node][:0]
-		m.fingers[node] = m.fingers[node][:0]
-		m.postings[node] = nil
-	case workload.OpLeave:
-		if !m.mesh.Alive(node) {
-			return
-		}
-		// Graceful leave: hand stored postings to the first alive
-		// successor before deregistering.
-		if ps := m.postings[node]; ps != nil {
-			var heir int32 = -1
-			for _, s := range m.succs[node] {
-				if m.mesh.Alive(s) {
-					heir = s
-					break
-				}
-			}
-			if heir >= 0 {
-				for kw, holders := range ps {
-					for _, h := range holders {
-						m.mesh.Send(heir, netsim.MeshMsg{
-							From: node, Kind: cdPublish,
-							A: h<<4 | int32(kw), B: 1 | cdFinal,
-						})
-					}
-				}
-				m.run.DepartsDelivered++
-			}
-		}
-		m.reg.Remove(node)
-		m.mesh.SetAlive(node, false)
-		m.postings[node] = nil
-	case workload.OpCrash:
-		if !m.mesh.Alive(node) {
-			return
-		}
-		// Stored postings are stranded until owners republish; the
-		// registry keeps the corpse until its sweep.
-		m.mesh.SetAlive(node, false)
-	}
-}
-
-func (m *dhtChurn) sweep() {
-	for idx := len(m.reg.list) - 1; idx >= 0; idx-- {
-		if n := m.reg.list[idx]; !m.mesh.Alive(n) {
-			m.reg.Remove(n)
-		}
-	}
-}
-
-func (m *dhtChurn) aliveHolders(kw int) int {
-	n := 0
-	for _, h := range m.byKw[kw] {
-		if m.mesh.Alive(h) {
-			n++
-		}
-	}
-	return n
-}
-
-func (m *dhtChurn) issueRound(round int) {
-	cp := m.p.Churn
-	alive := m.mesh.AliveCount()
-	msgsBefore := m.mesh.Stats().Sent
-	var roundQs []*dhtChurnQuery
-	for bi, b := range m.bases {
-		kw := bi % cp.Keywords
-		denom := m.aliveHolders(kw)
-		if denom == 0 {
-			continue
-		}
-		qid := int32(len(m.queries) + 1)
-		q := &dhtChurnQuery{kw: kw, key: m.kwKey[kw], base: b, denom: denom}
-		m.queries = append(m.queries, q)
-		roundQs = append(roundQs, q)
-		m.forward(b, cdLookup, qid, q.key, 0)
-	}
-	m.sim.After(cp.CollectAfter, func() { m.closeRound(round, roundQs, alive, msgsBefore) })
-}
-
-func (m *dhtChurn) closeRound(round int, qs []*dhtChurnQuery, alive int, msgsBefore uint64) {
-	recallSum := 0.0
-	hopSum, nAns := 0, 0
-	for _, q := range qs {
-		q.closed = true
-		r := float64(q.answers) / float64(q.denom)
-		if r > 1 {
-			r = 1 // a holder can rejoin inside the collect window
-		}
-		recallSum += r
-		hopSum += q.hops
-		nAns += q.nAns
-	}
-	sample := ChurnSample{
-		Round: round,
-		TMS:   ms(m.sim.Now()),
-		Alive: alive,
-		Msgs:  m.mesh.Stats().Sent - msgsBefore,
-	}
-	if len(qs) > 0 {
-		sample.Recall = recallSum / float64(len(qs))
-	}
-	if nAns > 0 {
-		sample.MeanHops = float64(hopSum) / float64(nAns)
-	}
-	m.run.Samples = append(m.run.Samples, sample)
-}
-
-// runDHTChurn executes the chord scheme on the shared churn trace.
-func runDHTChurn(p DHTParams, seed int64) ChurnSchemeRun {
-	cp := p.Churn
-	m := newDHTChurn(p, seed)
-	m.run.Scheme = "chd"
-
-	trace := workload.Merge(
-		workload.ExponentialSessions(cp.Nodes, cp.Horizon, cp.MeanSession, cp.MeanDowntime, cp.GracefulFrac, seed),
-		workload.CorrelatedFailureBurst(cp.Nodes, cp.BurstFrac, cp.BurstAt, seed+1),
-	)
-	for _, ev := range trace {
-		if ev.Node < cp.Bases {
-			continue
-		}
-		ev := ev
-		m.sim.At(ev.At, func() { m.apply(ev) })
-	}
-
-	m.rebuild() // everyone starts converged, like the other schemes' overlays
-	m.seedIndex()
-	for t := cp.RepairEvery; t <= cp.Horizon; t += cp.RepairEvery {
-		m.sim.At(t, m.rebuild)
-	}
-	for t := cp.SweepEvery; t <= cp.Horizon; t += cp.SweepEvery {
-		m.sim.At(t, m.sweep)
-	}
-	for t := p.RepublishEvery; t <= cp.Horizon; t += p.RepublishEvery {
-		m.sim.At(t, m.republish)
-	}
-	round := 0
-	for t := cp.SampleEvery; t+cp.CollectAfter <= cp.Horizon; t += cp.SampleEvery {
-		round++
-		r := round
-		m.sim.At(t, func() { m.issueRound(r) })
-	}
-	m.sim.Run()
-
-	m.run.Msgs = m.mesh.Stats().Sent
-	finishChurnRun(&m.run, cp)
-	return m.run
-}
-
 // DHT runs the full T4 experiment: the static comparison plus the churn
 // runs (chd against the bpr and flood baselines on the same trace).
 func DHT(p DHTParams, seed int64) *DHTResult {
 	plan := newDHTPlan(p, seed)
-	out := &DHTResult{
+	return &DHTResult{
 		Nodes:      p.Nodes,
 		HopBound:   dhtHopBound(p.Nodes),
 		Static:     runDHTStatic(p, plan, seed),
 		ChurnNodes: p.Churn.Nodes,
+		Churn: []ChurnSchemeRun{
+			runChurnScheme(p.Churn, "chd", seed, func(d *churnDriver) churnScheme { return newChordScheme(d, p) }),
+			runChurnScheme(p.Churn, "bpr", seed, newReconfigOverlay),
+			runChurnScheme(p.Churn, "flood", seed, newFloodOverlay),
+		},
 	}
-	out.Churn = append(out.Churn, runDHTChurn(p, seed))
-	for _, scheme := range []string{"bpr", "flood"} {
-		out.Churn = append(out.Churn, runChurnScheme(p.Churn, scheme, seed))
-	}
-	return out
 }
 
 // FigDHT renders the T4 figures: per-scheme messages on each static
@@ -962,17 +478,6 @@ func FigDHT(p DHTParams, seed int64) ([]*Figure, *DHTResult) {
 		}
 		msgs.Series = append(msgs.Series, s)
 	}
-	churn := &Figure{
-		ID:     "T4c",
-		Title:  "Recall under churn with chord (" + strconv.Itoa(p.Churn.Nodes) + " nodes, burst at " + p.Churn.BurstAt.String() + ")",
-		XLabel: "time (ms)", YLabel: "recall",
-	}
-	for _, run := range res.Churn {
-		s := Series{Name: run.Scheme}
-		for _, smp := range run.Samples {
-			s.Points = append(s.Points, Point{smp.TMS, smp.Recall})
-		}
-		churn.Series = append(churn.Series, s)
-	}
+	churn := churnRecallFigure("T4c", "Recall under churn with chord", p.Churn, res.Churn)
 	return []*Figure{msgs, churn}, res
 }

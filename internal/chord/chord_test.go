@@ -27,14 +27,14 @@ func TestBetween(t *testing.T) {
 		{7, 7, 7, false},
 	}
 	for _, c := range cases {
-		if got := between(c.a, c.x, c.b); got != c.want {
-			t.Errorf("between(%d,%d,%d) = %v, want %v", c.a, c.x, c.b, got, c.want)
+		if got := Between(c.a, c.x, c.b); got != c.want {
+			t.Errorf("Between(%d,%d,%d) = %v, want %v", c.a, c.x, c.b, got, c.want)
 		}
 	}
-	if !betweenRightIncl(10, 20, 20) {
-		t.Error("betweenRightIncl must include the right endpoint")
+	if !BetweenRightIncl(10, 20, 20) {
+		t.Error("BetweenRightIncl must include the right endpoint")
 	}
-	if !betweenRightIncl(7, 7, 7) {
+	if !BetweenRightIncl(7, 7, 7) {
 		t.Error("a single-node interval owns every key, including its own")
 	}
 }

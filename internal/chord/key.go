@@ -37,20 +37,20 @@ func HashBytes(b []byte) Key {
 // string form) onto the identifier circle.
 func HashString(s string) Key { return HashBytes([]byte(s)) }
 
-// between reports whether x lies strictly inside the clockwise interval
+// Between reports whether x lies strictly inside the clockwise interval
 // (a, b) on the circle. When a == b the interval is the whole circle
 // minus a itself.
-func between(a, x, b Key) bool {
+func Between(a, x, b Key) bool {
 	if a < b {
 		return a < x && x < b
 	}
 	return x > a || x < b
 }
 
-// betweenRightIncl reports whether x lies in the clockwise interval
+// BetweenRightIncl reports whether x lies in the clockwise interval
 // (a, b] — the ownership rule: node b owns every key in (pred, b].
-func betweenRightIncl(a, x, b Key) bool {
-	return x == b || between(a, x, b)
+func BetweenRightIncl(a, x, b Key) bool {
+	return x == b || Between(a, x, b)
 }
 
 // fingerStart returns the start of finger interval i for a node at k:

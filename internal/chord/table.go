@@ -65,7 +65,7 @@ func (t *Table) Owns(k Key) bool {
 	if t.pred.IsZero() {
 		return false
 	}
-	return betweenRightIncl(t.pred.Key, k, t.self.Key)
+	return BetweenRightIncl(t.pred.Key, k, t.self.Key)
 }
 
 // NextHop decides one routing step for k. When done is true, owner is
@@ -75,7 +75,7 @@ func (t *Table) Owns(k Key) bool {
 // non-nil, vetoes candidates the caller's failure detector distrusts.
 func (t *Table) NextHop(k Key, failing func(addr string) bool) (owner NodeRef, hop NodeRef, done bool) {
 	succ := t.Successor()
-	if succ.Addr == t.self.Addr || betweenRightIncl(t.self.Key, k, succ.Key) {
+	if succ.Addr == t.self.Addr || BetweenRightIncl(t.self.Key, k, succ.Key) {
 		return succ, NodeRef{}, true
 	}
 	hop = t.closestPreceding(k, failing)
@@ -91,7 +91,7 @@ func (t *Table) NextHop(k Key, failing func(addr string) bool) (owner NodeRef, h
 func (t *Table) closestPreceding(k Key, failing func(addr string) bool) NodeRef {
 	ok := func(r NodeRef) bool {
 		return !r.IsZero() && r.Addr != t.self.Addr &&
-			between(t.self.Key, r.Key, k) &&
+			Between(t.self.Key, r.Key, k) &&
 			(failing == nil || !failing(r.Addr))
 	}
 	for i := len(t.fingers) - 1; i >= 0; i-- {
@@ -135,7 +135,7 @@ func (t *Table) SetSuccessors(list []NodeRef) {
 func (t *Table) AdoptFromProbe(succ NodeRef, succPred NodeRef, succSuccs []NodeRef) bool {
 	head := succ
 	if !succPred.IsZero() && succPred.Addr != t.self.Addr &&
-		between(t.self.Key, succPred.Key, succ.Key) {
+		Between(t.self.Key, succPred.Key, succ.Key) {
 		head = succPred
 	}
 	old := t.Successor()
@@ -155,7 +155,7 @@ func (t *Table) Notify(cand NodeRef) bool {
 	if cand.IsZero() || cand.Addr == t.self.Addr {
 		return false
 	}
-	if t.pred.IsZero() || between(t.pred.Key, cand.Key, t.self.Key) {
+	if t.pred.IsZero() || Between(t.pred.Key, cand.Key, t.self.Key) {
 		changed := t.pred.Addr != cand.Addr
 		t.pred = cand
 		return changed
@@ -218,7 +218,7 @@ func (t *Table) Depart(leaving, repl NodeRef) bool {
 		changed = t.Notify(repl) || changed
 	}
 	if wasSucc && (t.Successor().Addr == t.self.Addr ||
-		between(t.self.Key, repl.Key, t.Successor().Key)) {
+		Between(t.self.Key, repl.Key, t.Successor().Key)) {
 		t.SetSuccessors(append([]NodeRef{repl}, t.succs...))
 		changed = true
 	}

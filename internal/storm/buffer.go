@@ -233,13 +233,20 @@ func (b *BufferPool) Resident(id PageID) bool {
 	return ok
 }
 
-// HitRate returns the fraction of fetches served from memory.
-func (b *BufferPool) HitRate() float64 {
+// Counters snapshots the hit, miss and eviction counts under the pool
+// lock. Fetches bump the fields under that lock, so this is the only
+// race-free way to read them while the pool is in use.
+func (b *BufferPool) Counters() (hits, misses, evictions uint64) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	total := b.Hits + b.Misses
-	if total == 0 {
+	return b.Hits, b.Misses, b.Evictions
+}
+
+// HitRate returns the fraction of fetches served from memory.
+func (b *BufferPool) HitRate() float64 {
+	hits, misses, _ := b.Counters()
+	if hits+misses == 0 {
 		return 0
 	}
-	return float64(b.Hits) / float64(total)
+	return float64(hits) / float64(hits+misses)
 }

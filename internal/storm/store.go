@@ -775,9 +775,7 @@ func (s *Store) Stats() StoreStats {
 	}
 	s.mu.RUnlock()
 	st.TotalPages = int(s.file.PageCount())
-	st.PoolHits = s.pool.Hits
-	st.PoolMisses = s.pool.Misses
-	st.PoolEvictions = s.pool.Evictions
+	st.PoolHits, st.PoolMisses, st.PoolEvictions = s.pool.Counters()
 	st.HitRate = s.pool.HitRate()
 	if s.wal != nil {
 		st.WALRecords = s.wal.Appended

@@ -317,6 +317,38 @@ func TestStoreConcurrentReaders(t *testing.T) {
 	}
 }
 
+// TestStoreStatsDuringScan reads Stats — what every metrics scrape does
+// through the store gauges — while scans are bumping the pool counters.
+// Its assertion is the race detector's: Stats must take the pool lock.
+func TestStoreStatsDuringScan(t *testing.T) {
+	s := tempStore(t, Options{BufferFrames: 8})
+	for i := 0; i < 200; i++ {
+		s.Put(obj(fmt.Sprintf("o%03d", i), []string{"k"}, 256))
+	}
+	done := make(chan error, 1)
+	go func() {
+		var err error
+		for i := 0; i < 20 && err == nil; i++ {
+			err = s.Scan(func(*Object) bool { return true })
+		}
+		done <- err
+	}()
+	for scanning := true; scanning; {
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+			scanning = false
+		default:
+			s.Stats()
+		}
+	}
+	if st := s.Stats(); st.PoolHits+st.PoolMisses == 0 {
+		t.Fatalf("scans left no pool traffic in %+v", st)
+	}
+}
+
 func TestStoreConcurrentMixedWorkload(t *testing.T) {
 	s := tempStore(t, Options{BufferFrames: 8})
 	done := make(chan error, 4)
