@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet lint vetself vetgolden golden test race chaos fuzz cover adminsmoke bench dhtbench churnsoak churnbench ci clean
+.PHONY: all build vet lint vetself vetgolden golden test race chaos fuzz cover adminsmoke perfcheck bench dhtbench churnsoak churnbench ci clean
 
 all: build vet lint test
 
@@ -56,7 +56,10 @@ chaos:
 # Short fuzz passes over the wire codec and agent packet decoders.
 # Each target gets a few seconds — enough to shake out regressions in
 # the corpus without turning CI into a fuzz farm.
+# FuzzRecordMatches gets longer: it is the equivalence proof Store.Match
+# rests on (record-level match == decodeObject + Object.Matches).
 FUZZTIME ?= 5s
+MATCHFUZZTIME ?= 30s
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzDecodeEnvelope -fuzztime $(FUZZTIME) ./internal/wire/
 	$(GO) test -run '^$$' -fuzz FuzzDecoder -fuzztime $(FUZZTIME) ./internal/wire/
@@ -66,6 +69,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzFingerprint -fuzztime $(FUZZTIME) ./internal/agent/
 	$(GO) test -run '^$$' -fuzz FuzzDecodeDepart -fuzztime $(FUZZTIME) ./internal/core/
 	$(GO) test -run '^$$' -fuzz FuzzDecodeObject -fuzztime $(FUZZTIME) ./internal/storm/
+	$(GO) test -run '^$$' -fuzz FuzzRecordMatches -fuzztime $(MATCHFUZZTIME) ./internal/storm/
 	$(GO) test -run '^$$' -fuzz FuzzChordCodecs -fuzztime $(FUZZTIME) ./internal/chord/
 	$(GO) test -run '^$$' -fuzz FuzzRingCodecs -fuzztime $(FUZZTIME) ./internal/liglo/
 
@@ -85,6 +89,14 @@ adminsmoke:
 	$(GO) test -race -count=1 -run 'TestAdminEndpointSmoke' ./cmd/bestpeer/
 	$(GO) test -race -count=1 -run 'TestFleetObservatorySmoke' ./cmd/bpobs/
 	$(GO) test -race -count=1 -run 'TestLigloRingSmoke' ./cmd/liglo/
+
+# Allocation budget of one query hop: exact allocs/op bounds on the
+# envelope codec and Store.Match (they run in `make test` too, and skip
+# under -race), then the same operations' ns/op, B/op and allocs/op for
+# the log. Only the counts gate; timings on a shared runner do not.
+perfcheck:
+	$(GO) test -count=1 -run 'TestAllocBudget' -v .
+	$(GO) test -run '^$$' -bench 'Envelope|Match' -benchmem .
 
 # Machine-readable benchmark report: every simulated figure (including
 # the flood-vs-qroute traffic comparison and the churn-at-scale run
@@ -116,7 +128,7 @@ CHURNJSON ?= churn-report.json
 churnbench:
 	$(GO) run ./cmd/bpbench -fig churn -json $(CHURNJSON)
 
-ci: build vet lint vetself vetgolden golden race fuzz adminsmoke cover
+ci: build vet lint vetself vetgolden golden race perfcheck fuzz adminsmoke cover
 
 clean:
 	$(GO) clean -testcache

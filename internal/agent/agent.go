@@ -15,6 +15,7 @@
 package agent
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -273,7 +274,15 @@ func DecodePacket(body []byte) (*Packet, error) {
 // envelope body. answered is the hop count at the answering peer, which
 // MinHops reconfiguration consumes.
 func EncodeResults(results []Result, hops int, from wire.BPID, fromAddr string) []byte {
+	// Sized once from a bound (every varint at its longest): result
+	// batches carry the objects themselves, and growing to 10 KB by
+	// doubling allocates the batch twice over.
+	size := len(fromAddr) + len(from.LIGLO) + 5*binary.MaxVarintLen64
+	for _, r := range results {
+		size += len(r.Name) + len(r.Data) + 2*binary.MaxVarintLen32
+	}
 	var e wire.Encoder
+	e.Grow(size)
 	e.String(fromAddr)
 	e.BPID(from)
 	e.Varint(int64(hops))
@@ -302,6 +311,11 @@ func DecodeResults(body []byte) (*ResultBatch, error) {
 	n := d.Uvarint()
 	if n > uint64(wire.MaxFrameSize) {
 		return nil, ErrBadPacket
+	}
+	// A result is at least its two length prefixes, so the bytes left
+	// bound how many the count can honestly announce.
+	if n > 0 {
+		b.Results = make([]Result, 0, min(n, uint64(d.Remaining()/2)))
 	}
 	for i := uint64(0); i < n; i++ {
 		b.Results = append(b.Results, Result{Name: d.String(), Data: d.Bytes2()})

@@ -189,6 +189,11 @@ func TestSelectiveRoutingLearnsProvider(t *testing.T) {
 	if _, err := c.nodes[0].Query(&agent.KeywordAgent{Query: "needle"}, opts); err != nil {
 		t.Fatal(err)
 	}
+	// Query returns on the needle's answer; the flood's agents at the idle
+	// peers may still be in flight, and must land before the baseline.
+	waitUntil(t, "the flood to reach both idle peers", func() bool {
+		return c.nodes[1].Stats().AgentsExecuted+c.nodes[2].Stats().AgentsExecuted == 2
+	})
 	idleExecs := c.nodes[1].Stats().AgentsExecuted + c.nodes[2].Stats().AgentsExecuted
 
 	// Bump the base's epoch so the repeat query misses the answer cache

@@ -200,6 +200,34 @@ func (d *DiskFile) ReadPage(id PageID, p *Page) error {
 	return p.verify(id)
 }
 
+// readRun reads the len(buf)/PageSize consecutive pages starting at
+// first into buf with a single read, verifying every page's checksum and
+// id exactly as ReadPage does. Sequential scans use it to read past the
+// buffer pool; each page counts in Reads.
+func (d *DiskFile) readRun(first PageID, buf []byte) error {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.closed {
+		return ErrClosed
+	}
+	n := len(buf) / PageSize
+	if first == InvalidPage || uint64(first)+uint64(n) > uint64(d.pages) {
+		return fmt.Errorf("storm: read of pages %d..%d beyond end (%d pages)", first, uint64(first)+uint64(n)-1, d.pages)
+	}
+	// A short read must fail here: the scan buffer is reused, so bytes a
+	// read did not overwrite could be an older, well-formed image.
+	if got, err := d.f.ReadAt(buf[:n*PageSize], int64(first)*PageSize); got < n*PageSize {
+		return fmt.Errorf("storm: read pages %d..%d: %w", first, int(first)+n-1, err)
+	}
+	d.Reads += uint64(n)
+	for i := 0; i < n; i++ {
+		if err := verifyImage((*[PageSize]byte)(buf[i*PageSize:]), first+PageID(i)); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // WritePage seals p and writes it at its id.
 func (d *DiskFile) WritePage(p *Page) error {
 	d.mu.Lock()

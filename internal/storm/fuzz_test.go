@@ -3,6 +3,7 @@ package storm
 import (
 	"bytes"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -39,6 +40,55 @@ func FuzzDecodeObject(f *testing.F) {
 		}
 		if !reflect.DeepEqual(back, o) {
 			t.Fatal("object round trip changed the record")
+		}
+	})
+}
+
+// FuzzRecordMatches holds recordMatches to its contract: for arbitrary
+// record bytes and query it answers what decodeObject followed by
+// Object.Matches answers, and it fails exactly when decodeObject fails.
+func FuzzRecordMatches(f *testing.F) {
+	record := func(o *Object) []byte {
+		rec, err := encodeObject(o)
+		if err != nil {
+			f.Fatal(err)
+		}
+		return rec
+	}
+	plain := record(&Object{Name: "Report-2002.txt", Keywords: []string{"p2p", "Storage"}, Data: []byte("shared bytes")})
+	f.Add(plain, "storage")
+	f.Add(plain, "REPORT")
+	f.Add(plain, "port-2")
+	f.Add(plain, "")
+	f.Add(plain, "absent")
+	// Case pairs whose folding changes the byte length, or has no ASCII
+	// counterpart on one side: U+0130, the Kelvin sign, long s, sharp s.
+	folds := record(&Object{Name: "İstanbul-Kelvin-ſ", Keywords: []string{"İ", "K", "ſ", "Straße"}, Kind: ActiveObject, ActiveClass: "filter"})
+	for _, q := range []string{"i̇", "İ", "k", "K", "K", "s", "ſ", "straße", "STRASSE", "i̇stanbul", "istanbul", "kelvin-ſ"} {
+		f.Add(folds, q)
+	}
+	f.Add([]byte("\x01\x02\xff\xfe\x00\x00\x01\x01\xff\x00"), "\xff")  // invalid UTF-8 in name and keyword
+	f.Add(plain[:len(plain)-1], "p2p")                                 // truncated data
+	f.Add(plain[:8], "p2p")                                            // truncated name
+	f.Add(append(append([]byte(nil), plain...), 0), "p2p")             // trailing byte
+	f.Add([]byte{objectRecordVersion + 1, 0, 0, 0, 0, 0}, "x")         // wrong version
+	f.Add([]byte{objectRecordVersion, 0, 0, 0, 0xFF, 0xFF, 0x7F}, "x") // keyword count past the record
+	f.Add([]byte{}, "x")
+
+	f.Fuzz(func(t *testing.T, rec []byte, query string) {
+		hit, err := recordMatches(rec, strings.ToLower(query))
+		o, derr := decodeObject(rec)
+		if (err != nil) != (derr != nil) {
+			t.Fatalf("recordMatches error %v, decodeObject error %v", err, derr)
+		}
+		if derr != nil {
+			if err.Error() != derr.Error() || hit {
+				t.Fatalf("recordMatches failed with %q (hit=%v), decodeObject with %q", err, hit, derr)
+			}
+			return
+		}
+		if want := o.Matches(query); hit != want {
+			t.Fatalf("recordMatches(%q) = %v, Matches = %v for %+v", query, hit, want, o)
 		}
 	})
 }

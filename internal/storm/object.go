@@ -1,9 +1,11 @@
 package storm
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"strings"
+	"unicode/utf8"
 
 	"bestpeer/internal/wire"
 )
@@ -114,6 +116,121 @@ func (o *Object) Matches(query string) bool {
 		}
 	}
 	return strings.Contains(strings.ToLower(o.Name), q)
+}
+
+// recordMatches is decodeObject followed by Object.Matches, evaluated on
+// the encoded record without materialising the object. q is the query
+// already lower-cased (strings.ToLower). The contract, held by
+// FuzzRecordMatches: for every rec and query the answer equals
+// decodeObject(rec).Matches(query), and the error is decodeObject's own
+// whenever — and only when — decodeObject fails, so a corrupt record
+// fails a Match exactly as it fails a Scan. ASCII fields are compared
+// in place; a field with a non-ASCII byte goes through strings.ToLower
+// so multi-byte case pairs fold as Matches folds them.
+func recordMatches(rec []byte, q string) (bool, error) {
+	hit, ok := matchRecord(rec, q)
+	if !ok {
+		_, err := decodeObject(rec)
+		if err == nil {
+			err = ErrBadObject // unreachable while the contract holds
+		}
+		return false, err
+	}
+	return hit, nil
+}
+
+// matchRecord walks the record layout of encodeObject; ok is false for a
+// record decodeObject rejects.
+func matchRecord(rec []byte, q string) (hit, ok bool) {
+	if len(rec) == 0 || rec[0] != objectRecordVersion {
+		return false, false
+	}
+	name, p, ok := recordField(rec, 1)
+	if !ok || p == len(rec) {
+		return false, false
+	}
+	p++ // the kind byte
+	if _, p, ok = recordField(rec, p); !ok {
+		return false, false // active class
+	}
+	keywords, w := binary.Uvarint(rec[p:])
+	if w <= 0 || keywords > MaxRecordSize {
+		return false, false
+	}
+	p += w
+	for ; keywords > 0; keywords-- {
+		var k []byte
+		if k, p, ok = recordField(rec, p); !ok {
+			return false, false
+		}
+		hit = hit || (q != "" && lowerEquals(k, q))
+	}
+	if _, p, ok = recordField(rec, p); !ok || p != len(rec) {
+		return false, false // data, then nothing
+	}
+	return hit || (q != "" && lowerContains(name, q)), true
+}
+
+// recordField reads the length-prefixed field at rec[p:] and returns it
+// with the offset just past it.
+func recordField(rec []byte, p int) (field []byte, next int, ok bool) {
+	n, w := binary.Uvarint(rec[p:])
+	if w <= 0 {
+		return nil, 0, false
+	}
+	p += w
+	if n > wire.MaxFrameSize || uint64(len(rec)-p) < n {
+		return nil, 0, false
+	}
+	return rec[p : p+int(n)], p + int(n), true
+}
+
+// lowerEquals reports strings.ToLower(string(b)) == q.
+func lowerEquals(b []byte, q string) bool {
+	if !isASCII(b) {
+		return strings.ToLower(string(b)) == q
+	}
+	return len(b) == len(q) && lowerHasPrefix(b, q)
+}
+
+// lowerContains reports strings.Contains(strings.ToLower(string(b)), q).
+func lowerContains(b []byte, q string) bool {
+	if !isASCII(b) {
+		return strings.Contains(strings.ToLower(string(b)), q)
+	}
+	for ; len(b) >= len(q); b = b[1:] {
+		if lowerHasPrefix(b, q) {
+			return true
+		}
+	}
+	return false
+}
+
+// lowerHasPrefix reports whether the ASCII bytes b, lower-cased, start
+// with q. len(b) must be at least len(q).
+func lowerHasPrefix(b []byte, q string) bool {
+	for i := 0; i < len(q); i++ {
+		if lowerASCII(b[i]) != q[i] {
+			return false
+		}
+	}
+	return true
+}
+
+func isASCII(b []byte) bool {
+	for _, c := range b {
+		if c >= utf8.RuneSelf {
+			return false
+		}
+	}
+	return true
+}
+
+func lowerASCII(c byte) byte {
+	if 'A' <= c && c <= 'Z' {
+		c += 'a' - 'A'
+	}
+	return c
 }
 
 // Clone returns a deep copy of the object.

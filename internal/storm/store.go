@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"sort"
+	"strings"
 	"sync"
 
 	"bestpeer/internal/obs"
@@ -75,10 +76,11 @@ type Store struct {
 	wal *WAL
 
 	byName map[string]OID
-	// pagesWithSpace tracks data pages believed to have free room,
-	// ordered for deterministic placement.
-	pagesWithSpace map[PageID]int
-	dataPages      []PageID
+	// dataPages lists the heap pages in ascending id order; free holds
+	// each one's reclaimable bytes at the same index, for deterministic
+	// lowest-page-first placement.
+	dataPages []PageID
+	free      freeSpace
 
 	// hookMu guards mutationHooks; see OnMutation.
 	hookMu        sync.RWMutex
@@ -127,10 +129,9 @@ func Open(path string, opts Options) (*Store, error) {
 		return nil, err
 	}
 	s := &Store{
-		file:           file,
-		pool:           NewBufferPool(file, frames, NewReplacer(opts.Policy)),
-		byName:         make(map[string]OID),
-		pagesWithSpace: make(map[PageID]int),
+		file:   file,
+		pool:   NewBufferPool(file, frames, NewReplacer(opts.Policy)),
+		byName: make(map[string]OID),
 	}
 
 	fromTree := false
@@ -368,9 +369,7 @@ func (s *Store) rebuildCatalog(withNames bool) error {
 				return true
 			})
 		}
-		if free := p.AvailableSpace(); free > 0 {
-			s.pagesWithSpace[id] = free
-		}
+		s.free.append(p.AvailableSpace())
 		if err := s.pool.Unpin(id, dirty); err != nil {
 			return err
 		}
@@ -436,7 +435,7 @@ func (s *Store) putUnlogged(obj *Object) (OID, error) {
 		}
 		uerr := p.Update(old.Slot, rec)
 		if uerr == nil {
-			s.pagesWithSpace[old.Page] = p.AvailableSpace()
+			s.setFree(old.Page, p.AvailableSpace())
 			err = s.pool.Unpin(old.Page, true)
 			if err == nil {
 				err = s.indexAdd(obj, old)
@@ -448,7 +447,7 @@ func (s *Store) putUnlogged(obj *Object) (OID, error) {
 			s.pool.Unpin(old.Page, false)
 			return OID{}, derr
 		}
-		s.pagesWithSpace[old.Page] = p.AvailableSpace()
+		s.setFree(old.Page, p.AvailableSpace())
 		if err := s.pool.Unpin(old.Page, true); err != nil {
 			return OID{}, err
 		}
@@ -486,38 +485,35 @@ func (s *Store) readObjectAt(oid OID) (*Object, error) {
 	return obj, gerr
 }
 
+// setFree records data page id's reclaimable bytes. Caller holds s.mu.
+func (s *Store) setFree(id PageID, free int) {
+	i := sort.Search(len(s.dataPages), func(i int) bool { return s.dataPages[i] >= id })
+	s.free.set(i, free)
+}
+
 // insertLocked places rec on a page with room, allocating a new page when
 // needed. Caller holds s.mu.
 func (s *Store) insertLocked(name string, rec []byte) (OID, error) {
 	need := len(rec) + slotEntrySize
 	// Deterministic choice: the lowest page id with enough space.
-	var candidates []PageID
-	for id, free := range s.pagesWithSpace {
-		if free >= need {
-			candidates = append(candidates, id)
-		}
-	}
-	sort.Slice(candidates, func(i, j int) bool { return candidates[i] < candidates[j] })
-	for _, id := range candidates {
+	for i := s.free.firstFit(0, need); i >= 0; i = s.free.firstFit(i+1, need) {
+		id := s.dataPages[i]
 		p, err := s.pool.Fetch(id)
 		if err != nil {
 			return OID{}, err
 		}
 		slot, ierr := p.Insert(rec)
+		s.free.set(i, p.AvailableSpace())
+		if err := s.pool.Unpin(id, ierr == nil); err != nil {
+			return OID{}, err
+		}
 		if ierr == nil {
-			s.pagesWithSpace[id] = p.AvailableSpace()
-			if err := s.pool.Unpin(id, true); err != nil {
-				return OID{}, err
-			}
 			oid := OID{Page: id, Slot: slot}
 			s.byName[name] = oid
 			return oid, nil
 		}
-		// Stale free-space estimate; refresh and move on.
-		s.pagesWithSpace[id] = p.AvailableSpace()
-		if err := s.pool.Unpin(id, false); err != nil {
-			return OID{}, err
-		}
+		// The estimate counted tombstoned space Insert could not use;
+		// move on to the next page.
 	}
 	// Allocate a fresh page.
 	p, err := s.pool.NewPage()
@@ -531,7 +527,7 @@ func (s *Store) insertLocked(name string, rec []byte) (OID, error) {
 		return OID{}, ierr
 	}
 	s.dataPages = append(s.dataPages, id)
-	s.pagesWithSpace[id] = p.AvailableSpace()
+	s.free.append(p.AvailableSpace())
 	if err := s.pool.Unpin(id, true); err != nil {
 		return OID{}, err
 	}
@@ -623,7 +619,7 @@ func (s *Store) deleteUnlogged(name string) error {
 		s.pool.Unpin(oid.Page, false)
 		return derr
 	}
-	s.pagesWithSpace[oid.Page] = p.AvailableSpace()
+	s.setFree(oid.Page, p.AvailableSpace())
 	if err := s.pool.Unpin(oid.Page, true); err != nil {
 		return err
 	}
@@ -631,57 +627,133 @@ func (s *Store) deleteUnlogged(name string) error {
 	return s.catalogDelete(name)
 }
 
-// Scan calls fn for every object in page order. Returning false stops the
-// scan. Objects passed to fn are fresh copies the callback may retain.
-func (s *Store) Scan(fn func(*Object) bool) error {
+// scanRunPages bounds how many pages a sequential scan reads with one
+// file read, and so how long it holds the store's read lock at a time.
+const scanRunPages = 32
+
+// scanBufs recycles the buffers scans read page runs into.
+var scanBufs = sync.Pool{New: func() any {
+	buf := make([]byte, scanRunPages*PageSize)
+	return &buf
+}}
+
+// walk is the one sequential page walker behind Scan and Match. It
+// visits every data page in page order, scanRunPages at a time: under
+// one hold of the read lock it calls visit for each live record of the
+// window (rec aliases page memory and must not be retained), then, with
+// the lock released, calls between — which returns false to stop.
+//
+// Within a window, a run of consecutive page ids the pool does not hold
+// is read from the file with a single read into a scan buffer, verified
+// page by page and walked there, so a scan larger than the pool neither
+// pays one read per page nor evicts the frames Put and Get keep hot. A
+// resident page, which may be dirty, is always pinned and read through
+// the pool. Reading past the pool is sound because the read lock keeps
+// writers out and a non-resident page's disk image is current (see
+// BufferPool.coldRun).
+func (s *Store) walk(visit func(rec []byte) error, between func() bool) error {
 	s.mu.RLock()
 	pages := append([]PageID(nil), s.dataPages...)
 	s.mu.RUnlock()
 
-	for _, id := range pages {
-		s.mu.RLock()
-		p, err := s.pool.Fetch(id)
+	buf := scanBufs.Get().(*[]byte)
+	defer scanBufs.Put(buf)
+	for len(pages) > 0 {
+		window := pages[:min(len(pages), scanRunPages)]
+		pages = pages[len(window):]
+		err := s.walkWindow(window, *buf, visit)
+		// Records ahead of a failure are still delivered, and a consumer
+		// that stops among them never learns of it.
+		if between != nil && !between() {
+			return nil
+		}
 		if err != nil {
-			s.mu.RUnlock()
 			return err
-		}
-		type hit struct {
-			obj *Object
-			err error
-		}
-		var batch []hit
-		p.Records(func(_ Slot, rec []byte) bool {
-			obj, derr := decodeObject(rec)
-			batch = append(batch, hit{obj, derr})
-			return true
-		})
-		unpinErr := s.pool.Unpin(id, false)
-		s.mu.RUnlock()
-		if unpinErr != nil {
-			return unpinErr
-		}
-		for _, h := range batch {
-			if h.err != nil {
-				return h.err
-			}
-			if !fn(h.obj) {
-				return nil
-			}
 		}
 	}
 	return nil
 }
 
-// Match returns every object satisfying the keyword query, in page order.
-// This is the operation the StorM search agent performs at each peer.
-func (s *Store) Match(query string) ([]*Object, error) {
-	var out []*Object
-	err := s.Scan(func(o *Object) bool {
-		if o.Matches(query) {
-			out = append(out, o)
+// walkWindow visits the records of the given pages under the read lock.
+func (s *Store) walkWindow(window []PageID, buf []byte, visit func(rec []byte) error) error {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	var err error
+	each := func(_ Slot, rec []byte) bool {
+		err = visit(rec)
+		return err == nil
+	}
+	for len(window) > 0 {
+		n := s.pool.coldRun(window)
+		if n == 0 {
+			id := window[0]
+			p, ferr := s.pool.Fetch(id)
+			if ferr != nil {
+				return ferr
+			}
+			p.Records(each)
+			if uerr := s.pool.Unpin(id, false); uerr != nil {
+				return uerr
+			}
+			n = 1
+		} else {
+			run := buf[:n*PageSize]
+			if rerr := s.file.readRun(window[0], run); rerr != nil {
+				return rerr
+			}
+			for ; err == nil && len(run) > 0; run = run[PageSize:] {
+				imageRecords((*[PageSize]byte)(run), each)
+			}
 		}
+		if err != nil {
+			return err
+		}
+		window = window[n:]
+	}
+	return nil
+}
+
+// Scan calls fn for every object in page order. Returning false stops the
+// scan. Objects passed to fn are fresh copies the callback may retain; fn
+// runs without the store lock held.
+func (s *Store) Scan(fn func(*Object) bool) error {
+	var batch []*Object
+	return s.walk(func(rec []byte) error {
+		obj, err := decodeObject(rec)
+		if err == nil {
+			batch = append(batch, obj)
+		}
+		return err
+	}, func() bool {
+		for i, obj := range batch {
+			batch[i] = nil
+			if !fn(obj) {
+				return false
+			}
+		}
+		batch = batch[:0]
 		return true
 	})
+}
+
+// Match returns every object satisfying the keyword query, in page order.
+// This is the operation the StorM search agent performs at each peer. The
+// query is evaluated on the encoded records (recordMatches), so only the
+// hits are decoded and copied out of their pages.
+func (s *Store) Match(query string) ([]*Object, error) {
+	q := strings.ToLower(query)
+	var out []*Object
+	err := s.walk(func(rec []byte) error {
+		hit, err := recordMatches(rec, q)
+		if err != nil || !hit {
+			return err
+		}
+		obj, err := decodeObject(rec)
+		if err == nil {
+			out = append(out, obj)
+		}
+		return err
+	}, nil)
 	return out, err
 }
 
@@ -769,16 +841,14 @@ func (s *Store) Stats() StoreStats {
 		Objects:           len(s.byName),
 		DataPages:         len(s.dataPages),
 		CatalogPersistent: s.catalog != nil,
-	}
-	for _, free := range s.pagesWithSpace {
-		st.FreeBytes += free
+		FreeBytes:         s.free.total(),
 	}
 	s.mu.RUnlock()
 	st.TotalPages = int(s.file.PageCount())
 	st.PoolHits, st.PoolMisses, st.PoolEvictions = s.pool.Counters()
 	st.HitRate = s.pool.HitRate()
 	if s.wal != nil {
-		st.WALRecords = s.wal.Appended
+		st.WALRecords = s.wal.Appended.Load()
 	}
 	return st
 }

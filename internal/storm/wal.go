@@ -8,6 +8,7 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
+	"sync/atomic"
 	"time"
 
 	"bestpeer/internal/obs"
@@ -50,8 +51,10 @@ type WAL struct {
 	sync   bool
 	closed bool
 
-	// Appended counts records written since open.
-	Appended uint64
+	// Appended counts records written since open. Atomic: Store.Stats
+	// reads it while an Append, which runs outside the store lock, is in
+	// flight.
+	Appended atomic.Uint64
 
 	// Optional metric handles, bound by the owning store: appended
 	// records and per-append fsync latency.
@@ -155,7 +158,7 @@ func (w *WAL) Append(r *walRecord) error {
 			w.fsyncSeconds.ObserveDuration(time.Since(start))
 		}
 	}
-	w.Appended++
+	w.Appended.Add(1)
 	if w.appends != nil {
 		w.appends.Inc()
 	}

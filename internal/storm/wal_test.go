@@ -243,8 +243,8 @@ func TestWALDeleteMissingNotLogged(t *testing.T) {
 	if err := s.Delete("ghost"); err == nil {
 		t.Fatal("delete of missing succeeded")
 	}
-	if s.wal.Appended != 0 {
-		t.Fatalf("missing delete was logged (%d records)", s.wal.Appended)
+	if s.wal.Appended.Load() != 0 {
+		t.Fatalf("missing delete was logged (%d records)", s.wal.Appended.Load())
 	}
 }
 

@@ -9,6 +9,8 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
+	"sync"
 )
 
 // Codec errors.
@@ -31,6 +33,23 @@ const (
 	flagGzip = 1 << 0
 )
 
+// frameHeaderSize is the uint32 length plus the flags byte that lead
+// every frame.
+const frameHeaderSize = 4 + 1
+
+// gzipEncoder is the reusable compressor state of one EncodeEnvelope
+// call. A gzip.Writer costs ~800 KB to build; Reset re-arms it for
+// nothing and emits the same bytes a fresh writer would (same level,
+// same zero header).
+type gzipEncoder struct {
+	zw  *gzip.Writer
+	buf bytes.Buffer
+}
+
+var gzipEncoders = sync.Pool{New: func() any {
+	return &gzipEncoder{zw: gzip.NewWriter(io.Discard)}
+}}
+
 // EncodeEnvelope serializes the envelope into a self-delimiting frame:
 //
 //	uint32 length | uint8 flags | body
@@ -41,43 +60,57 @@ func EncodeEnvelope(e *Envelope) ([]byte, error) {
 	if !e.Kind.Valid() {
 		return nil, fmt.Errorf("%w: invalid kind %d", ErrBadFrame, e.Kind)
 	}
-	if e.Trace != nil && len(encodeTraceContext(e.Trace)) > math.MaxUint16 {
-		return nil, fmt.Errorf("%w: trace extension too large", ErrBadFrame)
+	// Each extension is encoded once: the emitted bytes are what is
+	// length-checked.
+	var trace, span, qroute []byte
+	size := envelopeHeaderSize + len(e.From) + len(e.To) + len(e.Body)
+	if e.Trace != nil {
+		if trace = encodeTraceContext(e.Trace); len(trace) > math.MaxUint16 {
+			return nil, fmt.Errorf("%w: trace extension too large", ErrBadFrame)
+		}
+		size += extHeaderSize + len(trace)
 	}
-	if e.Span != nil && len(encodeTraceSpan(e.Span)) > math.MaxUint16 {
-		return nil, fmt.Errorf("%w: span extension too large", ErrBadFrame)
+	if e.Span != nil {
+		if span = encodeTraceSpan(e.Span); len(span) > math.MaxUint16 {
+			return nil, fmt.Errorf("%w: span extension too large", ErrBadFrame)
+		}
+		size += extHeaderSize + len(span)
 	}
-	if e.QRoute != nil && len(encodeQRoute(e.QRoute)) > math.MaxUint16 {
-		return nil, fmt.Errorf("%w: qroute extension too large", ErrBadFrame)
+	if e.QRoute != nil {
+		if qroute = encodeQRoute(e.QRoute); len(qroute) > math.MaxUint16 {
+			return nil, fmt.Errorf("%w: qroute extension too large", ErrBadFrame)
+		}
+		size += extHeaderSize + len(qroute)
 	}
-	raw := encodeBody(e)
+	// The body is laid out behind the reserved header, so a frame that
+	// travels stored is finished in place.
+	frame := encodeBody(make([]byte, frameHeaderSize, frameHeaderSize+size), e, trace, span, qroute)
 
 	var flags byte
-	payload := raw
-	if len(raw) >= compressionThreshold {
-		var buf bytes.Buffer
-		zw := gzip.NewWriter(&buf)
-		if _, err := zw.Write(raw); err != nil {
-			return nil, fmt.Errorf("wire: compress: %w", err)
+	if raw := frame[frameHeaderSize:]; len(raw) >= compressionThreshold {
+		z := gzipEncoders.Get().(*gzipEncoder)
+		z.buf.Reset()
+		z.zw.Reset(&z.buf)
+		_, err := z.zw.Write(raw)
+		if err == nil {
+			err = z.zw.Close()
 		}
-		if err := zw.Close(); err != nil {
+		if err != nil {
 			return nil, fmt.Errorf("wire: compress: %w", err)
 		}
 		// Only keep the compressed form when it actually shrinks.
-		if buf.Len() < len(raw) {
-			payload = buf.Bytes()
+		if z.buf.Len() < len(raw) {
+			frame = append(make([]byte, frameHeaderSize, frameHeaderSize+z.buf.Len()), z.buf.Bytes()...)
 			flags |= flagGzip
 		}
+		gzipEncoders.Put(z)
 	}
-	if len(payload)+1 > MaxFrameSize {
+	if len(frame)-4 > MaxFrameSize {
 		return nil, ErrFrameTooLarge
 	}
-
-	out := make([]byte, 4+1+len(payload))
-	binary.BigEndian.PutUint32(out[0:4], uint32(len(payload)+1))
-	out[4] = flags
-	copy(out[5:], payload)
-	return out, nil
+	binary.BigEndian.PutUint32(frame[0:4], uint32(len(frame)-4))
+	frame[4] = flags
+	return frame, nil
 }
 
 // Extension field tags. Extensions are appended after the body as
@@ -94,11 +127,9 @@ const (
 // extHeaderSize is the fixed overhead of one extension record.
 const extHeaderSize = 1 + 2
 
-// encodeBody lays out the envelope fields in a fixed order, followed by
-// any extension records.
-func encodeBody(e *Envelope) []byte {
-	n := e.WireSize()
-	buf := make([]byte, 0, n)
+// encodeBody appends the envelope fields to buf in a fixed order,
+// followed by the already encoded extension records (nil when absent).
+func encodeBody(buf []byte, e *Envelope, trace, span, qroute []byte) []byte {
 	buf = append(buf, byte(e.Kind), e.TTL, e.Hops)
 	buf = append(buf, e.ID[:]...)
 	buf = binary.BigEndian.AppendUint16(buf, uint16(len(e.From)))
@@ -108,13 +139,13 @@ func encodeBody(e *Envelope) []byte {
 	buf = binary.BigEndian.AppendUint32(buf, uint32(len(e.Body)))
 	buf = append(buf, e.Body...)
 	if e.Trace != nil {
-		buf = appendExt(buf, extTrace, encodeTraceContext(e.Trace))
+		buf = appendExt(buf, extTrace, trace)
 	}
 	if e.Span != nil {
-		buf = appendExt(buf, extSpan, encodeTraceSpan(e.Span))
+		buf = appendExt(buf, extSpan, span)
 	}
 	if e.QRoute != nil {
-		buf = appendExt(buf, extQRoute, encodeQRoute(e.QRoute))
+		buf = appendExt(buf, extQRoute, qroute)
 	}
 	return buf
 }
@@ -228,23 +259,68 @@ func DecodeEnvelope(frame []byte) (*Envelope, error) {
 
 func decodeFlagged(flags byte, payload []byte) (*Envelope, error) {
 	if flags&flagGzip != 0 {
-		zr, err := gzip.NewReader(bytes.NewReader(payload))
+		raw, err := inflate(payload)
 		if err != nil {
-			return nil, fmt.Errorf("wire: decompress: %w", err)
-		}
-		raw, err := io.ReadAll(io.LimitReader(zr, MaxFrameSize+1))
-		if err != nil {
-			return nil, fmt.Errorf("wire: decompress: %w", err)
-		}
-		if err := zr.Close(); err != nil {
-			return nil, fmt.Errorf("wire: decompress: %w", err)
-		}
-		if len(raw) > MaxFrameSize {
-			return nil, ErrFrameTooLarge
+			return nil, err
 		}
 		payload = raw
 	}
 	return decodeBody(payload)
+}
+
+// gzipDecoder is the reusable decompressor state of one inflate call.
+type gzipDecoder struct {
+	src bytes.Reader
+	zr  gzip.Reader
+}
+
+var gzipDecoders = sync.Pool{New: func() any { return new(gzipDecoder) }}
+
+// maxDeflateRatio is above any expansion deflate can produce (its limit
+// is about 1032:1), so a buffer of this many bytes per compressed byte
+// is never too small for an honest frame.
+const maxDeflateRatio = 1040
+
+// inflate decompresses a gzip payload into a freshly allocated buffer,
+// refusing more than MaxFrameSize bytes. The buffer is sized up front
+// from the stream's ISIZE trailer. ISIZE is only a hint: it is clamped
+// to MaxFrameSize and to what len(payload) compressed bytes could
+// possibly expand to, so a lying trailer cannot make a small frame
+// allocate a large buffer, and the read loop grows past an understated
+// one — the stream decides how many bytes come out, never the hint.
+func inflate(payload []byte) ([]byte, error) {
+	z := gzipDecoders.Get().(*gzipDecoder)
+	z.src.Reset(payload)
+	if err := z.zr.Reset(&z.src); err != nil {
+		return nil, fmt.Errorf("wire: decompress: %w", err)
+	}
+	hint := 0
+	if len(payload) >= 4 {
+		hint = int(min(uint64(binary.LittleEndian.Uint32(payload[len(payload)-4:])),
+			uint64(len(payload))*maxDeflateRatio, MaxFrameSize))
+	}
+	// One byte beyond the hint lets the read that finds end-of-stream
+	// happen without growing an exactly sized buffer.
+	raw := make([]byte, 0, hint+1)
+	for {
+		n, err := z.zr.Read(raw[len(raw):min(cap(raw), MaxFrameSize+1)])
+		raw = raw[:len(raw)+n]
+		if len(raw) > MaxFrameSize {
+			return nil, ErrFrameTooLarge
+		}
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return nil, fmt.Errorf("wire: decompress: %w", err)
+		}
+		if len(raw) == cap(raw) {
+			raw = slices.Grow(raw, 1) // the hint understated: grow as append would
+		}
+	}
+	z.src.Reset(nil) // the pooled state must not pin the caller's frame
+	gzipDecoders.Put(z)
+	return raw, nil
 }
 
 // WriteEnvelope encodes the envelope and writes the frame to w.

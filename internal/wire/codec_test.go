@@ -12,6 +12,22 @@ import (
 	"testing/quick"
 )
 
+// rawBody is the envelope's body as EncodeEnvelope lays it out, before
+// framing and compression.
+func rawBody(e *Envelope) []byte {
+	var trace, span, qroute []byte
+	if e.Trace != nil {
+		trace = encodeTraceContext(e.Trace)
+	}
+	if e.Span != nil {
+		span = encodeTraceSpan(e.Span)
+	}
+	if e.QRoute != nil {
+		qroute = encodeQRoute(e.QRoute)
+	}
+	return encodeBody(nil, e, trace, span, qroute)
+}
+
 func sampleEnvelope() *Envelope {
 	return &Envelope{
 		Kind: KindAgent,
@@ -301,7 +317,7 @@ func TestWireSizeMatchesEncodedOrder(t *testing.T) {
 	e.Trace = &TraceContext{QueryID: NewMsgID(), Base: "base:1"}
 	e.Span = &TraceSpan{Peer: "p:2", Hop: 3}
 	e.QRoute = &QRoute{Via: "n:3", Cached: true, Epoch: 42}
-	if got, want := e.WireSize(), len(encodeBody(e)); got != want {
+	if got, want := e.WireSize(), len(rawBody(e)); got != want {
 		t.Fatalf("WireSize with extensions = %d, encoded body = %d", got, want)
 	}
 }
@@ -361,7 +377,7 @@ func TestTracelessFrameMatchesLegacyLayout(t *testing.T) {
 	legacy = append(legacy, e.To...)
 	legacy = binary.BigEndian.AppendUint32(legacy, uint32(len(e.Body)))
 	legacy = append(legacy, e.Body...)
-	if !bytes.Equal(encodeBody(e), legacy) {
+	if !bytes.Equal(rawBody(e), legacy) {
 		t.Fatal("traceless envelope no longer matches the legacy layout")
 	}
 }
@@ -371,7 +387,7 @@ func TestTracelessFrameMatchesLegacyLayout(t *testing.T) {
 // with the unknown field dropped.
 func TestUnknownExtensionTolerated(t *testing.T) {
 	e := sampleTracedEnvelope()
-	raw := encodeBody(e)
+	raw := rawBody(e)
 	raw = appendExt(raw, 250, []byte("from-the-future"))
 	raw = appendExt(raw, 251, nil) // empty unknown extension
 
@@ -391,8 +407,8 @@ func TestUnknownExtensionTolerated(t *testing.T) {
 
 func TestTruncatedExtensionRejected(t *testing.T) {
 	e := sampleTracedEnvelope()
-	raw := encodeBody(e)
-	fixed := len(encodeBody(sampleEnvelopeFrom(e)))
+	raw := rawBody(e)
+	fixed := len(rawBody(sampleEnvelopeFrom(e)))
 	// Cuts landing exactly on a record boundary are complete (shorter)
 	// frames — extensions are optional — so only mid-record cuts must
 	// be rejected.
@@ -425,7 +441,7 @@ func sampleEnvelopeFrom(e *Envelope) *Envelope {
 
 func TestCorruptExtensionPayloadRejected(t *testing.T) {
 	e := sampleEnvelope()
-	raw := encodeBody(e)
+	raw := rawBody(e)
 	// A trace extension whose payload is garbage must fail parsing, not
 	// be silently accepted.
 	raw = appendExt(raw, extTrace, []byte{0x01})
@@ -546,8 +562,8 @@ func TestQRouteRoundTrip(t *testing.T) {
 // checking every legacy field survives with the extension dropped.
 func TestQRouteFrameUnderOldDecoder(t *testing.T) {
 	e := sampleQRoutedEnvelope()
-	raw := encodeBody(e)
-	fixed := len(encodeBody(sampleEnvelopeFrom(e)))
+	raw := rawBody(e)
+	fixed := len(rawBody(sampleEnvelopeFrom(e)))
 	if raw[fixed] != extQRoute {
 		t.Fatalf("expected qroute tag at offset %d, found %d", fixed, raw[fixed])
 	}
@@ -570,7 +586,7 @@ func TestQRouteFrameUnderOldDecoder(t *testing.T) {
 
 func TestCorruptQRoutePayloadRejected(t *testing.T) {
 	e := sampleEnvelope()
-	raw := encodeBody(e)
+	raw := rawBody(e)
 	// A qroute extension whose payload is truncated mid-string must fail
 	// parsing, not be silently accepted.
 	raw = appendExt(raw, extQRoute, []byte{0x09, 'x'})
