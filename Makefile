@@ -56,8 +56,10 @@ chaos:
 # Short fuzz passes over the wire codec and agent packet decoders.
 # Each target gets a few seconds — enough to shake out regressions in
 # the corpus without turning CI into a fuzz farm.
-# FuzzRecordMatches gets longer: it is the equivalence proof Store.Match
-# rests on (record-level match == decodeObject + Object.Matches).
+# FuzzRecordMatches and FuzzMatchPlan get longer: they are the equivalence
+# proofs Store.Match rests on (record-level match == decodeObject +
+# Object.Matches; planned Match == page walk == MatchFunc(Matches) over
+# mutation, reopen and crash sequences).
 FUZZTIME ?= 5s
 MATCHFUZZTIME ?= 30s
 fuzz:
@@ -70,6 +72,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzDecodeDepart -fuzztime $(FUZZTIME) ./internal/core/
 	$(GO) test -run '^$$' -fuzz FuzzDecodeObject -fuzztime $(FUZZTIME) ./internal/storm/
 	$(GO) test -run '^$$' -fuzz FuzzRecordMatches -fuzztime $(MATCHFUZZTIME) ./internal/storm/
+	$(GO) test -run '^$$' -fuzz FuzzMatchPlan -fuzztime $(MATCHFUZZTIME) ./internal/storm/
 	$(GO) test -run '^$$' -fuzz FuzzChordCodecs -fuzztime $(FUZZTIME) ./internal/chord/
 	$(GO) test -run '^$$' -fuzz FuzzRingCodecs -fuzztime $(FUZZTIME) ./internal/liglo/
 
@@ -91,9 +94,10 @@ adminsmoke:
 	$(GO) test -race -count=1 -run 'TestLigloRingSmoke' ./cmd/liglo/
 
 # Allocation budget of one query hop: exact allocs/op bounds on the
-# envelope codec and Store.Match (they run in `make test` too, and skip
-# under -race), then the same operations' ns/op, B/op and allocs/op for
-# the log. Only the counts gate; timings on a shared runner do not.
+# envelope codec and Store.Match — the scan of a plain store and the plan
+# of an indexed one — (they run in `make test` too, and skip under -race),
+# then the same operations' ns/op, B/op and allocs/op for the log. Only
+# the counts gate; timings on a shared runner do not.
 perfcheck:
 	$(GO) test -count=1 -run 'TestAllocBudget' -v .
 	$(GO) test -run '^$$' -bench 'Envelope|Match' -benchmem .
@@ -103,10 +107,12 @@ perfcheck:
 # with its health/alert timeline) plus the reconfiguration-convergence
 # timelines, uploaded as a CI artifact. No committed file holds the
 # -fig all report (BENCH_PR9.json is the -fig churn one), so the default
-# output is untracked.
+# output is untracked. CI passes BENCHFIG=nochurn: `make golden` has
+# already regenerated the churn and dht figures there.
 BENCHJSON ?= bench-report.json
+BENCHFIG ?= all
 bench:
-	$(GO) run ./cmd/bpbench -fig all -json $(BENCHJSON)
+	$(GO) run ./cmd/bpbench -fig $(BENCHFIG) -json $(BENCHJSON)
 
 # The T4 chord-vs-flood-vs-BPR comparison (static wire-frame run plus
 # the churn trace), as committed in BENCH_PR10.json and uploaded as a

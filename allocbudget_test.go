@@ -66,10 +66,11 @@ func hopResultFrame() *wire.Envelope {
 }
 
 // hopStore is the paper's per-node store, 1000 × 1 KB objects, behind the
-// daemon's default 64-frame pool.
-func hopStore(tb testing.TB) (*storm.Store, *workload.Spec) {
+// daemon's default 64-frame pool; indexed, it is what `bestpeer -index`
+// opens, and Match plans instead of walking.
+func hopStore(tb testing.TB, indexed bool) (*storm.Store, *workload.Spec) {
 	tb.Helper()
-	store, err := storm.Open(filepath.Join(tb.TempDir(), "hop.storm"), storm.Options{BufferFrames: 64})
+	store, err := storm.Open(filepath.Join(tb.TempDir(), "hop.storm"), storm.Options{BufferFrames: 64, PersistentIndex: indexed})
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -115,21 +116,32 @@ func TestAllocBudgetMatch(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items at random under the race detector")
 	}
-	store, spec := hopStore(t)
 	// Per hit: the Object, its name, its keyword slice and one keyword,
-	// its data, and the answer slice's amortised growth. Per scan: one
-	// replacer list node per resident page (at most the pool's frames),
-	// the page-list snapshot, two closures. Nothing per object scanned.
-	const perHit, perScan = 6, 64 + 8
-	for _, kw := range []string{spec.Keyword(7), "no-object-has-this"} {
-		hits := spec.MatchCount(0, kw)
-		got := testing.AllocsPerRun(20, func() {
-			if m, err := store.Match(kw); err != nil || len(m) != hits {
-				t.Fatalf("Match(%q) = %d objects, %v; want %d", kw, len(m), err, hits)
+	// its data, and the answer slice's amortised growth; the plan adds the
+	// candidate list's growth and a replacer list node for the hit's page.
+	// Per scan: one replacer list node per resident page (at most the
+	// pool's frames), the page-list snapshot, two closures. Per plan: the
+	// posting range's two bounds, two closures, the tree pages' list
+	// nodes. Nothing per object stored, scanned or planned over.
+	for _, tc := range []struct {
+		name            string
+		indexed         bool
+		perHit, perCall int
+	}{
+		{"scan", false, 6, 64 + 8},
+		{"plan", true, 7, 8},
+	} {
+		store, spec := hopStore(t, tc.indexed)
+		for _, kw := range []string{spec.Keyword(7), "no-object-has-this"} {
+			hits := spec.MatchCount(0, kw)
+			got := testing.AllocsPerRun(20, func() {
+				if m, err := store.Match(kw); err != nil || len(m) != hits {
+					t.Fatalf("%s: Match(%q) = %d objects, %v; want %d", tc.name, kw, len(m), err, hits)
+				}
+			})
+			if budget := float64(hits*tc.perHit + tc.perCall); got > budget {
+				t.Errorf("%s: Match(%q) over 1000 objects: %v allocs, budget %d hits x %d + %d = %v", tc.name, kw, got, hits, tc.perHit, tc.perCall, budget)
 			}
-		})
-		if budget := float64(hits*perHit + perScan); got > budget {
-			t.Errorf("Match(%q) over 1000 objects: %v allocs, budget %d hits x %d + %d = %v", kw, got, hits, perHit, perScan, budget)
 		}
 	}
 }
@@ -165,14 +177,23 @@ func BenchmarkEnvelopeDecode(b *testing.B) {
 }
 
 // BenchmarkStoreMatchCold is Store.Match as a peer runs it: the store is
-// five times the pool, so most pages come from the file.
+// five times the pool, so most pages come from the file — every page for
+// the scan, the hits' pages for the plan an indexed store makes.
 func BenchmarkStoreMatchCold(b *testing.B) {
-	store, spec := hopStore(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := store.Match(spec.Keyword(i % 100)); err != nil {
-			b.Fatal(err)
+	for _, indexed := range []bool{false, true} {
+		name := "scan"
+		if indexed {
+			name = "plan"
 		}
+		b.Run(name, func(b *testing.B) {
+			store, spec := hopStore(b, indexed)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := store.Match(spec.Keyword(i % 100)); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

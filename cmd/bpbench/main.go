@@ -63,7 +63,7 @@ func runLive(seed int64, report *bench.Report) {
 }
 
 func main() {
-	fig := flag.String("fig", "all", "figure to regenerate: all, 5a, 5b, 5c, 6, 7, 8a, 8b, ablations, convergence, traffic, churn, dht")
+	fig := flag.String("fig", "all", "figure to regenerate: all, nochurn (all but the 10k-node churn run), 5a, 5b, 5c, 6, 7, 8a, 8b, ablations, convergence, traffic, churn, dht")
 	seed := flag.Int64("seed", 1, "workload seed")
 	live := flag.Bool("live", false, "also run a miniature live-stack comparison")
 	jsonPath := flag.String("json", "", "also write a machine-readable report (e.g. BENCH_1.json)")

@@ -61,11 +61,13 @@ func NewReport(fig string, seed int64, w io.Writer) (*Report, error) {
 	}
 
 	switch fig {
-	case "all":
+	case "all", "nochurn":
 		add(AllFigures(cost, seed)...)
 		convergence()
 		r.Traffic = Traffic(cost, seed)
-		churn()
+		if fig == "all" {
+			churn()
+		}
 	case "5a":
 		add(Fig5a(cost, seed))
 	case "5b":

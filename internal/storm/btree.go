@@ -635,107 +635,81 @@ func (t *BTree) Delete(key string) (bool, error) {
 	return true, uerr
 }
 
-// Ascend calls fn for every (key, OID) pair in ascending key order,
-// stopping early when fn returns false.
-func (t *BTree) Ascend(fn func(key string, oid OID) bool) error {
-	// Find the leftmost leaf.
-	id := t.root
-	for {
-		p, err := t.pool.Fetch(id)
-		if err != nil {
-			return err
-		}
-		if btType(p) == btreeLeaf {
-			t.pool.Unpin(id, false)
-			break
-		}
-		next := btLeft(p)
-		t.pool.Unpin(id, false)
-		if next == InvalidPage {
-			return ErrBadTree
-		}
-		id = next
+// ascend calls fn for every entry with start <= key < end in ascending
+// key order, stopping early when fn returns false; a nil end means "to the
+// last key". Keys are compared as bytes in the page and the walk ends at
+// the first key at or past end, so an entry outside the range costs a
+// comparison and nothing else. key aliases the pinned leaf: fn must not
+// retain it and must not modify the tree.
+func (t *BTree) ascend(start, end []byte, fn func(key []byte, oid OID) bool) error {
+	id, err := t.descend(start, nil)
+	if err != nil {
+		return err
 	}
-	// Walk the leaf chain.
-	for id != InvalidPage {
+	for more := true; more && id != InvalidPage; {
 		p, err := t.pool.Fetch(id)
 		if err != nil {
 			return err
 		}
-		type kv struct {
-			k string
-			v OID
+		werr := ErrBadTree // a sibling pointer that leaves the leaf chain
+		if btType(p) == btreeLeaf {
+			werr = btWalk(p, func(_ int, e btEntry) bool {
+				if bytes.Compare(e.key, start) < 0 {
+					return true
+				}
+				more = (end == nil || bytes.Compare(e.key, end) < 0) && fn(e.key, leafOID(e.val))
+				return more
+			})
 		}
-		var batch []kv
-		werr := btWalk(p, func(i int, e btEntry) bool {
-			batch = append(batch, kv{string(e.key), leafOID(e.val)})
-			return true
-		})
 		next := btNext(p)
-		t.pool.Unpin(id, false)
+		if uerr := t.pool.Unpin(id, false); werr == nil {
+			werr = uerr
+		}
 		if werr != nil {
 			return werr
-		}
-		for _, e := range batch {
-			if !fn(e.k, e.v) {
-				return nil
-			}
 		}
 		id = next
 	}
 	return nil
 }
 
+// Ascend calls fn for every (key, OID) pair in ascending key order,
+// stopping early when fn returns false. fn must not modify the tree.
+func (t *BTree) Ascend(fn func(key string, oid OID) bool) error {
+	return t.AscendRange("", "", fn)
+}
+
 // Len counts the stored keys (walks the leaf chain).
 func (t *BTree) Len() (int, error) {
 	n := 0
-	err := t.Ascend(func(string, OID) bool { n++; return true })
+	err := t.ascend(nil, nil, func([]byte, OID) bool { n++; return true })
 	return n, err
 }
 
 // AscendRange calls fn for every key in [start, end) in ascending order,
 // stopping early when fn returns false. An empty end means "to the last
-// key".
+// key". fn must not modify the tree.
 func (t *BTree) AscendRange(start, end string, fn func(key string, oid OID) bool) error {
 	if len(start) > MaxKeyLen || len(end) > MaxKeyLen {
 		return ErrKeyTooLong
 	}
-	// Descend to the leaf responsible for start.
-	id, err := t.descend([]byte(start), nil)
-	if err != nil {
-		return err
+	var stop []byte
+	if end != "" {
+		stop = []byte(end)
 	}
-	for id != InvalidPage {
-		p, err := t.pool.Fetch(id)
-		if err != nil {
-			return err
+	return t.ascend([]byte(start), stop, func(key []byte, oid OID) bool { return fn(string(key), oid) })
+}
+
+// prefixEnd returns the first key past every key with the given non-empty
+// prefix: the prefix with its last byte incremented, carrying over 0xFF
+// bytes. Nil means the range runs to the last key (the prefix is all 0xFF).
+func prefixEnd(prefix []byte) []byte {
+	end := append([]byte(nil), prefix...)
+	for i := len(end) - 1; i >= 0; i-- {
+		if end[i] != 0xFF {
+			end[i]++
+			return end[:i+1]
 		}
-		type kv struct {
-			k string
-			v OID
-		}
-		var batch []kv
-		werr := btWalk(p, func(i int, e btEntry) bool {
-			batch = append(batch, kv{string(e.key), leafOID(e.val)})
-			return true
-		})
-		next := btNext(p)
-		t.pool.Unpin(id, false)
-		if werr != nil {
-			return werr
-		}
-		for _, e := range batch {
-			if e.k < start {
-				continue
-			}
-			if end != "" && e.k >= end {
-				return nil
-			}
-			if !fn(e.k, e.v) {
-				return nil
-			}
-		}
-		id = next
 	}
 	return nil
 }
@@ -745,18 +719,5 @@ func (t *BTree) AscendPrefix(prefix string, fn func(key string, oid OID) bool) e
 	if prefix == "" {
 		return t.Ascend(fn)
 	}
-	// The end of the prefix range is the prefix with its last byte
-	// incremented (carrying over 0xFF bytes).
-	end := []byte(prefix)
-	for i := len(end) - 1; i >= 0; i-- {
-		if end[i] != 0xFF {
-			end[i]++
-			end = end[:i+1]
-			break
-		}
-		if i == 0 {
-			end = nil // prefix is all 0xFF: scan to the end
-		}
-	}
-	return t.AscendRange(prefix, string(end), fn)
+	return t.AscendRange(prefix, string(prefixEnd([]byte(prefix))), fn)
 }

@@ -16,8 +16,10 @@ import (
 //	offset 6:  uint32 page count (including header page)
 //	offset 10: uint32 meta root (B+tree catalog root page, 0 = none)
 //	offset 14: uint32 index root (B+tree inverted-index root, 0 = none)
+//	offset 18: uint8  dirty mark (1 = pages changed since the last checkpoint)
 //
-// The remainder of page 0 is reserved.
+// The remainder of page 0 is reserved. A file written before the dirty
+// mark existed reads as clean, which is how such a file was always read.
 const (
 	fileMagic     = "STRM"
 	formatVersion = 2
@@ -38,6 +40,7 @@ type DiskFile struct {
 	pages  uint32 // total pages including header
 	meta   PageID // catalog B+tree root, InvalidPage when absent
 	index  PageID // inverted-index B+tree root, InvalidPage when absent
+	dirty  bool   // the header's dirty mark; see setDirty
 	closed bool
 
 	// Stats.
@@ -99,7 +102,7 @@ func OpenFile(path string) (*DiskFile, error) {
 	if uint32(index) >= pages {
 		index = InvalidPage
 	}
-	return &DiskFile{f: f, pages: pages, meta: meta, index: index}, nil
+	return &DiskFile{f: f, pages: pages, meta: meta, index: index, dirty: hdr[18] != 0}, nil
 }
 
 func (d *DiskFile) writeHeader() error {
@@ -109,6 +112,9 @@ func (d *DiskFile) writeHeader() error {
 	binary.BigEndian.PutUint32(hdr[6:10], d.pages)
 	binary.BigEndian.PutUint32(hdr[10:14], uint32(d.meta))
 	binary.BigEndian.PutUint32(hdr[14:18], uint32(d.index))
+	if d.dirty {
+		hdr[18] = 1
+	}
 	if _, err := d.f.WriteAt(hdr[:], 0); err != nil {
 		return fmt.Errorf("storm: write header: %w", err)
 	}
@@ -151,6 +157,34 @@ func (d *DiskFile) SetIndexRoot(id PageID) error {
 	}
 	d.index = id
 	return d.writeHeader()
+}
+
+// isDirty reports the header's dirty mark: set, the file's pages may have
+// changed since its last checkpoint, so its B+tree images (catalog, index)
+// may be older or newer than its heap. A file found dirty at open was not
+// closed cleanly.
+func (d *DiskFile) isDirty() bool {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.dirty
+}
+
+// setDirty records the dirty mark in the header. With sync the header is
+// on stable storage before the call returns, so no page written afterwards
+// can reach the disk ahead of the mark; without, the mark is as durable as
+// the page writes that follow it — it survives the process, not the
+// machine.
+func (d *DiskFile) setDirty(dirty, sync bool) error {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.closed {
+		return ErrClosed
+	}
+	d.dirty = dirty
+	if err := d.writeHeader(); err != nil || !sync {
+		return err
+	}
+	return d.f.Sync()
 }
 
 // PageCount returns the number of pages, including the header page.

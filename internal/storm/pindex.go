@@ -3,6 +3,7 @@ package storm
 import (
 	"fmt"
 	"strings"
+	"sync"
 )
 
 // PersistentIndex is a durable inverted index over a store's keywords,
@@ -16,6 +17,9 @@ import (
 // header next to the catalog's).
 type PersistentIndex struct {
 	tree *BTree
+	// mu is the owning store's lock: the tree has none of its own, and a
+	// read beside a Put could see a leaf in the middle of a split.
+	mu *sync.RWMutex
 }
 
 // postingKey builds the composite key for one (keyword, name) pair.
@@ -23,7 +27,20 @@ func postingKey(keyword, name string) string {
 	return strings.ToLower(keyword) + "\x00" + name
 }
 
-// Add indexes every keyword of the object.
+// postingsFit fails with ErrKeyTooLong when one of the object's posting
+// keys would exceed what a tree key can hold. Store.Put asks before it
+// writes anything, so Add does not meet such a key on a live store.
+func postingsFit(obj *Object) error {
+	for _, k := range obj.Keywords {
+		if len(strings.ToLower(k))+1+len(obj.Name) > MaxKeyLen {
+			return fmt.Errorf("%w: posting %q of %q", ErrKeyTooLong, k, obj.Name)
+		}
+	}
+	return nil
+}
+
+// Add indexes every keyword of the object. Like Remove it is the owning
+// store's to call, under its write lock.
 func (ix *PersistentIndex) Add(obj *Object, oid OID) error {
 	for _, k := range obj.Keywords {
 		key := postingKey(k, obj.Name)
@@ -47,19 +64,35 @@ func (ix *PersistentIndex) Remove(obj *Object) error {
 	return nil
 }
 
+// postings calls fn, in key order, with the object name and location of
+// every posting under the lower-cased keyword q, stopping when fn returns
+// false. name aliases a pinned tree page and must not be retained. Caller
+// holds the store lock.
+func (ix *PersistentIndex) postings(q string, fn func(name []byte, oid OID) bool) error {
+	prefix := append(append(make([]byte, 0, len(q)+1), q...), 0)
+	return ix.tree.ascend(prefix, prefixEnd(prefix), func(key []byte, oid OID) bool {
+		return fn(key[len(prefix):], oid)
+	})
+}
+
 // Lookup returns the names (ascending) of objects carrying the keyword.
 func (ix *PersistentIndex) Lookup(keyword string) ([]string, error) {
-	prefix := strings.ToLower(keyword) + "\x00"
+	ix.mu.RLock()
+	defer ix.mu.RUnlock()
 	var names []string
-	err := ix.tree.AscendPrefix(prefix, func(key string, _ OID) bool {
-		names = append(names, key[len(prefix):])
+	err := ix.postings(strings.ToLower(keyword), func(name []byte, _ OID) bool {
+		names = append(names, string(name))
 		return true
 	})
 	return names, err
 }
 
 // Postings returns the number of (keyword, object) pairs indexed.
-func (ix *PersistentIndex) Postings() (int, error) { return ix.tree.Len() }
+func (ix *PersistentIndex) Postings() (int, error) {
+	ix.mu.RLock()
+	defer ix.mu.RUnlock()
+	return ix.tree.Len()
+}
 
 // loadPersistentIndexAfterRecovery attaches to or (re)builds the store's
 // on-disk inverted index. forceRebuild discards the stored image (set
@@ -67,7 +100,7 @@ func (ix *PersistentIndex) Postings() (int, error) { return ix.tree.Len() }
 // heap, so the stored image cannot be trusted).
 func (s *Store) loadPersistentIndexAfterRecovery(forceRebuild bool) error {
 	if root := s.file.IndexRoot(); root != InvalidPage && !forceRebuild {
-		ix := &PersistentIndex{tree: OpenBTree(s.pool, root)}
+		ix := &PersistentIndex{tree: OpenBTree(s.pool, root), mu: &s.mu}
 		// Plausibility check: the tree must walk cleanly.
 		if _, err := ix.Postings(); err == nil {
 			s.pindex = ix
@@ -80,7 +113,7 @@ func (s *Store) loadPersistentIndexAfterRecovery(forceRebuild bool) error {
 	if err != nil {
 		return err
 	}
-	ix := &PersistentIndex{tree: tree}
+	ix := &PersistentIndex{tree: tree, mu: &s.mu}
 	err = s.Scan(func(o *Object) bool {
 		s.mu.RLock()
 		oid, ok := s.byName[o.Name]
@@ -98,6 +131,9 @@ func (s *Store) loadPersistentIndexAfterRecovery(forceRebuild bool) error {
 		return err
 	}
 	s.pindex = ix
+	if err := s.markDirty(); err != nil {
+		return err
+	}
 	return s.syncIndexRoot()
 }
 
@@ -127,8 +163,7 @@ func (s *Store) LookupKeyword(keyword string) ([]string, error) {
 }
 
 // indexAdd/indexRemove mirror object mutations into the index (no-ops
-// when disabled). Callers hold s.mu where required by their own paths;
-// the tree synchronizes through the buffer pool.
+// when disabled). Callers hold s.mu for writing, or are Open.
 func (s *Store) indexAdd(obj *Object, oid OID) error {
 	if s.pindex == nil {
 		return nil

@@ -209,19 +209,7 @@ func TestScanFailsOnCorruptRecord(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	oid := s.byName["obj-5"]
-	p, err := s.pool.Fetch(oid.Page)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec, err := p.Get(oid.Slot)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec[len(rec)-101] = 99 // the data length prefix now runs one byte short
-	if err := s.pool.Unpin(oid.Page, true); err != nil {
-		t.Fatal(err)
-	}
+	corruptDataLength(t, s, "obj-5", 100)
 	if _, err := s.Match("no-such-keyword"); !errors.Is(err, ErrBadObject) {
 		t.Fatalf("Match over a corrupt record: %v, want ErrBadObject", err)
 	}
@@ -230,13 +218,47 @@ func TestScanFailsOnCorruptRecord(t *testing.T) {
 	}
 }
 
+// corruptDataLength damages the stored record of the named object, whose
+// data is size (< 128) bytes long, in its pooled page: the data length
+// prefix now runs one byte short, which decodeObject rejects.
+func corruptDataLength(t *testing.T, s *Store, name string, size int) {
+	t.Helper()
+	oid := s.byName[name]
+	p, err := s.pool.Fetch(oid.Page)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, err := p.Get(oid.Slot)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec[len(rec)-size-1] = byte(size - 1)
+	if err := s.pool.Unpin(oid.Page, true); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestConcurrentScannersAndWriters runs two writers beside four scanners
 // on a store many times its pool, so run reads, pooled reads of dirty
 // pages and dirty evictions interleave. The scanners check every answer:
 // the stable objects exactly, the churning ones for torn content. Run
-// under -race.
+// under -race. On the indexed store Match is the plan: tree and heap reads
+// under one lock hold, beside writers splitting leaves and moving records.
 func TestConcurrentScannersAndWriters(t *testing.T) {
-	s := tempStore(t, Options{BufferFrames: 8})
+	for _, tc := range planStores {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			s, err := Open(filepath.Join(dir, "data.storm"), tc.opts(dir))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			concurrentScannersAndWriters(t, s)
+		})
+	}
+}
+
+func concurrentScannersAndWriters(t *testing.T, s *Store) {
 	var stable []*Object
 	for i := 0; i < 150; i++ {
 		o := obj(fmt.Sprintf("stable-%03d", i), []string{"stable"}, 400+i)

@@ -1,9 +1,11 @@
 package storm
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"os"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -36,7 +38,8 @@ type Options struct {
 	// B+tree whose root is recorded in the file header, so reopening a
 	// large store does not decode every object record. The catalog is
 	// valid for cleanly closed files; a file whose catalog is missing or
-	// implausible falls back to the full scan.
+	// implausible, or that was not closed cleanly, falls back to the full
+	// scan.
 	PersistentCatalog bool
 	// WALPath, when non-empty, enables a write-ahead log at that path:
 	// every Put/Delete is logged before the page mutation and replayed
@@ -48,8 +51,10 @@ type Options struct {
 	// operations.
 	WALSync bool
 	// PersistentIndex maintains a durable inverted keyword index in an
-	// on-disk B+tree (see Store.LookupKeyword). Rebuilt by scan when the
-	// on-disk image is missing or implausible.
+	// on-disk B+tree. While it is open Store.Match answers from it instead
+	// of walking every page (see Store.LookupKeyword for the raw posting
+	// list). Rebuilt by scan when the on-disk image is missing, implausible
+	// or was not closed cleanly.
 	PersistentIndex bool
 	// Metrics is the registry the store's gauges (objects, pages, pool
 	// counters) and WAL metrics (appends, fsync latency) are published
@@ -60,6 +65,11 @@ type Options struct {
 // Store is the object-level API of the storage manager: named objects on
 // slotted pages behind a buffer pool. It is safe for concurrent use.
 type Store struct {
+	// wmu serialises writers from the log append to the page change, so
+	// the WAL holds operations in the order the pages took them and a
+	// checkpoint never truncates a record whose change is still to come.
+	// Taken before mu; readers do not take it.
+	wmu  sync.Mutex
 	mu   sync.RWMutex
 	file *DiskFile
 	pool *BufferPool
@@ -81,6 +91,10 @@ type Store struct {
 	// lowest-page-first placement.
 	dataPages []PageID
 	free      freeSpace
+
+	// dirty mirrors the file header's dirty mark: pages have changed since
+	// the last checkpoint. Guarded by mu; see markDirty.
+	dirty bool
 
 	// hookMu guards mutationHooks; see OnMutation.
 	hookMu        sync.RWMutex
@@ -132,6 +146,16 @@ func Open(path string, opts Options) (*Store, error) {
 		file:   file,
 		pool:   NewBufferPool(file, frames, NewReplacer(opts.Policy)),
 		byName: make(map[string]OID),
+		dirty:  file.isDirty(),
+	}
+	// The header may name only trees this session keeps in step with the
+	// heap. A root left by a session that did not end in a checkpoint
+	// (tree pages regress independently of heap pages), or belonging to a
+	// tree this session will not maintain, is forgotten here and the tree
+	// rebuilt by scan when next asked for: Match trusts the index it finds.
+	if err := s.forgetRoots(s.dirty || !opts.PersistentCatalog, s.dirty || !opts.PersistentIndex); err != nil {
+		_ = file.Close() // already failing; the open error is what matters
+		return nil, err
 	}
 
 	fromTree := false
@@ -243,17 +267,61 @@ func (s *Store) recover() (int, error) {
 	return replayed, s.Checkpoint()
 }
 
-// Checkpoint flushes every dirty page to stable storage and truncates
-// the WAL: all logged operations are now reflected in the data file.
+// Checkpoint flushes every dirty page to stable storage, clears the
+// file's dirty mark and truncates the WAL: all logged operations are now
+// reflected in the data file, and its trees describe its heap.
 func (s *Store) Checkpoint() error {
+	s.wmu.Lock()
+	defer s.wmu.Unlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	if err := s.pool.FlushAll(); err != nil {
 		return err
 	}
 	if err := s.file.Sync(); err != nil {
 		return err
 	}
+	if s.dirty {
+		// Not synced: a lost clear costs one rebuild at the next open.
+		if err := s.file.setDirty(false, false); err != nil {
+			return err
+		}
+		s.dirty = false
+	}
 	if s.wal != nil {
 		return s.wal.Truncate()
+	}
+	return nil
+}
+
+// markDirty sets the file's dirty mark ahead of the first page change
+// since the last checkpoint. From here to the next Checkpoint or Close a
+// crash leaves heap, catalog and index pages of different ages on disk,
+// and the mark is what tells the next Open to rebuild the trees from the
+// heap instead of reading them. The mark is synced where the log is
+// (WALSync): a store that leaves its operations to the OS's lazy flush
+// leaves the mark to it too, and is protected against the death of the
+// process, as its log is. Caller holds s.mu, or is Open.
+func (s *Store) markDirty() error {
+	if s.dirty {
+		return nil
+	}
+	if err := s.file.setDirty(true, s.wal != nil && s.wal.sync); err != nil {
+		return err
+	}
+	s.dirty = true
+	return nil
+}
+
+// forgetRoots clears the header's catalog and index roots as asked.
+func (s *Store) forgetRoots(catalog, index bool) error {
+	if catalog && s.file.MetaRoot() != InvalidPage {
+		if err := s.file.SetMetaRoot(InvalidPage); err != nil {
+			return err
+		}
+	}
+	if index && s.file.IndexRoot() != InvalidPage {
+		return s.file.SetIndexRoot(InvalidPage)
 	}
 	return nil
 }
@@ -284,6 +352,9 @@ func (s *Store) buildCatalogTree() error {
 		}
 	}
 	s.catalog = tree
+	if err := s.markDirty(); err != nil {
+		return err
+	}
 	return s.syncCatalogRoot()
 }
 
@@ -397,12 +468,25 @@ func (s *Store) Put(obj *Object) (OID, error) {
 	if obj.Name == "" {
 		return OID{}, fmt.Errorf("%w: empty name", ErrBadObject)
 	}
-	if s.wal != nil {
-		if err := s.wal.Append(&walRecord{Op: walPut, Name: obj.Name, Obj: obj}); err != nil {
+	if s.pindex != nil {
+		// Refused whole: an object in the heap with a posting missing
+		// would be an answer the index cannot give.
+		if err := postingsFit(obj); err != nil {
 			return OID{}, err
 		}
 	}
-	oid, err := s.putUnlogged(obj)
+	s.wmu.Lock()
+	var (
+		oid OID
+		err error
+	)
+	if s.wal != nil {
+		err = s.wal.Append(&walRecord{Op: walPut, Name: obj.Name, Obj: obj})
+	}
+	if err == nil {
+		oid, err = s.putUnlogged(obj)
+	}
+	s.wmu.Unlock()
 	if err == nil {
 		s.notifyMutation()
 	}
@@ -418,6 +502,9 @@ func (s *Store) putUnlogged(obj *Object) (OID, error) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if err := s.markDirty(); err != nil {
+		return OID{}, err
+	}
 
 	if old, exists := s.byName[obj.Name]; exists {
 		// The replaced object's postings must go before its bytes do.
@@ -578,21 +665,25 @@ func (s *Store) Has(name string) bool {
 // Delete removes the named object. With a WAL enabled the operation is
 // logged before any page is touched.
 func (s *Store) Delete(name string) error {
+	s.wmu.Lock()
+	var err error
 	if s.wal != nil {
 		// Logging a delete of an absent name would replay harmlessly,
 		// but checking first keeps the log minimal.
 		if !s.Has(name) {
-			return fmt.Errorf("%w: %q", ErrNotFound, name)
-		}
-		if err := s.wal.Append(&walRecord{Op: walDelete, Name: name}); err != nil {
-			return err
+			err = fmt.Errorf("%w: %q", ErrNotFound, name)
+		} else {
+			err = s.wal.Append(&walRecord{Op: walDelete, Name: name})
 		}
 	}
-	if err := s.deleteUnlogged(name); err != nil {
-		return err
+	if err == nil {
+		err = s.deleteUnlogged(name)
 	}
-	s.notifyMutation()
-	return nil
+	s.wmu.Unlock()
+	if err == nil {
+		s.notifyMutation()
+	}
+	return err
 }
 
 // deleteUnlogged removes the object without logging (used by Delete and WAL
@@ -603,6 +694,9 @@ func (s *Store) deleteUnlogged(name string) error {
 	oid, ok := s.byName[name]
 	if !ok {
 		return fmt.Errorf("%w: %q", ErrNotFound, name)
+	}
+	if err := s.markDirty(); err != nil {
+		return err
 	}
 	if s.pindex != nil {
 		if oldObj, rerr := s.readObjectAt(oid); rerr == nil {
@@ -739,9 +833,21 @@ func (s *Store) Scan(fn func(*Object) bool) error {
 // Match returns every object satisfying the keyword query, in page order.
 // This is the operation the StorM search agent performs at each peer. The
 // query is evaluated on the encoded records (recordMatches), so only the
-// hits are decoded and copied out of their pages.
+// hits are decoded and copied out of their pages. With the keyword index
+// open the candidates come from it (matchPlanned); otherwise every page is
+// walked. The two return the same objects in the same order, but differ in
+// what they vouch for: the walk fails on a corrupt page or record anywhere
+// in the heap, the plan only on one it reads.
 func (s *Store) Match(query string) ([]*Object, error) {
 	q := strings.ToLower(query)
+	if s.pindex != nil {
+		return s.matchPlanned(q)
+	}
+	return s.matchWalked(q)
+}
+
+// matchWalked is Match by the page walker. q is the query lower-cased.
+func (s *Store) matchWalked(q string) ([]*Object, error) {
 	var out []*Object
 	err := s.walk(func(rec []byte) error {
 		hit, err := recordMatches(rec, q)
@@ -754,6 +860,71 @@ func (s *Store) Match(query string) ([]*Object, error) {
 		}
 		return err
 	}, nil)
+	return out, err
+}
+
+// matchPlanned is Match without the walk, under one hold of the read lock:
+// the locations the postings of q carry (the keyword-equality arm), then
+// those of the catalog names containing q (the name arm), sorted by page
+// and slot — which is the order the walk visits records in — and each
+// distinct page fetched once. Every candidate is put to recordMatches
+// again: a keyword holding a NUL byte makes the posting prefix ambiguous,
+// and a posting that points at an empty slot or at a record that no longer
+// matches is skipped, never answered. q is the query lower-cased.
+func (s *Store) matchPlanned(q string) ([]*Object, error) {
+	if q == "" {
+		return nil, nil
+	}
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	var cands []OID
+	err := s.pindex.postings(q, func(_ []byte, oid OID) bool {
+		cands = append(cands, oid)
+		return true
+	})
+	if err != nil {
+		return nil, err
+	}
+	for name, oid := range s.byName {
+		if nameContains(name, q) {
+			cands = append(cands, oid)
+		}
+	}
+	slices.SortFunc(cands, func(a, b OID) int {
+		if a.Page != b.Page {
+			return cmp.Compare(a.Page, b.Page)
+		}
+		return cmp.Compare(a.Slot, b.Slot)
+	})
+	cands = slices.Compact(cands) // an object both arms found
+
+	var out []*Object
+	for len(cands) > 0 && err == nil {
+		id := cands[0].Page
+		p, ferr := s.pool.Fetch(id)
+		if ferr != nil {
+			return out, ferr
+		}
+		for ; len(cands) > 0 && cands[0].Page == id && err == nil; cands = cands[1:] {
+			if p.Type() != pageTypeSlotted {
+				continue
+			}
+			rec, gerr := p.Get(cands[0].Slot)
+			if gerr != nil {
+				continue
+			}
+			var hit bool
+			if hit, err = recordMatches(rec, q); hit {
+				var obj *Object
+				if obj, err = decodeObject(rec); err == nil {
+					out = append(out, obj)
+				}
+			}
+		}
+		if uerr := s.pool.Unpin(id, false); err == nil {
+			err = uerr
+		}
+	}
 	return out, err
 }
 
@@ -794,22 +965,16 @@ func (s *Store) Sync() error {
 // Close flushes and closes the store (checkpointing the WAL if one is
 // enabled).
 func (s *Store) Close() error {
+	err := s.Checkpoint()
 	if s.wal != nil {
-		if err := s.Checkpoint(); err != nil {
-			_ = s.wal.Close()  // already failing; the checkpoint error wins
-			_ = s.file.Close() // already failing; the checkpoint error wins
-			return err
-		}
-		if err := s.wal.Close(); err != nil {
-			_ = s.file.Close() // already failing; the WAL close error wins
-			return err
+		if cerr := s.wal.Close(); err == nil {
+			err = cerr
 		}
 	}
-	if err := s.pool.FlushAll(); err != nil {
-		_ = s.file.Close() // already failing; the flush error wins
-		return err
+	if cerr := s.file.Close(); err == nil {
+		err = cerr
 	}
-	return s.file.Close()
+	return err
 }
 
 // StoreStats summarizes a store's state for operators and tests.
