@@ -64,6 +64,7 @@ FUZZTIME ?= 5s
 MATCHFUZZTIME ?= 30s
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzDecodeEnvelope -fuzztime $(FUZZTIME) ./internal/wire/
+	$(GO) test -run '^$$' -fuzz FuzzEncodeEnvelope -fuzztime $(FUZZTIME) ./internal/wire/
 	$(GO) test -run '^$$' -fuzz FuzzDecoder -fuzztime $(FUZZTIME) ./internal/wire/
 	$(GO) test -run '^$$' -fuzz FuzzDecodePacket -fuzztime $(FUZZTIME) ./internal/agent/
 	$(GO) test -run '^$$' -fuzz FuzzDecodeResults -fuzztime $(FUZZTIME) ./internal/agent/

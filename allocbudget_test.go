@@ -7,9 +7,12 @@ package bestpeer
 // and the benchmarks below; a count that rises fails the build.
 
 import (
+	"bytes"
+	"encoding/base64"
 	"fmt"
 	"math/rand"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"bestpeer/internal/agent"
@@ -44,25 +47,36 @@ func hopAgentFrame(tb testing.TB) *wire.Envelope {
 	}
 }
 
-// hopResults is one peer's answer in the paper's set-up: ten 1 KB objects.
-func hopResults() []agent.Result {
+// hopResults is one peer's answer in the paper's set-up: ten 1 KB objects —
+// random bytes, as workload.Spec makes them (media-file stand-ins), or, as
+// text, the kind of answer the paper GZIPs (§4.2).
+func hopResults(text bool) []agent.Result {
 	rng := rand.New(rand.NewSource(1))
 	results := make([]agent.Result, 10)
 	for i := range results {
 		data := make([]byte, 1024)
 		rng.Read(data)
+		if text {
+			data = []byte(base64.StdEncoding.EncodeToString(data))[:1024]
+		}
 		results[i] = agent.Result{Name: fmt.Sprintf("n3-object-%04d", i), Data: data}
 	}
 	return results
 }
 
 // hopResultFrame carries hopResults back to the base with the hop's span.
-func hopResultFrame() *wire.Envelope {
+func hopResultFrame(text bool) *wire.Envelope {
 	return &wire.Envelope{
 		Kind: wire.KindResult, ID: wire.NewMsgID(), TTL: 1, From: hopPeer, To: hopBase,
-		Body: agent.EncodeResults(hopResults(), 2, wire.BPID{}, hopPeer),
+		Body: agent.EncodeResults(hopResults(text), 2, wire.BPID{}, hopPeer),
 		Span: &wire.TraceSpan{Peer: hopPeer, Parent: hopBase, Hop: 2, WaitNS: 120_000, ExecNS: 1_100_000, Matches: 10, FanOut: 3},
 	}
+}
+
+// hopFrames are the frames of one query hop the budgets and benchmarks
+// below run on.
+func hopFrames(tb testing.TB) map[string]*wire.Envelope {
+	return map[string]*wire.Envelope{"agent": hopAgentFrame(tb), "result-random": hopResultFrame(false), "result-text": hopResultFrame(true)}
 }
 
 // hopStore is the paper's per-node store, 1000 × 1 KB objects, behind the
@@ -86,28 +100,81 @@ func TestAllocBudgetEnvelope(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items at random under the race detector")
 	}
+	frames := hopFrames(t)
 	for _, tc := range []struct {
 		name           string
-		env            *wire.Envelope
+		gzip           bool
 		encode, decode float64
 	}{
 		// Encode: the extension's encoder (it grows once or twice more
 		// for a span than for a trace context), the body behind its
-		// header, the kept compressed frame. Decode: the inflated body,
-		// the envelope, From, To, Body, and the extension with its
-		// strings.
-		{"agent", hopAgentFrame(t), 4, 7},
-		{"result", hopResultFrame(), 6, 10},
+		// header, and for a frame that deflates the kept compressed
+		// frame. Decode: the inflated body if there is one (and, for a
+		// dynamic-Huffman block, the link tables compress/flate builds),
+		// the envelope, From, To, and the extension with its strings;
+		// Body is a view.
+		{"agent", true, 4, 6},
+		{"result-random", false, 5, 6}, // the probe stops it: stored both ways
+		{"result-text", true, 6, 12},   // the probe lets it through; + the inflater's link tables
 	} {
-		frame, err := wire.EncodeEnvelope(tc.env)
+		env := frames[tc.name]
+		frame, err := wire.EncodeEnvelope(env)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := testing.AllocsPerRun(200, func() { _, _ = wire.EncodeEnvelope(tc.env) }); got > tc.encode {
+		if wire.FrameCompressed(frame) != tc.gzip {
+			t.Errorf("%s frame: compressed = %v, want %v", tc.name, !tc.gzip, tc.gzip)
+		}
+		if got := testing.AllocsPerRun(200, func() { _, _ = wire.EncodeEnvelope(env) }); got > tc.encode {
 			t.Errorf("EncodeEnvelope(%s frame): %v allocs, budget %v", tc.name, got, tc.encode)
 		}
 		if got := testing.AllocsPerRun(200, func() { _, _ = wire.DecodeEnvelope(frame) }); got > tc.decode {
 			t.Errorf("DecodeEnvelope(%s frame): %v allocs, budget %v", tc.name, got, tc.decode)
+		}
+	}
+	// Ten results: the batch, its address, the result slice, ten names;
+	// each Data is a view of the body.
+	body := frames["result-random"].Body
+	if got := testing.AllocsPerRun(200, func() { _, _ = agent.DecodeResults(body) }); got > 13 {
+		t.Errorf("DecodeResults(ten results): %v allocs, budget 13", got)
+	}
+}
+
+// TestAllocBudgetCorruptFrame: a peer that sends corrupt gzip frames does
+// not make each one build a fresh gzip.Reader (≈ 40 KB of inflater) — the
+// pooled state goes back on the error returns too. What a bad frame may
+// allocate is what a good one does: the output buffer, the inflater's
+// link tables for a dynamic block, and its error.
+func TestAllocBudgetCorruptFrame(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	env := hopResultFrame(true)
+	good, err := wire.EncodeEnvelope(env)
+	if err != nil || !wire.FrameCompressed(good) {
+		t.Fatalf("fixture: %v, compressed %v", err, wire.FrameCompressed(good))
+	}
+	corrupt := func(at int) []byte {
+		frame := bytes.Clone(good)
+		frame[at] ^= 0xFF
+		return frame
+	}
+	const runs = 200
+	for name, frame := range map[string][]byte{
+		"bad gzip magic":      corrupt(5),             // fails in Reset
+		"bad deflate stream":  corrupt(len(good) / 2), // fails in Read
+		"bad trailing CRC-32": corrupt(len(good) - 8), // fails at end of stream
+	} {
+		if _, err := wire.DecodeEnvelope(frame); err == nil {
+			t.Fatalf("%s: decoded", name)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		allocs := testing.AllocsPerRun(runs, func() { _, _ = wire.DecodeEnvelope(frame) })
+		runtime.ReadMemStats(&after)
+		perFrame := (after.TotalAlloc - before.TotalAlloc) / (runs + 1)
+		if limit := uint64(len(env.Body) + 4<<10); allocs > 12 || perFrame > limit {
+			t.Errorf("DecodeEnvelope(%s): %v allocs and %d B per frame, budget 12 and %d B", name, allocs, perFrame, limit)
 		}
 	}
 }
@@ -147,7 +214,7 @@ func TestAllocBudgetMatch(t *testing.T) {
 }
 
 func BenchmarkEnvelopeEncode(b *testing.B) {
-	for name, env := range map[string]*wire.Envelope{"agent": hopAgentFrame(b), "result": hopResultFrame()} {
+	for name, env := range hopFrames(b) {
 		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
@@ -160,7 +227,7 @@ func BenchmarkEnvelopeEncode(b *testing.B) {
 }
 
 func BenchmarkEnvelopeDecode(b *testing.B) {
-	for name, env := range map[string]*wire.Envelope{"agent": hopAgentFrame(b), "result": hopResultFrame()} {
+	for name, env := range hopFrames(b) {
 		frame, err := wire.EncodeEnvelope(env)
 		if err != nil {
 			b.Fatal(err)

@@ -61,6 +61,8 @@ func TestAdminEndpointSmoke(t *testing.T) {
 	for _, family := range []string{
 		"bestpeer_node_queries_total",
 		"bestpeer_transport_messages_sent_total",
+		"bestpeer_transport_bytes_sent_total",
+		"bestpeer_transport_frames_sent_total",
 		"bestpeer_liglo_client_calls_total",
 		"bestpeer_storm_objects",
 	} {

@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"testing"
+	"unsafe"
 
 	"bestpeer/internal/storm"
 	"bestpeer/internal/wire"
@@ -204,6 +205,51 @@ func TestResultsRoundTrip(t *testing.T) {
 	}
 	if _, err := DecodeResults([]byte{1}); err == nil {
 		t.Fatal("garbage results accepted")
+	}
+}
+
+// inside reports whether view lies wholly within buf's memory.
+func inside(view, buf []byte) bool {
+	if len(view) == 0 {
+		return true
+	}
+	v, b := uintptr(unsafe.Pointer(&view[0])), uintptr(unsafe.Pointer(unsafe.SliceData(buf)))
+	return v >= b && v+uintptr(len(view)) <= b+uintptr(len(buf))
+}
+
+// TestDecodedDataIsAClippedView: each Result.Data is a view of the body
+// (no copy), clipped so that append reallocates instead of writing into
+// the next result's name and data; a result without data decodes to nil.
+func TestDecodedDataIsAClippedView(t *testing.T) {
+	results := []Result{
+		{Name: "first", Data: bytes.Repeat([]byte{0xA1}, 1024)},
+		{Name: "hint-only"},
+		{Name: "second", Data: bytes.Repeat([]byte{0xB2}, 1024)},
+		{Name: "third", Data: []byte("short")},
+	}
+	body := EncodeResults(results, 1, wire.BPID{}, "peer:1")
+	pristine := bytes.Clone(body)
+	batch, err := DecodeResults(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(batch.Results, results) {
+		t.Fatalf("results: %+v", batch.Results)
+	}
+	for i, r := range batch.Results {
+		if r.Data == nil {
+			continue
+		}
+		if !inside(r.Data, body) || cap(r.Data) != len(r.Data) {
+			t.Fatalf("result %d: inside the body = %v, len %d, cap %d", i, inside(r.Data, body), len(r.Data), cap(r.Data))
+		}
+		grown := append(r.Data, "written behind this result's data"...)
+		if inside(grown[:1], body) {
+			t.Fatalf("result %d: append did not reallocate", i)
+		}
+	}
+	if !bytes.Equal(body, pristine) || !reflect.DeepEqual(batch.Results, results) {
+		t.Fatal("append to one result's data wrote into the body behind it")
 	}
 }
 

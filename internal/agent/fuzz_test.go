@@ -32,13 +32,28 @@ func FuzzDecodePacket(f *testing.F) {
 	})
 }
 
-// FuzzDecodeResults: result batches from hostile peers must never panic.
+// FuzzDecodeResults: result batches from hostile peers must never panic,
+// and whatever a batch hands out as Data lies inside the input, clipped
+// (cap == len) so that no append can reach the bytes behind it.
 func FuzzDecodeResults(f *testing.F) {
 	f.Add(EncodeResults([]Result{{Name: "n", Data: []byte("d")}}, 2,
 		wire.BPID{LIGLO: "l", Node: 1}, "addr"))
+	f.Add(EncodeResults([]Result{{Name: "hint"}, {Name: "n", Data: []byte("data")}, {Name: "m", Data: []byte{0}}}, 0,
+		wire.BPID{}, ""))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		_, _ = DecodeResults(data)
+		batch, err := DecodeResults(data)
+		if err != nil {
+			return
+		}
+		for i, r := range batch.Results {
+			if len(r.Data) == 0 && r.Data != nil {
+				t.Fatalf("result %d: empty data is not nil", i)
+			}
+			if !inside(r.Data, data) || cap(r.Data) != len(r.Data) {
+				t.Fatalf("result %d: inside the input = %v, len %d, cap %d", i, inside(r.Data, data), len(r.Data), cap(r.Data))
+			}
+		}
 	})
 }
 

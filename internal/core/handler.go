@@ -310,18 +310,19 @@ func resultsSize(results []agent.Result) int {
 }
 
 // handleResult routes an incoming answer batch to its query, recording
-// any piggybacked trace span first.
+// any piggybacked trace span first. The batch is decoded only for a live
+// query: an answer that arrives after its query finished costs a lookup.
 func (n *Node) handleResult(env *wire.Envelope, hint bool) {
 	if env.Span != nil {
 		n.tracer.Record(env.ID, *env.Span)
 	}
-	batch, err := agent.DecodeResults(env.Body)
-	if err != nil {
-		return
-	}
 	v, ok := n.queries.Load(env.ID)
 	if !ok {
 		return // late answer for a finished query
+	}
+	batch, err := agent.DecodeResults(env.Body)
+	if err != nil {
+		return
 	}
 	n.m.answerHops.ObserveExemplar(float64(batch.Hops), env.ID.String())
 	n.journal.Append(obs.Event{

@@ -185,6 +185,8 @@ func TestNodeMetricsCoverAllFamilies(t *testing.T) {
 		"bestpeer_node_agents_forwarded_total",
 		"bestpeer_node_answer_hops",
 		"bestpeer_transport_messages_sent_total",
+		"bestpeer_transport_bytes_sent_total",
+		"bestpeer_transport_frames_sent_total",
 		"bestpeer_transport_send_queue_depth",
 		"bestpeer_liglo_client_calls_total",
 		"bestpeer_storm_objects",
@@ -193,9 +195,15 @@ func TestNodeMetricsCoverAllFamilies(t *testing.T) {
 			t.Fatalf("family %s missing from node registry", fam)
 		}
 	}
-	if got := snap.Value("bestpeer_transport_messages_sent_total"); got < 1 {
-		t.Fatalf("transport sent total = %v, want >= 1", got)
-	}
+	// Every frame written is counted once as a message and under exactly
+	// one form, and is at least its five-byte header. The send worker
+	// counts after the write, so the answer can be back before it has.
+	waitUntil(t, "the message, frame and byte counters to agree", func() bool {
+		snap := c.nodes[0].Metrics().Snapshot()
+		sent := snap.Value("bestpeer_transport_messages_sent_total")
+		return sent >= 1 && snap.Total("bestpeer_transport_frames_sent_total") == sent &&
+			snap.Total("bestpeer_transport_bytes_sent_total") >= 5*sent
+	})
 }
 
 func TestServeAdminExposesNodeState(t *testing.T) {
@@ -240,6 +248,8 @@ func TestServeAdminExposesNodeState(t *testing.T) {
 	for _, fam := range []string{
 		"bestpeer_node_queries_total",
 		"bestpeer_transport_messages_sent_total",
+		"bestpeer_transport_bytes_sent_total",
+		"bestpeer_transport_frames_sent_total",
 		"bestpeer_liglo_client_calls_total",
 		"bestpeer_storm_objects",
 	} {

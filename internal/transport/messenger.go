@@ -113,6 +113,7 @@ type Messenger struct {
 	// hot path is one atomic add. Dropped envelopes are split by reason
 	// under one family.
 	sent            *obs.Counter
+	sentByForm      [2]struct{ frames, bytes *obs.Counter } // form="stored", form="gzip"
 	received        *obs.Counter
 	droppedQueue    *obs.Counter // reason="queue-full"
 	droppedSuspect  *obs.Counter // reason="suspect"
@@ -156,6 +157,12 @@ func (m *Messenger) bindMetrics(reg *obs.Registry) {
 	const dropHelp = "Outgoing envelopes abandoned, by reason."
 	m.sent = reg.Counter("bestpeer_transport_messages_sent_total",
 		"Envelopes written to the network.")
+	for i, form := range []string{"stored", "gzip"} {
+		m.sentByForm[i].frames = reg.Counter("bestpeer_transport_frames_sent_total",
+			"Frames written to the network, by how the codec sent the body.", obs.L("form", form))
+		m.sentByForm[i].bytes = reg.Counter("bestpeer_transport_bytes_sent_total",
+			"Encoded frame bytes written to the network, by how the codec sent the body.", obs.L("form", form))
+	}
 	m.received = reg.Counter("bestpeer_transport_messages_received_total",
 		"Envelopes decoded from the network.")
 	m.droppedQueue = reg.Counter("bestpeer_transport_messages_dropped_total", dropHelp,
@@ -595,6 +602,12 @@ func (q *sendQueue) deliver(env *wire.Envelope) {
 	}
 	q.succeed()
 	q.m.sent.Inc()
+	form := &q.m.sentByForm[0]
+	if wire.FrameCompressed(frame) {
+		form = &q.m.sentByForm[1]
+	}
+	form.frames.Inc()
+	form.bytes.Add(uint64(len(frame)))
 }
 
 // dial opens a connection to the destination, recording dial latency.

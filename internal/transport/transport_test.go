@@ -2,11 +2,14 @@ package transport
 
 import (
 	"errors"
+	"math/rand"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"bestpeer/internal/obs"
 	"bestpeer/internal/wire"
 )
 
@@ -194,6 +197,79 @@ func TestMessengerDialFailure(t *testing.T) {
 	}
 	if m.Dropped() == 0 {
 		t.Fatal("failed deliveries not counted as dropped")
+	}
+}
+
+// TestMessengerCountsBytesAndForms: bytes_sent and frames_sent{form} count
+// what was written, frame for frame as the codec encoded it, and nothing
+// that was dropped on the way.
+func TestMessengerCountsBytesAndForms(t *testing.T) {
+	nw := NewInProc()
+	c := newCollector()
+	recv, err := NewMessenger(nw, "", c.handle)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer recv.Close()
+	reg := obs.NewRegistry()
+	send, err := NewMessengerOpts(nw, "", nil, Options{DialTimeout: 100 * time.Millisecond, Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer send.Close()
+
+	random := make([]byte, 4<<10)
+	rand.New(rand.NewSource(6)).Read(random)
+	type tally struct{ frames, bytes float64 }
+	want := map[string]*tally{"stored": {}, "gzip": {}}
+	for _, e := range []*wire.Envelope{
+		env(wire.KindPeerProbe, "tiny"),
+		env(wire.KindResult, string(random)),
+		env(wire.KindClassShip, strings.Repeat("compressible ", 400)),
+	} {
+		frame, err := wire.EncodeEnvelope(e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		form := want["stored"]
+		if wire.FrameCompressed(frame) {
+			form = want["gzip"]
+		}
+		form.frames++
+		form.bytes += float64(len(frame))
+		if err := send.Send(recv.Addr(), e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if want["stored"].frames != 2 || want["gzip"].frames != 1 {
+		t.Fatalf("fixture: %v stored, %v gzip frames, want 2 and 1", want["stored"].frames, want["gzip"].frames)
+	}
+	if err := send.Send("ghost", env(wire.KindAgent, "never written")); err != nil {
+		t.Fatal(err)
+	}
+	c.waitFor(t, 3)
+	read := func(snap *obs.Snapshot, family, form string) float64 {
+		for _, m := range snap.Family(family).Metrics {
+			if len(m.Labels) == 1 && m.Labels[0] == obs.L("form", form) {
+				return m.Value
+			}
+		}
+		return -1
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		snap, got := reg.Snapshot(), map[string]tally{}
+		for form := range want {
+			got[form] = tally{read(snap, "bestpeer_transport_frames_sent_total", form), read(snap, "bestpeer_transport_bytes_sent_total", form)}
+		}
+		if got["stored"] == *want["stored"] && got["gzip"] == *want["gzip"] && send.Dropped() == 1 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("stored %+v (want %+v), gzip %+v (want %+v), dropped %d (want 1)",
+				got["stored"], *want["stored"], got["gzip"], *want["gzip"], send.Dropped())
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }
 

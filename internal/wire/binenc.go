@@ -165,22 +165,16 @@ func (d *Decoder) Float64() float64 {
 }
 
 // String reads a length-prefixed string.
-func (d *Decoder) String() string {
-	n := d.Uvarint()
-	if d.err != nil {
-		return ""
-	}
-	if n > maxFieldLen || uint64(len(d.buf)-d.pos) < n {
-		d.fail()
-		return ""
-	}
-	s := string(d.buf[d.pos : d.pos+int(n)])
-	d.pos += int(n)
-	return s
-}
+func (d *Decoder) String() string { return string(d.BytesView()) }
 
 // Bytes2 reads a length-prefixed byte slice (copied out of the buffer).
-func (d *Decoder) Bytes2() []byte {
+func (d *Decoder) Bytes2() []byte { return append([]byte(nil), d.BytesView()...) }
+
+// BytesView reads a length-prefixed byte slice without copying: the
+// result is a capacity-clipped view of the decoder's input (nil when
+// empty), valid and immutable for as long as that input is. It is for
+// payloads large enough that the copy shows; Bytes2 is the default.
+func (d *Decoder) BytesView() []byte {
 	n := d.Uvarint()
 	if d.err != nil {
 		return nil
@@ -189,9 +183,11 @@ func (d *Decoder) Bytes2() []byte {
 		d.fail()
 		return nil
 	}
-	b := append([]byte(nil), d.buf[d.pos:d.pos+int(n)]...)
+	if n == 0 {
+		return nil
+	}
 	d.pos += int(n)
-	return b
+	return d.buf[d.pos-int(n) : d.pos : d.pos]
 }
 
 // MsgID reads a fixed-width message identifier.

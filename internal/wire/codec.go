@@ -28,6 +28,17 @@ const MaxFrameSize = 16 << 20
 // tiny control messages grow under gzip, so they travel as stored frames.
 const compressionThreshold = 128
 
+// probeFloor is the raw size from which the incompressibility probe is
+// asked: the plug-in entropy estimate reads about 255/(2n ln 2) bits per
+// byte low, 0.18 at 1 KB, so below it random bytes look compressible.
+// probeMargin is the share of the raw size an ideal order-0 coder must be
+// able to save before deflate is tried (DESIGN.md §4 has the measurements
+// behind both).
+const (
+	probeFloor  = 1024
+	probeMargin = 1.0 / 32
+)
+
 // frame flags.
 const (
 	flagGzip = 1 << 0
@@ -54,8 +65,9 @@ var gzipEncoders = sync.Pool{New: func() any {
 //
 //	uint32 length | uint8 flags | body
 //
-// where body is the envelope fields (and is gzip-compressed when large
-// enough to benefit). The returned slice is freshly allocated.
+// where body is the envelope fields, gzip-compressed when that is tried
+// (see mayCompress) and comes out smaller. The returned slice is freshly
+// allocated.
 func EncodeEnvelope(e *Envelope) ([]byte, error) {
 	if !e.Kind.Valid() {
 		return nil, fmt.Errorf("%w: invalid kind %d", ErrBadFrame, e.Kind)
@@ -87,7 +99,7 @@ func EncodeEnvelope(e *Envelope) ([]byte, error) {
 	frame := encodeBody(make([]byte, frameHeaderSize, frameHeaderSize+size), e, trace, span, qroute)
 
 	var flags byte
-	if raw := frame[frameHeaderSize:]; len(raw) >= compressionThreshold {
+	if raw := frame[frameHeaderSize:]; len(raw) >= compressionThreshold && mayCompress(raw) {
 		z := gzipEncoders.Get().(*gzipEncoder)
 		z.buf.Reset()
 		z.zw.Reset(&z.buf)
@@ -95,15 +107,15 @@ func EncodeEnvelope(e *Envelope) ([]byte, error) {
 		if err == nil {
 			err = z.zw.Close()
 		}
-		if err != nil {
-			return nil, fmt.Errorf("wire: compress: %w", err)
-		}
 		// Only keep the compressed form when it actually shrinks.
-		if z.buf.Len() < len(raw) {
+		if err == nil && z.buf.Len() < len(raw) {
 			frame = append(make([]byte, frameHeaderSize, frameHeaderSize+z.buf.Len()), z.buf.Bytes()...)
 			flags |= flagGzip
 		}
-		gzipEncoders.Put(z)
+		gzipEncoders.Put(z) // also after an error: Reset re-arms it on the next Get
+		if err != nil {
+			return nil, fmt.Errorf("wire: compress: %w", err)
+		}
 	}
 	if len(frame)-4 > MaxFrameSize {
 		return nil, ErrFrameTooLarge
@@ -111,6 +123,32 @@ func EncodeEnvelope(e *Envelope) ([]byte, error) {
 	binary.BigEndian.PutUint32(frame[0:4], uint32(len(frame)-4))
 	frame[4] = flags
 	return frame, nil
+}
+
+// mayCompress is the incompressibility probe: it reports whether an ideal
+// order-0 coder could save at least probeMargin of raw — one pass into a
+// byte histogram, then the entropy bound from the counts. Bodies under
+// probeFloor are not judged. Deflate also finds repeats, which an order-0
+// model cannot see: a flat histogram made of long repeats is stored
+// although it would deflate. That costs bytes, never correctness.
+func mayCompress(raw []byte) bool {
+	if len(raw) < probeFloor {
+		return true
+	}
+	var hist [256]uint32
+	for _, b := range raw {
+		hist[b]++
+	}
+	// Σ c·ln(n/c) nats, written n·ln(n) − Σ c·ln(c); math.Log is the
+	// cheaper logarithm, so the one conversion to bits comes last.
+	n := float64(len(raw))
+	nats := n * math.Log(n)
+	for _, c := range hist {
+		if c > 1 {
+			nats -= float64(c) * math.Log(float64(c))
+		}
+	}
+	return nats/math.Ln2 <= 8*n*(1-probeMargin)
 }
 
 // Extension field tags. Extensions are appended after the body as
@@ -157,7 +195,8 @@ func appendExt(buf []byte, tag uint8, payload []byte) []byte {
 	return append(buf, payload...)
 }
 
-// decodeBody parses the fixed layout produced by encodeBody.
+// decodeBody parses the fixed layout produced by encodeBody. The
+// envelope's Body is a capacity-clipped view of raw, not a copy.
 func decodeBody(raw []byte) (*Envelope, error) {
 	if len(raw) < 3+16+2 {
 		return nil, ErrBadFrame
@@ -198,7 +237,7 @@ func decodeBody(raw []byte) (*Envelope, error) {
 		return nil, fmt.Errorf("%w: body length %d, have %d", ErrBadFrame, bn, len(raw)-p)
 	}
 	if bn > 0 {
-		e.Body = append([]byte(nil), raw[p:p+bn]...)
+		e.Body = raw[p : p+bn : p+bn]
 	}
 	p += bn
 	// Anything after the body is extension records. Unknown tags are
@@ -242,7 +281,9 @@ func decodeBody(raw []byte) (*Envelope, error) {
 }
 
 // DecodeEnvelope parses a frame produced by EncodeEnvelope. The input must
-// contain exactly one frame.
+// contain exactly one frame. The envelope may alias frame: the Body of a
+// frame that travelled stored is a view of it (see Envelope.Body), so the
+// caller must not write to or reuse frame while the envelope is in use.
 func DecodeEnvelope(frame []byte) (*Envelope, error) {
 	if len(frame) < 5 {
 		return nil, ErrBadFrame
@@ -290,6 +331,12 @@ const maxDeflateRatio = 1040
 // one — the stream decides how many bytes come out, never the hint.
 func inflate(payload []byte) ([]byte, error) {
 	z := gzipDecoders.Get().(*gzipDecoder)
+	// Back into the pool on every return, errors included (Reset re-arms
+	// it on the next Get); the state must not pin the caller's frame.
+	defer func() {
+		z.src.Reset(nil)
+		gzipDecoders.Put(z)
+	}()
 	z.src.Reset(payload)
 	if err := z.zr.Reset(&z.src); err != nil {
 		return nil, fmt.Errorf("wire: decompress: %w", err)
@@ -318,9 +365,13 @@ func inflate(payload []byte) ([]byte, error) {
 			raw = slices.Grow(raw, 1) // the hint understated: grow as append would
 		}
 	}
-	z.src.Reset(nil) // the pooled state must not pin the caller's frame
-	gzipDecoders.Put(z)
 	return raw, nil
+}
+
+// FrameCompressed reports whether an encoded frame carries its body
+// gzip-compressed (true) or stored (false).
+func FrameCompressed(frame []byte) bool {
+	return len(frame) >= frameHeaderSize && frame[4]&flagGzip != 0
 }
 
 // WriteEnvelope encodes the envelope and writes the frame to w.
@@ -341,9 +392,13 @@ func ReadEnvelope(r io.Reader) (*Envelope, error) {
 		return nil, err
 	}
 	n := binary.BigEndian.Uint32(hdr[0:4])
-	if n == 0 || n > MaxFrameSize {
+	if n == 0 {
+		return nil, ErrBadFrame // the length counts the flags byte just read
+	}
+	if n > MaxFrameSize {
 		return nil, ErrFrameTooLarge
 	}
+	// payload is this envelope's alone: its Body is a view of it.
 	payload := make([]byte, n-1)
 	if _, err := io.ReadFull(r, payload); err != nil {
 		return nil, fmt.Errorf("wire: short frame: %w", err)

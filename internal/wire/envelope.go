@@ -132,7 +132,13 @@ type Envelope struct {
 	Hops uint8  // hops travelled so far
 	From string // transport address of the immediate sender
 	To   string // transport address of the immediate receiver
-	Body []byte // protocol payload, encoded by the codec helpers
+	// Body is the protocol payload, encoded by the codec helpers. On a
+	// decoded envelope it is a view (cap == len, so append reallocates)
+	// of the buffer the frame was read or inflated into, which the
+	// envelope alone holds — or of the caller's frame, for
+	// DecodeEnvelope. It is read-only, and whatever keeps a piece of it
+	// keeps the whole frame alive.
+	Body []byte
 
 	// Trace, when non-nil, is the per-query trace context this message
 	// carries. Span, when non-nil, is a hop record piggybacked for the

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"math/rand"
 	"reflect"
 	"testing"
 )
@@ -70,6 +71,76 @@ func FuzzDecodeEnvelope(f *testing.F) {
 		}
 		if !reflect.DeepEqual(back.QRoute, env.QRoute) {
 			t.Fatal("re-encode round trip changed the qroute extension")
+		}
+	})
+}
+
+// FuzzEncodeEnvelope: for an arbitrary kind, body and set of extensions
+// the frame round-trips through DecodeEnvelope and through ReadEnvelope,
+// is never longer than header + raw, and is either the always-deflate
+// reference's frame byte for byte (the probe let it through, or it is
+// under the probe's floor) or the stored form of the same raw bytes (the
+// probe stopped it). The body is the fuzzer's bytes repeated, then padded
+// with seeded random bytes, so sizes either side of the floor and bodies
+// of every mix of repetitive and incompressible are within reach.
+func FuzzEncodeEnvelope(f *testing.F) {
+	f.Add(uint8(KindAgent), []byte("payload"), uint8(0), uint16(0), "a:1", uint8(0))
+	f.Add(uint8(KindResult), []byte("answers "), uint8(200), uint16(0), "127.0.0.1:54321", uint8(7))
+	f.Add(uint8(KindResult), []byte{}, uint8(0), uint16(1400), "127.0.0.1:54321", uint8(2))
+	f.Add(uint8(KindResult), []byte("n3-object-0004"), uint8(30), uint16(10<<10), "b:2", uint8(2))
+	f.Add(uint8(KindClassShip), []byte("storm.keyword"), uint8(0), uint16(probeFloor), "b:2", uint8(4))
+	f.Add(uint8(KindHint), bytes.Repeat([]byte{0}, compressionThreshold), uint8(7), uint16(0), "", uint8(1))
+	f.Add(uint8(kindSentinel), []byte("x"), uint8(0), uint16(0), "", uint8(0))
+
+	f.Fuzz(func(t *testing.T, kind uint8, seed []byte, repeat uint8, pad uint16, addr string, ext uint8) {
+		if len(addr) > 1<<10 {
+			addr = addr[:1<<10] // the envelope's length prefixes are 16 bits
+		}
+		body := bytes.Repeat(seed, 1+int(repeat))
+		tail := make([]byte, pad)
+		rand.New(rand.NewSource(int64(len(seed))<<16 | int64(pad))).Read(tail)
+		e := &Envelope{Kind: Kind(kind), ID: MsgID{kind, repeat, ext}, TTL: 3, Hops: 1, From: addr, To: "base:1", Body: append(body, tail...)}
+		if len(e.Body) == 0 {
+			e.Body = nil // what an empty body decodes to
+		}
+		if ext&1 != 0 {
+			e.Trace = &TraceContext{QueryID: e.ID, Base: addr}
+		}
+		if ext&2 != 0 {
+			e.Span = &TraceSpan{Peer: addr, Parent: "base:1", Hop: 2, WaitNS: int64(pad), ExecNS: 2000, Matches: int(repeat), FanOut: 3}
+		}
+		if ext&4 != 0 {
+			e.QRoute = &QRoute{Via: addr, Cached: ext&8 != 0, Epoch: uint64(pad)}
+		}
+		frame, err := EncodeEnvelope(e)
+		if !e.Kind.Valid() {
+			if err == nil {
+				t.Fatalf("kind %d encoded", kind)
+			}
+			return
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw := rawBody(e)
+		if len(frame) > frameHeaderSize+len(raw) {
+			t.Fatalf("a %d-byte frame for %d raw bytes", len(frame), len(raw))
+		}
+		if !bytes.Equal(frame, ReferenceEncode(e)) {
+			if len(raw) < probeFloor {
+				t.Fatalf("%d raw bytes, under the probe's floor, and the frame is not the reference's", len(raw))
+			}
+			if !bytes.Equal(frame, StoredFrame(raw)) {
+				t.Fatal("the frame is neither the reference's nor the stored form of the raw bytes")
+			}
+		}
+		decoded, err := DecodeEnvelope(frame)
+		if err != nil || !reflect.DeepEqual(decoded, e) {
+			t.Fatalf("DecodeEnvelope round trip: %v", err)
+		}
+		read, err := ReadEnvelope(bytes.NewReader(frame))
+		if err != nil || !reflect.DeepEqual(read, e) {
+			t.Fatalf("ReadEnvelope round trip: %v", err)
 		}
 	})
 }

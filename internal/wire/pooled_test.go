@@ -111,7 +111,10 @@ func TestPooledEncoderMatchesGolden(t *testing.T) {
 
 // TestPooledCodecConcurrent: eight goroutines share the pooled compressor
 // and decompressor state; every frame must still be the golden one and
-// decode to its envelope. Run under -race.
+// decode to its envelope. Every decoded envelope is also retained and
+// handed to two checkers that keep re-reading it while later frames are
+// decoded: a Body that aliased anything reusable (pooled gzip state, a
+// reader's window) would be written under them. Run under -race.
 func TestPooledCodecConcurrent(t *testing.T) {
 	envs := goldenEnvelopes(t)
 	want := make([][]byte, len(envs))
@@ -121,13 +124,41 @@ func TestPooledCodecConcurrent(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
+	type retained struct {
+		i   int
+		env *Envelope
+	}
+	const goroutines, frames = 8, 200
+	kept := make(chan retained, goroutines*frames)
+	var checkers, wg sync.WaitGroup
+	for c := 0; c < 2; c++ {
+		checkers.Add(1)
+		go func() {
+			defer checkers.Done()
+			var held []retained
+			for r := range kept {
+				held = append(held, r)
+				for _, h := range held[max(0, len(held)-16):] {
+					if !bytes.Equal(h.env.Body, envs[h.i].Body) {
+						t.Errorf("a retained copy of envelope %d changed while later frames were decoded", h.i)
+						return
+					}
+				}
+			}
+			for _, h := range held {
+				if !reflect.DeepEqual(h.env, envs[h.i]) {
+					t.Errorf("a retained copy of envelope %d did not survive", h.i)
+					return
+				}
+			}
+		}()
+	}
+	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(int64(g)))
-			for n := 0; n < 200; n++ {
+			for n := 0; n < frames; n++ {
 				i := rng.Intn(len(envs))
 				frame, err := EncodeEnvelope(envs[i])
 				if err != nil || !bytes.Equal(frame, want[i]) {
@@ -139,10 +170,13 @@ func TestPooledCodecConcurrent(t *testing.T) {
 					t.Errorf("goroutine %d: envelope %d does not round-trip (%v)", g, i, err)
 					return
 				}
+				kept <- retained{i, back}
 			}
 		}(g)
 	}
 	wg.Wait()
+	close(kept)
+	checkers.Wait()
 }
 
 // gzipFrame frames the given gzip members as one compressed payload.
