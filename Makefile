@@ -58,8 +58,10 @@ chaos:
 # the corpus without turning CI into a fuzz farm.
 # FuzzRecordMatches and FuzzMatchPlan get longer: they are the equivalence
 # proofs Store.Match rests on (record-level match == decodeObject +
-# Object.Matches; planned Match == page walk == MatchFunc(Matches) over
-# mutation, reopen and crash sequences).
+# Object.Matches, and the keys gathered beside it never excuse a match;
+# planned Match == page walk with its keys warm, partly dropped or cold ==
+# page walk without keys == MatchFunc(Matches) over mutation, reopen and
+# crash sequences).
 FUZZTIME ?= 5s
 MATCHFUZZTIME ?= 30s
 fuzz:
@@ -95,10 +97,12 @@ adminsmoke:
 	$(GO) test -race -count=1 -run 'TestLigloRingSmoke' ./cmd/liglo/
 
 # Allocation budget of one query hop: exact allocs/op bounds on the
-# envelope codec and Store.Match — the scan of a plain store and the plan
-# of an indexed one — (they run in `make test` too, and skip under -race),
-# then the same operations' ns/op, B/op and allocs/op for the log. Only
-# the counts gate; timings on a shared runner do not.
+# envelope codec and Store.Match — the warm scan of a plain store, its
+# first scan after open and the plan of an indexed one — (they run in
+# `make test` too, and skip under -race), then the same operations' ns/op,
+# B/op and allocs/op for the log (StoreMatchCold/scan, /scan-first and
+# /plan among them). Only the counts gate; timings on a shared runner do
+# not.
 perfcheck:
 	$(GO) test -count=1 -run 'TestAllocBudget' -v .
 	$(GO) test -run '^$$' -bench 'Envelope|Match' -benchmem .

@@ -82,18 +82,45 @@ func hopFrames(tb testing.TB) map[string]*wire.Envelope {
 // hopStore is the paper's per-node store, 1000 × 1 KB objects, behind the
 // daemon's default 64-frame pool; indexed, it is what `bestpeer -index`
 // opens, and Match plans instead of walking.
-func hopStore(tb testing.TB, indexed bool) (*storm.Store, *workload.Spec) {
+type hopStore struct {
+	*storm.Store
+	spec *workload.Spec
+	path string
+	opts storm.Options
+}
+
+func newHopStore(tb testing.TB, indexed bool) *hopStore {
 	tb.Helper()
-	store, err := storm.Open(filepath.Join(tb.TempDir(), "hop.storm"), storm.Options{BufferFrames: 64, PersistentIndex: indexed})
+	h := &hopStore{
+		spec: workload.Default(1),
+		path: filepath.Join(tb.TempDir(), "hop.storm"),
+		opts: storm.Options{BufferFrames: 64, PersistentIndex: indexed},
+	}
+	h.open(tb)
+	tb.Cleanup(func() { h.Close() })
+	if err := h.spec.Populate(0, h.Store); err != nil {
+		tb.Fatal(err)
+	}
+	return h
+}
+
+func (h *hopStore) open(tb testing.TB) {
+	tb.Helper()
+	store, err := storm.Open(h.path, h.opts)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	tb.Cleanup(func() { store.Close() })
-	spec := workload.Default(1)
-	if err := spec.Populate(0, store); err != nil {
+	h.Store = store
+}
+
+// reopen closes the store and opens it again: an empty pool, and a walker
+// that remembers nothing — the first Match after a restart.
+func (h *hopStore) reopen(tb testing.TB) {
+	tb.Helper()
+	if err := h.Close(); err != nil {
 		tb.Fatal(err)
 	}
-	return store, spec
+	h.open(tb)
 }
 
 func TestAllocBudgetEnvelope(t *testing.T) {
@@ -183,24 +210,26 @@ func TestAllocBudgetMatch(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items at random under the race detector")
 	}
-	// Per hit: the Object, its name, its keyword slice and one keyword,
-	// its data, and the answer slice's amortised growth; the plan adds the
-	// candidate list's growth and a replacer list node for the hit's page.
-	// Per scan: one replacer list node per resident page (at most the
-	// pool's frames), the page-list snapshot, two closures. Per plan: the
-	// posting range's two bounds, two closures, the tree pages' list
-	// nodes. Nothing per object stored, scanned or planned over.
+	// Per hit: the Object, its name, its keyword slice and one keyword, its
+	// data, and a replacer list node if the hit's page is resident (the
+	// walk reads only the pages its keys do not excuse, the plan only its
+	// candidates'); the plan adds the candidate list's growth. Per scan: the
+	// answer slice's growth, ⌈log₂ hits⌉ + 1 reallocations — c = 6 covers 32
+	// hits; the query's "\x00q\x00" form and the closures stay on the
+	// stack. Per plan: the posting range's two bounds, two closures, the
+	// tree pages' list nodes. Nothing per object or page stored, scanned,
+	// skipped or planned over.
 	for _, tc := range []struct {
 		name            string
 		indexed         bool
 		perHit, perCall int
 	}{
-		{"scan", false, 6, 64 + 8},
+		{"scan", false, 6, 6},
 		{"plan", true, 7, 8},
 	} {
-		store, spec := hopStore(t, tc.indexed)
-		for _, kw := range []string{spec.Keyword(7), "no-object-has-this"} {
-			hits := spec.MatchCount(0, kw)
+		store := newHopStore(t, tc.indexed)
+		for _, kw := range []string{store.spec.Keyword(7), "no-object-has-this"} {
+			hits := store.spec.MatchCount(0, kw)
 			got := testing.AllocsPerRun(20, func() {
 				if m, err := store.Match(kw); err != nil || len(m) != hits {
 					t.Fatalf("%s: Match(%q) = %d objects, %v; want %d", tc.name, kw, len(m), err, hits)
@@ -210,6 +239,28 @@ func TestAllocBudgetMatch(t *testing.T) {
 				t.Errorf("%s: Match(%q) over 1000 objects: %v allocs, budget %d hits x %d + %d = %v", tc.name, kw, got, hits, tc.perHit, tc.perCall, budget)
 			}
 		}
+	}
+
+	// The first Match after open reads every page and leaves the walker's
+	// memory behind: per page the keys' one string and the two views of it;
+	// a list node for each page Open's catalog rebuild left resident (at
+	// most the pool's frames); a scan buffer and the key scratch's growth
+	// if the pool of them is empty, and whatever the runtime allocates
+	// beside a call measured once (32 covers them). Paid once per page
+	// version, not per Match.
+	store := newHopStore(t, false)
+	store.reopen(t)
+	kw := store.spec.Keyword(7)
+	hits, pages := store.spec.MatchCount(0, kw), store.Stats().DataPages
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	m, err := store.Match(kw)
+	runtime.ReadMemStats(&after)
+	if err != nil || len(m) != hits {
+		t.Fatalf("first Match(%q) = %d objects, %v; want %d", kw, len(m), err, hits)
+	}
+	if got, budget := after.Mallocs-before.Mallocs, uint64(hits*6+6+2*pages+64+32); got > budget {
+		t.Errorf("first Match(%q) after open: %d allocs, budget %d hits x 6 + 6 + 2 x %d pages + 64 frames + 32 = %d", kw, got, hits, pages, budget)
 	}
 }
 
@@ -244,20 +295,26 @@ func BenchmarkEnvelopeDecode(b *testing.B) {
 }
 
 // BenchmarkStoreMatchCold is Store.Match as a peer runs it: the store is
-// five times the pool, so most pages come from the file — every page for
-// the scan, the hits' pages for the plan an indexed store makes.
+// five times the pool, so most pages come from the file — the pages the
+// walker's keys do not excuse for the scan, every page for the first scan
+// after open (keys cold: each iteration reopens the store outside the
+// timer), the hits' pages for the plan an indexed store makes.
 func BenchmarkStoreMatchCold(b *testing.B) {
-	for _, indexed := range []bool{false, true} {
-		name := "scan"
-		if indexed {
-			name = "plan"
-		}
-		b.Run(name, func(b *testing.B) {
-			store, spec := hopStore(b, indexed)
+	for _, tc := range []struct {
+		name            string
+		indexed, reopen bool
+	}{{"scan", false, false}, {"scan-first", false, true}, {"plan", true, false}} {
+		b.Run(tc.name, func(b *testing.B) {
+			store := newHopStore(b, tc.indexed)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := store.Match(spec.Keyword(i % 100)); err != nil {
+				if tc.reopen {
+					b.StopTimer()
+					store.reopen(b)
+					b.StartTimer()
+				}
+				if _, err := store.Match(store.spec.Keyword(i % 100)); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -65,6 +65,9 @@ func TestAdminEndpointSmoke(t *testing.T) {
 		"bestpeer_transport_frames_sent_total",
 		"bestpeer_liglo_client_calls_total",
 		"bestpeer_storm_objects",
+		"# TYPE bestpeer_storm_pool_misses counter",
+		"# TYPE bestpeer_storm_scan_pages_read_total counter",
+		"# TYPE bestpeer_storm_scan_pages_skipped_total counter",
 	} {
 		if !strings.Contains(metrics, family) {
 			t.Errorf("/metrics is missing family %s", family)

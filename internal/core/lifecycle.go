@@ -34,22 +34,26 @@ const departedTTL = 45 * time.Second
 // the address until departedTTL passes or a trusted path re-adopts it.
 func (n *Node) noteDeparted(addr string) {
 	n.departedMu.Lock()
-	n.departed[addr] = time.Now().Add(departedTTL)
+	n.departed[addr] = time.Now()
 	n.departedMu.Unlock()
 }
 
 // recentlyDeparted reports whether addr gracefully departed within
 // departedTTL, pruning expired entries as a side effect.
-func (n *Node) recentlyDeparted(addr string) bool {
-	now := time.Now()
+func (n *Node) recentlyDeparted(addr string) bool { return n.departedSince(addr, time.Time{}) }
+
+// departedSince reports whether addr's graceful departure was noted after
+// t and within departedTTL — for a peer list asked for at t, whether the
+// list may be older than the departure. Expired entries are pruned.
+func (n *Node) departedSince(addr string, t time.Time) bool {
 	n.departedMu.Lock()
 	defer n.departedMu.Unlock()
-	exp, ok := n.departed[addr]
-	if ok && now.After(exp) {
+	noted, ok := n.departed[addr]
+	if ok && time.Since(noted) > departedTTL {
 		delete(n.departed, addr)
 		return false
 	}
-	return ok
+	return ok && noted.After(t)
 }
 
 // Leave performs a graceful departure: every direct peer receives a

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"net"
 	"path/filepath"
 	"sync"
 	"testing"
@@ -272,6 +273,101 @@ func TestPeersOfPeer(t *testing.T) {
 	}
 	if _, ok := a.PeersOfPeer("pop-nobody", 100*time.Millisecond); ok {
 		t.Fatal("PeersOfPeer against a dead address reported success")
+	}
+}
+
+// heldReplyNet is a node's view of the network with a LIGLO stub in it:
+// while armed, the reply to the next call made to server is read off the
+// wire — so the server has answered — and then kept from the caller until
+// release is closed.
+type heldReplyNet struct {
+	transport.Network
+	server string
+
+	mu      sync.Mutex
+	fetched chan struct{} // closed once the held reply has been read
+	release chan struct{}
+}
+
+func (h *heldReplyNet) arm() (fetched <-chan struct{}, release chan<- struct{}) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	h.fetched, h.release = make(chan struct{}), make(chan struct{})
+	return h.fetched, h.release
+}
+
+func (h *heldReplyNet) Dial(addr string) (net.Conn, error) {
+	conn, err := h.Network.Dial(addr)
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if err != nil || addr != h.server || h.fetched == nil {
+		return conn, err
+	}
+	held := &heldReplyConn{Conn: conn, fetched: h.fetched, release: h.release}
+	h.fetched, h.release = nil, nil
+	return held, nil
+}
+
+type heldReplyConn struct {
+	net.Conn
+	once    sync.Once
+	fetched chan struct{}
+	release chan struct{}
+}
+
+func (c *heldReplyConn) Read(p []byte) (int, error) {
+	n, err := c.Conn.Read(p)
+	c.once.Do(func() {
+		close(c.fetched)
+		<-c.release
+	})
+	return n, err
+}
+
+// TestReplenishOrdersLigloReplyAgainstDepart is the deterministic form of
+// the race TestSweepRacesLeaveAndDepart used to lose about one run in
+// fifteen: a LIGLO list that was answered before a member deregistered and
+// is applied after that member's Depart must not bring the edge back,
+// while a list asked for after the departure — the member has rejoined —
+// still does, inside departedTTL.
+func TestReplenishOrdersLigloReplyAgainstDepart(t *testing.T) {
+	f := newLifecycleFleet(t)
+	stub := &heldReplyNet{Network: f.nw, server: f.srv.Addr()}
+	a := f.node(t, "order-a", func(cfg *Config) { cfg.Network = stub })
+	b := f.node(t, "order-b", nil)
+	a.SetPeers([]Peer{{Addr: b.Addr()}})
+	b.SetPeers([]Peer{{Addr: a.Addr()}})
+
+	fetched, release := stub.arm()
+	type result struct {
+		added int
+		err   error
+	}
+	done := make(chan result, 1)
+	go func() {
+		added, err := a.Replenish()
+		done <- result{added, err}
+	}()
+	<-fetched // the server has answered: b is registered, online and on the list
+	if err := b.Leave(); err != nil {
+		t.Fatalf("Leave: %v", err)
+	}
+	waitUntil(t, "the Depart to be handled", func() bool {
+		return countEvents(a, obs.EvDepartReceived, b.Addr(), "") == 1 && !hasPeer(a, b.Addr())
+	})
+	close(release)
+	if r := <-done; r.err != nil || r.added != 0 {
+		t.Fatalf("Replenish with a list older than the Depart: added %d, %v; want 0", r.added, r.err)
+	}
+	if hasPeer(a, b.Addr()) {
+		t.Fatalf("leaver resurrected by a stale LIGLO list: %v", a.PeerAddrs())
+	}
+
+	if err := b.Rejoin(); err != nil {
+		t.Fatalf("Rejoin: %v", err)
+	}
+	if added, err := a.Replenish(); err != nil || added != 1 || !hasPeer(a, b.Addr()) {
+		t.Fatalf("Replenish after the Rejoin: added %d, %v, peers %v; want the rejoined member back", added, err, a.PeerAddrs())
 	}
 }
 

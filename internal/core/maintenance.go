@@ -186,6 +186,11 @@ func (n *Node) SweepPeers(probeTimeout time.Duration) int {
 // fill the gap between the current peer set and MaxPeers — the paper's
 // "replace those peers by new peers that it encounters", with LIGLO as
 // the encounter point. It returns how many peers were added.
+//
+// The server's list is trusted — it is how a member that rejoins inside
+// departedTTL comes back — but only as of when it was asked for: a
+// candidate whose Depart this node handled while the reply was on its way
+// was still registered when the server answered, and is passed over.
 func (n *Node) Replenish() (int, error) {
 	n.mu.Lock()
 	id := n.id
@@ -197,13 +202,14 @@ func (n *Node) Replenish() (int, error) {
 	if room <= 0 {
 		return 0, nil
 	}
+	asked := time.Now()
 	candidates, err := n.lgc.Peers(id.LIGLO, id, n.cfg.MaxPeers)
 	if err != nil {
 		return 0, err
 	}
 	added := 0
 	for _, c := range candidates {
-		if c.Addr == n.Addr() {
+		if c.Addr == n.Addr() || n.departedSince(c.Addr, asked) {
 			continue
 		}
 		if n.AddPeer(Peer{ID: c.ID, Addr: c.Addr}) {

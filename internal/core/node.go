@@ -127,9 +127,10 @@ type Node struct {
 	// processed recently. A leaver's process often stays alive (it can
 	// Rejoin), so it answers probes — the repair loop must not re-adopt
 	// it from gossip (stashed hints, neighbor-of-neighbor lists) that
-	// predates the departure. Entries expire after departedTTL, and any
-	// successful adoption through an evidence-bearing path (LIGLO
-	// replenish, join, query-driven reconfiguration) clears one early.
+	// predates the departure. The value is when the Depart was handled:
+	// entries expire departedTTL later, and any successful adoption
+	// through an evidence-bearing path (a LIGLO list asked for after the
+	// departure, join, query-driven reconfiguration) clears one early.
 	departedMu sync.Mutex
 	departed   map[string]time.Time
 

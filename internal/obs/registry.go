@@ -142,14 +142,17 @@ type metricType uint8
 
 const (
 	counterType metricType = iota
+	counterFuncType
 	gaugeType
 	gaugeFuncType
 	histogramType
 )
 
+// String is the type as exposition names it: a function-backed metric is
+// a counter or a gauge like any other.
 func (t metricType) String() string {
 	switch t {
-	case counterType:
+	case counterType, counterFuncType:
 		return "counter"
 	case histogramType:
 		return "histogram"
@@ -217,7 +220,7 @@ func (r *Registry) getOrCreate(name, help string, typ metricType, buckets []floa
 		r.families[name] = f
 		r.order = append(r.order, name)
 	}
-	if f.typ != typ && !(f.typ == gaugeFuncType && typ == gaugeType || f.typ == gaugeType && typ == gaugeFuncType) {
+	if f.typ.String() != typ.String() {
 		panic(fmt.Sprintf("obs: metric %q re-registered as %s (was %s)", name, typ, f.typ))
 	}
 	key := labelKey(labels)
@@ -225,7 +228,7 @@ func (r *Registry) getOrCreate(name, help string, typ metricType, buckets []floa
 	if !ok {
 		m = &metric{labels: append([]Label(nil), labels...)}
 		switch typ {
-		case counterType:
+		case counterType, counterFuncType:
 			m.c = &Counter{}
 		case gaugeType, gaugeFuncType:
 			m.g = &Gauge{}
@@ -258,7 +261,18 @@ func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
 // (store statistics, queue lengths). Re-registering the same name+labels
 // replaces the function, so a restarted component can re-bind safely.
 func (r *Registry) GaugeFunc(name, help string, fn func() float64, labels ...Label) {
-	m := r.getOrCreate(name, help, gaugeFuncType, nil, labels)
+	r.bindFunc(r.getOrCreate(name, help, gaugeFuncType, nil, labels), fn)
+}
+
+// CounterFunc is GaugeFunc for a count that only grows and already lives
+// elsewhere (pool hits, pages read): it is exposed as a counter, so
+// Snapshot.DeltaSince turns it into an increase a scraper can rate. fn
+// must be monotone.
+func (r *Registry) CounterFunc(name, help string, fn func() float64, labels ...Label) {
+	r.bindFunc(r.getOrCreate(name, help, counterFuncType, nil, labels), fn)
+}
+
+func (r *Registry) bindFunc(m *metric, fn func() float64) {
 	r.mu.Lock()
 	m.fn = fn
 	r.mu.Unlock()
@@ -483,10 +497,10 @@ func (r *Registry) Snapshot() *Snapshot {
 			m := f.byKey[key]
 			ms := MetricSnapshot{Labels: m.labels}
 			switch {
-			case m.c != nil:
-				ms.Value = float64(m.c.Value())
 			case m.fn != nil:
 				ms.Value = m.fn()
+			case m.c != nil:
+				ms.Value = float64(m.c.Value())
 			case m.g != nil:
 				ms.Value = float64(m.g.Value())
 			case m.h != nil:

@@ -97,6 +97,43 @@ func TestGaugeFuncAndValueHelper(t *testing.T) {
 	}
 }
 
+// TestCounterFuncDeltas: a count that lives elsewhere is exposed as a
+// counter — typed so in the exposition, turned into an increase by
+// DeltaSince, re-bindable — where GaugeFunc would hand a scraper the
+// running total as a level.
+func TestCounterFuncDeltas(t *testing.T) {
+	r := NewRegistry()
+	reads, level := 10.0, 10.0
+	r.CounterFunc("pool_reads_total", "reads", func() float64 { return reads })
+	r.GaugeFunc("pool_level", "level", func() float64 { return level })
+	before := r.Snapshot()
+	reads, level = 25, 25
+	delta := r.Snapshot().DeltaSince(before)
+	if got := delta.Value("pool_reads_total"); got != 15 {
+		t.Fatalf("counter func delta = %v, want 15", got)
+	}
+	if got := delta.Value("pool_level"); got != 25 {
+		t.Fatalf("gauge func delta = %v, want the level 25", got)
+	}
+	var b strings.Builder
+	if err := r.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	if out := b.String(); !strings.Contains(out, "# TYPE pool_reads_total counter\npool_reads_total 25\n") {
+		t.Fatalf("exposition:\n%s", out)
+	}
+	r.CounterFunc("pool_reads_total", "reads", func() float64 { return 3 }) // a restarted component re-binds
+	if got := r.Snapshot().DeltaSince(before).Value("pool_reads_total"); got != 3 {
+		t.Fatalf("a count that went backwards deltas from zero: got %v, want 3", got)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("re-registering a counter func as a gauge must panic")
+		}
+	}()
+	r.GaugeFunc("pool_reads_total", "reads", func() float64 { return 0 })
+}
+
 func TestTypeMismatchPanics(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("x_total", "x")

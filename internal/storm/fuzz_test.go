@@ -44,9 +44,39 @@ func FuzzDecodeObject(f *testing.F) {
 	})
 }
 
+// checkGatheredKeys holds the keys recordMatches gathers from one intact
+// record to what the walker's skips rest on: they never excuse a query the
+// record matches and, NUL bytes aside, excuse every query it does not —
+// a field is compared whole, not as part of its neighbours. o is rec
+// decoded, hit what recordMatches said without gathering.
+func checkGatheredKeys(t *testing.T, o *Object, rec []byte, query string, hit bool) {
+	t.Helper()
+	q := strings.ToLower(query)
+	var buf keyBuf
+	buf.reset()
+	if again, err := recordMatches(rec, q, &buf); err != nil || again != hit {
+		t.Fatalf("recordMatches(%q) = %v, %v while gathering, %v without", query, again, err, hit)
+	}
+	keys := buf.keys()
+	if keys == nil {
+		if n := len(buf.names) + len(buf.keywords); n <= maxPageKeys {
+			t.Fatalf("%d bytes of keys were not kept, the bound is %d", n, maxPageKeys)
+		}
+		return
+	}
+	excused := keys.excuses(q, "\x00"+q+"\x00")
+	if hit && excused {
+		t.Fatalf("keys %q excuse the query %q, which %+v matches", keys, query, o)
+	}
+	if !hit && !excused && q != "" && !strings.Contains(q+o.Name+strings.Join(o.Keywords, ""), "\x00") {
+		t.Fatalf("keys %q do not excuse the query %q, which %+v does not match", keys, query, o)
+	}
+}
+
 // FuzzRecordMatches holds recordMatches to its contract: for arbitrary
 // record bytes and query it answers what decodeObject followed by
-// Object.Matches answers, and it fails exactly when decodeObject fails.
+// Object.Matches answers, and it fails exactly when decodeObject fails;
+// and the keys it gathers on the way to checkGatheredKeys.
 func FuzzRecordMatches(f *testing.F) {
 	record := func(o *Object) []byte {
 		rec, err := encodeObject(o)
@@ -74,9 +104,11 @@ func FuzzRecordMatches(f *testing.F) {
 	f.Add([]byte{objectRecordVersion + 1, 0, 0, 0, 0, 0}, "x")         // wrong version
 	f.Add([]byte{objectRecordVersion, 0, 0, 0, 0xFF, 0xFF, 0x7F}, "x") // keyword count past the record
 	f.Add([]byte{}, "x")
+	f.Add(plain, "p2") // part of a keyword, and of no name
+	f.Add(record(&Object{Name: "a\x00b", Keywords: []string{"k\x00w", "kw"}}), "k")
 
 	f.Fuzz(func(t *testing.T, rec []byte, query string) {
-		hit, err := recordMatches(rec, strings.ToLower(query))
+		hit, err := recordMatches(rec, strings.ToLower(query), nil)
 		o, derr := decodeObject(rec)
 		if (err != nil) != (derr != nil) {
 			t.Fatalf("recordMatches error %v, decodeObject error %v", err, derr)
@@ -90,5 +122,6 @@ func FuzzRecordMatches(f *testing.F) {
 		if want := o.Matches(query); hit != want {
 			t.Fatalf("recordMatches(%q) = %v, Matches = %v for %+v", query, hit, want, o)
 		}
+		checkGatheredKeys(t, o, rec, query, hit)
 	})
 }

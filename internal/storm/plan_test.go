@@ -38,9 +38,91 @@ var (
 	planQueries  = []string{"kw", "Kw", "a", "A", "a\x00b", "a\x00", "b", "İ", "i̇", "ſ", "s", "\u212a", "K", "k", "alpha", "ALPHA", "stra", "x", "x\x00", "-", "", "absent"}
 )
 
-// checkPlan holds the three ways to answer a query equal on s: Match (the
-// plan, where an index is open), the page walker, and a decode-everything
-// scan through Object.Matches — the same objects in the same order.
+// matchKeyless is the walker without its memory — every page read, every
+// record put to recordMatches — which is what matchWalked was before the
+// walker remembered anything: the reference the keyed walk is held to.
+func (s *Store) matchKeyless(q string) ([]*Object, error) {
+	var out []*Object
+	err := s.walk(nil, func(rec []byte) error {
+		hit, err := recordMatches(rec, q, nil)
+		if err != nil || !hit {
+			return err
+		}
+		obj, err := decodeObject(rec)
+		if err == nil {
+			out = append(out, obj)
+		}
+		return err
+	}, nil)
+	return out, err
+}
+
+// forgetKeys drops everything the walker remembers, as a reopen does.
+func (s *Store) forgetKeys() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for i := range s.keys {
+		s.keys[i].Store(nil)
+	}
+}
+
+// remembered counts the pages the walker holds keys of.
+func (s *Store) remembered() int {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	n := 0
+	for i := range s.keys {
+		if s.keys[i].Load() != nil {
+			n++
+		}
+	}
+	return n
+}
+
+// checkKeysCurrent is the invariant every skip rests on: whatever the
+// walker remembers of a page is what gathering the page's records afresh
+// gives. A mutation that changed a page and left its keys behind fails
+// here, whether or not a query happens to notice. The three slices that
+// describe the heap stay parallel.
+func checkKeysCurrent(t *testing.T, s *Store) {
+	t.Helper()
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	if len(s.keys) != len(s.dataPages) || s.free.n != len(s.dataPages) {
+		t.Fatalf("%d data pages, %d key slots, %d free-space leaves", len(s.dataPages), len(s.keys), s.free.n)
+	}
+	for i, id := range s.dataPages {
+		k := s.keys[i].Load()
+		if k == nil {
+			continue
+		}
+		p, err := s.pool.Fetch(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var fresh keyBuf
+		fresh.reset()
+		p.Records(func(_ Slot, rec []byte) bool {
+			if _, err := recordMatches(rec, "", &fresh); err != nil {
+				t.Fatalf("page %d: %v", id, err)
+			}
+			return true
+		})
+		if want := fresh.keys(); want == nil || *k != *want {
+			t.Fatalf("page %d: the walker remembers %q, the page holds %q", id, k, want)
+		}
+		if err := s.pool.Unpin(id, false); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// checkPlan holds the ways to answer a query equal on s — the same objects
+// in the same order: Match (the plan, where an index is open), the page
+// walker with whatever it remembers at this point (nothing after a reopen,
+// everything but the pages the last step changed after a write, everything
+// from the second query on), the walker with no memory, and a
+// decode-everything scan through Object.Matches.
 func checkPlan(t *testing.T, s *Store, queries []string) {
 	t.Helper()
 	for _, q := range queries {
@@ -52,6 +134,10 @@ func checkPlan(t *testing.T, s *Store, queries []string) {
 		if err != nil {
 			t.Fatalf("walker(%q): %v", q, err)
 		}
+		keyless, err := s.matchKeyless(strings.ToLower(q))
+		if err != nil {
+			t.Fatalf("key-less walker(%q): %v", q, err)
+		}
 		ref, err := s.MatchFunc(func(o *Object) bool { return o.Matches(q) })
 		if err != nil {
 			t.Fatalf("MatchFunc(%q): %v", q, err)
@@ -59,8 +145,11 @@ func checkPlan(t *testing.T, s *Store, queries []string) {
 		if !reflect.DeepEqual(got, walked) {
 			t.Fatalf("Match(%q) = %v, the walker says %v", q, objNames(got), objNames(walked))
 		}
-		if !reflect.DeepEqual(walked, ref) {
-			t.Fatalf("walker(%q) = %v, MatchFunc(Matches) says %v", q, objNames(walked), objNames(ref))
+		if !reflect.DeepEqual(walked, keyless) {
+			t.Fatalf("walker(%q) = %v, without its memory it says %v", q, objNames(walked), objNames(keyless))
+		}
+		if !reflect.DeepEqual(keyless, ref) {
+			t.Fatalf("key-less walker(%q) = %v, MatchFunc(Matches) says %v", q, objNames(keyless), objNames(ref))
 		}
 	}
 }
@@ -75,8 +164,11 @@ func objNames(objs []*Object) []string {
 
 // runMatchPlan interprets prog as a sequence of Put / Replace-in-place /
 // Replace-that-moves / Delete / Checkpoint / close-reopen / Abandon-recover
-// steps on a store of the given kind, and after every step holds Match to
-// checkPlan and the store's content to a model of what was put.
+// steps on a store of the given kind, and after every step holds what the
+// walker remembers to checkKeysCurrent, Match to checkPlan and the store's
+// content to a model of what was put. The queries start one further on at
+// each step, so each of them is at some point the first after a write —
+// the one that meets the keys partly dropped.
 func runMatchPlan(t *testing.T, kind uint8, prog []byte) {
 	tc := planStores[int(kind)%len(planStores)]
 	dir := t.TempDir()
@@ -144,7 +236,12 @@ func runMatchPlan(t *testing.T, kind uint8, prog []byte) {
 				}
 			}
 		}
-		checkPlan(t, s, planQueries)
+		checkKeysCurrent(t, s)
+		at := step % len(planQueries)
+		checkPlan(t, s, append(planQueries[at:len(planQueries):len(planQueries)], planQueries[:at]...))
+		if s.Stats().DataPages > 0 && s.remembered() == 0 {
+			t.Fatalf("step %d: %d queries left nothing remembered", step, len(planQueries))
+		}
 		all, err := s.MatchFunc(func(*Object) bool { return true })
 		if err != nil {
 			t.Fatal(err)
@@ -160,9 +257,11 @@ func runMatchPlan(t *testing.T, kind uint8, prog []byte) {
 	}
 }
 
-// FuzzMatchPlan is the differential proof the query plan rests on: over
-// arbitrary mutation, checkpoint, reopen and crash sequences on every store
-// kind, the planned Match equals the walker equals MatchFunc(Matches).
+// FuzzMatchPlan is the differential proof the query plan and the walker's
+// memory rest on: over arbitrary mutation, checkpoint, reopen and crash
+// sequences on every store kind, the planned Match equals the walker —
+// keys warm, partly dropped or cold — equals the walker without keys equals
+// MatchFunc(Matches).
 func FuzzMatchPlan(f *testing.F) {
 	for kind := range planStores {
 		kind := uint8(kind)

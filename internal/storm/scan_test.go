@@ -11,6 +11,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"bestpeer/internal/obs"
 )
 
 // scanQueries covers both arms of Matches (keyword equality, name
@@ -172,20 +174,7 @@ func TestScanRunVerifiesChecksums(t *testing.T) {
 			t.Fatalf("page %d is resident; the test needs it read from the file", id)
 		}
 	}
-	f, err := os.OpenFile(path, os.O_RDWR, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	var b [1]byte
-	off := int64(victim)*PageSize + 100
-	if _, err := f.ReadAt(b[:], off); err != nil {
-		t.Fatal(err)
-	}
-	b[0] ^= 0xFF
-	if _, err := f.WriteAt(b[:], off); err != nil {
-		t.Fatal(err)
-	}
+	corruptPageOnDisk(t, path, victim)
 
 	if _, err := s.Match("kw"); !errors.Is(err, ErrChecksum) {
 		t.Fatalf("Match over a corrupt page: %v, want ErrChecksum", err)
@@ -200,6 +189,26 @@ func TestScanRunVerifiesChecksums(t *testing.T) {
 	}
 }
 
+// corruptPageOnDisk flips a byte inside the record area of the page's image
+// in the data file, behind the store's back: the page's CRC no longer holds.
+func corruptPageOnDisk(t *testing.T, path string, id PageID) {
+	t.Helper()
+	f, err := os.OpenFile(path, os.O_RDWR, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	var b [1]byte
+	off := int64(id)*PageSize + 100
+	if _, err := f.ReadAt(b[:], off); err != nil {
+		t.Fatal(err)
+	}
+	b[0] ^= 0xFF
+	if _, err := f.WriteAt(b[:], off); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestScanFailsOnCorruptRecord: a record decodeObject rejects fails Match
 // too, although Match no longer decodes the records it passes over.
 func TestScanFailsOnCorruptRecord(t *testing.T) {
@@ -210,11 +219,79 @@ func TestScanFailsOnCorruptRecord(t *testing.T) {
 		}
 	}
 	corruptDataLength(t, s, "obj-5", 100)
-	if _, err := s.Match("no-such-keyword"); !errors.Is(err, ErrBadObject) {
-		t.Fatalf("Match over a corrupt record: %v, want ErrBadObject", err)
+	// A page with a record that fails validation is never remembered, so
+	// the record fails every Match, not only the first to walk over it.
+	for attempt := 1; attempt <= 3; attempt++ {
+		if _, err := s.Match("no-such-keyword"); !errors.Is(err, ErrBadObject) {
+			t.Fatalf("Match %d over a corrupt record: %v, want ErrBadObject", attempt, err)
+		}
+		if n := s.remembered(); n != 0 {
+			t.Fatalf("Match %d left keys of %d pages behind; the only page holds a corrupt record", attempt, n)
+		}
 	}
 	if err := s.Scan(func(*Object) bool { return true }); !errors.Is(err, ErrBadObject) {
 		t.Fatalf("Scan over a corrupt record: %v, want ErrBadObject", err)
+	}
+}
+
+// TestMatchVouchesForThePagesItReads: the walker's error contract once it
+// remembers. A page corrupt on disk fails a Match that has to read it —
+// every page while nothing is remembered, a candidate page afterwards —
+// and a Scan always; it does not fail a Match whose keys excuse the page.
+func TestMatchVouchesForThePagesItReads(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "data.storm")
+	s, err := Open(path, Options{BufferFrames: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	for i := 0; i < 300; i++ {
+		if _, err := s.Put(obj(fmt.Sprintf("obj-%03d", i), []string{fmt.Sprintf("kw%d", i)}, 1000)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	at := len(s.dataPages) / 2
+	victim := s.dataPages[at]
+	if s.pool.Resident(victim) {
+		t.Fatalf("page %d is resident; the test needs it read from the file", victim)
+	}
+	var onVictim, elsewhere string
+	for i := 0; i < 300 && (onVictim == "" || elsewhere == ""); i++ {
+		if kw := fmt.Sprintf("kw%d", i); s.byName[fmt.Sprintf("obj-%03d", i)].Page == victim {
+			onVictim = kw
+		} else {
+			elsewhere = kw
+		}
+	}
+	if got, err := s.Match(elsewhere); err != nil || len(got) != 1 || s.remembered() != len(s.dataPages) {
+		t.Fatalf("first Match(%s) = %d objects, %v, %d of %d pages remembered", elsewhere, len(got), err, s.remembered(), len(s.dataPages))
+	}
+
+	corruptPageOnDisk(t, path, victim)
+
+	if got, err := s.Match(elsewhere); err != nil || len(got) != 1 {
+		t.Fatalf("Match(%s), whose keys excuse the corrupt page = %d objects, %v; want its one object", elsewhere, len(got), err)
+	}
+	if _, err := s.Match(onVictim); !errors.Is(err, ErrChecksum) {
+		t.Fatalf("Match(%s), whose candidate page is the corrupt one: %v, want ErrChecksum", onVictim, err)
+	}
+	if err := s.Scan(func(*Object) bool { return true }); !errors.Is(err, ErrChecksum) {
+		t.Fatalf("Scan over a corrupt page: %v, want ErrChecksum", err)
+	}
+	if _, err := s.Match(""); !errors.Is(err, ErrChecksum) {
+		t.Fatalf("the empty query walks every page: %v, want ErrChecksum", err)
+	}
+	s.forgetKeys()
+	for attempt := 1; attempt <= 2; attempt++ {
+		if _, err := s.Match(elsewhere); !errors.Is(err, ErrChecksum) {
+			t.Fatalf("Match %d with nothing remembered: %v, want ErrChecksum", attempt, err)
+		}
+		if s.keys[at].Load() != nil {
+			t.Fatalf("Match %d remembered the corrupt page", attempt)
+		}
 	}
 }
 
@@ -242,8 +319,11 @@ func corruptDataLength(t *testing.T, s *Store, name string, size int) {
 // on a store many times its pool, so run reads, pooled reads of dirty
 // pages and dirty evictions interleave. The scanners check every answer:
 // the stable objects exactly, the churning ones for torn content. Run
-// under -race. On the indexed store Match is the plan: tree and heap reads
-// under one lock hold, beside writers splitting leaves and moving records.
+// under -race. On the plain store Match is the walker with its memory:
+// scanners publish the keys of the pages they read while writers drop the
+// keys of the pages they change. On the indexed store Match is the plan:
+// tree and heap reads under one lock hold, beside writers splitting leaves
+// and moving records.
 func TestConcurrentScannersAndWriters(t *testing.T) {
 	for _, tc := range planStores {
 		t.Run(tc.name, func(t *testing.T) {
@@ -286,36 +366,33 @@ func concurrentScannersAndWriters(t *testing.T, s *Store) {
 		return true
 	}
 
-	const writers, scanners, rounds = 2, 4, 400
+	const writers, scanners, rounds, phases = 2, 4, 400, 4
 	stop := make(chan struct{})
-	var wg, writing sync.WaitGroup
+	var wg sync.WaitGroup
 	models := make([]map[string]*Object, writers)
-	for w := 0; w < writers; w++ {
-		models[w] = make(map[string]*Object)
-		wg.Add(1)
-		writing.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			defer writing.Done()
-			rng := rand.New(rand.NewSource(int64(w)))
-			for i := 0; i < rounds; i++ {
-				name := fmt.Sprintf("churn-%d-%02d", w, rng.Intn(40))
-				if _, ok := models[w][name]; ok && rng.Intn(3) == 0 {
-					if err := s.Delete(name); err != nil {
-						t.Errorf("delete %s: %v", name, err)
-						return
-					}
-					delete(models[w], name)
-					continue
-				}
-				o := churn(name, i)
-				if _, err := s.Put(o); err != nil {
-					t.Errorf("put %s: %v", name, err)
+	rngs := make([]*rand.Rand, writers)
+	for w := range models {
+		models[w], rngs[w] = make(map[string]*Object), rand.New(rand.NewSource(int64(w)))
+	}
+	// write runs one writer's share of a phase.
+	write := func(w, from, to int) {
+		for i := from; i < to; i++ {
+			name := fmt.Sprintf("churn-%d-%02d", w, rngs[w].Intn(40))
+			if _, ok := models[w][name]; ok && rngs[w].Intn(3) == 0 {
+				if err := s.Delete(name); err != nil {
+					t.Errorf("delete %s: %v", name, err)
 					return
 				}
-				models[w][name] = o
+				delete(models[w], name)
+				continue
 			}
-		}(w)
+			o := churn(name, i)
+			if _, err := s.Put(o); err != nil {
+				t.Errorf("put %s: %v", name, err)
+				return
+			}
+			models[w][name] = o
+		}
 	}
 	for r := 0; r < scanners; r++ {
 		wg.Add(1)
@@ -365,7 +442,36 @@ func concurrentScannersAndWriters(t *testing.T, s *Store) {
 			}
 		}(r)
 	}
-	writing.Wait()
+	// The writers run in phases. Between two of them no page changes while
+	// the scanners go on publishing keys, so what the walker remembers and
+	// what it answers can be held to the pages and to the writers' model.
+	for phase := 0; phase < phases; phase++ {
+		var writing sync.WaitGroup
+		for w := 0; w < writers; w++ {
+			writing.Add(1)
+			go func(w int) {
+				defer writing.Done()
+				write(w, phase*rounds/phases, (phase+1)*rounds/phases)
+			}(w)
+		}
+		writing.Wait()
+		checkKeysCurrent(t, s)
+		moving, err := s.Match("churn")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if keyless, err := s.matchKeyless("churn"); err != nil || !reflect.DeepEqual(moving, keyless) {
+			t.Fatalf("phase %d: Match(churn) = %v, without the walker's memory %v, %v", phase, objNames(moving), objNames(keyless), err)
+		}
+		if want := len(models[0]) + len(models[1]); len(moving) != want {
+			t.Fatalf("phase %d: Match(churn) = %d objects, the writers' model holds %d", phase, len(moving), want)
+		}
+		for _, o := range moving {
+			if want := models[int(o.Name[len("churn-")]-'0')][o.Name]; !reflect.DeepEqual(o, want) {
+				t.Fatalf("phase %d: %s differs from what was last put", phase, o.Name)
+			}
+		}
+	}
 	close(stop)
 	wg.Wait()
 
@@ -493,13 +599,95 @@ func TestRecordMatchesRandom(t *testing.T) {
 			rec = append(rec, byte(rng.Intn(256)))
 		}
 		query := word(3)
-		hit, err := recordMatches(rec, strings.ToLower(query))
+		hit, err := recordMatches(rec, strings.ToLower(query), nil)
 		back, derr := decodeObject(rec)
 		if (err != nil) != (derr != nil) {
 			t.Fatalf("record %x: recordMatches error %v, decodeObject error %v", rec, err, derr)
 		}
 		if derr == nil && hit != back.Matches(query) {
 			t.Fatalf("record %x, query %q: recordMatches %v, Matches %v", rec, query, hit, !hit)
+		}
+		if derr == nil {
+			checkGatheredKeys(t, back, rec, query, hit)
+		}
+	}
+}
+
+// TestLowerBytesFoldsFieldwise: keyBuf.keys folds a page's fields in one
+// pass over the NUL-delimited buffer; that must be what folding each field
+// on its own gives, also where a field ends inside a multi-byte sequence
+// or is not UTF-8 at all.
+func TestLowerBytesFoldsFieldwise(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	alphabet := []string{"a", "Z", "K", "İ", "K", "ſ", "ß", "É", "\xff", "\xc4", "\xe2\x84", "\xe2", "\xb0", "-", ""}
+	for i := 0; i < 20000; i++ {
+		var joined, fieldwise []byte
+		for n := 1 + rng.Intn(5); n > 0; n-- {
+			field := ""
+			for m := rng.Intn(4); m > 0; m-- {
+				field += alphabet[rng.Intn(len(alphabet))]
+			}
+			joined = append(append(joined, field...), 0)
+			fieldwise = append(append(fieldwise, strings.ToLower(field)...), 0)
+		}
+		if got := lowerBytes(joined); string(got) != string(fieldwise) {
+			t.Fatalf("folded together %q, field by field %q", got, fieldwise)
+		}
+	}
+}
+
+// TestStoreCountersDelta: what the store counts is published as counters,
+// so a scraper's Snapshot.DeltaSince reads increases — pages read and
+// skipped per Match, pool traffic, log records — where it used to be
+// handed the running totals as if they were levels.
+func TestStoreCountersDelta(t *testing.T) {
+	reg := obs.NewRegistry()
+	dir := t.TempDir()
+	s, err := Open(filepath.Join(dir, "data.storm"), Options{BufferFrames: 8, Metrics: reg, WALPath: filepath.Join(dir, "data.wal")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	for i := 0; i < 90; i++ {
+		if _, err := s.Put(obj(fmt.Sprintf("obj-%02d", i), []string{fmt.Sprintf("kw%d", i%30)}, 1000)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pages := float64(s.Stats().DataPages)
+	const (
+		read    = "bestpeer_storm_scan_pages_read_total"
+		skipped = "bestpeer_storm_scan_pages_skipped_total"
+	)
+	match := func() *obs.Snapshot {
+		before := reg.Snapshot()
+		if got, err := s.Match("kw7"); err != nil || len(got) != 3 {
+			t.Fatalf("Match(kw7) = %d objects, %v; want 3", len(got), err)
+		}
+		return reg.Snapshot().DeltaSince(before)
+	}
+	first, second := match(), match()
+	if first.Value(read) != pages || first.Value(skipped) != 0 {
+		t.Errorf("first Match: %v pages read, %v skipped; want all %v read", first.Value(read), first.Value(skipped), pages)
+	}
+	if r, sk := second.Value(read), second.Value(skipped); r < 1 || r > 3 || r+sk != pages {
+		t.Errorf("second Match: %v pages read, %v skipped; want the 1-3 pages of its hits read and the rest of %v skipped", r, sk, pages)
+	}
+	// A skipped page is neither a pool hit nor a miss.
+	if visits := second.Value("bestpeer_storm_pool_hits") + second.Value("bestpeer_storm_pool_misses"); visits != second.Value(read) {
+		t.Errorf("second Match: %v pool hits + misses for %v pages read", visits, second.Value(read))
+	}
+	if n := second.Value("bestpeer_storm_wal_records"); n != 0 {
+		t.Errorf("a Match logged %v records", n)
+	}
+	if n := reg.Snapshot().Value("bestpeer_storm_wal_records"); n != 90 {
+		t.Errorf("wal_records = %v after 90 puts", n)
+	}
+	if n := second.Value("bestpeer_storm_objects"); n != 90 {
+		t.Errorf("objects = %v in a delta; a gauge passes through as a level", n)
+	}
+	for _, name := range []string{read, skipped, "bestpeer_storm_pool_hits", "bestpeer_storm_pool_misses", "bestpeer_storm_pool_evictions", "bestpeer_storm_wal_records"} {
+		if f := second.Family(name); f == nil || f.Type != "counter" {
+			t.Errorf("%s is published as %+v, want a counter", name, f)
 		}
 	}
 }

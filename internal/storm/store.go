@@ -9,6 +9,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"bestpeer/internal/obs"
 )
@@ -88,9 +89,14 @@ type Store struct {
 	byName map[string]OID
 	// dataPages lists the heap pages in ascending id order; free holds
 	// each one's reclaimable bytes at the same index, for deterministic
-	// lowest-page-first placement.
+	// lowest-page-first placement, and keys what the walker remembers of
+	// it (nil: nothing). All three grow and change in pageChanged only.
 	dataPages []PageID
 	free      freeSpace
+	keys      []atomic.Pointer[pageKeys]
+
+	// Heap pages walk has read, and pages their keys excused.
+	pagesRead, pagesSkipped atomic.Uint64
 
 	// dirty mirrors the file header's dirty mark: pages have changed since
 	// the last checkpoint. Guarded by mu; see markDirty.
@@ -215,10 +221,10 @@ func Open(path string, opts Options) (*Store, error) {
 	return s, nil
 }
 
-// RegisterMetrics publishes the store's state gauges (and, when the WAL
-// is enabled, its append counter and fsync histogram) on reg. Open does
-// this with Options.Metrics; a node that shares one registry per
-// process can call it again to re-bind — gauge functions replace.
+// RegisterMetrics publishes the store's state gauges and counters (and,
+// when the WAL is enabled, its append counter and fsync histogram) on reg.
+// Open does this with Options.Metrics; a node that shares one registry per
+// process can call it again to re-bind — the functions replace.
 func (s *Store) RegisterMetrics(reg *obs.Registry) {
 	reg.GaugeFunc("bestpeer_storm_objects",
 		"Objects currently stored.",
@@ -226,18 +232,24 @@ func (s *Store) RegisterMetrics(reg *obs.Registry) {
 	reg.GaugeFunc("bestpeer_storm_total_pages",
 		"Store file size in pages.",
 		func() float64 { return float64(s.Stats().TotalPages) })
-	reg.GaugeFunc("bestpeer_storm_pool_hits",
+	reg.CounterFunc("bestpeer_storm_pool_hits",
 		"Buffer pool fetches served from memory.",
 		func() float64 { return float64(s.Stats().PoolHits) })
-	reg.GaugeFunc("bestpeer_storm_pool_misses",
+	reg.CounterFunc("bestpeer_storm_pool_misses",
 		"Buffer pool fetches that went to disk.",
 		func() float64 { return float64(s.Stats().PoolMisses) })
-	reg.GaugeFunc("bestpeer_storm_pool_evictions",
+	reg.CounterFunc("bestpeer_storm_pool_evictions",
 		"Buffer pool frames evicted.",
 		func() float64 { return float64(s.Stats().PoolEvictions) })
-	reg.GaugeFunc("bestpeer_storm_wal_records",
+	reg.CounterFunc("bestpeer_storm_wal_records",
 		"Operations logged since the WAL was opened (0 when disabled).",
 		func() float64 { return float64(s.Stats().WALRecords) })
+	reg.CounterFunc("bestpeer_storm_scan_pages_read_total",
+		"Heap pages read by Scan and Match walks.",
+		func() float64 { return float64(s.Stats().PagesRead) })
+	reg.CounterFunc("bestpeer_storm_scan_pages_skipped_total",
+		"Heap pages a Match walk did not read: their remembered keys rule the query out.",
+		func() float64 { return float64(s.Stats().PagesSkipped) })
 	if s.wal != nil {
 		s.wal.bindMetrics(reg)
 	}
@@ -410,7 +422,6 @@ func (s *Store) rebuildCatalog(withNames bool) error {
 			}
 			continue
 		}
-		s.dataPages = append(s.dataPages, id)
 		var decodeErr error
 		dirty := false
 		if withNames {
@@ -440,7 +451,7 @@ func (s *Store) rebuildCatalog(withNames bool) error {
 				return true
 			})
 		}
-		s.free.append(p.AvailableSpace())
+		s.pageChanged(id, p.AvailableSpace())
 		if err := s.pool.Unpin(id, dirty); err != nil {
 			return err
 		}
@@ -522,7 +533,7 @@ func (s *Store) putUnlogged(obj *Object) (OID, error) {
 		}
 		uerr := p.Update(old.Slot, rec)
 		if uerr == nil {
-			s.setFree(old.Page, p.AvailableSpace())
+			s.pageChanged(old.Page, p.AvailableSpace())
 			err = s.pool.Unpin(old.Page, true)
 			if err == nil {
 				err = s.indexAdd(obj, old)
@@ -534,7 +545,7 @@ func (s *Store) putUnlogged(obj *Object) (OID, error) {
 			s.pool.Unpin(old.Page, false)
 			return OID{}, derr
 		}
-		s.setFree(old.Page, p.AvailableSpace())
+		s.pageChanged(old.Page, p.AvailableSpace())
 		if err := s.pool.Unpin(old.Page, true); err != nil {
 			return OID{}, err
 		}
@@ -572,10 +583,21 @@ func (s *Store) readObjectAt(oid OID) (*Object, error) {
 	return obj, gerr
 }
 
-// setFree records data page id's reclaimable bytes. Caller holds s.mu.
-func (s *Store) setFree(id PageID, free int) {
+// pageChanged is the one call every change to a heap page makes: it
+// records the page's reclaimable bytes and forgets what the walker
+// remembered of it, so no mutation can do one without the other. A page
+// not listed yet — ids only grow — is appended. Caller holds s.mu or is
+// Open.
+func (s *Store) pageChanged(id PageID, free int) {
 	i := sort.Search(len(s.dataPages), func(i int) bool { return s.dataPages[i] >= id })
+	if i == len(s.dataPages) {
+		s.dataPages = append(s.dataPages, id)
+		s.keys = append(s.keys, atomic.Pointer[pageKeys]{})
+		s.free.append(free)
+		return
+	}
 	s.free.set(i, free)
+	s.keys[i].Store(nil)
 }
 
 // insertLocked places rec on a page with room, allocating a new page when
@@ -590,7 +612,7 @@ func (s *Store) insertLocked(name string, rec []byte) (OID, error) {
 			return OID{}, err
 		}
 		slot, ierr := p.Insert(rec)
-		s.free.set(i, p.AvailableSpace())
+		s.pageChanged(id, p.AvailableSpace())
 		if err := s.pool.Unpin(id, ierr == nil); err != nil {
 			return OID{}, err
 		}
@@ -613,8 +635,7 @@ func (s *Store) insertLocked(name string, rec []byte) (OID, error) {
 		s.pool.Unpin(id, false)
 		return OID{}, ierr
 	}
-	s.dataPages = append(s.dataPages, id)
-	s.free.append(p.AvailableSpace())
+	s.pageChanged(id, p.AvailableSpace())
 	if err := s.pool.Unpin(id, true); err != nil {
 		return OID{}, err
 	}
@@ -713,7 +734,7 @@ func (s *Store) deleteUnlogged(name string) error {
 		s.pool.Unpin(oid.Page, false)
 		return derr
 	}
-	s.setFree(oid.Page, p.AvailableSpace())
+	s.pageChanged(oid.Page, p.AvailableSpace())
 	if err := s.pool.Unpin(oid.Page, true); err != nil {
 		return err
 	}
@@ -725,14 +746,20 @@ func (s *Store) deleteUnlogged(name string) error {
 // file read, and so how long it holds the store's read lock at a time.
 const scanRunPages = 32
 
-// scanBufs recycles the buffers scans read page runs into.
+// scanBuf is what one walk works in: the buffer page runs are read into
+// and the scratch a page's keys are gathered in.
+type scanBuf struct {
+	pages []byte
+	keys  keyBuf
+}
+
+// scanBufs recycles them.
 var scanBufs = sync.Pool{New: func() any {
-	buf := make([]byte, scanRunPages*PageSize)
-	return &buf
+	return &scanBuf{pages: make([]byte, scanRunPages*PageSize)}
 }}
 
 // walk is the one sequential page walker behind Scan and Match. It
-// visits every data page in page order, scanRunPages at a time: under
+// visits the data pages in page order, scanRunPages at a time: under
 // one hold of the read lock it calls visit for each live record of the
 // window (rec aliases page memory and must not be retained), then, with
 // the lock released, calls between — which returns false to stop.
@@ -745,17 +772,25 @@ var scanBufs = sync.Pool{New: func() any {
 // the pool. Reading past the pool is sound because the read lock keeps
 // writers out and a non-resident page's disk image is current (see
 // BufferPool.coldRun).
-func (s *Store) walk(visit func(rec []byte) error, between func() bool) error {
+//
+// Scan walks every page (match nil). For a Match, visit sees only the
+// records that match, and the walker uses its memory: a page whose keys
+// excuse it (pageKeys.excuses) is not read at all, and a page read without
+// keys leaves them behind for the next Match — unless a record on it
+// failed, so a corrupt record fails every Match that comes to it. Keys are
+// published under the read lock, by whichever scanner gets there, dropped
+// under the write lock by pageChanged, and never leave memory.
+func (s *Store) walk(match *matchQuery, visit func(rec []byte) error, between func() bool) error {
 	s.mu.RLock()
-	pages := append([]PageID(nil), s.dataPages...)
+	// dataPages is append-only: a clipped view stays what it was.
+	pages := s.dataPages[:len(s.dataPages):len(s.dataPages)]
 	s.mu.RUnlock()
 
-	buf := scanBufs.Get().(*[]byte)
+	buf := scanBufs.Get().(*scanBuf)
 	defer scanBufs.Put(buf)
-	for len(pages) > 0 {
-		window := pages[:min(len(pages), scanRunPages)]
-		pages = pages[len(window):]
-		err := s.walkWindow(window, *buf, visit)
+	for first := 0; first < len(pages); first += scanRunPages {
+		window := pages[first:min(first+scanRunPages, len(pages))]
+		err := s.walkWindow(first, window, buf, match, visit)
 		// Records ahead of a failure are still delivered, and a consumer
 		// that stops among them never learns of it.
 		if between != nil && !between() {
@@ -768,41 +803,89 @@ func (s *Store) walk(visit func(rec []byte) error, between func() bool) error {
 	return nil
 }
 
-// walkWindow visits the records of the given pages under the read lock.
-func (s *Store) walkWindow(window []PageID, buf []byte, visit func(rec []byte) error) error {
+// matchQuery is a Match's query, lower-cased, in the two forms a page's
+// keys are asked it: q, and kq = "\x00" + q + "\x00".
+type matchQuery struct{ q, kq string }
+
+// wanted reports how many of the leading pages, whose keys are given,
+// must be read: all for a scan, for a Match all up to the first excused.
+func (m *matchQuery) wanted(keys []atomic.Pointer[pageKeys]) int {
+	if m != nil {
+		for i := range keys {
+			if k := keys[i].Load(); k != nil && k.excuses(m.q, m.kq) {
+				return i
+			}
+		}
+	}
+	return len(keys)
+}
+
+// walkWindow visits the records of the given pages, dataPages[first:],
+// under the read lock.
+func (s *Store) walkWindow(first int, window []PageID, buf *scanBuf, match *matchQuery, visit func(rec []byte) error) error {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
+	keys := s.keys[first : first+len(window)]
+	read, skipped := 0, 0
+	defer func() {
+		s.pagesRead.Add(uint64(read))
+		s.pagesSkipped.Add(uint64(skipped))
+	}()
 	var err error
+	var gather *keyBuf // not nil: the page being visited has no keys yet
 	each := func(_ Slot, rec []byte) bool {
+		if match != nil {
+			var hit bool
+			if hit, err = recordMatches(rec, match.q, gather); err != nil || !hit {
+				return err == nil
+			}
+		}
 		err = visit(rec)
 		return err == nil
 	}
+	page := func(image *[PageSize]byte, slot *atomic.Pointer[pageKeys]) {
+		gather = nil
+		if match != nil && slot.Load() == nil {
+			gather = buf.keys.reset()
+		}
+		imageRecords(image, each)
+		if gather != nil && err == nil {
+			slot.Store(gather.keys())
+		}
+	}
 	for len(window) > 0 {
-		n := s.pool.coldRun(window)
+		want := match.wanted(keys)
+		if want == 0 {
+			window, keys = window[1:], keys[1:]
+			skipped++
+			continue
+		}
+		n := s.pool.coldRun(window[:want])
 		if n == 0 {
 			id := window[0]
 			p, ferr := s.pool.Fetch(id)
 			if ferr != nil {
 				return ferr
 			}
-			p.Records(each)
+			page(&p.buf, &keys[0])
 			if uerr := s.pool.Unpin(id, false); uerr != nil {
 				return uerr
 			}
 			n = 1
 		} else {
-			run := buf[:n*PageSize]
+			run := buf.pages[:n*PageSize]
 			if rerr := s.file.readRun(window[0], run); rerr != nil {
 				return rerr
 			}
-			for ; err == nil && len(run) > 0; run = run[PageSize:] {
-				imageRecords((*[PageSize]byte)(run), each)
+			for i := 0; i < n && err == nil; i++ {
+				page((*[PageSize]byte)(run[i*PageSize:]), &keys[i])
 			}
 		}
 		if err != nil {
 			return err
 		}
-		window = window[n:]
+		read += n
+		window, keys = window[n:], keys[n:]
 	}
 	return nil
 }
@@ -812,7 +895,7 @@ func (s *Store) walkWindow(window []PageID, buf []byte, visit func(rec []byte) e
 // runs without the store lock held.
 func (s *Store) Scan(fn func(*Object) bool) error {
 	var batch []*Object
-	return s.walk(func(rec []byte) error {
+	return s.walk(nil, func(rec []byte) error {
 		obj, err := decodeObject(rec)
 		if err == nil {
 			batch = append(batch, obj)
@@ -834,10 +917,12 @@ func (s *Store) Scan(fn func(*Object) bool) error {
 // This is the operation the StorM search agent performs at each peer. The
 // query is evaluated on the encoded records (recordMatches), so only the
 // hits are decoded and copied out of their pages. With the keyword index
-// open the candidates come from it (matchPlanned); otherwise every page is
-// walked. The two return the same objects in the same order, but differ in
-// what they vouch for: the walk fails on a corrupt page or record anywhere
-// in the heap, the plan only on one it reads.
+// open the candidates come from it (matchPlanned); otherwise the pages are
+// walked, all but those the walker remembers cannot answer (walk). The two
+// return the same objects in the same order, and vouch for the same thing:
+// Match fails on a corrupt page or record it reads, not on one it has no
+// reason to read. Scan, MatchFunc and CompactTo read — and vouch for —
+// every page.
 func (s *Store) Match(query string) ([]*Object, error) {
 	q := strings.ToLower(query)
 	if s.pindex != nil {
@@ -849,11 +934,7 @@ func (s *Store) Match(query string) ([]*Object, error) {
 // matchWalked is Match by the page walker. q is the query lower-cased.
 func (s *Store) matchWalked(q string) ([]*Object, error) {
 	var out []*Object
-	err := s.walk(func(rec []byte) error {
-		hit, err := recordMatches(rec, q)
-		if err != nil || !hit {
-			return err
-		}
+	err := s.walk(&matchQuery{q: q, kq: "\x00" + q + "\x00"}, func(rec []byte) error {
 		obj, err := decodeObject(rec)
 		if err == nil {
 			out = append(out, obj)
@@ -914,7 +995,7 @@ func (s *Store) matchPlanned(q string) ([]*Object, error) {
 				continue
 			}
 			var hit bool
-			if hit, err = recordMatches(rec, q); hit {
+			if hit, err = recordMatches(rec, q, nil); hit {
 				var obj *Object
 				if obj, err = decodeObject(rec); err == nil {
 					out = append(out, obj)
@@ -992,6 +1073,10 @@ type StoreStats struct {
 	PoolHits, PoolMisses, PoolEvictions uint64
 	// HitRate is the fraction of fetches served from memory.
 	HitRate float64
+	// PagesRead counts the heap pages Scan and Match walks have read,
+	// PagesSkipped those a Match did not read because what the walker
+	// remembers of them rules its query out.
+	PagesRead, PagesSkipped uint64
 	// WALRecords counts operations logged since the WAL was opened
 	// (zero when the WAL is disabled).
 	WALRecords uint64
@@ -1012,6 +1097,7 @@ func (s *Store) Stats() StoreStats {
 	st.TotalPages = int(s.file.PageCount())
 	st.PoolHits, st.PoolMisses, st.PoolEvictions = s.pool.Counters()
 	st.HitRate = s.pool.HitRate()
+	st.PagesRead, st.PagesSkipped = s.pagesRead.Load(), s.pagesSkipped.Load()
 	if s.wal != nil {
 		st.WALRecords = s.wal.Appended.Load()
 	}
