@@ -32,11 +32,12 @@ vetgolden:
 	@git diff --exit-code -- internal/vet/testdata/golden || \
 		{ echo "bpvet golden fixtures drifted: review and commit the diff above"; exit 1; }
 
-# BENCH golden fence: regenerate the -fig churn and -fig dht reports at
-# seed 1 and demand byte equality with the committed BENCH_PR9.json and
-# BENCH_PR10.json — a simulator refactor that moves any figure fails here.
-# A reviewed change regenerates them with `make churnbench
-# CHURNJSON=BENCH_PR9.json` / `make dhtbench`.
+# BENCH golden fence: regenerate the -fig churn, -fig dht and -fig nochurn
+# reports at seed 1 and demand byte equality with the committed
+# BENCH_PR9.json, BENCH_PR10.json and BENCH_PR5.json — a simulator refactor
+# that moves any figure fails here. A reviewed change regenerates them with
+# `make churnbench CHURNJSON=BENCH_PR9.json` / `make dhtbench` / `make bench
+# BENCHFIG=nochurn BENCHJSON=BENCH_PR5.json`.
 golden:
 	$(GO) test -count=1 -run 'TestBenchGolden' ./internal/bench/
 

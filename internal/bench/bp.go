@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"encoding/binary"
 	"sort"
 	"time"
 
@@ -44,8 +45,11 @@ type bpSim struct {
 	// journal, when set, receives the base node's structured events —
 	// the same pipeline a live node feeds — so the convergence timeline
 	// is assembled from events, not from simulator internals. qid is the
-	// current round's query id; strategyName tags query-issued events.
+	// current round's query id, a function of the workload seed and the
+	// count of rounds issued so that a report is a pure function of
+	// -seed; strategyName tags query-issued events.
 	journal      *obs.Journal
+	rounds       uint64
 	qid          string
 	strategyName string
 }
@@ -309,7 +313,11 @@ func (b *bpSim) runRound() RunResult {
 	b.seen[b.tp.Base] = true
 	b.events = nil
 	b.started = b.sim.Now()
-	b.qid = wire.NewMsgID().String()
+	var qid wire.MsgID
+	binary.BigEndian.PutUint64(qid[:8], uint64(b.p.Spec.Seed))
+	binary.BigEndian.PutUint64(qid[8:], b.rounds)
+	b.rounds++
+	b.qid = qid.String()
 	msgs0, bytes0, sent0 := b.net.MsgsDelivered, b.net.BytesDelivered, b.net.MsgsSent
 
 	ttl := uint8(clampHops(b.p.TTL))

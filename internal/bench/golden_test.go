@@ -8,9 +8,10 @@ import (
 	"testing"
 )
 
-// TestBenchGolden regenerates the committed churn and dht reports through
-// the same NewReport/WriteFile path bpbench uses and demands byte
-// equality. The simulator is a deterministic function of its seed, so any
+// TestBenchGolden regenerates the committed churn, dht and nochurn
+// (Figures 5–8, convergence, traffic) reports through the same
+// NewReport/WriteFile path bpbench uses and demands byte equality. The
+// simulator is a deterministic function of its seed, so any
 // diff is a behaviour change — a reordered RNG draw, a reordered
 // same-instant event, a changed float summation order — and must land as
 // a reviewed regeneration of the committed file, never silently.
@@ -18,6 +19,7 @@ func TestBenchGolden(t *testing.T) {
 	for _, g := range []struct{ fig, file string }{
 		{"churn", "BENCH_PR9.json"},
 		{"dht", "BENCH_PR10.json"},
+		{"nochurn", "BENCH_PR5.json"},
 	} {
 		t.Run(g.fig, func(t *testing.T) {
 			t.Parallel()

@@ -1,11 +1,9 @@
 package chord
 
 import (
-	"fmt"
-	"os"
-	"path/filepath"
-	"strconv"
 	"testing"
+
+	"bestpeer/internal/wire/wiretest"
 )
 
 // Selector bytes prefixing FuzzChordCodecs inputs: which decoder the
@@ -19,30 +17,59 @@ const (
 	fzProbeOK
 )
 
-// chordSeeds are the committed corpus inputs, one per chord wire kind,
-// at the current payload version. TestWriteChordCorpusSeeds regenerates
-// the files under testdata/fuzz/FuzzChordCodecs from this table.
-func chordSeeds() map[string][]byte {
+// chordSeeds are the committed corpus inputs under
+// testdata/fuzz/FuzzChordCodecs, one per chord wire kind, at the current
+// payload version.
+func chordSeeds() []wiretest.Payload {
 	sel := func(which byte, body []byte) []byte {
 		return append([]byte{which}, body...)
 	}
-	return map[string][]byte{
-		"lookupreq-v1": sel(fzLookupReq, encodeLookupReq(&lookupReq{
-			Version: chordLookupVersion, Key: HashString("needle"), Hops: 3})),
-		"lookupok-v1": sel(fzLookupOK, encodeLookupOK(&lookupOK{
-			Version: chordLookupVersion, Owner: RefFor("n7:100"), Hops: 5})),
-		"notifymsg-v1": sel(fzNotifyMsg, encodeNotifyMsg(&notifyMsg{
+	return []wiretest.Payload{
+		{Name: "lookupreq-v1", Bytes: sel(fzLookupReq, encodeLookupReq(&lookupReq{
+			Version: chordLookupVersion, Key: HashString("needle"), Hops: 3}))},
+		{Name: "lookupok-v1", Bytes: sel(fzLookupOK, encodeLookupOK(&lookupOK{
+			Version: chordLookupVersion, Owner: RefFor("n7:100"), Hops: 5}))},
+		{Name: "notifymsg-v1", Bytes: sel(fzNotifyMsg, encodeNotifyMsg(&notifyMsg{
 			Version: chordNotifyVersion, Self: RefFor("n3:100"),
-			Leaving: true, Repl: RefFor("n4:100")})),
-		"notifyok-v1": sel(fzNotifyOK, encodeNotifyOK(&notifyOK{
-			Version: chordNotifyVersion})),
-		"probereq-v1": sel(fzProbeReq, encodeProbeReq(&probeReq{
-			Version: chordProbeVersion, From: RefFor("n1:100")})),
-		"probeok-v1": sel(fzProbeOK, encodeProbeOK(&probeOK{
+			Leaving: true, Repl: RefFor("n4:100")}))},
+		{Name: "notifyok-v1", Bytes: sel(fzNotifyOK, encodeNotifyOK(&notifyOK{
+			Version: chordNotifyVersion}))},
+		{Name: "probereq-v1", Bytes: sel(fzProbeReq, encodeProbeReq(&probeReq{
+			Version: chordProbeVersion, From: RefFor("n1:100")}))},
+		{Name: "probeok-v1", Bytes: sel(fzProbeOK, encodeProbeOK(&probeOK{
 			Version: chordProbeVersion, Self: RefFor("n2:100"),
 			HasPred: true, Pred: RefFor("n1:100"),
-			Succs: []NodeRef{RefFor("n3:100"), RefFor("n4:100")}})),
+			Succs: []NodeRef{RefFor("n3:100"), RefFor("n4:100")}}))},
 	}
+}
+
+// payloads is every chord payload with every field populated and every
+// list non-empty.
+func payloads() []wiretest.Payload {
+	return []wiretest.Payload{
+		{Name: "lookupreq", Bytes: encodeLookupReq(&lookupReq{
+			Version: chordLookupVersion, Key: HashString("needle"), Hops: 3})},
+		{Name: "lookupok", Bytes: encodeLookupOK(&lookupOK{
+			Version: chordLookupVersion, Err: "no route", Owner: RefFor("n7:100"), Hops: 5})},
+		{Name: "notifymsg", Bytes: encodeNotifyMsg(&notifyMsg{
+			Version: chordNotifyVersion, Self: RefFor("n3:100"),
+			Leaving: true, Repl: RefFor("n4:100")})},
+		{Name: "notifyok", Bytes: encodeNotifyOK(&notifyOK{
+			Version: chordNotifyVersion, Err: "stale"})},
+		{Name: "probereq", Bytes: encodeProbeReq(&probeReq{
+			Version: chordProbeVersion, From: RefFor("n1:100")})},
+		{Name: "probeok", Bytes: encodeProbeOK(&probeOK{
+			Version: chordProbeVersion, Err: "busy", Self: RefFor("n2:100"),
+			HasPred: true, Pred: RefFor("n1:100"),
+			Succs: []NodeRef{RefFor("n3:100"), RefFor("n4:100")}})},
+	}
+}
+
+// TestPayloadsGolden: the bytes of every chord payload and of every
+// committed corpus seed are what this build encodes.
+func TestPayloadsGolden(t *testing.T) {
+	wiretest.Golden(t, payloads())
+	wiretest.Seeds(t, "FuzzChordCodecs", chordSeeds())
 }
 
 // FuzzChordCodecs: arbitrary bytes through every chord payload decoder
@@ -50,7 +77,7 @@ func chordSeeds() map[string][]byte {
 // decodable equivalent.
 func FuzzChordCodecs(f *testing.F) {
 	for _, seed := range chordSeeds() {
-		f.Add(seed)
+		f.Add(seed.Bytes)
 	}
 	f.Add([]byte{})
 	f.Add([]byte{fzProbeOK, 0xFF, 0xFF, 0xFF, 0xFF})
@@ -116,22 +143,4 @@ func FuzzChordCodecs(f *testing.F) {
 			}
 		}
 	})
-}
-
-// TestWriteChordCorpusSeeds regenerates the committed corpus files from
-// chordSeeds. Run with CHORD_WRITE_SEEDS=1 after changing a codec.
-func TestWriteChordCorpusSeeds(t *testing.T) {
-	if os.Getenv("CHORD_WRITE_SEEDS") == "" {
-		t.Skip("seed writer; set CHORD_WRITE_SEEDS=1 to regenerate testdata")
-	}
-	dir := filepath.Join("testdata", "fuzz", "FuzzChordCodecs")
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	for name, seed := range chordSeeds() {
-		content := fmt.Sprintf("go test fuzz v1\n[]byte(%s)\n", strconv.Quote(string(seed)))
-		if err := os.WriteFile(filepath.Join(dir, name), []byte(content), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
 }

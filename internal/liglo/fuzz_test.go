@@ -1,13 +1,10 @@
 package liglo
 
 import (
-	"fmt"
-	"os"
-	"path/filepath"
-	"strconv"
 	"testing"
 
 	"bestpeer/internal/wire"
+	"bestpeer/internal/wire/wiretest"
 )
 
 // Selector bytes prefixing FuzzRingCodecs inputs: which decoder the
@@ -18,25 +15,64 @@ const (
 	fzReplicateOK
 )
 
-// ringSeeds are the committed corpus inputs, one per ring wire kind, at
-// the current payload version. TestWriteRingCorpusSeeds regenerates the
-// files under testdata/fuzz/FuzzRingCodecs from this table.
-func ringSeeds() map[string][]byte {
+// ringSeeds are the committed corpus inputs under
+// testdata/fuzz/FuzzRingCodecs, one per ring wire kind, at the current
+// payload version.
+func ringSeeds() []wiretest.Payload {
 	sel := func(which byte, body []byte) []byte {
 		return append([]byte{which}, body...)
 	}
-	return map[string][]byte{
-		"redirectmsg-v1": sel(fzRedirectMsg, encodeRedirectMsg(&redirectMsg{
-			Version: ringRedirectVersion, Addr: "liglo-2", Key: 0xDEADBEEF})),
-		"replicatemsg-v1": sel(fzReplicateMsg, encodeReplicateMsg(&replicateMsg{
+	return []wiretest.Payload{
+		{Name: "redirectmsg-v1", Bytes: sel(fzRedirectMsg, encodeRedirectMsg(&redirectMsg{
+			Version: ringRedirectVersion, Addr: "liglo-2", Key: 0xDEADBEEF}))},
+		{Name: "replicatemsg-v1", Bytes: sel(fzReplicateMsg, encodeReplicateMsg(&replicateMsg{
 			Version: ringReplicateVersion, From: "liglo-1",
 			Records: []RingRecord{
 				{ID: wire.BPID{LIGLO: "liglo-1", Node: 1}, Addr: "n1:100", Online: true},
 				{ID: wire.BPID{LIGLO: "liglo-1", Node: 2}, Addr: "n2:100", Departed: true},
-			}})),
-		"replicateok-v1": sel(fzReplicateOK, encodeReplicateOK(&replicateOK{
-			Version: ringReplicateVersion})),
+			}}))},
+		{Name: "replicateok-v1", Bytes: sel(fzReplicateOK, encodeReplicateOK(&replicateOK{
+			Version: ringReplicateVersion}))},
 	}
+}
+
+// payloads is every LIGLO payload with every field populated and every
+// list non-empty: the ring-mode bodies, then the request/reply pairs.
+func payloads() []wiretest.Payload {
+	id := wire.BPID{LIGLO: "liglo-1", Node: 7}
+	peers := []PeerInfo{
+		{ID: wire.BPID{LIGLO: "liglo-1", Node: 1}, Addr: "n1:100"},
+		{ID: wire.BPID{LIGLO: "liglo-2", Node: 2}, Addr: "n2:100"},
+	}
+	return []wiretest.Payload{
+		{Name: "redirectmsg", Bytes: encodeRedirectMsg(&redirectMsg{
+			Version: ringRedirectVersion, Addr: "liglo-2", Key: 0xDEADBEEF})},
+		{Name: "replicatemsg", Bytes: encodeReplicateMsg(&replicateMsg{
+			Version: ringReplicateVersion, From: "liglo-1",
+			Records: []RingRecord{
+				{ID: wire.BPID{LIGLO: "liglo-1", Node: 1}, Addr: "n1:100", Online: true},
+				{ID: wire.BPID{LIGLO: "liglo-1", Node: 2}, Addr: "n2:100", Departed: true},
+			}})},
+		{Name: "replicateok", Bytes: encodeReplicateOK(&replicateOK{
+			Version: ringReplicateVersion, Err: "not in ring mode"})},
+		{Name: "registerreq", Bytes: encodeRegisterReq(&registerReq{Addr: "n7:100"})},
+		{Name: "registerresp", Bytes: encodeRegisterResp(&registerResp{Err: "full", ID: id, Peers: peers})},
+		{Name: "rejoinreq", Bytes: encodeRejoinReq(&rejoinReq{ID: id, Addr: "n7:200"})},
+		{Name: "rejoinresp", Bytes: encodeRejoinResp(&rejoinResp{Err: "unknown"})},
+		{Name: "lookupreq", Bytes: encodeLookupReq(&lookupReq{ID: id})},
+		{Name: "lookupresp", Bytes: encodeLookupResp(&lookupResp{Err: "wrong home", Found: true, Addr: "n7:200", Online: true})},
+		{Name: "deregisterreq", Bytes: encodeDeregisterReq(&deregisterReq{ID: id})},
+		{Name: "deregisterresp", Bytes: encodeDeregisterResp(&deregisterResp{Err: "unknown"})},
+		{Name: "peersreq", Bytes: encodePeersReq(&peersReq{Self: id, Max: 8})},
+		{Name: "peersresp", Bytes: encodePeersResp(&peersResp{Err: "busy", Peers: peers})},
+	}
+}
+
+// TestPayloadsGolden: the bytes of every LIGLO payload and of every
+// committed corpus seed are what this build encodes.
+func TestPayloadsGolden(t *testing.T) {
+	wiretest.Golden(t, payloads())
+	wiretest.Seeds(t, "FuzzRingCodecs", ringSeeds())
 }
 
 // FuzzRingCodecs: arbitrary bytes through every ring payload decoder
@@ -44,7 +80,7 @@ func ringSeeds() map[string][]byte {
 // decodable equivalent.
 func FuzzRingCodecs(f *testing.F) {
 	for _, seed := range ringSeeds() {
-		f.Add(seed)
+		f.Add(seed.Bytes)
 	}
 	f.Add([]byte{})
 	f.Add([]byte{fzReplicateMsg, 0xFF, 0xFF, 0xFF, 0xFF})
@@ -89,22 +125,4 @@ func FuzzRingCodecs(f *testing.F) {
 			}
 		}
 	})
-}
-
-// TestWriteRingCorpusSeeds regenerates the committed corpus files from
-// ringSeeds. Run with LIGLO_WRITE_SEEDS=1 after changing a codec.
-func TestWriteRingCorpusSeeds(t *testing.T) {
-	if os.Getenv("LIGLO_WRITE_SEEDS") == "" {
-		t.Skip("seed writer; set LIGLO_WRITE_SEEDS=1 to regenerate testdata")
-	}
-	dir := filepath.Join("testdata", "fuzz", "FuzzRingCodecs")
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	for name, seed := range ringSeeds() {
-		content := fmt.Sprintf("go test fuzz v1\n[]byte(%s)\n", strconv.Quote(string(seed)))
-		if err := os.WriteFile(filepath.Join(dir, name), []byte(content), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
 }
