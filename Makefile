@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet lint vetself vetgolden golden test race chaos fuzz cover adminsmoke perfcheck bench dhtbench churnsoak churnbench ci clean
+.PHONY: all build vet lint vetself vetgolden golden test race chaos fuzz cover adminsmoke perfcheck bench dhtbench churnsoak churnbench loc ci clean
 
 all: build vet lint test
 
@@ -54,7 +54,8 @@ chaos:
 	$(GO) test -race -run 'TestChaos' ./internal/core/
 	$(GO) test -race ./internal/transport/...
 
-# Short fuzz passes over the wire codec and agent packet decoders.
+# Short fuzz passes over the wire codec, the agent packet decoders and
+# every package's table of control messages (wiretest.Fuzz).
 # Each target gets a few seconds — enough to shake out regressions in
 # the corpus without turning CI into a fuzz farm.
 # FuzzRecordMatches and FuzzMatchPlan get longer: they are the equivalence
@@ -69,16 +70,21 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzDecodeEnvelope -fuzztime $(FUZZTIME) ./internal/wire/
 	$(GO) test -run '^$$' -fuzz FuzzEncodeEnvelope -fuzztime $(FUZZTIME) ./internal/wire/
 	$(GO) test -run '^$$' -fuzz FuzzDecoder -fuzztime $(FUZZTIME) ./internal/wire/
+	$(GO) test -run '^$$' -fuzz FuzzExtensions -fuzztime $(FUZZTIME) ./internal/wire/
 	$(GO) test -run '^$$' -fuzz FuzzDecodePacket -fuzztime $(FUZZTIME) ./internal/agent/
 	$(GO) test -run '^$$' -fuzz FuzzDecodeResults -fuzztime $(FUZZTIME) ./internal/agent/
 	$(GO) test -run '^$$' -fuzz FuzzCompileFilter -fuzztime $(FUZZTIME) ./internal/agent/
 	$(GO) test -run '^$$' -fuzz FuzzFingerprint -fuzztime $(FUZZTIME) ./internal/agent/
 	$(GO) test -run '^$$' -fuzz FuzzDecodeDepart -fuzztime $(FUZZTIME) ./internal/core/
+	$(GO) test -run '^$$' -fuzz FuzzProtoCodecs -fuzztime $(FUZZTIME) ./internal/core/
 	$(GO) test -run '^$$' -fuzz FuzzDecodeObject -fuzztime $(FUZZTIME) ./internal/storm/
 	$(GO) test -run '^$$' -fuzz FuzzRecordMatches -fuzztime $(MATCHFUZZTIME) ./internal/storm/
 	$(GO) test -run '^$$' -fuzz FuzzMatchPlan -fuzztime $(MATCHFUZZTIME) ./internal/storm/
 	$(GO) test -run '^$$' -fuzz FuzzChordCodecs -fuzztime $(FUZZTIME) ./internal/chord/
 	$(GO) test -run '^$$' -fuzz FuzzRingCodecs -fuzztime $(FUZZTIME) ./internal/liglo/
+	$(GO) test -run '^$$' -fuzz FuzzProtoCodecs -fuzztime $(FUZZTIME) ./internal/liglo/
+	$(GO) test -run '^$$' -fuzz FuzzCodecs -fuzztime $(FUZZTIME) ./internal/baseline/cs/
+	$(GO) test -run '^$$' -fuzz FuzzCodecs -fuzztime $(FUZZTIME) ./internal/baseline/gnutella/
 
 # Coverage profile across every package, suitable for `go tool cover`
 # and for upload as a CI artifact.
@@ -139,6 +145,11 @@ churnsoak:
 CHURNJSON ?= churn-report.json
 churnbench:
 	$(GO) run ./cmd/bpbench -fig churn -json $(CHURNJSON)
+
+# The ledger ROADMAP keeps: lines of Go that are not tests and not the
+# benchmark harness.
+loc:
+	@find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' | xargs cat | wc -l
 
 ci: build vet lint vetself vetgolden golden race perfcheck fuzz adminsmoke cover
 

@@ -314,16 +314,17 @@ func DecodeResults(body []byte) (*ResultBatch, error) {
 	b := &ResultBatch{FromAddr: d.String()}
 	b.From = d.BPID()
 	b.Hops = int(d.Varint())
+	// A result is at least its two length prefixes, so the bytes left
+	// bound how many the count can honestly announce; a larger one is
+	// refused before anything is allocated for it.
 	n := d.Uvarint()
-	if n > uint64(wire.MaxFrameSize) {
+	if n > uint64(d.Remaining()/2) {
 		return nil, ErrBadPacket
 	}
-	// A result is at least its two length prefixes, so the bytes left
-	// bound how many the count can honestly announce.
 	if n > 0 {
-		b.Results = make([]Result, 0, min(n, uint64(d.Remaining()/2)))
+		b.Results = make([]Result, 0, n)
 	}
-	for i := uint64(0); i < n; i++ {
+	for i := uint64(0); i < n && d.Err() == nil; i++ {
 		b.Results = append(b.Results, Result{Name: d.String(), Data: d.BytesView()})
 	}
 	if err := d.Finish(); err != nil {

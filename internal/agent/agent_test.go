@@ -7,7 +7,9 @@ import (
 	"hash/crc32"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"testing"
+	"time"
 	"unsafe"
 
 	"bestpeer/internal/storm"
@@ -205,6 +207,29 @@ func TestResultsRoundTrip(t *testing.T) {
 	}
 	if _, err := DecodeResults([]byte{1}); err == nil {
 		t.Fatal("garbage results accepted")
+	}
+}
+
+// TestDecodeResultsHostileCount: an 8-byte body that announces
+// wire.MaxFrameSize results is refused for what refusing costs, not for
+// sixteen million appended zero results.
+func TestDecodeResultsHostileCount(t *testing.T) {
+	var e wire.Encoder
+	e.String("")
+	e.BPID(wire.BPID{})
+	e.Varint(0)
+	e.Uvarint(wire.MaxFrameSize)
+	body := e.Bytes()
+	start := time.Now()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := DecodeResults(body)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrBadPacket) {
+		t.Fatalf("a %d-byte body announcing %d results: %v", len(body), wire.MaxFrameSize, err)
+	}
+	if cost, d := after.TotalAlloc-before.TotalAlloc, time.Since(start); cost > 4<<10 || d > 100*time.Millisecond {
+		t.Fatalf("refusing it cost %d B and %v", cost, d)
 	}
 }
 

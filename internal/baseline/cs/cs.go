@@ -56,6 +56,11 @@ type queryMsg struct {
 	Base  string // for bookkeeping only; answers travel the path
 }
 
+func (q *queryMsg) Fields(f *wire.Fields) {
+	f.String(&q.Query)
+	f.String(&q.Base)
+}
+
 // answerMsg is the KindCSAnswer payload.
 type answerMsg struct {
 	Origin string
@@ -63,37 +68,10 @@ type answerMsg struct {
 	Data   []byte
 }
 
-func encodeQuery(q *queryMsg) []byte {
-	var e wire.Encoder
-	e.String(q.Query)
-	e.String(q.Base)
-	return e.Bytes()
-}
-
-func decodeQuery(b []byte) (*queryMsg, error) {
-	d := wire.NewDecoder(b)
-	q := &queryMsg{Query: d.String(), Base: d.String()}
-	if err := d.Finish(); err != nil {
-		return nil, err
-	}
-	return q, nil
-}
-
-func encodeAnswer(a *answerMsg) []byte {
-	var e wire.Encoder
-	e.String(a.Origin)
-	e.String(a.Name)
-	e.Bytes2(a.Data)
-	return e.Bytes()
-}
-
-func decodeAnswer(b []byte) (*answerMsg, error) {
-	d := wire.NewDecoder(b)
-	a := &answerMsg{Origin: d.String(), Name: d.String(), Data: d.Bytes2()}
-	if err := d.Finish(); err != nil {
-		return nil, err
-	}
-	return a, nil
+func (a *answerMsg) Fields(f *wire.Fields) {
+	f.String(&a.Origin)
+	f.String(&a.Name)
+	f.Bytes(&a.Data)
 }
 
 type queryState struct {
@@ -231,8 +209,8 @@ func (n *Node) handleQuery(env *wire.Envelope) {
 	if env.Expired() {
 		return // TTL exhausted on arrival
 	}
-	q, err := decodeQuery(env.Body)
-	if err != nil {
+	var q queryMsg
+	if wire.Unmarshal(env.Body, &q) != nil {
 		return
 	}
 	n.mu.Lock()
@@ -272,8 +250,8 @@ func (n *Node) handleQuery(env *wire.Envelope) {
 // handleAnswer relays a downstream answer one hop closer to the base, or
 // delivers it if this node issued the query.
 func (n *Node) handleAnswer(env *wire.Envelope) {
-	a, err := decodeAnswer(env.Body)
-	if err != nil {
+	a := new(answerMsg)
+	if wire.Unmarshal(env.Body, a) != nil {
 		return
 	}
 	if v, ok := n.queries.Load(env.ID); ok {
@@ -305,7 +283,7 @@ func (n *Node) handleAnswer(env *wire.Envelope) {
 func (n *Node) sendAnswer(to string, id wire.MsgID, a *answerMsg) {
 	n.sendEnv(to, &wire.Envelope{
 		Kind: wire.KindCSAnswer, ID: id, TTL: 1,
-		From: n.Addr(), To: to, Body: encodeAnswer(a),
+		From: n.Addr(), To: to, Body: wire.Marshal(a),
 	})
 }
 
@@ -370,7 +348,7 @@ func (n *Node) Query(query string, opts QueryOptions) ([]Answer, error) {
 		qs.mu.Unlock()
 	}
 
-	body := encodeQuery(&queryMsg{Query: query, Base: n.Addr()})
+	body := wire.Marshal(&queryMsg{Query: query, Base: n.Addr()})
 	send := func(p string) {
 		n.sendEnv(p, &wire.Envelope{
 			Kind: wire.KindCSQuery, ID: qid, TTL: ttl, Hops: 1,

@@ -54,10 +54,17 @@ type queryMsg struct {
 	Search string
 }
 
+func (q *queryMsg) Fields(f *wire.Fields) { f.String(&q.Search) }
+
 // hitMsg is the KindGnuQueryHit payload.
 type hitMsg struct {
 	Origin string
 	Names  []string
+}
+
+func (h *hitMsg) Fields(f *wire.Fields) {
+	f.String(&h.Origin)
+	f.Strings(&h.Names)
 }
 
 // pongMsg is the KindGnuPong payload.
@@ -66,61 +73,9 @@ type pongMsg struct {
 	Files uint64
 }
 
-func encodeQueryMsg(q *queryMsg) []byte {
-	var e wire.Encoder
-	e.String(q.Search)
-	return e.Bytes()
-}
-
-func decodeQueryMsg(b []byte) (*queryMsg, error) {
-	d := wire.NewDecoder(b)
-	q := &queryMsg{Search: d.String()}
-	if err := d.Finish(); err != nil {
-		return nil, err
-	}
-	return q, nil
-}
-
-func encodeHitMsg(h *hitMsg) []byte {
-	var e wire.Encoder
-	e.String(h.Origin)
-	e.Uvarint(uint64(len(h.Names)))
-	for _, n := range h.Names {
-		e.String(n)
-	}
-	return e.Bytes()
-}
-
-func decodeHitMsg(b []byte) (*hitMsg, error) {
-	d := wire.NewDecoder(b)
-	h := &hitMsg{Origin: d.String()}
-	n := d.Uvarint()
-	if n > uint64(wire.MaxFrameSize) {
-		return nil, errors.New("gnutella: hit too large")
-	}
-	for i := uint64(0); i < n; i++ {
-		h.Names = append(h.Names, d.String())
-	}
-	if err := d.Finish(); err != nil {
-		return nil, err
-	}
-	return h, nil
-}
-
-func encodePongMsg(p *pongMsg) []byte {
-	var e wire.Encoder
-	e.String(p.Addr)
-	e.Uvarint(p.Files)
-	return e.Bytes()
-}
-
-func decodePongMsg(b []byte) (*pongMsg, error) {
-	d := wire.NewDecoder(b)
-	p := &pongMsg{Addr: d.String(), Files: d.Uvarint()}
-	if err := d.Finish(); err != nil {
-		return nil, err
-	}
-	return p, nil
+func (p *pongMsg) Fields(f *wire.Fields) {
+	f.String(&p.Addr)
+	f.Uvarint(&p.Files)
 }
 
 type queryState struct {
@@ -231,7 +186,8 @@ func (s *Servant) handle(env *wire.Envelope) {
 	case wire.KindGnuPong:
 		s.routeBack(env, func() {
 			if v, ok := s.pings.Load(env.ID); ok {
-				if p, err := decodePongMsg(env.Body); err == nil {
+				var p pongMsg
+				if wire.Unmarshal(env.Body, &p) == nil {
 					ps := v.(*pingState)
 					ps.mu.Lock()
 					ps.pongs = append(ps.pongs, Pong{Addr: p.Addr, Files: p.Files})
@@ -254,7 +210,7 @@ func (s *Servant) handlePing(env *wire.Envelope) {
 	s.send(env.From, &wire.Envelope{
 		Kind: wire.KindGnuPong, ID: env.ID, TTL: env.Hops + 1,
 		From: s.Addr(), To: env.From,
-		Body: encodePongMsg(&pongMsg{Addr: s.Addr(), Files: uint64(s.store.Len())}),
+		Body: wire.Marshal(&pongMsg{Addr: s.Addr(), Files: uint64(s.store.Len())}),
 	})
 	s.flood(env)
 }
@@ -265,8 +221,8 @@ func (s *Servant) handleQuery(env *wire.Envelope) {
 	if env.Expired() || s.markSeenAndRoute(env) {
 		return
 	}
-	q, err := decodeQueryMsg(env.Body)
-	if err != nil {
+	var q queryMsg
+	if wire.Unmarshal(env.Body, &q) != nil {
 		return
 	}
 	matches, err := s.store.Match(q.Search)
@@ -284,7 +240,7 @@ func (s *Servant) handleQuery(env *wire.Envelope) {
 		s.send(env.From, &wire.Envelope{
 			Kind: wire.KindGnuQueryHit, ID: env.ID, TTL: env.Hops + 1, Hops: 1,
 			From: s.Addr(), To: env.From,
-			Body: encodeHitMsg(&hitMsg{Origin: s.Addr(), Names: names}),
+			Body: wire.Marshal(&hitMsg{Origin: s.Addr(), Names: names}),
 		})
 	}
 	s.flood(env)
@@ -347,8 +303,8 @@ func (s *Servant) deliverHit(env *wire.Envelope) {
 	if !ok {
 		return
 	}
-	h, err := decodeHitMsg(env.Body)
-	if err != nil {
+	var h hitMsg
+	if wire.Unmarshal(env.Body, &h) != nil {
 		return
 	}
 	qs := v.(*queryState)
@@ -420,7 +376,7 @@ func (s *Servant) Query(search string, opts QueryOptions) ([]Hit, error) {
 		qs.mu.Unlock()
 	}
 
-	body := encodeQueryMsg(&queryMsg{Search: search})
+	body := wire.Marshal(&queryMsg{Search: search})
 	for _, p := range peers {
 		s.send(p, &wire.Envelope{
 			Kind: wire.KindGnuQuery, ID: guid, TTL: ttl, Hops: 1,

@@ -209,21 +209,3 @@ func TestHitHopsRecorded(t *testing.T) {
 		t.Fatalf("hit hops = %+v", hits)
 	}
 }
-
-func TestProtoRoundTrips(t *testing.T) {
-	q, err := decodeQueryMsg(encodeQueryMsg(&queryMsg{Search: "s"}))
-	if err != nil || q.Search != "s" {
-		t.Fatalf("query: %+v %v", q, err)
-	}
-	h, err := decodeHitMsg(encodeHitMsg(&hitMsg{Origin: "o", Names: []string{"a", "b"}}))
-	if err != nil || h.Origin != "o" || len(h.Names) != 2 {
-		t.Fatalf("hit: %+v %v", h, err)
-	}
-	p, err := decodePongMsg(encodePongMsg(&pongMsg{Addr: "a", Files: 9}))
-	if err != nil || p.Addr != "a" || p.Files != 9 {
-		t.Fatalf("pong: %+v %v", p, err)
-	}
-	if _, err := decodeHitMsg([]byte{0xFF}); err == nil {
-		t.Fatal("garbage hit accepted")
-	}
-}

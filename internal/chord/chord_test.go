@@ -119,55 +119,6 @@ func TestTableRoutingConverges(t *testing.T) {
 	}
 }
 
-func TestProtoRoundTrips(t *testing.T) {
-	lr := &lookupReq{Version: chordLookupVersion, Key: 12345, Hops: 3}
-	got, err := decodeLookupReq(encodeLookupReq(lr))
-	if err != nil || *got != *lr {
-		t.Fatalf("lookupReq round trip: %v %v", got, err)
-	}
-	lo := &lookupOK{Version: chordLookupVersion, Owner: RefFor("n1"), Hops: 4}
-	gotOK, err := decodeLookupOK(encodeLookupOK(lo))
-	if err != nil || *gotOK != *lo {
-		t.Fatalf("lookupOK round trip: %v %v", gotOK, err)
-	}
-	nm := &notifyMsg{Version: chordNotifyVersion, Self: RefFor("n1"), Leaving: true, Repl: RefFor("n2")}
-	gotNM, err := decodeNotifyMsg(encodeNotifyMsg(nm))
-	if err != nil || *gotNM != *nm {
-		t.Fatalf("notifyMsg round trip: %v %v", gotNM, err)
-	}
-	po := &probeOK{
-		Version: chordProbeVersion, Self: RefFor("n1"),
-		HasPred: true, Pred: RefFor("n0"),
-		Succs: []NodeRef{RefFor("n2"), RefFor("n3")},
-	}
-	gotPO, err := decodeProbeOK(encodeProbeOK(po))
-	if err != nil {
-		t.Fatalf("probeOK round trip: %v", err)
-	}
-	if gotPO.Self != po.Self || gotPO.Pred != po.Pred || len(gotPO.Succs) != 2 {
-		t.Fatalf("probeOK round trip changed fields: %+v", gotPO)
-	}
-}
-
-func TestProtoToleratesNewerVersions(t *testing.T) {
-	// A newer sender appends a field this build does not know.
-	body := encodeLookupReq(&lookupReq{Version: chordLookupVersion + 1, Key: 7, Hops: 1})
-	body = append(body, 0xAA, 0xBB)
-	m, err := decodeLookupReq(body)
-	if err != nil {
-		t.Fatalf("newer-version payload rejected: %v", err)
-	}
-	if m.Key != 7 || m.Hops != 1 {
-		t.Fatalf("known fields misparsed: %+v", m)
-	}
-	// The same trailing bytes at the current version are an error.
-	bad := encodeLookupReq(&lookupReq{Version: chordLookupVersion, Key: 7})
-	bad = append(bad, 0xAA)
-	if _, err := decodeLookupReq(bad); err == nil {
-		t.Fatal("current-version trailing bytes accepted")
-	}
-}
-
 // liveHarness accepts connections for a set of live nodes, dispatching
 // chord envelopes the way the ring-mode LIGLO server does.
 type liveHarness struct {

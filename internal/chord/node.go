@@ -555,19 +555,19 @@ func (n *Node) CheckPredecessor() {
 func (n *Node) HandleEnvelope(req *wire.Envelope) *wire.Envelope {
 	switch req.Kind {
 	case wire.KindChordLookup:
-		m, err := decodeLookupReq(req.Body)
+		m, err := unmarshal(req.Body, new(lookupReq), "lookup-req")
 		if err != nil {
 			return nil
 		}
 		return n.handleLookup(m)
 	case wire.KindChordNotify:
-		m, err := decodeNotifyMsg(req.Body)
+		m, err := unmarshal(req.Body, new(notifyMsg), "notify")
 		if err != nil {
 			return nil
 		}
 		return n.handleNotify(m)
 	case wire.KindChordProbe:
-		m, err := decodeProbeReq(req.Body)
+		m, err := unmarshal(req.Body, new(probeReq), "probe")
 		if err != nil {
 			return nil
 		}
@@ -602,7 +602,7 @@ func (n *Node) handleLookup(m *lookupReq) *wire.Envelope {
 		resp.Owner = owner
 		resp.Hops = hops
 	}
-	return ringReply(wire.KindChordLookupOK, encodeLookupOK(resp))
+	return ringReply(wire.KindChordLookupOK, wire.Marshal(resp))
 }
 
 func (n *Node) handleNotify(m *notifyMsg) *wire.Envelope {
@@ -633,7 +633,7 @@ func (n *Node) handleNotify(m *notifyMsg) *wire.Envelope {
 			n.journalNeighbor("predecessor", m.Self.Addr)
 		}
 	}
-	return ringReply(wire.KindChordNotifyOK, encodeNotifyOK(&notifyOK{Version: chordNotifyVersion}))
+	return ringReply(wire.KindChordNotifyOK, wire.Marshal(&notifyOK{Version: chordNotifyVersion}))
 }
 
 func (n *Node) handleProbe(m *probeReq) *wire.Envelope {
@@ -647,7 +647,7 @@ func (n *Node) handleProbe(m *probeReq) *wire.Envelope {
 		resp.Pred = p
 	}
 	n.mu.Unlock()
-	return ringReply(wire.KindChordProbeOK, encodeProbeOK(resp))
+	return ringReply(wire.KindChordProbeOK, wire.Marshal(resp))
 }
 
 // rpc performs one dial-per-call request/response exchange.
@@ -677,7 +677,7 @@ func (n *Node) rpc(addr string, req *wire.Envelope) (*wire.Envelope, error) {
 
 func (n *Node) rpcLookup(addr string, k Key, hops uint64) (*lookupOK, error) {
 	req := ringReply(wire.KindChordLookup,
-		encodeLookupReq(&lookupReq{Version: chordLookupVersion, Key: k, Hops: hops}))
+		wire.Marshal(&lookupReq{Version: chordLookupVersion, Key: k, Hops: hops}))
 	resp, err := n.rpc(addr, req)
 	if err != nil {
 		return nil, err
@@ -685,7 +685,7 @@ func (n *Node) rpcLookup(addr string, k Key, hops uint64) (*lookupOK, error) {
 	if resp.Kind != wire.KindChordLookupOK {
 		return nil, fmt.Errorf("%w: kind %v", ErrBadReply, resp.Kind)
 	}
-	m, err := decodeLookupOK(resp.Body)
+	m, err := unmarshal(resp.Body, new(lookupOK), "lookup-ok")
 	if err != nil {
 		return nil, err
 	}
@@ -696,7 +696,7 @@ func (n *Node) rpcLookup(addr string, k Key, hops uint64) (*lookupOK, error) {
 }
 
 func (n *Node) rpcNotify(addr string, msg *notifyMsg) error {
-	req := ringReply(wire.KindChordNotify, encodeNotifyMsg(msg))
+	req := ringReply(wire.KindChordNotify, wire.Marshal(msg))
 	resp, err := n.rpc(addr, req)
 	if err != nil {
 		return err
@@ -704,7 +704,7 @@ func (n *Node) rpcNotify(addr string, msg *notifyMsg) error {
 	if resp.Kind != wire.KindChordNotifyOK {
 		return fmt.Errorf("%w: kind %v", ErrBadReply, resp.Kind)
 	}
-	m, err := decodeNotifyOK(resp.Body)
+	m, err := unmarshal(resp.Body, new(notifyOK), "notify-ok")
 	if err != nil {
 		return err
 	}
@@ -716,7 +716,7 @@ func (n *Node) rpcNotify(addr string, msg *notifyMsg) error {
 
 func (n *Node) rpcProbe(addr string) (*probeOK, error) {
 	req := ringReply(wire.KindChordProbe,
-		encodeProbeReq(&probeReq{Version: chordProbeVersion, From: n.self}))
+		wire.Marshal(&probeReq{Version: chordProbeVersion, From: n.self}))
 	resp, err := n.rpc(addr, req)
 	if err != nil {
 		return nil, err
@@ -724,7 +724,7 @@ func (n *Node) rpcProbe(addr string) (*probeOK, error) {
 	if resp.Kind != wire.KindChordProbeOK {
 		return nil, fmt.Errorf("%w: kind %v", ErrBadReply, resp.Kind)
 	}
-	m, err := decodeProbeOK(resp.Body)
+	m, err := unmarshal(resp.Body, new(probeOK), "probe-ok")
 	if err != nil {
 		return nil, err
 	}

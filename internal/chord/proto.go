@@ -11,9 +11,10 @@ import (
 var ErrBadMessage = errors.New("chord: malformed message")
 
 // Payload versions this build emits. Every chord body leads with its
-// version so fields can grow without new message kinds: decoders accept
-// newer versions, tolerating trailing bytes they do not understand, and
-// reject only truncated input (the Depart precedent in internal/core).
+// version so fields can grow without new message kinds: a newer version
+// may trail bytes this build does not understand and is rejected only
+// when truncated (wire.Fields.Version; the Depart precedent in
+// internal/core).
 const (
 	chordLookupVersion = 1
 	chordNotifyVersion = 1
@@ -30,7 +31,7 @@ const maxRefs = 1024
 func LookupEnvelope(k Key, hops int) *wire.Envelope {
 	return &wire.Envelope{
 		Kind: wire.KindChordLookup, ID: wire.NewMsgID(), TTL: 1,
-		Body: encodeLookupReq(&lookupReq{Version: chordLookupVersion, Key: k, Hops: uint64(hops)}),
+		Body: wire.Marshal(&lookupReq{Version: chordLookupVersion, Key: k, Hops: uint64(hops)}),
 	}
 }
 
@@ -39,17 +40,24 @@ func LookupEnvelope(k Key, hops int) *wire.Envelope {
 func LookupOKEnvelope(owner NodeRef, hops int) *wire.Envelope {
 	return &wire.Envelope{
 		Kind: wire.KindChordLookupOK, ID: wire.NewMsgID(), TTL: 1,
-		Body: encodeLookupOK(&lookupOK{Version: chordLookupVersion, Owner: owner, Hops: uint64(hops)}),
+		Body: wire.Marshal(&lookupOK{Version: chordLookupVersion, Owner: owner, Hops: uint64(hops)}),
 	}
 }
 
-func encodeNodeRef(e *wire.Encoder, r NodeRef) {
-	e.Uvarint(uint64(r.Key))
-	e.String(r.Addr)
+// unmarshal parses b into m; what names the payload in the error, which
+// wraps ErrBadMessage.
+func unmarshal[M wire.Message](b []byte, m M, what string) (M, error) {
+	if err := wire.Unmarshal(b, m); err != nil {
+		var none M
+		return none, fmt.Errorf("%w: %s: %v", ErrBadMessage, what, err)
+	}
+	return m, nil
 }
 
-func decodeNodeRef(d *wire.Decoder) NodeRef {
-	return NodeRef{Key: Key(d.Uvarint()), Addr: d.String()}
+// Fields describes a node reference as it travels inside chord payloads.
+func (r *NodeRef) Fields(f *wire.Fields) {
+	f.Uvarint((*uint64)(&r.Key))
+	f.String(&r.Addr)
 }
 
 // lookupReq asks for the owner of a key (KindChordLookup). Hops counts
@@ -60,29 +68,10 @@ type lookupReq struct {
 	Hops    uint64
 }
 
-func encodeLookupReq(m *lookupReq) []byte {
-	var e wire.Encoder
-	e.Uvarint(m.Version)
-	e.Uvarint(uint64(m.Key))
-	e.Uvarint(m.Hops)
-	return e.Bytes()
-}
-
-func decodeLookupReq(b []byte) (*lookupReq, error) {
-	d := wire.NewDecoder(b)
-	m := &lookupReq{Version: d.Uvarint()}
-	m.Key = Key(d.Uvarint())
-	m.Hops = d.Uvarint()
-	if m.Version > chordLookupVersion {
-		if err := d.Err(); err != nil {
-			return nil, fmt.Errorf("%w: lookup-req: %v", ErrBadMessage, err)
-		}
-		return m, nil
-	}
-	if err := d.Finish(); err != nil {
-		return nil, fmt.Errorf("%w: lookup-req: %v", ErrBadMessage, err)
-	}
-	return m, nil
+func (m *lookupReq) Fields(f *wire.Fields) {
+	f.Version(&m.Version, chordLookupVersion)
+	f.Uvarint((*uint64)(&m.Key))
+	f.Uvarint(&m.Hops)
 }
 
 // lookupOK answers a lookup (KindChordLookupOK): the owning node and the
@@ -94,31 +83,11 @@ type lookupOK struct {
 	Hops    uint64
 }
 
-func encodeLookupOK(m *lookupOK) []byte {
-	var e wire.Encoder
-	e.Uvarint(m.Version)
-	e.String(m.Err)
-	encodeNodeRef(&e, m.Owner)
-	e.Uvarint(m.Hops)
-	return e.Bytes()
-}
-
-func decodeLookupOK(b []byte) (*lookupOK, error) {
-	d := wire.NewDecoder(b)
-	m := &lookupOK{Version: d.Uvarint()}
-	m.Err = d.String()
-	m.Owner = decodeNodeRef(d)
-	m.Hops = d.Uvarint()
-	if m.Version > chordLookupVersion {
-		if err := d.Err(); err != nil {
-			return nil, fmt.Errorf("%w: lookup-ok: %v", ErrBadMessage, err)
-		}
-		return m, nil
-	}
-	if err := d.Finish(); err != nil {
-		return nil, fmt.Errorf("%w: lookup-ok: %v", ErrBadMessage, err)
-	}
-	return m, nil
+func (m *lookupOK) Fields(f *wire.Fields) {
+	f.Version(&m.Version, chordLookupVersion)
+	f.String(&m.Err)
+	m.Owner.Fields(f)
+	f.Uvarint(&m.Hops)
 }
 
 // notifyMsg is the stabilize notify (KindChordNotify): Self tells the
@@ -132,31 +101,11 @@ type notifyMsg struct {
 	Repl    NodeRef
 }
 
-func encodeNotifyMsg(m *notifyMsg) []byte {
-	var e wire.Encoder
-	e.Uvarint(m.Version)
-	encodeNodeRef(&e, m.Self)
-	e.Bool(m.Leaving)
-	encodeNodeRef(&e, m.Repl)
-	return e.Bytes()
-}
-
-func decodeNotifyMsg(b []byte) (*notifyMsg, error) {
-	d := wire.NewDecoder(b)
-	m := &notifyMsg{Version: d.Uvarint()}
-	m.Self = decodeNodeRef(d)
-	m.Leaving = d.Bool()
-	m.Repl = decodeNodeRef(d)
-	if m.Version > chordNotifyVersion {
-		if err := d.Err(); err != nil {
-			return nil, fmt.Errorf("%w: notify: %v", ErrBadMessage, err)
-		}
-		return m, nil
-	}
-	if err := d.Finish(); err != nil {
-		return nil, fmt.Errorf("%w: notify: %v", ErrBadMessage, err)
-	}
-	return m, nil
+func (m *notifyMsg) Fields(f *wire.Fields) {
+	f.Version(&m.Version, chordNotifyVersion)
+	m.Self.Fields(f)
+	f.Bool(&m.Leaving)
+	m.Repl.Fields(f)
 }
 
 // notifyOK acknowledges a notify (KindChordNotifyOK).
@@ -165,27 +114,9 @@ type notifyOK struct {
 	Err     string
 }
 
-func encodeNotifyOK(m *notifyOK) []byte {
-	var e wire.Encoder
-	e.Uvarint(m.Version)
-	e.String(m.Err)
-	return e.Bytes()
-}
-
-func decodeNotifyOK(b []byte) (*notifyOK, error) {
-	d := wire.NewDecoder(b)
-	m := &notifyOK{Version: d.Uvarint()}
-	m.Err = d.String()
-	if m.Version > chordNotifyVersion {
-		if err := d.Err(); err != nil {
-			return nil, fmt.Errorf("%w: notify-ok: %v", ErrBadMessage, err)
-		}
-		return m, nil
-	}
-	if err := d.Finish(); err != nil {
-		return nil, fmt.Errorf("%w: notify-ok: %v", ErrBadMessage, err)
-	}
-	return m, nil
+func (m *notifyOK) Fields(f *wire.Fields) {
+	f.Version(&m.Version, chordNotifyVersion)
+	f.String(&m.Err)
 }
 
 // probeReq asks a node for its neighbors (KindChordProbe) — the
@@ -196,27 +127,9 @@ type probeReq struct {
 	From    NodeRef
 }
 
-func encodeProbeReq(m *probeReq) []byte {
-	var e wire.Encoder
-	e.Uvarint(m.Version)
-	encodeNodeRef(&e, m.From)
-	return e.Bytes()
-}
-
-func decodeProbeReq(b []byte) (*probeReq, error) {
-	d := wire.NewDecoder(b)
-	m := &probeReq{Version: d.Uvarint()}
-	m.From = decodeNodeRef(d)
-	if m.Version > chordProbeVersion {
-		if err := d.Err(); err != nil {
-			return nil, fmt.Errorf("%w: probe: %v", ErrBadMessage, err)
-		}
-		return m, nil
-	}
-	if err := d.Finish(); err != nil {
-		return nil, fmt.Errorf("%w: probe: %v", ErrBadMessage, err)
-	}
-	return m, nil
+func (m *probeReq) Fields(f *wire.Fields) {
+	f.Version(&m.Version, chordProbeVersion)
+	m.From.Fields(f)
 }
 
 // probeOK is the probe reply (KindChordProbeOK): the probed node's
@@ -231,42 +144,11 @@ type probeOK struct {
 	Succs   []NodeRef
 }
 
-func encodeProbeOK(m *probeOK) []byte {
-	var e wire.Encoder
-	e.Uvarint(m.Version)
-	e.String(m.Err)
-	encodeNodeRef(&e, m.Self)
-	e.Bool(m.HasPred)
-	encodeNodeRef(&e, m.Pred)
-	e.Uvarint(uint64(len(m.Succs)))
-	for _, r := range m.Succs {
-		encodeNodeRef(&e, r)
-	}
-	return e.Bytes()
-}
-
-func decodeProbeOK(b []byte) (*probeOK, error) {
-	d := wire.NewDecoder(b)
-	m := &probeOK{Version: d.Uvarint()}
-	m.Err = d.String()
-	m.Self = decodeNodeRef(d)
-	m.HasPred = d.Bool()
-	m.Pred = decodeNodeRef(d)
-	n := d.Uvarint()
-	if n > maxRefs {
-		return nil, fmt.Errorf("%w: probe-ok: %d successors", ErrBadMessage, n)
-	}
-	for i := uint64(0); i < n; i++ {
-		m.Succs = append(m.Succs, decodeNodeRef(d))
-	}
-	if m.Version > chordProbeVersion {
-		if err := d.Err(); err != nil {
-			return nil, fmt.Errorf("%w: probe-ok: %v", ErrBadMessage, err)
-		}
-		return m, nil
-	}
-	if err := d.Finish(); err != nil {
-		return nil, fmt.Errorf("%w: probe-ok: %v", ErrBadMessage, err)
-	}
-	return m, nil
+func (m *probeOK) Fields(f *wire.Fields) {
+	f.Version(&m.Version, chordProbeVersion)
+	f.String(&m.Err)
+	m.Self.Fields(f)
+	f.Bool(&m.HasPred)
+	m.Pred.Fields(f)
+	wire.List(f, &m.Succs, maxRefs, (*NodeRef).Fields)
 }

@@ -132,7 +132,7 @@ func (n *Node) handleAgent(env *wire.Envelope) {
 			n.send(env.From, &wire.Envelope{
 				Kind: wire.KindClassWant, ID: wire.NewMsgID(), TTL: 1,
 				From: n.Addr(), To: env.From,
-				Body: encodeClassWant(&classWant{Class: packet.Class}),
+				Body: wire.Marshal(&classWant{Class: packet.Class}),
 			})
 		}
 		return
@@ -348,7 +348,7 @@ func (n *Node) handleResult(env *wire.Envelope, hint bool) {
 // handleFetch serves a mode-2 follow-up: read the named objects, apply
 // active-object access control for the requester, reply with the data.
 func (n *Node) handleFetch(env *wire.Envelope) {
-	req, err := decodeFetchReq(env.Body)
+	req, err := unmarshal(env.Body, new(fetchReq), "fetch")
 	if err != nil {
 		return
 	}
@@ -378,8 +378,8 @@ func (n *Node) handleFetch(env *wire.Envelope) {
 // this node is itself waiting for the class (a chain of cold nodes), the
 // request is parked and served when the class arrives.
 func (n *Node) handleClassWant(env *wire.Envelope) {
-	w, err := decodeClassWant(env.Body)
-	if err != nil {
+	w, err := unmarshal(env.Body, new(classWant), "class-want")
+	if err != nil || w.Class == "" {
 		return
 	}
 	code, err := n.registry.Code(w.Class)
@@ -399,14 +399,14 @@ func (n *Node) shipClass(to, class string, code []byte) {
 	n.send(to, &wire.Envelope{
 		Kind: wire.KindClassShip, ID: wire.NewMsgID(), TTL: 1,
 		From: n.Addr(), To: to,
-		Body: encodeClassShip(&classShip{Class: class, Code: code}),
+		Body: wire.Marshal(&classShip{Class: class, Code: code}),
 	})
 }
 
 // handleClassShip installs a shipped class and runs any parked agents.
 func (n *Node) handleClassShip(env *wire.Envelope) {
-	s, err := decodeClassShip(env.Body)
-	if err != nil {
+	s, err := unmarshal(env.Body, new(classShip), "class-ship")
+	if err != nil || s.Class == "" {
 		return
 	}
 	if err := n.registry.Install(s.Class, s.Code); err != nil {

@@ -93,7 +93,7 @@ func (n *Node) Leave() error {
 		n.send(p.Addr, &wire.Envelope{
 			Kind: wire.KindDepart, ID: wire.NewMsgID(), TTL: 1,
 			From: me, To: p.Addr,
-			Body: encodeDepart(&departMsg{Version: departVersion, ID: id, Hints: hints}),
+			Body: wire.Marshal(&departMsg{Version: departVersion, ID: id, Hints: hints}),
 		})
 		n.m.departsSent.Inc()
 		n.journal.Append(obs.Event{Kind: obs.EvPeerDropped, Peer: p.Addr, Reason: "leave"})
@@ -124,7 +124,7 @@ func (n *Node) Leaving() bool {
 // answers it served — is released, and the carried replacement hints are
 // adopted or stashed for the repair loop.
 func (n *Node) handleDepart(env *wire.Envelope) {
-	m, err := decodeDepart(env.Body)
+	m, err := unmarshal(env.Body, new(departMsg), "depart")
 	if err != nil || env.From == "" {
 		return
 	}
@@ -199,7 +199,7 @@ func (n *Node) handlePeerList(env *wire.Envelope) {
 	n.send(env.From, &wire.Envelope{
 		Kind: wire.KindPeerListOK, ID: env.ID, TTL: 1,
 		From: n.Addr(), To: env.From,
-		Body: encodePeerListResp(&peerListResp{Peers: out}),
+		Body: wire.Marshal(&peerListResp{Peers: out}),
 	})
 }
 
@@ -209,7 +209,7 @@ func (n *Node) deliverPeerList(env *wire.Envelope) {
 	if !ok {
 		return // late reply for an exchange that timed out
 	}
-	r, err := decodePeerListResp(env.Body)
+	r, err := unmarshal(env.Body, new(peerListResp), "peer-list")
 	if err != nil {
 		return
 	}

@@ -10,15 +10,42 @@ import (
 // ErrBadMessage reports a malformed core-protocol payload.
 var ErrBadMessage = errors.New("core: malformed message")
 
+// unmarshal parses b into m; what names the payload in the error, which
+// wraps ErrBadMessage.
+func unmarshal[M wire.Message](b []byte, m M, what string) (M, error) {
+	if err := wire.Unmarshal(b, m); err != nil {
+		var none M
+		return none, fmt.Errorf("%w: %s: %v", ErrBadMessage, what, err)
+	}
+	return m, nil
+}
+
+// peerFields describes a Peer inside a payload. It is a function, not a
+// method: the facade re-exports Peer, and the visitor is no part of the
+// public API.
+func peerFields(p *Peer, f *wire.Fields) {
+	f.BPID(&p.ID)
+	f.String(&p.Addr)
+}
+
 // classWant asks the previous hop for an agent class the receiver lacks.
+// A handler refuses an empty Class.
 type classWant struct {
 	Class string
 }
 
-// classShip carries a class payload to a node that requested it.
+func (w *classWant) Fields(f *wire.Fields) { f.String(&w.Class) }
+
+// classShip carries a class payload to a node that requested it. A
+// handler refuses an empty Class.
 type classShip struct {
 	Class string
 	Code  []byte
+}
+
+func (s *classShip) Fields(f *wire.Fields) {
+	f.String(&s.Class)
+	f.Bytes(&s.Code)
 }
 
 // fetchReq is the mode-2 follow-up: after receiving hints, the base node
@@ -34,10 +61,18 @@ type fetchReq struct {
 	AccessLevel int
 }
 
+func (r *fetchReq) Fields(f *wire.Fields) {
+	f.Strings(&r.Names)
+	f.String(&r.Base)
+	f.BPID(&r.BaseID)
+	f.Int(&r.AccessLevel)
+}
+
 // departVersion is the Depart payload version this build emits. The
 // payload leads with the version so it can grow fields without a new
-// message kind: decoders accept any version, tolerating trailing bytes
-// from newer senders and taking just the fields they understand.
+// message kind: any version decodes, trailing bytes from a newer sender
+// are tolerated and just the fields this build understands are taken
+// (wire.Fields.Version).
 const departVersion = 1
 
 // maxDepartHints caps how many replacement-neighbor hints a Depart
@@ -55,40 +90,10 @@ type departMsg struct {
 	Hints []Peer
 }
 
-func encodeDepart(m *departMsg) []byte {
-	var e wire.Encoder
-	e.Uvarint(m.Version)
-	e.BPID(m.ID)
-	e.Uvarint(uint64(len(m.Hints)))
-	for _, p := range m.Hints {
-		e.BPID(p.ID)
-		e.String(p.Addr)
-	}
-	return e.Bytes()
-}
-
-func decodeDepart(b []byte) (*departMsg, error) {
-	d := wire.NewDecoder(b)
-	m := &departMsg{Version: d.Uvarint()}
-	m.ID = d.BPID()
-	n := d.Uvarint()
-	if n > uint64(wire.MaxFrameSize) {
-		return nil, fmt.Errorf("%w: depart", ErrBadMessage)
-	}
-	for i := uint64(0); i < n; i++ {
-		m.Hints = append(m.Hints, Peer{ID: d.BPID(), Addr: d.String()})
-	}
-	if m.Version > departVersion {
-		// Newer sender: unknown fields may trail the ones we understand.
-		if err := d.Err(); err != nil {
-			return nil, fmt.Errorf("%w: depart: %v", ErrBadMessage, err)
-		}
-		return m, nil
-	}
-	if err := d.Finish(); err != nil {
-		return nil, fmt.Errorf("%w: depart: %v", ErrBadMessage, err)
-	}
-	return m, nil
+func (m *departMsg) Fields(f *wire.Fields) {
+	f.Version(&m.Version, departVersion)
+	f.BPID(&m.ID)
+	wire.List(f, &m.Hints, wire.MaxFrameSize, peerFields)
 }
 
 // peerListResp carries a node's current direct peers — the
@@ -98,90 +103,6 @@ type peerListResp struct {
 	Peers []Peer
 }
 
-func encodePeerListResp(r *peerListResp) []byte {
-	var e wire.Encoder
-	e.Uvarint(uint64(len(r.Peers)))
-	for _, p := range r.Peers {
-		e.BPID(p.ID)
-		e.String(p.Addr)
-	}
-	return e.Bytes()
-}
-
-func decodePeerListResp(b []byte) (*peerListResp, error) {
-	d := wire.NewDecoder(b)
-	r := &peerListResp{}
-	n := d.Uvarint()
-	if n > uint64(wire.MaxFrameSize) {
-		return nil, fmt.Errorf("%w: peer-list", ErrBadMessage)
-	}
-	for i := uint64(0); i < n; i++ {
-		r.Peers = append(r.Peers, Peer{ID: d.BPID(), Addr: d.String()})
-	}
-	if err := d.Finish(); err != nil {
-		return nil, fmt.Errorf("%w: peer-list: %v", ErrBadMessage, err)
-	}
-	return r, nil
-}
-
-func encodeClassWant(w *classWant) []byte {
-	var e wire.Encoder
-	e.String(w.Class)
-	return e.Bytes()
-}
-
-func decodeClassWant(b []byte) (*classWant, error) {
-	d := wire.NewDecoder(b)
-	w := &classWant{Class: d.String()}
-	if err := d.Finish(); err != nil || w.Class == "" {
-		return nil, fmt.Errorf("%w: class-want", ErrBadMessage)
-	}
-	return w, nil
-}
-
-func encodeClassShip(s *classShip) []byte {
-	var e wire.Encoder
-	e.String(s.Class)
-	e.Bytes2(s.Code)
-	return e.Bytes()
-}
-
-func decodeClassShip(b []byte) (*classShip, error) {
-	d := wire.NewDecoder(b)
-	s := &classShip{Class: d.String(), Code: d.Bytes2()}
-	if err := d.Finish(); err != nil || s.Class == "" {
-		return nil, fmt.Errorf("%w: class-ship", ErrBadMessage)
-	}
-	return s, nil
-}
-
-func encodeFetchReq(f *fetchReq) []byte {
-	var e wire.Encoder
-	e.Uvarint(uint64(len(f.Names)))
-	for _, n := range f.Names {
-		e.String(n)
-	}
-	e.String(f.Base)
-	e.BPID(f.BaseID)
-	e.Varint(int64(f.AccessLevel))
-	return e.Bytes()
-}
-
-func decodeFetchReq(b []byte) (*fetchReq, error) {
-	d := wire.NewDecoder(b)
-	n := d.Uvarint()
-	if n > uint64(wire.MaxFrameSize) {
-		return nil, fmt.Errorf("%w: fetch", ErrBadMessage)
-	}
-	f := &fetchReq{}
-	for i := uint64(0); i < n; i++ {
-		f.Names = append(f.Names, d.String())
-	}
-	f.Base = d.String()
-	f.BaseID = d.BPID()
-	f.AccessLevel = int(d.Varint())
-	if err := d.Finish(); err != nil {
-		return nil, fmt.Errorf("%w: fetch: %v", ErrBadMessage, err)
-	}
-	return f, nil
+func (r *peerListResp) Fields(f *wire.Fields) {
+	wire.List(f, &r.Peers, wire.MaxFrameSize, peerFields)
 }

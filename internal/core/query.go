@@ -559,7 +559,7 @@ func (n *Node) Fetch(peerAddr string, names []string, timeout time.Duration) ([]
 			TTL:  1,
 			From: n.Addr(),
 			To:   peerAddr,
-			Body: encodeFetchReq(&fetchReq{
+			Body: wire.Marshal(&fetchReq{
 				Names:       names,
 				Base:        n.Addr(),
 				BaseID:      n.ID(),

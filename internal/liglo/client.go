@@ -177,7 +177,7 @@ func (c *Client) callRing(op, primary string, req *wire.Envelope) (*wire.Envelop
 			continue
 		}
 		if resp.Kind == wire.KindRingRedirect {
-			m, derr := decodeRedirectMsg(resp.Body)
+			m, derr := unmarshal(resp.Body, new(redirectMsg), "redirect")
 			if derr != nil {
 				return nil, derr
 			}
@@ -224,13 +224,13 @@ func (c *Client) Register(server, myAddr string) (wire.BPID, []PeerInfo, error) 
 		Kind: wire.KindLigloRegister,
 		ID:   wire.NewMsgID(),
 		TTL:  1,
-		Body: encodeRegisterReq(&registerReq{Addr: myAddr}),
+		Body: wire.Marshal(&registerReq{Addr: myAddr}),
 	}
 	resp, err := c.call("register", server, req)
 	if err != nil {
 		return wire.BPID{}, nil, err
 	}
-	r, err := decodeRegisterResp(resp.Body)
+	r, err := unmarshal(resp.Body, new(registerResp), "registered")
 	if err != nil {
 		return wire.BPID{}, nil, err
 	}
@@ -300,13 +300,13 @@ func (c *Client) rejoinOnce(id wire.BPID, myAddr string) error {
 		Kind: wire.KindLigloRejoin,
 		ID:   wire.NewMsgID(),
 		TTL:  1,
-		Body: encodeRejoinReq(&rejoinReq{ID: id, Addr: myAddr}),
+		Body: wire.Marshal(&rejoinReq{ID: id, Addr: myAddr}),
 	}
 	resp, err := c.callRing("rejoin", id.LIGLO, req)
 	if err != nil {
 		return err
 	}
-	r, err := decodeRejoinResp(resp.Body)
+	r, err := unmarshal(resp.Body, new(rejoinResp), "rejoin reply")
 	if err != nil {
 		return err
 	}
@@ -349,13 +349,13 @@ func (c *Client) deregisterOnce(id wire.BPID) error {
 		Kind: wire.KindLigloDeregister,
 		ID:   wire.NewMsgID(),
 		TTL:  1,
-		Body: encodeDeregisterReq(&deregisterReq{ID: id}),
+		Body: wire.Marshal(&deregisterReq{ID: id}),
 	}
 	resp, err := c.callRing("deregister", id.LIGLO, req)
 	if err != nil {
 		return err
 	}
-	r, err := decodeDeregisterResp(resp.Body)
+	r, err := unmarshal(resp.Body, new(deregisterResp), "deregister reply")
 	if err != nil {
 		return err
 	}
@@ -378,13 +378,13 @@ func (c *Client) Lookup(id wire.BPID) (addr string, online bool, err error) {
 		Kind: wire.KindLigloLookup,
 		ID:   wire.NewMsgID(),
 		TTL:  1,
-		Body: encodeLookupReq(&lookupReq{ID: id}),
+		Body: wire.Marshal(&lookupReq{ID: id}),
 	}
 	resp, err := c.callRing("lookup", id.LIGLO, req)
 	if err != nil {
 		return "", false, err
 	}
-	r, err := decodeLookupResp(resp.Body)
+	r, err := unmarshal(resp.Body, new(lookupResp), "lookup reply")
 	if err != nil {
 		return "", false, err
 	}
@@ -408,13 +408,13 @@ func (c *Client) Peers(server string, self wire.BPID, max int) ([]PeerInfo, erro
 		Kind: wire.KindLigloPeers,
 		ID:   wire.NewMsgID(),
 		TTL:  1,
-		Body: encodePeersReq(&peersReq{Self: self, Max: max}),
+		Body: wire.Marshal(&peersReq{Self: self, Max: max}),
 	}
 	resp, err := c.call("peers", server, req)
 	if err != nil {
 		return nil, err
 	}
-	r, err := decodePeersResp(resp.Body)
+	r, err := unmarshal(resp.Body, new(peersResp), "peers reply")
 	if err != nil {
 		return nil, err
 	}

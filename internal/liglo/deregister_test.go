@@ -94,7 +94,7 @@ func TestDeregisterRejections(t *testing.T) {
 	foreign := id
 	foreign.LIGLO = "liglo-elsewhere"
 	resp := srv.handleDeregister(&deregisterReq{ID: foreign})
-	r, err := decodeDeregisterResp(resp.Body)
+	r, err := unmarshal(resp.Body, new(deregisterResp), "deregister reply")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,122 +7,66 @@ import (
 	"bestpeer/internal/wire/wiretest"
 )
 
-// Selector bytes prefixing FuzzRingCodecs inputs: which decoder the
-// remaining bytes are fed to.
-const (
-	fzRedirectMsg = iota
-	fzReplicateMsg
-	fzReplicateOK
-)
-
-// ringSeeds are the committed corpus inputs under
-// testdata/fuzz/FuzzRingCodecs, one per ring wire kind, at the current
-// payload version.
-func ringSeeds() []wiretest.Payload {
-	sel := func(which byte, body []byte) []byte {
-		return append([]byte{which}, body...)
-	}
-	return []wiretest.Payload{
-		{Name: "redirectmsg-v1", Bytes: sel(fzRedirectMsg, encodeRedirectMsg(&redirectMsg{
-			Version: ringRedirectVersion, Addr: "liglo-2", Key: 0xDEADBEEF}))},
-		{Name: "replicatemsg-v1", Bytes: sel(fzReplicateMsg, encodeReplicateMsg(&replicateMsg{
+// ringMessages is every ring-mode payload (ringproto.go) with every field
+// populated and every list non-empty. The order is the selector byte of
+// FuzzRingCodecs inputs, so it is frozen by the committed corpus.
+func ringMessages() []wiretest.Case {
+	return []wiretest.Case{
+		wiretest.Of("redirectmsg", ringRedirectVersion, &redirectMsg{
+			Version: ringRedirectVersion, Addr: "liglo-2", Key: 0xDEADBEEF}),
+		wiretest.Of("replicatemsg", ringReplicateVersion, &replicateMsg{
 			Version: ringReplicateVersion, From: "liglo-1",
 			Records: []RingRecord{
 				{ID: wire.BPID{LIGLO: "liglo-1", Node: 1}, Addr: "n1:100", Online: true},
 				{ID: wire.BPID{LIGLO: "liglo-1", Node: 2}, Addr: "n2:100", Departed: true},
-			}}))},
-		{Name: "replicateok-v1", Bytes: sel(fzReplicateOK, encodeReplicateOK(&replicateOK{
-			Version: ringReplicateVersion}))},
+			}}),
+		wiretest.Of("replicateok", ringReplicateVersion, &replicateOK{
+			Version: ringReplicateVersion, Err: "not in ring mode"}).
+			Seeded(&replicateOK{Version: ringReplicateVersion}),
 	}
 }
 
-// payloads is every LIGLO payload with every field populated and every
-// list non-empty: the ring-mode bodies, then the request/reply pairs.
-func payloads() []wiretest.Payload {
+// protoMessages is every request and reply of proto.go, likewise.
+func protoMessages() []wiretest.Case {
 	id := wire.BPID{LIGLO: "liglo-1", Node: 7}
 	peers := []PeerInfo{
 		{ID: wire.BPID{LIGLO: "liglo-1", Node: 1}, Addr: "n1:100"},
 		{ID: wire.BPID{LIGLO: "liglo-2", Node: 2}, Addr: "n2:100"},
 	}
-	return []wiretest.Payload{
-		{Name: "redirectmsg", Bytes: encodeRedirectMsg(&redirectMsg{
-			Version: ringRedirectVersion, Addr: "liglo-2", Key: 0xDEADBEEF})},
-		{Name: "replicatemsg", Bytes: encodeReplicateMsg(&replicateMsg{
-			Version: ringReplicateVersion, From: "liglo-1",
-			Records: []RingRecord{
-				{ID: wire.BPID{LIGLO: "liglo-1", Node: 1}, Addr: "n1:100", Online: true},
-				{ID: wire.BPID{LIGLO: "liglo-1", Node: 2}, Addr: "n2:100", Departed: true},
-			}})},
-		{Name: "replicateok", Bytes: encodeReplicateOK(&replicateOK{
-			Version: ringReplicateVersion, Err: "not in ring mode"})},
-		{Name: "registerreq", Bytes: encodeRegisterReq(&registerReq{Addr: "n7:100"})},
-		{Name: "registerresp", Bytes: encodeRegisterResp(&registerResp{Err: "full", ID: id, Peers: peers})},
-		{Name: "rejoinreq", Bytes: encodeRejoinReq(&rejoinReq{ID: id, Addr: "n7:200"})},
-		{Name: "rejoinresp", Bytes: encodeRejoinResp(&rejoinResp{Err: "unknown"})},
-		{Name: "lookupreq", Bytes: encodeLookupReq(&lookupReq{ID: id})},
-		{Name: "lookupresp", Bytes: encodeLookupResp(&lookupResp{Err: "wrong home", Found: true, Addr: "n7:200", Online: true})},
-		{Name: "deregisterreq", Bytes: encodeDeregisterReq(&deregisterReq{ID: id})},
-		{Name: "deregisterresp", Bytes: encodeDeregisterResp(&deregisterResp{Err: "unknown"})},
-		{Name: "peersreq", Bytes: encodePeersReq(&peersReq{Self: id, Max: 8})},
-		{Name: "peersresp", Bytes: encodePeersResp(&peersResp{Err: "busy", Peers: peers})},
+	return []wiretest.Case{
+		wiretest.Of("registerreq", 0, &registerReq{Addr: "n7:100"}),
+		wiretest.Of("registerresp", 0, &registerResp{Err: "full", ID: id, Peers: peers}),
+		wiretest.Of("rejoinreq", 0, &rejoinReq{ID: id, Addr: "n7:200"}),
+		wiretest.Of("rejoinresp", 0, &rejoinResp{Err: "unknown"}),
+		wiretest.Of("lookupreq", 0, &lookupReq{ID: id}),
+		wiretest.Of("lookupresp", 0, &lookupResp{Err: "wrong home", Found: true, Addr: "n7:200", Online: true}),
+		wiretest.Of("deregisterreq", 0, &deregisterReq{ID: id}),
+		wiretest.Of("deregisterresp", 0, &deregisterResp{Err: "unknown"}),
+		wiretest.Of("peersreq", 0, &peersReq{Self: id, Max: 8}),
+		wiretest.Of("peersresp", 0, &peersResp{Err: "busy", Peers: peers}),
 	}
 }
+
+func messages() []wiretest.Case { return append(ringMessages(), protoMessages()...) }
 
 // TestPayloadsGolden: the bytes of every LIGLO payload and of every
 // committed corpus seed are what this build encodes.
 func TestPayloadsGolden(t *testing.T) {
-	wiretest.Golden(t, payloads())
-	wiretest.Seeds(t, "FuzzRingCodecs", ringSeeds())
+	wiretest.Golden(t, messages())
+	wiretest.Seeds(t, "FuzzRingCodecs", ringMessages())
 }
 
-// FuzzRingCodecs: arbitrary bytes through every ring payload decoder
-// must never panic, and every accepted payload must re-encode to a
-// decodable equivalent.
-func FuzzRingCodecs(f *testing.F) {
-	for _, seed := range ringSeeds() {
-		f.Add(seed.Bytes)
-	}
-	f.Add([]byte{})
-	f.Add([]byte{fzReplicateMsg, 0xFF, 0xFF, 0xFF, 0xFF})
+func TestProtoRoundTrips(t *testing.T) { wiretest.RoundTrip(t, messages()) }
 
-	f.Fuzz(func(t *testing.T, data []byte) {
-		if len(data) == 0 {
-			return
-		}
-		body := data[1:]
-		switch data[0] % 3 {
-		case fzRedirectMsg:
-			m, err := decodeRedirectMsg(body)
-			if err != nil {
-				return
-			}
-			back, err := decodeRedirectMsg(encodeRedirectMsg(m))
-			if err != nil || back.Addr != m.Addr || back.Key != m.Key {
-				t.Fatalf("redirectMsg round trip: %+v %v", back, err)
-			}
-		case fzReplicateMsg:
-			m, err := decodeReplicateMsg(body)
-			if err != nil {
-				return
-			}
-			back, err := decodeReplicateMsg(encodeReplicateMsg(m))
-			if err != nil || back.From != m.From || len(back.Records) != len(m.Records) {
-				t.Fatalf("replicateMsg round trip: %+v %v", back, err)
-			}
-			for i := range m.Records {
-				if back.Records[i] != m.Records[i] {
-					t.Fatalf("replicateMsg record %d: %+v != %+v", i, back.Records[i], m.Records[i])
-				}
-			}
-		case fzReplicateOK:
-			m, err := decodeReplicateOK(body)
-			if err != nil {
-				return
-			}
-			back, err := decodeReplicateOK(encodeReplicateOK(m))
-			if err != nil || back.Err != m.Err {
-				t.Fatalf("replicateOK round trip: %+v %v", back, err)
-			}
-		}
-	})
+func TestProtoToleratesNewerVersions(t *testing.T) { wiretest.Versions(t, messages()) }
+
+func TestHostileCounts(t *testing.T) {
+	wiretest.Hostile(t, messages(), func(b []byte, m wire.Message) error {
+		_, err := unmarshal(b, m, "hostile")
+		return err
+	}, ErrBadRequest)
 }
+
+func FuzzRingCodecs(f *testing.F) { wiretest.Fuzz(f, ringMessages()) }
+
+func FuzzProtoCodecs(f *testing.F) { wiretest.Fuzz(f, protoMessages()) }

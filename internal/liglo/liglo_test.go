@@ -159,13 +159,13 @@ func TestWrongHomeRejected(t *testing.T) {
 	// Simulate asking the wrong server directly.
 	req := &wire.Envelope{
 		Kind: wire.KindLigloLookup, ID: wire.NewMsgID(), TTL: 1,
-		Body: encodeLookupReq(&lookupReq{ID: doctored}),
+		Body: wire.Marshal(&lookupReq{ID: doctored}),
 	}
 	resp, err := cli.call("lookup", s2.Addr(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, _ := decodeLookupResp(resp.Body)
+	r, _ := unmarshal(resp.Body, new(lookupResp), "lookup reply")
 	if r.Err != ErrWrongHome.Error() {
 		t.Fatalf("wrong-home lookup err = %q", r.Err)
 	}
@@ -336,39 +336,6 @@ func TestClientAgainstClosedServer(t *testing.T) {
 	}
 	if err := srv.Close(); err != nil {
 		t.Fatalf("double close: %v", err)
-	}
-}
-
-func TestProtoRoundTrips(t *testing.T) {
-	rr, err := decodeRegisterReq(encodeRegisterReq(&registerReq{Addr: "a:1"}))
-	if err != nil || rr.Addr != "a:1" {
-		t.Fatalf("registerReq: %+v %v", rr, err)
-	}
-	resp := &registerResp{
-		ID:    wire.BPID{LIGLO: "l", Node: 9},
-		Peers: []PeerInfo{{ID: wire.BPID{LIGLO: "l", Node: 1}, Addr: "p:1"}},
-	}
-	gr, err := decodeRegisterResp(encodeRegisterResp(resp))
-	if err != nil || gr.ID != resp.ID || len(gr.Peers) != 1 || gr.Peers[0].Addr != "p:1" {
-		t.Fatalf("registerResp: %+v %v", gr, err)
-	}
-	jr, err := decodeRejoinReq(encodeRejoinReq(&rejoinReq{ID: resp.ID, Addr: "n"}))
-	if err != nil || jr.Addr != "n" || jr.ID != resp.ID {
-		t.Fatalf("rejoinReq: %+v %v", jr, err)
-	}
-	lr, err := decodeLookupResp(encodeLookupResp(&lookupResp{Found: true, Addr: "z", Online: true}))
-	if err != nil || !lr.Found || lr.Addr != "z" || !lr.Online {
-		t.Fatalf("lookupResp: %+v %v", lr, err)
-	}
-	for _, fn := range []func([]byte) error{
-		func(b []byte) error { _, err := decodeRegisterReq(b); return err },
-		func(b []byte) error { _, err := decodeRejoinReq(b); return err },
-		func(b []byte) error { _, err := decodeLookupReq(b); return err },
-		func(b []byte) error { _, err := decodeLookupResp(b); return err },
-	} {
-		if err := fn([]byte{0x81}); err == nil {
-			t.Fatal("garbage decoded")
-		}
 	}
 }
 

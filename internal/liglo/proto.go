@@ -24,6 +24,16 @@ var (
 	ErrWrongHome  = errors.New("liglo: BPID belongs to a different server")
 )
 
+// unmarshal parses b into m; what names the payload in the error, which
+// wraps ErrBadRequest.
+func unmarshal[M wire.Message](b []byte, m M, what string) (M, error) {
+	if err := wire.Unmarshal(b, m); err != nil {
+		var none M
+		return none, fmt.Errorf("%w: %s: %v", ErrBadRequest, what, err)
+	}
+	return m, nil
+}
+
 // PeerInfo pairs a member's identity with its last known address, as in
 // the (BPID, IP) pairs LIGLO hands a newly registered node.
 type PeerInfo struct {
@@ -31,10 +41,20 @@ type PeerInfo struct {
 	Addr string
 }
 
+// peerInfoFields describes a PeerInfo inside a payload. It is a function,
+// not a method: the facade re-exports PeerInfo, and the visitor is no
+// part of the public API.
+func peerInfoFields(p *PeerInfo, f *wire.Fields) {
+	f.BPID(&p.ID)
+	f.String(&p.Addr)
+}
+
 // registerReq asks for a BPID. Addr is the registrant's current address.
 type registerReq struct {
 	Addr string
 }
+
+func (r *registerReq) Fields(f *wire.Fields) { f.String(&r.Addr) }
 
 // registerResp carries the issued BPID and an initial direct-peer list.
 type registerResp struct {
@@ -43,10 +63,21 @@ type registerResp struct {
 	Peers []PeerInfo
 }
 
+func (r *registerResp) Fields(f *wire.Fields) {
+	f.String(&r.Err)
+	f.BPID(&r.ID)
+	wire.List(f, &r.Peers, wire.MaxFrameSize, peerInfoFields)
+}
+
 // rejoinReq reports a member's current address after reconnecting.
 type rejoinReq struct {
 	ID   wire.BPID
 	Addr string
+}
+
+func (r *rejoinReq) Fields(f *wire.Fields) {
+	f.BPID(&r.ID)
+	f.String(&r.Addr)
 }
 
 // rejoinResp acknowledges a rejoin.
@@ -54,10 +85,14 @@ type rejoinResp struct {
 	Err string
 }
 
+func (r *rejoinResp) Fields(f *wire.Fields) { f.String(&r.Err) }
+
 // lookupReq resolves a member's current address and status.
 type lookupReq struct {
 	ID wire.BPID
 }
+
+func (r *lookupReq) Fields(f *wire.Fields) { f.BPID(&r.ID) }
 
 // lookupResp answers a lookup. Online reflects the server's best
 // knowledge — members are not obliged to announce disconnects, so the
@@ -69,111 +104,11 @@ type lookupResp struct {
 	Online bool
 }
 
-func encodeRegisterReq(r *registerReq) []byte {
-	var e wire.Encoder
-	e.String(r.Addr)
-	return e.Bytes()
-}
-
-func decodeRegisterReq(b []byte) (*registerReq, error) {
-	d := wire.NewDecoder(b)
-	r := &registerReq{Addr: d.String()}
-	if err := d.Finish(); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
-	}
-	return r, nil
-}
-
-func encodeRegisterResp(r *registerResp) []byte {
-	var e wire.Encoder
-	e.String(r.Err)
-	e.BPID(r.ID)
-	e.Uvarint(uint64(len(r.Peers)))
-	for _, p := range r.Peers {
-		e.BPID(p.ID)
-		e.String(p.Addr)
-	}
-	return e.Bytes()
-}
-
-func decodeRegisterResp(b []byte) (*registerResp, error) {
-	d := wire.NewDecoder(b)
-	r := &registerResp{Err: d.String(), ID: d.BPID()}
-	n := d.Uvarint()
-	if n > uint64(wire.MaxFrameSize) {
-		return nil, ErrBadRequest
-	}
-	for i := uint64(0); i < n; i++ {
-		r.Peers = append(r.Peers, PeerInfo{ID: d.BPID(), Addr: d.String()})
-	}
-	if err := d.Finish(); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
-	}
-	return r, nil
-}
-
-func encodeRejoinReq(r *rejoinReq) []byte {
-	var e wire.Encoder
-	e.BPID(r.ID)
-	e.String(r.Addr)
-	return e.Bytes()
-}
-
-func decodeRejoinReq(b []byte) (*rejoinReq, error) {
-	d := wire.NewDecoder(b)
-	r := &rejoinReq{ID: d.BPID(), Addr: d.String()}
-	if err := d.Finish(); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
-	}
-	return r, nil
-}
-
-func encodeRejoinResp(r *rejoinResp) []byte {
-	var e wire.Encoder
-	e.String(r.Err)
-	return e.Bytes()
-}
-
-func decodeRejoinResp(b []byte) (*rejoinResp, error) {
-	d := wire.NewDecoder(b)
-	r := &rejoinResp{Err: d.String()}
-	if err := d.Finish(); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
-	}
-	return r, nil
-}
-
-func encodeLookupReq(r *lookupReq) []byte {
-	var e wire.Encoder
-	e.BPID(r.ID)
-	return e.Bytes()
-}
-
-func decodeLookupReq(b []byte) (*lookupReq, error) {
-	d := wire.NewDecoder(b)
-	r := &lookupReq{ID: d.BPID()}
-	if err := d.Finish(); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
-	}
-	return r, nil
-}
-
-func encodeLookupResp(r *lookupResp) []byte {
-	var e wire.Encoder
-	e.String(r.Err)
-	e.Bool(r.Found)
-	e.String(r.Addr)
-	e.Bool(r.Online)
-	return e.Bytes()
-}
-
-func decodeLookupResp(b []byte) (*lookupResp, error) {
-	d := wire.NewDecoder(b)
-	r := &lookupResp{Err: d.String(), Found: d.Bool(), Addr: d.String(), Online: d.Bool()}
-	if err := d.Finish(); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
-	}
-	return r, nil
+func (r *lookupResp) Fields(f *wire.Fields) {
+	f.String(&r.Err)
+	f.Bool(&r.Found)
+	f.String(&r.Addr)
+	f.Bool(&r.Online)
 }
 
 // deregisterReq announces a member's graceful leave: mark it offline
@@ -183,40 +118,14 @@ type deregisterReq struct {
 	ID wire.BPID
 }
 
+func (r *deregisterReq) Fields(f *wire.Fields) { f.BPID(&r.ID) }
+
 // deregisterResp acknowledges a deregistration.
 type deregisterResp struct {
 	Err string
 }
 
-func encodeDeregisterReq(r *deregisterReq) []byte {
-	var e wire.Encoder
-	e.BPID(r.ID)
-	return e.Bytes()
-}
-
-func decodeDeregisterReq(b []byte) (*deregisterReq, error) {
-	d := wire.NewDecoder(b)
-	r := &deregisterReq{ID: d.BPID()}
-	if err := d.Finish(); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
-	}
-	return r, nil
-}
-
-func encodeDeregisterResp(r *deregisterResp) []byte {
-	var e wire.Encoder
-	e.String(r.Err)
-	return e.Bytes()
-}
-
-func decodeDeregisterResp(b []byte) (*deregisterResp, error) {
-	d := wire.NewDecoder(b)
-	r := &deregisterResp{Err: d.String()}
-	if err := d.Finish(); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
-	}
-	return r, nil
-}
+func (r *deregisterResp) Fields(f *wire.Fields) { f.String(&r.Err) }
 
 // peersReq asks the server for a fresh list of online members, excluding
 // the requester — how a node replenishes its peer set after drops.
@@ -225,51 +134,18 @@ type peersReq struct {
 	Max  int
 }
 
+func (r *peersReq) Fields(f *wire.Fields) {
+	f.BPID(&r.Self)
+	f.Int(&r.Max)
+}
+
 // peersResp carries the peer list.
 type peersResp struct {
 	Err   string
 	Peers []PeerInfo
 }
 
-func encodePeersReq(r *peersReq) []byte {
-	var e wire.Encoder
-	e.BPID(r.Self)
-	e.Varint(int64(r.Max))
-	return e.Bytes()
-}
-
-func decodePeersReq(b []byte) (*peersReq, error) {
-	d := wire.NewDecoder(b)
-	r := &peersReq{Self: d.BPID(), Max: int(d.Varint())}
-	if err := d.Finish(); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
-	}
-	return r, nil
-}
-
-func encodePeersResp(r *peersResp) []byte {
-	var e wire.Encoder
-	e.String(r.Err)
-	e.Uvarint(uint64(len(r.Peers)))
-	for _, p := range r.Peers {
-		e.BPID(p.ID)
-		e.String(p.Addr)
-	}
-	return e.Bytes()
-}
-
-func decodePeersResp(b []byte) (*peersResp, error) {
-	d := wire.NewDecoder(b)
-	r := &peersResp{Err: d.String()}
-	n := d.Uvarint()
-	if n > uint64(wire.MaxFrameSize) {
-		return nil, ErrBadRequest
-	}
-	for i := uint64(0); i < n; i++ {
-		r.Peers = append(r.Peers, PeerInfo{ID: d.BPID(), Addr: d.String()})
-	}
-	if err := d.Finish(); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
-	}
-	return r, nil
+func (r *peersResp) Fields(f *wire.Fields) {
+	f.String(&r.Err)
+	wire.List(f, &r.Peers, wire.MaxFrameSize, peerInfoFields)
 }

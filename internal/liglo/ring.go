@@ -107,7 +107,7 @@ func (s *Server) routeID(id wire.BPID) (int, chord.NodeRef, chord.Key, error) {
 func (s *Server) redirectReply(op string, owner chord.NodeRef, key chord.Key) *wire.Envelope {
 	s.redirects.Inc()
 	s.cfg.Journal.Append(obs.Event{Kind: obs.EvRingRedirected, Peer: owner.Addr, Reason: op})
-	return reply(wire.KindRingRedirect, encodeRedirectMsg(&redirectMsg{
+	return reply(wire.KindRingRedirect, wire.Marshal(&redirectMsg{
 		Version: ringRedirectVersion, Addr: owner.Addr, Key: uint64(key),
 	}))
 }
@@ -118,7 +118,7 @@ func (s *Server) foreignRejoin(r *rejoinReq) *wire.Envelope {
 	defer s.mu.Unlock()
 	rec, ok := s.foreign[r.ID.String()]
 	if !ok {
-		return reply(wire.KindLigloStatus, encodeRejoinResp(&rejoinResp{Err: ErrUnknown.Error()}))
+		return reply(wire.KindLigloStatus, wire.Marshal(&rejoinResp{Err: ErrUnknown.Error()}))
 	}
 	rec.Addr = r.Addr
 	rec.Online = true
@@ -126,7 +126,7 @@ func (s *Server) foreignRejoin(r *rejoinReq) *wire.Envelope {
 	s.foreign[r.ID.String()] = rec
 	s.rejoins.Inc()
 	s.cfg.Journal.Append(obs.Event{Kind: obs.EvMemberOnline, Peer: r.Addr, Reason: "rejoin"})
-	return reply(wire.KindLigloStatus, encodeRejoinResp(&rejoinResp{}))
+	return reply(wire.KindLigloStatus, wire.Marshal(&rejoinResp{}))
 }
 
 // foreignLookup serves a lookup from the replica table.
@@ -136,9 +136,9 @@ func (s *Server) foreignLookup(r *lookupReq) *wire.Envelope {
 	s.lookups.Inc()
 	rec, ok := s.foreign[r.ID.String()]
 	if !ok {
-		return reply(wire.KindLigloStatus, encodeLookupResp(&lookupResp{Found: false}))
+		return reply(wire.KindLigloStatus, wire.Marshal(&lookupResp{Found: false}))
 	}
-	return reply(wire.KindLigloStatus, encodeLookupResp(&lookupResp{
+	return reply(wire.KindLigloStatus, wire.Marshal(&lookupResp{
 		Found: true, Addr: rec.Addr, Online: rec.Online,
 	}))
 }
@@ -149,7 +149,7 @@ func (s *Server) foreignDeregister(r *deregisterReq) *wire.Envelope {
 	rec, ok := s.foreign[r.ID.String()]
 	if !ok {
 		s.mu.Unlock()
-		return reply(wire.KindLigloStatus, encodeDeregisterResp(&deregisterResp{Err: ErrUnknown.Error()}))
+		return reply(wire.KindLigloStatus, wire.Marshal(&deregisterResp{Err: ErrUnknown.Error()}))
 	}
 	rec.Online = false
 	rec.Departed = true
@@ -158,7 +158,7 @@ func (s *Server) foreignDeregister(r *deregisterReq) *wire.Envelope {
 	s.mu.Unlock()
 	s.deregisters.Inc()
 	s.cfg.Journal.Append(obs.Event{Kind: obs.EvMemberDeregistered, Peer: addr})
-	return reply(wire.KindLigloStatus, encodeDeregisterResp(&deregisterResp{}))
+	return reply(wire.KindLigloStatus, wire.Marshal(&deregisterResp{}))
 }
 
 // handleReplicate folds a replication batch into the replica table.
@@ -173,7 +173,7 @@ func (s *Server) handleReplicate(m *replicateMsg) *wire.Envelope {
 		s.foreign[r.ID.String()] = r
 	}
 	s.mu.Unlock()
-	return reply(wire.KindRingReplicateOK, encodeReplicateOK(&replicateOK{Version: ringReplicateVersion}))
+	return reply(wire.KindRingReplicateOK, wire.Marshal(&replicateOK{Version: ringReplicateVersion}))
 }
 
 // snapshotRecords collects everything this server can vouch for: its
@@ -240,7 +240,7 @@ func (s *Server) replicateTo(addr string, records []RingRecord) error {
 	defer conn.Close()
 	conn.SetDeadline(time.Now().Add(5 * time.Second))
 	wc := wire.NewConn(conn)
-	req := reply(wire.KindRingReplicate, encodeReplicateMsg(&replicateMsg{
+	req := reply(wire.KindRingReplicate, wire.Marshal(&replicateMsg{
 		Version: ringReplicateVersion, From: s.Addr(), Records: records,
 	}))
 	if err := wc.Send(req); err != nil {
@@ -253,7 +253,7 @@ func (s *Server) replicateTo(addr string, records []RingRecord) error {
 	if resp.Kind != wire.KindRingReplicateOK {
 		return ErrBadRequest
 	}
-	m, err := decodeReplicateOK(resp.Body)
+	m, err := unmarshal(resp.Body, new(replicateOK), "replicate-ok")
 	if err != nil {
 		return err
 	}

@@ -121,12 +121,12 @@ func TestRingPartitionsResolution(t *testing.T) {
 	}
 
 	// A server that does not own a key must redirect to the one that does.
-	req := reply(wire.KindLigloLookup, encodeLookupReq(&lookupReq{ID: ids[0]}))
+	req := reply(wire.KindLigloLookup, wire.Marshal(&lookupReq{ID: ids[0]}))
 	resp := rawExchange(t, nw, servers[1].Addr(), req)
 	if resp.Kind != wire.KindRingRedirect {
 		t.Fatalf("lookup of %v at %s: kind = %v, want redirect", ids[0], servers[1].Addr(), resp.Kind)
 	}
-	m, err := decodeRedirectMsg(resp.Body)
+	m, err := unmarshal(resp.Body, new(redirectMsg), "redirect")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,14 +1,10 @@
 package liglo
 
-import (
-	"fmt"
-
-	"bestpeer/internal/wire"
-)
+import "bestpeer/internal/wire"
 
 // Ring-mode payload versions this build emits. Both bodies lead with a
-// version field so they can grow without new kinds: decoders tolerate
-// trailing bytes from newer senders (the Depart precedent).
+// version field so they can grow without new kinds: trailing bytes from
+// a newer sender are tolerated (wire.Fields.Version; the Depart precedent).
 const (
 	ringRedirectVersion  = 1
 	ringReplicateVersion = 1
@@ -25,29 +21,10 @@ type redirectMsg struct {
 	Key     uint64 // the BPID's ring position, for diagnostics
 }
 
-func encodeRedirectMsg(m *redirectMsg) []byte {
-	var e wire.Encoder
-	e.Uvarint(m.Version)
-	e.String(m.Addr)
-	e.Uvarint(m.Key)
-	return e.Bytes()
-}
-
-func decodeRedirectMsg(b []byte) (*redirectMsg, error) {
-	d := wire.NewDecoder(b)
-	m := &redirectMsg{Version: d.Uvarint()}
-	m.Addr = d.String()
-	m.Key = d.Uvarint()
-	if m.Version > ringRedirectVersion {
-		if err := d.Err(); err != nil {
-			return nil, fmt.Errorf("%w: redirect: %v", ErrBadRequest, err)
-		}
-		return m, nil
-	}
-	if err := d.Finish(); err != nil {
-		return nil, fmt.Errorf("%w: redirect: %v", ErrBadRequest, err)
-	}
-	return m, nil
+func (m *redirectMsg) Fields(f *wire.Fields) {
+	f.Version(&m.Version, ringRedirectVersion)
+	f.String(&m.Addr)
+	f.Uvarint(&m.Key)
 }
 
 // RingRecord is one replicated member entry: the full resolution state a
@@ -59,15 +36,12 @@ type RingRecord struct {
 	Departed bool
 }
 
-func encodeRingRecord(e *wire.Encoder, r RingRecord) {
-	e.BPID(r.ID)
-	e.String(r.Addr)
-	e.Bool(r.Online)
-	e.Bool(r.Departed)
-}
-
-func decodeRingRecord(d *wire.Decoder) RingRecord {
-	return RingRecord{ID: d.BPID(), Addr: d.String(), Online: d.Bool(), Departed: d.Bool()}
+// Fields describes a record as it travels inside a replication batch.
+func (r *RingRecord) Fields(f *wire.Fields) {
+	f.BPID(&r.ID)
+	f.String(&r.Addr)
+	f.Bool(&r.Online)
+	f.Bool(&r.Departed)
 }
 
 // replicateMsg (KindRingReplicate) ships member records to a successor —
@@ -79,38 +53,10 @@ type replicateMsg struct {
 	Records []RingRecord
 }
 
-func encodeReplicateMsg(m *replicateMsg) []byte {
-	var e wire.Encoder
-	e.Uvarint(m.Version)
-	e.String(m.From)
-	e.Uvarint(uint64(len(m.Records)))
-	for _, r := range m.Records {
-		encodeRingRecord(&e, r)
-	}
-	return e.Bytes()
-}
-
-func decodeReplicateMsg(b []byte) (*replicateMsg, error) {
-	d := wire.NewDecoder(b)
-	m := &replicateMsg{Version: d.Uvarint()}
-	m.From = d.String()
-	n := d.Uvarint()
-	if n > maxRingRecords {
-		return nil, fmt.Errorf("%w: replicate: %d records", ErrBadRequest, n)
-	}
-	for i := uint64(0); i < n; i++ {
-		m.Records = append(m.Records, decodeRingRecord(d))
-	}
-	if m.Version > ringReplicateVersion {
-		if err := d.Err(); err != nil {
-			return nil, fmt.Errorf("%w: replicate: %v", ErrBadRequest, err)
-		}
-		return m, nil
-	}
-	if err := d.Finish(); err != nil {
-		return nil, fmt.Errorf("%w: replicate: %v", ErrBadRequest, err)
-	}
-	return m, nil
+func (m *replicateMsg) Fields(f *wire.Fields) {
+	f.Version(&m.Version, ringReplicateVersion)
+	f.String(&m.From)
+	wire.List(f, &m.Records, maxRingRecords, (*RingRecord).Fields)
 }
 
 // replicateOK (KindRingReplicateOK) acknowledges a replication batch.
@@ -119,25 +65,7 @@ type replicateOK struct {
 	Err     string
 }
 
-func encodeReplicateOK(m *replicateOK) []byte {
-	var e wire.Encoder
-	e.Uvarint(m.Version)
-	e.String(m.Err)
-	return e.Bytes()
-}
-
-func decodeReplicateOK(b []byte) (*replicateOK, error) {
-	d := wire.NewDecoder(b)
-	m := &replicateOK{Version: d.Uvarint()}
-	m.Err = d.String()
-	if m.Version > ringReplicateVersion {
-		if err := d.Err(); err != nil {
-			return nil, fmt.Errorf("%w: replicate-ok: %v", ErrBadRequest, err)
-		}
-		return m, nil
-	}
-	if err := d.Finish(); err != nil {
-		return nil, fmt.Errorf("%w: replicate-ok: %v", ErrBadRequest, err)
-	}
-	return m, nil
+func (m *replicateOK) Fields(f *wire.Fields) {
+	f.Version(&m.Version, ringReplicateVersion)
+	f.String(&m.Err)
 }

@@ -254,31 +254,31 @@ func (s *Server) handleConn(conn net.Conn) {
 func (s *Server) dispatch(req *wire.Envelope) *wire.Envelope {
 	switch req.Kind {
 	case wire.KindLigloRegister:
-		r, err := decodeRegisterReq(req.Body)
+		r, err := unmarshal(req.Body, new(registerReq), "register")
 		if err != nil {
 			return nil
 		}
 		return s.handleRegister(r)
 	case wire.KindLigloRejoin:
-		r, err := decodeRejoinReq(req.Body)
+		r, err := unmarshal(req.Body, new(rejoinReq), "rejoin")
 		if err != nil {
 			return nil
 		}
 		return s.handleRejoin(r)
 	case wire.KindLigloLookup:
-		r, err := decodeLookupReq(req.Body)
+		r, err := unmarshal(req.Body, new(lookupReq), "lookup")
 		if err != nil {
 			return nil
 		}
 		return s.handleLookup(r)
 	case wire.KindLigloPeers:
-		r, err := decodePeersReq(req.Body)
+		r, err := unmarshal(req.Body, new(peersReq), "peers")
 		if err != nil {
 			return nil
 		}
 		return s.handlePeers(r)
 	case wire.KindLigloDeregister:
-		r, err := decodeDeregisterReq(req.Body)
+		r, err := unmarshal(req.Body, new(deregisterReq), "deregister")
 		if err != nil {
 			return nil
 		}
@@ -292,7 +292,7 @@ func (s *Server) dispatch(req *wire.Envelope) *wire.Envelope {
 		if s.ring == nil {
 			return nil
 		}
-		m, err := decodeReplicateMsg(req.Body)
+		m, err := unmarshal(req.Body, new(replicateMsg), "replicate")
 		if err != nil {
 			return nil
 		}
@@ -312,7 +312,7 @@ func (s *Server) handleRegister(r *registerReq) *wire.Envelope {
 
 	if s.cfg.Capacity > 0 && len(s.members) >= s.cfg.Capacity {
 		s.rejected.Inc()
-		return reply(wire.KindLigloRegisterd, encodeRegisterResp(&registerResp{Err: ErrFull.Error()}))
+		return reply(wire.KindLigloRegisterd, wire.Marshal(&registerResp{Err: ErrFull.Error()}))
 	}
 	s.nextID++
 	m := &member{node: s.nextID, addr: r.Addr, online: true, lastSeen: time.Now()}
@@ -321,7 +321,7 @@ func (s *Server) handleRegister(r *registerReq) *wire.Envelope {
 	s.registers.Inc()
 	s.cfg.Journal.Append(obs.Event{Kind: obs.EvMemberRegistered, Peer: r.Addr})
 
-	return reply(wire.KindLigloRegisterd, encodeRegisterResp(&registerResp{
+	return reply(wire.KindLigloRegisterd, wire.Marshal(&registerResp{
 		ID:    wire.BPID{LIGLO: s.Addr(), Node: m.node},
 		Peers: peers,
 	}))
@@ -378,7 +378,7 @@ func (s *Server) peerListLocked(exclude uint64) []PeerInfo {
 func (s *Server) handleRejoin(r *rejoinReq) *wire.Envelope {
 	where, owner, key, err := s.routeID(r.ID)
 	if err != nil {
-		return reply(wire.KindLigloStatus, encodeRejoinResp(&rejoinResp{Err: err.Error()}))
+		return reply(wire.KindLigloStatus, wire.Marshal(&rejoinResp{Err: err.Error()}))
 	}
 	switch where {
 	case routeForeign:
@@ -390,7 +390,7 @@ func (s *Server) handleRejoin(r *rejoinReq) *wire.Envelope {
 	defer s.mu.Unlock()
 	m, ok := s.members[r.ID.Node]
 	if !ok {
-		return reply(wire.KindLigloStatus, encodeRejoinResp(&rejoinResp{Err: ErrUnknown.Error()}))
+		return reply(wire.KindLigloStatus, wire.Marshal(&rejoinResp{Err: ErrUnknown.Error()}))
 	}
 	cameBack := !m.online
 	m.addr = r.Addr
@@ -401,7 +401,7 @@ func (s *Server) handleRejoin(r *rejoinReq) *wire.Envelope {
 	if cameBack {
 		s.cfg.Journal.Append(obs.Event{Kind: obs.EvMemberOnline, Peer: r.Addr, Reason: "rejoin"})
 	}
-	return reply(wire.KindLigloStatus, encodeRejoinResp(&rejoinResp{}))
+	return reply(wire.KindLigloStatus, wire.Marshal(&rejoinResp{}))
 }
 
 // handleDeregister marks a member offline immediately on its own say-so —
@@ -413,7 +413,7 @@ func (s *Server) handleRejoin(r *rejoinReq) *wire.Envelope {
 func (s *Server) handleDeregister(r *deregisterReq) *wire.Envelope {
 	where, owner, key, err := s.routeID(r.ID)
 	if err != nil {
-		return reply(wire.KindLigloStatus, encodeDeregisterResp(&deregisterResp{Err: err.Error()}))
+		return reply(wire.KindLigloStatus, wire.Marshal(&deregisterResp{Err: err.Error()}))
 	}
 	switch where {
 	case routeForeign:
@@ -425,7 +425,7 @@ func (s *Server) handleDeregister(r *deregisterReq) *wire.Envelope {
 	m, ok := s.members[r.ID.Node]
 	if !ok {
 		s.mu.Unlock()
-		return reply(wire.KindLigloStatus, encodeDeregisterResp(&deregisterResp{Err: ErrUnknown.Error()}))
+		return reply(wire.KindLigloStatus, wire.Marshal(&deregisterResp{Err: ErrUnknown.Error()}))
 	}
 	wasOnline := m.online
 	m.online = false
@@ -438,13 +438,13 @@ func (s *Server) handleDeregister(r *deregisterReq) *wire.Envelope {
 	if wasOnline {
 		s.cfg.Journal.Append(obs.Event{Kind: obs.EvMemberOffline, Peer: addr, Reason: "deregister"})
 	}
-	return reply(wire.KindLigloStatus, encodeDeregisterResp(&deregisterResp{}))
+	return reply(wire.KindLigloStatus, wire.Marshal(&deregisterResp{}))
 }
 
 func (s *Server) handleLookup(r *lookupReq) *wire.Envelope {
 	where, owner, key, err := s.routeID(r.ID)
 	if err != nil {
-		return reply(wire.KindLigloStatus, encodeLookupResp(&lookupResp{Err: err.Error()}))
+		return reply(wire.KindLigloStatus, wire.Marshal(&lookupResp{Err: err.Error()}))
 	}
 	switch where {
 	case routeForeign:
@@ -457,9 +457,9 @@ func (s *Server) handleLookup(r *lookupReq) *wire.Envelope {
 	s.lookups.Inc()
 	m, ok := s.members[r.ID.Node]
 	if !ok {
-		return reply(wire.KindLigloStatus, encodeLookupResp(&lookupResp{Found: false}))
+		return reply(wire.KindLigloStatus, wire.Marshal(&lookupResp{Found: false}))
 	}
-	return reply(wire.KindLigloStatus, encodeLookupResp(&lookupResp{
+	return reply(wire.KindLigloStatus, wire.Marshal(&lookupResp{
 		Found:  true,
 		Addr:   m.addr,
 		Online: m.online,
@@ -482,7 +482,7 @@ func (s *Server) handlePeers(r *peersReq) *wire.Envelope {
 	}
 	peers := s.peerListLocked(exclude)
 	s.cfg.InitialPeers = saved
-	return reply(wire.KindLigloPeersList, encodePeersResp(&peersResp{Peers: peers}))
+	return reply(wire.KindLigloPeersList, wire.Marshal(&peersResp{Peers: peers}))
 }
 
 // probeLoop periodically validates member addresses — members are not

@@ -21,7 +21,7 @@ import (
 //
 //	collected(member) + missed(member) == journal.Total(member)
 func TestChaosSnapshotAccountsForLoss(t *testing.T) {
-	const n = 4
+	const n, journalCapacity = 4, 8
 	fab := faultnet.New(transport.NewInProc(), 11)
 	nodes := make([]*core.Node, n)
 	admins := make([]string, n)
@@ -42,7 +42,7 @@ func TestChaosSnapshotAccountsForLoss(t *testing.T) {
 			MaxPeers:   8,
 			// Tiny ring: the run MUST overflow, so the test exercises the
 			// missed-event accounting, not just the happy path.
-			JournalCapacity: 8,
+			JournalCapacity: journalCapacity,
 			Transport: transport.Options{
 				DialTimeout:   250 * time.Millisecond,
 				WriteTimeout:  250 * time.Millisecond,
@@ -74,8 +74,22 @@ func TestChaosSnapshotAccountsForLoss(t *testing.T) {
 		})
 	}
 
+	// Queries flow until some journal has overflowed: how many that takes
+	// depends on what the drops let through, so it is a condition, not a
+	// count (three rounds, then as many more as needed, bounded).
+	overflown := func() bool {
+		for _, node := range nodes {
+			if node.Journal().Total() > journalCapacity {
+				return true
+			}
+		}
+		return false
+	}
 	fab.SetConfig(faultnet.Config{DropProb: 0.25})
-	for round := 0; round < 3; round++ {
+	for round := 0; round < 3 || !overflown(); round++ {
+		if round == 30 {
+			t.Fatal("no journal overflowed in 30 query rounds")
+		}
 		if _, err := nodes[round%n].Query(&agent.KeywordAgent{Query: "music"}, core.QueryOptions{
 			Timeout: 2 * time.Second, WaitAnswers: 2,
 		}); err != nil {

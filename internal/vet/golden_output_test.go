@@ -40,7 +40,7 @@ func fixtureOutput(pkg *Package, a Analyzer) string {
 func TestFixtureGolden(t *testing.T) {
 	names := []string{
 		"lockedsend", "nakedgo", "blockingsend", "busypoll", "droppederr", "ttlpair",
-		"statsdrift", "eventdrift", "lockorder", "goleak", "codecdrift",
+		"statsdrift", "eventdrift", "lockorder", "goleak",
 	}
 	fixtures := loadFixtures(t, names...)
 	for _, name := range names {

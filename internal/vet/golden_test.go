@@ -66,7 +66,7 @@ func wantsOf(pkg *Package) map[string]*regexp.Regexp {
 func TestAnalyzersGolden(t *testing.T) {
 	names := []string{
 		"lockedsend", "nakedgo", "blockingsend", "busypoll", "droppederr", "ttlpair",
-		"statsdrift", "eventdrift", "lockorder", "goleak", "codecdrift",
+		"statsdrift", "eventdrift", "lockorder", "goleak",
 	}
 	fixtures := loadFixtures(t, names...)
 	for _, name := range names {
@@ -209,7 +209,7 @@ func TestMalformedIgnores(t *testing.T) {
 func TestSuiteNames(t *testing.T) {
 	want := []string{
 		"lockedsend", "nakedgo", "blockingsend", "busypoll", "droppederr", "ttlpair",
-		"statsdrift", "eventdrift", "lockorder", "goleak", "codecdrift",
+		"statsdrift", "eventdrift", "lockorder", "goleak",
 	}
 	all := All()
 	if len(all) != len(want) {

@@ -17,7 +17,6 @@ import (
 type Package struct {
 	Fset  *token.FileSet
 	Path  string // import path within the module
-	Dir   string
 	Files []*ast.File
 	Types *types.Package
 	Info  *types.Info
@@ -232,7 +231,6 @@ func (l *loader) loadDir(dir string) (*Package, error) {
 	pkg := &Package{
 		Fset:  l.fset,
 		Path:  importPath,
-		Dir:   dir,
 		Files: files,
 		Types: tpkg,
 		Info:  info,

@@ -124,7 +124,6 @@ func All() []Analyzer {
 		eventdrift{},
 		lockorder{},
 		goleak{},
-		codecdrift{},
 	}
 }
 

@@ -74,26 +74,11 @@ func EncodeEnvelope(e *Envelope) ([]byte, error) {
 	}
 	// Each extension is encoded once: the emitted bytes are what is
 	// length-checked.
-	var trace, span, qroute []byte
-	size := envelopeHeaderSize + len(e.From) + len(e.To) + len(e.Body)
-	if e.Trace != nil {
-		if trace = encodeTraceContext(e.Trace); len(trace) > math.MaxUint16 {
-			return nil, fmt.Errorf("%w: trace extension too large", ErrBadFrame)
-		}
-		size += extHeaderSize + len(trace)
+	trace, span, qroute := e.extPayloads()
+	if max(len(trace), len(span), len(qroute)) > math.MaxUint16 {
+		return nil, fmt.Errorf("%w: extension too large", ErrBadFrame)
 	}
-	if e.Span != nil {
-		if span = encodeTraceSpan(e.Span); len(span) > math.MaxUint16 {
-			return nil, fmt.Errorf("%w: span extension too large", ErrBadFrame)
-		}
-		size += extHeaderSize + len(span)
-	}
-	if e.QRoute != nil {
-		if qroute = encodeQRoute(e.QRoute); len(qroute) > math.MaxUint16 {
-			return nil, fmt.Errorf("%w: qroute extension too large", ErrBadFrame)
-		}
-		size += extHeaderSize + len(qroute)
-	}
+	size := e.wireSize(trace, span, qroute)
 	// The body is laid out behind the reserved header, so a frame that
 	// travels stored is finished in place.
 	frame := encodeBody(make([]byte, frameHeaderSize, frameHeaderSize+size), e, trace, span, qroute)
@@ -254,27 +239,26 @@ func decodeBody(raw []byte) (*Envelope, error) {
 		}
 		payload := raw[p : p+en]
 		p += en
+		// The calls are concrete so that f stays on the stack: through
+		// the Message interface it would cost every traced frame an
+		// allocation (allocbudget_test.go).
+		var f Fields
+		f.decode(payload)
 		switch tag {
 		case extTrace:
-			tc, err := decodeTraceContext(payload)
-			if err != nil {
-				return nil, fmt.Errorf("%w: trace extension: %v", ErrBadFrame, err)
-			}
-			e.Trace = tc
+			e.Trace = new(TraceContext)
+			e.Trace.Fields(&f)
 		case extSpan:
-			s, err := decodeTraceSpan(payload)
-			if err != nil {
-				return nil, fmt.Errorf("%w: span extension: %v", ErrBadFrame, err)
-			}
-			e.Span = s
+			e.Span = new(TraceSpan)
+			e.Span.Fields(&f)
 		case extQRoute:
-			q, err := decodeQRoute(payload)
-			if err != nil {
-				return nil, fmt.Errorf("%w: qroute extension: %v", ErrBadFrame, err)
-			}
-			e.QRoute = q
+			e.QRoute = new(QRoute)
+			e.QRoute.Fields(&f)
 		default:
-			// Unknown extension: tolerated and dropped.
+			continue // unknown extension: tolerated and dropped
+		}
+		if err := f.finish(); err != nil {
+			return nil, fmt.Errorf("%w: extension %d: %v", ErrBadFrame, tag, err)
 		}
 	}
 	return e, nil

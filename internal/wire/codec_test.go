@@ -15,16 +15,7 @@ import (
 // rawBody is the envelope's body as EncodeEnvelope lays it out, before
 // framing and compression.
 func rawBody(e *Envelope) []byte {
-	var trace, span, qroute []byte
-	if e.Trace != nil {
-		trace = encodeTraceContext(e.Trace)
-	}
-	if e.Span != nil {
-		span = encodeTraceSpan(e.Span)
-	}
-	if e.QRoute != nil {
-		qroute = encodeQRoute(e.QRoute)
-	}
+	trace, span, qroute := e.extPayloads()
 	return encodeBody(nil, e, trace, span, qroute)
 }
 
@@ -413,7 +404,7 @@ func TestTruncatedExtensionRejected(t *testing.T) {
 	// frames — extensions are optional — so only mid-record cuts must
 	// be rejected.
 	boundary := map[int]bool{
-		fixed + extHeaderSize + len(encodeTraceContext(e.Trace)): true,
+		fixed + extHeaderSize + len(Marshal(e.Trace)): true,
 	}
 	for cut := fixed + 1; cut < len(raw); cut++ {
 		if boundary[cut] {

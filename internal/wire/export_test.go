@@ -44,10 +44,3 @@ func ReferenceEncode(e *Envelope) []byte {
 	}
 	return StoredFrame(raw)
 }
-
-// The extension payload encoders, for payloads_test.go.
-var (
-	EncodeTraceContext = encodeTraceContext
-	EncodeTraceSpan    = encodeTraceSpan
-	EncodeQRoute       = encodeQRoute
-)

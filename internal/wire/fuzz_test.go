@@ -43,7 +43,7 @@ func FuzzDecodeEnvelope(f *testing.F) {
 	// the decoder must skip it and keep every legacy field.
 	oldView := append([]byte(nil), routed...)
 	if oldView[4] == 0 { // uncompressed: the qroute record is last
-		oldView[len(oldView)-len(encodeQRoute(q))-extHeaderSize] = 200
+		oldView[len(oldView)-len(Marshal(q))-extHeaderSize] = 200
 	}
 	f.Add(oldView)
 	f.Add([]byte{})

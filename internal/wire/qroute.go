@@ -19,22 +19,9 @@ type QRoute struct {
 	Epoch uint64 `json:"epoch,omitempty"`
 }
 
-// encodeQRoute serializes the extension for the codec's qroute field.
-func encodeQRoute(q *QRoute) []byte {
-	var e Encoder
-	e.String(q.Via)
-	e.Bool(q.Cached)
-	e.Uvarint(q.Epoch)
-	return e.Bytes()
-}
-
-func decodeQRoute(payload []byte) (*QRoute, error) {
-	d := NewDecoder(payload)
-	q := &QRoute{Via: d.String()}
-	q.Cached = d.Bool()
-	q.Epoch = d.Uvarint()
-	if err := d.Finish(); err != nil {
-		return nil, err
-	}
-	return q, nil
+// Fields describes the payload of the codec's qroute extension.
+func (q *QRoute) Fields(f *Fields) {
+	f.String(&q.Via)
+	f.Bool(&q.Cached)
+	f.Uvarint(&q.Epoch)
 }

@@ -38,49 +38,20 @@ type TraceSpan struct {
 	Drop string `json:"drop,omitempty"`
 }
 
-// encodeTraceContext serializes the context for the codec's trace
-// extension field.
-func encodeTraceContext(tc *TraceContext) []byte {
-	var e Encoder
-	e.MsgID(tc.QueryID)
-	e.String(tc.Base)
-	return e.Bytes()
+// Fields describes the payload of the codec's trace extension.
+func (tc *TraceContext) Fields(f *Fields) {
+	f.MsgID(&tc.QueryID)
+	f.String(&tc.Base)
 }
 
-func decodeTraceContext(payload []byte) (*TraceContext, error) {
-	d := NewDecoder(payload)
-	tc := &TraceContext{QueryID: d.MsgID(), Base: d.String()}
-	if err := d.Finish(); err != nil {
-		return nil, err
-	}
-	return tc, nil
-}
-
-// encodeTraceSpan serializes a span for the codec's span extension field.
-func encodeTraceSpan(s *TraceSpan) []byte {
-	var e Encoder
-	e.String(s.Peer)
-	e.String(s.Parent)
-	e.Varint(int64(s.Hop))
-	e.Varint(s.WaitNS)
-	e.Varint(s.ExecNS)
-	e.Varint(int64(s.Matches))
-	e.Varint(int64(s.FanOut))
-	e.String(s.Drop)
-	return e.Bytes()
-}
-
-func decodeTraceSpan(payload []byte) (*TraceSpan, error) {
-	d := NewDecoder(payload)
-	s := &TraceSpan{Peer: d.String(), Parent: d.String()}
-	s.Hop = int(d.Varint())
-	s.WaitNS = d.Varint()
-	s.ExecNS = d.Varint()
-	s.Matches = int(d.Varint())
-	s.FanOut = int(d.Varint())
-	s.Drop = d.String()
-	if err := d.Finish(); err != nil {
-		return nil, err
-	}
-	return s, nil
+// Fields describes the payload of the codec's span extension.
+func (s *TraceSpan) Fields(f *Fields) {
+	f.String(&s.Peer)
+	f.String(&s.Parent)
+	f.Int(&s.Hop)
+	f.Int64(&s.WaitNS)
+	f.Int64(&s.ExecNS)
+	f.Int(&s.Matches)
+	f.Int(&s.FanOut)
+	f.String(&s.Drop)
 }
