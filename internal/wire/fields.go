@@ -123,8 +123,11 @@ func (f *Fields) MsgID(p *MsgID) {
 
 // BPID visits a BestPeer identity.
 func (f *Fields) BPID(p *BPID) {
-	f.String(&p.LIGLO)
-	f.Uvarint(&p.Node)
+	if f.decoding {
+		*p = f.dec.BPID()
+	} else {
+		f.enc.BPID(*p)
+	}
 }
 
 // Strings visits a list of strings bounded only by the frame size.

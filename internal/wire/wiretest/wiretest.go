@@ -13,6 +13,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -207,12 +208,14 @@ func Hostile(t *testing.T, cases []Case, unmarshal func([]byte, wire.Message) er
 			// inflated is taken again.
 			var before, after runtime.MemStats
 			var err error
-			for try := 0; try < 3 && (try == 0 || after.TotalAlloc-before.TotalAlloc > 4<<10); try++ {
+			cost := uint64(math.MaxUint64)
+			for try := 0; try < 3 && cost > 4<<10; try++ {
 				runtime.ReadMemStats(&before)
 				err = unmarshal(body, m)
 				runtime.ReadMemStats(&after)
+				cost = after.TotalAlloc - before.TotalAlloc
 			}
-			switch cost := after.TotalAlloc - before.TotalAlloc; {
+			switch {
 			case cost > 4<<10:
 				t.Errorf("%s: body %x cost %d B", c.Name, body, cost)
 			case err == nil && len(wire.Marshal(m)) > len(body):
