@@ -37,10 +37,10 @@ type bpSim struct {
 	qr *qroute.Engine
 
 	// Per-round state.
-	seen    []bool
-	events  []Event
-	baseAt  string
-	started time.Duration
+	seen   []bool
+	events []Event
+	baseAt string
+	mark   trafficMark
 
 	// journal, when set, receives the base node's structured events —
 	// the same pipeline a live node feeds — so the convergence timeline
@@ -81,22 +81,18 @@ func nodeFromBody(b []byte) int {
 
 func newBPSim(tp *topology.Topology, p Params) *bpSim {
 	p = p.withDefaults()
-	s := netsim.NewSim()
-	net := netsim.NewNetwork(s, netsim.Link{Latency: p.Cost.Latency, Bandwidth: p.Cost.Bandwidth})
-	net.UseSharedMedium()
 	b := &bpSim{
-		p: p, tp: tp, sim: s, net: net,
+		p: p, tp: tp,
 		peers:      make([][]int, tp.N),
 		classReady: make([]bool, tp.N),
 		wantQueued: make([][]int, tp.N),
 		baseAt:     nodeAddr(tp.Base),
 	}
+	b.net = newSimNet(tp, p.Cost, p.Threads, b.handle)
+	b.sim = b.net.Sim()
 	for i := 0; i < tp.N; i++ {
 		b.peers[i] = append([]int(nil), tp.Peers(i)...)
 		b.classReady[i] = !p.ColdStart // standard classes ship with the node software
-		i := i
-		h := net.AddHost(nodeAddr(i), netsim.HostConfig{Threads: p.Threads})
-		h.SetHandler(func(env *wire.Envelope) { b.handle(i, env) })
 	}
 	b.classReady[tp.Base] = true // the base originates the agent class
 	b.qr = qroute.NewEngine(p.QRoute, nil)
@@ -135,7 +131,7 @@ func (b *bpSim) handle(node int, env *wire.Envelope) {
 					Node:    origin,
 					Answers: hits,
 					Hops:    int(env.Hops),
-					At:      b.sim.Now() - b.started,
+					At:      b.sim.Now() - b.mark.started,
 				})
 				b.journal.Append(obs.Event{
 					Kind:  obs.EvAgentAnswered,
@@ -312,13 +308,12 @@ func (b *bpSim) runRound() RunResult {
 	b.seen = make([]bool, b.tp.N)
 	b.seen[b.tp.Base] = true
 	b.events = nil
-	b.started = b.sim.Now()
+	b.mark = markTraffic(b.net)
 	var qid wire.MsgID
 	binary.BigEndian.PutUint64(qid[:8], uint64(b.p.Spec.Seed))
 	binary.BigEndian.PutUint64(qid[8:], b.rounds)
 	b.rounds++
 	b.qid = qid.String()
-	msgs0, bytes0, sent0 := b.net.MsgsDelivered, b.net.BytesDelivered, b.net.MsgsSent
 
 	ttl := uint8(clampHops(b.p.TTL))
 	targets := b.peers[b.tp.Base]
@@ -390,20 +385,7 @@ func (b *bpSim) runRound() RunResult {
 	}
 	b.sim.Run()
 
-	res := RunResult{
-		Events:   append([]Event(nil), b.events...),
-		Msgs:     b.net.MsgsDelivered - msgs0,
-		Bytes:    b.net.BytesDelivered - bytes0,
-		MsgsSent: b.net.MsgsSent - sent0,
-		Route:    route,
-	}
-	for _, e := range res.Events {
-		res.TotalAnswers += e.Answers
-		if e.At > res.Completion {
-			res.Completion = e.At
-		}
-	}
-	sort.Slice(res.Events, func(i, j int) bool { return res.Events[i].At < res.Events[j].At })
+	res := b.mark.result(b.net, b.events, route)
 	if b.qr != nil {
 		b.qr.PutBase(b.p.Query, append([]Event(nil), b.events...),
 			len(b.events)*48, len(b.events) == 0, epoch, b.simTime())

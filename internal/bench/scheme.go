@@ -2,10 +2,13 @@ package bench
 
 import (
 	"fmt"
+	"sort"
 	"time"
 
+	"bestpeer/internal/netsim"
 	"bestpeer/internal/qroute"
 	"bestpeer/internal/topology"
+	"bestpeer/internal/wire"
 	"bestpeer/internal/workload"
 )
 
@@ -95,6 +98,49 @@ type RunResult struct {
 
 // nodeAddr names simulated hosts.
 func nodeAddr(i int) string { return fmt.Sprintf("n%d", i) }
+
+// newSimNet builds the testbed every figure scheme runs on: one shared LAN
+// segment on a fresh clock, one host per topology node delivering to
+// handle.
+func newSimNet(tp *topology.Topology, cost CostModel, threads int, handle func(node int, env *wire.Envelope)) *netsim.Network {
+	net := netsim.NewNetwork(netsim.NewSim(), netsim.Link{Latency: cost.Latency, Bandwidth: cost.Bandwidth})
+	net.UseSharedMedium()
+	for i := 0; i < tp.N; i++ {
+		h := net.AddHost(nodeAddr(i), netsim.HostConfig{Threads: threads})
+		h.SetHandler(func(env *wire.Envelope) { handle(i, env) })
+	}
+	return net
+}
+
+// trafficMark is a network's clock and counters when a round starts.
+type trafficMark struct {
+	started           time.Duration
+	msgs, bytes, sent uint64
+}
+
+func markTraffic(net *netsim.Network) trafficMark {
+	return trafficMark{net.Sim().Now(), net.MsgsDelivered, net.BytesDelivered, net.MsgsSent}
+}
+
+// result assembles the round's outcome from the answer arrivals and what
+// the network carried since the mark.
+func (m trafficMark) result(net *netsim.Network, events []Event, route string) RunResult {
+	res := RunResult{
+		Events:   append([]Event(nil), events...),
+		Msgs:     net.MsgsDelivered - m.msgs,
+		Bytes:    net.BytesDelivered - m.bytes,
+		MsgsSent: net.MsgsSent - m.sent,
+		Route:    route,
+	}
+	for _, e := range res.Events {
+		res.TotalAnswers += e.Answers
+		if e.At > res.Completion {
+			res.Completion = e.At
+		}
+	}
+	sort.Slice(res.Events, func(i, j int) bool { return res.Events[i].At < res.Events[j].At })
+	return res
+}
 
 // expectedAnswers is the ground truth the harness validates runs against:
 // total matches over all nodes reachable within ttl hops of the base.
