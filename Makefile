@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet lint vetself vetgolden golden test race chaos fuzz cover adminsmoke perfcheck bench dhtbench churnsoak churnbench loc ci clean
+.PHONY: all build vet lint vetself vetgolden golden test race chaos fuzz cover adminsmoke perfcheck bench dhtbench churnsoak churnbench loc orphans ci clean
 
 all: build vet lint test
 
@@ -83,8 +83,6 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzChordCodecs -fuzztime $(FUZZTIME) ./internal/chord/
 	$(GO) test -run '^$$' -fuzz FuzzRingCodecs -fuzztime $(FUZZTIME) ./internal/liglo/
 	$(GO) test -run '^$$' -fuzz FuzzProtoCodecs -fuzztime $(FUZZTIME) ./internal/liglo/
-	$(GO) test -run '^$$' -fuzz FuzzCodecs -fuzztime $(FUZZTIME) ./internal/baseline/cs/
-	$(GO) test -run '^$$' -fuzz FuzzCodecs -fuzztime $(FUZZTIME) ./internal/baseline/gnutella/
 
 # Coverage profile across every package, suitable for `go tool cover`
 # and for upload as a CI artifact.
@@ -151,7 +149,20 @@ churnbench:
 loc:
 	@find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' | xargs cat | wc -l
 
-ci: build vet lint vetself vetgolden golden race perfcheck fuzz adminsmoke cover
+# Packages under internal/ that no binary links — not the commands, the
+# examples, the benchmark harness or the facade. Test-support packages are
+# the only ones that may be; anything else is code nothing runs, and fails.
+ORPHANS_OK := bestpeer/internal/transport/faultnet bestpeer/internal/wire/wiretest
+orphans: SHELL := /bin/bash
+orphans:
+	@out="$$(comm -23 <($(GO) list ./internal/... | sort) \
+		<($(GO) list -deps ./cmd/... ./examples/... ./benchmark/... . | sort))"; \
+	echo "$$out"; \
+	extra="$$(grep -vxF $(addprefix -e ,$(ORPHANS_OK)) <<<"$$out")"; \
+	if [ -n "$$extra" ]; then \
+		echo "linked into no binary and not allow-listed:"; echo "$$extra"; exit 1; fi
+
+ci: build orphans vet lint vetself vetgolden golden race perfcheck fuzz adminsmoke cover
 
 clean:
 	$(GO) clean -testcache

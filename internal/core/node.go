@@ -25,11 +25,8 @@ import (
 	"bestpeer/internal/wire"
 )
 
-// Node errors.
-var (
-	ErrNodeClosed = errors.New("core: node closed")
-	ErrNoQuery    = errors.New("core: no such outstanding query")
-)
+// ErrNodeClosed is returned by operations on a node after Close.
+var ErrNodeClosed = errors.New("core: node closed")
 
 // Peer is a directly connected peer: identity plus current address.
 type Peer struct {

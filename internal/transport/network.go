@@ -3,7 +3,7 @@
 // implementations, plus a Messenger that delivers wire envelopes between
 // named endpoints with cached connections.
 //
-// Everything above this package (LIGLO, the BestPeer node, the baselines)
+// Everything above this package (LIGLO, the BestPeer node, the chord ring)
 // is written against Network, so the same code runs over localhost TCP in
 // the daemons and over synchronous pipes in tests and examples.
 package transport

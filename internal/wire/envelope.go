@@ -21,11 +21,11 @@ const (
 	KindPeerProbe   // liveness probe between peers
 	KindPeerProbeOK // probe acknowledgement
 
-	// Client/server baseline protocol.
+	// Reserved for the comparators of the paper's evaluation, which exist
+	// in the simulator only: these six tag internal/bench's client/server
+	// and Gnutella frames, and every later kind's value depends on them.
 	KindCSQuery  // plain query shipped to a server
 	KindCSAnswer // answers returned along the query path
-
-	// Gnutella baseline protocol.
 	KindGnuPing
 	KindGnuPong
 	KindGnuQuery
