@@ -30,9 +30,10 @@ type LiveResult struct {
 	MaxHops int
 }
 
-// LiveCluster is a real BestPeer network running in-process, used to
-// validate the simulator's qualitative behaviour against the actual
-// implementation.
+// LiveCluster is a real BestPeer network running in-process: the
+// reference the simulator's bpSim answers to on everything that does not
+// depend on time (TestLiveMatchesSimCounts), and the live section of a
+// bpbench report.
 type LiveCluster struct {
 	dir   string
 	nodes []*core.Node
@@ -92,9 +93,39 @@ func NewLiveCluster(tp *topology.Topology, spec *workload.Spec, query string, st
 // Base returns the query-issuing node.
 func (lc *LiveCluster) Base() *core.Node { return lc.nodes[lc.base] }
 
-// RunRound issues the cluster's query once from the base and waits for
-// the expected number of answers (or the timeout).
+// settle waits, for at most limit, until the fleet has stopped talking:
+// every frame sent has been received, and two reads a tick apart agree.
+func (lc *LiveCluster) settle(limit time.Duration) {
+	tick := time.NewTicker(2 * time.Millisecond)
+	defer tick.Stop()
+	expired := time.After(limit)
+	var last [3]uint64
+	for {
+		var now [3]uint64
+		for _, n := range lc.nodes {
+			s := n.MessengerStats()
+			now[0] += s.Sent
+			now[1] += s.Received
+			now[2] += s.Dropped
+		}
+		if now[0] == now[1] && now == last {
+			return
+		}
+		last = now
+		select {
+		case <-tick.C:
+		case <-expired:
+			return
+		}
+	}
+}
+
+// RunRound issues the cluster's query once from the base, waits for the
+// expected number of answers and then for the flood itself to end, both
+// within the timeout: a node without matches owes the base no answer, so
+// its clones may still be travelling when the last answer is in.
 func (lc *LiveCluster) RunRound(timeout time.Duration) (LiveResult, error) {
+	start := time.Now()
 	expected := 0
 	for i := range lc.nodes {
 		if i != lc.base {
@@ -113,6 +144,7 @@ func (lc *LiveCluster) RunRound(timeout time.Duration) (LiveResult, error) {
 	if err != nil {
 		return LiveResult{}, err
 	}
+	lc.settle(timeout - time.Since(start))
 	var after uint64
 	for _, n := range lc.nodes {
 		after += n.Stats().AgentsForwarded
