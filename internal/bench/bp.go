@@ -21,7 +21,6 @@ import (
 type bpSim struct {
 	p   Params
 	tp  *topology.Topology
-	sim *netsim.Sim
 	net *netsim.Network
 
 	peers       [][]int // mutable copy of the adjacency (base's row changes)
@@ -89,7 +88,6 @@ func newBPSim(tp *topology.Topology, p Params) *bpSim {
 		baseAt:     nodeAddr(tp.Base),
 	}
 	b.net = newSimNet(tp, p.Cost, p.Threads, b.handle)
-	b.sim = b.net.Sim()
 	for i := 0; i < tp.N; i++ {
 		b.peers[i] = append([]int(nil), tp.Peers(i)...)
 		b.classReady[i] = !p.ColdStart // standard classes ship with the node software
@@ -103,7 +101,7 @@ func newBPSim(tp *topology.Topology, p Params) *bpSim {
 // qroute engine, whose TTLs and decay half-lives are wall-clock based.
 // The fixed origin keeps runs deterministic.
 func (b *bpSim) simTime() time.Time {
-	return time.Unix(0, 0).UTC().Add(b.sim.Now())
+	return time.Unix(0, 0).UTC().Add(b.net.Sim().Now())
 }
 
 // requestSize is the wire size of the travelling request: a full agent
@@ -131,7 +129,7 @@ func (b *bpSim) handle(node int, env *wire.Envelope) {
 					Node:    origin,
 					Answers: hits,
 					Hops:    int(env.Hops),
-					At:      b.sim.Now() - b.mark.started,
+					At:      b.net.Sim().Now() - b.mark.started,
 				})
 				b.journal.Append(obs.Event{
 					Kind:  obs.EvAgentAnswered,
@@ -383,7 +381,7 @@ func (b *bpSim) runRound() RunResult {
 		}
 		b.net.Send(b.baseAt, nodeAddr(w), env, b.requestSize())
 	}
-	b.sim.Run()
+	b.net.Sim().Run()
 
 	res := b.mark.result(b.net, b.events, route)
 	if b.qr != nil {

@@ -208,8 +208,8 @@ func TestLiveMatchesSimCounts(t *testing.T) {
 					}
 
 					sim.reconfigure(strategy, model)
-					if got, want := liveBase(t, lc), sim.peers[tp.Base]; !reflect.DeepEqual(got, want) {
-						t.Fatalf("%s: base neighbours live %v, model %v", what, got, want)
+					if peers := liveBase(t, lc); !reflect.DeepEqual(peers, sim.peers[tp.Base]) {
+						t.Fatalf("%s: base neighbours live %v, model %v", what, peers, sim.peers[tp.Base])
 					}
 					if round == 1 {
 						first = model
