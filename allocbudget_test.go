@@ -91,13 +91,21 @@ type hopStore struct {
 
 func newHopStore(tb testing.TB, indexed bool) *hopStore {
 	tb.Helper()
-	h := &hopStore{
-		spec: workload.Default(1),
-		path: filepath.Join(tb.TempDir(), "hop.storm"),
-		opts: storm.Options{BufferFrames: 64, PersistentIndex: indexed},
-	}
-	h.open(tb)
+	h := populateHopStore(tb, filepath.Join(tb.TempDir(), "hop.storm"), 1000, indexed)
 	tb.Cleanup(func() { h.Close() })
+	return h
+}
+
+// populateHopStore fills a store at path with node 0 of the paper's
+// workload grown to the given number of objects; the vocabulary grows with
+// it, so a keyword still matches ≈ 10 of them, the paper's answers per
+// peer. At 1000 objects it is workload.Default. The caller closes it.
+func populateHopStore(tb testing.TB, path string, objects int, indexed bool) *hopStore {
+	tb.Helper()
+	spec := workload.Default(1)
+	spec.ObjectsPerNode, spec.Vocabulary = objects, objects/10
+	h := &hopStore{spec: spec, path: path, opts: storm.Options{BufferFrames: 64, PersistentIndex: indexed}}
+	h.open(tb)
 	if err := h.spec.Populate(0, h.Store); err != nil {
 		tb.Fatal(err)
 	}
@@ -262,6 +270,32 @@ func TestAllocBudgetMatch(t *testing.T) {
 	if got, budget := after.Mallocs-before.Mallocs, uint64(hits*6+6+2*pages+64+32); got > budget {
 		t.Errorf("first Match(%q) after open: %d allocs, budget %d hits x 6 + 6 + 2 x %d pages + 64 frames + 32 = %d", kw, got, hits, pages, budget)
 	}
+
+	// A writer beside the plan: Put a fresh name and Delete it, on an
+	// indexed store. What the plan's folded names cost it is an append per
+	// fresh name and, once stale entries outnumber live ones, a rebuild
+	// into the same buffers — amortised nothing: the pair allocates what
+	// it did before the plan kept them (20), plus at most one. 3000 pairs
+	// on 1000 live objects rebuild twice.
+	store = newHopStore(t, true)
+	fresh := make([]*storm.Object, 3001)
+	for i := range fresh {
+		fresh[i] = &storm.Object{Name: fmt.Sprintf("fresh-%04d", i), Keywords: []string{"fresh"}, Data: make([]byte, 1024)}
+	}
+	next := 0
+	got := testing.AllocsPerRun(len(fresh)-1, func() {
+		o := fresh[next]
+		next++
+		if _, err := store.Put(o); err != nil {
+			t.Fatal(err)
+		}
+		if err := store.Delete(o.Name); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if budget := 20.0 + 1; got > budget {
+		t.Errorf("Put + Delete of a fresh name on an indexed store: %v allocs, budget %v", got, budget)
+	}
 }
 
 func BenchmarkEnvelopeEncode(b *testing.B) {
@@ -294,29 +328,53 @@ func BenchmarkEnvelopeDecode(b *testing.B) {
 	}
 }
 
-// BenchmarkStoreMatchCold is Store.Match as a peer runs it: the store is
-// five times the pool, so most pages come from the file — the pages the
-// walker's keys do not excuse for the scan, every page for the first scan
-// after open (keys cold: each iteration reopens the store outside the
-// timer), the hits' pages for the plan an indexed store makes.
+// BenchmarkStoreMatchCold is Store.Match as a peer runs it, at 1k, 10k and
+// 100k objects (100k, a 100 MB store, not under -short): the store is 5 to
+// 500 times the pool, so most pages come from the file — the pages the
+// walker's keys do not excuse for the scan (keys warmed before the timer),
+// every page for the first scan after open (keys cold: each iteration
+// reopens the store outside the timer), the hits' pages for the plan an
+// indexed store makes. A store is populated once per size and kept across
+// the runs that size b.N.
 func BenchmarkStoreMatchCold(b *testing.B) {
 	for _, tc := range []struct {
 		name            string
 		indexed, reopen bool
 	}{{"scan", false, false}, {"scan-first", false, true}, {"plan", true, false}} {
 		b.Run(tc.name, func(b *testing.B) {
-			store := newHopStore(b, tc.indexed)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if tc.reopen {
-					b.StopTimer()
-					store.reopen(b)
-					b.StartTimer()
-				}
-				if _, err := store.Match(store.spec.Keyword(i % 100)); err != nil {
-					b.Fatal(err)
-				}
+			dir := b.TempDir()
+			for _, objects := range []int{1_000, 10_000, 100_000} {
+				var store *hopStore
+				b.Cleanup(func() {
+					if store != nil {
+						store.Close()
+					}
+				})
+				b.Run(fmt.Sprintf("%dk", objects/1000), func(b *testing.B) {
+					if objects > 10_000 && testing.Short() {
+						b.Skip("a 100 MB store")
+					}
+					if store == nil {
+						store = populateHopStore(b, filepath.Join(dir, fmt.Sprint(objects)), objects, tc.indexed)
+					}
+					if !tc.reopen {
+						if _, err := store.Match(store.spec.Keyword(0)); err != nil {
+							b.Fatal(err)
+						}
+					}
+					b.ReportAllocs()
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						if tc.reopen {
+							b.StopTimer()
+							store.reopen(b)
+							b.StartTimer()
+						}
+						if _, err := store.Match(store.spec.Keyword(i % 100)); err != nil {
+							b.Fatal(err)
+						}
+					}
+				})
 			}
 		})
 	}

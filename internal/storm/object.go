@@ -271,26 +271,6 @@ func lowerContains(b []byte, q string) bool {
 	return false
 }
 
-// nameContains is lowerContains for a catalog name, which the store holds
-// as a string: the same folding, and no copy of an ASCII name.
-func nameContains(name, q string) bool {
-	for i := 0; i < len(name); i++ {
-		if name[i] >= utf8.RuneSelf {
-			return strings.Contains(strings.ToLower(name), q)
-		}
-	}
-	for ; len(name) >= len(q); name = name[1:] {
-		i := 0
-		for i < len(q) && lowerASCII(name[i]) == q[i] {
-			i++
-		}
-		if i == len(q) {
-			return true
-		}
-	}
-	return false
-}
-
 // lowerHasPrefix reports whether the ASCII bytes b, lower-cased, start
 // with q. len(b) must be at least len(q).
 func lowerHasPrefix(b []byte, q string) bool {
