@@ -456,6 +456,7 @@ func concurrentScannersAndWriters(t *testing.T, s *Store) {
 		}
 		writing.Wait()
 		checkKeysCurrent(t, s)
+		checkNamesCurrent(t, s)
 		moving, err := s.Match("churn")
 		if err != nil {
 			t.Fatal(err)
