@@ -1,10 +1,75 @@
 package obs
 
 import (
+	"encoding/json"
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 )
+
+// TestEventsPageWireForm fences the /events JSON: every kind encodes as
+// its plain name, and a kind this build does not declare (a newer
+// member's) decodes and re-encodes byte for byte, so the observatory
+// relays it unchanged.
+func TestEventsPageWireForm(t *testing.T) {
+	at := time.Date(2024, 5, 6, 7, 8, 9, 0, time.UTC)
+	page := EventsPage{
+		Node: "n0",
+		Events: []Event{
+			{Seq: 4, At: at, Kind: EvJoined, Node: "n0", Count: 2},
+			{Seq: 5, At: at, Kind: EvAgentDropped, Node: "n0", Peer: "n1", Reason: "expired"},
+			{Seq: 6, At: at, Kind: EvAgentForwarded, Node: "n0", Query: "0a0b", Peer: "n1", Count: 3},
+			{Seq: 7, At: at, Kind: EvReconfigured, Node: "n0", Query: "0a0b", Strategy: "maxcount", Count: 1,
+				Scores: []PeerScore{{Addr: "n2", Answers: 3, Hops: 2, Rank: 1, Selected: true}}},
+			{Seq: 8, At: at, Kind: EvPeerSuspect, Node: "n0", Peer: "n3"},
+		},
+		Next: 9, Missed: 4, Total: 9, Evicted: 4,
+	}
+	const want = `{"node":"n0","events":[` +
+		`{"seq":4,"at":"2024-05-06T07:08:09Z","kind":"joined","node":"n0","count":2},` +
+		`{"seq":5,"at":"2024-05-06T07:08:09Z","kind":"agent-dropped","node":"n0","peer":"n1","reason":"expired"},` +
+		`{"seq":6,"at":"2024-05-06T07:08:09Z","kind":"agent-forwarded","node":"n0","query":"0a0b","peer":"n1","count":3},` +
+		`{"seq":7,"at":"2024-05-06T07:08:09Z","kind":"reconfigured","node":"n0","query":"0a0b","strategy":"maxcount","count":1,` +
+		`"scores":[{"addr":"n2","answers":3,"hops":2,"rank":1,"selected":true}]},` +
+		`{"seq":8,"at":"2024-05-06T07:08:09Z","kind":"peer-suspect","node":"n0","peer":"n3"}],` +
+		`"next":9,"missed":4,"total":9,"evicted":4}`
+	got, err := json.Marshal(page)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != want {
+		t.Fatalf("page encodes as\n%s\nwant\n%s", got, want)
+	}
+	var back EventsPage
+	if err := json.Unmarshal(got, &back); err != nil {
+		t.Fatal(err)
+	}
+	for i, e := range back.Events {
+		if e.Kind != page.Events[i].Kind {
+			t.Errorf("event %d decodes as kind %v, want %v", i, e.Kind, page.Events[i].Kind)
+		}
+	}
+
+	const newer = `{"node":"n9","events":[` +
+		`{"seq":0,"at":"2024-05-06T07:08:09Z","kind":"ring-rebalanced","node":"n9","count":4},` +
+		`{"seq":1,"at":"2024-05-06T07:08:09Z","kind":"member-online","node":"n9","peer":"n1","reason":"probe"}],` +
+		`"next":2,"missed":0,"total":2,"evicted":0}`
+	var relayed EventsPage
+	if err := json.Unmarshal([]byte(newer), &relayed); err != nil {
+		t.Fatal(err)
+	}
+	if relayed.Events[1].Kind != EvMemberOnline {
+		t.Errorf("declared kind decodes as %v, want %v", relayed.Events[1].Kind, EvMemberOnline)
+	}
+	again, err := json.Marshal(relayed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(again) != newer {
+		t.Fatalf("undeclared kind re-encodes as\n%s\nwant\n%s", again, newer)
+	}
+}
 
 func TestJournalSinceCursor(t *testing.T) {
 	j := NewJournal("n0", 16)
