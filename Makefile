@@ -10,17 +10,17 @@ build:
 vet:
 	$(GO) vet ./...
 
-# Project-invariant checks: bpvet enforces the transport/agent/codec
+# Project-invariant checks: bpvet enforces the transport/agent
 # discipline (see DESIGN.md "Enforced invariants"), and gofmt keeps the
-# tree canonically formatted. Findings recorded in the committed baseline
-# are tolerated (burn-down ledger); anything new fails the run.
+# tree canonically formatted. There is no baseline: any finding fails
+# the run.
 lint:
-	$(GO) run ./cmd/bpvet -baseline bpvet.baseline.json ./...
+	$(GO) run ./cmd/bpvet ./...
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
 # The analyzers are held to their own rules: bpvet over its own source
-# and driver, with no baseline.
+# and driver.
 vetself:
 	$(GO) run ./cmd/bpvet ./internal/vet ./cmd/bpvet
 

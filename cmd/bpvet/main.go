@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	bpvet [-list] [-json] [-ignores] [-baseline file] [-write-baseline file] [packages]
+//	bpvet [-list] [-dir dir] [packages]
 //
 // Packages follow the subset of go-tool patterns the repo uses: a
 // directory path or a recursive ./... pattern (the default). Findings
@@ -13,49 +13,22 @@
 // rationale are mandatory, and malformed directives are themselves
 // findings.
 //
-// A committed baseline (-baseline bpvet.baseline.json) lets a new
-// analyzer land with a burn-down instead of a big-bang fix: findings
-// recorded in the baseline are tolerated, anything new fails the run.
-// Malformed-ignore findings are never baselined. Regenerate with
-// -write-baseline after deliberately accepting current findings.
-//
 // Exit codes: 0 clean, 1 findings (including malformed ignores),
 // 2 usage, loader or type-check failure.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
-	"strings"
 
 	"bestpeer/internal/vet"
 )
 
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
-}
-
-// jsonFinding is the -json/-baseline wire form of one diagnostic.
-type jsonFinding struct {
-	File     string `json:"file"`
-	Line     int    `json:"line,omitempty"`
-	Analyzer string `json:"analyzer"`
-	Message  string `json:"message"`
-	// Count is used in baselines only: how many identical findings
-	// (same file, analyzer, message — line excluded, so pure line
-	// drift does not invalidate the baseline) are tolerated.
-	Count int `json:"count,omitempty"`
-}
-
-// baselineFile is the committed burn-down ledger.
-type baselineFile struct {
-	Version  int           `json:"version"`
-	Findings []jsonFinding `json:"findings"`
 }
 
 // run is the testable body of main: 0 clean, 1 findings, 2 usage or
@@ -65,10 +38,6 @@ func run(args []string, out, errOut io.Writer) int {
 	fs.SetOutput(errOut)
 	list := fs.Bool("list", false, "list the analyzers and their rules, then exit")
 	dir := fs.String("dir", ".", "directory to resolve package patterns against")
-	jsonOut := fs.Bool("json", false, "emit findings as a JSON array instead of text")
-	ignores := fs.Bool("ignores", false, "print the //bpvet:ignore suppression inventory, then exit")
-	baselinePath := fs.String("baseline", "", "tolerate findings recorded in this baseline file")
-	writeBaseline := fs.String("write-baseline", "", "write current findings to this baseline file and exit")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -88,147 +57,12 @@ func run(args []string, out, errOut io.Writer) int {
 		return 2
 	}
 
-	if *ignores {
-		return printIgnores(pkgs, *dir, out, errOut)
-	}
-
 	diags := vet.Run(pkgs, vet.All())
-
-	findings := make([]jsonFinding, len(diags))
-	for i, d := range diags {
-		findings[i] = jsonFinding{
-			File:     relPath(*dir, d.Pos.Filename),
-			Line:     d.Pos.Line,
-			Analyzer: d.Analyzer,
-			Message:  d.Message,
-		}
+	for _, d := range diags {
+		fmt.Fprintf(out, "%s:%d: [%s] %s\n", relPath(*dir, d.Pos.Filename), d.Pos.Line, d.Analyzer, d.Message)
 	}
-
-	if *writeBaseline != "" {
-		return emitBaseline(findings, *writeBaseline, errOut)
-	}
-	if *baselinePath != "" {
-		findings, err = applyBaseline(findings, *baselinePath)
-		if err != nil {
-			fmt.Fprintln(errOut, "bpvet:", err)
-			return 2
-		}
-	}
-
-	if *jsonOut {
-		enc := json.NewEncoder(out)
-		enc.SetIndent("", "  ")
-		if findings == nil {
-			findings = []jsonFinding{}
-		}
-		if err := enc.Encode(findings); err != nil {
-			fmt.Fprintln(errOut, "bpvet:", err)
-			return 2
-		}
-	} else {
-		for _, f := range findings {
-			fmt.Fprintf(out, "%s:%d: [%s] %s\n", f.File, f.Line, f.Analyzer, f.Message)
-		}
-	}
-	if len(findings) > 0 {
-		fmt.Fprintf(errOut, "bpvet: %d finding(s)\n", len(findings))
-		return 1
-	}
-	return 0
-}
-
-// baselineKey identifies a finding class for baseline matching. Line
-// numbers are deliberately excluded so unrelated edits above a tolerated
-// finding do not invalidate the ledger.
-func baselineKey(f jsonFinding) string {
-	return f.File + "\x00" + f.Analyzer + "\x00" + f.Message
-}
-
-// applyBaseline drops findings covered by the committed baseline, up to
-// each entry's count. Malformed-ignore findings are never dropped.
-func applyBaseline(findings []jsonFinding, path string) ([]jsonFinding, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("baseline: %w", err)
-	}
-	var bl baselineFile
-	if err := json.Unmarshal(data, &bl); err != nil {
-		return nil, fmt.Errorf("baseline %s: %w", path, err)
-	}
-	allowed := make(map[string]int)
-	for _, f := range bl.Findings {
-		n := f.Count
-		if n <= 0 {
-			n = 1
-		}
-		allowed[baselineKey(f)] += n
-	}
-	var kept []jsonFinding
-	for _, f := range findings {
-		if f.Analyzer != "ignore" {
-			if k := baselineKey(f); allowed[k] > 0 {
-				allowed[k]--
-				continue
-			}
-		}
-		kept = append(kept, f)
-	}
-	return kept, nil
-}
-
-// emitBaseline aggregates current findings into a baseline ledger.
-// Malformed-ignore findings cannot be baselined and fail the write.
-func emitBaseline(findings []jsonFinding, path string, errOut io.Writer) int {
-	counts := make(map[string]*jsonFinding)
-	var order []string
-	for _, f := range findings {
-		if f.Analyzer == "ignore" {
-			fmt.Fprintf(errOut, "bpvet: cannot baseline malformed ignore at %s:%d — fix the directive\n", f.File, f.Line)
-			return 1
-		}
-		k := baselineKey(f)
-		if e, ok := counts[k]; ok {
-			e.Count++
-			continue
-		}
-		entry := f
-		entry.Line = 0
-		entry.Count = 1
-		counts[k] = &entry
-		order = append(order, k)
-	}
-	sort.Strings(order)
-	bl := baselineFile{Version: 1, Findings: make([]jsonFinding, 0, len(order))}
-	for _, k := range order {
-		bl.Findings = append(bl.Findings, *counts[k])
-	}
-	data, err := json.MarshalIndent(&bl, "", "  ")
-	if err != nil {
-		fmt.Fprintln(errOut, "bpvet:", err)
-		return 2
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		fmt.Fprintln(errOut, "bpvet:", err)
-		return 2
-	}
-	fmt.Fprintf(errOut, "bpvet: wrote %d baseline entries to %s\n", len(bl.Findings), path)
-	return 0
-}
-
-// printIgnores renders the suppression inventory. Malformed directives
-// are listed as errors and make the run exit 1, so the inventory doubles
-// as an audit.
-func printIgnores(pkgs []*vet.Package, dir string, out, errOut io.Writer) int {
-	directives, bad := vet.CollectIgnores(pkgs)
-	for _, d := range directives {
-		fmt.Fprintf(out, "%s:%d: %s — %s\n",
-			relPath(dir, d.Pos.Filename), d.Pos.Line, strings.Join(d.Analyzers, ", "), d.Reason)
-	}
-	for _, d := range bad {
-		fmt.Fprintf(out, "%s:%d: MALFORMED — %s\n", relPath(dir, d.Pos.Filename), d.Pos.Line, d.Message)
-	}
-	fmt.Fprintf(errOut, "bpvet: %d suppression(s), %d malformed\n", len(directives), len(bad))
-	if len(bad) > 0 {
+	if len(diags) > 0 {
+		fmt.Fprintf(errOut, "bpvet: %d finding(s)\n", len(diags))
 		return 1
 	}
 	return 0

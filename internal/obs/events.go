@@ -7,158 +7,135 @@ import (
 	"time"
 )
 
-// EventKind names one structured journal event. Every kind constructed
-// anywhere in the tree must be declared here as a constant AND listed in
-// the Kinds registry — the eventdrift bpvet analyzer enforces both, so
-// consumers of /events (the observatory, the convergence timeline, the
-// docs) can rely on the registry being the complete vocabulary.
-type EventKind string
+// EventKind names one structured journal event. Its name is unexported,
+// so the Ev… values below are the only kinds code outside this package
+// can build: the vocabulary is closed by the type, and a misspelled kind
+// does not compile. On the wire a kind is its plain name; decoding keeps
+// a name this build does not declare, so a newer member's events pass
+// through the observatory unchanged.
+type EventKind struct{ name string }
+
+// String returns the kind's wire name.
+func (k EventKind) String() string { return k.name }
+
+// MarshalText encodes the kind as its name.
+func (k EventKind) MarshalText() ([]byte, error) { return []byte(k.name), nil }
+
+// UnmarshalText decodes a kind from its name, declared here or not.
+func (k *EventKind) UnmarshalText(text []byte) error {
+	k.name = string(text)
+	return nil
+}
 
 // The event vocabulary. Node-side kinds are emitted by internal/core,
 // peer-liveness kinds by internal/transport, member kinds by the LIGLO
 // server.
-const (
+var (
 	// EvJoined: the node registered with a LIGLO server and adopted a
 	// BPID; Count is the number of initial peers received.
-	EvJoined EventKind = "joined"
+	EvJoined = EventKind{"joined"}
 	// EvPeerAdded: a peer entered the direct-peer set. Reason says how
 	// ("join", "reconfig", "topology", "added"); reconfig additions also
 	// carry Query and Strategy.
-	EvPeerAdded EventKind = "peer-added"
+	EvPeerAdded = EventKind{"peer-added"}
 	// EvPeerDropped: a peer left the direct-peer set ("unresponsive"
 	// from a sweep, "offline" from Rejoin, "topology" from SetPeers).
-	EvPeerDropped EventKind = "peer-dropped"
+	EvPeerDropped = EventKind{"peer-dropped"}
 	// EvReconfigured: the post-query strategy decision, with the full
 	// per-candidate rationale in Scores (rank and k-cut selection).
 	// Count is how many peers the decision added.
-	EvReconfigured EventKind = "reconfigured"
+	EvReconfigured = EventKind{"reconfigured"}
 	// EvQueryIssued: this node became the base of a query; Count is the
 	// fan-out, Hops the TTL, Strategy the reconfiguration policy.
-	EvQueryIssued EventKind = "query-issued"
+	EvQueryIssued = EventKind{"query-issued"}
 	// EvQueryCompleted: the collection window closed; Count is the total
 	// answers plus hints gathered.
-	EvQueryCompleted EventKind = "query-completed"
+	EvQueryCompleted = EventKind{"query-completed"}
 	// EvAgentForwarded: an arriving agent was clone-forwarded; Count is
 	// the fan-out, Peer the previous hop.
-	EvAgentForwarded EventKind = "agent-forwarded"
+	EvAgentForwarded = EventKind{"agent-forwarded"}
 	// EvAgentAnswered: an answer batch reached this base; Peer is the
 	// answering node, Hops its distance, Count the batch size.
-	EvAgentAnswered EventKind = "agent-answered"
+	EvAgentAnswered = EventKind{"agent-answered"}
 	// EvAgentDropped: an arriving agent was discarded without execution
 	// (Reason: expired, duplicate, decode, no-class).
-	EvAgentDropped EventKind = "agent-dropped"
+	EvAgentDropped = EventKind{"agent-dropped"}
 	// EvPeerSuspect: the transport crossed its consecutive-failure
 	// threshold for Peer and armed the suspect backoff.
-	EvPeerSuspect EventKind = "peer-suspect"
+	EvPeerSuspect = EventKind{"peer-suspect"}
 	// EvPeerRecovered: a delivery to a previously suspect Peer succeeded.
-	EvPeerRecovered EventKind = "peer-recovered"
+	EvPeerRecovered = EventKind{"peer-recovered"}
 	// EvMessageDropped: the transport abandoned an outgoing envelope
 	// (Reason: queue-full, suspect, encode, deliver).
-	EvMessageDropped EventKind = "message-dropped"
+	EvMessageDropped = EventKind{"message-dropped"}
 	// EvMemberRegistered: a LIGLO server issued a BPID to Peer.
-	EvMemberRegistered EventKind = "member-registered"
+	EvMemberRegistered = EventKind{"member-registered"}
 	// EvMemberOnline: a LIGLO member transitioned to online (Reason:
 	// probe, rejoin).
-	EvMemberOnline EventKind = "member-online"
+	EvMemberOnline = EventKind{"member-online"}
 	// EvMemberOffline: a LIGLO liveness sweep found a member unreachable.
-	EvMemberOffline EventKind = "member-offline"
+	EvMemberOffline = EventKind{"member-offline"}
 	// EvMemberExpired: a LIGLO server dropped a member that stayed
 	// offline past the expiry window.
-	EvMemberExpired EventKind = "member-expired"
+	EvMemberExpired = EventKind{"member-expired"}
 	// EvCacheHit: the qroute answer cache served a query without work
 	// (Reason: "base" for a whole-query hit with zero fan-out, "serve"
 	// for a peer skipping its store scan, "negative" for a cached
 	// no-match); Count is the answers served.
-	EvCacheHit EventKind = "cache-hit"
+	EvCacheHit = EventKind{"cache-hit"}
 	// EvCacheMiss: a fingerprintable query missed the base answer cache
 	// and fell through to the normal fan-out path.
-	EvCacheMiss EventKind = "cache-miss"
+	EvCacheMiss = EventKind{"cache-miss"}
 	// EvCacheInvalidated: a store mutation bumped the cache epoch; Count
 	// is how many cached entries that made unservable.
-	EvCacheInvalidated EventKind = "cache-invalidated"
+	EvCacheInvalidated = EventKind{"cache-invalidated"}
 	// EvSelectiveRoute: the learned routing index pruned a fan-out;
 	// Count is the targets chosen, K the candidate neighbors, Hops the
 	// scoped TTL sent with the clones.
-	EvSelectiveRoute EventKind = "selective-route"
+	EvSelectiveRoute = EventKind{"selective-route"}
 	// EvLeft: this node executed a graceful leave — Depart sent to every
 	// direct peer and the home LIGLO notified; Count is how many peers
 	// were told, Reason "deregistered" when the LIGLO accepted the
 	// deregister and "deregister-failed" when it could not be reached.
-	EvLeft EventKind = "left"
+	EvLeft = EventKind{"left"}
 	// EvDepartReceived: a direct peer announced its departure; Count is
 	// how many replacement-neighbor hints the announcement carried. The
 	// edge drop itself is journalled as EvPeerDropped reason "depart".
-	EvDepartReceived EventKind = "depart-received"
+	EvDepartReceived = EventKind{"depart-received"}
 	// EvRepair: one crash-repair round ran. Reason is the trigger
 	// ("suspect", "sweep", "depart", "periodic"), Count the peers added,
 	// K the degree deficit the round started with.
-	EvRepair EventKind = "repair"
+	EvRepair = EventKind{"repair"}
 	// EvMemberDeregistered: a LIGLO member announced a graceful leave and
 	// was marked offline immediately, without waiting for a probe sweep.
-	EvMemberDeregistered EventKind = "member-deregistered"
+	EvMemberDeregistered = EventKind{"member-deregistered"}
 	// EvAlertRaised: a fleet health rule crossed its firing threshold and
 	// held past its minimum-hold duration. Node is the member, Reason the
 	// rule name, Strategy the derived series, Value/Threshold the breach,
 	// Query the exemplar trace ID when one was available.
-	EvAlertRaised EventKind = "alert-raised"
+	EvAlertRaised = EventKind{"alert-raised"}
 	// EvAlertCleared: a firing health rule stayed on the clear side of
 	// its hysteresis band long enough to clear. Same provenance fields as
 	// EvAlertRaised.
-	EvAlertCleared EventKind = "alert-cleared"
+	EvAlertCleared = EventKind{"alert-cleared"}
 	// EvRingJoined: a chord node entered a ring — Peer is the successor
 	// it attached to ("" when it created a fresh ring).
-	EvRingJoined EventKind = "ring-joined"
+	EvRingJoined = EventKind{"ring-joined"}
 	// EvRingLeft: a chord node left its ring (Reason: "leave" for a
 	// graceful departure, "close" for a plain shutdown).
-	EvRingLeft EventKind = "ring-left"
+	EvRingLeft = EventKind{"ring-left"}
 	// EvRingNeighborChanged: stabilization moved a ring neighbor; Reason
 	// is which slot ("successor", "predecessor"), Peer the new occupant
 	// ("" when the slot was vacated).
-	EvRingNeighborChanged EventKind = "ring-neighbor-changed"
+	EvRingNeighborChanged = EventKind{"ring-neighbor-changed"}
 	// EvRingRedirected: a ring-mode LIGLO server answered a request for a
 	// key it does not own with the owner's address; Peer is the owner,
 	// Reason the operation ("lookup", "rejoin", "deregister").
-	EvRingRedirected EventKind = "ring-redirected"
+	EvRingRedirected = EventKind{"ring-redirected"}
 	// EvRingReplicated: a ring-mode LIGLO server shipped member records
 	// to a successor; Peer is the target, Count how many records.
-	EvRingReplicated EventKind = "ring-replicated"
+	EvRingReplicated = EventKind{"ring-replicated"}
 )
-
-// Kinds is the complete event-kind registry; the eventdrift analyzer
-// fails the build when a declared kind is missing from it.
-var Kinds = []EventKind{
-	EvJoined,
-	EvPeerAdded,
-	EvPeerDropped,
-	EvReconfigured,
-	EvQueryIssued,
-	EvQueryCompleted,
-	EvAgentForwarded,
-	EvAgentAnswered,
-	EvAgentDropped,
-	EvPeerSuspect,
-	EvPeerRecovered,
-	EvMessageDropped,
-	EvMemberRegistered,
-	EvMemberOnline,
-	EvMemberOffline,
-	EvMemberExpired,
-	EvCacheHit,
-	EvCacheMiss,
-	EvCacheInvalidated,
-	EvSelectiveRoute,
-	EvLeft,
-	EvDepartReceived,
-	EvRepair,
-	EvMemberDeregistered,
-	EvAlertRaised,
-	EvAlertCleared,
-	EvRingJoined,
-	EvRingLeft,
-	EvRingNeighborChanged,
-	EvRingRedirected,
-	EvRingReplicated,
-}
 
 // PeerScore is one candidate's line in a reconfiguration decision: the
 // observation the strategy scored and where the candidate landed.
@@ -275,7 +252,7 @@ func (j *Journal) Append(e Event) {
 	log := j.log
 	j.mu.Unlock()
 	if log != nil && log.Enabled(context.Background(), slog.LevelDebug) {
-		log.Debug("event", "kind", string(e.Kind), "seq", e.Seq,
+		log.Debug("event", "kind", e.Kind.String(), "seq", e.Seq,
 			"query", e.Query, "peer", e.Peer, "reason", e.Reason, "count", e.Count)
 	}
 }

@@ -38,10 +38,7 @@ func fixtureOutput(pkg *Package, a Analyzer) string {
 //
 //	go test ./internal/vet/ -run TestFixtureGolden -update
 func TestFixtureGolden(t *testing.T) {
-	names := []string{
-		"lockedsend", "nakedgo", "blockingsend", "busypoll", "droppederr", "ttlpair",
-		"statsdrift", "eventdrift", "lockorder", "goleak",
-	}
+	names := suiteNames()
 	fixtures := loadFixtures(t, names...)
 	for _, name := range names {
 		t.Run(name, func(t *testing.T) {

@@ -23,7 +23,7 @@
 // the rule it silences, and the rationale records why the finding is a
 // false positive or an accepted risk. A bpvet:ignore comment with no
 // known analyzer name or no rationale is itself reported (analyzer
-// "ignore") and cannot be suppressed or baselined away.
+// "ignore") and cannot be suppressed.
 package vet
 
 import (
@@ -119,9 +119,6 @@ func All() []Analyzer {
 		blockingsend{},
 		busypoll{},
 		droppederr{},
-		ttlpair{},
-		statsdrift{},
-		eventdrift{},
 		lockorder{},
 		goleak{},
 	}
@@ -163,7 +160,7 @@ func Run(pkgs []*Package, analyzers []Analyzer) []Diagnostic {
 		pa.RunProgram(&ProgramPass{Prog: prog, analyzer: a.Name(), out: &diags})
 	}
 
-	directives, bad := CollectIgnores(pkgs)
+	directives, bad := collectIgnores(pkgs)
 	diags = filterSuppressed(directives, diags)
 	diags = append(diags, bad...)
 	sort.Slice(diags, func(i, j int) bool {
@@ -179,19 +176,19 @@ func Run(pkgs []*Package, analyzers []Analyzer) []Diagnostic {
 	return diags
 }
 
-// IgnoreDirective is one well-formed //bpvet:ignore comment.
-type IgnoreDirective struct {
+// ignoreDirective is one well-formed //bpvet:ignore comment.
+type ignoreDirective struct {
 	Pos       token.Position
 	Analyzers []string
 	Reason    string
 }
 
-// CollectIgnores scans every comment in pkgs for bpvet:ignore
+// collectIgnores scans every comment in pkgs for bpvet:ignore
 // directives. Well-formed ones (at least one known analyzer name plus a
 // non-empty rationale) are returned as directives; malformed ones come
 // back as findings of the pseudo-analyzer "ignore".
-func CollectIgnores(pkgs []*Package) ([]IgnoreDirective, []Diagnostic) {
-	var dirs []IgnoreDirective
+func collectIgnores(pkgs []*Package) ([]ignoreDirective, []Diagnostic) {
+	var dirs []ignoreDirective
 	var bad []Diagnostic
 	for _, pkg := range pkgs {
 		for _, f := range pkg.Files {
@@ -217,7 +214,7 @@ func CollectIgnores(pkgs []*Package) ([]IgnoreDirective, []Diagnostic) {
 								strings.Join(names, ", ")),
 						})
 					default:
-						dirs = append(dirs, IgnoreDirective{Pos: pos, Analyzers: names, Reason: reason})
+						dirs = append(dirs, ignoreDirective{Pos: pos, Analyzers: names, Reason: reason})
 					}
 				}
 			}
@@ -228,7 +225,7 @@ func CollectIgnores(pkgs []*Package) ([]IgnoreDirective, []Diagnostic) {
 
 // filterSuppressed drops findings that a well-formed //bpvet:ignore
 // directive on the same or the preceding line covers.
-func filterSuppressed(directives []IgnoreDirective, diags []Diagnostic) []Diagnostic {
+func filterSuppressed(directives []ignoreDirective, diags []Diagnostic) []Diagnostic {
 	if len(directives) == 0 {
 		return diags
 	}
