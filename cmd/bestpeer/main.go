@@ -312,26 +312,17 @@ func runCache(node *core.Node) {
 		s.Terms, s.Selective, s.Flood, s.Explored)
 }
 
+// runHints runs the paper's second access mode: peers advertise matching
+// names, then each hinted object is fetched from its peer out-of-network.
 func runHints(node *core.Node, query string) {
-	res, err := node.Query(&agent.KeywordAgent{Query: query},
-		core.QueryOptions{Mode: 2, Timeout: 2 * time.Second})
+	res, err := node.QueryAndFetch(&agent.KeywordAgent{Query: query},
+		core.QueryOptions{Timeout: 2 * time.Second})
 	if err != nil {
 		fmt.Println("error:", err)
 		return
 	}
-	byPeer := make(map[string][]string)
-	for _, h := range res.Hints {
-		byPeer[h.PeerAddr] = append(byPeer[h.PeerAddr], h.Result.Name)
-	}
-	for peer, names := range byPeer {
-		fmt.Printf("  %s advertises %v — fetching\n", peer, names)
-		got, err := node.Fetch(peer, names, 2*time.Second)
-		if err != nil {
-			fmt.Println("  fetch error:", err)
-			continue
-		}
-		for _, r := range got {
-			fmt.Printf("    %s (%dB)\n", r.Name, len(r.Data))
-		}
+	fmt.Printf("  %d hints, %d fetched\n", len(res.Hints), len(res.Answers))
+	for _, a := range res.Answers {
+		fmt.Printf("    %s from %s (%dB)\n", a.Result.Name, a.PeerAddr, len(a.Result.Data))
 	}
 }

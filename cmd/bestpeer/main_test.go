@@ -99,14 +99,19 @@ func TestShellFilterAndHints(t *testing.T) {
 	if !strings.Contains(out, "remote.mp3") {
 		t.Fatalf("filter output missing hit:\n%s", out)
 	}
+	// A local match is a hint too; it is read from the store, not fetched.
+	store.Put(&storm.Object{Name: "local.mp3", Keywords: []string{"jazz"}, Data: []byte("local-bytes")})
 	out = capture(t, func() {
 		dispatch(node, store, "hints jazz")
 	})
-	if !strings.Contains(out, "remote.mp3") || !strings.Contains(out, "fetching") {
-		t.Fatalf("hints output wrong:\n%s", out)
-	}
-	if !strings.Contains(out, fmt.Sprintf("(%dB)", len("remote-bytes"))) {
-		t.Fatalf("hints did not fetch data:\n%s", out)
+	for _, want := range []string{
+		"2 hints, 2 fetched",
+		fmt.Sprintf("remote.mp3 from shell-peer (%dB)", len("remote-bytes")),
+		fmt.Sprintf("local.mp3 from shell-base (%dB)", len("local-bytes")),
+	} {
+		if !strings.Contains(out, want) {
+			t.Fatalf("hints output lacks %q:\n%s", want, out)
+		}
 	}
 }
 
