@@ -126,11 +126,6 @@ const (
 // OpenStore opens (or creates) the object store at path.
 func OpenStore(path string, opts StoreOptions) (*Store, error) { return storm.Open(path, opts) }
 
-// PersistentIndex is the durable on-disk inverted keyword index enabled
-// by StoreOptions.PersistentIndex. While it is open Store.Match plans over
-// it instead of scanning the store.
-type PersistentIndex = storm.PersistentIndex
-
 // Reconfiguration strategies.
 type (
 	// Strategy ranks observed peers after a query.

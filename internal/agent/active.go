@@ -3,7 +3,6 @@ package agent
 import (
 	"bytes"
 	"fmt"
-	"sort"
 	"strconv"
 	"sync"
 
@@ -49,18 +48,6 @@ func (s *ActiveSet) Get(name string) (ActiveNode, bool) {
 	defer s.mu.RUnlock()
 	n, ok := s.nodes[name]
 	return n, ok
-}
-
-// Names returns the sorted names of registered active nodes.
-func (s *ActiveSet) Names() []string {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	out := make([]string, 0, len(s.nodes))
-	for n := range s.nodes {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // RenderObject applies an object's active element, if any. Static objects

@@ -19,7 +19,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"sort"
 	"sync"
 
 	"bestpeer/internal/storm"
@@ -211,18 +210,6 @@ func (r *Registry) New(class string, state []byte) (Agent, error) {
 		return nil, fmt.Errorf("%w: %q", ErrNotInstalled, class)
 	}
 	return f.New(state)
-}
-
-// Classes returns the sorted names of all linked classes.
-func (r *Registry) Classes() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]string, 0, len(r.factories))
-	for c := range r.factories {
-		out = append(out, c)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // Packet is the travelling form of an agent: what the envelope body of a

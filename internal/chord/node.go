@@ -102,9 +102,8 @@ type Node struct {
 	started    bool
 	closed     bool
 
-	stop      chan struct{}
-	suspectCh chan string
-	wg        sync.WaitGroup
+	stop chan struct{}
+	wg   sync.WaitGroup
 
 	lookups     *obs.Counter
 	lookupFails *obs.Counter
@@ -114,28 +113,6 @@ type Node struct {
 	panics      *obs.Counter
 }
 
-// NodeStats is a point-in-time snapshot of the node counters.
-type NodeStats struct {
-	Lookups        uint64
-	LookupFailures uint64
-	Forwards       uint64
-	Stabilizes     uint64
-	RPCFailures    uint64
-	Panics         uint64
-}
-
-// Stats snapshots the node counters.
-func (n *Node) Stats() NodeStats {
-	return NodeStats{
-		Lookups:        n.lookups.Value(),
-		LookupFailures: n.lookupFails.Value(),
-		Forwards:       n.forwards.Value(),
-		Stabilizes:     n.stabilizes.Value(),
-		RPCFailures:    n.rpcFails.Value(),
-		Panics:         n.panics.Value(),
-	}
-}
-
 // New builds a node for the given address — which must be where the host
 // listens, since peers derive the node's ring key from it. Call Create
 // or Join to start maintenance.
@@ -143,13 +120,12 @@ func New(network transport.Network, addr string, cfg Config) *Node {
 	cfg = cfg.withDefaults()
 	self := RefFor(addr)
 	n := &Node{
-		network:   network,
-		cfg:       cfg,
-		self:      self,
-		t:         NewTable(self, cfg.Successors),
-		fails:     make(map[string]int),
-		stop:      make(chan struct{}),
-		suspectCh: make(chan string, 16),
+		network: network,
+		cfg:     cfg,
+		self:    self,
+		t:       NewTable(self, cfg.Successors),
+		fails:   make(map[string]int),
+		stop:    make(chan struct{}),
 		lookups: cfg.Metrics.Counter("bestpeer_chord_lookups_total",
 			"Key lookups initiated or forwarded by this node."),
 		lookupFails: cfg.Metrics.Counter("bestpeer_chord_lookup_failures_total",
@@ -165,9 +141,6 @@ func New(network transport.Network, addr string, cfg Config) *Node {
 	}
 	return n
 }
-
-// Self returns the node's own ring reference.
-func (n *Node) Self() NodeRef { return n.self }
 
 // contain is deferred at the top of every node goroutine so a panic is
 // recorded instead of taking the whole process down.
@@ -277,20 +250,6 @@ func (n *Node) shutdown() {
 	n.mu.Unlock()
 	close(n.stop)
 	n.wg.Wait()
-}
-
-// OnSuspect is shaped for transport.Options.OnSuspect: when the
-// messenger's failure detector marks addr suspect, the maintenance loop
-// purges it and stabilizes immediately. Lock-free, so it is safe to call
-// from under the messenger's own locks.
-func (n *Node) OnSuspect(addr string, suspect bool) {
-	if !suspect {
-		return
-	}
-	select {
-	case n.suspectCh <- addr:
-	default: // loop is behind; the periodic sweep will catch it
-	}
 }
 
 // Snapshot describes the node's current ring neighborhood — the admin
@@ -410,8 +369,7 @@ func (n *Node) journalNeighbor(slot, addr string) {
 }
 
 // maintainLoop is the node's only goroutine: stabilize, fix-fingers and
-// check-predecessor on their cadences, plus immediate repair when the
-// external failure detector reports a suspect.
+// check-predecessor on their cadences.
 func (n *Node) maintainLoop() {
 	defer n.wg.Done()
 	defer n.contain()
@@ -431,9 +389,6 @@ func (n *Node) maintainLoop() {
 			n.fixFingersRound()
 		case <-pred.C:
 			n.CheckPredecessor()
-		case addr := <-n.suspectCh:
-			n.dropFailed(addr)
-			n.Stabilize()
 		}
 	}
 }
@@ -575,15 +530,6 @@ func (n *Node) HandleEnvelope(req *wire.Envelope) *wire.Envelope {
 	default:
 		return nil
 	}
-}
-
-// Handles reports whether kind is a chord request this node serves.
-func Handles(kind wire.Kind) bool {
-	switch kind {
-	case wire.KindChordLookup, wire.KindChordNotify, wire.KindChordProbe:
-		return true
-	}
-	return false
 }
 
 func ringReply(kind wire.Kind, body []byte) *wire.Envelope {

@@ -100,7 +100,7 @@ func TestChaosQueryUnderMessageLoss(t *testing.T) {
 }
 
 // TestChaosPartitionHealsViaSweepAndReplenish partitions an 8-node
-// network in half, lets SweepPeers drop the unreachable half, then
+// network in half, lets a sweep drop the unreachable half, then
 // heals and replenishes from LIGLO — the paper's "simply replace those
 // peers by new peers that it encounters".
 func TestChaosPartitionHealsViaSweepAndReplenish(t *testing.T) {
@@ -155,7 +155,7 @@ func TestChaosPartitionHealsViaSweepAndReplenish(t *testing.T) {
 	if base.Probe(crossAddr, 500*time.Millisecond) {
 		t.Fatal("probe crossed a live partition")
 	}
-	dropped := base.SweepPeers(500 * time.Millisecond)
+	dropped := sweep(base, 500*time.Millisecond)
 	if dropped == 0 {
 		t.Fatal("sweep found no unresponsive peers during the partition")
 	}
@@ -383,7 +383,7 @@ func TestChaosNoStaleCachedAnswersUnderMutation(t *testing.T) {
 					return
 				default:
 				}
-				if _, err := c.nodes[i].Store().Put(&storm.Object{
+				if _, err := c.nodes[i].store.Put(&storm.Object{
 					Name:     fmt.Sprintf("v-%d", i),
 					Keywords: []string{"hot"},
 					Data:     chaosVersion(v),

@@ -44,10 +44,3 @@ func (d *dedup) Seen(id wire.MsgID) bool {
 	d.next = (d.next + 1) % len(d.ring)
 	return false
 }
-
-// Len returns the number of remembered IDs.
-func (d *dedup) Len() int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return len(d.set)
-}

@@ -12,10 +12,10 @@ import (
 
 // This file implements the node's membership lifecycle beyond join:
 // graceful leave (Depart announcements plus LIGLO deregistration) and
-// crash repair (a failure-detector-driven loop that backfills overlay
-// degree after peers die). Together with SweepPeers they give the
-// overlay the three exits the paper's churn model needs — leave, crash,
-// and detection-plus-repair — without changing the query path at all.
+// crash repair (a failure-detector-driven loop that drops dead peers and
+// backfills overlay degree). Together they give the overlay the three
+// exits the paper's churn model needs — leave, crash, and
+// detection-plus-repair — without changing the query path at all.
 
 // maxHintStash bounds the replacement-neighbor hints retained from
 // Depart announcements for later repair rounds.
@@ -283,7 +283,7 @@ func (n *Node) popHint() (Peer, bool) {
 }
 
 // StartRepair launches the crash-repair loop: it wakes on failure-
-// detector kicks (transport suspect transitions, sweep drops, departs)
+// detector kicks (transport suspect transitions, departs)
 // and every interval as a safety net, drops suspect peers that fail a
 // probe, and backfills the overlay degree toward MaxPeers — stashed
 // Depart hints first, then neighbor-of-neighbor candidates, then the
@@ -336,6 +336,78 @@ func (n *Node) StartRepair(interval, probeTimeout time.Duration) (stop func()) {
 	}
 }
 
+// dropDead probes, concurrently, the direct peers that suspect picks — N
+// dead peers cost one probe timeout, not N — and drops the unresponsive
+// ones, journalled with reason, releasing each one's transport queue and
+// learned routing state. The shrink is guarded by the peer-set generation
+// counter: if the set changed while the probes were in flight (a
+// reconfiguration, a Leave, a Rejoin), the stale result is discarded
+// rather than clobbering the newer set; the change schedules its own
+// round. It returns how many peers were dropped.
+func (n *Node) dropDead(suspect func(Peer) bool, probeTO time.Duration, reason string) int {
+	n.mu.Lock()
+	peers := append([]Peer(nil), n.peers...)
+	gen := n.peerGen
+	n.mu.Unlock()
+	var suspects []Peer
+	for _, p := range peers {
+		if suspect(p) {
+			suspects = append(suspects, p)
+		}
+	}
+	dead := make([]bool, len(suspects))
+	var wg sync.WaitGroup
+	for i, p := range suspects {
+		i, p := i, p
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer n.containPanic("repair-probe")
+			dead[i] = !n.Probe(p.Addr, probeTO)
+		}()
+	}
+	wg.Wait()
+	var drops []Peer
+	for i, p := range suspects {
+		if dead[i] {
+			drops = append(drops, p)
+		}
+	}
+	if len(drops) == 0 {
+		return 0
+	}
+	n.mu.Lock()
+	if n.peerGen != gen {
+		n.mu.Unlock()
+		return 0
+	}
+	dropped := 0
+	keep := n.peers[:0:0]
+	for _, p := range n.peers {
+		isDead := false
+		for _, d := range drops {
+			if d.Addr == p.Addr {
+				isDead = true
+				break
+			}
+		}
+		if isDead {
+			dropped++
+			continue
+		}
+		keep = append(keep, p)
+	}
+	n.peers = keep
+	n.peerGen++
+	n.mu.Unlock()
+	for _, p := range drops {
+		n.journal.Append(obs.Event{Kind: obs.EvPeerDropped, Peer: p.Addr, Reason: reason})
+		n.msgr.Forget(p.Addr)
+		n.qr.ForgetNeighbor(p.Addr)
+	}
+	return dropped
+}
+
 // RepairRound runs one repair round (the loop's body, exported so tests
 // and operators can force one): probe currently-suspect peers and drop
 // the dead, then backfill the degree deficit. It returns how many peers
@@ -351,73 +423,10 @@ func (n *Node) RepairRound(reason string, probeTO time.Duration) int {
 	// Phase 1: validate suspects. Only peers the transport's failure
 	// detector already distrusts are probed, so a healthy overlay pays
 	// nothing here. Failing (threshold crossed, nothing delivered since)
-	// rather than Suspect (inside the backoff window) — the window can
-	// expire between the failure and this round sampling it, and a dead
-	// peer must not escape detection by out-waiting a 100 ms backoff.
-	n.mu.Lock()
-	peers := append([]Peer(nil), n.peers...)
-	gen := n.peerGen
-	n.mu.Unlock()
-	var suspects []Peer
-	for _, p := range peers {
-		if n.msgr.Failing(p.Addr) {
-			suspects = append(suspects, p)
-		}
-	}
-	dead := make([]bool, len(suspects))
-	if len(suspects) > 0 {
-		var wg sync.WaitGroup
-		for i, p := range suspects {
-			i, p := i, p
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				defer n.containPanic("repair-probe")
-				dead[i] = !n.Probe(p.Addr, probeTO)
-			}()
-		}
-		wg.Wait()
-	}
-	var drops []Peer
-	for i, p := range suspects {
-		if dead[i] {
-			drops = append(drops, p)
-		}
-	}
-	dropped := 0
-	if len(drops) > 0 {
-		n.mu.Lock()
-		if n.peerGen == gen {
-			keep := n.peers[:0:0]
-			for _, p := range n.peers {
-				isDead := false
-				for _, d := range drops {
-					if d.Addr == p.Addr {
-						isDead = true
-						break
-					}
-				}
-				if isDead {
-					dropped++
-					continue
-				}
-				keep = append(keep, p)
-			}
-			n.peers = keep
-			n.peerGen++
-			n.mu.Unlock()
-			for _, p := range drops {
-				n.journal.Append(obs.Event{Kind: obs.EvPeerDropped, Peer: p.Addr, Reason: "suspect"})
-				n.msgr.Forget(p.Addr)
-				n.qr.ForgetNeighbor(p.Addr)
-			}
-		} else {
-			// The set changed under the probes (a reconfiguration, a
-			// concurrent Leave); discard the stale result — the kick that
-			// caused the change schedules its own round.
-			n.mu.Unlock()
-		}
-	}
+	// rather than the suspect backoff window — the window can expire
+	// between the failure and this round sampling it, and a dead peer must
+	// not escape detection by out-waiting a 100 ms backoff.
+	dropped := n.dropDead(func(p Peer) bool { return n.msgr.Failing(p.Addr) }, probeTO, "suspect")
 
 	// Phase 2: backfill the deficit. Stashed hints and neighbor-of-
 	// neighbor candidates are unverified gossip — under churn they

@@ -16,19 +16,21 @@ import (
 // lifecycleFleet boots a LIGLO server plus named nodes joined to it —
 // the environment every membership-lifecycle test needs.
 type lifecycleFleet struct {
-	nw  *transport.InProc
-	srv *liglo.Server
+	nw      *transport.InProc
+	srv     *liglo.Server
+	metrics *obs.Registry // the server's
 }
 
 func newLifecycleFleet(t *testing.T) *lifecycleFleet {
 	t.Helper()
 	nw := transport.NewInProc()
-	srv, err := liglo.NewServer(nw, "liglo-life", liglo.ServerConfig{})
+	reg := obs.NewRegistry()
+	srv, err := liglo.NewServer(nw, "liglo-life", liglo.ServerConfig{Metrics: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { srv.Close() })
-	return &lifecycleFleet{nw: nw, srv: srv}
+	return &lifecycleFleet{nw: nw, srv: srv, metrics: reg}
 }
 
 func (f *lifecycleFleet) node(t *testing.T, name string, mutate func(cfg *Config)) *Node {
@@ -160,8 +162,8 @@ func TestLeaveAnnouncesDepartAndDropsEdgesWithoutSweep(t *testing.T) {
 	}
 
 	// LIGLO marked the member offline on its own say-so.
-	if got := f.srv.Stats().Deregisters; got != 1 {
-		t.Fatalf("liglo deregisters = %d, want 1", got)
+	if got := f.metrics.Snapshot().Value("bestpeer_liglo_deregisters_total"); got != 1 {
+		t.Fatalf("liglo deregisters = %v, want 1", got)
 	}
 	cli := liglo.NewClient(f.nw)
 	defer cli.Close()
@@ -216,7 +218,7 @@ func TestRepairRoundDropsSuspectAndBackfills(t *testing.T) {
 		t.Fatal("probe of crashed peer succeeded")
 	}
 	waitUntil(t, "transport to suspect the crashed peer", func() bool {
-		return a.msgr.Suspect(bAddr)
+		return a.msgr.Failing(bAddr)
 	})
 	// The home LIGLO runs a liveness sweep and notices the crash too —
 	// without this, backfill would legitimately hand the stale member
@@ -406,7 +408,7 @@ func TestSweepRacesLeaveAndDepart(t *testing.T) {
 			case <-stop:
 				return
 			default:
-				a.SweepPeers(50 * time.Millisecond)
+				sweep(a, 50*time.Millisecond)
 			}
 		}
 	}()

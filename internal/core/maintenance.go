@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"bestpeer/internal/agent"
-	"bestpeer/internal/obs"
 )
 
 // QueryAndFetch runs a mode-2 query (peers advertise matching names
@@ -86,100 +85,6 @@ func (n *Node) QueryAndFetch(ag agent.Agent, opts QueryOptions) (*QueryResult, e
 	}
 	wg.Wait()
 	return res, nil
-}
-
-// StartMaintenance launches a background loop that probes every direct
-// peer each interval and drops peers that do not respond — the paper's
-// "simply replace those peers by new peers that it encounters", with
-// replacement happening through subsequent reconfiguration. The returned
-// stop function terminates the loop and blocks until it has exited.
-func (n *Node) StartMaintenance(interval, probeTimeout time.Duration) (stop func()) {
-	if interval <= 0 {
-		interval = 30 * time.Second
-	}
-	done := make(chan struct{})
-	finished := make(chan struct{})
-	go func() {
-		defer close(finished)
-		defer n.containPanic("maintenance")
-		ticker := time.NewTicker(interval)
-		defer ticker.Stop()
-		for {
-			select {
-			case <-done:
-				return
-			case <-ticker.C:
-				n.SweepPeers(probeTimeout)
-			}
-		}
-	}()
-	var once sync.Once
-	return func() {
-		once.Do(func() {
-			close(done)
-			<-finished
-		})
-	}
-}
-
-// SweepPeers probes every direct peer concurrently and removes the
-// unresponsive ones, so N dead peers cost one probe timeout, not N. It
-// returns how many peers were found unresponsive. The shrink is guarded
-// by the peer-set generation counter: if the set was mutated while the
-// probes were in flight (a reconfiguration, a Rejoin), the stale result
-// is discarded rather than clobbering the newer set.
-func (n *Node) SweepPeers(probeTimeout time.Duration) int {
-	n.mu.Lock()
-	peers := append([]Peer(nil), n.peers...)
-	gen := n.peerGen
-	n.mu.Unlock()
-	if len(peers) == 0 {
-		return 0
-	}
-
-	responsive := make([]bool, len(peers))
-	var wg sync.WaitGroup
-	for i, p := range peers {
-		i, p := i, p
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer n.containPanic("sweep")
-			responsive[i] = n.Probe(p.Addr, probeTimeout)
-		}()
-	}
-	wg.Wait()
-
-	alive := peers[:0:0]
-	for i, p := range peers {
-		if responsive[i] {
-			alive = append(alive, p)
-		}
-	}
-	dropped := len(peers) - len(alive)
-	if dropped > 0 {
-		n.mu.Lock()
-		if n.peerGen == gen {
-			n.peers = alive
-			n.peerGen++
-			n.mu.Unlock()
-			for i, p := range peers {
-				if !responsive[i] {
-					n.journal.Append(obs.Event{Kind: obs.EvPeerDropped, Peer: p.Addr, Reason: "unresponsive"})
-					// Release the dead peer's transport queue and learned
-					// routing state, then wake the repair loop to backfill.
-					n.msgr.Forget(p.Addr)
-					n.qr.ForgetNeighbor(p.Addr)
-				}
-			}
-			n.kickRepair("sweep")
-			n.log.Info("dropped unresponsive peers", "count", dropped)
-		} else {
-			n.mu.Unlock()
-			n.log.Info("sweep result discarded: peer set changed underneath", "stale_dropped", dropped)
-		}
-	}
-	return dropped
 }
 
 // Replenish asks the node's home LIGLO server for fresh online peers to

@@ -92,7 +92,7 @@ func TestQueryAndFetchSkipsRemovedObjects(t *testing.T) {
 	if len(res.Hints) != 2 {
 		t.Fatalf("hints = %d", len(res.Hints))
 	}
-	c.nodes[1].Store().Delete("fleeting")
+	c.nodes[1].store.Delete("fleeting")
 	got, err := c.nodes[0].Fetch(c.nodes[1].Addr(), []string{"fleeting", "stable-f"}, time.Second)
 	if err != nil {
 		t.Fatal(err)
@@ -100,6 +100,13 @@ func TestQueryAndFetchSkipsRemovedObjects(t *testing.T) {
 	if len(got) != 1 || got[0].Name != "stable-f" {
 		t.Fatalf("fetched = %+v, want only stable-f", got)
 	}
+}
+
+// sweep probes every direct peer and drops the unresponsive ones: the
+// repair round's drop step over the whole peer set, not just the peers
+// the transport already distrusts.
+func sweep(n *Node, probeTO time.Duration) int {
+	return n.dropDead(func(Peer) bool { return true }, probeTO, "unresponsive")
 }
 
 func TestSweepPeersDropsDeadPeer(t *testing.T) {
@@ -113,7 +120,7 @@ func TestSweepPeersDropsDeadPeer(t *testing.T) {
 	c.nodes[2].Close()
 	c.nw.Drop(c.nodes[2].Addr())
 
-	dropped := base.SweepPeers(200 * time.Millisecond)
+	dropped := sweep(base, 200*time.Millisecond)
 	if dropped != 1 {
 		t.Fatalf("dropped = %d, want 1", dropped)
 	}
@@ -121,37 +128,6 @@ func TestSweepPeersDropsDeadPeer(t *testing.T) {
 	if len(peers) != 1 || peers[0] != c.nodes[1].Addr() {
 		t.Fatalf("peers after sweep = %v", peers)
 	}
-}
-
-func TestStartMaintenanceLoop(t *testing.T) {
-	c := newCluster(t, 2, nil, nil)
-	c.wire(topology.Line(2))
-	base := c.nodes[0]
-
-	stop := base.StartMaintenance(50*time.Millisecond, 100*time.Millisecond)
-	defer stop()
-
-	// Healthy peer survives several sweeps.
-	time.Sleep(150 * time.Millisecond)
-	if len(base.Peers()) != 1 {
-		t.Fatalf("healthy peer dropped: %v", base.Peers())
-	}
-
-	// Kill it; the loop prunes it.
-	c.nodes[1].Close()
-	c.nw.Drop(c.nodes[1].Addr())
-	deadline := time.Now().Add(3 * time.Second)
-	for time.Now().Before(deadline) {
-		if len(base.Peers()) == 0 {
-			break
-		}
-		time.Sleep(50 * time.Millisecond)
-	}
-	if len(base.Peers()) != 0 {
-		t.Fatalf("dead peer never dropped: %v", base.Peers())
-	}
-	stop()
-	stop() // idempotent
 }
 
 func TestReplenishFillsPeerSetFromLiglo(t *testing.T) {

@@ -361,15 +361,6 @@ func (n *Node) ID() wire.BPID {
 	return n.id
 }
 
-// Store returns the node's storage manager.
-func (n *Node) Store() *storm.Store { return n.store }
-
-// Registry returns the node's agent class registry.
-func (n *Node) Registry() *agent.Registry { return n.registry }
-
-// ActiveNodes returns the node's active-element set.
-func (n *Node) ActiveNodes() *agent.ActiveSet { return n.active }
-
 // Strategy returns the reconfiguration strategy in use.
 func (n *Node) Strategy() reconfig.Strategy { return n.strategy }
 

@@ -351,7 +351,7 @@ func TestFetchRemovedObjectReturnsEmpty(t *testing.T) {
 		}
 	})
 	c.wire(topology.Line(2))
-	c.nodes[1].Store().Delete("ghost")
+	c.nodes[1].store.Delete("ghost")
 	got, err := c.nodes[0].Fetch(c.nodes[1].Addr(), []string{"ghost"}, 2*time.Second)
 	if err != nil {
 		t.Fatal(err)
@@ -386,7 +386,7 @@ func TestClassShippingOnColdPeer(t *testing.T) {
 	if len(res.Answers) != 1 || res.Answers[0].Result.Name != "remote-hit" {
 		t.Fatalf("cold peer answers = %+v", res.Answers)
 	}
-	if !c.nodes[1].Registry().Installed(agent.KeywordClass) {
+	if !c.nodes[1].registry.Installed(agent.KeywordClass) {
 		t.Fatal("class not installed after shipping")
 	}
 	if st := c.nodes[0].Stats(); st.ClassesShipped != 1 {
@@ -660,8 +660,8 @@ func TestDedupBoundedMemory(t *testing.T) {
 			t.Fatal("fresh id reported seen")
 		}
 	}
-	if d.Len() > 4 {
-		t.Fatalf("dedup grew to %d", d.Len())
+	if len(d.set) > 4 {
+		t.Fatalf("dedup grew to %d", len(d.set))
 	}
 	id := wire.NewMsgID()
 	d.Seen(id)

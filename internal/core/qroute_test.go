@@ -81,7 +81,7 @@ func TestStoreMutationInvalidatesBaseCache(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A local write retires every cached answer via the mutation hook.
-	if _, err := c.nodes[0].Store().Put(&storm.Object{
+	if _, err := c.nodes[0].store.Put(&storm.Object{
 		Name: "fresh", Keywords: []string{"kw0"},
 	}); err != nil {
 		t.Fatal(err)
@@ -156,7 +156,7 @@ func TestServeSiteCacheSkipsRepeatScans(t *testing.T) {
 
 	// A mutation at the peer retires its serve-site entry: the next query
 	// is a fresh scan again and sees the new object.
-	if _, err := c.nodes[1].Store().Put(&storm.Object{
+	if _, err := c.nodes[1].store.Put(&storm.Object{
 		Name: "remote-obj-2", Keywords: []string{"remote"},
 	}); err != nil {
 		t.Fatal(err)
@@ -198,7 +198,7 @@ func TestSelectiveRoutingLearnsProvider(t *testing.T) {
 
 	// Bump the base's epoch so the repeat query misses the answer cache
 	// and exercises the routing plan instead.
-	if _, err := c.nodes[0].Store().Put(&storm.Object{Name: "unrelated"}); err != nil {
+	if _, err := c.nodes[0].store.Put(&storm.Object{Name: "unrelated"}); err != nil {
 		t.Fatal(err)
 	}
 	res, err := c.nodes[0].Query(&agent.KeywordAgent{Query: "needle"}, opts)

@@ -38,7 +38,7 @@ func TestDeregisterMarksOfflineImmediately(t *testing.T) {
 	if online || addr != "node-1" {
 		t.Fatalf("after deregister: addr=%q online=%v, want node-1 offline", addr, online)
 	}
-	if got := srv.Stats().Deregisters; got != 1 {
+	if got := srv.deregisters.Value(); got != 1 {
 		t.Fatalf("Deregisters = %d, want 1", got)
 	}
 	kinds := countKinds(j)
@@ -106,7 +106,7 @@ func TestDeregisterRejections(t *testing.T) {
 	if _, online, err := cli.Lookup(id); err != nil || !online {
 		t.Fatalf("member disturbed: online=%v err=%v", online, err)
 	}
-	if got := srv.Stats().Deregisters; got != 0 {
+	if got := srv.deregisters.Value(); got != 0 {
 		t.Fatalf("rejections counted as deregisters: %d", got)
 	}
 }

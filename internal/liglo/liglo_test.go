@@ -44,8 +44,8 @@ func TestRegisterIssuesSequentialBPIDs(t *testing.T) {
 	if len(peers2) != 1 || peers2[0].ID != id1 || peers2[0].Addr != "node-1" {
 		t.Fatalf("second registrant peers = %v", peers2)
 	}
-	if srv.Members() != 2 || srv.Stats().Registers != 2 {
-		t.Fatalf("members=%d registers=%d", srv.Members(), srv.Stats().Registers)
+	if srv.Members() != 2 || srv.registers.Value() != 2 {
+		t.Fatalf("members=%d registers=%d", srv.Members(), srv.registers.Value())
 	}
 }
 
@@ -72,8 +72,8 @@ func TestCapacityRejection(t *testing.T) {
 	if _, _, err := cli.Register(srv.Addr(), "c"); !errors.Is(err, ErrFull) {
 		t.Fatalf("over-capacity register: %v", err)
 	}
-	if srv.Stats().Rejected != 1 {
-		t.Fatalf("Rejected = %d", srv.Stats().Rejected)
+	if srv.rejected.Value() != 1 {
+		t.Fatalf("Rejected = %d", srv.rejected.Value())
 	}
 }
 
@@ -125,8 +125,8 @@ func TestRejoinUpdatesAddress(t *testing.T) {
 	if addr != "new-addr" || !online {
 		t.Fatalf("lookup after rejoin = %q online=%v", addr, online)
 	}
-	if srv.Stats().Rejoins != 1 {
-		t.Fatalf("Rejoins = %d", srv.Stats().Rejoins)
+	if srv.rejoins.Value() != 1 {
+		t.Fatalf("Rejoins = %d", srv.rejoins.Value())
 	}
 }
 
@@ -359,8 +359,8 @@ func TestExpireAfterDropsLongOfflineMembers(t *testing.T) {
 	}
 	time.Sleep(50 * time.Millisecond)
 	srv.CheckNow()
-	if srv.Members() != 0 || srv.Stats().Expired != 1 {
-		t.Fatalf("member not expired: members=%d expired=%d", srv.Members(), srv.Stats().Expired)
+	if srv.Members() != 0 || srv.expired.Value() != 1 {
+		t.Fatalf("member not expired: members=%d expired=%d", srv.Members(), srv.expired.Value())
 	}
 	if _, _, err := cli.Lookup(id); !errors.Is(err, ErrUnknown) {
 		t.Fatalf("expired member still resolvable: %v", err)

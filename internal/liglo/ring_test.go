@@ -133,7 +133,7 @@ func TestRingPartitionsResolution(t *testing.T) {
 	if m.Addr != servers[0].Addr() {
 		t.Fatalf("redirect to %s, want %s", m.Addr, servers[0].Addr())
 	}
-	if servers[1].Stats().Redirects == 0 {
+	if servers[1].redirects.Value() == 0 {
 		t.Fatal("redirect counter not incremented")
 	}
 

@@ -100,40 +100,6 @@ type Server struct {
 	replications *obs.Counter
 }
 
-// ServerStats is a point-in-time snapshot of the server counters.
-type ServerStats struct {
-	Registers    uint64
-	Rejoins      uint64
-	Lookups      uint64
-	Rejected     uint64
-	Expired      uint64
-	Deregisters  uint64
-	Panics       uint64
-	Sweeps       uint64
-	SweepOnline  uint64
-	SweepOffline uint64
-	Redirects    uint64
-	Replications uint64
-}
-
-// Stats snapshots the server counters.
-func (s *Server) Stats() ServerStats {
-	return ServerStats{
-		Registers:    s.registers.Value(),
-		Rejoins:      s.rejoins.Value(),
-		Lookups:      s.lookups.Value(),
-		Rejected:     s.rejected.Value(),
-		Expired:      s.expired.Value(),
-		Deregisters:  s.deregisters.Value(),
-		Panics:       s.panics.Value(),
-		Sweeps:       s.sweeps.Value(),
-		SweepOnline:  s.sweepOnline.Value(),
-		SweepOffline: s.sweepOffline.Value(),
-		Redirects:    s.redirects.Value(),
-		Replications: s.replications.Value(),
-	}
-}
-
 // contain is deferred at the top of every server goroutine so a panic is
 // recorded instead of taking the whole process down.
 func (s *Server) contain() {

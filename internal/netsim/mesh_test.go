@@ -177,7 +177,7 @@ func BenchmarkSimSchedule(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		s.At(time.Duration(i), fn)
-		if s.Pending() > 1<<16 {
+		if s.pending > 1<<16 {
 			s.Run()
 		}
 	}

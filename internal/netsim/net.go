@@ -53,18 +53,12 @@ type Host struct {
 	BytesRecv uint64
 }
 
-// Addr returns the host's network address.
-func (h *Host) Addr() string { return h.addr }
-
 // SetHandler installs the function invoked for each delivered message.
 func (h *Host) SetHandler(fn Handler) { h.handler = fn }
 
 // Exec charges d of CPU time on this host's thread pool and then runs fn.
 // Work queues FIFO when all threads are busy.
 func (h *Host) Exec(d time.Duration, fn func()) { h.cpu.Submit(d, fn) }
-
-// CPU exposes the host's CPU resource (for utilization reporting).
-func (h *Host) CPU() *Resource { return h.cpu }
 
 // Network owns the hosts and links of a simulation.
 type Network struct {
@@ -131,9 +125,6 @@ func (n *Network) AddHost(addr string, cfg HostConfig) *Host {
 
 // Host returns the host with the given address, or nil.
 func (n *Network) Host(addr string) *Host { return n.hosts[addr] }
-
-// Hosts returns the number of hosts.
-func (n *Network) Hosts() int { return len(n.hosts) }
 
 // SetLink overrides the link used for messages from -> to.
 func (n *Network) SetLink(from, to string, l Link) {

@@ -198,11 +198,11 @@ func TestHostLookup(t *testing.T) {
 	s := NewSim()
 	n := NewNetwork(s, Link{})
 	h := n.AddHost("a", HostConfig{})
-	if n.Host("a") != h || n.Host("b") != nil || n.Hosts() != 1 {
+	if n.Host("a") != h || n.Host("b") != nil || len(n.hosts) != 1 {
 		t.Fatal("host lookup broken")
 	}
-	if h.Addr() != "a" {
-		t.Fatalf("Addr = %q", h.Addr())
+	if h.addr != "a" {
+		t.Fatalf("Addr = %q", h.addr)
 	}
 	if n.Sim() != s {
 		t.Fatal("Sim accessor broken")

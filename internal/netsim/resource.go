@@ -11,11 +11,6 @@ type Resource struct {
 	servers int
 	busy    int
 	queue   []job
-
-	// Busy time accounting, for utilization reporting.
-	busySince  time.Duration
-	busyTotal  time.Duration
-	everServed uint64
 }
 
 type job struct {
@@ -46,16 +41,9 @@ func (r *Resource) Submit(dur time.Duration, done func()) {
 }
 
 func (r *Resource) start(j job) {
-	if r.busy == 0 {
-		r.busySince = r.sim.Now()
-	}
 	r.busy++
-	r.everServed++
 	r.sim.After(j.dur, func() {
 		r.busy--
-		if r.busy == 0 {
-			r.busyTotal += r.sim.Now() - r.busySince
-		}
 		if j.done != nil {
 			j.done()
 		}
@@ -65,23 +53,4 @@ func (r *Resource) start(j job) {
 			r.start(next)
 		}
 	})
-}
-
-// QueueLen returns the number of jobs waiting (not in service).
-func (r *Resource) QueueLen() int { return len(r.queue) }
-
-// InService returns the number of jobs currently being served.
-func (r *Resource) InService() int { return r.busy }
-
-// Served returns the total number of jobs ever started.
-func (r *Resource) Served() uint64 { return r.everServed }
-
-// BusyTime returns accumulated time during which at least one server was
-// busy. If the resource is busy now, time since it became busy is included.
-func (r *Resource) BusyTime() time.Duration {
-	t := r.busyTotal
-	if r.busy > 0 {
-		t += r.sim.Now() - r.busySince
-	}
-	return t
 }

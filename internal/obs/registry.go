@@ -6,7 +6,7 @@
 // The registry follows the Prometheus data model in miniature: metrics
 // belong to named families, a family has one type and help string, and
 // instances within a family are distinguished by label pairs. Handles
-// returned by Counter/Gauge/Histogram are cached by callers and updated
+// returned by Counter/Histogram are cached by callers and updated
 // with single atomic operations, so instrumenting a hot path costs one
 // uncontended atomic add. Exposition (Snapshot, Prometheus text, JSON)
 // walks the registry under a lock — scrapes are rare, updates are not.
@@ -47,26 +47,6 @@ func (c *Counter) Add(n uint64) { c.v.Add(n) }
 
 // Value returns the current count.
 func (c *Counter) Value() uint64 { return c.v.Load() }
-
-// Gauge is a metric that can go up and down.
-type Gauge struct {
-	v atomic.Int64
-}
-
-// Set replaces the gauge value.
-func (g *Gauge) Set(v int64) { g.v.Store(v) }
-
-// Add adjusts the gauge by d (negative to decrease).
-func (g *Gauge) Add(d int64) { g.v.Add(d) }
-
-// Inc adds one.
-func (g *Gauge) Inc() { g.v.Add(1) }
-
-// Dec subtracts one.
-func (g *Gauge) Dec() { g.v.Add(-1) }
-
-// Value returns the current gauge value.
-func (g *Gauge) Value() int64 { return g.v.Load() }
 
 // Histogram accumulates observations into fixed buckets. Buckets are
 // upper bounds in ascending order; an implicit +Inf bucket catches the
@@ -143,7 +123,6 @@ type metricType uint8
 const (
 	counterType metricType = iota
 	counterFuncType
-	gaugeType
 	gaugeFuncType
 	histogramType
 )
@@ -165,7 +144,6 @@ func (t metricType) String() string {
 type metric struct {
 	labels []Label
 	c      *Counter
-	g      *Gauge
 	fn     func() float64
 	h      *Histogram
 }
@@ -230,8 +208,6 @@ func (r *Registry) getOrCreate(name, help string, typ metricType, buckets []floa
 		switch typ {
 		case counterType, counterFuncType:
 			m.c = &Counter{}
-		case gaugeType, gaugeFuncType:
-			m.g = &Gauge{}
 		case histogramType:
 			b := append([]float64(nil), buckets...)
 			sort.Float64s(b)
@@ -249,11 +225,6 @@ func (r *Registry) getOrCreate(name, help string, typ metricType, buckets []floa
 // first use. Callers cache the handle; updates are lock-free.
 func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
 	return r.getOrCreate(name, help, counterType, nil, labels).c
-}
-
-// Gauge returns the named gauge instance.
-func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
-	return r.getOrCreate(name, help, gaugeType, nil, labels).g
 }
 
 // GaugeFunc registers a gauge whose value is computed by fn at snapshot
@@ -501,8 +472,6 @@ func (r *Registry) Snapshot() *Snapshot {
 				ms.Value = m.fn()
 			case m.c != nil:
 				ms.Value = float64(m.c.Value())
-			case m.g != nil:
-				ms.Value = float64(m.g.Value())
 			case m.h != nil:
 				ms.Count = m.h.Count()
 				ms.Sum = m.h.Sum()

@@ -21,13 +21,9 @@ func TestCounterGaugeBasics(t *testing.T) {
 		t.Fatal("same name+labels must return the same handle")
 	}
 
-	g := r.Gauge("test_depth", "a gauge")
-	g.Set(7)
-	g.Inc()
-	g.Dec()
-	g.Add(-2)
-	if got := g.Value(); got != 5 {
-		t.Fatalf("gauge = %d, want 5", got)
+	r.GaugeFunc("test_depth", "a gauge", func() float64 { return 5 })
+	if got := r.Snapshot().Value("test_depth"); got != 5 {
+		t.Fatalf("gauge = %v, want 5", got)
 	}
 }
 
@@ -148,7 +144,7 @@ func TestTypeMismatchPanics(t *testing.T) {
 func TestWritePrometheusFormat(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("app_msgs_total", "messages handled", L("kind", "agent")).Add(12)
-	r.Gauge("app_queue_depth", "queue depth").Set(3)
+	r.GaugeFunc("app_queue_depth", "queue depth", func() float64 { return 3 })
 	h := r.Histogram("app_lat_seconds", "latency", []float64{0.5, 1})
 	h.Observe(0.25)
 	h.Observe(2)
@@ -292,16 +288,16 @@ func TestHistogramExemplars(t *testing.T) {
 func TestSnapshotDeltaSince(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("d_total", "delta counter")
-	g := r.Gauge("d_depth", "delta gauge")
+	depth := 4.0
+	r.GaugeFunc("d_depth", "delta gauge", func() float64 { return depth })
 	h := r.Histogram("d_seconds", "delta histogram", []float64{1})
 	lc := r.Counter("d_labeled_total", "labeled", L("where", "base"))
 	c.Add(10)
-	g.Set(4)
 	h.Observe(0.5)
 	lc.Add(3)
 	prev := r.Snapshot()
 	c.Add(5)
-	g.Set(9)
+	depth = 9
 	h.ObserveExemplar(2, "tail-q")
 	lc.Add(2)
 	r.Counter("d_labeled_total", "labeled", L("where", "serve")).Add(7)

@@ -112,21 +112,6 @@ func NewHealth(rules []Rule, seriesCap, journalCap int) *Health {
 	}
 }
 
-// SetRules replaces the rule set. Existing per-rule states are kept by
-// rule name, so tuning a threshold does not reset in-flight alerts.
-func (h *Health) SetRules(rules []Rule) {
-	h.mu.Lock()
-	h.rules = append([]Rule(nil), rules...)
-	h.mu.Unlock()
-}
-
-// Rules returns a copy of the rule set.
-func (h *Health) Rules() []Rule {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return append([]Rule(nil), h.rules...)
-}
-
 // Series exposes the underlying time-series store.
 func (h *Health) Series() *SeriesStore { return h.ts }
 

@@ -122,7 +122,7 @@ func TestChaosFaultsRaiseExactAlerts(t *testing.T) {
 	// The cache-collapse hold outlasts the whole test on purpose: a
 	// fresh fleet's cold cache is not a collapse, and proving that rule
 	// needs the sustained-lookup regime of the churn bench.
-	col.Health().SetRules([]Rule{
+	col.Health().rules = []Rule{
 		{Name: "member-down", Series: SigUp, Below: true, Fire: 0.5, Clear: 0.5},
 		{Name: "suspect-churn", Series: SigSuspectChurnPerS,
 			Fire: 0.5, Clear: 0.25, ClearHold: 200 * time.Millisecond},
@@ -134,7 +134,7 @@ func TestChaosFaultsRaiseExactAlerts(t *testing.T) {
 			Fire: 0.1, Clear: 0.3, Hold: 5 * time.Minute},
 		{Name: "repair-surge", Series: SigRepairAddedPerS,
 			Fire: 50, Clear: 10, Hold: 400 * time.Millisecond},
-	})
+	}
 
 	pump := func(base *core.Node, query string, n int) {
 		for i := 0; i < n; i++ {

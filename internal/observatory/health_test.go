@@ -136,7 +136,8 @@ func TestDeriveSignals(t *testing.T) {
 	hits := reg.Counter("bestpeer_qroute_cache_hits_total", "h", obs.L("where", "base"))
 	misses := reg.Counter("bestpeer_qroute_cache_misses_total", "m")
 	repairs := reg.Counter("bestpeer_node_repair_peers_added_total", "r")
-	depth := reg.Gauge("bestpeer_transport_send_queue_depth", "d")
+	depth := 0.0
+	reg.GaugeFunc("bestpeer_transport_send_queue_depth", "d", func() float64 { return depth })
 	hits.Add(10)
 	misses.Add(10)
 	prev := MemberSample{At: ts(0), Up: true, Metrics: reg.Snapshot()}
@@ -144,7 +145,7 @@ func TestDeriveSignals(t *testing.T) {
 	hits.Add(6)
 	misses.Add(2)
 	repairs.Add(20)
-	depth.Set(40)
+	depth = 40
 	cur := MemberSample{
 		At: ts(10), Up: true, Metrics: reg.Snapshot(),
 		Events: []obs.Event{

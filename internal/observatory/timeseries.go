@@ -63,9 +63,6 @@ func (r *Ring) Last() (TSPoint, bool) {
 	return r.points[len(r.points)-1], true
 }
 
-// Len returns the number of retained samples.
-func (r *Ring) Len() int { return len(r.points) }
-
 // DefaultSeriesCapacity is the per-series ring size used by
 // NewSeriesStore when given zero.
 const DefaultSeriesCapacity = 256

@@ -12,8 +12,8 @@ func TestRingDownsamples(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		r.Add(TSPoint{At: ts(i), V: float64(i)})
 	}
-	if r.Len() != 4 {
-		t.Fatalf("len = %d, want 4", r.Len())
+	if len(r.points) != 4 {
+		t.Fatalf("len = %d, want 4", len(r.points))
 	}
 	// The fifth add merges the four retained points pairwise first:
 	// (0,1)->0.5 and (2,3)->2.5, then appends 4.

@@ -62,9 +62,6 @@ func NewBufferPool(file *DiskFile, n int, rep Replacer) *BufferPool {
 	return bp
 }
 
-// Capacity returns the number of frames.
-func (b *BufferPool) Capacity() int { return len(b.frames) }
-
 // Policy returns the replacement policy name.
 func (b *BufferPool) Policy() string { return b.rep.Name() }
 
@@ -198,26 +195,6 @@ func (b *BufferPool) UnpinHint(id PageID, dirty bool, hint float64) error {
 	return nil
 }
 
-// FlushPage writes page id to disk if resident and dirty.
-func (b *BufferPool) FlushPage(id PageID) error {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	f, ok := b.table[id]
-	if !ok {
-		return nil
-	}
-	m := &b.meta[f]
-	if !m.dirty {
-		return nil
-	}
-	if err := b.file.WritePage(&b.frames[f]); err != nil {
-		return err
-	}
-	m.dirty = false
-	b.DirtyFlush++
-	return nil
-}
-
 // FlushAll writes every dirty resident page to disk.
 func (b *BufferPool) FlushAll() error {
 	b.mu.Lock()
@@ -234,24 +211,6 @@ func (b *BufferPool) FlushAll() error {
 		b.DirtyFlush++
 	}
 	return nil
-}
-
-// PinCount reports the pin count of page id, or 0 if not resident.
-func (b *BufferPool) PinCount(id PageID) int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if f, ok := b.table[id]; ok {
-		return b.meta[f].pins
-	}
-	return 0
-}
-
-// Resident reports whether page id is in the pool.
-func (b *BufferPool) Resident(id PageID) bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	_, ok := b.table[id]
-	return ok
 }
 
 // Counters snapshots the hit, miss and eviction counts under the pool

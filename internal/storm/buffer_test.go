@@ -212,6 +212,24 @@ func TestBufferPoolAllPinnedFails(t *testing.T) {
 	}
 }
 
+// pinCount reports the pin count of page id, or 0 if not resident.
+func pinCount(b *BufferPool, id PageID) int {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if f, ok := b.table[id]; ok {
+		return b.meta[f].pins
+	}
+	return 0
+}
+
+// resident reports whether page id is in the pool.
+func resident(b *BufferPool, id PageID) bool {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	_, ok := b.table[id]
+	return ok
+}
+
 func TestBufferPoolPinCounting(t *testing.T) {
 	f := tempFile(t)
 	bp := NewBufferPool(f, 2, NewLRU())
@@ -220,12 +238,12 @@ func TestBufferPoolPinCounting(t *testing.T) {
 	if _, err := bp.Fetch(id); err != nil { // second pin
 		t.Fatal(err)
 	}
-	if bp.PinCount(id) != 2 {
-		t.Fatalf("pin count = %d", bp.PinCount(id))
+	if pinCount(bp, id) != 2 {
+		t.Fatalf("pin count = %d", pinCount(bp, id))
 	}
 	bp.Unpin(id, false)
-	if bp.PinCount(id) != 1 {
-		t.Fatalf("pin count = %d", bp.PinCount(id))
+	if pinCount(bp, id) != 1 {
+		t.Fatalf("pin count = %d", pinCount(bp, id))
 	}
 	bp.Unpin(id, false)
 	if err := bp.Unpin(id, false); !errors.Is(err, ErrNotPinned) {
@@ -249,7 +267,7 @@ func TestBufferPoolPinnedPagesSurviveEviction(t *testing.T) {
 		}
 		bp.Unpin(q.ID(), false)
 	}
-	if !bp.Resident(pinned) {
+	if !resident(bp, pinned) {
 		t.Fatal("pinned page was evicted")
 	}
 	bp.Unpin(pinned, false)
@@ -273,20 +291,13 @@ func TestBufferPoolFlush(t *testing.T) {
 	if rec, err := q.Get(0); err != nil || string(rec) != "flush-me" {
 		t.Fatalf("FlushAll did not persist: %q %v", rec, err)
 	}
-	// FlushPage of a clean or absent page is a no-op.
-	if err := bp.FlushPage(id); err != nil {
-		t.Fatal(err)
-	}
-	if err := bp.FlushPage(777); err != nil {
-		t.Fatal(err)
-	}
 }
 
 func TestBufferPoolCapacityFloor(t *testing.T) {
 	f := tempFile(t)
 	bp := NewBufferPool(f, 0, nil)
-	if bp.Capacity() != 1 {
-		t.Fatalf("capacity = %d", bp.Capacity())
+	if len(bp.frames) != 1 {
+		t.Fatalf("capacity = %d", len(bp.frames))
 	}
 	if bp.Policy() != "lru" {
 		t.Fatalf("default policy = %q", bp.Policy())

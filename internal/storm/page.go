@@ -293,13 +293,6 @@ func imageRecords(buf *[PageSize]byte, fn func(s Slot, rec []byte) bool) {
 	}
 }
 
-// LiveRecords returns the number of non-deleted records.
-func (p *Page) LiveRecords() int {
-	n := 0
-	p.Records(func(Slot, []byte) bool { n++; return true })
-	return n
-}
-
 // seal computes and stores the page checksum before the page is written
 // to disk.
 func (p *Page) seal() {

@@ -34,8 +34,8 @@ func TestPageInsertGet(t *testing.T) {
 	if err != nil || string(got) != "beta" {
 		t.Fatalf("Get(s2) = %q, %v", got, err)
 	}
-	if p.LiveRecords() != 2 {
-		t.Fatalf("live = %d", p.LiveRecords())
+	if liveRecords(&p) != 2 {
+		t.Fatalf("live = %d", liveRecords(&p))
 	}
 }
 
@@ -270,7 +270,7 @@ func TestPageShadowModel(t *testing.T) {
 				}
 			}
 		}
-		if p.LiveRecords() != len(shadow) {
+		if liveRecords(&p) != len(shadow) {
 			return false
 		}
 		for s, want := range shadow {
@@ -300,4 +300,11 @@ func TestObjectKindString(t *testing.T) {
 	if ObjectKind(9).String() != fmt.Sprintf("kind(%d)", 9) {
 		t.Fatal("unknown kind name wrong")
 	}
+}
+
+// liveRecords counts the page's non-deleted records.
+func liveRecords(p *Page) int {
+	n := 0
+	p.Records(func(Slot, []byte) bool { n++; return true })
+	return n
 }

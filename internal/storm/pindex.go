@@ -149,10 +149,6 @@ func (s *Store) syncIndexRoot() error {
 	return nil
 }
 
-// Index returns the store's persistent inverted index, or nil when the
-// option is disabled.
-func (s *Store) Index() *PersistentIndex { return s.pindex }
-
 // LookupKeyword returns the names of objects carrying the keyword using
 // the persistent index. It fails when the index is disabled.
 func (s *Store) LookupKeyword(keyword string) ([]string, error) {

@@ -30,7 +30,7 @@ func TestPersistentIndexLookup(t *testing.T) {
 	if len(names) != 2 || names[0] != "a-song" || names[1] != "b-song" {
 		t.Fatalf("Lookup(JAZZ) = %v", names)
 	}
-	if n, _ := s.Index().Postings(); n != 4 {
+	if n, _ := s.pindex.Postings(); n != 4 {
 		t.Fatalf("postings = %d", n)
 	}
 }
@@ -55,7 +55,7 @@ func TestPersistentIndexMaintainedOnReplaceAndDelete(t *testing.T) {
 			t.Fatalf("posting survived delete: %s -> %v", kw, names)
 		}
 	}
-	if n, _ := s.Index().Postings(); n != 0 {
+	if n, _ := s.pindex.Postings(); n != 0 {
 		t.Fatalf("postings = %d after full delete", n)
 	}
 }
@@ -126,7 +126,7 @@ func TestLookupKeywordWithoutIndexFails(t *testing.T) {
 	if _, err := s.LookupKeyword("k"); err == nil {
 		t.Fatal("lookup without index succeeded")
 	}
-	if s.Index() != nil {
+	if s.pindex != nil {
 		t.Fatal("Index() non-nil when disabled")
 	}
 }

@@ -633,7 +633,7 @@ func TestUncleanIndexIsRebuilt(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if got, err := s.Index().Postings(); err != nil || got != want {
+	if got, err := s.pindex.Postings(); err != nil || got != want {
 		t.Fatalf("index holds %d postings, %v; the heap has %d", got, err, want)
 	}
 	if fresh, _ := s.Match("fresh"); len(fresh) == 0 {
@@ -752,7 +752,7 @@ func TestLookupKeywordBesideWriters(t *testing.T) {
 						return
 					}
 				}
-				if n, err := s.Index().Postings(); err != nil || n < 0 {
+				if n, err := s.pindex.Postings(); err != nil || n < 0 {
 					t.Errorf("postings: %d, %v", n, err)
 					return
 				}

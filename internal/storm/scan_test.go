@@ -111,8 +111,8 @@ func TestMatchEqualsMatchFuncOverPool(t *testing.T) {
 			}
 			defer s.Close()
 			model := mixStore(t, s, 7, 1500)
-			if pages := s.Stats().DataPages; pages < 5*s.pool.Capacity() {
-				t.Fatalf("store has %d data pages, want several times the %d-frame pool", pages, s.pool.Capacity())
+			if pages := s.Stats().DataPages; pages < 5*len(s.pool.frames) {
+				t.Fatalf("store has %d data pages, want several times the %d-frame pool", pages, len(s.pool.frames))
 			}
 
 			// The last writes live only in dirty frames: the scan must
@@ -170,7 +170,7 @@ func TestScanRunVerifiesChecksums(t *testing.T) {
 	// A page in the middle of a cold run.
 	victim := s.dataPages[len(s.dataPages)/2]
 	for _, id := range []PageID{victim - 1, victim, victim + 1} {
-		if s.pool.Resident(id) {
+		if resident(s.pool, id) {
 			t.Fatalf("page %d is resident; the test needs it read from the file", id)
 		}
 	}
@@ -255,7 +255,7 @@ func TestMatchVouchesForThePagesItReads(t *testing.T) {
 	}
 	at := len(s.dataPages) / 2
 	victim := s.dataPages[at]
-	if s.pool.Resident(victim) {
+	if resident(s.pool, victim) {
 		t.Fatalf("page %d is resident; the test needs it read from the file", victim)
 	}
 	var onVictim, elsewhere string

@@ -220,18 +220,6 @@ func (w *WAL) Truncate() error {
 	return w.f.Sync()
 }
 
-// Size returns the current log length in bytes.
-func (w *WAL) Size() (int64, error) {
-	if err := w.w.Flush(); err != nil {
-		return 0, err
-	}
-	st, err := w.f.Stat()
-	if err != nil {
-		return 0, err
-	}
-	return st.Size(), nil
-}
-
 // Close flushes and closes the log.
 func (w *WAL) Close() error {
 	if w.closed {

@@ -123,7 +123,7 @@ func TestWALCorruptRecordStopsReplay(t *testing.T) {
 	s := walStore(t, dir)
 	s.Put(obj("first", nil, 64))
 	s.Put(obj("second", nil, 64))
-	sz, err := s.wal.Size()
+	sz, err := walSize(s.wal)
 	if err != nil || sz == 0 {
 		t.Fatalf("wal size: %d %v", sz, err)
 	}
@@ -154,14 +154,14 @@ func TestCheckpointTruncatesLog(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		s.Put(obj(fmt.Sprintf("c%d", i), nil, 128))
 	}
-	before, _ := s.wal.Size()
+	before, _ := walSize(s.wal)
 	if before == 0 {
 		t.Fatal("log empty before checkpoint")
 	}
 	if err := s.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	after, _ := s.wal.Size()
+	after, _ := walSize(s.wal)
 	if after != 0 {
 		t.Fatalf("log not truncated: %d bytes", after)
 	}
@@ -312,4 +312,16 @@ func TestWALCrashRecoveryShadowModel(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 8}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// walSize returns the log's length in bytes after flushing its buffer.
+func walSize(w *WAL) (int64, error) {
+	if err := w.w.Flush(); err != nil {
+		return 0, err
+	}
+	st, err := w.f.Stat()
+	if err != nil {
+		return 0, err
+	}
+	return st.Size(), nil
 }

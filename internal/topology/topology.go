@@ -25,9 +25,6 @@ type Topology struct {
 // Peers returns node i's direct peers. The slice must not be mutated.
 func (t *Topology) Peers(i int) []int { return t.adj[i] }
 
-// Degree returns the number of direct peers of node i.
-func (t *Topology) Degree(i int) int { return len(t.adj[i]) }
-
 // Edges returns the total number of undirected edges.
 func (t *Topology) Edges() int {
 	total := 0
@@ -103,18 +100,6 @@ func TreeLevels(k, levels int) int {
 	return n
 }
 
-// Depth returns the maximum hop distance from the base to any node.
-func (t *Topology) Depth() int {
-	dist := t.BFS(t.Base)
-	max := 0
-	for _, d := range dist {
-		if d > max {
-			max = d
-		}
-	}
-	return max
-}
-
 // BFS returns hop distances from start to every node (-1 if unreachable).
 func (t *Topology) BFS(start int) []int {
 	dist := make([]int, t.N)
@@ -134,16 +119,6 @@ func (t *Topology) BFS(start int) []int {
 		}
 	}
 	return dist
-}
-
-// Connected reports whether every node is reachable from the base.
-func (t *Topology) Connected() bool {
-	for _, d := range t.BFS(t.Base) {
-		if d < 0 {
-			return false
-		}
-	}
-	return true
 }
 
 // Random builds a connected random graph: a random spanning tree plus

@@ -10,48 +10,48 @@ func TestStarShape(t *testing.T) {
 	if s.N != 8 || s.Base != 0 {
 		t.Fatalf("N=%d Base=%d", s.N, s.Base)
 	}
-	if s.Degree(0) != 7 {
-		t.Fatalf("center degree = %d", s.Degree(0))
+	if len(s.Peers(0)) != 7 {
+		t.Fatalf("center degree = %d", len(s.Peers(0)))
 	}
 	for i := 1; i < 8; i++ {
-		if s.Degree(i) != 1 || s.Peers(i)[0] != 0 {
+		if len(s.Peers(i)) != 1 || s.Peers(i)[0] != 0 {
 			t.Fatalf("leaf %d peers = %v", i, s.Peers(i))
 		}
 	}
-	if s.Depth() != 1 || s.Edges() != 7 || !s.Connected() {
-		t.Fatalf("depth=%d edges=%d", s.Depth(), s.Edges())
+	if depth(s) != 1 || s.Edges() != 7 || !connected(s) {
+		t.Fatalf("depth=%d edges=%d", depth(s), s.Edges())
 	}
 }
 
 func TestLineShape(t *testing.T) {
 	l := Line(5)
-	if l.Degree(0) != 1 || l.Degree(4) != 1 {
+	if len(l.Peers(0)) != 1 || len(l.Peers(4)) != 1 {
 		t.Fatal("end nodes must have one peer")
 	}
 	for i := 1; i < 4; i++ {
-		if l.Degree(i) != 2 {
-			t.Fatalf("inner node %d degree = %d", i, l.Degree(i))
+		if len(l.Peers(i)) != 2 {
+			t.Fatalf("inner node %d degree = %d", i, len(l.Peers(i)))
 		}
 	}
-	if l.Depth() != 4 || l.Edges() != 4 {
-		t.Fatalf("depth=%d edges=%d", l.Depth(), l.Edges())
+	if depth(l) != 4 || l.Edges() != 4 {
+		t.Fatalf("depth=%d edges=%d", depth(l), l.Edges())
 	}
 }
 
 func TestTreeShape(t *testing.T) {
 	// Binary tree with 7 nodes: root 0, children 1,2; grandchildren 3..6.
 	tr := Tree(7, 2)
-	if tr.Degree(0) != 2 {
-		t.Fatalf("root degree = %d", tr.Degree(0))
+	if len(tr.Peers(0)) != 2 {
+		t.Fatalf("root degree = %d", len(tr.Peers(0)))
 	}
-	if tr.Degree(1) != 3 { // parent + two children
-		t.Fatalf("internal degree = %d", tr.Degree(1))
+	if len(tr.Peers(1)) != 3 { // parent + two children
+		t.Fatalf("internal degree = %d", len(tr.Peers(1)))
 	}
-	if tr.Degree(6) != 1 {
-		t.Fatalf("leaf degree = %d", tr.Degree(6))
+	if len(tr.Peers(6)) != 1 {
+		t.Fatalf("leaf degree = %d", len(tr.Peers(6)))
 	}
-	if tr.Depth() != 2 {
-		t.Fatalf("depth = %d", tr.Depth())
+	if depth(tr) != 2 {
+		t.Fatalf("depth = %d", depth(tr))
 	}
 	dist := tr.BFS(0)
 	want := []int{0, 1, 1, 2, 2, 2, 2}
@@ -73,14 +73,14 @@ func TestTreeLevels(t *testing.T) {
 
 func TestTreeKFloor(t *testing.T) {
 	tr := Tree(4, 0) // clamped to k=1: a line
-	if tr.Depth() != 3 {
-		t.Fatalf("k=0 tree depth = %d", tr.Depth())
+	if depth(tr) != 3 {
+		t.Fatalf("k=0 tree depth = %d", depth(tr))
 	}
 }
 
 func TestSingleNode(t *testing.T) {
 	for _, tp := range []*Topology{Star(1), Line(1), Tree(1, 2), Random(1, 3, 1)} {
-		if tp.N != 1 || tp.Degree(0) != 0 || !tp.Connected() || tp.Depth() != 0 {
+		if tp.N != 1 || len(tp.Peers(0)) != 0 || !connected(tp) || depth(tp) != 0 {
 			t.Fatalf("%s: single-node invariants broken", tp.Name)
 		}
 	}
@@ -89,7 +89,7 @@ func TestSingleNode(t *testing.T) {
 func TestRandomConnectedAndDeterministic(t *testing.T) {
 	a := Random(40, 4, 7)
 	b := Random(40, 4, 7)
-	if !a.Connected() {
+	if !connected(a) {
 		t.Fatal("random graph disconnected")
 	}
 	if a.Edges() != b.Edges() {
@@ -133,7 +133,7 @@ func TestTopologyProperties(t *testing.T) {
 		n := int(nSeed%48) + 1
 		k := int(kSeed%5) + 1
 		for _, tp := range []*Topology{Star(n), Line(n), Tree(n, k), Random(n, k, int64(nSeed)*100+int64(kSeed))} {
-			if !tp.Connected() {
+			if !connected(tp) {
 				return false
 			}
 			// Symmetry: i in adj[j] <=> j in adj[i]; no self-loops.
@@ -156,7 +156,7 @@ func TestTopologyProperties(t *testing.T) {
 			// Degree sum = 2 * edges.
 			sum := 0
 			for i := 0; i < tp.N; i++ {
-				sum += tp.Degree(i)
+				sum += len(tp.Peers(i))
 			}
 			if sum != 2*tp.Edges() {
 				return false
@@ -173,7 +173,28 @@ func TestBFSUnreachable(t *testing.T) {
 	// A two-node topology with no edges (constructed directly).
 	tp := newTopology("disc", 2)
 	dist := tp.BFS(0)
-	if dist[1] != -1 || tp.Connected() {
+	if dist[1] != -1 || connected(tp) {
 		t.Fatal("unreachable node not detected")
 	}
+}
+
+// depth returns the maximum hop distance from the base to any node.
+func depth(t *Topology) int {
+	max := 0
+	for _, d := range t.BFS(t.Base) {
+		if d > max {
+			max = d
+		}
+	}
+	return max
+}
+
+// connected reports whether every node is reachable from the base.
+func connected(t *Topology) bool {
+	for _, d := range t.BFS(t.Base) {
+		if d < 0 {
+			return false
+		}
+	}
+	return true
 }

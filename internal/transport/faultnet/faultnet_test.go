@@ -98,9 +98,9 @@ func TestSeededDropRateIsReproducible(t *testing.T) {
 		// writes too (the sender cannot tell), so Sent() == accepted means
 		// the queue has fully drained.
 		deadline := time.Now().Add(5 * time.Second)
-		for send.Sent() < accepted {
+		for send.Stats().Sent < accepted {
 			if time.Now().After(deadline) {
-				t.Fatalf("send queue never drained: %d of %d", send.Sent(), accepted)
+				t.Fatalf("send queue never drained: %d of %d", send.Stats().Sent, accepted)
 			}
 			time.Sleep(2 * time.Millisecond)
 		}

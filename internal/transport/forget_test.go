@@ -57,6 +57,18 @@ func TestForgetReleasesDestinationState(t *testing.T) {
 // TestForgetClearsSuspectState drives a destination into backoff via the
 // failure detector, then checks Forget wipes the suspect marker — a
 // departed peer's address must not poison a future node that reuses it.
+// suspect reports whether the destination is inside its backoff window.
+func suspect(m *Messenger, to string) bool {
+	m.mu.Lock()
+	q, ok := m.outs[to]
+	m.mu.Unlock()
+	if !ok {
+		return false
+	}
+	_, in := q.suspended()
+	return in
+}
+
 func TestForgetClearsSuspectState(t *testing.T) {
 	nw := NewInProc()
 	transitions := make(chan bool, 8)
@@ -83,13 +95,13 @@ func TestForgetClearsSuspectState(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("no suspect transition after failed delivery")
 	}
-	if !snd.Suspect("ghost") {
+	if !suspect(snd, "ghost") {
 		t.Fatal("destination not suspect after threshold failures")
 	}
 	if !snd.Forget("ghost") {
 		t.Fatal("Forget reported no state for suspect destination")
 	}
-	if snd.Suspect("ghost") {
+	if suspect(snd, "ghost") {
 		t.Fatal("suspect state survived Forget")
 	}
 }
@@ -147,7 +159,7 @@ func TestOnSuspectRecoveryTransition(t *testing.T) {
 	if !recovered {
 		t.Fatal("no recovery transition after the peer came up")
 	}
-	if snd.Suspect("rt-late") {
+	if suspect(snd, "rt-late") {
 		t.Fatal("destination still suspect after successful delivery")
 	}
 }
@@ -183,7 +195,7 @@ func TestFailingOutlivesBackoffWindow(t *testing.T) {
 
 	// Out-wait the backoff window: Suspect forgives, Failing must not.
 	time.Sleep(50 * time.Millisecond)
-	if snd.Suspect("fw-dead") {
+	if suspect(snd, "fw-dead") {
 		t.Fatal("still inside backoff window; test timing too tight")
 	}
 	if !snd.Failing("fw-dead") {

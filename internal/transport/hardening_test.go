@@ -93,7 +93,7 @@ func TestSendNeverBlocksOnHungDial(t *testing.T) {
 	if full == 0 {
 		t.Fatal("queue of 4 absorbed 20 sends without ErrQueueFull")
 	}
-	if m.Dropped() == 0 {
+	if m.Stats().Dropped == 0 {
 		t.Fatal("overflowed sends not counted as dropped")
 	}
 }
@@ -127,7 +127,7 @@ func TestSuspectBackoffAndRecovery(t *testing.T) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	if !m.Suspect("flaky") {
+	if !suspect(m, "flaky") {
 		t.Fatal("Suspect() disagrees with ErrPeerSuspect from Send")
 	}
 
@@ -147,7 +147,7 @@ func TestSuspectBackoffAndRecovery(t *testing.T) {
 		m.Send("flaky", env(wire.KindAgent, "recovered"))
 		time.Sleep(20 * time.Millisecond)
 	}
-	if m.Suspect("flaky") {
+	if suspect(m, "flaky") {
 		t.Fatal("successful delivery did not clear suspect state")
 	}
 }
@@ -185,8 +185,8 @@ func TestHandlerPanicContained(t *testing.T) {
 	if got := string(delivered[0].Body); got != "after" {
 		t.Fatalf("delivered body = %q, want %q", got, "after")
 	}
-	if recv.HandlerPanics() != 1 {
-		t.Fatalf("HandlerPanics = %d, want 1", recv.HandlerPanics())
+	if recv.Stats().HandlerPanics != 1 {
+		t.Fatalf("HandlerPanics = %d, want 1", recv.Stats().HandlerPanics)
 	}
 }
 

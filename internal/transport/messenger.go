@@ -238,27 +238,6 @@ func NewMessengerOpts(network Network, addr string, handler func(*wire.Envelope)
 // Addr returns the bound address.
 func (m *Messenger) Addr() string { return m.listener.Addr().String() }
 
-// Sent returns how many envelopes were written to the network.
-func (m *Messenger) Sent() uint64 { return m.Stats().Sent }
-
-// Received returns how many envelopes were decoded from the network.
-func (m *Messenger) Received() uint64 { return m.Stats().Received }
-
-// Dropped returns how many outgoing envelopes were abandoned: queue
-// overflow, suspect destinations and delivery failures.
-func (m *Messenger) Dropped() uint64 { return m.Stats().Dropped }
-
-// Redials returns how many times a stale cached connection was re-dialed.
-func (m *Messenger) Redials() uint64 { return m.Stats().Redials }
-
-// HandlerPanics returns how many handler invocations panicked (each is
-// contained to its envelope; the reader goroutine survives).
-func (m *Messenger) HandlerPanics() uint64 { return m.Stats().HandlerPanics }
-
-// LoopPanics returns how many messenger goroutines panicked and were
-// contained. Anything above zero is a transport bug.
-func (m *Messenger) LoopPanics() uint64 { return m.Stats().LoopPanics }
-
 // Forget releases every resource held for the destination: its send
 // queue, worker goroutine, cached connection and suspect/backoff state.
 // Queued envelopes are dropped (reason "forget") — the peer has departed,
@@ -280,21 +259,9 @@ func (m *Messenger) Forget(to string) bool {
 	return true
 }
 
-// Suspect reports whether the destination is currently in backoff.
-func (m *Messenger) Suspect(to string) bool {
-	m.mu.Lock()
-	q, ok := m.outs[to]
-	m.mu.Unlock()
-	if !ok {
-		return false
-	}
-	_, suspect := q.suspended()
-	return suspect
-}
-
 // Failing reports whether the destination has crossed the consecutive-
-// failure threshold and has not delivered anything since. Unlike
-// Suspect, this does not reset when the backoff window expires — only a
+// failure threshold and has not delivered anything since. Unlike the
+// suspect backoff window, this does not reset when the backoff window expires — only a
 // successful delivery clears it — so slow-cadence health checks (the
 // repair loop) cannot race a short backoff and miss a dead peer.
 func (m *Messenger) Failing(to string) bool {

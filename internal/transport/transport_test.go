@@ -125,10 +125,10 @@ func TestMessengerManyMessagesOrdered(t *testing.T) {
 			// The sent counter trails the receiver's handler by one
 			// instant; poll rather than assert the instantaneous value.
 			deadline := time.Now().Add(2 * time.Second)
-			for send.Sent() != n && time.Now().Before(deadline) {
+			for send.Stats().Sent != n && time.Now().Before(deadline) {
 				time.Sleep(time.Millisecond)
 			}
-			if got := send.Sent(); got != n {
+			if got := send.Stats().Sent; got != n {
 				t.Fatalf("Sent = %d, want %d", got, n)
 			}
 		})
@@ -192,10 +192,10 @@ func TestMessengerDialFailure(t *testing.T) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	if !m.Suspect("ghost") {
+	if !suspect(m, "ghost") {
 		t.Fatal("Suspect() disagrees with Send")
 	}
-	if m.Dropped() == 0 {
+	if m.Stats().Dropped == 0 {
 		t.Fatal("failed deliveries not counted as dropped")
 	}
 }
@@ -262,12 +262,12 @@ func TestMessengerCountsBytesAndForms(t *testing.T) {
 		for form := range want {
 			got[form] = tally{read(snap, "bestpeer_transport_frames_sent_total", form), read(snap, "bestpeer_transport_bytes_sent_total", form)}
 		}
-		if got["stored"] == *want["stored"] && got["gzip"] == *want["gzip"] && send.Dropped() == 1 {
+		if got["stored"] == *want["stored"] && got["gzip"] == *want["gzip"] && send.Stats().Dropped == 1 {
 			break
 		}
 		if time.Now().After(deadline) {
 			t.Fatalf("stored %+v (want %+v), gzip %+v (want %+v), dropped %d (want 1)",
-				got["stored"], *want["stored"], got["gzip"], *want["gzip"], send.Dropped())
+				got["stored"], *want["stored"], got["gzip"], *want["gzip"], send.Stats().Dropped)
 		}
 		time.Sleep(10 * time.Millisecond)
 	}

@@ -254,26 +254,6 @@ func (pr *Program) LitNode(l *ast.FuncLit) *FuncNode { return pr.lits[l] }
 // Nodes returns every function node in deterministic order.
 func (pr *Program) Nodes() []*FuncNode { return pr.order }
 
-// FuncByName finds a declared function node by its package path and
-// name ("Func" or "Type.Method") — a test and diagnostics convenience.
-func (pr *Program) FuncByName(pkgPath, name string) *FuncNode {
-	for _, n := range pr.order {
-		if n.Obj == nil || n.Pkg == nil || n.Pkg.Path != pkgPath {
-			continue
-		}
-		got := n.Obj.Name()
-		if sig, ok := n.Obj.Type().(*types.Signature); ok && sig.Recv() != nil {
-			if named := namedFrom(sig.Recv().Type()); named != nil {
-				got = named.Obj().Name() + "." + got
-			}
-		}
-		if got == name {
-			return n
-		}
-	}
-	return nil
-}
-
 // BuildProgram constructs the call graph and flow facts for the loaded
 // packages.
 func BuildProgram(pkgs []*Package) *Program {

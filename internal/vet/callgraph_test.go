@@ -1,6 +1,9 @@
 package vet
 
-import "testing"
+import (
+	"go/types"
+	"testing"
+)
 
 const cgPath = "bestpeer/internal/vet/testdata/src/callgraph"
 
@@ -57,11 +60,11 @@ func TestCallGraphEdges(t *testing.T) {
 		{"MethodVal", "English.Greet", EdgeMethodValue},
 	}
 	for _, c := range cases {
-		caller := pr.FuncByName(cgPath, c.caller)
+		caller := funcByName(pr, cgPath, c.caller)
 		if caller == nil {
 			t.Fatalf("no node for %s", c.caller)
 		}
-		callee := pr.FuncByName(cgPath, c.callee)
+		callee := funcByName(pr, cgPath, c.callee)
 		if callee == nil {
 			t.Fatalf("no node for %s", c.callee)
 		}
@@ -80,14 +83,14 @@ func TestCallGraphEdges(t *testing.T) {
 // Generic resolve to a single origin node (two sites, one target).
 func TestCallGraphGenericsShareNode(t *testing.T) {
 	pr := loadCallgraph(t)
-	caller := pr.FuncByName(cgPath, "CallsGeneric")
+	caller := funcByName(pr, cgPath, "CallsGeneric")
 	if caller == nil {
 		t.Fatal("no node for CallsGeneric")
 	}
 	if len(caller.Sites) != 2 {
 		t.Fatalf("CallsGeneric has %d sites, want 2", len(caller.Sites))
 	}
-	generic := pr.FuncByName(cgPath, "Generic")
+	generic := funcByName(pr, cgPath, "Generic")
 	for i := range caller.Sites {
 		callees := pr.staticCallees(&caller.Sites[i])
 		if len(callees) != 1 || callees[0] != generic {
@@ -100,8 +103,8 @@ func TestCallGraphGenericsShareNode(t *testing.T) {
 // package boundaries: callgraph.Cross -> leaf.Add.
 func TestCallGraphCrossPackage(t *testing.T) {
 	pr := loadCallgraph(t)
-	caller := pr.FuncByName(cgPath, "Cross")
-	add := pr.FuncByName(cgPath+"/leaf", "Add")
+	caller := funcByName(pr, cgPath, "Cross")
+	add := funcByName(pr, cgPath+"/leaf", "Add")
 	if caller == nil || add == nil {
 		t.Fatalf("missing nodes: Cross=%v leaf.Add=%v", caller, add)
 	}
@@ -114,7 +117,7 @@ func TestCallGraphCrossPackage(t *testing.T) {
 // literal is a synchronous edge to its own node.
 func TestCallGraphImmediateLiteral(t *testing.T) {
 	pr := loadCallgraph(t)
-	caller := pr.FuncByName(cgPath, "Immediate")
+	caller := funcByName(pr, cgPath, "Immediate")
 	if caller == nil {
 		t.Fatal("no node for Immediate")
 	}
@@ -124,4 +127,24 @@ func TestCallGraphImmediateLiteral(t *testing.T) {
 	if n := pr.LitNode(caller.Sites[0].Lits[0]); n == nil || n.Body == nil {
 		t.Error("literal site does not resolve to a literal node")
 	}
+}
+
+// funcByName finds a declared function node by its package path and name
+// ("Func" or "Type.Method").
+func funcByName(pr *Program, pkgPath, name string) *FuncNode {
+	for _, n := range pr.order {
+		if n.Obj == nil || n.Pkg == nil || n.Pkg.Path != pkgPath {
+			continue
+		}
+		got := n.Obj.Name()
+		if sig, ok := n.Obj.Type().(*types.Signature); ok && sig.Recv() != nil {
+			if named := namedFrom(sig.Recv().Type()); named != nil {
+				got = named.Obj().Name() + "." + got
+			}
+		}
+		if got == name {
+			return n
+		}
+	}
+	return nil
 }

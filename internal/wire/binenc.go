@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"math"
 	"slices"
 )
 
@@ -48,11 +47,6 @@ func (e *Encoder) Bool(v bool) {
 	} else {
 		e.buf = append(e.buf, 0)
 	}
-}
-
-// Float64 appends an IEEE-754 double.
-func (e *Encoder) Float64(v float64) {
-	e.buf = binary.BigEndian.AppendUint64(e.buf, math.Float64bits(v))
 }
 
 // String appends a length-prefixed string.
@@ -152,17 +146,6 @@ func (d *Decoder) Uint8() uint8 {
 
 // Bool reads a one-byte boolean.
 func (d *Decoder) Bool() bool { return d.Uint8() != 0 }
-
-// Float64 reads an IEEE-754 double.
-func (d *Decoder) Float64() float64 {
-	if d.err != nil || len(d.buf)-d.pos < 8 {
-		d.fail()
-		return 0
-	}
-	v := math.Float64frombits(binary.BigEndian.Uint64(d.buf[d.pos:]))
-	d.pos += 8
-	return v
-}
 
 // String reads a length-prefixed string.
 func (d *Decoder) String() string { return string(d.BytesView()) }

@@ -16,7 +16,6 @@ func TestEncoderDecoderAllFields(t *testing.T) {
 	e.Uint8(7)
 	e.Bool(true)
 	e.Bool(false)
-	e.Float64(3.5)
 	e.String("keyword")
 	e.Bytes2([]byte{1, 2, 3})
 	e.MsgID(id)
@@ -34,9 +33,6 @@ func TestEncoderDecoderAllFields(t *testing.T) {
 	}
 	if !d.Bool() || d.Bool() {
 		t.Fatal("Bool round trip failed")
-	}
-	if v := d.Float64(); v != 3.5 {
-		t.Fatalf("Float64 = %v", v)
 	}
 	if v := d.String(); v != "keyword" {
 		t.Fatalf("String = %q", v)
@@ -79,10 +75,10 @@ func TestDecoderErrorSticks(t *testing.T) {
 		t.Fatal("expected error after reading empty buffer")
 	}
 	// Subsequent reads return zero values without panicking.
-	if d.Uvarint() != 0 || d.String() != "" || d.Bytes2() != nil || d.Float64() != 0 {
+	if d.Uvarint() != 0 || d.String() != "" || d.Bytes2() != nil {
 		t.Fatal("post-error reads should return zero values")
 	}
-	if !d.MsgID().IsZero() {
+	if d.MsgID() != (MsgID{}) {
 		t.Fatal("post-error MsgID should be zero")
 	}
 	if err := d.Finish(); err == nil {
@@ -134,20 +130,6 @@ func TestBinencProperties(t *testing.T) {
 	}
 	if err := quick.Check(intRT, nil); err != nil {
 		t.Fatalf("int round trip: %v", err)
-	}
-
-	floatRT := func(f float64) bool {
-		var e Encoder
-		e.Float64(f)
-		d := NewDecoder(e.Bytes())
-		got := d.Float64()
-		if math.IsNaN(f) {
-			return math.IsNaN(got)
-		}
-		return got == f && d.Finish() == nil
-	}
-	if err := quick.Check(floatRT, nil); err != nil {
-		t.Fatalf("float round trip: %v", err)
 	}
 
 	bpidRT := func(liglo string, node uint64) bool {

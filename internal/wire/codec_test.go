@@ -246,7 +246,7 @@ func TestNewMsgIDUnique(t *testing.T) {
 	seen := make(map[MsgID]bool)
 	for i := 0; i < 1000; i++ {
 		id := NewMsgID()
-		if id.IsZero() {
+		if id == (MsgID{}) {
 			t.Fatal("NewMsgID returned zero id")
 		}
 		if seen[id] {

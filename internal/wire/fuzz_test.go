@@ -161,7 +161,6 @@ func FuzzDecoder(f *testing.F) {
 		_ = d.Uvarint()
 		_ = d.Bytes2()
 		_ = d.BPID()
-		_ = d.Float64()
 		_ = d.Finish()
 	})
 }

@@ -36,9 +36,6 @@ func NewMsgID() MsgID {
 
 var fallbackCounter atomic.Uint64
 
-// IsZero reports whether the identifier is the zero value.
-func (id MsgID) IsZero() bool { return id == MsgID{} }
-
 // String renders the identifier as lowercase hex.
 func (id MsgID) String() string { return hex.EncodeToString(id[:]) }
 

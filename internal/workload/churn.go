@@ -103,23 +103,6 @@ func ExponentialSessions(n int, horizon, meanSession, meanDowntime time.Duration
 	return Merge(out)
 }
 
-// FlashCrowd generates a burst of n joins (nodes firstNode..firstNode+n-1)
-// spread uniformly over width starting at start — the sudden-arrival side
-// of churn, where the overlay must absorb mass registration without
-// degrading queries in flight. Deterministic by seed.
-func FlashCrowd(firstNode, n int, start, width time.Duration, seed int64) ChurnTrace {
-	rng := rand.New(rand.NewSource(seed))
-	out := make(ChurnTrace, 0, n)
-	for i := 0; i < n; i++ {
-		jitter := time.Duration(0)
-		if width > 0 {
-			jitter = time.Duration(rng.Int63n(int64(width)))
-		}
-		out = append(out, ChurnEvent{At: start + jitter, Node: firstNode + i, Op: OpJoin})
-	}
-	return Merge(out)
-}
-
 // CorrelatedFailureBurst crashes frac of the nodes in [0, n) at the same
 // instant — a rack loss or partition, the hardest repair case because
 // every survivor starts repairing at once. Victims are a deterministic

@@ -70,26 +70,6 @@ func TestExponentialSessionsAlternates(t *testing.T) {
 	}
 }
 
-func TestFlashCrowdWindowAndNodes(t *testing.T) {
-	tr := FlashCrowd(100, 20, time.Minute, 10*time.Second, 11)
-	if len(tr) != 20 {
-		t.Fatalf("events = %d, want 20", len(tr))
-	}
-	seen := make(map[int]bool)
-	for _, e := range tr {
-		if e.Op != OpJoin {
-			t.Fatalf("non-join in flash crowd: %+v", e)
-		}
-		if e.At < time.Minute || e.At >= time.Minute+10*time.Second {
-			t.Fatalf("event outside window: %+v", e)
-		}
-		if e.Node < 100 || e.Node >= 120 || seen[e.Node] {
-			t.Fatalf("bad or duplicate node: %+v", e)
-		}
-		seen[e.Node] = true
-	}
-}
-
 func TestCorrelatedFailureBurst(t *testing.T) {
 	tr := CorrelatedFailureBurst(100, 0.25, 30*time.Second, 5)
 	if len(tr) != 25 {

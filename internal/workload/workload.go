@@ -123,37 +123,12 @@ func (s *Spec) MatchCount(node int, query string) int {
 	return count
 }
 
-// TotalMatches sums MatchCount over nodes [0, n).
-func (s *Spec) TotalMatches(n int, query string) int {
-	total := 0
-	for node := 0; node < n; node++ {
-		total += s.MatchCount(node, query)
-	}
-	return total
-}
-
 // UniformQueries draws n queries uniformly from the vocabulary.
 func (s *Spec) UniformQueries(seed int64, n int) []string {
 	rng := rand.New(rand.NewSource(seed))
 	out := make([]string, n)
 	for i := range out {
 		out[i] = s.Keyword(rng.Intn(s.Vocabulary))
-	}
-	return out
-}
-
-// ZipfQueries draws n queries from a Zipf distribution over the
-// vocabulary — popular terms dominate, as in real P2P query logs. skew
-// must be > 1; larger is more skewed.
-func (s *Spec) ZipfQueries(seed int64, n int, skew float64) []string {
-	if skew <= 1 {
-		skew = 1.1
-	}
-	rng := rand.New(rand.NewSource(seed))
-	z := rand.NewZipf(rng, skew, 1, uint64(s.Vocabulary-1))
-	out := make([]string, n)
-	for i := range out {
-		out[i] = s.Keyword(int(z.Uint64()))
 	}
 	return out
 }

@@ -123,17 +123,6 @@ func TestPlantedKeywordOnlyAtHolders(t *testing.T) {
 	}
 }
 
-func TestTotalMatches(t *testing.T) {
-	s := smallSpec()
-	sum := 0
-	for node := 0; node < 4; node++ {
-		sum += s.MatchCount(node, s.Keyword(3))
-	}
-	if got := s.TotalMatches(4, s.Keyword(3)); got != sum {
-		t.Fatalf("TotalMatches = %d, want %d", got, sum)
-	}
-}
-
 func TestUniformQueriesDeterministicAndInVocab(t *testing.T) {
 	s := smallSpec()
 	a := s.UniformQueries(7, 50)
@@ -149,29 +138,6 @@ func TestUniformQueriesDeterministicAndInVocab(t *testing.T) {
 		if !vocab[a[i]] {
 			t.Fatalf("query %q outside vocabulary", a[i])
 		}
-	}
-}
-
-func TestZipfQueriesSkewed(t *testing.T) {
-	s := smallSpec()
-	qs := s.ZipfQueries(1, 2000, 1.5)
-	counts := map[string]int{}
-	for _, q := range qs {
-		counts[q]++
-	}
-	// The most popular term should dominate a uniform share.
-	max := 0
-	for _, c := range counts {
-		if c > max {
-			max = c
-		}
-	}
-	if max < 2*2000/s.Vocabulary {
-		t.Fatalf("zipf max share %d too flat", max)
-	}
-	// Invalid skew falls back instead of panicking.
-	if got := s.ZipfQueries(1, 5, 0.5); len(got) != 5 {
-		t.Fatal("fallback skew failed")
 	}
 }
 

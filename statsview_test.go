@@ -9,9 +9,7 @@ import (
 	"reflect"
 	"testing"
 
-	"bestpeer/internal/chord"
 	"bestpeer/internal/core"
-	"bestpeer/internal/liglo"
 	"bestpeer/internal/obs"
 	"bestpeer/internal/storm"
 	"bestpeer/internal/transport"
@@ -86,21 +84,6 @@ func TestStatsViewsTrackTheirCounters(t *testing.T) {
 		}
 		defer m.Close()
 		checkStatsView(t, reg, func() any { return m.Stats() })
-	})
-	t.Run("liglo.Server", func(t *testing.T) {
-		reg := obs.NewRegistry()
-		s, err := liglo.NewServer(nw, "liglo", liglo.ServerConfig{Metrics: reg})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer s.Close()
-		checkStatsView(t, reg, func() any { return s.Stats() })
-	})
-	t.Run("chord.Node", func(t *testing.T) {
-		reg := obs.NewRegistry()
-		n := chord.New(nw, "chord", chord.Config{Metrics: reg})
-		defer n.Close()
-		checkStatsView(t, reg, func() any { return n.Stats() })
 	})
 	t.Run("faultnet.Fabric", func(t *testing.T) {
 		reg := obs.NewRegistry()
