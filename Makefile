@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet lint vetself vetgolden golden test race chaos fuzz cover adminsmoke perfcheck bench dhtbench churnsoak churnbench loc orphans ci clean
+.PHONY: all build vet lint vetself vetgolden golden test race chaos fuzz cover adminsmoke perfcheck bench dhtbench churnsoak churnbench loc deadcode ci clean
 
 all: build vet lint test
 
@@ -150,20 +150,14 @@ churnbench:
 loc:
 	@find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' | xargs cat | wc -l
 
-# Packages under internal/ that no binary links — not the commands, the
-# examples, the benchmark harness or the facade. Test-support packages are
-# the only ones that may be; anything else is code nothing runs, and fails.
-ORPHANS_OK := bestpeer/internal/transport/faultnet bestpeer/internal/wire/wiretest
-orphans: SHELL := /bin/bash
-orphans:
-	@out="$$(comm -23 <($(GO) list ./internal/... | sort) \
-		<($(GO) list -deps ./cmd/... ./examples/... ./benchmark/... . | sort))"; \
-	echo "$$out"; \
-	extra="$$(grep -vxF $(addprefix -e ,$(ORPHANS_OK)) <<<"$$out")"; \
-	if [ -n "$$extra" ]; then \
-		echo "linked into no binary and not allow-listed:"; echo "$$extra"; exit 1; fi
+# The reachability fence: every declaration under internal/ that no
+# command, example, benchmark/ file or facade export reaches must be listed
+# with its reason in testdata/deadcode.allow (deadcode_test.go). It runs
+# in `make test` too and skips under -race, so `make race` alone misses it.
+deadcode:
+	$(GO) test -count=1 -run 'TestDeadCode' -v .
 
-ci: build orphans vet lint vetself vetgolden golden race perfcheck fuzz adminsmoke cover
+ci: build deadcode vet lint vetself vetgolden golden race perfcheck fuzz adminsmoke cover
 
 clean:
 	$(GO) clean -testcache
