@@ -78,8 +78,8 @@ func TestTableRoutingConverges(t *testing.T) {
 	byAddr := make(map[string]*Table, len(tables))
 	var refs []NodeRef
 	for _, tb := range tables {
-		byAddr[tb.self.Addr] = tb
-		refs = append(refs, tb.self)
+		byAddr[tb.Self().Addr] = tb
+		refs = append(refs, tb.Self())
 	}
 	wantOwner := func(k Key) NodeRef {
 		best, bestDist := 0, uint64(refs[0].Key-k)
