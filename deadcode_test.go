@@ -8,7 +8,9 @@ package bestpeer
 // under internal/ is not reached is listed with its reason in
 // testdata/deadcode.allow, compared exactly, so the list only shrinks. An
 // unlinked package is unreachable whole, so this is also the package-level
-// fence; deadcodeExempt spares the test-support packages.
+// fence; deadcodeExempt spares the test-support packages. The same live
+// declarations must set every field of an option struct (optionFields);
+// one only tests set is listed with the test that needs it.
 
 import (
 	"go/ast"
@@ -109,6 +111,78 @@ func declName(o types.Object) string {
 	return name + o.Name()
 }
 
+// optionFields names every field of an option struct under internal/: a
+// type whose name ends in Options or Config, and bench.Params. A facade
+// alias shares its target's fields, so it is counted once.
+func optionFields(decls map[types.Object]*deadDecl) map[*types.Var]string {
+	fields := map[*types.Var]string{}
+	for o, d := range decls {
+		st, ok := o.Type().Underlying().(*types.Struct)
+		if tn, isType := o.(*types.TypeName); !ok || !isType || tn.IsAlias() ||
+			!strings.HasPrefix(d.pkg.Path, internalPrefix) || deadcodeExempt[d.pkg.Path] {
+			continue
+		}
+		if name := declName(o); strings.HasSuffix(name, "Options") || strings.HasSuffix(name, "Config") || name == "bench.Params" {
+			for i := 0; i < st.NumFields(); i++ {
+				fields[st.Field(i)] = name + "." + st.Field(i).Name()
+			}
+		}
+	}
+	return fields
+}
+
+// clearSet deletes from unset every field n writes: in a keyed or
+// positional composite literal, by assignment or ++/--, or through &x.F. A
+// write inside the type's own withDefaults is not a setter.
+func clearSet(n ast.Node, info *types.Info, unset map[*types.Var]string) {
+	own := "\x00"
+	if fd, ok := n.(*ast.FuncDecl); ok && fd.Recv != nil && fd.Name.Name == "withDefaults" {
+		own = strings.TrimSuffix(declName(info.Defs[fd.Name]), "withDefaults")
+	}
+	set := func(f *types.Var) {
+		if !strings.HasPrefix(unset[f], own) {
+			delete(unset, f)
+		}
+	}
+	setExpr := func(e ast.Expr) {
+		if sel, ok := ast.Unparen(e).(*ast.SelectorExpr); ok {
+			if f, ok := info.Uses[sel.Sel].(*types.Var); ok {
+				set(f)
+			}
+		}
+	}
+	ast.Inspect(n, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.CompositeLit:
+			typ := info.TypeOf(n)
+			if p, ok := typ.(*types.Pointer); ok {
+				typ = p.Elem()
+			}
+			if st, ok := typ.Underlying().(*types.Struct); ok {
+				for i, el := range n.Elts {
+					if kv, ok := el.(*ast.KeyValueExpr); ok {
+						f, _ := info.Uses[kv.Key.(*ast.Ident)].(*types.Var)
+						set(f)
+					} else {
+						set(st.Field(i))
+					}
+				}
+			}
+		case *ast.AssignStmt:
+			for _, lhs := range n.Lhs {
+				setExpr(lhs)
+			}
+		case *ast.IncDecStmt:
+			setExpr(n.X)
+		case *ast.UnaryExpr:
+			if n.Op == token.AND {
+				setExpr(n.X)
+			}
+		}
+		return true
+	})
+}
+
 // checkAllow compares one section of testdata/deadcode.allow with found.
 func checkAllow(t *testing.T, section string, found map[string]bool) {
 	data, err := os.ReadFile("testdata/deadcode.allow")
@@ -127,7 +201,7 @@ func checkAllow(t *testing.T, section string, found map[string]bool) {
 	}
 	for name := range found {
 		if !listed[name] {
-			t.Errorf("[%s] %s: not reached, and not in testdata/deadcode.allow", section, name)
+			t.Errorf("[%s] %s: a finding, and not in testdata/deadcode.allow", section, name)
 		}
 	}
 	for name := range listed {
@@ -243,7 +317,24 @@ func TestDeadCode(t *testing.T) {
 			lines += d.pkg.Fset.Position(d.node.End()).Line - d.pkg.Fset.Position(d.node.Pos()).Line + 1
 		}
 	}
-	t.Logf("%d unreachable declarations (%d lines); %d facade entries no binary reads", len(found), lines, len(unread))
+	unset := optionFields(r.decls)
+	total := len(unset)
+	for o := range r.live {
+		clearSet(r.decls[o].node, r.decls[o].pkg.Info, unset)
+	}
+	for path := range linked {
+		for _, n := range starts[path] {
+			clearSet(n, byPath[path].Info, unset)
+		}
+	}
+	unsetNames := map[string]bool{}
+	for _, name := range unset {
+		unsetNames[name] = true
+	}
+
+	t.Logf("%d unreachable declarations (%d lines); %d facade entries no binary reads; %d of %d option fields no production path sets",
+		len(found), lines, len(unread), len(unset), total)
 	checkAllow(t, "unreachable", found)
 	checkAllow(t, "facade", unread)
+	checkAllow(t, "unset", unsetNames)
 }
