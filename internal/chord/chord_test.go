@@ -147,8 +147,6 @@ func testConfig() Config {
 		StabilizeEvery:  time.Hour,
 		FixFingersEvery: time.Hour,
 		CheckPredEvery:  time.Hour,
-		DialTimeout:     time.Second,
-		CallTimeout:     2 * time.Second,
 	}
 }
 

@@ -22,12 +22,20 @@ var (
 )
 
 // failThreshold is how many consecutive RPC failures mark an address
-// failing for routing, independent of any external detector.
+// failing for routing.
 const failThreshold = 2
 
 // fingersPerRound is how many finger slots one maintenance tick
 // refreshes; the full table cycles in Bits/fingersPerRound ticks.
 const fingersPerRound = 8
+
+// RPC bounds: one connection attempt, one whole exchange, and the hops a
+// recursive lookup may be forwarded.
+const (
+	dialTimeout = 2 * time.Second
+	callTimeout = 5 * time.Second
+	maxHops     = Bits
+)
 
 // Config tunes a live chord node. The zero value selects the defaults
 // noted on each field.
@@ -40,18 +48,6 @@ type Config struct {
 	FixFingersEvery time.Duration
 	// CheckPredEvery is the predecessor liveness cadence. Default 1s.
 	CheckPredEvery time.Duration
-	// DialTimeout bounds one connection attempt. Default 2s.
-	DialTimeout time.Duration
-	// CallTimeout bounds one whole RPC exchange. Default 5s.
-	CallTimeout time.Duration
-	// MaxHops bounds recursive lookup forwarding. Default 64.
-	MaxHops int
-	// Failing, when non-nil, is an external failure detector consulted
-	// before routing through an address — wire a transport
-	// Messenger.Failing here so chord skips peers the messenger already
-	// distrusts. It is called with the node's own mutex held and must
-	// not call back into the node.
-	Failing func(addr string) bool
 	// Metrics is the registry the node's counters are published to. Nil
 	// means a private registry.
 	Metrics *obs.Registry
@@ -71,15 +67,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.CheckPredEvery <= 0 {
 		c.CheckPredEvery = time.Second
-	}
-	if c.DialTimeout <= 0 {
-		c.DialTimeout = 2 * time.Second
-	}
-	if c.CallTimeout <= 0 {
-		c.CallTimeout = 5 * time.Second
-	}
-	if c.MaxHops <= 0 {
-		c.MaxHops = Bits
 	}
 	if c.Metrics == nil {
 		c.Metrics = obs.NewRegistry()
@@ -304,7 +291,7 @@ func (n *Node) Owns(k Key) bool {
 // preceding live node, retrying past peers that fail.
 func (n *Node) route(k Key, hops uint64) (NodeRef, uint64, error) {
 	for attempt := 0; attempt <= n.cfg.Successors+1; attempt++ {
-		if hops > uint64(n.cfg.MaxHops) {
+		if hops > maxHops {
 			return NodeRef{}, hops, fmt.Errorf("%w: %d hops", ErrUnroutable, hops)
 		}
 		n.mu.Lock()
@@ -330,10 +317,7 @@ func (n *Node) route(k Key, hops uint64) (NodeRef, uint64, error) {
 
 // failingLocked is the routing veto; the caller holds n.mu.
 func (n *Node) failingLocked(addr string) bool {
-	if n.fails[addr] >= failThreshold {
-		return true
-	}
-	return n.cfg.Failing != nil && n.cfg.Failing(addr)
+	return n.fails[addr] >= failThreshold
 }
 
 func (n *Node) isFailing(addr string) bool {
@@ -598,15 +582,13 @@ func (n *Node) handleProbe(m *probeReq) *wire.Envelope {
 
 // rpc performs one dial-per-call request/response exchange.
 func (n *Node) rpc(addr string, req *wire.Envelope) (*wire.Envelope, error) {
-	conn, err := transport.DialTimeout(n.network, addr, n.cfg.DialTimeout)
+	conn, err := transport.DialTimeout(n.network, addr, dialTimeout)
 	if err != nil {
 		n.rpcFails.Inc()
 		return nil, fmt.Errorf("chord: dial %s: %w", addr, err)
 	}
 	defer conn.Close()
-	if ct := n.cfg.CallTimeout; ct > 0 {
-		conn.SetDeadline(time.Now().Add(ct))
-	}
+	conn.SetDeadline(time.Now().Add(callTimeout))
 	wc := wire.NewConn(conn)
 	if err := wc.Send(req); err != nil {
 		n.rpcFails.Inc()

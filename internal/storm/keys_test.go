@@ -22,11 +22,12 @@ import (
 // empty query still walks the heap.
 func TestWalkerReadsOnlyPagesThatMayAnswer(t *testing.T) {
 	reg := obs.NewRegistry()
-	store, err := storm.Open(filepath.Join(t.TempDir(), "node0.storm"), storm.Options{BufferFrames: 64, Metrics: reg})
+	store, err := storm.Open(filepath.Join(t.TempDir(), "node0.storm"), storm.Options{BufferFrames: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer store.Close()
+	store.RegisterMetrics(reg)
 
 	spec := workload.Default(1)
 	objects := spec.Objects(0)

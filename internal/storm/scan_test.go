@@ -644,11 +644,12 @@ func TestLowerBytesFoldsFieldwise(t *testing.T) {
 func TestStoreCountersDelta(t *testing.T) {
 	reg := obs.NewRegistry()
 	dir := t.TempDir()
-	s, err := Open(filepath.Join(dir, "data.storm"), Options{BufferFrames: 8, Metrics: reg, WALPath: filepath.Join(dir, "data.wal")})
+	s, err := Open(filepath.Join(dir, "data.storm"), Options{BufferFrames: 8, WALPath: filepath.Join(dir, "data.wal")})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
+	s.RegisterMetrics(reg)
 	for i := 0; i < 90; i++ {
 		if _, err := s.Put(obj(fmt.Sprintf("obj-%02d", i), []string{fmt.Sprintf("kw%d", i%30)}, 1000)); err != nil {
 			t.Fatal(err)

@@ -57,10 +57,6 @@ type Options struct {
 	// list). Rebuilt by scan when the on-disk image is missing, implausible
 	// or was not closed cleanly.
 	PersistentIndex bool
-	// Metrics is the registry the store's gauges (objects, pages, pool
-	// counters) and WAL metrics (appends, fsync latency) are published
-	// to. Nil means a private registry.
-	Metrics *obs.Registry
 }
 
 // Store is the object-level API of the storage manager: named objects on
@@ -220,18 +216,13 @@ func Open(path string, opts Options) (*Store, error) {
 		// names already stored are listed now.
 		s.names.rebuild(s.byName)
 	}
-	reg := opts.Metrics
-	if reg == nil {
-		reg = obs.NewRegistry()
-	}
-	s.RegisterMetrics(reg)
 	return s, nil
 }
 
 // RegisterMetrics publishes the store's state gauges and counters (and,
 // when the WAL is enabled, its append counter and fsync histogram) on reg.
-// Open does this with Options.Metrics; a node that shares one registry per
-// process can call it again to re-bind — the functions replace.
+// Until it is called nothing is published and the WAL observes nothing;
+// calling it again re-binds — the functions replace.
 func (s *Store) RegisterMetrics(reg *obs.Registry) {
 	reg.GaugeFunc("bestpeer_storm_objects",
 		"Objects currently stored.",

@@ -68,13 +68,12 @@ func TestStatsViewsTrackTheirCounters(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer store.Close()
-		reg := obs.NewRegistry()
-		n, err := core.NewNode(core.Config{Network: nw, ListenAddr: "node", Store: store, Metrics: reg})
+		n, err := core.NewNode(core.Config{Network: nw, ListenAddr: "node", Store: store})
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer n.Close()
-		checkStatsView(t, reg, func() any { return n.Stats() })
+		checkStatsView(t, n.Metrics(), func() any { return n.Stats() })
 	})
 	t.Run("transport.Messenger", func(t *testing.T) {
 		reg := obs.NewRegistry()
