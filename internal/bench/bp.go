@@ -87,7 +87,7 @@ func newBPSim(tp *topology.Topology, p Params) *bpSim {
 		wantQueued: make([][]int, tp.N),
 		baseAt:     nodeAddr(tp.Base),
 	}
-	b.net = newSimNet(tp, p.Cost, p.Threads, b.handle)
+	b.net = newSimNet(tp, p.Cost, hostThreads, b.handle)
 	for i := 0; i < tp.N; i++ {
 		b.peers[i] = append([]int(nil), tp.Peers(i)...)
 		b.classReady[i] = !p.ColdStart // standard classes ship with the node software

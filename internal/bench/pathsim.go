@@ -54,7 +54,7 @@ func newPathSim(tp *topology.Topology, p Params, sc pathScheme) *pathSim {
 		route:   make([]int, tp.N),
 		pending: make([]int, tp.N),
 	}
-	threads := s.p.Threads
+	threads := hostThreads
 	if sc.sequential {
 		threads = 1
 	}

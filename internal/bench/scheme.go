@@ -30,9 +30,6 @@ type Params struct {
 	// IncludeData makes answers carry object payloads; false returns
 	// names only (the Fig. 8 configuration).
 	IncludeData bool
-	// Threads is the per-host CPU parallelism for multi-threaded
-	// schemes. Zero defaults to 8.
-	Threads int
 	// ColdStart makes every non-base node start without the agent class
 	// installed, so the first round pays class shipping. The default
 	// (false) models the realistic deployment where the standard search
@@ -56,9 +53,6 @@ func (p Params) withDefaults() Params {
 	}
 	if p.TTL == 0 {
 		p.TTL = 64
-	}
-	if p.Threads == 0 {
-		p.Threads = 8
 	}
 	return p
 }
@@ -95,6 +89,10 @@ type RunResult struct {
 	// served from the base's cache without touching the network.
 	Route string
 }
+
+// hostThreads is the per-host CPU parallelism of the simulated testbed for
+// multi-threaded schemes.
+const hostThreads = 8
 
 // nodeAddr names simulated hosts.
 func nodeAddr(i int) string { return fmt.Sprintf("n%d", i) }

@@ -13,34 +13,26 @@ import (
 	"time"
 )
 
-// CacheOptions bounds and tunes an answer cache. Zero values pick the
-// documented defaults.
+// Cache bounds: the cached fingerprints, their accounted payload bytes,
+// and how long a negative entry (a query that matched nothing) stays fresh.
+const (
+	maxEntries = 256
+	maxBytes   = 4 << 20
+	negTTL     = 2 * time.Second
+)
+
+// CacheOptions tunes an answer cache. The zero value picks the documented
+// default.
 type CacheOptions struct {
-	// MaxEntries bounds the number of cached fingerprints. Default 256.
-	MaxEntries int
-	// MaxBytes bounds the accounted payload size. Default 4 MiB.
-	MaxBytes int
 	// TTL bounds how long a positive entry stays fresh. The epoch hook
 	// invalidates local staleness immediately; the TTL bounds staleness
 	// of *remote* answers, which no local epoch can see. Default 30s.
 	TTL time.Duration
-	// NegTTL is the short freshness bound for negative entries (a query
-	// that matched nothing). Default 2s.
-	NegTTL time.Duration
 }
 
 func (o CacheOptions) withDefaults() CacheOptions {
-	if o.MaxEntries <= 0 {
-		o.MaxEntries = 256
-	}
-	if o.MaxBytes <= 0 {
-		o.MaxBytes = 4 << 20
-	}
 	if o.TTL <= 0 {
 		o.TTL = 30 * time.Second
-	}
-	if o.NegTTL <= 0 {
-		o.NegTTL = 2 * time.Second
 	}
 	return o
 }
@@ -131,7 +123,7 @@ func (c *Cache) Get(key string, now time.Time) (val any, negative, ok bool) {
 	}
 	ttl := c.opt.TTL
 	if e.negative {
-		ttl = c.opt.NegTTL
+		ttl = negTTL
 	}
 	if now.Sub(e.at) > ttl {
 		c.removeLocked(el)
@@ -161,7 +153,7 @@ func (c *Cache) Put(key string, val any, size int, negative bool, epoch uint64, 
 // the cached value's answers came from, so DropSite can evict entries
 // whose provenance departs the overlay.
 func (c *Cache) PutFrom(key string, val any, size int, negative bool, epoch uint64, now time.Time, sites []string) int {
-	if size > c.opt.MaxBytes {
+	if size > maxBytes {
 		return 0
 	}
 	c.mu.Lock()
@@ -180,7 +172,7 @@ func (c *Cache) PutFrom(key string, val any, size int, negative bool, epoch uint
 		c.insertions++
 	}
 	evicted := 0
-	for c.lru.Len() > c.opt.MaxEntries || c.bytes > c.opt.MaxBytes {
+	for c.lru.Len() > maxEntries || c.bytes > maxBytes {
 		back := c.lru.Back()
 		if back == nil {
 			break

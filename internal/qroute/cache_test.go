@@ -29,14 +29,17 @@ func TestCacheHitMissAndNegative(t *testing.T) {
 }
 
 func TestCacheTTLExpiry(t *testing.T) {
-	c := NewCache(CacheOptions{TTL: 10 * time.Second, NegTTL: time.Second})
+	c := NewCache(CacheOptions{TTL: 10 * time.Second})
 	c.Put("pos", 1, 1, false, c.Epoch(), t0)
 	c.Put("neg", nil, 0, true, c.Epoch(), t0)
 	// Negative entries age out on the short TTL, positive ones survive.
-	if _, _, ok := c.Get("neg", t0.Add(2*time.Second)); ok {
-		t.Fatal("negative entry must expire after NegTTL")
+	if _, _, ok := c.Get("neg", t0.Add(negTTL)); !ok {
+		t.Fatal("negative entry must survive up to negTTL")
 	}
-	if _, _, ok := c.Get("pos", t0.Add(2*time.Second)); !ok {
+	if _, _, ok := c.Get("neg", t0.Add(negTTL+time.Nanosecond)); ok {
+		t.Fatal("negative entry must expire after negTTL")
+	}
+	if _, _, ok := c.Get("pos", t0.Add(negTTL+time.Nanosecond)); !ok {
 		t.Fatal("positive entry must survive inside TTL")
 	}
 	if _, _, ok := c.Get("pos", t0.Add(11*time.Second)); ok {
@@ -71,47 +74,48 @@ func TestCacheEpochInvalidation(t *testing.T) {
 }
 
 func TestCacheLRUEvictionByEntries(t *testing.T) {
-	c := NewCache(CacheOptions{MaxEntries: 3})
-	for i := 0; i < 3; i++ {
+	c := NewCache(CacheOptions{})
+	for i := 0; i < maxEntries; i++ {
 		c.Put(fmt.Sprintf("k%d", i), i, 1, false, c.Epoch(), t0)
 	}
 	// Touch k0 so k1 becomes the LRU victim.
 	c.Get("k0", t0)
-	c.Put("k3", 3, 1, false, c.Epoch(), t0)
+	c.Put("new", -1, 1, false, c.Epoch(), t0)
 	if _, _, ok := c.Get("k1", t0); ok {
 		t.Fatal("LRU victim k1 must have been evicted")
 	}
-	for _, k := range []string{"k0", "k2", "k3"} {
+	for _, k := range []string{"k0", "k2", fmt.Sprintf("k%d", maxEntries-1), "new"} {
 		if _, _, ok := c.Get(k, t0); !ok {
 			t.Fatalf("%s unexpectedly evicted", k)
 		}
 	}
-	if s := c.Stats(); s.Evictions != 1 || s.Entries != 3 {
+	if s := c.Stats(); s.Evictions != 1 || s.Entries != maxEntries {
 		t.Fatalf("stats %+v", s)
 	}
 }
 
 func TestCacheByteCapacityAccounting(t *testing.T) {
-	c := NewCache(CacheOptions{MaxEntries: 100, MaxBytes: 10})
-	c.Put("a", "x", 4, false, c.Epoch(), t0)
-	c.Put("b", "y", 4, false, c.Epoch(), t0)
-	if s := c.Stats(); s.Bytes != 8 {
-		t.Fatalf("bytes = %d, want 8", s.Bytes)
+	const u = maxBytes / 10
+	c := NewCache(CacheOptions{})
+	c.Put("a", "x", 4*u, false, c.Epoch(), t0)
+	c.Put("b", "y", 4*u, false, c.Epoch(), t0)
+	if s := c.Stats(); s.Bytes != 8*u {
+		t.Fatalf("bytes = %d, want %d", s.Bytes, 8*u)
 	}
 	// Third entry exceeds the budget: the LRU entry goes.
-	if n := c.Put("c", "z", 4, false, c.Epoch(), t0); n != 1 {
+	if n := c.Put("c", "z", 4*u, false, c.Epoch(), t0); n != 1 {
 		t.Fatalf("evicted %d, want 1", n)
 	}
 	if _, _, ok := c.Get("a", t0); ok {
 		t.Fatal("a should have been evicted for capacity")
 	}
 	// Replacing an entry adjusts accounting instead of double counting.
-	c.Put("b", "yy", 6, false, c.Epoch(), t0)
-	if s := c.Stats(); s.Bytes != 10 {
-		t.Fatalf("bytes after replace = %d, want 10", s.Bytes)
+	c.Put("b", "yy", 6*u, false, c.Epoch(), t0)
+	if s := c.Stats(); s.Bytes != 10*u {
+		t.Fatalf("bytes after replace = %d, want %d", s.Bytes, 10*u)
 	}
 	// An oversized value is refused outright.
-	c.Put("huge", "h", 11, false, c.Epoch(), t0)
+	c.Put("huge", "h", maxBytes+1, false, c.Epoch(), t0)
 	if _, _, ok := c.Get("huge", t0); ok {
 		t.Fatal("oversized value must not be cached")
 	}

@@ -8,13 +8,19 @@ import (
 	"time"
 )
 
+// halfLife is the exponential-decay half-life of the per-neighbor hit
+// counters: a neighbor that answered n times counts as n/2 after one
+// half-life of silence. maxTerms bounds how many distinct term
+// fingerprints the index tracks; the least recently observed term is
+// dropped on overflow.
+const (
+	halfLife = 5 * time.Minute
+	maxTerms = 4096
+)
+
 // RouteOptions tunes the learned routing index. Zero values pick the
 // documented defaults.
 type RouteOptions struct {
-	// HalfLife is the exponential-decay half-life of the per-neighbor
-	// hit counters: a neighbor that answered n times counts as n/2
-	// after one half-life of silence. Default 5 minutes.
-	HalfLife time.Duration
 	// TopF is how many top-scoring first-hop neighbors a confident
 	// selective route fans out to. Default 2.
 	TopF int
@@ -27,19 +33,12 @@ type RouteOptions struct {
 	// score across all candidate neighbors is below it, the plan falls
 	// back to a full flood. Default 1.0.
 	MinScore float64
-	// MaxTerms bounds how many distinct term fingerprints the index
-	// tracks; the least recently observed term is dropped on overflow.
-	// Default 4096.
-	MaxTerms int
 	// Seed seeds the exploration RNG, for reproducible simulations.
 	// Zero uses a fixed default.
 	Seed int64
 }
 
 func (o RouteOptions) withDefaults() RouteOptions {
-	if o.HalfLife <= 0 {
-		o.HalfLife = 5 * time.Minute
-	}
 	if o.TopF <= 0 {
 		o.TopF = 2
 	}
@@ -50,9 +49,6 @@ func (o RouteOptions) withDefaults() RouteOptions {
 	}
 	if o.MinScore <= 0 {
 		o.MinScore = 1.0
-	}
-	if o.MaxTerms <= 0 {
-		o.MaxTerms = 4096
 	}
 	if o.Seed == 0 {
 		o.Seed = 1
@@ -134,8 +130,8 @@ func (x *RoutingIndex) Observe(terms []string, via string, answers, hops int, no
 			d = &decayed{}
 			ts.vias[via] = d
 		}
-		d.add(float64(answers), now, x.opt.HalfLife)
-		if h := float64(hops); h > ts.hops.value(now, x.opt.HalfLife) {
+		d.add(float64(answers), now, halfLife)
+		if h := float64(hops); h > ts.hops.value(now, halfLife) {
 			ts.hops.v, ts.hops.at = h, now
 		}
 	}
@@ -144,7 +140,7 @@ func (x *RoutingIndex) Observe(terms []string, via string, answers, hops int, no
 // evictTermLocked drops the least recently observed term when the index
 // is at capacity; callers hold x.mu.
 func (x *RoutingIndex) evictTermLocked() {
-	if len(x.terms) < x.opt.MaxTerms {
+	if len(x.terms) < maxTerms {
 		return
 	}
 	var oldest string
@@ -192,12 +188,12 @@ func (x *RoutingIndex) Select(terms []string, neighbors []string, ttl uint8, now
 		}
 		for _, nb := range neighbors {
 			if d := ts.vias[nb]; d != nil {
-				v := d.value(now, x.opt.HalfLife)
+				v := d.value(now, halfLife)
 				scores[nb] += v
 				total += v
 			}
 		}
-		if h := ts.hops.value(now, x.opt.HalfLife); h > maxHops {
+		if h := ts.hops.value(now, halfLife); h > maxHops {
 			maxHops = h
 		}
 	}

@@ -1,6 +1,7 @@
 package qroute
 
 import (
+	"fmt"
 	"testing"
 	"time"
 )
@@ -46,14 +47,14 @@ func TestSelectTopFAfterObservations(t *testing.T) {
 }
 
 func TestSelectConfidenceDecays(t *testing.T) {
-	x := noExplore(RouteOptions{HalfLife: time.Minute, MinScore: 2})
+	x := noExplore(RouteOptions{MinScore: 2})
 	nbs := []string{"a", "b"}
 	x.Observe([]string{"jazz"}, "a", 4, 2, t0)
 	if p := x.Select([]string{"jazz"}, nbs, 7, t0.Add(time.Second)); !p.Selective {
 		t.Fatal("fresh history must be confident")
 	}
 	// After many half-lives the score sinks under MinScore: flood again.
-	if p := x.Select([]string{"jazz"}, nbs, 7, t0.Add(10*time.Minute)); p.Selective {
+	if p := x.Select([]string{"jazz"}, nbs, 7, t0.Add(10*halfLife)); p.Selective {
 		t.Fatal("decayed history must fall back to flood")
 	}
 }
@@ -81,18 +82,19 @@ func TestObserveIgnoresUnattributed(t *testing.T) {
 }
 
 func TestTermCapEvictsOldest(t *testing.T) {
-	x := noExplore(RouteOptions{MaxTerms: 2, MinScore: 0.1})
-	x.Observe([]string{"t1"}, "a", 1, 1, t0)
-	x.Observe([]string{"t2"}, "a", 1, 1, t0.Add(time.Second))
-	x.Observe([]string{"t3"}, "a", 1, 1, t0.Add(2*time.Second))
-	if x.Terms() != 2 {
-		t.Fatalf("index must hold MaxTerms entries, have %d", x.Terms())
+	x := noExplore(RouteOptions{MinScore: 0.1})
+	for i := 0; i <= maxTerms; i++ {
+		x.Observe([]string{fmt.Sprintf("t%d", i)}, "a", 1, 1, t0.Add(time.Duration(i)*time.Millisecond))
 	}
-	// t1 (oldest) was evicted: it floods; t3 is still known.
-	if p := x.Select([]string{"t1"}, []string{"a", "b"}, 7, t0.Add(3*time.Second)); p.Selective {
+	if x.Terms() != maxTerms {
+		t.Fatalf("index must hold maxTerms entries, have %d", x.Terms())
+	}
+	// t0 (oldest) was evicted: it floods; the newest is still known.
+	end := t0.Add(time.Second)
+	if p := x.Select([]string{"t0"}, []string{"a", "b"}, 7, end); p.Selective {
 		t.Fatal("evicted term must flood")
 	}
-	if p := x.Select([]string{"t3"}, []string{"a", "b"}, 7, t0.Add(3*time.Second)); !p.Selective {
+	if p := x.Select([]string{fmt.Sprintf("t%d", maxTerms)}, []string{"a", "b"}, 7, end); !p.Selective {
 		t.Fatal("retained term must stay selective")
 	}
 }
