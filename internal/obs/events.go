@@ -75,9 +75,6 @@ var (
 	EvMemberOnline = EventKind{"member-online"}
 	// EvMemberOffline: a LIGLO liveness sweep found a member unreachable.
 	EvMemberOffline = EventKind{"member-offline"}
-	// EvMemberExpired: a LIGLO server dropped a member that stayed
-	// offline past the expiry window.
-	EvMemberExpired = EventKind{"member-expired"}
 	// EvCacheHit: the qroute answer cache served a query without work
 	// (Reason: "base" for a whole-query hit with zero fan-out, "serve"
 	// for a peer skipping its store scan, "negative" for a cached
