@@ -60,16 +60,15 @@ func (h *Host) SetHandler(fn Handler) { h.handler = fn }
 // Work queues FIFO when all threads are busy.
 func (h *Host) Exec(d time.Duration, fn func()) { h.cpu.Submit(d, fn) }
 
-// Network owns the hosts and links of a simulation.
+// Network owns the hosts and the link of a simulation.
 type Network struct {
-	sim         *Sim
-	hosts       map[string]*Host
-	defaultLink Link
-	links       map[[2]string]Link
+	sim   *Sim
+	hosts map[string]*Host
+	link  Link
 
 	// medium, when set, models a shared segment (a 1990s Ethernet hub):
 	// every transfer in the network serializes through this single
-	// resource at the default link's bandwidth, instead of per-host
+	// resource at the link's bandwidth, instead of per-host
 	// uplinks/downlinks. Total bytes on the wire then directly determine
 	// completion time — the regime the paper's testbed ran in.
 	medium *Resource
@@ -88,14 +87,13 @@ func (n *Network) UseSharedMedium() {
 	n.medium = NewResource(n.sim, 1)
 }
 
-// NewNetwork creates an empty network using sim as its clock. defaultLink
-// applies to every host pair without an explicit override.
-func NewNetwork(sim *Sim, defaultLink Link) *Network {
+// NewNetwork creates an empty network using sim as its clock; link
+// applies to every host pair.
+func NewNetwork(sim *Sim, link Link) *Network {
 	return &Network{
-		sim:         sim,
-		hosts:       make(map[string]*Host),
-		defaultLink: defaultLink,
-		links:       make(map[[2]string]Link),
+		sim:   sim,
+		hosts: make(map[string]*Host),
+		link:  link,
 	}
 }
 
@@ -126,19 +124,6 @@ func (n *Network) AddHost(addr string, cfg HostConfig) *Host {
 // Host returns the host with the given address, or nil.
 func (n *Network) Host(addr string) *Host { return n.hosts[addr] }
 
-// SetLink overrides the link used for messages from -> to.
-func (n *Network) SetLink(from, to string, l Link) {
-	n.links[[2]string{from, to}] = l
-}
-
-// linkFor returns the directed link between two hosts.
-func (n *Network) linkFor(from, to string) Link {
-	if l, ok := n.links[[2]string{from, to}]; ok {
-		return l
-	}
-	return n.defaultLink
-}
-
 // Send transmits env from one host to another, charging uplink
 // serialization, propagation latency and downlink serialization for size
 // bytes. On delivery the destination's handler runs (the handler itself
@@ -158,8 +143,7 @@ func (n *Network) Send(from, to string, env *wire.Envelope, size int) {
 	if size <= 0 {
 		size = env.WireSize()
 	}
-	link := n.linkFor(from, to)
-	xfer := link.TransferTime(size)
+	xfer := n.link.TransferTime(size)
 
 	src.MsgsSent++
 	src.BytesSent += uint64(size)
@@ -179,7 +163,7 @@ func (n *Network) Send(from, to string, env *wire.Envelope, size int) {
 	if n.medium != nil {
 		// Shared segment: the whole network contends for one wire.
 		n.medium.Submit(xfer, func() {
-			n.sim.After(link.Latency, deliver)
+			n.sim.After(n.link.Latency, deliver)
 		})
 		return
 	}
@@ -187,7 +171,7 @@ func (n *Network) Send(from, to string, env *wire.Envelope, size int) {
 	// Uplink: occupy the sender's transmit queue for the serialization time.
 	src.uplink.Submit(xfer, func() {
 		// Propagation.
-		n.sim.After(link.Latency, func() {
+		n.sim.After(n.link.Latency, func() {
 			// Downlink: occupy the receiver's queue for the same time.
 			dst.downlink.Submit(xfer, deliver)
 		})

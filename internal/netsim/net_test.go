@@ -122,21 +122,6 @@ func TestDownlinkSerializesFanIn(t *testing.T) {
 	}
 }
 
-func TestPerPairLinkOverride(t *testing.T) {
-	s := NewSim()
-	n := NewNetwork(s, Link{Latency: time.Hour})
-	n.AddHost("a", HostConfig{})
-	b := n.AddHost("b", HostConfig{})
-	var at time.Duration
-	b.SetHandler(func(env *wire.Envelope) { at = s.Now() })
-	n.SetLink("a", "b", Link{Latency: time.Millisecond})
-	n.Send("a", "b", testEnv(wire.KindAgent, 0), 10)
-	s.Run()
-	if at != time.Millisecond {
-		t.Fatalf("override link ignored: delivered at %v", at)
-	}
-}
-
 func TestSingleThreadHostSerializesExec(t *testing.T) {
 	s := NewSim()
 	n := NewNetwork(s, Link{})

@@ -163,21 +163,6 @@ func (s *Sim) Run() time.Duration {
 	return s.now
 }
 
-// RunUntil executes events with timestamps <= t, then advances the clock
-// to t. Events scheduled later remain queued.
-func (s *Sim) RunUntil(t time.Duration) {
-	for {
-		i, ok := s.peekShard()
-		if !ok || s.shards[i].heap[0].at > t {
-			break
-		}
-		s.stepShard(i)
-	}
-	if t > s.now {
-		s.now = t
-	}
-}
-
 func (s *Sim) step() {
 	i, ok := s.peekShard()
 	if !ok {

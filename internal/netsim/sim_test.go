@@ -76,27 +76,6 @@ func TestSimNegativeDelayClamped(t *testing.T) {
 	}
 }
 
-func TestSimRunUntil(t *testing.T) {
-	s := NewSim()
-	var got []int
-	s.At(time.Second, func() { got = append(got, 1) })
-	s.At(3*time.Second, func() { got = append(got, 3) })
-	s.RunUntil(2 * time.Second)
-	if len(got) != 1 || got[0] != 1 {
-		t.Fatalf("RunUntil executed %v", got)
-	}
-	if s.Now() != 2*time.Second {
-		t.Fatalf("clock = %v, want 2s", s.Now())
-	}
-	if s.pending != 1 {
-		t.Fatalf("pending = %d, want 1", s.pending)
-	}
-	s.Run()
-	if len(got) != 2 || got[1] != 3 {
-		t.Fatalf("Run after RunUntil executed %v", got)
-	}
-}
-
 func TestSimDeterminism(t *testing.T) {
 	trace := func() []time.Duration {
 		s := NewSim()

@@ -713,11 +713,3 @@ func prefixEnd(prefix []byte) []byte {
 	}
 	return nil
 }
-
-// AscendPrefix calls fn for every key with the given prefix, ascending.
-func (t *BTree) AscendPrefix(prefix string, fn func(key string, oid OID) bool) error {
-	if prefix == "" {
-		return t.Ascend(fn)
-	}
-	return t.AscendRange(prefix, string(prefixEnd([]byte(prefix))), fn)
-}

@@ -352,33 +352,3 @@ func TestBTreeAscendRange(t *testing.T) {
 		t.Fatalf("early stop = %d", count)
 	}
 }
-
-func TestBTreeAscendPrefix(t *testing.T) {
-	tr, _ := newTree(t, 16)
-	for _, k := range []string{"apple", "apply", "ape", "banana", "appzzz", "aq"} {
-		tr.Put(k, OID{Page: 1})
-	}
-	var got []string
-	if err := tr.AscendPrefix("app", func(k string, _ OID) bool {
-		got = append(got, k)
-		return true
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 3 || got[0] != "apple" || got[1] != "apply" || got[2] != "appzzz" {
-		t.Fatalf("prefix scan = %v", got)
-	}
-	// Empty prefix scans all.
-	count := 0
-	tr.AscendPrefix("", func(string, OID) bool { count++; return true })
-	if count != 6 {
-		t.Fatalf("empty prefix = %d", count)
-	}
-	// 0xFF prefix edge case.
-	tr.Put("\xff\xff", OID{Page: 2})
-	count = 0
-	tr.AscendPrefix("\xff", func(string, OID) bool { count++; return true })
-	if count != 1 {
-		t.Fatalf("0xFF prefix = %d", count)
-	}
-}

@@ -297,11 +297,3 @@ func lowerASCII(c byte) byte {
 	}
 	return c
 }
-
-// Clone returns a deep copy of the object.
-func (o *Object) Clone() *Object {
-	cp := *o
-	cp.Keywords = append([]string(nil), o.Keywords...)
-	cp.Data = append([]byte(nil), o.Data...)
-	return &cp
-}

@@ -407,16 +407,6 @@ func TestObjectMatchesSemantics(t *testing.T) {
 	}
 }
 
-func TestObjectCloneIsDeep(t *testing.T) {
-	o := &Object{Name: "x", Keywords: []string{"a"}, Data: []byte{1, 2}}
-	c := o.Clone()
-	c.Keywords[0] = "b"
-	c.Data[0] = 9
-	if o.Keywords[0] != "a" || o.Data[0] != 1 {
-		t.Fatal("Clone is shallow")
-	}
-}
-
 func TestObjectEncodeDecodeRoundTrip(t *testing.T) {
 	o := &Object{
 		Name:        "active-doc",
