@@ -173,4 +173,4 @@ func NewLigloServer(n Network, addr string, cfg LigloServerConfig) (*LigloServer
 }
 
 // NewLigloClient returns a client that dials over the given network.
-func NewLigloClient(n Network) *LigloClient { return liglo.NewClient(n) }
+func NewLigloClient(n Network) *LigloClient { return liglo.NewClient(n, nil) }

@@ -129,7 +129,7 @@ func main() {
 	if err := erin.Rejoin(); err != nil {
 		log.Fatal(err)
 	}
-	addr, online, err := liglo.NewClient(tcp).Lookup(daveID)
+	addr, online, err := liglo.NewClient(tcp, nil).Lookup(daveID)
 	if err != nil {
 		log.Fatal(err)
 	}
