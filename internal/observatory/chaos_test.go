@@ -44,12 +44,9 @@ func TestChaosSnapshotAccountsForLoss(t *testing.T) {
 			// missed-event accounting, not just the happy path.
 			JournalCapacity: journalCapacity,
 			Transport: transport.Options{
-				DialTimeout:   250 * time.Millisecond,
-				WriteTimeout:  250 * time.Millisecond,
 				QueueSize:     256,
 				FailThreshold: 2,
 				BackoffBase:   50 * time.Millisecond,
-				BackoffMax:    250 * time.Millisecond,
 			},
 		})
 		if err != nil {

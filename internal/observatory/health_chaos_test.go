@@ -96,16 +96,14 @@ func TestChaosFaultsRaiseExactAlerts(t *testing.T) {
 
 	// a and b detect failures fast (partition phase); s tolerates an
 	// absurd failure count so saturation cannot leak a suspect-churn
-	// alert; its 500ms dial timeout is the queue's drain clock.
+	// alert; the dial timeout is the queue's drain clock.
 	fastFail := transport.Options{
-		DialTimeout: 250 * time.Millisecond, WriteTimeout: 250 * time.Millisecond,
 		QueueSize: 256, FailThreshold: 2,
-		BackoffBase: 50 * time.Millisecond, BackoffMax: 250 * time.Millisecond,
+		BackoffBase: 50 * time.Millisecond,
 	}
 	patient := transport.Options{
-		DialTimeout: 500 * time.Millisecond, WriteTimeout: 250 * time.Millisecond,
 		QueueSize: 256, FailThreshold: 1 << 20,
-		BackoffBase: 50 * time.Millisecond, BackoffMax: 250 * time.Millisecond,
+		BackoffBase: 50 * time.Millisecond,
 	}
 	a, aAdmin, _ := chaosNode(t, fab, "chaos-a", fastFail)
 	b, bAdmin, _ := chaosNode(t, fab, "chaos-b", fastFail)

@@ -45,11 +45,8 @@ func env(body string) *wire.Envelope {
 // fastOpts keeps messenger failure handling snappy under injected faults.
 func fastOpts() transport.Options {
 	return transport.Options{
-		DialTimeout:  200 * time.Millisecond,
-		WriteTimeout: 200 * time.Millisecond,
-		QueueSize:    512,
-		BackoffBase:  20 * time.Millisecond,
-		BackoffMax:   100 * time.Millisecond,
+		QueueSize:   512,
+		BackoffBase: 20 * time.Millisecond,
 	}
 }
 

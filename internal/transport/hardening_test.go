@@ -67,10 +67,7 @@ func TestSendNeverBlocksOnHungDial(t *testing.T) {
 	nw.hang("tarpit")
 	defer nw.release("tarpit")
 
-	m, err := NewMessengerOpts(nw, "base", nil, Options{
-		DialTimeout: 2 * time.Second,
-		QueueSize:   4,
-	})
+	m, err := NewMessengerOpts(nw, "base", nil, Options{QueueSize: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,10 +102,8 @@ func TestSendNeverBlocksOnHungDial(t *testing.T) {
 func TestSuspectBackoffAndRecovery(t *testing.T) {
 	nw := NewInProc()
 	m, err := NewMessengerOpts(nw, "base", nil, Options{
-		DialTimeout:   100 * time.Millisecond,
 		FailThreshold: 2,
 		BackoffBase:   50 * time.Millisecond,
-		BackoffMax:    200 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -23,15 +23,18 @@ var (
 	ErrPeerSuspect = errors.New("transport: peer suspect, backing off")
 )
 
+// dialTimeout bounds one connection attempt; writeTimeout bounds one
+// envelope write on an established connection (where the underlying conn
+// honours deadlines); backoffMax caps the suspect backoff.
+const (
+	dialTimeout  = 2 * time.Second
+	writeTimeout = 2 * time.Second
+	backoffMax   = 10 * time.Second
+)
+
 // Options tunes the messenger's failure handling. The zero value selects
 // the defaults noted on each field.
 type Options struct {
-	// DialTimeout bounds one connection attempt. Default 2s.
-	DialTimeout time.Duration
-	// WriteTimeout bounds one envelope write on an established
-	// connection (where the underlying conn honours deadlines).
-	// Default 2s.
-	WriteTimeout time.Duration
 	// QueueSize bounds each destination's send queue. A full queue makes
 	// Send return ErrQueueFull instead of blocking. Default 128.
 	QueueSize int
@@ -39,10 +42,9 @@ type Options struct {
 	// destination suspect. Default 3.
 	FailThreshold int
 	// BackoffBase is the suspect backoff after FailThreshold failures;
-	// it doubles with each further failure. Default 100ms.
+	// it doubles with each further failure, up to backoffMax. Default
+	// 100ms.
 	BackoffBase time.Duration
-	// BackoffMax caps the suspect backoff. Default 10s.
-	BackoffMax time.Duration
 	// Metrics is the registry the messenger publishes its counters,
 	// queue-depth gauge and latency histograms to. Nil means a private
 	// registry; share one per node so /metrics shows transport state.
@@ -62,12 +64,6 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
-	if o.DialTimeout <= 0 {
-		o.DialTimeout = 2 * time.Second
-	}
-	if o.WriteTimeout <= 0 {
-		o.WriteTimeout = 2 * time.Second
-	}
 	if o.QueueSize <= 0 {
 		o.QueueSize = 128
 	}
@@ -76,9 +72,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.BackoffBase <= 0 {
 		o.BackoffBase = 100 * time.Millisecond
-	}
-	if o.BackoffMax <= 0 {
-		o.BackoffMax = 10 * time.Second
 	}
 	if o.Metrics == nil {
 		o.Metrics = obs.NewRegistry()
@@ -453,11 +446,11 @@ func (q *sendQueue) fail() {
 		return
 	}
 	backoff := q.m.opts.BackoffBase
-	for i := 0; i < over && backoff < q.m.opts.BackoffMax; i++ {
+	for i := 0; i < over && backoff < backoffMax; i++ {
 		backoff *= 2
 	}
-	if backoff > q.m.opts.BackoffMax {
-		backoff = q.m.opts.BackoffMax
+	if backoff > backoffMax {
+		backoff = backoffMax
 	}
 	q.suspectUntil = time.Now().Add(backoff)
 	q.qmu.Unlock()
@@ -580,7 +573,7 @@ func (q *sendQueue) deliver(env *wire.Envelope) {
 // dial opens a connection to the destination, recording dial latency.
 func (q *sendQueue) dial() (net.Conn, error) {
 	start := time.Now()
-	conn, err := DialTimeout(q.m.network, q.addr, q.m.opts.DialTimeout)
+	conn, err := DialTimeout(q.m.network, q.addr, dialTimeout)
 	q.m.dialSeconds.ObserveDuration(time.Since(start))
 	return conn, err
 }
@@ -589,9 +582,7 @@ func (q *sendQueue) dial() (net.Conn, error) {
 // frame is a single Write call, so stream framing survives fault layers
 // that drop or delay at message granularity.
 func (q *sendQueue) write(frame []byte) error {
-	if wt := q.m.opts.WriteTimeout; wt > 0 {
-		q.conn.SetWriteDeadline(time.Now().Add(wt))
-	}
+	q.conn.SetWriteDeadline(time.Now().Add(writeTimeout))
 	start := time.Now()
 	_, err := q.conn.Write(frame)
 	q.m.writeSeconds.ObserveDuration(time.Since(start))

@@ -169,7 +169,6 @@ func TestMessengerDialFailure(t *testing.T) {
 	// the destination goes suspect and Send starts reporting it.
 	nw := NewInProc()
 	m, err := NewMessengerOpts(nw, "solo", nil, Options{
-		DialTimeout:   100 * time.Millisecond,
 		FailThreshold: 2,
 		BackoffBase:   5 * time.Second, // long enough to observe
 	})
@@ -212,7 +211,7 @@ func TestMessengerCountsBytesAndForms(t *testing.T) {
 	}
 	defer recv.Close()
 	reg := obs.NewRegistry()
-	send, err := NewMessengerOpts(nw, "", nil, Options{DialTimeout: 100 * time.Millisecond, Metrics: reg})
+	send, err := NewMessengerOpts(nw, "", nil, Options{Metrics: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
