@@ -150,10 +150,12 @@ churnbench:
 loc:
 	@find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' | xargs cat | wc -l
 
-# The reachability fence: every declaration under internal/ that no
-# command, example, benchmark/ file or facade export reaches must be listed
-# with its reason in testdata/deadcode.allow (deadcode_test.go). It runs
-# in `make test` too and skips under -race, so `make race` alone misses it.
+# The dead-code fence (deadcode_test.go) lists with a reason, in three
+# sections of testdata/deadcode.allow: [unreachable] declarations under
+# internal/ that no command, example, benchmark/ file or facade export
+# reaches; [facade] entries no binary reads; [unset] option fields that
+# only tests set. It runs in `make test` too and skips under -race, so
+# `make race` alone misses it.
 deadcode:
 	$(GO) test -count=1 -run 'TestDeadCode' -v .
 
