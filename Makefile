@@ -48,10 +48,11 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Just the fault-injection suites: chaos scenarios over faultnet plus
-# the transport hardening tests.
+# Just the fault-injection suites: every TestChaos scenario over faultnet
+# (core, liglo, observatory, and any package that adds one) plus the
+# transport tests — hardening and transport.Call's bounds.
 chaos:
-	$(GO) test -race -run 'TestChaos' ./internal/core/
+	$(GO) test -race -run 'TestChaos' ./...
 	$(GO) test -race ./internal/transport/...
 
 # Short fuzz passes over the wire codec, the agent packet decoders and

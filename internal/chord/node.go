@@ -29,13 +29,8 @@ const failThreshold = 2
 // refreshes; the full table cycles in Bits/fingersPerRound ticks.
 const fingersPerRound = 8
 
-// RPC bounds: one connection attempt, one whole exchange, and the hops a
-// recursive lookup may be forwarded.
-const (
-	dialTimeout = 2 * time.Second
-	callTimeout = 5 * time.Second
-	maxHops     = Bits
-)
+// maxHops bounds how many times a recursive lookup may be forwarded.
+const maxHops = Bits
 
 // Config tunes a live chord node. The zero value selects the defaults
 // noted on each field.
@@ -580,84 +575,58 @@ func (n *Node) handleProbe(m *probeReq) *wire.Envelope {
 	return ringReply(wire.KindChordProbeOK, wire.Marshal(resp))
 }
 
-// rpc performs one dial-per-call request/response exchange.
-func (n *Node) rpc(addr string, req *wire.Envelope) (*wire.Envelope, error) {
-	conn, err := transport.DialTimeout(n.network, addr, dialTimeout)
-	if err != nil {
+// reply is a decoded chord reply: each carries the remote error text.
+type reply interface {
+	wire.Message
+	remoteErr() string
+}
+
+func (m *lookupOK) remoteErr() string { return m.Err }
+func (m *notifyOK) remoteErr() string { return m.Err }
+func (m *probeOK) remoteErr() string  { return m.Err }
+
+// rpc performs one transport.Call and decodes its reply, which must be of
+// kind want, into out. A failed exchange counts in rpcFails; any answer
+// proves addr alive, and a wrong kind or a remote error is ErrBadReply.
+func (n *Node) rpc(addr string, req *wire.Envelope, want wire.Kind, out reply) error {
+	resp, err := transport.Call(n.network, addr, req, want)
+	if err != nil && !errors.Is(err, transport.ErrUnexpectedReply) {
 		n.rpcFails.Inc()
-		return nil, fmt.Errorf("chord: dial %s: %w", addr, err)
-	}
-	defer conn.Close()
-	conn.SetDeadline(time.Now().Add(callTimeout))
-	wc := wire.NewConn(conn)
-	if err := wc.Send(req); err != nil {
-		n.rpcFails.Inc()
-		return nil, fmt.Errorf("chord: send to %s: %w", addr, err)
-	}
-	resp, err := wc.Recv()
-	if err != nil {
-		n.rpcFails.Inc()
-		return nil, fmt.Errorf("chord: recv from %s: %w", addr, err)
+		return fmt.Errorf("chord: %w", err)
 	}
 	n.noteOK(addr)
-	return resp, nil
+	if err != nil {
+		return fmt.Errorf("%w: %v", ErrBadReply, err)
+	}
+	if _, err := unmarshal(resp.Body, out, want.String()); err != nil {
+		return err
+	}
+	if out.remoteErr() != "" {
+		return fmt.Errorf("%w: %s", ErrBadReply, out.remoteErr())
+	}
+	return nil
 }
 
 func (n *Node) rpcLookup(addr string, k Key, hops uint64) (*lookupOK, error) {
+	m := new(lookupOK)
 	req := ringReply(wire.KindChordLookup,
 		wire.Marshal(&lookupReq{Version: chordLookupVersion, Key: k, Hops: hops}))
-	resp, err := n.rpc(addr, req)
-	if err != nil {
+	if err := n.rpc(addr, req, wire.KindChordLookupOK, m); err != nil {
 		return nil, err
-	}
-	if resp.Kind != wire.KindChordLookupOK {
-		return nil, fmt.Errorf("%w: kind %v", ErrBadReply, resp.Kind)
-	}
-	m, err := unmarshal(resp.Body, new(lookupOK), "lookup-ok")
-	if err != nil {
-		return nil, err
-	}
-	if m.Err != "" {
-		return nil, fmt.Errorf("%w: %s", ErrBadReply, m.Err)
 	}
 	return m, nil
 }
 
 func (n *Node) rpcNotify(addr string, msg *notifyMsg) error {
-	req := ringReply(wire.KindChordNotify, wire.Marshal(msg))
-	resp, err := n.rpc(addr, req)
-	if err != nil {
-		return err
-	}
-	if resp.Kind != wire.KindChordNotifyOK {
-		return fmt.Errorf("%w: kind %v", ErrBadReply, resp.Kind)
-	}
-	m, err := unmarshal(resp.Body, new(notifyOK), "notify-ok")
-	if err != nil {
-		return err
-	}
-	if m.Err != "" {
-		return fmt.Errorf("%w: %s", ErrBadReply, m.Err)
-	}
-	return nil
+	return n.rpc(addr, ringReply(wire.KindChordNotify, wire.Marshal(msg)), wire.KindChordNotifyOK, new(notifyOK))
 }
 
 func (n *Node) rpcProbe(addr string) (*probeOK, error) {
+	m := new(probeOK)
 	req := ringReply(wire.KindChordProbe,
 		wire.Marshal(&probeReq{Version: chordProbeVersion, From: n.self}))
-	resp, err := n.rpc(addr, req)
-	if err != nil {
+	if err := n.rpc(addr, req, wire.KindChordProbeOK, m); err != nil {
 		return nil, err
-	}
-	if resp.Kind != wire.KindChordProbeOK {
-		return nil, fmt.Errorf("%w: kind %v", ErrBadReply, resp.Kind)
-	}
-	m, err := unmarshal(resp.Body, new(probeOK), "probe-ok")
-	if err != nil {
-		return nil, err
-	}
-	if m.Err != "" {
-		return nil, fmt.Errorf("%w: %s", ErrBadReply, m.Err)
 	}
 	return m, nil
 }

@@ -14,6 +14,7 @@ import (
 	"bestpeer/internal/liglo"
 	"bestpeer/internal/obs"
 	"bestpeer/internal/qroute"
+	"bestpeer/internal/reconfig"
 	"bestpeer/internal/storm"
 	"bestpeer/internal/topology"
 	"bestpeer/internal/transport"
@@ -44,6 +45,7 @@ func newChaosCluster(t *testing.T, n int, seed int64, seedFn func(i int, s *stor
 	c := newCluster(t, n, func(i int, cfg *Config) {
 		cfg.Network = fab.Host(cfg.ListenAddr)
 		cfg.Transport = chaosTransport()
+		cfg.Strategy = reconfig.Static{}
 	}, seedFn)
 	return c, fab
 }
@@ -65,8 +67,7 @@ func TestChaosQueryUnderMessageLoss(t *testing.T) {
 	fab.SetConfig(faultnet.Config{DropProb: 0.2})
 
 	res, err := c.nodes[0].Query(&agent.KeywordAgent{Query: "music"}, QueryOptions{
-		Timeout:       2 * time.Second,
-		NoReconfigure: true,
+		Timeout: 2 * time.Second,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -165,8 +166,7 @@ func TestChaosPartitionHealsViaSweepAndReplenish(t *testing.T) {
 	time.Sleep(500 * time.Millisecond)
 
 	res, err := base.Query(&agent.KeywordAgent{Query: "chaos"}, QueryOptions{
-		Timeout:       2 * time.Second,
-		NoReconfigure: true,
+		Timeout: 2 * time.Second,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -197,6 +197,7 @@ func TestChaosPartitionMetricsAccountForLoss(t *testing.T) {
 	c := newCluster(t, n, func(i int, cfg *Config) {
 		cfg.Network = fab.Host(cfg.ListenAddr)
 		cfg.Transport = chaosTransport()
+		cfg.Strategy = reconfig.Static{}
 	}, func(i int, s *storm.Store) {
 		s.Put(&storm.Object{
 			Name:     fmt.Sprintf("acct-%d", i),
@@ -224,8 +225,7 @@ func TestChaosPartitionMetricsAccountForLoss(t *testing.T) {
 
 	base := c.nodes[0]
 	res, err := base.Query(&agent.KeywordAgent{Query: "acct"}, QueryOptions{
-		Timeout:       1500 * time.Millisecond,
-		NoReconfigure: true,
+		Timeout: 1500 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -336,6 +336,7 @@ func TestChaosNoStaleCachedAnswersUnderMutation(t *testing.T) {
 	c := newCluster(t, n, func(i int, cfg *Config) {
 		cfg.Network = fab.Host(cfg.ListenAddr)
 		cfg.Transport = chaosTransport()
+		cfg.Strategy = reconfig.Static{}
 		if i != 0 {
 			// Caching at the serving nodes only: a base-site cache would
 			// hold remote answers whose staleness is bounded by TTL, not
@@ -392,8 +393,7 @@ func TestChaosNoStaleCachedAnswersUnderMutation(t *testing.T) {
 			floor[i] = committed[i].Load()
 		}
 		res, err := base.Query(&agent.KeywordAgent{Query: "hot"}, QueryOptions{
-			Timeout:       15 * time.Millisecond,
-			NoReconfigure: true,
+			Timeout: 15 * time.Millisecond,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -483,6 +483,7 @@ func TestChaosHungPeerDoesNotStallQuery(t *testing.T) {
 	// several times over.
 	c := newCluster(t, 3, func(i int, cfg *Config) {
 		cfg.Network = fab.Host(cfg.ListenAddr)
+		cfg.Strategy = reconfig.Static{}
 	}, func(i int, s *storm.Store) {
 		if i == 2 {
 			s.Put(&storm.Object{Name: "hot-take", Keywords: []string{"hot"}, Data: []byte("x")})
@@ -496,10 +497,9 @@ func TestChaosHungPeerDoesNotStallQuery(t *testing.T) {
 
 	start := time.Now()
 	res, err := base.Query(&agent.KeywordAgent{Query: "hot"}, QueryOptions{
-		Timeout:       400 * time.Millisecond,
-		WaitAnswers:   1,
-		SkipLocal:     true,
-		NoReconfigure: true,
+		Timeout:     400 * time.Millisecond,
+		WaitAnswers: 1,
+		SkipLocal:   true,
 	})
 	elapsed := time.Since(start)
 	if err != nil {

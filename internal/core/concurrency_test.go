@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"bestpeer/internal/agent"
+	"bestpeer/internal/reconfig"
 	"bestpeer/internal/storm"
 	"bestpeer/internal/topology"
 )
@@ -15,7 +16,7 @@ import (
 // same base must not cross-contaminate answers.
 func TestConcurrentQueriesFromOneNode(t *testing.T) {
 	const kinds = 4
-	c := newCluster(t, 5, nil, func(i int, s *storm.Store) {
+	c := newCluster(t, 5, static, func(i int, s *storm.Store) {
 		for k := 0; k < kinds; k++ {
 			s.Put(&storm.Object{
 				Name:     fmt.Sprintf("n%d-k%d", i, k),
@@ -34,7 +35,7 @@ func TestConcurrentQueriesFromOneNode(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			res, err := c.nodes[0].Query(&agent.KeywordAgent{Query: fmt.Sprintf("topic%d", k)},
-				QueryOptions{Timeout: 3 * time.Second, WaitAnswers: 5, NoReconfigure: true})
+				QueryOptions{Timeout: 3 * time.Second, WaitAnswers: 5})
 			if err != nil {
 				errs <- err
 				return
@@ -66,7 +67,7 @@ func TestConcurrentQueriesFromOneNode(t *testing.T) {
 // gets the full answer set.
 func TestConcurrentQueriesFromManyNodes(t *testing.T) {
 	const n = 6
-	c := newCluster(t, n, func(i int, cfg *Config) { cfg.MaxPeers = n }, func(i int, s *storm.Store) {
+	c := newCluster(t, n, func(i int, cfg *Config) { cfg.MaxPeers, cfg.Strategy = n, reconfig.Static{} }, func(i int, s *storm.Store) {
 		s.Put(&storm.Object{Name: fmt.Sprintf("shared-%d", i), Keywords: []string{"common"}})
 	})
 	c.wire(topology.Random(n, 2, 3))
@@ -79,7 +80,7 @@ func TestConcurrentQueriesFromManyNodes(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			res, err := c.nodes[i].Query(&agent.KeywordAgent{Query: "common"},
-				QueryOptions{Timeout: 3 * time.Second, WaitAnswers: n, NoReconfigure: true})
+				QueryOptions{Timeout: 3 * time.Second, WaitAnswers: n})
 			if err != nil {
 				errs <- err
 				return

@@ -33,14 +33,12 @@ func (n *Node) handle(env *wire.Envelope) {
 			Kind: wire.KindPeerProbeOK, ID: env.ID, TTL: 1,
 			From: n.Addr(), To: env.From,
 		})
-	case wire.KindPeerProbeOK:
-		n.deliverProbe(env.ID)
+	case wire.KindPeerProbeOK, wire.KindPeerListOK:
+		n.deliverReply(env)
 	case wire.KindDepart:
 		n.handleDepart(env)
 	case wire.KindPeerList:
 		n.handlePeerList(env)
-	case wire.KindPeerListOK:
-		n.deliverPeerList(env)
 	case wire.KindSpan:
 		// A standalone trace-span report from a peer that had no result
 		// envelope to piggyback on; the ID is the traced query's.

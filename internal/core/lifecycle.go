@@ -203,40 +203,17 @@ func (n *Node) handlePeerList(env *wire.Envelope) {
 	})
 }
 
-// deliverPeerList completes an outstanding PeersOfPeer exchange.
-func (n *Node) deliverPeerList(env *wire.Envelope) {
-	v, ok := n.peerLists.Load(env.ID)
+// PeersOfPeer asks a direct peer for its current peer list, synchronously.
+func (n *Node) PeersOfPeer(addr string, timeout time.Duration) ([]Peer, bool) {
+	env, ok := n.ask(addr, wire.KindPeerList, wire.KindPeerListOK, timeout)
 	if !ok {
-		return // late reply for an exchange that timed out
+		return nil, false
 	}
 	r, err := unmarshal(env.Body, new(peerListResp), "peer-list")
 	if err != nil {
-		return
-	}
-	select {
-	case v.(chan []Peer) <- r.Peers:
-	default: // duplicate reply; the first one won
-	}
-}
-
-// PeersOfPeer asks a direct peer for its current peer list, synchronously.
-func (n *Node) PeersOfPeer(addr string, timeout time.Duration) ([]Peer, bool) {
-	if timeout <= 0 {
-		timeout = probeTimeout
-	}
-	id := wire.NewMsgID()
-	ch := make(chan []Peer, 1)
-	n.peerLists.Store(id, ch)
-	defer n.peerLists.Delete(id)
-	n.send(addr, &wire.Envelope{
-		Kind: wire.KindPeerList, ID: id, TTL: 1, From: n.Addr(), To: addr,
-	})
-	select {
-	case peers := <-ch:
-		return peers, true
-	case <-time.After(timeout):
 		return nil, false
 	}
+	return r.Peers, true
 }
 
 // kickRepair wakes the repair loop. Non-blocking: concurrent triggers

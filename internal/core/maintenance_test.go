@@ -14,7 +14,7 @@ import (
 )
 
 func TestQueryAndFetchRetrievesHintedData(t *testing.T) {
-	c := newCluster(t, 4, nil, func(i int, s *storm.Store) {
+	c := newCluster(t, 4, static, func(i int, s *storm.Store) {
 		if i > 0 {
 			s.Put(&storm.Object{
 				Name:     fmt.Sprintf("video-%d", i),
@@ -26,7 +26,7 @@ func TestQueryAndFetchRetrievesHintedData(t *testing.T) {
 	c.wire(topology.Star(4))
 
 	res, err := c.nodes[0].QueryAndFetch(&agent.KeywordAgent{Query: "video"}, QueryOptions{
-		Timeout: 2 * time.Second, WaitAnswers: 3, NoReconfigure: true,
+		Timeout: 2 * time.Second, WaitAnswers: 3,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -46,7 +46,7 @@ func TestQueryAndFetchRetrievesHintedData(t *testing.T) {
 }
 
 func TestQueryAndFetchIncludesLocalMatches(t *testing.T) {
-	c := newCluster(t, 2, nil, func(i int, s *storm.Store) {
+	c := newCluster(t, 2, static, func(i int, s *storm.Store) {
 		s.Put(&storm.Object{
 			Name:     fmt.Sprintf("doc-%d", i),
 			Keywords: []string{"doc"},
@@ -55,7 +55,7 @@ func TestQueryAndFetchIncludesLocalMatches(t *testing.T) {
 	})
 	c.wire(topology.Line(2))
 	res, err := c.nodes[0].QueryAndFetch(&agent.KeywordAgent{Query: "doc"}, QueryOptions{
-		Timeout: time.Second, WaitAnswers: 2, NoReconfigure: true,
+		Timeout: time.Second, WaitAnswers: 2,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -72,7 +72,7 @@ func TestQueryAndFetchIncludesLocalMatches(t *testing.T) {
 }
 
 func TestQueryAndFetchSkipsRemovedObjects(t *testing.T) {
-	c := newCluster(t, 2, nil, func(i int, s *storm.Store) {
+	c := newCluster(t, 2, static, func(i int, s *storm.Store) {
 		if i == 1 {
 			s.Put(&storm.Object{Name: "fleeting", Keywords: []string{"f"}})
 			s.Put(&storm.Object{Name: "stable-f", Keywords: []string{"f"}, Data: []byte("x")})
@@ -84,7 +84,7 @@ func TestQueryAndFetchSkipsRemovedObjects(t *testing.T) {
 	// helper path (simulating the §2 race at full speed is impossible
 	// deterministically, so exercise the fallback directly).
 	res, err := c.nodes[0].Query(&agent.KeywordAgent{Query: "f"}, QueryOptions{
-		Mode: 2, Timeout: time.Second, WaitAnswers: 2, NoReconfigure: true,
+		Mode: 2, Timeout: time.Second, WaitAnswers: 2,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -98,10 +98,9 @@ type Node struct {
 	leaving bool // set by Leave; suppresses repair and peer adoption
 	admin   *obs.AdminServer
 
-	seen      *dedup
-	queries   sync.Map // wire.MsgID -> *queryState
-	probes    sync.Map // wire.MsgID -> chan struct{}
-	peerLists sync.Map // wire.MsgID -> chan []Peer (peer-list exchanges)
+	seen    *dedup
+	queries sync.Map // wire.MsgID -> *queryState
+	replies sync.Map // wire.MsgID -> chan *wire.Envelope (outstanding asks)
 
 	// repairKick wakes the repair loop (StartRepair); capacity 1, so
 	// concurrent triggers coalesce into one pending round. hintStash

@@ -72,6 +72,10 @@ func (c *cluster) wire(tp *topology.Topology) {
 	}
 }
 
+// static builds nodes whose overlay stays fixed across queries: the
+// paper's BPS.
+func static(_ int, cfg *Config) { cfg.Strategy = reconfig.Static{} }
+
 func collectNames(answers []Answer) map[string]bool {
 	out := make(map[string]bool)
 	for _, a := range answers {
@@ -111,13 +115,13 @@ func TestQueryStarReachesAllNodes(t *testing.T) {
 
 func TestQueryLinePropagatesByForwarding(t *testing.T) {
 	const n = 5
-	c := newCluster(t, n, nil, func(i int, s *storm.Store) {
+	c := newCluster(t, n, static, func(i int, s *storm.Store) {
 		s.Put(&storm.Object{Name: fmt.Sprintf("deep-%d", i), Keywords: []string{"deep"}})
 	})
 	c.wire(topology.Line(n))
 
 	res, err := c.nodes[0].Query(&agent.KeywordAgent{Query: "deep"}, QueryOptions{
-		Timeout: 2 * time.Second, WaitAnswers: n, NoReconfigure: true,
+		Timeout: 2 * time.Second, WaitAnswers: n,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -135,14 +139,14 @@ func TestQueryLinePropagatesByForwarding(t *testing.T) {
 
 func TestTTLBoundsPropagation(t *testing.T) {
 	const n = 6
-	c := newCluster(t, n, nil, func(i int, s *storm.Store) {
+	c := newCluster(t, n, static, func(i int, s *storm.Store) {
 		s.Put(&storm.Object{Name: fmt.Sprintf("x-%d", i), Keywords: []string{"x"}})
 	})
 	c.wire(topology.Line(n))
 
 	// TTL 2: agent reaches nodes 1 (hop 1) and 2 (hop 2) only; plus local.
 	res, err := c.nodes[0].Query(&agent.KeywordAgent{Query: "x"}, QueryOptions{
-		TTL: 2, Timeout: 700 * time.Millisecond, NoReconfigure: true,
+		TTL: 2, Timeout: 700 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -160,7 +164,7 @@ func TestDuplicateAgentsDropped(t *testing.T) {
 	// A triangle: node 0 connected to 1 and 2, which are also connected.
 	// Each of 1 and 2 receives the agent twice (direct + via the other);
 	// answers must not be duplicated.
-	c := newCluster(t, 3, nil, func(i int, s *storm.Store) {
+	c := newCluster(t, 3, static, func(i int, s *storm.Store) {
 		s.Put(&storm.Object{Name: fmt.Sprintf("t-%d", i), Keywords: []string{"t"}})
 	})
 	for i, node := range c.nodes {
@@ -173,7 +177,7 @@ func TestDuplicateAgentsDropped(t *testing.T) {
 		node.SetPeers(peers)
 	}
 	res, err := c.nodes[0].Query(&agent.KeywordAgent{Query: "t"}, QueryOptions{
-		Timeout: 700 * time.Millisecond, NoReconfigure: true,
+		Timeout: 700 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -195,7 +199,7 @@ func TestDuplicateAgentsDropped(t *testing.T) {
 func TestAnswersReturnDirectlyNotAlongPath(t *testing.T) {
 	// In a 4-node line, node 3's answer must arrive at node 0 without
 	// increasing nodes 1/2's sent-answer counters.
-	c := newCluster(t, 4, nil, func(i int, s *storm.Store) {
+	c := newCluster(t, 4, static, func(i int, s *storm.Store) {
 		if i == 3 {
 			s.Put(&storm.Object{Name: "treasure", Keywords: []string{"gold"}})
 		} else {
@@ -205,7 +209,7 @@ func TestAnswersReturnDirectlyNotAlongPath(t *testing.T) {
 	c.wire(topology.Line(4))
 
 	res, err := c.nodes[0].Query(&agent.KeywordAgent{Query: "gold"}, QueryOptions{
-		Timeout: 2 * time.Second, WaitAnswers: 1, NoReconfigure: true,
+		Timeout: 2 * time.Second, WaitAnswers: 1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -275,7 +279,7 @@ func TestReconfigurationPromotesAnswerProvider(t *testing.T) {
 	// the direct link deterministically, isolate it.
 	c.nodes[0].SetPeers([]Peer{{Addr: c.nodes[2].Addr()}})
 	res2, err := c.nodes[0].Query(&agent.KeywordAgent{Query: "want"}, QueryOptions{
-		Timeout: 2 * time.Second, WaitAnswers: 1, NoReconfigure: true,
+		Timeout: 2 * time.Second, WaitAnswers: 1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -313,7 +317,7 @@ func TestStaticStrategyNeverReconfigures(t *testing.T) {
 }
 
 func TestMode2HintsAndFetch(t *testing.T) {
-	c := newCluster(t, 2, nil, func(i int, s *storm.Store) {
+	c := newCluster(t, 2, static, func(i int, s *storm.Store) {
 		if i == 1 {
 			s.Put(&storm.Object{Name: "bigfile", Keywords: []string{"video"},
 				Data: []byte("lots of bytes")})
@@ -322,7 +326,7 @@ func TestMode2HintsAndFetch(t *testing.T) {
 	c.wire(topology.Line(2))
 
 	res, err := c.nodes[0].Query(&agent.KeywordAgent{Query: "video"}, QueryOptions{
-		Mode: 2, Timeout: 2 * time.Second, WaitAnswers: 1, NoReconfigure: true,
+		Mode: 2, Timeout: 2 * time.Second, WaitAnswers: 1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -363,6 +367,7 @@ func TestFetchRemovedObjectReturnsEmpty(t *testing.T) {
 
 func TestClassShippingOnColdPeer(t *testing.T) {
 	c := newCluster(t, 2, func(i int, cfg *Config) {
+		cfg.Strategy = reconfig.Static{}
 		if i == 1 {
 			reg := agent.NewRegistry()
 			if err := agent.RegisterBuiltinsDormant(reg); err != nil {
@@ -378,7 +383,7 @@ func TestClassShippingOnColdPeer(t *testing.T) {
 	c.wire(topology.Line(2))
 
 	res, err := c.nodes[0].Query(&agent.KeywordAgent{Query: "kw"}, QueryOptions{
-		Timeout: 2 * time.Second, WaitAnswers: 1, NoReconfigure: true,
+		Timeout: 2 * time.Second, WaitAnswers: 1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -397,7 +402,7 @@ func TestClassShippingOnColdPeer(t *testing.T) {
 	}
 	// Second query: class is cached, no new installs.
 	if _, err := c.nodes[0].Query(&agent.KeywordAgent{Query: "kw"}, QueryOptions{
-		Timeout: time.Second, WaitAnswers: 1, NoReconfigure: true,
+		Timeout: time.Second, WaitAnswers: 1,
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -407,14 +412,14 @@ func TestClassShippingOnColdPeer(t *testing.T) {
 }
 
 func TestFilterAgentAcrossNetwork(t *testing.T) {
-	c := newCluster(t, 3, nil, func(i int, s *storm.Store) {
+	c := newCluster(t, 3, static, func(i int, s *storm.Store) {
 		s.Put(&storm.Object{Name: fmt.Sprintf("small-%d", i), Keywords: []string{"f"}, Data: []byte("xy")})
 		s.Put(&storm.Object{Name: fmt.Sprintf("large-%d", i), Keywords: []string{"f"},
 			Data: make([]byte, 600)})
 	})
 	c.wire(topology.Star(3))
 	res, err := c.nodes[0].Query(&agent.FilterAgent{Expr: "keyword=f & size>500", IncludeData: false},
-		QueryOptions{Timeout: 2 * time.Second, WaitAnswers: 3, NoReconfigure: true})
+		QueryOptions{Timeout: 2 * time.Second, WaitAnswers: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -439,10 +444,10 @@ func TestAccessControlAcrossNetwork(t *testing.T) {
 		}
 	}
 	// Low-clearance base node.
-	low := newCluster(t, 2, func(i int, cfg *Config) { cfg.AccessLevel = 0 }, seed)
+	low := newCluster(t, 2, func(i int, cfg *Config) { cfg.AccessLevel, cfg.Strategy = 0, reconfig.Static{} }, seed)
 	low.wire(topology.Line(2))
 	res, err := low.nodes[0].Query(&agent.KeywordAgent{Query: "hr"}, QueryOptions{
-		Timeout: 2 * time.Second, WaitAnswers: 1, NoReconfigure: true})
+		Timeout: 2 * time.Second, WaitAnswers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -451,10 +456,10 @@ func TestAccessControlAcrossNetwork(t *testing.T) {
 	}
 
 	// High-clearance base node.
-	high := newCluster(t, 2, func(i int, cfg *Config) { cfg.AccessLevel = 9 }, seed)
+	high := newCluster(t, 2, func(i int, cfg *Config) { cfg.AccessLevel, cfg.Strategy = 9, reconfig.Static{} }, seed)
 	high.wire(topology.Line(2))
 	res, err = high.nodes[0].Query(&agent.KeywordAgent{Query: "hr"}, QueryOptions{
-		Timeout: 2 * time.Second, WaitAnswers: 1, NoReconfigure: true})
+		Timeout: 2 * time.Second, WaitAnswers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -614,13 +619,13 @@ func TestAddPeerSemantics(t *testing.T) {
 }
 
 func TestWaitAnswersStopsEarly(t *testing.T) {
-	c := newCluster(t, 4, nil, func(i int, s *storm.Store) {
+	c := newCluster(t, 4, static, func(i int, s *storm.Store) {
 		s.Put(&storm.Object{Name: fmt.Sprintf("m-%d", i), Keywords: []string{"m"}})
 	})
 	c.wire(topology.Star(4))
 	start := time.Now()
 	res, err := c.nodes[0].Query(&agent.KeywordAgent{Query: "m"}, QueryOptions{
-		Timeout: 10 * time.Second, WaitAnswers: 4, NoReconfigure: true,
+		Timeout: 10 * time.Second, WaitAnswers: 4,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -634,12 +639,12 @@ func TestWaitAnswersStopsEarly(t *testing.T) {
 }
 
 func TestSkipLocal(t *testing.T) {
-	c := newCluster(t, 2, nil, func(i int, s *storm.Store) {
+	c := newCluster(t, 2, static, func(i int, s *storm.Store) {
 		s.Put(&storm.Object{Name: fmt.Sprintf("s-%d", i), Keywords: []string{"s"}})
 	})
 	c.wire(topology.Line(2))
 	res, err := c.nodes[0].Query(&agent.KeywordAgent{Query: "s"}, QueryOptions{
-		Timeout: time.Second, WaitAnswers: 1, SkipLocal: true, NoReconfigure: true,
+		Timeout: time.Second, WaitAnswers: 1, SkipLocal: true,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -11,15 +11,16 @@ import (
 	"bestpeer/internal/topology"
 )
 
-// qrEnabled turns the qroute subsystem on for node i with deterministic
-// routing (no ε-exploration) and a low confidence floor so single-answer
-// histories already count.
+// qrEnabled builds a fixed overlay (static) and turns the qroute subsystem
+// on for node i with deterministic routing (no ε-exploration) and a low
+// confidence floor so single-answer histories already count.
 func qrEnabled(on ...int) func(i int, cfg *Config) {
 	set := make(map[int]bool, len(on))
 	for _, i := range on {
 		set[i] = true
 	}
 	return func(i int, cfg *Config) {
+		static(i, cfg)
 		if set[i] {
 			cfg.QRoute = qroute.Options{
 				Enable: true,
@@ -38,7 +39,7 @@ func TestBaseCacheHitSkipsFanOut(t *testing.T) {
 		})
 	})
 	c.wire(topology.Star(3))
-	opts := QueryOptions{Timeout: 2 * time.Second, WaitAnswers: 3, NoReconfigure: true}
+	opts := QueryOptions{Timeout: 2 * time.Second, WaitAnswers: 3}
 
 	res1, err := c.nodes[0].Query(&agent.KeywordAgent{Query: "music"}, opts)
 	if err != nil {
@@ -75,7 +76,7 @@ func TestBaseCacheHitSkipsFanOut(t *testing.T) {
 func TestStoreMutationInvalidatesBaseCache(t *testing.T) {
 	c := newCluster(t, 2, qrEnabled(0), nil)
 	c.wire(topology.Star(2))
-	opts := QueryOptions{Timeout: time.Second, WaitAnswers: 1, NoReconfigure: true}
+	opts := QueryOptions{Timeout: time.Second, WaitAnswers: 1}
 
 	if _, err := c.nodes[0].Query(&agent.KeywordAgent{Query: "kw0"}, opts); err != nil {
 		t.Fatal(err)
@@ -87,7 +88,7 @@ func TestStoreMutationInvalidatesBaseCache(t *testing.T) {
 		t.Fatal(err)
 	}
 	res, err := c.nodes[0].Query(&agent.KeywordAgent{Query: "kw0"},
-		QueryOptions{Timeout: time.Second, WaitAnswers: 2, NoReconfigure: true})
+		QueryOptions{Timeout: time.Second, WaitAnswers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +106,7 @@ func TestStoreMutationInvalidatesBaseCache(t *testing.T) {
 func TestNegativeCacheServesRepeatMisses(t *testing.T) {
 	c := newCluster(t, 2, qrEnabled(0), nil)
 	c.wire(topology.Star(2))
-	opts := QueryOptions{Timeout: 250 * time.Millisecond, NoReconfigure: true}
+	opts := QueryOptions{Timeout: 250 * time.Millisecond}
 
 	if res, err := c.nodes[0].Query(&agent.KeywordAgent{Query: "nothing-has-this"}, opts); err != nil {
 		t.Fatal(err)
@@ -134,7 +135,7 @@ func TestServeSiteCacheSkipsRepeatScans(t *testing.T) {
 		}
 	})
 	c.wire(topology.Star(2))
-	opts := QueryOptions{Timeout: 2 * time.Second, WaitAnswers: 1, NoReconfigure: true}
+	opts := QueryOptions{Timeout: 2 * time.Second, WaitAnswers: 1}
 
 	res1, err := c.nodes[0].Query(&agent.KeywordAgent{Query: "remote"}, opts)
 	if err != nil {
@@ -162,7 +163,7 @@ func TestServeSiteCacheSkipsRepeatScans(t *testing.T) {
 		t.Fatal(err)
 	}
 	res3, err := c.nodes[0].Query(&agent.KeywordAgent{Query: "remote"},
-		QueryOptions{Timeout: 2 * time.Second, WaitAnswers: 2, NoReconfigure: true})
+		QueryOptions{Timeout: 2 * time.Second, WaitAnswers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +185,7 @@ func TestSelectiveRoutingLearnsProvider(t *testing.T) {
 		}
 	})
 	c.wire(topology.Star(4))
-	opts := QueryOptions{Timeout: 2 * time.Second, WaitAnswers: 1, NoReconfigure: true}
+	opts := QueryOptions{Timeout: 2 * time.Second, WaitAnswers: 1}
 
 	if _, err := c.nodes[0].Query(&agent.KeywordAgent{Query: "needle"}, opts); err != nil {
 		t.Fatal(err)

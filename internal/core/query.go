@@ -24,8 +24,6 @@ type QueryOptions struct {
 	// WaitAnswers stops collection early once this many answers have
 	// arrived. Zero waits out the full timeout.
 	WaitAnswers int
-	// NoReconfigure suppresses the post-query peer-set update.
-	NoReconfigure bool
 	// SkipLocal leaves the node's own store out of the result set.
 	SkipLocal bool
 }
@@ -313,9 +311,7 @@ func (n *Node) Query(ag agent.Agent, opts QueryOptions) (*QueryResult, error) {
 		}, answersSize(answers, hints), len(answers)+len(hints) == 0, qEpoch, time.Now(),
 			answerSites(n.Addr(), answers, hints))
 	}
-	if !opts.NoReconfigure {
-		res.Reconfigured = n.reconfigure(qid, answers, hints)
-	}
+	res.Reconfigured = n.reconfigure(qid, answers, hints)
 	return res, nil
 }
 
@@ -592,32 +588,37 @@ func (n *Node) Fetch(peerAddr string, names []string, timeout time.Duration) ([]
 
 // Probe checks whether a peer is alive by round-tripping a probe message.
 func (n *Node) Probe(addr string, timeout time.Duration) bool {
+	_, ok := n.ask(addr, wire.KindPeerProbe, wire.KindPeerProbeOK, timeout)
+	return ok
+}
+
+// ask sends a one-hop request of kind to addr and waits up to timeout
+// (probeTimeout when zero) for the reply carrying the request's ID, which
+// must be of kind want.
+func (n *Node) ask(addr string, kind, want wire.Kind, timeout time.Duration) (*wire.Envelope, bool) {
 	if timeout <= 0 {
 		timeout = probeTimeout
 	}
 	id := wire.NewMsgID()
-	ch := make(chan struct{})
-	n.probes.Store(id, ch)
-	defer n.probes.Delete(id)
-	n.send(addr, &wire.Envelope{
-		Kind: wire.KindPeerProbe, ID: id, TTL: 1, From: n.Addr(), To: addr,
-	})
+	ch := make(chan *wire.Envelope, 1)
+	n.replies.Store(id, ch)
+	defer n.replies.Delete(id)
+	n.send(addr, &wire.Envelope{Kind: kind, ID: id, TTL: 1, From: n.Addr(), To: addr})
 	select {
-	case <-ch:
-		return true
+	case env := <-ch:
+		return env, env.Kind == want
 	case <-time.After(timeout):
-		return false
+		return nil, false
 	}
 }
 
-// deliverProbe completes an outstanding probe.
-func (n *Node) deliverProbe(id wire.MsgID) {
-	if v, ok := n.probes.Load(id); ok {
+// deliverReply completes an outstanding ask. A late reply finds no entry
+// and is dropped.
+func (n *Node) deliverReply(env *wire.Envelope) {
+	if v, ok := n.replies.Load(env.ID); ok {
 		select {
-		case <-v.(chan struct{}):
-		default:
-			close(v.(chan struct{}))
+		case v.(chan *wire.Envelope) <- env:
+		default: // duplicate reply; the first one won
 		}
-		n.probes.Delete(id)
 	}
 }

@@ -143,7 +143,7 @@ func TestRetainedAnswersSurviveLaterFrames(t *testing.T) {
 	ask := func(k int, cached bool) {
 		t.Helper()
 		res, err := c.nodes[0].Query(&agent.KeywordAgent{Query: fmt.Sprintf("topic%d", k)},
-			QueryOptions{Timeout: 3 * time.Second, WaitAnswers: nodes * perNode, NoReconfigure: true})
+			QueryOptions{Timeout: 3 * time.Second, WaitAnswers: nodes * perNode})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -41,13 +41,13 @@ func TestQueryTraceLineMatchesHops(t *testing.T) {
 	// per node whose hop number equals the answer's travelled distance,
 	// and the tree must chain node i under node i-1.
 	const n = 10
-	c := newCluster(t, n, nil, func(i int, s *storm.Store) {
+	c := newCluster(t, n, static, func(i int, s *storm.Store) {
 		s.Put(&storm.Object{Name: fmt.Sprintf("t-%d", i), Keywords: []string{"t"}})
 	})
 	c.wire(topology.Line(n))
 
 	res, err := c.nodes[0].Query(&agent.KeywordAgent{Query: "t"}, QueryOptions{
-		TTL: n, Timeout: 5 * time.Second, WaitAnswers: n, NoReconfigure: true,
+		TTL: n, Timeout: 5 * time.Second, WaitAnswers: n,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -124,7 +124,7 @@ func TestQueryTraceLineMatchesHops(t *testing.T) {
 func TestQueryTraceRecordsDuplicateDrops(t *testing.T) {
 	// A triangle: both of the base's peers forward to each other, so each
 	// receives a duplicate and reports a duplicate-drop span.
-	c := newCluster(t, 3, nil, func(i int, s *storm.Store) {
+	c := newCluster(t, 3, static, func(i int, s *storm.Store) {
 		s.Put(&storm.Object{Name: fmt.Sprintf("d-%d", i), Keywords: []string{"d"}})
 	})
 	for i, node := range c.nodes {
@@ -138,7 +138,7 @@ func TestQueryTraceRecordsDuplicateDrops(t *testing.T) {
 	}
 
 	res, err := c.nodes[0].Query(&agent.KeywordAgent{Query: "d"}, QueryOptions{
-		Timeout: 3 * time.Second, WaitAnswers: 3, NoReconfigure: true,
+		Timeout: 3 * time.Second, WaitAnswers: 3,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -169,10 +169,10 @@ func TestQueryTraceRecordsDuplicateDrops(t *testing.T) {
 func TestNodeMetricsCoverAllFamilies(t *testing.T) {
 	// One registry per node carries the node, transport, LIGLO-client and
 	// StorM families, so a single scrape sees the whole stack.
-	c := newCluster(t, 2, nil, nil)
+	c := newCluster(t, 2, static, nil)
 	c.wire(topology.Line(2))
 	if _, err := c.nodes[0].Query(&agent.KeywordAgent{Query: "kw1"}, QueryOptions{
-		Timeout: 2 * time.Second, WaitAnswers: 1, NoReconfigure: true,
+		Timeout: 2 * time.Second, WaitAnswers: 1,
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +207,7 @@ func TestNodeMetricsCoverAllFamilies(t *testing.T) {
 }
 
 func TestServeAdminExposesNodeState(t *testing.T) {
-	c := newCluster(t, 2, nil, nil)
+	c := newCluster(t, 2, static, nil)
 	c.wire(topology.Line(2))
 	node := c.nodes[0]
 
@@ -220,7 +220,7 @@ func TestServeAdminExposesNodeState(t *testing.T) {
 	}
 
 	res, err := node.Query(&agent.KeywordAgent{Query: "kw1"}, QueryOptions{
-		Timeout: 2 * time.Second, WaitAnswers: 1, NoReconfigure: true,
+		Timeout: 2 * time.Second, WaitAnswers: 1,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -14,14 +14,11 @@ import (
 // ErrClientClosed reports that Close interrupted a retry backoff.
 var ErrClientClosed = errors.New("liglo: client closed")
 
-// Failure handling: one connection attempt, one whole exchange where the
-// connection honours deadlines, and the retries of a failed RegisterAny
-// round, Rejoin or Deregister call (retries+1 attempts in all) after a
-// backoff that doubles from backoffBase. Only transport failures retry;
-// protocol rejections are terminal.
+// Failure handling: the retries of a failed RegisterAny round, Rejoin or
+// Deregister call (retries+1 attempts in all) after a backoff that doubles
+// from backoffBase. Only transport failures retry; protocol rejections are
+// terminal. Each exchange is one transport.Call, bounded there.
 const (
-	dialTimeout = 2 * time.Second
-	callTimeout = 5 * time.Second
 	retries     = 2
 	backoffBase = 50 * time.Millisecond
 )
@@ -89,15 +86,16 @@ func (c *Client) sleep(d time.Duration) bool {
 	}
 }
 
-// call performs one request/response exchange with a server, bounded by
-// the dial and call timeouts. op names the operation for metrics.
-func (c *Client) call(op, server string, req *wire.Envelope) (*wire.Envelope, error) {
+// call performs one transport.Call with a server; the reply must be of a
+// kind in want. op names the operation for metrics.
+func (c *Client) call(op, server string, req *wire.Envelope, want ...wire.Kind) (*wire.Envelope, error) {
 	c.calls[op].Inc()
-	resp, err := c.callOnce(server, req)
+	resp, err := transport.Call(c.network, server, req, want...)
 	if err != nil {
 		c.fails[op].Inc()
+		return nil, fmt.Errorf("liglo: %w", err)
 	}
-	return resp, err
+	return resp, nil
 }
 
 // maxRedirects bounds how many ring redirects one logical call follows —
@@ -136,7 +134,7 @@ func (c *Client) callRing(op, primary string, req *wire.Envelope, out statusRepl
 	for len(queue) > 0 {
 		target := queue[0]
 		queue = queue[1:]
-		resp, err := c.call(op, target, req)
+		resp, err := c.call(op, target, req, wire.KindLigloStatus, wire.KindRingRedirect)
 		if err != nil {
 			lastErr = err
 			continue
@@ -181,29 +179,11 @@ func statusErr(text string) error {
 	return errors.New(text)
 }
 
-func (c *Client) callOnce(server string, req *wire.Envelope) (*wire.Envelope, error) {
-	conn, err := transport.DialTimeout(c.network, server, dialTimeout)
-	if err != nil {
-		return nil, fmt.Errorf("liglo: dial %s: %w", server, err)
-	}
-	defer conn.Close()
-	conn.SetDeadline(time.Now().Add(callTimeout))
-	wc := wire.NewConn(conn)
-	if err := wc.Send(req); err != nil {
-		return nil, fmt.Errorf("liglo: send to %s: %w", server, err)
-	}
-	resp, err := wc.Recv()
-	if err != nil {
-		return nil, fmt.Errorf("liglo: recv from %s: %w", server, err)
-	}
-	return resp, nil
-}
-
 // Register asks the server for a BPID, reporting myAddr as the current
 // address. It returns the issued identity and the initial direct-peer
 // list. A capacity-limited server returns ErrFull — seek another server.
 func (c *Client) Register(server, myAddr string) (wire.BPID, []PeerInfo, error) {
-	resp, err := c.call("register", server, reply(wire.KindLigloRegister, wire.Marshal(&registerReq{Addr: myAddr})))
+	resp, err := c.call("register", server, reply(wire.KindLigloRegister, wire.Marshal(&registerReq{Addr: myAddr})), wire.KindLigloRegisterd)
 	if err != nil {
 		return wire.BPID{}, nil, err
 	}
@@ -315,7 +295,7 @@ func (c *Client) Lookup(id wire.BPID) (addr string, online bool, err error) {
 // self was issued by that server). Use it to replenish a depleted peer
 // set without re-registering.
 func (c *Client) Peers(server string, self wire.BPID, max int) ([]PeerInfo, error) {
-	resp, err := c.call("peers", server, reply(wire.KindLigloPeers, wire.Marshal(&peersReq{Self: self, Max: max})))
+	resp, err := c.call("peers", server, reply(wire.KindLigloPeers, wire.Marshal(&peersReq{Self: self, Max: max})), wire.KindLigloPeersList)
 	if err != nil {
 		return nil, err
 	}

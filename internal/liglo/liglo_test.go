@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"bestpeer/internal/transport"
+	"bestpeer/internal/transport/faultnet"
 	"bestpeer/internal/wire"
 )
 
@@ -161,7 +162,7 @@ func TestWrongHomeRejected(t *testing.T) {
 		Kind: wire.KindLigloLookup, ID: wire.NewMsgID(), TTL: 1,
 		Body: wire.Marshal(&lookupReq{ID: doctored}),
 	}
-	resp, err := cli.call("lookup", s2.Addr(), req)
+	resp, err := cli.call("lookup", s2.Addr(), req, wire.KindLigloStatus)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,6 +245,63 @@ func TestValidatorMarksDeadMembersOffline(t *testing.T) {
 	}
 }
 
+// TestChaosSweepSurvivesHungMember: a member whose address neither
+// accepts nor refuses costs the liveness sweep one dial bound — the sweep
+// finishes, judges the other members, and Close still returns.
+func TestChaosSweepSurvivesHungMember(t *testing.T) {
+	inner := transport.NewInProc()
+	fab := faultnet.New(inner, 1)
+	srv, err := NewServer(fab, "liglo-1", ServerConfig{ProbeInterval: 200 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	cli := NewClient(inner, nil)
+	ids := make(map[string]wire.BPID)
+	for _, addr := range []string{"m1", "m2", "m3"} {
+		l, err := inner.Listen(addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { l.Close() })
+		go func() { // accept and close probe connections
+			for {
+				c, err := l.Accept()
+				if err != nil {
+					return
+				}
+				c.Close()
+			}
+		}()
+		if ids[addr], _, err = cli.Register(srv.Addr(), addr); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fab.HangDial("m3")
+	t.Cleanup(func() { fab.HealDial("m3") }) // frees a sweep the bound failed to
+
+	deadline := time.Now().Add(3 * transport.DialBound)
+	for srv.sweeps.Value() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("no sweep finished within %v of a hung member", 3*transport.DialBound)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	for addr, want := range map[string]bool{"m1": true, "m2": true, "m3": false} {
+		if _, online, err := cli.Lookup(ids[addr]); err != nil || online != want {
+			t.Fatalf("%s after the sweep: online = %v (err %v), want %v", addr, online, err, want)
+		}
+	}
+
+	closed := make(chan error, 1)
+	go func() { closed <- srv.Close() }()
+	select {
+	case <-closed:
+	case <-time.After(2 * transport.DialBound):
+		t.Fatal("Close blocked behind the sweep")
+	}
+}
+
 func TestOfflineMembersExcludedFromPeerList(t *testing.T) {
 	_, srv, cli := newPair(t, ServerConfig{InitialPeers: 10})
 	cli.Register(srv.Addr(), "ghost-1")
@@ -298,12 +356,12 @@ func TestServerIgnoresGarbageRequests(t *testing.T) {
 	// Garbage body on a valid kind: server drops the connection.
 	req := &wire.Envelope{Kind: wire.KindLigloRegister, ID: wire.NewMsgID(), TTL: 1,
 		Body: []byte{0xFF, 0xFF, 0xFF}}
-	if _, err := cli.call("register", srv.Addr(), req); err == nil {
+	if _, err := cli.call("register", srv.Addr(), req, wire.KindLigloRegisterd); err == nil {
 		t.Fatal("garbage register got a reply")
 	}
 	// Wrong kind entirely.
 	req2 := &wire.Envelope{Kind: wire.KindAgent, ID: wire.NewMsgID(), TTL: 1}
-	if _, err := cli.call("register", srv.Addr(), req2); err == nil {
+	if _, err := cli.call("register", srv.Addr(), req2, wire.KindLigloRegisterd); err == nil {
 		t.Fatal("non-liglo kind got a reply")
 	}
 	// Server still alive afterwards.

@@ -233,25 +233,12 @@ func (s *Server) ReplicateNow() int {
 
 // replicateTo ships one record batch to a successor.
 func (s *Server) replicateTo(addr string, records []RingRecord) error {
-	conn, err := transport.DialTimeout(s.network, addr, 2*time.Second)
-	if err != nil {
-		return err
-	}
-	defer conn.Close()
-	conn.SetDeadline(time.Now().Add(5 * time.Second))
-	wc := wire.NewConn(conn)
 	req := reply(wire.KindRingReplicate, wire.Marshal(&replicateMsg{
 		Version: ringReplicateVersion, From: s.Addr(), Records: records,
 	}))
-	if err := wc.Send(req); err != nil {
-		return err
-	}
-	resp, err := wc.Recv()
+	resp, err := transport.Call(s.network, addr, req, wire.KindRingReplicateOK)
 	if err != nil {
 		return err
-	}
-	if resp.Kind != wire.KindRingReplicateOK {
-		return ErrBadRequest
 	}
 	m, err := unmarshal(resp.Body, new(replicateOK), "replicate-ok")
 	if err != nil {

@@ -57,28 +57,6 @@ func convergeRing(servers ...*Server) {
 	}
 }
 
-// rawExchange sends one envelope straight at a specific server and
-// returns its reply — bypassing the client's redirect following, so
-// tests can observe the redirect envelope itself.
-func rawExchange(t *testing.T, nw transport.Network, server string, req *wire.Envelope) *wire.Envelope {
-	t.Helper()
-	conn, err := transport.DialTimeout(nw, server, time.Second)
-	if err != nil {
-		t.Fatalf("dial %s: %v", server, err)
-	}
-	defer conn.Close()
-	conn.SetDeadline(time.Now().Add(5 * time.Second))
-	wc := wire.NewConn(conn)
-	if err := wc.Send(req); err != nil {
-		t.Fatalf("send to %s: %v", server, err)
-	}
-	resp, err := wc.Recv()
-	if err != nil {
-		t.Fatalf("recv from %s: %v", server, err)
-	}
-	return resp
-}
-
 // ringClient returns a client whose fallback list is servers, as
 // RegisterAny would leave it.
 func ringClient(nw transport.Network, servers []*Server) *Client {
@@ -124,9 +102,9 @@ func TestRingPartitionsResolution(t *testing.T) {
 
 	// A server that does not own a key must redirect to the one that does.
 	req := reply(wire.KindLigloLookup, wire.Marshal(&lookupReq{ID: ids[0]}))
-	resp := rawExchange(t, nw, servers[1].Addr(), req)
-	if resp.Kind != wire.KindRingRedirect {
-		t.Fatalf("lookup of %v at %s: kind = %v, want redirect", ids[0], servers[1].Addr(), resp.Kind)
+	resp, err := transport.Call(nw, servers[1].Addr(), req, wire.KindRingRedirect)
+	if err != nil {
+		t.Fatalf("lookup of %v at %s: %v, want a redirect", ids[0], servers[1].Addr(), err)
 	}
 	m, err := unmarshal(resp.Body, new(redirectMsg), "redirect")
 	if err != nil {

@@ -274,7 +274,7 @@ func (s *Server) handleRegister(r *registerReq) *wire.Envelope {
 	}
 	s.nextID++
 	m := &member{node: s.nextID, addr: r.Addr, online: true, lastSeen: time.Now()}
-	peers := s.peerListLocked(m.node)
+	peers := s.peerListLocked(m.node, s.cfg.InitialPeers)
 	s.members[m.node] = m
 	s.registers.Inc()
 	s.cfg.Journal.Append(obs.Event{Kind: obs.EvMemberRegistered, Peer: r.Addr})
@@ -285,13 +285,13 @@ func (s *Server) handleRegister(r *registerReq) *wire.Envelope {
 	}))
 }
 
-// peerListLocked selects up to InitialPeers online members (excluding
-// self) as the registrant's starting direct peers, preferring the most
-// recently seen. In ring mode the locally-issued table holds only this
-// server's registrants, so remaining slots are filled from replicated
-// foreign records — without them a fleet spread across ring servers
-// would bootstrap with zero connectivity. Caller holds s.mu.
-func (s *Server) peerListLocked(exclude uint64) []PeerInfo {
+// peerListLocked selects up to limit online members (excluding self) as
+// a member's direct peers, preferring the most recently seen. In ring
+// mode the locally-issued table holds only this server's registrants, so
+// remaining slots are filled from replicated foreign records — without
+// them a fleet spread across ring servers would bootstrap with zero
+// connectivity. Caller holds s.mu.
+func (s *Server) peerListLocked(exclude uint64, limit int) []PeerInfo {
 	var online []*member
 	for _, m := range s.members {
 		if m.node != exclude && m.online {
@@ -304,8 +304,8 @@ func (s *Server) peerListLocked(exclude uint64) []PeerInfo {
 		}
 		return online[i].node < online[j].node
 	})
-	if len(online) > s.cfg.InitialPeers {
-		online = online[:s.cfg.InitialPeers]
+	if len(online) > limit {
+		online = online[:limit]
 	}
 	peers := make([]PeerInfo, 0, len(online))
 	for _, m := range online {
@@ -314,7 +314,7 @@ func (s *Server) peerListLocked(exclude uint64) []PeerInfo {
 			Addr: m.addr,
 		})
 	}
-	if len(peers) < s.cfg.InitialPeers && len(s.foreign) > 0 {
+	if len(peers) < limit && len(s.foreign) > 0 {
 		ids := make([]string, 0, len(s.foreign))
 		for id, rec := range s.foreign {
 			if rec.Online && !rec.Departed {
@@ -323,7 +323,7 @@ func (s *Server) peerListLocked(exclude uint64) []PeerInfo {
 		}
 		sort.Strings(ids)
 		for _, id := range ids {
-			if len(peers) >= s.cfg.InitialPeers {
+			if len(peers) >= limit {
 				break
 			}
 			rec := s.foreign[id]
@@ -434,36 +434,40 @@ func (s *Server) handlePeers(r *peersReq) *wire.Envelope {
 	if r.Self.LIGLO == s.Addr() {
 		exclude = r.Self.Node
 	}
-	saved := s.cfg.InitialPeers
+	limit := s.cfg.InitialPeers
 	if r.Max > 0 {
-		s.cfg.InitialPeers = r.Max
+		limit = r.Max
 	}
-	peers := s.peerListLocked(exclude)
-	s.cfg.InitialPeers = saved
-	return reply(wire.KindLigloPeersList, wire.Marshal(&peersResp{Peers: peers}))
+	return reply(wire.KindLigloPeersList, wire.Marshal(&peersResp{Peers: s.peerListLocked(exclude, limit)}))
 }
 
 // probeLoop periodically validates member addresses — members are not
 // obliged to announce disconnection, so LIGLO checks for itself.
+//
+// The interval runs from the end of one sweep to the start of the next:
+// a ticker would queue a tick during a slow sweep, and Close could then
+// lose the race against it and wait out a second sweep.
 func (s *Server) probeLoop() {
 	defer s.wg.Done()
 	defer s.contain()
-	ticker := time.NewTicker(s.cfg.ProbeInterval)
-	defer ticker.Stop()
+	t := time.NewTimer(s.cfg.ProbeInterval)
+	defer t.Stop()
 	for {
 		select {
 		case <-s.stopProbe:
 			return
-		case <-ticker.C:
+		case <-t.C:
 			s.CheckNow()
+			t.Reset(s.cfg.ProbeInterval)
 		}
 	}
 }
 
-// CheckNow probes every member's address once and updates its online
-// status. Gracefully-departed members are not probed — their process
-// answering the door is not a rejoin. Returns how many members are online
-// after the sweep.
+// CheckNow probes every member's address once, concurrently and each dial
+// bounded by transport.DialBound, and updates its online status: a hung
+// member costs one bound, not the whole sweep. Gracefully-departed
+// members are not probed — their process answering the door is not a
+// rejoin. Returns how many members are online after the sweep.
 func (s *Server) CheckNow() int {
 	s.mu.Lock()
 	type target struct {
@@ -480,13 +484,22 @@ func (s *Server) CheckNow() int {
 	s.mu.Unlock()
 
 	alive := make(map[uint64]bool, len(targets))
+	var aliveMu sync.Mutex
+	var wg sync.WaitGroup
 	for _, t := range targets {
-		conn, err := s.network.Dial(t.addr)
-		if err == nil {
-			_ = conn.Close() // liveness probe: the dial succeeding is the signal
-			alive[t.node] = true
-		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer s.contain()
+			if conn, err := transport.DialTimeout(s.network, t.addr, transport.DialBound); err == nil {
+				_ = conn.Close() // liveness probe: the dial succeeding is the signal
+				aliveMu.Lock()
+				alive[t.node] = true
+				aliveMu.Unlock()
+			}
+		}()
 	}
+	wg.Wait()
 
 	s.mu.Lock()
 	online := 0

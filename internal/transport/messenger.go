@@ -23,11 +23,10 @@ var (
 	ErrPeerSuspect = errors.New("transport: peer suspect, backing off")
 )
 
-// dialTimeout bounds one connection attempt; writeTimeout bounds one
-// envelope write on an established connection (where the underlying conn
-// honours deadlines); backoffMax caps the suspect backoff.
+// writeTimeout bounds one envelope write on an established connection
+// (where the underlying conn honours deadlines); backoffMax caps the
+// suspect backoff. Dials are bounded by DialBound.
 const (
-	dialTimeout  = 2 * time.Second
 	writeTimeout = 2 * time.Second
 	backoffMax   = 10 * time.Second
 )
@@ -573,7 +572,7 @@ func (q *sendQueue) deliver(env *wire.Envelope) {
 // dial opens a connection to the destination, recording dial latency.
 func (q *sendQueue) dial() (net.Conn, error) {
 	start := time.Now()
-	conn, err := DialTimeout(q.m.network, q.addr, dialTimeout)
+	conn, err := DialTimeout(q.m.network, q.addr, DialBound)
 	q.m.dialSeconds.ObserveDuration(time.Since(start))
 	return conn, err
 }
