@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet lint vetself vetgolden golden test race chaos fuzz cover adminsmoke perfcheck bench dhtbench churnsoak churnbench loc deadcode ci clean
+.PHONY: all build vet lint vetself vetgolden golden test race chaos fuzz cover adminsmoke perfcheck bench dhtbench churnsoak churnbench stress loc deadcode ci clean
 
 all: build vet lint test
 
@@ -145,6 +145,26 @@ churnsoak:
 CHURNJSON ?= churn-report.json
 churnbench:
 	$(GO) run ./cmd/bpbench -fig churn -json $(CHURNJSON)
+
+# Load-sensitive flake hunt: three busy loops per core (killed on exit,
+# however the run ends) beside `go test -count=STRESS_COUNT -cpu 1`, then
+# the failure count. A plain -count run on an idle machine misses the
+# scheduling races a loaded runner hits. The default runs core's leave
+# and repair tests; the test binary is built before the load starts.
+STRESS_COUNT ?= 40
+STRESS_RUN ?= ^Test(Leave|Leaver|Repair|Replenish|Sweep|Rejoined|Hint)
+STRESS_PKG ?= ./internal/core/
+stress:
+	$(GO) test -count=1 -run '^$$' $(STRESS_PKG)
+	@log=$$(mktemp); pids=; \
+	trap 'kill $$pids 2>/dev/null; rm -f $$log' EXIT INT TERM; \
+	for i in $$(seq $$((3 * $$(nproc)))); do \
+		sh -c 'while :; do :; done' & pids="$$pids $$!"; \
+	done; \
+	$(GO) test -count=$(STRESS_COUNT) -cpu 1 -run '$(STRESS_RUN)' $(STRESS_PKG) >$$log 2>&1; st=$$?; \
+	cat $$log; \
+	echo "stress: $$(grep -c '^--- FAIL' $$log) failed, -count=$(STRESS_COUNT) -run '$(STRESS_RUN)'"; \
+	exit $$st
 
 # The ledger ROADMAP keeps: lines of Go that are not tests and not the
 # benchmark harness.

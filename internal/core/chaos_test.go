@@ -155,7 +155,7 @@ func TestChaosPartitionHealsViaSweepAndReplenish(t *testing.T) {
 	}
 
 	fab.HealPartitions()
-	added, err := base.Replenish()
+	added, err := base.Replenish(500 * time.Millisecond)
 	if err != nil {
 		t.Fatalf("replenish after heal: %v", err)
 	}

@@ -28,17 +28,25 @@ func (n *Node) handle(env *wire.Envelope) {
 		n.handleClassWant(env)
 	case wire.KindClassShip:
 		n.handleClassShip(env)
-	case wire.KindPeerProbe:
-		n.send(env.From, &wire.Envelope{
-			Kind: wire.KindPeerProbeOK, ID: env.ID, TTL: 1,
-			From: n.Addr(), To: env.From,
-		})
+	case wire.KindPeerProbe, wire.KindPeerList:
+		switch {
+		case n.Leaving():
+			n.departTo(env.From, env.ID, nil) // a node that has left refuses every ask
+		case env.Kind == wire.KindPeerList:
+			n.handlePeerList(env)
+		default:
+			n.send(env.From, &wire.Envelope{
+				Kind: wire.KindPeerProbeOK, ID: env.ID, TTL: 1,
+				From: n.Addr(), To: env.From,
+			})
+		}
 	case wire.KindPeerProbeOK, wire.KindPeerListOK:
 		n.deliverReply(env)
 	case wire.KindDepart:
+		// The edge drops before the reply wakes an asker the Depart
+		// refused, so a repair round's stale probe result is discarded.
 		n.handleDepart(env)
-	case wire.KindPeerList:
-		n.handlePeerList(env)
+		n.deliverReply(env)
 	case wire.KindSpan:
 		// A standalone trace-span report from a peer that had no result
 		// envelope to piggyback on; the ID is the traced query's.

@@ -21,50 +21,17 @@ import (
 // Depart announcements for later repair rounds.
 const maxHintStash = 16
 
-// departedTTL is how long a gracefully-departed address stays refused
-// by the gossip-fed repair paths. It must outlast Depart propagation
-// plus a few repair rounds (neighbors that have not yet processed the
-// departure keep offering the leaver in their peer lists), while
-// staying short enough that an expired entry is harmless — a rejoined
-// member re-enters everyone's candidate pool through its home LIGLO
-// long before gossip would matter.
-const departedTTL = 45 * time.Second
-
-// noteDeparted records a graceful departure so repair gossip refuses
-// the address until departedTTL passes or a trusted path re-adopts it.
-func (n *Node) noteDeparted(addr string) {
-	n.departedMu.Lock()
-	n.departed[addr] = time.Now()
-	n.departedMu.Unlock()
-}
-
-// recentlyDeparted reports whether addr gracefully departed within
-// departedTTL, pruning expired entries as a side effect.
-func (n *Node) recentlyDeparted(addr string) bool { return n.departedSince(addr, time.Time{}) }
-
-// departedSince reports whether addr's graceful departure was noted after
-// t and within departedTTL — for a peer list asked for at t, whether the
-// list may be older than the departure. Expired entries are pruned.
-func (n *Node) departedSince(addr string, t time.Time) bool {
-	n.departedMu.Lock()
-	defer n.departedMu.Unlock()
-	noted, ok := n.departed[addr]
-	if ok && time.Since(noted) > departedTTL {
-		delete(n.departed, addr)
-		return false
-	}
-	return ok && noted.After(t)
-}
-
 // Leave performs a graceful departure: every direct peer receives a
 // versioned Depart announcement carrying replacement-neighbor hints (the
-// node's other peers, so receivers can heal the hole without a LIGLO
-// round trip), the peer set is cleared, and the home LIGLO is told to
-// mark this member offline immediately. The node stays alive — it can
-// still serve and issue queries, and Join/Rejoin bring it back — but it
-// stops adopting peers until then. Leave is idempotent; the returned
-// error is the LIGLO deregistration outcome (the overlay-side departure
-// is complete regardless, transport permitting).
+// node's other peers that answer a probe, so receivers can heal the hole
+// without a LIGLO round trip), the peer set is cleared, and then the home
+// LIGLO is told to mark this member offline. The node stays alive — it
+// can still serve and issue queries, and Join/Rejoin bring it back — but
+// until then it adopts no peers and refuses every probe and peer-list ask
+// with a Depart, so no repair round anywhere re-adopts it, whether or not
+// the deregistration got through. Leave is idempotent; the returned error
+// is the LIGLO deregistration outcome (the overlay-side departure is
+// complete regardless, transport permitting).
 func (n *Node) Leave() error {
 	n.mu.Lock()
 	if n.closed {
@@ -82,20 +49,18 @@ func (n *Node) Leave() error {
 	n.peerGen++
 	n.mu.Unlock()
 
-	me := n.Addr()
+	// Hints are the departing node's other peers — each recipient gets
+	// candidates it can adopt to replace the lost edge — but only those
+	// that answer a probe: a peer that has itself just left refuses it.
+	answered := n.probeAll(old, probeTimeout)
 	for i, p := range old {
-		// Hints are the departing node's other peers — each recipient
-		// gets candidates it can adopt to replace the lost edge.
 		hints := make([]Peer, 0, maxDepartHints)
 		for j := 1; j < len(old) && len(hints) < maxDepartHints; j++ {
-			hints = append(hints, old[(i+j)%len(old)])
+			if h := (i + j) % len(old); answered[h] {
+				hints = append(hints, old[h])
+			}
 		}
-		n.send(p.Addr, &wire.Envelope{
-			Kind: wire.KindDepart, ID: wire.NewMsgID(), TTL: 1,
-			From: me, To: p.Addr,
-			Body: wire.Marshal(&departMsg{Version: departVersion, ID: id, Hints: hints}),
-		})
-		n.m.departsSent.Inc()
+		n.departTo(p.Addr, wire.NewMsgID(), hints)
 		n.journal.Append(obs.Event{Kind: obs.EvPeerDropped, Peer: p.Addr, Reason: "leave"})
 	}
 
@@ -111,6 +76,19 @@ func (n *Node) Leave() error {
 	return derr
 }
 
+// departTo sends addr this node's Depart. Leave sends one to each peer,
+// under a fresh ID and with hints; a node that has left answers a probe
+// or peer-list ask with one under the ask's ID and without hints, so the
+// asker's wait fails at once and any edge it still holds drops.
+func (n *Node) departTo(addr string, id wire.MsgID, hints []Peer) {
+	n.send(addr, &wire.Envelope{
+		Kind: wire.KindDepart, ID: id, TTL: 1,
+		From: n.Addr(), To: addr,
+		Body: wire.Marshal(&departMsg{Version: departVersion, ID: n.ID(), Hints: hints}),
+	})
+	n.m.departsSent.Inc()
+}
+
 // Leaving reports whether Leave has run (and no Join/Rejoin since).
 func (n *Node) Leaving() bool {
 	n.mu.Lock()
@@ -122,7 +100,8 @@ func (n *Node) Leaving() bool {
 // drops immediately (no sweep timeout), every per-peer resource —
 // transport send queue, suspect state, learned routing counters, cached
 // answers it served — is released, and the carried replacement hints are
-// adopted or stashed for the repair loop.
+// adopted or stashed for the repair loop. The hints need no probe here:
+// the leaver sent only peers that answered its own.
 func (n *Node) handleDepart(env *wire.Envelope) {
 	m, err := unmarshal(env.Body, new(departMsg), "depart")
 	if err != nil || env.From == "" {
@@ -154,10 +133,6 @@ func (n *Node) handleDepart(env *wire.Envelope) {
 	}
 	n.msgr.Forget(from)
 	n.qr.ForgetNeighbor(from)
-	// The leaver's process may well stay up (it can Rejoin later), so it
-	// keeps answering probes — remember the departure so repair gossip
-	// does not immediately re-adopt the edge we just tore down.
-	n.noteDeparted(from)
 	if leaving {
 		return
 	}
@@ -168,7 +143,7 @@ func (n *Node) handleDepart(env *wire.Envelope) {
 	var stash []Peer
 	me := n.Addr()
 	for _, h := range m.Hints {
-		if h.Addr == "" || h.Addr == me || h.Addr == from || n.recentlyDeparted(h.Addr) {
+		if h.Addr == "" || h.Addr == me || h.Addr == from {
 			continue
 		}
 		if n.addPeerReason(h, "depart-hint") {
@@ -313,10 +288,27 @@ func (n *Node) StartRepair(interval, probeTimeout time.Duration) (stop func()) {
 	}
 }
 
-// dropDead probes, concurrently, the direct peers that suspect picks — N
-// dead peers cost one probe timeout, not N — and drops the unresponsive
-// ones, journalled with reason, releasing each one's transport queue and
-// learned routing state. The shrink is guarded by the peer-set generation
+// probeAll probes peers concurrently, so N dead peers cost one probe
+// timeout, not N, and reports which answered.
+func (n *Node) probeAll(peers []Peer, probeTO time.Duration) []bool {
+	answered := make([]bool, len(peers))
+	var wg sync.WaitGroup
+	for i, p := range peers {
+		i, p := i, p
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer n.containPanic("probe")
+			answered[i] = n.Probe(p.Addr, probeTO)
+		}()
+	}
+	wg.Wait()
+	return answered
+}
+
+// dropDead probes the direct peers that suspect picks and drops the
+// unresponsive ones, journalled with reason, releasing each one's
+// transport queue and learned routing state. The shrink is guarded by the peer-set generation
 // counter: if the set changed while the probes were in flight (a
 // reconfiguration, a Leave, a Rejoin), the stale result is discarded
 // rather than clobbering the newer set; the change schedules its own
@@ -332,21 +324,10 @@ func (n *Node) dropDead(suspect func(Peer) bool, probeTO time.Duration, reason s
 			suspects = append(suspects, p)
 		}
 	}
-	dead := make([]bool, len(suspects))
-	var wg sync.WaitGroup
-	for i, p := range suspects {
-		i, p := i, p
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer n.containPanic("repair-probe")
-			dead[i] = !n.Probe(p.Addr, probeTO)
-		}()
-	}
-	wg.Wait()
+	answered := n.probeAll(suspects, probeTO)
 	var drops []Peer
 	for i, p := range suspects {
-		if dead[i] {
+		if !answered[i] {
 			drops = append(drops, p)
 		}
 	}
@@ -385,6 +366,18 @@ func (n *Node) dropDead(suspect func(Peer) bool, probeTO time.Duration, reason s
 	return dropped
 }
 
+// held returns the addresses no backfill may adopt — this node's and its
+// current peers' — and the room left in the peer set.
+func (n *Node) held() (map[string]bool, int) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	have := map[string]bool{n.Addr(): true}
+	for _, p := range n.peers {
+		have[p.Addr] = true
+	}
+	return have, n.cfg.MaxPeers - len(n.peers)
+}
+
 // RepairRound runs one repair round (the loop's body, exported so tests
 // and operators can force one): probe currently-suspect peers and drop
 // the dead, then backfill the degree deficit. It returns how many peers
@@ -405,63 +398,47 @@ func (n *Node) RepairRound(reason string, probeTO time.Duration) int {
 	// not escape detection by out-waiting a 100 ms backoff.
 	dropped := n.dropDead(func(p Peer) bool { return n.msgr.Failing(p.Addr) }, probeTO, "suspect")
 
-	// Phase 2: backfill the deficit. Stashed hints and neighbor-of-
-	// neighbor candidates are unverified gossip — under churn they
-	// routinely name dead generations, and adopting them blind lets the
-	// whole fleet trade stale addresses back and forth until every peer
-	// set is garbage. Probe each candidate before adoption, and refuse
-	// recently-departed addresses outright (a leaver's process is often
-	// still alive and probe-positive, so gossip that predates its Depart
-	// would resurrect the edge). Only the home LIGLO (Replenish) is
-	// trusted as-is, since validating members is the registry's job.
-	n.mu.Lock()
-	deficit := n.cfg.MaxPeers - len(n.peers)
-	n.mu.Unlock()
+	// Phase 2: backfill the deficit from stashed hints, then neighbor-of-
+	// neighbor candidates, then the home LIGLO (Replenish). Each source
+	// can be stale — under churn gossip routinely names dead generations,
+	// and a registry list can name a member that has just left — and
+	// adopting blind lets the whole fleet trade stale addresses back and
+	// forth until every peer set is garbage. So a candidate is adopted
+	// only if it answers a probe: a crashed one cannot, and one that has
+	// left refuses it. A peer held when the round starts is no candidate,
+	// even if its Depart drops it meanwhile: a probe it answered before
+	// leaving must not outlive the Depart.
+	have, deficit := n.held()
 	started := deficit
 	added := 0
+	adopt := func(c Peer) {
+		if !have[c.Addr] && n.Probe(c.Addr, probeTO) && n.addPeerReason(c, "repair") {
+			have[c.Addr] = true
+			added++
+			deficit--
+		}
+	}
 	for deficit > 0 {
 		h, ok := n.popHint()
 		if !ok {
 			break
 		}
-		if h.Addr == n.Addr() || n.recentlyDeparted(h.Addr) || !n.Probe(h.Addr, probeTO) {
-			continue
-		}
-		if n.addPeerReason(h, "repair") {
-			added++
-			deficit--
-		}
+		adopt(h)
 	}
-	if deficit > 0 {
-		have := make(map[string]bool)
-		for _, p := range n.Peers() {
-			have[p.Addr] = true
+	for _, p := range n.Peers() {
+		if deficit <= 0 {
+			break
 		}
-		for _, p := range n.Peers() {
-			cands, ok := n.PeersOfPeer(p.Addr, probeTO)
-			if !ok {
-				continue
-			}
-			for _, c := range cands {
-				if c.Addr == n.Addr() || have[c.Addr] || n.recentlyDeparted(c.Addr) || !n.Probe(c.Addr, probeTO) {
-					continue
-				}
-				if n.addPeerReason(c, "repair") {
-					have[c.Addr] = true
-					added++
-					deficit--
-				}
-				if deficit <= 0 {
-					break
-				}
-			}
+		cands, _ := n.PeersOfPeer(p.Addr, probeTO)
+		for _, c := range cands {
 			if deficit <= 0 {
 				break
 			}
+			adopt(c)
 		}
 	}
 	if deficit > 0 {
-		if a, err := n.Replenish(); err == nil {
+		if a, err := n.Replenish(probeTO); err == nil {
 			added += a
 		}
 	}

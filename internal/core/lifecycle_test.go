@@ -1,9 +1,11 @@
 package core
 
 import (
+	"errors"
 	"net"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -328,9 +330,9 @@ func (c *heldReplyConn) Read(p []byte) (int, error) {
 // TestReplenishOrdersLigloReplyAgainstDepart is the deterministic form of
 // the race TestSweepRacesLeaveAndDepart used to lose about one run in
 // fifteen: a LIGLO list that was answered before a member deregistered and
-// is applied after that member's Depart must not bring the edge back,
-// while a list asked for after the departure — the member has rejoined —
-// still does, inside departedTTL.
+// is applied after that member's Depart must not bring the edge back (the
+// leaver refuses Replenish's probe), while a list asked for after the
+// member has rejoined does, at once.
 func TestReplenishOrdersLigloReplyAgainstDepart(t *testing.T) {
 	f := newLifecycleFleet(t)
 	stub := &heldReplyNet{Network: f.nw, server: f.srv.Addr()}
@@ -346,7 +348,7 @@ func TestReplenishOrdersLigloReplyAgainstDepart(t *testing.T) {
 	}
 	done := make(chan result, 1)
 	go func() {
-		added, err := a.Replenish()
+		added, err := a.Replenish(time.Second)
 		done <- result{added, err}
 	}()
 	<-fetched // the server has answered: b is registered, online and on the list
@@ -367,7 +369,7 @@ func TestReplenishOrdersLigloReplyAgainstDepart(t *testing.T) {
 	if err := b.Rejoin(); err != nil {
 		t.Fatalf("Rejoin: %v", err)
 	}
-	if added, err := a.Replenish(); err != nil || added != 1 || !hasPeer(a, b.Addr()) {
+	if added, err := a.Replenish(time.Second); err != nil || added != 1 || !hasPeer(a, b.Addr()) {
 		t.Fatalf("Replenish after the Rejoin: added %d, %v, peers %v; want the rejoined member back", added, err, a.PeerAddrs())
 	}
 }
@@ -438,8 +440,8 @@ func TestSweepRacesLeaveAndDepart(t *testing.T) {
 	close(stop)
 	wg.Wait()
 
-	// The leaver dropped exactly once — via its Depart, since it stays
-	// responsive to probes after Leave. A second drop would mean a stale
+	// The leaver dropped exactly once — via its Depart, or the Depart it
+	// answers a probe with after Leave. A second drop would mean a stale
 	// sweep or repair result clobbered the newer peer set.
 	if got := countEvents(a, obs.EvPeerDropped, b.Addr(), ""); got != 1 {
 		t.Fatalf("leaver dropped %d times, want exactly 1", got)
@@ -469,12 +471,11 @@ func TestSweepRacesLeaveAndDepart(t *testing.T) {
 }
 
 // TestRepairDoesNotResurrectDepartedPeer pins the live-drill regression:
-// a leaver's process stays up (it can Rejoin), so it answers probes —
-// and a neighbor that has not yet processed the Depart keeps offering it
-// as a neighbor-of-neighbor candidate. The depart-kicked repair round
-// must refuse that gossip instead of re-adopting the edge it just tore
-// down; only the home LIGLO vouching for the address again (after a
-// rejoin) brings it back.
+// a leaver's process stays up (it can Rejoin), and a neighbor that has not
+// yet processed the Depart keeps offering it as a neighbor-of-neighbor
+// candidate. The depart-kicked repair round must not re-adopt the edge it
+// just tore down — the leaver refuses the probe — and after a rejoin the
+// next round brings it back.
 func TestRepairDoesNotResurrectDepartedPeer(t *testing.T) {
 	f := newLifecycleFleet(t)
 	a := f.node(t, "dl-a", nil)
@@ -492,8 +493,8 @@ func TestRepairDoesNotResurrectDepartedPeer(t *testing.T) {
 	}
 	waitUntil(t, "a to process b's depart", func() bool { return !hasPeer(a, b.Addr()) })
 
-	// The repair round has a deficit and c offers b (alive, probe-
-	// positive, deregistered). It must not come back.
+	// The repair round has a deficit and c offers b (alive, deregistered,
+	// refusing probes). It must not come back.
 	a.RepairRound("test-departed", 200*time.Millisecond)
 	if hasPeer(a, b.Addr()) {
 		t.Fatalf("repair resurrected departed peer: %v", a.PeerAddrs())
@@ -502,9 +503,8 @@ func TestRepairDoesNotResurrectDepartedPeer(t *testing.T) {
 		t.Fatalf("journal shows %d repair adoptions of the leaver", got)
 	}
 
-	// Rejoin flips the registry back to truthful-online; the next repair
-	// round's Replenish re-adopts b through the trusted path and clears
-	// the refusal early (no departedTTL wait).
+	// Rejoin flips the registry back to truthful-online and b answers
+	// probes again; the next repair round re-adopts it.
 	if err := b.Join([]string{f.srv.Addr()}); err != nil {
 		t.Fatalf("rejoin: %v", err)
 	}
@@ -512,8 +512,113 @@ func TestRepairDoesNotResurrectDepartedPeer(t *testing.T) {
 	if !hasPeer(a, b.Addr()) {
 		t.Fatalf("replenish did not re-adopt rejoined peer: %v", a.PeerAddrs())
 	}
-	if a.recentlyDeparted(b.Addr()) {
-		t.Fatal("adoption did not clear the departed refusal")
+}
+
+// cutNet is a node's view of the network that, once cut is set, refuses
+// every dial to the LIGLO server: the node stays up and reachable from the
+// overlay, but each of its LIGLO calls fails.
+type cutNet struct {
+	transport.Network
+	server string
+	cut    atomic.Bool
+}
+
+func (c *cutNet) Dial(addr string) (net.Conn, error) {
+	if addr == c.server && c.cut.Load() {
+		return nil, errors.New("cut from liglo")
+	}
+	return c.Network.Dial(addr)
+}
+
+// TestLeaverThatStaysRegisteredStaysOut: a leaver whose Deregister never
+// reaches LIGLO stays registered and online there, and its process stays
+// up. Its neighbour's Replenish and repair round are then handed it by the
+// registry, and must still not re-adopt it: the leaver refuses the probe.
+func TestLeaverThatStaysRegisteredStaysOut(t *testing.T) {
+	f := newLifecycleFleet(t)
+	cut := &cutNet{Network: f.nw, server: f.srv.Addr()}
+	a := f.node(t, "stay-a", nil)
+	b := f.node(t, "stay-b", func(cfg *Config) { cfg.Network = cut })
+	a.SetPeers([]Peer{{Addr: b.Addr()}})
+	b.SetPeers([]Peer{{Addr: a.Addr()}})
+
+	cut.cut.Store(true)
+	if err := b.Leave(); err == nil {
+		t.Fatal("Leave deregistered through a cut LIGLO link")
+	}
+	waitUntil(t, "a to handle b's Depart", func() bool { return !hasPeer(a, b.Addr()) })
+	cli := liglo.NewClient(f.nw, nil)
+	defer cli.Close()
+	if _, online, err := cli.Lookup(b.ID()); err != nil || !online {
+		t.Fatalf("leaver not registered online: online=%v err=%v", online, err)
+	}
+
+	if added, err := a.Replenish(time.Second); err != nil || added != 0 {
+		t.Fatalf("Replenish: added %d, %v; want 0", added, err)
+	}
+	a.RepairRound("test-stay", time.Second)
+	if hasPeer(a, b.Addr()) {
+		t.Fatalf("leaver re-adopted from the registry: %v", a.PeerAddrs())
+	}
+}
+
+// TestRejoinedMemberReturnsThroughGossip: a member that left and rejoined
+// is back in a neighbour's peer set after one repair round fed only by
+// gossip — a's LIGLO link is cut, so c's peer list is the sole source.
+func TestRejoinedMemberReturnsThroughGossip(t *testing.T) {
+	f := newLifecycleFleet(t)
+	cut := &cutNet{Network: f.nw, server: f.srv.Addr()}
+	a := f.node(t, "back-a", func(cfg *Config) { cfg.Network = cut })
+	b := f.node(t, "back-b", nil)
+	c := f.node(t, "back-c", nil)
+	a.SetPeers([]Peer{{Addr: b.Addr()}, {Addr: c.Addr()}})
+	b.SetPeers([]Peer{{Addr: a.Addr()}})
+	c.SetPeers([]Peer{{Addr: b.Addr()}})
+
+	if err := b.Leave(); err != nil {
+		t.Fatalf("Leave: %v", err)
+	}
+	waitUntil(t, "a to handle b's Depart", func() bool { return !hasPeer(a, b.Addr()) })
+	if err := b.Rejoin(); err != nil {
+		t.Fatalf("Rejoin: %v", err)
+	}
+
+	cut.cut.Store(true)
+	a.RepairRound("test-back", time.Second)
+	if got := countEvents(a, obs.EvPeerAdded, b.Addr(), "repair"); got != 1 || !hasPeer(a, b.Addr()) {
+		t.Fatalf("rejoined member: %d repair adoptions, peers %v; want it back from c's list", got, a.PeerAddrs())
+	}
+}
+
+// TestHintNeverNamesALeaver: a Depart's hints must not name a node that
+// has itself left. Triangle a→{b,c}, b→{c}, c→{a,b}: b leaves, telling
+// only c, so a still holds b when it leaves in turn. a's Depart to c would
+// offer b as a replacement, but b refuses a's probe, so the hint is never
+// sent and c does not adopt the leaver.
+func TestHintNeverNamesALeaver(t *testing.T) {
+	f := newLifecycleFleet(t)
+	a := f.node(t, "hint-a", nil)
+	b := f.node(t, "hint-b", nil)
+	c := f.node(t, "hint-c", nil)
+	a.SetPeers([]Peer{{Addr: b.Addr()}, {Addr: c.Addr()}})
+	b.SetPeers([]Peer{{Addr: c.Addr()}})
+	c.SetPeers([]Peer{{Addr: a.Addr()}, {Addr: b.Addr()}})
+
+	if err := b.Leave(); err != nil {
+		t.Fatalf("Leave b: %v", err)
+	}
+	waitUntil(t, "c to handle b's Depart", func() bool { return !hasPeer(c, b.Addr()) })
+	if err := a.Leave(); err != nil {
+		t.Fatalf("Leave a: %v", err)
+	}
+	waitUntil(t, "c to drop a", func() bool { return !hasPeer(c, a.Addr()) })
+	// c reads a's Depart and this probe off one connection, in order, so
+	// the answer means c has finished with the Depart's hints.
+	if !a.Probe(c.Addr(), time.Second) {
+		t.Fatal("c did not answer a's probe")
+	}
+	if hasPeer(c, b.Addr()) {
+		t.Fatalf("c adopted the leaver from a hint: %v", c.PeerAddrs())
 	}
 }
 

@@ -90,34 +90,35 @@ func (n *Node) QueryAndFetch(ag agent.Agent, opts QueryOptions) (*QueryResult, e
 // Replenish asks the node's home LIGLO server for fresh online peers to
 // fill the gap between the current peer set and MaxPeers — the paper's
 // "replace those peers by new peers that it encounters", with LIGLO as
-// the encounter point. It returns how many peers were added.
-//
-// The server's list is trusted — it is how a member that rejoins inside
-// departedTTL comes back — but only as of when it was asked for: a
-// candidate whose Depart this node handled while the reply was on its way
-// was still registered when the server answered, and is passed over.
-func (n *Node) Replenish() (int, error) {
-	n.mu.Lock()
-	id := n.id
-	room := n.cfg.MaxPeers - len(n.peers)
-	n.mu.Unlock()
+// the encounter point. Like every other repair source, a candidate is
+// adopted only if it answers a probe within probeTO (probeTimeout when
+// zero), so a member that left after the server answered — or whose
+// deregistration never reached it — stays out; and, as in RepairRound, a
+// peer held when the call starts is no candidate. It returns how many
+// peers were added.
+func (n *Node) Replenish(probeTO time.Duration) (int, error) {
+	id := n.ID()
+	have, room := n.held()
 	if id.IsZero() {
 		return 0, errors.New("core: Replenish before Join")
 	}
 	if room <= 0 {
 		return 0, nil
 	}
-	asked := time.Now()
-	candidates, err := n.lgc.Peers(id.LIGLO, id, n.cfg.MaxPeers)
+	members, err := n.lgc.Peers(id.LIGLO, id, n.cfg.MaxPeers)
 	if err != nil {
 		return 0, err
 	}
-	added := 0
-	for _, c := range candidates {
-		if c.Addr == n.Addr() || n.departedSince(c.Addr, asked) {
-			continue
+	var candidates []Peer
+	for _, m := range members {
+		if !have[m.Addr] {
+			candidates = append(candidates, Peer{ID: m.ID, Addr: m.Addr})
 		}
-		if n.AddPeer(Peer{ID: c.ID, Addr: c.Addr}) {
+	}
+	answered := n.probeAll(candidates, probeTO)
+	added := 0
+	for i, c := range candidates {
+		if answered[i] && n.AddPeer(c) {
 			added++
 		}
 	}

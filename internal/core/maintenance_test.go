@@ -163,7 +163,7 @@ func TestReplenishFillsPeerSetFromLiglo(t *testing.T) {
 	if len(first.Peers()) != 0 {
 		t.Fatalf("first joiner peers = %v", first.Peers())
 	}
-	added, err := first.Replenish()
+	added, err := first.Replenish(time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +171,7 @@ func TestReplenishFillsPeerSetFromLiglo(t *testing.T) {
 		t.Fatalf("replenish added %d, peers = %v", added, first.PeerAddrs())
 	}
 	// Idempotent when already full enough.
-	again, err := first.Replenish()
+	again, err := first.Replenish(time.Second)
 	if err != nil || again != 0 {
 		t.Fatalf("second replenish = %d, %v", again, err)
 	}
@@ -185,7 +185,7 @@ func TestReplenishFillsPeerSetFromLiglo(t *testing.T) {
 
 func TestReplenishBeforeJoinFails(t *testing.T) {
 	c := newCluster(t, 1, nil, nil)
-	if _, err := c.nodes[0].Replenish(); err == nil {
+	if _, err := c.nodes[0].Replenish(0); err == nil {
 		t.Fatal("replenish before join succeeded")
 	}
 }

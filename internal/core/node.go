@@ -111,17 +111,6 @@ type Node struct {
 	hintMu     sync.Mutex
 	hintStash  []Peer
 
-	// departed records addresses whose graceful Depart this node
-	// processed recently. A leaver's process often stays alive (it can
-	// Rejoin), so it answers probes — the repair loop must not re-adopt
-	// it from gossip (stashed hints, neighbor-of-neighbor lists) that
-	// predates the departure. The value is when the Depart was handled:
-	// entries expire departedTTL later, and any successful adoption
-	// through an evidence-bearing path (a LIGLO list asked for after the
-	// departure, join, query-driven reconfiguration) clears one early.
-	departedMu sync.Mutex
-	departed   map[string]time.Time
-
 	// pending holds agents waiting for a class transfer, keyed by class;
 	// pendingWants holds peers whose class requests this node could not
 	// serve yet.
@@ -301,7 +290,6 @@ func NewNode(cfg Config) (*Node, error) {
 		tracer:       obs.NewTracer(cfg.TraceCapacity),
 		journal:      journal,
 		repairKick:   make(chan string, 1),
-		departed:     make(map[string]time.Time),
 	}
 	// The transport's failure detector feeds the repair loop: a peer
 	// crossing the consecutive-failure threshold kicks a repair round
@@ -490,7 +478,8 @@ func (n *Node) AddPeer(p Peer) bool { return n.addPeerReason(p, "added") }
 // addPeerReason is AddPeer with an explicit journal reason ("added",
 // "depart-hint", "repair"). A node that has left the overlay (Leave)
 // adopts no peers until it joins again, so a straggling Depart hint or
-// repair round cannot resurrect edges on a departed node.
+// repair round cannot resurrect edges on a departed node. It vets no
+// candidate: the repair paths adopt only peers that answered a probe.
 func (n *Node) addPeerReason(p Peer, reason string) bool {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -508,12 +497,6 @@ func (n *Node) addPeerReason(p Peer, reason string) bool {
 	n.peers = append(n.peers, p)
 	n.peerGen++
 	n.journal.Append(obs.Event{Kind: obs.EvPeerAdded, Peer: p.Addr, Reason: reason})
-	// Adoption is fresh evidence the address is back in the overlay
-	// (the gossip-fed repair paths check recentlyDeparted before calling
-	// here), so stop refusing it.
-	n.departedMu.Lock()
-	delete(n.departed, p.Addr)
-	n.departedMu.Unlock()
 	return true
 }
 
