@@ -10,7 +10,9 @@ package bestpeer
 // unlinked package is unreachable whole, so this is also the package-level
 // fence; deadcodeExempt spares the test-support packages. The same live
 // declarations must set every field of an option struct (optionFields);
-// one only tests set is listed with the test that needs it.
+// one only tests set is listed with the test that needs it. An exported
+// name under internal/ that no other package's code names is listed too
+// (exportedFindings), so a package's exports are its contract.
 
 import (
 	"go/ast"
@@ -183,6 +185,161 @@ func clearSet(n ast.Node, info *types.Info, unset map[*types.Var]string) {
 	})
 }
 
+// facadeClosure names every type a library user reaches from the facade's
+// exports without naming it: through exported methods' signatures,
+// exported fields and element types (Store.Pool returns *BufferPool).
+func facadeClosure(facade *types.Package) map[*types.TypeName]bool {
+	closure := map[*types.TypeName]bool{}
+	var reach func(types.Type)
+	reach = func(t types.Type) {
+		switch t := types.Unalias(t).(type) {
+		case *types.Named:
+			if closure[t.Origin().Obj()] {
+				return
+			}
+			closure[t.Origin().Obj()] = true
+			for i := 0; i < t.NumMethods(); i++ {
+				if t.Method(i).Exported() {
+					reach(t.Method(i).Type())
+				}
+			}
+			reach(t.Underlying())
+		case *types.Pointer:
+			reach(t.Elem())
+		case *types.Slice:
+			reach(t.Elem())
+		case *types.Array:
+			reach(t.Elem())
+		case *types.Chan:
+			reach(t.Elem())
+		case *types.Map:
+			reach(t.Key())
+			reach(t.Elem())
+		case *types.Signature:
+			for _, tup := range []*types.Tuple{t.Params(), t.Results()} {
+				for i := 0; i < tup.Len(); i++ {
+					reach(tup.At(i).Type())
+				}
+			}
+		case *types.Struct:
+			for i := 0; i < t.NumFields(); i++ {
+				if t.Field(i).Exported() {
+					reach(t.Field(i).Type())
+				}
+			}
+		case *types.Interface:
+			for i := 0; i < t.NumExplicitMethods(); i++ {
+				if t.ExplicitMethod(i).Exported() {
+					reach(t.ExplicitMethod(i).Type())
+				}
+			}
+		}
+	}
+	for _, name := range facade.Scope().Names() {
+		if o := facade.Scope().Lookup(name); o.Exported() {
+			reach(o.Type())
+		}
+	}
+	return closure
+}
+
+// exportedFindings names every exported identifier under internal/ that no
+// other package's non-test code names: a package-level declaration, or a
+// method or field of an exported type. Exempt are a method that implements
+// one of ifaces, a tagged field (encoding/json reads it) and the members
+// of a type in the facade closure.
+func exportedFindings(pkgs []*vet.Package, facade *types.Package, ifaces []*types.Interface) map[string]bool {
+	named := map[types.Object]bool{}
+	for _, p := range pkgs {
+		note := func(o types.Object) {
+			switch v := o.(type) {
+			case *types.Func:
+				o = v.Origin()
+			case *types.Var:
+				o = v.Origin()
+			}
+			if o.Pkg() != nil && o.Pkg() != p.Types {
+				named[o] = true
+			}
+		}
+		for _, o := range p.Info.Uses {
+			note(o)
+		}
+		for _, sel := range p.Info.Selections {
+			note(sel.Obj())
+			t := sel.Recv() // the embedded fields a promoted selection passes
+			for _, i := range sel.Index()[:len(sel.Index())-1] {
+				if ptr, ok := t.Underlying().(*types.Pointer); ok {
+					t = ptr.Elem()
+				}
+				f := t.Underlying().(*types.Struct).Field(i)
+				note(f)
+				t = f.Type()
+			}
+		}
+	}
+	implements := func(t types.Type, m string) bool {
+		for _, it := range ifaces {
+			if obj, _, _ := types.LookupFieldOrMethod(it, false, nil, m); obj != nil &&
+				(types.Implements(t, it) || types.Implements(types.NewPointer(t), it)) {
+				return true
+			}
+		}
+		return false
+	}
+	closure := facadeClosure(facade)
+	found := map[string]bool{}
+	for _, p := range pkgs {
+		if !strings.HasPrefix(p.Path, internalPrefix) || deadcodeExempt[p.Path] {
+			continue
+		}
+		prefix := strings.TrimPrefix(p.Path, internalPrefix) + "."
+		scope := p.Types.Scope()
+		for _, name := range scope.Names() {
+			o := scope.Lookup(name)
+			if !o.Exported() {
+				continue
+			}
+			tn, isType := o.(*types.TypeName)
+			if isType && closure[tn] {
+				continue
+			}
+			if !named[o] {
+				found[prefix+name] = true
+			}
+			if !isType || tn.IsAlias() {
+				continue
+			}
+			t := tn.Type().(*types.Named)
+			add := func(m types.Object) {
+				if m.Exported() && !named[m] {
+					found[prefix+name+"."+m.Name()] = true
+				}
+			}
+			switch u := t.Underlying().(type) {
+			case *types.Interface:
+				for i := 0; i < u.NumExplicitMethods(); i++ {
+					add(u.ExplicitMethod(i))
+				}
+			case *types.Struct:
+				for i := 0; i < u.NumFields(); i++ {
+					if u.Tag(i) == "" {
+						add(u.Field(i))
+					}
+				}
+			}
+			if !types.IsInterface(t) {
+				for i := 0; i < t.NumMethods(); i++ {
+					if !implements(t, t.Method(i).Name()) {
+						add(t.Method(i))
+					}
+				}
+			}
+		}
+	}
+	return found
+}
+
 // checkAllow compares one section of testdata/deadcode.allow with found.
 func checkAllow(t *testing.T, section string, found map[string]bool) {
 	data, err := os.ReadFile("testdata/deadcode.allow")
@@ -332,9 +489,12 @@ func TestDeadCode(t *testing.T) {
 		unsetNames[name] = true
 	}
 
-	t.Logf("%d unreachable declarations (%d lines); %d facade entries no binary reads; %d of %d option fields no production path sets",
-		len(found), lines, len(unread), len(unset), total)
+	exported := exportedFindings(pkgs, facade.Types, r.ifaces)
+
+	t.Logf("%d unreachable declarations (%d lines); %d facade entries no binary reads; %d of %d option fields no production path sets; %d exported names no other package uses",
+		len(found), lines, len(unread), len(unset), total, len(exported))
 	checkAllow(t, "unreachable", found)
 	checkAllow(t, "facade", unread)
 	checkAllow(t, "unset", unsetNames)
+	checkAllow(t, "exported", exported)
 }
