@@ -208,7 +208,7 @@ func BenchmarkStormMatch1000(b *testing.B) {
 // (the StorM ablation). The pass reads by name: Store.Scan reads pages the
 // pool does not hold past it, so it no longer exercises the policy.
 func BenchmarkStormPolicies(b *testing.B) {
-	for _, policy := range []string{"lru", "mru", "fifo", "clock", "priority"} {
+	for _, policy := range []string{"lru", "mru", "clock"} {
 		b.Run(policy, func(b *testing.B) {
 			store, err := storm.Open(filepath.Join(b.TempDir(), "p.storm"),
 				storm.Options{BufferFrames: 16, Policy: policy})

@@ -54,7 +54,7 @@ func main() {
 	strategy := flag.String("strategy", "maxcount", "reconfiguration strategy: maxcount, minhops, static")
 	ttl := flag.Int("ttl", 7, "default agent TTL")
 	frames := flag.Int("frames", 64, "buffer pool frames")
-	policy := flag.String("policy", "lru", "buffer replacement policy: lru, mru, fifo, clock, priority")
+	policy := flag.String("policy", "lru", "buffer replacement policy: lru, mru or clock (any other name is lru)")
 	access := flag.Int("access", 0, "access level presented to peers")
 	catalog := flag.Bool("catalog", false, "maintain a persistent B+tree catalog")
 	index := flag.Bool("index", false, "maintain a persistent inverted keyword index; queries at this node are answered from it instead of a store scan")

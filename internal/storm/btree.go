@@ -37,23 +37,23 @@ const (
 	btIntValLen  = 4  // child page id
 )
 
-// MaxKeyLen bounds catalog keys so any two entries fit a page.
-const MaxKeyLen = 1024
+// maxKeyLen bounds catalog keys so any two entries fit a page.
+const maxKeyLen = 1024
 
 // B+tree errors.
 var (
-	ErrKeyTooLong = errors.New("storm: btree key too long")
-	ErrBadTree    = errors.New("storm: corrupt btree node")
+	errKeyTooLong = errors.New("storm: btree key too long")
+	errBadTree    = errors.New("storm: corrupt btree node")
 )
 
-// BTree is a persistent string→OID map.
-type BTree struct {
+// btree is a persistent string→OID map.
+type btree struct {
 	pool *BufferPool
 	root PageID
 }
 
-// NewBTree creates an empty tree, allocating its root leaf.
-func NewBTree(pool *BufferPool) (*BTree, error) {
+// newBTree creates an empty tree, allocating its root leaf.
+func newBTree(pool *BufferPool) (*btree, error) {
 	p, err := pool.NewPage()
 	if err != nil {
 		return nil, err
@@ -63,16 +63,16 @@ func NewBTree(pool *BufferPool) (*BTree, error) {
 	if err := pool.Unpin(root, true); err != nil {
 		return nil, err
 	}
-	return &BTree{pool: pool, root: root}, nil
+	return &btree{pool: pool, root: root}, nil
 }
 
-// OpenBTree attaches to an existing tree rooted at root.
-func OpenBTree(pool *BufferPool, root PageID) *BTree {
-	return &BTree{pool: pool, root: root}
+// openBTree attaches to an existing tree rooted at root.
+func openBTree(pool *BufferPool, root PageID) *btree {
+	return &btree{pool: pool, root: root}
 }
 
 // Root returns the current root page id (it changes when the root splits).
-func (t *BTree) Root() PageID { return t.root }
+func (t *btree) Root() PageID { return t.root }
 
 func initBTNode(p *Page, typ uint8) {
 	p.buf[12] = typ
@@ -118,13 +118,13 @@ func btWalk(p *Page, fn func(i int, e btEntry) bool) error {
 	off := btNodeHeader
 	n := btCount(p)
 	for i := 0; i < n; i++ {
-		if off+2 > PageSize {
-			return ErrBadTree
+		if off+2 > pageSize {
+			return errBadTree
 		}
 		klen := int(binary.BigEndian.Uint16(p.buf[off : off+2]))
 		end := off + 2 + klen + vlen
-		if klen > MaxKeyLen || end > PageSize {
-			return ErrBadTree
+		if klen > maxKeyLen || end > pageSize {
+			return errBadTree
 		}
 		e := btEntry{
 			off: off,
@@ -180,7 +180,7 @@ func btEntryAt(p *Page, i int) (btEntry, error) {
 		return out, err
 	}
 	if !ok {
-		return out, ErrBadTree
+		return out, errBadTree
 	}
 	return out, nil
 }
@@ -190,7 +190,7 @@ func btEntryAt(p *Page, i int) (btEntry, error) {
 func btInsertAt(p *Page, i int, key, val []byte) (bool, error) {
 	need := 2 + len(key) + len(val)
 	used := btUsed(p)
-	if used+need > PageSize {
+	if used+need > pageSize {
 		return false, nil
 	}
 	// Find the byte offset of index i.
@@ -247,9 +247,9 @@ func childID(v []byte) PageID {
 }
 
 // Get returns the OID stored under key.
-func (t *BTree) Get(key string) (OID, bool, error) {
-	if len(key) > MaxKeyLen {
-		return OID{}, false, ErrKeyTooLong
+func (t *btree) Get(key string) (OID, bool, error) {
+	if len(key) > maxKeyLen {
+		return OID{}, false, errKeyTooLong
 	}
 	leaf, err := t.descend([]byte(key), nil)
 	if err != nil {
@@ -273,12 +273,12 @@ func (t *BTree) Get(key string) (OID, bool, error) {
 
 // descend walks from the root to the leaf responsible for key. When path
 // is non-nil it accumulates the internal pages visited (for splits).
-func (t *BTree) descend(key []byte, path *[]PageID) (PageID, error) {
+func (t *btree) descend(key []byte, path *[]PageID) (PageID, error) {
 	id := t.root
 	for depth := 0; depth < 64; depth++ {
 		p, err := t.pool.Fetch(id)
 		if err != nil {
-			return InvalidPage, err
+			return invalidPage, err
 		}
 		if btType(p) == btreeLeaf {
 			t.pool.Unpin(id, false)
@@ -297,21 +297,21 @@ func (t *BTree) descend(key []byte, path *[]PageID) (PageID, error) {
 		})
 		t.pool.Unpin(id, false)
 		if err != nil {
-			return InvalidPage, err
+			return invalidPage, err
 		}
-		if next == InvalidPage {
-			return InvalidPage, ErrBadTree
+		if next == invalidPage {
+			return invalidPage, errBadTree
 		}
 		id = next
 	}
-	return InvalidPage, fmt.Errorf("%w: descent too deep", ErrBadTree)
+	return invalidPage, fmt.Errorf("%w: descent too deep", errBadTree)
 }
 
 // Put inserts or replaces the OID under key.
-func (t *BTree) Put(key string, oid OID) error {
+func (t *btree) Put(key string, oid OID) error {
 	k := []byte(key)
-	if len(k) > MaxKeyLen {
-		return ErrKeyTooLong
+	if len(k) > maxKeyLen {
+		return errKeyTooLong
 	}
 	var path []PageID
 	leafID, err := t.descend(k, &path)
@@ -366,7 +366,7 @@ func (t *BTree) Put(key string, oid OID) error {
 }
 
 // insertIntoLeaf inserts into a known, freshly split leaf.
-func (t *BTree) insertIntoLeaf(id PageID, key, val []byte) error {
+func (t *btree) insertIntoLeaf(id PageID, key, val []byte) error {
 	p, err := t.pool.Fetch(id)
 	if err != nil {
 		return err
@@ -376,7 +376,7 @@ func (t *BTree) insertIntoLeaf(id PageID, key, val []byte) error {
 		var ok bool
 		ok, err = btInsertAt(p, i, key, val)
 		if err == nil && !ok {
-			err = fmt.Errorf("%w: no room after split", ErrBadTree)
+			err = fmt.Errorf("%w: no room after split", errBadTree)
 		}
 	}
 	uerr := t.pool.Unpin(id, true)
@@ -388,10 +388,10 @@ func (t *BTree) insertIntoLeaf(id PageID, key, val []byte) error {
 
 // splitLeaf moves the upper half of p into a new right sibling and
 // returns the separator key (first key of the right node).
-func (t *BTree) splitLeaf(p *Page, id PageID) ([]byte, PageID, error) {
+func (t *btree) splitLeaf(p *Page, id PageID) ([]byte, PageID, error) {
 	right, err := t.pool.NewPage()
 	if err != nil {
-		return nil, InvalidPage, err
+		return nil, invalidPage, err
 	}
 	rightID := right.ID()
 	initBTNode(right, btreeLeaf)
@@ -400,23 +400,23 @@ func (t *BTree) splitLeaf(p *Page, id PageID) ([]byte, PageID, error) {
 
 	if err := t.moveUpperHalf(p, right); err != nil {
 		t.pool.Unpin(rightID, false)
-		return nil, InvalidPage, err
+		return nil, invalidPage, err
 	}
 	sep, err := btEntryAt(right, 0)
 	if err != nil {
 		t.pool.Unpin(rightID, false)
-		return nil, InvalidPage, err
+		return nil, invalidPage, err
 	}
 	sepKey := append([]byte(nil), sep.key...)
 	if err := t.pool.Unpin(rightID, true); err != nil {
-		return nil, InvalidPage, err
+		return nil, invalidPage, err
 	}
 	return sepKey, rightID, nil
 }
 
 // moveUpperHalf relocates the upper half of src's entries to dst (same
 // node type).
-func (t *BTree) moveUpperHalf(src, dst *Page) error {
+func (t *btree) moveUpperHalf(src, dst *Page) error {
 	n := btCount(src)
 	half := n / 2
 	type kv struct{ k, v []byte }
@@ -442,7 +442,7 @@ func (t *BTree) moveUpperHalf(src, dst *Page) error {
 			return err
 		}
 		if !ok {
-			return fmt.Errorf("%w: split destination full", ErrBadTree)
+			return fmt.Errorf("%w: split destination full", errBadTree)
 		}
 	}
 	return nil
@@ -450,7 +450,7 @@ func (t *BTree) moveUpperHalf(src, dst *Page) error {
 
 // propagate inserts (sepKey -> rightID) into the parent chain, splitting
 // internal nodes and growing a new root as needed.
-func (t *BTree) propagate(path []PageID, sepKey []byte, rightID PageID) error {
+func (t *btree) propagate(path []PageID, sepKey []byte, rightID PageID) error {
 	key := sepKey
 	child := rightID
 	for i := len(path) - 1; i >= 0; i-- {
@@ -463,7 +463,7 @@ func (t *BTree) propagate(path []PageID, sepKey []byte, rightID PageID) error {
 		if err != nil || found {
 			t.pool.Unpin(parentID, false)
 			if err == nil {
-				err = fmt.Errorf("%w: duplicate separator", ErrBadTree)
+				err = fmt.Errorf("%w: duplicate separator", errBadTree)
 			}
 			return err
 		}
@@ -503,10 +503,10 @@ func (t *BTree) propagate(path []PageID, sepKey []byte, rightID PageID) error {
 // and the new right node's id. The moved-up key is removed from both
 // halves; the right node's leftmost child is the child that key pointed
 // to.
-func (t *BTree) splitInternal(p *Page) ([]byte, PageID, error) {
+func (t *btree) splitInternal(p *Page) ([]byte, PageID, error) {
 	right, err := t.pool.NewPage()
 	if err != nil {
-		return nil, InvalidPage, err
+		return nil, invalidPage, err
 	}
 	rightID := right.ID()
 	initBTNode(right, btreeInternal)
@@ -516,7 +516,7 @@ func (t *BTree) splitInternal(p *Page) ([]byte, PageID, error) {
 	midE, err := btEntryAt(p, mid)
 	if err != nil {
 		t.pool.Unpin(rightID, false)
-		return nil, InvalidPage, err
+		return nil, invalidPage, err
 	}
 	upKey := append([]byte(nil), midE.key...)
 	btSetLeft(right, childID(midE.val))
@@ -539,13 +539,13 @@ func (t *BTree) splitInternal(p *Page) ([]byte, PageID, error) {
 		if err != nil || !ok {
 			t.pool.Unpin(rightID, false)
 			if err == nil {
-				err = fmt.Errorf("%w: internal split destination full", ErrBadTree)
+				err = fmt.Errorf("%w: internal split destination full", errBadTree)
 			}
-			return nil, InvalidPage, err
+			return nil, invalidPage, err
 		}
 	}
 	if err := t.pool.Unpin(rightID, true); err != nil {
-		return nil, InvalidPage, err
+		return nil, invalidPage, err
 	}
 	return upKey, rightID, nil
 }
@@ -553,7 +553,7 @@ func (t *BTree) splitInternal(p *Page) ([]byte, PageID, error) {
 // insertIntoInternal inserts (key -> child) into a known internal node.
 // newKey is the key that moved up during the split; when key == newKey
 // the child becomes the node's leftmost pointer instead.
-func (t *BTree) insertIntoInternal(id PageID, key []byte, child PageID, newKey []byte) error {
+func (t *btree) insertIntoInternal(id PageID, key []byte, child PageID, newKey []byte) error {
 	p, err := t.pool.Fetch(id)
 	if err != nil {
 		return err
@@ -566,7 +566,7 @@ func (t *BTree) insertIntoInternal(id PageID, key []byte, child PageID, newKey [
 		if ferr != nil || found {
 			t.pool.Unpin(id, false)
 			if ferr == nil {
-				ferr = fmt.Errorf("%w: duplicate separator", ErrBadTree)
+				ferr = fmt.Errorf("%w: duplicate separator", errBadTree)
 			}
 			return ferr
 		}
@@ -574,7 +574,7 @@ func (t *BTree) insertIntoInternal(id PageID, key []byte, child PageID, newKey [
 		if ierr != nil || !ok {
 			t.pool.Unpin(id, false)
 			if ierr == nil {
-				ierr = fmt.Errorf("%w: no room after internal split", ErrBadTree)
+				ierr = fmt.Errorf("%w: no room after internal split", errBadTree)
 			}
 			return ierr
 		}
@@ -584,7 +584,7 @@ func (t *BTree) insertIntoInternal(id PageID, key []byte, child PageID, newKey [
 }
 
 // growRoot installs a new root above the old one.
-func (t *BTree) growRoot(key []byte, right PageID) error {
+func (t *btree) growRoot(key []byte, right PageID) error {
 	p, err := t.pool.NewPage()
 	if err != nil {
 		return err
@@ -596,7 +596,7 @@ func (t *BTree) growRoot(key []byte, right PageID) error {
 	if err != nil || !ok {
 		t.pool.Unpin(newRoot, false)
 		if err == nil {
-			err = fmt.Errorf("%w: empty new root full", ErrBadTree)
+			err = fmt.Errorf("%w: empty new root full", errBadTree)
 		}
 		return err
 	}
@@ -609,10 +609,10 @@ func (t *BTree) growRoot(key []byte, right PageID) error {
 
 // Delete removes key. Nodes are not rebalanced; emptied leaves simply
 // stop matching.
-func (t *BTree) Delete(key string) (bool, error) {
+func (t *btree) Delete(key string) (bool, error) {
 	k := []byte(key)
-	if len(k) > MaxKeyLen {
-		return false, ErrKeyTooLong
+	if len(k) > maxKeyLen {
+		return false, errKeyTooLong
 	}
 	leafID, err := t.descend(k, nil)
 	if err != nil {
@@ -641,17 +641,17 @@ func (t *BTree) Delete(key string) (bool, error) {
 // the first key at or past end, so an entry outside the range costs a
 // comparison and nothing else. key aliases the pinned leaf: fn must not
 // retain it and must not modify the tree.
-func (t *BTree) ascend(start, end []byte, fn func(key []byte, oid OID) bool) error {
+func (t *btree) ascend(start, end []byte, fn func(key []byte, oid OID) bool) error {
 	id, err := t.descend(start, nil)
 	if err != nil {
 		return err
 	}
-	for more := true; more && id != InvalidPage; {
+	for more := true; more && id != invalidPage; {
 		p, err := t.pool.Fetch(id)
 		if err != nil {
 			return err
 		}
-		werr := ErrBadTree // a sibling pointer that leaves the leaf chain
+		werr := errBadTree // a sibling pointer that leaves the leaf chain
 		if btType(p) == btreeLeaf {
 			werr = btWalk(p, func(_ int, e btEntry) bool {
 				if bytes.Compare(e.key, start) < 0 {
@@ -675,12 +675,12 @@ func (t *BTree) ascend(start, end []byte, fn func(key []byte, oid OID) bool) err
 
 // Ascend calls fn for every (key, OID) pair in ascending key order,
 // stopping early when fn returns false. fn must not modify the tree.
-func (t *BTree) Ascend(fn func(key string, oid OID) bool) error {
+func (t *btree) Ascend(fn func(key string, oid OID) bool) error {
 	return t.AscendRange("", "", fn)
 }
 
 // Len counts the stored keys (walks the leaf chain).
-func (t *BTree) Len() (int, error) {
+func (t *btree) Len() (int, error) {
 	n := 0
 	err := t.ascend(nil, nil, func([]byte, OID) bool { n++; return true })
 	return n, err
@@ -689,9 +689,9 @@ func (t *BTree) Len() (int, error) {
 // AscendRange calls fn for every key in [start, end) in ascending order,
 // stopping early when fn returns false. An empty end means "to the last
 // key". fn must not modify the tree.
-func (t *BTree) AscendRange(start, end string, fn func(key string, oid OID) bool) error {
-	if len(start) > MaxKeyLen || len(end) > MaxKeyLen {
-		return ErrKeyTooLong
+func (t *btree) AscendRange(start, end string, fn func(key string, oid OID) bool) error {
+	if len(start) > maxKeyLen || len(end) > maxKeyLen {
+		return errKeyTooLong
 	}
 	var stop []byte
 	if end != "" {

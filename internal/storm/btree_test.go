@@ -9,15 +9,15 @@ import (
 	"testing/quick"
 )
 
-func newTree(t *testing.T, frames int) (*BTree, *BufferPool) {
+func newTree(t *testing.T, frames int) (*btree, *BufferPool) {
 	t.Helper()
-	f, err := CreateFile(filepath.Join(t.TempDir(), "t.storm"))
+	f, err := createFile(filepath.Join(t.TempDir(), "t.storm"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { f.Close() })
-	pool := NewBufferPool(f, frames, NewLRU())
-	tr, err := NewBTree(pool)
+	pool := newBufferPool(f, frames, newLRU())
+	tr, err := newBTree(pool)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func TestBTreeManyKeysSplits(t *testing.T) {
 		t.Fatalf("len = %d, %v", count, err)
 	}
 	// The tree must have grown past a single leaf.
-	if tr.Root() == InvalidPage {
+	if tr.Root() == invalidPage {
 		t.Fatal("invalid root")
 	}
 	for i := 0; i < n; i += 97 {
@@ -167,18 +167,18 @@ func TestBTreeDelete(t *testing.T) {
 
 func TestBTreeKeyTooLong(t *testing.T) {
 	tr, _ := newTree(t, 8)
-	long := string(make([]byte, MaxKeyLen+1))
-	if err := tr.Put(long, OID{}); err != ErrKeyTooLong {
+	long := string(make([]byte, maxKeyLen+1))
+	if err := tr.Put(long, OID{}); err != errKeyTooLong {
 		t.Fatalf("put long key: %v", err)
 	}
-	if _, _, err := tr.Get(long); err != ErrKeyTooLong {
+	if _, _, err := tr.Get(long); err != errKeyTooLong {
 		t.Fatalf("get long key: %v", err)
 	}
-	if _, err := tr.Delete(long); err != ErrKeyTooLong {
+	if _, err := tr.Delete(long); err != errKeyTooLong {
 		t.Fatalf("delete long key: %v", err)
 	}
-	// Exactly MaxKeyLen works.
-	max := string(bytesOf('a', MaxKeyLen))
+	// Exactly maxKeyLen works.
+	max := string(bytesOf('a', maxKeyLen))
 	if err := tr.Put(max, OID{Page: 1}); err != nil {
 		t.Fatalf("max key: %v", err)
 	}
@@ -198,12 +198,12 @@ func bytesOf(c byte, n int) []byte {
 func TestBTreePersistsAcrossReopen(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "bt.storm")
-	f, err := CreateFile(path)
+	f, err := createFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pool := NewBufferPool(f, 32, NewLRU())
-	tr, err := NewBTree(pool)
+	pool := newBufferPool(f, 32, newLRU())
+	tr, err := newBTree(pool)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,16 +218,16 @@ func TestBTreePersistsAcrossReopen(t *testing.T) {
 	}
 	f.Close()
 
-	g, err := OpenFile(path)
+	g, err := openFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer g.Close()
-	if g.MetaRoot() == InvalidPage {
+	if g.MetaRoot() == invalidPage {
 		t.Fatal("meta root lost")
 	}
-	pool2 := NewBufferPool(g, 32, NewLRU())
-	tr2 := OpenBTree(pool2, g.MetaRoot())
+	pool2 := newBufferPool(g, 32, newLRU())
+	tr2 := openBTree(pool2, g.MetaRoot())
 	if n, err := tr2.Len(); err != nil || n != 2000 {
 		t.Fatalf("reopened len = %d, %v", n, err)
 	}
@@ -255,13 +255,13 @@ func TestBTreeTinyPoolStillWorks(t *testing.T) {
 // Property: the tree agrees with a shadow map under random operations.
 func TestBTreeShadowModel(t *testing.T) {
 	f := func(seed int64) bool {
-		file, err := CreateFile(filepath.Join(t.TempDir(), "q.storm"))
+		file, err := createFile(filepath.Join(t.TempDir(), "q.storm"))
 		if err != nil {
 			return false
 		}
 		defer file.Close()
-		pool := NewBufferPool(file, 16, NewLRU())
-		tr, err := NewBTree(pool)
+		pool := newBufferPool(file, 16, newLRU())
+		tr, err := newBTree(pool)
 		if err != nil {
 			return false
 		}

@@ -8,8 +8,8 @@ import (
 
 // Buffer pool errors.
 var (
-	ErrNoFrames  = errors.New("storm: all buffer frames pinned")
-	ErrNotPinned = errors.New("storm: page not pinned")
+	errNoFrames  = errors.New("storm: all buffer frames pinned")
+	errNotPinned = errors.New("storm: page not pinned")
 )
 
 type frameMeta struct {
@@ -20,18 +20,18 @@ type frameMeta struct {
 }
 
 // BufferPool caches pages in a fixed set of frames, delegating victim
-// selection to a pluggable Replacer. All methods are safe for concurrent
+// selection to a pluggable replacer. All methods are safe for concurrent
 // use, but the contents of a fetched *Page are only protected while the
 // page is pinned and callers mutating a page must serialize among
 // themselves (Store does).
 type BufferPool struct {
 	mu     sync.Mutex
-	file   *DiskFile
+	file   *diskFile
 	frames []Page
 	meta   []frameMeta
 	table  map[PageID]int
 	free   []int
-	rep    Replacer
+	rep    replacer
 
 	// Stats.
 	Hits       uint64
@@ -40,14 +40,14 @@ type BufferPool struct {
 	DirtyFlush uint64
 }
 
-// NewBufferPool creates a pool of n frames over file using rep for
+// newBufferPool creates a pool of n frames over file using rep for
 // replacement. n must be at least 1.
-func NewBufferPool(file *DiskFile, n int, rep Replacer) *BufferPool {
+func newBufferPool(file *diskFile, n int, rep replacer) *BufferPool {
 	if n < 1 {
 		n = 1
 	}
 	if rep == nil {
-		rep = NewLRU()
+		rep = newLRU()
 	}
 	bp := &BufferPool{
 		file:   file,
@@ -76,8 +76,6 @@ func (b *BufferPool) Fetch(id PageID) (*Page, error) {
 		m := &b.meta[f]
 		if m.pins == 0 {
 			b.rep.Remove(f)
-		} else {
-			b.rep.Touch(f)
 		}
 		m.pins++
 		return &b.frames[f], nil
@@ -101,7 +99,7 @@ func (b *BufferPool) Fetch(id PageID) (*Page, error) {
 
 // coldRun reports how many leading ids are consecutive page ids with no
 // frame in the pool, and counts them as misses: the caller is about to
-// read them from the file itself (DiskFile.readRun) instead of fetching
+// read them from the file itself (diskFile.readRun) instead of fetching
 // them one by one. That is only sound while no writer can dirty those
 // pages — Store.walk holds the store's read lock across the call and the
 // read — because a non-resident page's disk image is current: a dirty
@@ -151,13 +149,13 @@ func (b *BufferPool) victimLocked() (int, error) {
 	}
 	f, ok := b.rep.Victim()
 	if !ok {
-		return 0, ErrNoFrames
+		return 0, errNoFrames
 	}
 	m := &b.meta[f]
 	if m.dirty {
 		if err := b.file.WritePage(&b.frames[f]); err != nil {
 			// Re-register the frame; the caller sees the error.
-			b.rep.Insert(f, 0)
+			b.rep.Insert(f)
 			return 0, err
 		}
 		b.DirtyFlush++
@@ -169,28 +167,24 @@ func (b *BufferPool) victimLocked() (int, error) {
 }
 
 // Unpin releases one pin on page id. dirty marks the page as modified.
-// Hint is forwarded to the replacer when the pin count reaches zero.
-func (b *BufferPool) Unpin(id PageID, dirty bool) error { return b.UnpinHint(id, dirty, 0) }
-
-// UnpinHint is Unpin with an explicit replacement hint (used by the
-// priority policy).
-func (b *BufferPool) UnpinHint(id PageID, dirty bool, hint float64) error {
+// The frame becomes evictable when its pin count reaches zero.
+func (b *BufferPool) Unpin(id PageID, dirty bool) error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	f, ok := b.table[id]
 	if !ok {
-		return fmt.Errorf("%w: page %d not resident", ErrNotPinned, id)
+		return fmt.Errorf("%w: page %d not resident", errNotPinned, id)
 	}
 	m := &b.meta[f]
 	if m.pins == 0 {
-		return fmt.Errorf("%w: page %d pin count already zero", ErrNotPinned, id)
+		return fmt.Errorf("%w: page %d pin count already zero", errNotPinned, id)
 	}
 	m.pins--
 	if dirty {
 		m.dirty = true
 	}
 	if m.pins == 0 {
-		b.rep.Insert(f, hint)
+		b.rep.Insert(f)
 	}
 	return nil
 }

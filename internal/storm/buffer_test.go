@@ -7,9 +7,9 @@ import (
 	"testing"
 )
 
-func tempFile(t *testing.T) *DiskFile {
+func tempFile(t *testing.T) *diskFile {
 	t.Helper()
-	f, err := CreateFile(filepath.Join(t.TempDir(), "f.storm"))
+	f, err := createFile(filepath.Join(t.TempDir(), "f.storm"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -20,7 +20,7 @@ func tempFile(t *testing.T) *DiskFile {
 func TestDiskFileCreateOpenRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "x.storm")
-	f, err := CreateFile(path)
+	f, err := createFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +42,7 @@ func TestDiskFileCreateOpenRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	g, err := OpenFile(path)
+	g, err := openFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,30 +62,30 @@ func TestDiskFileCreateOpenRoundTrip(t *testing.T) {
 
 func TestDiskFileRejectsForeignFile(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "junk")
-	if err := os.WriteFile(path, make([]byte, PageSize), 0o644); err != nil {
+	if err := os.WriteFile(path, make([]byte, pageSize), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OpenFile(path); !errors.Is(err, ErrBadMagic) {
-		t.Fatalf("want ErrBadMagic, got %v", err)
+	if _, err := openFile(path); !errors.Is(err, errBadMagic) {
+		t.Fatalf("want errBadMagic, got %v", err)
 	}
 }
 
 func TestDiskFileCreateRefusesExisting(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "x.storm")
-	f, err := CreateFile(path)
+	f, err := createFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	f.Close()
-	if _, err := CreateFile(path); err == nil {
-		t.Fatal("CreateFile overwrote an existing file")
+	if _, err := createFile(path); err == nil {
+		t.Fatal("createFile overwrote an existing file")
 	}
 }
 
 func TestDiskFileBoundsChecks(t *testing.T) {
 	f := tempFile(t)
 	var p Page
-	if err := f.ReadPage(InvalidPage, &p); err == nil {
+	if err := f.ReadPage(invalidPage, &p); err == nil {
 		t.Fatal("read of header page as data succeeded")
 	}
 	if err := f.ReadPage(99, &p); err == nil {
@@ -102,13 +102,13 @@ func TestDiskFileClosedOps(t *testing.T) {
 	id, _ := f.Allocate()
 	f.Close()
 	var p Page
-	if err := f.ReadPage(id, &p); !errors.Is(err, ErrClosed) {
+	if err := f.ReadPage(id, &p); !errors.Is(err, errClosed) {
 		t.Fatalf("read after close: %v", err)
 	}
-	if _, err := f.Allocate(); !errors.Is(err, ErrClosed) {
+	if _, err := f.Allocate(); !errors.Is(err, errClosed) {
 		t.Fatalf("allocate after close: %v", err)
 	}
-	if err := f.Sync(); !errors.Is(err, ErrClosed) {
+	if err := f.Sync(); !errors.Is(err, errClosed) {
 		t.Fatalf("sync after close: %v", err)
 	}
 	if err := f.Close(); err != nil {
@@ -119,7 +119,7 @@ func TestDiskFileClosedOps(t *testing.T) {
 func TestDiskFileDetectsCorruption(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "c.storm")
-	f, _ := CreateFile(path)
+	f, _ := createFile(path)
 	id, _ := f.Allocate()
 	f.Close()
 
@@ -127,25 +127,25 @@ func TestDiskFileDetectsCorruption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw[PageSize+200] ^= 0xFF // flip a byte inside page 1
+	raw[pageSize+200] ^= 0xFF // flip a byte inside page 1
 	if err := os.WriteFile(path, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
 
-	g, err := OpenFile(path)
+	g, err := openFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer g.Close()
 	var p Page
-	if err := g.ReadPage(id, &p); !errors.Is(err, ErrChecksum) {
+	if err := g.ReadPage(id, &p); !errors.Is(err, errChecksum) {
 		t.Fatalf("corruption undetected: %v", err)
 	}
 }
 
 func TestBufferPoolHitAndMiss(t *testing.T) {
 	f := tempFile(t)
-	bp := NewBufferPool(f, 4, NewLRU())
+	bp := newBufferPool(f, 4, newLRU())
 	p, err := bp.NewPage()
 	if err != nil {
 		t.Fatal(err)
@@ -168,7 +168,7 @@ func TestBufferPoolHitAndMiss(t *testing.T) {
 
 func TestBufferPoolEvictionWritesDirty(t *testing.T) {
 	f := tempFile(t)
-	bp := NewBufferPool(f, 2, NewLRU())
+	bp := newBufferPool(f, 2, newLRU())
 	// Fill two frames with dirty pages, then force eviction via a third.
 	var ids []PageID
 	for i := 0; i < 3; i++ {
@@ -200,15 +200,15 @@ func TestBufferPoolEvictionWritesDirty(t *testing.T) {
 
 func TestBufferPoolAllPinnedFails(t *testing.T) {
 	f := tempFile(t)
-	bp := NewBufferPool(f, 2, NewLRU())
+	bp := newBufferPool(f, 2, newLRU())
 	for i := 0; i < 2; i++ {
 		if _, err := bp.NewPage(); err != nil {
 			t.Fatal(err)
 		}
 		// Intentionally left pinned.
 	}
-	if _, err := bp.NewPage(); !errors.Is(err, ErrNoFrames) {
-		t.Fatalf("want ErrNoFrames, got %v", err)
+	if _, err := bp.NewPage(); !errors.Is(err, errNoFrames) {
+		t.Fatalf("want errNoFrames, got %v", err)
 	}
 }
 
@@ -232,7 +232,7 @@ func resident(b *BufferPool, id PageID) bool {
 
 func TestBufferPoolPinCounting(t *testing.T) {
 	f := tempFile(t)
-	bp := NewBufferPool(f, 2, NewLRU())
+	bp := newBufferPool(f, 2, newLRU())
 	p, _ := bp.NewPage()
 	id := p.ID()
 	if _, err := bp.Fetch(id); err != nil { // second pin
@@ -246,17 +246,17 @@ func TestBufferPoolPinCounting(t *testing.T) {
 		t.Fatalf("pin count = %d", pinCount(bp, id))
 	}
 	bp.Unpin(id, false)
-	if err := bp.Unpin(id, false); !errors.Is(err, ErrNotPinned) {
+	if err := bp.Unpin(id, false); !errors.Is(err, errNotPinned) {
 		t.Fatalf("over-unpin: %v", err)
 	}
-	if err := bp.Unpin(999, false); !errors.Is(err, ErrNotPinned) {
+	if err := bp.Unpin(999, false); !errors.Is(err, errNotPinned) {
 		t.Fatalf("unpin absent: %v", err)
 	}
 }
 
 func TestBufferPoolPinnedPagesSurviveEviction(t *testing.T) {
 	f := tempFile(t)
-	bp := NewBufferPool(f, 3, NewLRU())
+	bp := newBufferPool(f, 3, newLRU())
 	p, _ := bp.NewPage()
 	pinned := p.ID()
 	// Churn through many other pages; the pinned page must stay resident.
@@ -275,7 +275,7 @@ func TestBufferPoolPinnedPagesSurviveEviction(t *testing.T) {
 
 func TestBufferPoolFlush(t *testing.T) {
 	f := tempFile(t)
-	bp := NewBufferPool(f, 4, NewLRU())
+	bp := newBufferPool(f, 4, newLRU())
 	p, _ := bp.NewPage()
 	id := p.ID()
 	p.Insert([]byte("flush-me"))
@@ -295,7 +295,7 @@ func TestBufferPoolFlush(t *testing.T) {
 
 func TestBufferPoolCapacityFloor(t *testing.T) {
 	f := tempFile(t)
-	bp := NewBufferPool(f, 0, nil)
+	bp := newBufferPool(f, 0, nil)
 	if len(bp.frames) != 1 {
 		t.Fatalf("capacity = %d", len(bp.frames))
 	}
@@ -308,9 +308,9 @@ func TestBufferPoolSequentialScanMRUBeatsLRU(t *testing.T) {
 	// The classic StorM demonstration: repeated sequential scans over a
 	// set slightly larger than the pool. LRU evicts exactly the page it
 	// will need next (zero hits); MRU retains a stable prefix.
-	run := func(rep Replacer) float64 {
+	run := func(rep replacer) float64 {
 		f := tempFile(t)
-		bp := NewBufferPool(f, 8, rep)
+		bp := newBufferPool(f, 8, rep)
 		var ids []PageID
 		for i := 0; i < 10; i++ {
 			p, err := bp.NewPage()
@@ -331,8 +331,8 @@ func TestBufferPoolSequentialScanMRUBeatsLRU(t *testing.T) {
 		}
 		return bp.HitRate()
 	}
-	lru := run(NewLRU())
-	mru := run(NewMRU())
+	lru := run(newLRU())
+	mru := run(newMRU())
 	if mru <= lru {
 		t.Fatalf("MRU (%.2f) should beat LRU (%.2f) on sequential flooding", mru, lru)
 	}

@@ -13,3 +13,6 @@ func (s *Store) KeyBytes() int {
 	}
 	return n
 }
+
+// PageSize is the page size, for the external tests (keys_test.go).
+const PageSize = pageSize

@@ -27,19 +27,19 @@ const (
 
 // File errors.
 var (
-	ErrBadMagic   = errors.New("storm: not a storm data file")
-	ErrBadVersion = errors.New("storm: unsupported format version")
-	ErrClosed     = errors.New("storm: file is closed")
+	errBadMagic   = errors.New("storm: not a storm data file")
+	errBadVersion = errors.New("storm: unsupported format version")
+	errClosed     = errors.New("storm: file is closed")
 )
 
-// DiskFile provides page-granular I/O on a single data file. It is safe
+// diskFile provides page-granular I/O on a single data file. It is safe
 // for concurrent use.
-type DiskFile struct {
+type diskFile struct {
 	mu     sync.Mutex
 	f      *os.File
 	pages  uint32 // total pages including header
-	meta   PageID // catalog B+tree root, InvalidPage when absent
-	index  PageID // inverted-index B+tree root, InvalidPage when absent
+	meta   PageID // catalog B+tree root, invalidPage when absent
+	index  PageID // inverted-index B+tree root, invalidPage when absent
 	dirty  bool   // the header's dirty mark; see setDirty
 	closed bool
 
@@ -48,13 +48,13 @@ type DiskFile struct {
 	Writes uint64
 }
 
-// CreateFile creates a new, empty data file at path, failing if it exists.
-func CreateFile(path string) (*DiskFile, error) {
+// createFile creates a new, empty data file at path, failing if it exists.
+func createFile(path string) (*diskFile, error) {
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("storm: create: %w", err)
 	}
-	df := &DiskFile{f: f, pages: 1}
+	df := &diskFile{f: f, pages: 1}
 	if err := df.writeHeader(); err != nil {
 		_ = f.Close() // already failing; header error is what matters
 		os.Remove(path)
@@ -63,24 +63,24 @@ func CreateFile(path string) (*DiskFile, error) {
 	return df, nil
 }
 
-// OpenFile opens an existing data file and validates its header.
-func OpenFile(path string) (*DiskFile, error) {
+// openFile opens an existing data file and validates its header.
+func openFile(path string) (*diskFile, error) {
 	f, err := os.OpenFile(path, os.O_RDWR, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("storm: open: %w", err)
 	}
-	var hdr [PageSize]byte
+	var hdr [pageSize]byte
 	if _, err := f.ReadAt(hdr[:], 0); err != nil {
 		_ = f.Close() // already failing; the read error is what matters
 		return nil, fmt.Errorf("storm: read header: %w", err)
 	}
 	if string(hdr[0:4]) != fileMagic {
 		_ = f.Close() // already failing; bad magic is what matters
-		return nil, ErrBadMagic
+		return nil, errBadMagic
 	}
 	if v := binary.BigEndian.Uint16(hdr[4:6]); v != formatVersion {
 		_ = f.Close() // already failing; bad version is what matters
-		return nil, fmt.Errorf("%w: %d", ErrBadVersion, v)
+		return nil, fmt.Errorf("%w: %d", errBadVersion, v)
 	}
 	pages := binary.BigEndian.Uint32(hdr[6:10])
 	if pages == 0 {
@@ -91,22 +91,22 @@ func OpenFile(path string) (*DiskFile, error) {
 	// Cross-check against the actual file size; trust the smaller so a
 	// torn header cannot direct reads past EOF.
 	if st, err := f.Stat(); err == nil {
-		byLen := uint32(st.Size() / PageSize)
+		byLen := uint32(st.Size() / pageSize)
 		if byLen < pages {
 			pages = byLen
 		}
 	}
 	if uint32(meta) >= pages {
-		meta = InvalidPage // torn header: ignore the stale root
+		meta = invalidPage // torn header: ignore the stale root
 	}
 	if uint32(index) >= pages {
-		index = InvalidPage
+		index = invalidPage
 	}
-	return &DiskFile{f: f, pages: pages, meta: meta, index: index, dirty: hdr[18] != 0}, nil
+	return &diskFile{f: f, pages: pages, meta: meta, index: index, dirty: hdr[18] != 0}, nil
 }
 
-func (d *DiskFile) writeHeader() error {
-	var hdr [PageSize]byte
+func (d *diskFile) writeHeader() error {
+	var hdr [pageSize]byte
 	copy(hdr[0:4], fileMagic)
 	binary.BigEndian.PutUint16(hdr[4:6], formatVersion)
 	binary.BigEndian.PutUint32(hdr[6:10], d.pages)
@@ -122,38 +122,38 @@ func (d *DiskFile) writeHeader() error {
 }
 
 // MetaRoot returns the catalog root page id recorded in the header, or
-// InvalidPage if none has been set.
-func (d *DiskFile) MetaRoot() PageID {
+// invalidPage if none has been set.
+func (d *diskFile) MetaRoot() PageID {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	return d.meta
 }
 
 // SetMetaRoot records the catalog root page id in the header.
-func (d *DiskFile) SetMetaRoot(id PageID) error {
+func (d *diskFile) SetMetaRoot(id PageID) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.closed {
-		return ErrClosed
+		return errClosed
 	}
 	d.meta = id
 	return d.writeHeader()
 }
 
 // IndexRoot returns the inverted-index root page id recorded in the
-// header, or InvalidPage if none has been set.
-func (d *DiskFile) IndexRoot() PageID {
+// header, or invalidPage if none has been set.
+func (d *diskFile) IndexRoot() PageID {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	return d.index
 }
 
 // SetIndexRoot records the inverted-index root page id in the header.
-func (d *DiskFile) SetIndexRoot(id PageID) error {
+func (d *diskFile) SetIndexRoot(id PageID) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.closed {
-		return ErrClosed
+		return errClosed
 	}
 	d.index = id
 	return d.writeHeader()
@@ -163,7 +163,7 @@ func (d *DiskFile) SetIndexRoot(id PageID) error {
 // changed since its last checkpoint, so its B+tree images (catalog, index)
 // may be older or newer than its heap. A file found dirty at open was not
 // closed cleanly.
-func (d *DiskFile) isDirty() bool {
+func (d *diskFile) isDirty() bool {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	return d.dirty
@@ -174,11 +174,11 @@ func (d *DiskFile) isDirty() bool {
 // can reach the disk ahead of the mark; without, the mark is as durable as
 // the page writes that follow it — it survives the process, not the
 // machine.
-func (d *DiskFile) setDirty(dirty, sync bool) error {
+func (d *diskFile) setDirty(dirty, sync bool) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.closed {
-		return ErrClosed
+		return errClosed
 	}
 	d.dirty = dirty
 	if err := d.writeHeader(); err != nil || !sync {
@@ -188,7 +188,7 @@ func (d *DiskFile) setDirty(dirty, sync bool) error {
 }
 
 // PageCount returns the number of pages, including the header page.
-func (d *DiskFile) PageCount() uint32 {
+func (d *diskFile) PageCount() uint32 {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	return d.pages
@@ -196,66 +196,66 @@ func (d *DiskFile) PageCount() uint32 {
 
 // Allocate extends the file by one page and returns its id. The page is
 // written initialized and sealed.
-func (d *DiskFile) Allocate() (PageID, error) {
+func (d *diskFile) Allocate() (PageID, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.closed {
-		return InvalidPage, ErrClosed
+		return invalidPage, errClosed
 	}
 	id := PageID(d.pages)
 	var p Page
 	p.Init(id)
 	p.seal()
-	if _, err := d.f.WriteAt(p.buf[:], int64(id)*PageSize); err != nil {
-		return InvalidPage, fmt.Errorf("storm: allocate page %d: %w", id, err)
+	if _, err := d.f.WriteAt(p.buf[:], int64(id)*pageSize); err != nil {
+		return invalidPage, fmt.Errorf("storm: allocate page %d: %w", id, err)
 	}
 	d.pages++
 	d.Writes++
 	if err := d.writeHeader(); err != nil {
-		return InvalidPage, err
+		return invalidPage, err
 	}
 	return id, nil
 }
 
 // ReadPage reads page id into p, verifying the checksum.
-func (d *DiskFile) ReadPage(id PageID, p *Page) error {
+func (d *diskFile) ReadPage(id PageID, p *Page) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.closed {
-		return ErrClosed
+		return errClosed
 	}
-	if id == InvalidPage || uint32(id) >= d.pages {
+	if id == invalidPage || uint32(id) >= d.pages {
 		return fmt.Errorf("storm: read of page %d beyond end (%d pages)", id, d.pages)
 	}
-	if _, err := d.f.ReadAt(p.buf[:], int64(id)*PageSize); err != nil && err != io.EOF {
+	if _, err := d.f.ReadAt(p.buf[:], int64(id)*pageSize); err != nil && err != io.EOF {
 		return fmt.Errorf("storm: read page %d: %w", id, err)
 	}
 	d.Reads++
 	return p.verify(id)
 }
 
-// readRun reads the len(buf)/PageSize consecutive pages starting at
+// readRun reads the len(buf)/pageSize consecutive pages starting at
 // first into buf with a single read, verifying every page's checksum and
 // id exactly as ReadPage does. Sequential scans use it to read past the
 // buffer pool; each page counts in Reads.
-func (d *DiskFile) readRun(first PageID, buf []byte) error {
+func (d *diskFile) readRun(first PageID, buf []byte) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.closed {
-		return ErrClosed
+		return errClosed
 	}
-	n := len(buf) / PageSize
-	if first == InvalidPage || uint64(first)+uint64(n) > uint64(d.pages) {
+	n := len(buf) / pageSize
+	if first == invalidPage || uint64(first)+uint64(n) > uint64(d.pages) {
 		return fmt.Errorf("storm: read of pages %d..%d beyond end (%d pages)", first, uint64(first)+uint64(n)-1, d.pages)
 	}
 	// A short read must fail here: the scan buffer is reused, so bytes a
 	// read did not overwrite could be an older, well-formed image.
-	if got, err := d.f.ReadAt(buf[:n*PageSize], int64(first)*PageSize); got < n*PageSize {
+	if got, err := d.f.ReadAt(buf[:n*pageSize], int64(first)*pageSize); got < n*pageSize {
 		return fmt.Errorf("storm: read pages %d..%d: %w", first, int(first)+n-1, err)
 	}
 	d.Reads += uint64(n)
 	for i := 0; i < n; i++ {
-		if err := verifyImage((*[PageSize]byte)(buf[i*PageSize:]), first+PageID(i)); err != nil {
+		if err := verifyImage((*[pageSize]byte)(buf[i*pageSize:]), first+PageID(i)); err != nil {
 			return err
 		}
 	}
@@ -263,18 +263,18 @@ func (d *DiskFile) readRun(first PageID, buf []byte) error {
 }
 
 // WritePage seals p and writes it at its id.
-func (d *DiskFile) WritePage(p *Page) error {
+func (d *diskFile) WritePage(p *Page) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.closed {
-		return ErrClosed
+		return errClosed
 	}
 	id := p.ID()
-	if id == InvalidPage || uint32(id) >= d.pages {
+	if id == invalidPage || uint32(id) >= d.pages {
 		return fmt.Errorf("storm: write of unallocated page %d", id)
 	}
 	p.seal()
-	if _, err := d.f.WriteAt(p.buf[:], int64(id)*PageSize); err != nil {
+	if _, err := d.f.WriteAt(p.buf[:], int64(id)*pageSize); err != nil {
 		return fmt.Errorf("storm: write page %d: %w", id, err)
 	}
 	d.Writes++
@@ -282,18 +282,18 @@ func (d *DiskFile) WritePage(p *Page) error {
 }
 
 // Sync flushes the file to stable storage.
-func (d *DiskFile) Sync() error {
+func (d *diskFile) Sync() error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.closed {
-		return ErrClosed
+		return errClosed
 	}
 	return d.f.Sync()
 }
 
 // Close releases the underlying file. Further operations fail with
-// ErrClosed.
-func (d *DiskFile) Close() error {
+// errClosed.
+func (d *diskFile) Close() error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.closed {

@@ -50,8 +50,8 @@ type Object struct {
 	Data []byte
 }
 
-// ErrBadObject reports a corrupt or oversized object record.
-var ErrBadObject = errors.New("storm: bad object record")
+// errBadObject reports a corrupt or oversized object record.
+var errBadObject = errors.New("storm: bad object record")
 
 // objectRecordVersion guards the record layout.
 const objectRecordVersion = 1
@@ -68,9 +68,9 @@ func encodeObject(o *Object) ([]byte, error) {
 		e.String(k)
 	}
 	e.Bytes2(o.Data)
-	if e.Len() > MaxRecordSize {
+	if e.Len() > maxRecordSize {
 		return nil, fmt.Errorf("%w: %q encodes to %d bytes, max %d",
-			ErrBadObject, o.Name, e.Len(), MaxRecordSize)
+			errBadObject, o.Name, e.Len(), maxRecordSize)
 	}
 	return e.Bytes(), nil
 }
@@ -79,14 +79,14 @@ func encodeObject(o *Object) ([]byte, error) {
 func decodeObject(rec []byte) (*Object, error) {
 	d := wire.NewDecoder(rec)
 	if v := d.Uint8(); v != objectRecordVersion {
-		return nil, fmt.Errorf("%w: record version %d", ErrBadObject, v)
+		return nil, fmt.Errorf("%w: record version %d", errBadObject, v)
 	}
 	o := &Object{Name: d.String()}
 	o.Kind = ObjectKind(d.Uint8())
 	o.ActiveClass = d.String()
 	n := d.Uvarint()
-	if n > MaxRecordSize {
-		return nil, ErrBadObject
+	if n > maxRecordSize {
+		return nil, errBadObject
 	}
 	if n > 0 {
 		o.Keywords = make([]string, 0, n)
@@ -96,7 +96,7 @@ func decodeObject(rec []byte) (*Object, error) {
 	}
 	o.Data = d.Bytes2()
 	if err := d.Finish(); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadObject, err)
+		return nil, fmt.Errorf("%w: %v", errBadObject, err)
 	}
 	return o, nil
 }
@@ -133,7 +133,7 @@ func recordMatches(rec []byte, q string, gather *keyBuf) (bool, error) {
 	if !ok {
 		_, err := decodeObject(rec)
 		if err == nil {
-			err = ErrBadObject // unreachable while the contract holds
+			err = errBadObject // unreachable while the contract holds
 		}
 		return false, err
 	}
@@ -155,7 +155,7 @@ func matchRecord(rec []byte, q string, gather *keyBuf) (hit, ok bool) {
 		return false, false // active class
 	}
 	keywords, w := binary.Uvarint(rec[p:])
-	if w <= 0 || keywords > MaxRecordSize {
+	if w <= 0 || keywords > maxRecordSize {
 		return false, false
 	}
 	p += w
@@ -199,7 +199,7 @@ func (k *pageKeys) excuses(q, kq string) bool {
 
 // maxPageKeys bounds what is remembered of one page: a page whose names
 // and keywords come to more is never remembered and always read.
-const maxPageKeys = PageSize / 8
+const maxPageKeys = pageSize / 8
 
 // keyBuf gathers, through matchRecord, the names and keywords of the
 // records of one page, unfolded.

@@ -13,15 +13,15 @@ import (
 	"hash/crc32"
 )
 
-// PageSize is the fixed size of every page on disk.
-const PageSize = 4096
+// pageSize is the fixed size of every page on disk.
+const pageSize = 4096
 
 // PageID identifies a page within the data file. Page 0 is the file
 // header; data pages start at 1.
 type PageID uint32
 
-// InvalidPage is the zero PageID, never used for data.
-const InvalidPage PageID = 0
+// invalidPage is the zero PageID, never used for data.
+const invalidPage PageID = 0
 
 // Slot numbers records within a page.
 type Slot uint16
@@ -34,7 +34,7 @@ type Slot uint16
 //	offset 10: uint16 free-space pointer (start of unused region)
 //	offset 12: uint8  page type (slotted data page or B+tree node)
 //	offset 13: record data grows upward from here
-//	...        slot directory grows downward from PageSize
+//	...        slot directory grows downward from pageSize
 //
 // Each slot directory entry is 4 bytes: uint16 offset, uint16 length.
 // A deleted slot has offset == 0 (record space is not reclaimed until
@@ -55,18 +55,18 @@ const (
 
 // Page errors.
 var (
-	ErrPageFull     = errors.New("storm: page full")
-	ErrBadSlot      = errors.New("storm: invalid slot")
-	ErrRecordTooBig = errors.New("storm: record exceeds page capacity")
-	ErrChecksum     = errors.New("storm: page checksum mismatch")
+	errPageFull     = errors.New("storm: page full")
+	errBadSlot      = errors.New("storm: invalid slot")
+	errRecordTooBig = errors.New("storm: record exceeds page capacity")
+	errChecksum     = errors.New("storm: page checksum mismatch")
 )
 
-// MaxRecordSize is the largest record a single page can hold.
-const MaxRecordSize = PageSize - pageHeaderSize - slotEntrySize
+// maxRecordSize is the largest record a single page can hold.
+const maxRecordSize = pageSize - pageHeaderSize - slotEntrySize
 
 // Page is an in-memory image of one disk page.
 type Page struct {
-	buf [PageSize]byte
+	buf [pageSize]byte
 }
 
 // InitPage formats the buffer as an empty slotted page with the given id.
@@ -107,7 +107,7 @@ func (p *Page) setSlotCount(v int) {
 }
 
 // slotPos returns the byte offset of slot s's directory entry.
-func slotPos(s Slot) int { return PageSize - (int(s)+1)*slotEntrySize }
+func slotPos(s Slot) int { return pageSize - (int(s)+1)*slotEntrySize }
 
 func (p *Page) slotEntry(s Slot) (off, length int) {
 	pos := slotPos(s)
@@ -124,7 +124,7 @@ func (p *Page) setSlotEntry(s Slot, off, length int) {
 // FreeSpace returns the bytes available for a new record, accounting for
 // the slot entry it would need.
 func (p *Page) FreeSpace() int {
-	free := PageSize - p.SlotCount()*slotEntrySize - p.freePtr() - slotEntrySize
+	free := pageSize - p.SlotCount()*slotEntrySize - p.freePtr() - slotEntrySize
 	if free < 0 {
 		return 0
 	}
@@ -145,8 +145,8 @@ func (p *Page) AvailableSpace() int {
 // reused for the directory entry but record bytes always come from the
 // free region (compaction reclaims holes).
 func (p *Page) Insert(rec []byte) (Slot, error) {
-	if len(rec) > MaxRecordSize {
-		return 0, ErrRecordTooBig
+	if len(rec) > maxRecordSize {
+		return 0, errRecordTooBig
 	}
 	// Prefer a deleted slot's directory entry.
 	slot := Slot(p.SlotCount())
@@ -162,12 +162,12 @@ func (p *Page) Insert(rec []byte) (Slot, error) {
 	if !reused {
 		need += slotEntrySize
 	}
-	if PageSize-p.SlotCount()*slotEntrySize-p.freePtr() < need {
+	if pageSize-p.SlotCount()*slotEntrySize-p.freePtr() < need {
 		if p.wasted() >= len(rec) {
 			p.compact()
 		}
-		if PageSize-p.SlotCount()*slotEntrySize-p.freePtr() < need {
-			return 0, ErrPageFull
+		if pageSize-p.SlotCount()*slotEntrySize-p.freePtr() < need {
+			return 0, errPageFull
 		}
 	}
 	off := p.freePtr()
@@ -184,11 +184,11 @@ func (p *Page) Insert(rec []byte) (Slot, error) {
 // page buffer; callers must copy if they retain it past unpin.
 func (p *Page) Get(s Slot) ([]byte, error) {
 	if int(s) >= p.SlotCount() {
-		return nil, ErrBadSlot
+		return nil, errBadSlot
 	}
 	off, length := p.slotEntry(s)
 	if off == 0 {
-		return nil, ErrBadSlot
+		return nil, errBadSlot
 	}
 	return p.buf[off : off+length], nil
 }
@@ -197,10 +197,10 @@ func (p *Page) Get(s Slot) ([]byte, error) {
 // record bytes are reclaimed by compaction on demand.
 func (p *Page) Delete(s Slot) error {
 	if int(s) >= p.SlotCount() {
-		return ErrBadSlot
+		return errBadSlot
 	}
 	if off, _ := p.slotEntry(s); off == 0 {
-		return ErrBadSlot
+		return errBadSlot
 	}
 	p.setSlotEntry(s, 0, 0)
 	return nil
@@ -211,30 +211,30 @@ func (p *Page) Delete(s Slot) error {
 // the record reinserted under the same slot.
 func (p *Page) Update(s Slot, rec []byte) error {
 	if int(s) >= p.SlotCount() {
-		return ErrBadSlot
+		return errBadSlot
 	}
 	off, length := p.slotEntry(s)
 	if off == 0 {
-		return ErrBadSlot
+		return errBadSlot
 	}
 	if len(rec) <= length {
 		copy(p.buf[off:], rec)
 		p.setSlotEntry(s, off, len(rec))
 		return nil
 	}
-	if len(rec) > MaxRecordSize {
-		return ErrRecordTooBig
+	if len(rec) > maxRecordSize {
+		return errRecordTooBig
 	}
 	// Need fresh space.
-	if PageSize-p.SlotCount()*slotEntrySize-p.freePtr() < len(rec) {
+	if pageSize-p.SlotCount()*slotEntrySize-p.freePtr() < len(rec) {
 		p.setSlotEntry(s, 0, 0)
 		if p.wasted() >= len(rec) {
 			p.compact()
 		}
-		if PageSize-p.SlotCount()*slotEntrySize-p.freePtr() < len(rec) {
+		if pageSize-p.SlotCount()*slotEntrySize-p.freePtr() < len(rec) {
 			// Restore the original entry so the failed update is atomic.
 			p.setSlotEntry(s, off, length)
-			return ErrPageFull
+			return errPageFull
 		}
 	}
 	noff := p.freePtr()
@@ -257,7 +257,7 @@ func (p *Page) wasted() int {
 
 // compact rewrites live records contiguously, reclaiming tombstoned space.
 func (p *Page) compact() {
-	var tmp [PageSize]byte
+	var tmp [pageSize]byte
 	w := pageHeaderSize
 	for s := Slot(0); int(s) < p.SlotCount(); s++ {
 		off, length := p.slotEntry(s)
@@ -278,7 +278,7 @@ func (p *Page) Records(fn func(s Slot, rec []byte) bool) { imageRecords(&p.buf, 
 
 // imageRecords is Records over one page's bytes wherever they live: a
 // pooled frame or a window of a scan buffer (see Store.walk).
-func imageRecords(buf *[PageSize]byte, fn func(s Slot, rec []byte) bool) {
+func imageRecords(buf *[pageSize]byte, fn func(s Slot, rec []byte) bool) {
 	slots := int(binary.BigEndian.Uint16(buf[8:10]))
 	for s := 0; s < slots; s++ {
 		pos := slotPos(Slot(s))
@@ -304,10 +304,10 @@ func (p *Page) seal() {
 func (p *Page) verify(want PageID) error { return verifyImage(&p.buf, want) }
 
 // verifyImage is verify over one page's bytes wherever they live.
-func verifyImage(buf *[PageSize]byte, want PageID) error {
+func verifyImage(buf *[pageSize]byte, want PageID) error {
 	sum := crc32.ChecksumIEEE(buf[4:])
 	if stored := binary.BigEndian.Uint32(buf[0:4]); stored != sum {
-		return fmt.Errorf("%w: page %d", ErrChecksum, want)
+		return fmt.Errorf("%w: page %d", errChecksum, want)
 	}
 	if id := PageID(binary.BigEndian.Uint32(buf[4:8])); id != want {
 		return fmt.Errorf("storm: page id mismatch: read %d, want %d", id, want)

@@ -47,10 +47,10 @@ func TestPageDeleteAndSlotReuse(t *testing.T) {
 	if err := p.Delete(s1); err != nil {
 		t.Fatalf("delete: %v", err)
 	}
-	if _, err := p.Get(s1); !errors.Is(err, ErrBadSlot) {
+	if _, err := p.Get(s1); !errors.Is(err, errBadSlot) {
 		t.Fatalf("get deleted slot: %v", err)
 	}
-	if err := p.Delete(s1); !errors.Is(err, ErrBadSlot) {
+	if err := p.Delete(s1); !errors.Is(err, errBadSlot) {
 		t.Fatalf("double delete: %v", err)
 	}
 	// New insert reuses the tombstoned slot.
@@ -76,7 +76,7 @@ func TestPageFullAndCompaction(t *testing.T) {
 	var slots []Slot
 	for {
 		s, err := p.Insert(rec)
-		if errors.Is(err, ErrPageFull) {
+		if errors.Is(err, errPageFull) {
 			break
 		}
 		if err != nil {
@@ -112,11 +112,11 @@ func TestPageFullAndCompaction(t *testing.T) {
 func TestPageRecordTooBig(t *testing.T) {
 	var p Page
 	p.Init(1)
-	if _, err := p.Insert(make([]byte, MaxRecordSize+1)); !errors.Is(err, ErrRecordTooBig) {
-		t.Fatalf("want ErrRecordTooBig, got %v", err)
+	if _, err := p.Insert(make([]byte, maxRecordSize+1)); !errors.Is(err, errRecordTooBig) {
+		t.Fatalf("want errRecordTooBig, got %v", err)
 	}
-	// Exactly MaxRecordSize fits in an empty page.
-	if _, err := p.Insert(make([]byte, MaxRecordSize)); err != nil {
+	// Exactly maxRecordSize fits in an empty page.
+	if _, err := p.Insert(make([]byte, maxRecordSize)); err != nil {
 		t.Fatalf("max-size record rejected: %v", err)
 	}
 }
@@ -150,8 +150,8 @@ func TestPageUpdateAtomicOnFull(t *testing.T) {
 		}
 	}
 	big := make([]byte, 3000)
-	if err := p.Update(s, big); !errors.Is(err, ErrPageFull) {
-		t.Fatalf("want ErrPageFull, got %v", err)
+	if err := p.Update(s, big); !errors.Is(err, errPageFull) {
+		t.Fatalf("want errPageFull, got %v", err)
 	}
 	// Original record must survive the failed update.
 	if got, err := p.Get(s); err != nil || string(got) != "small" {
@@ -163,14 +163,14 @@ func TestPageUpdateErrors(t *testing.T) {
 	var p Page
 	p.Init(1)
 	s, _ := p.Insert([]byte("x"))
-	if err := p.Update(Slot(9), []byte("y")); !errors.Is(err, ErrBadSlot) {
+	if err := p.Update(Slot(9), []byte("y")); !errors.Is(err, errBadSlot) {
 		t.Fatalf("update bad slot: %v", err)
 	}
-	if err := p.Update(s, make([]byte, MaxRecordSize+1)); !errors.Is(err, ErrRecordTooBig) {
+	if err := p.Update(s, make([]byte, maxRecordSize+1)); !errors.Is(err, errRecordTooBig) {
 		t.Fatalf("oversize update: %v", err)
 	}
 	p.Delete(s)
-	if err := p.Update(s, []byte("y")); !errors.Is(err, ErrBadSlot) {
+	if err := p.Update(s, []byte("y")); !errors.Is(err, errBadSlot) {
 		t.Fatalf("update deleted slot: %v", err)
 	}
 }
@@ -200,7 +200,7 @@ func TestPageChecksumDetectsCorruption(t *testing.T) {
 		t.Fatalf("fresh page fails verify: %v", err)
 	}
 	p.buf[100] ^= 0xFF
-	if err := p.verify(3); !errors.Is(err, ErrChecksum) {
+	if err := p.verify(3); !errors.Is(err, errChecksum) {
 		t.Fatalf("corruption not detected: %v", err)
 	}
 	p.buf[100] ^= 0xFF
@@ -239,7 +239,7 @@ func TestPageShadowModel(t *testing.T) {
 				rec := make([]byte, 1+rng.Intn(200))
 				rng.Read(rec)
 				s, err := p.Insert(rec)
-				if errors.Is(err, ErrPageFull) {
+				if errors.Is(err, errPageFull) {
 					continue
 				}
 				if err != nil {
@@ -259,7 +259,7 @@ func TestPageShadowModel(t *testing.T) {
 					rec := make([]byte, 1+rng.Intn(200))
 					rng.Read(rec)
 					err := p.Update(s, rec)
-					if errors.Is(err, ErrPageFull) {
+					if errors.Is(err, errPageFull) {
 						break
 					}
 					if err != nil {

@@ -6,7 +6,7 @@ import (
 	"sync"
 )
 
-// PersistentIndex is a durable inverted index over a store's keywords,
+// persistentIndex is a durable inverted index over a store's keywords,
 // held in a B+tree on the same page file as the heap. Each posting is one
 // tree entry with the composite key
 //
@@ -15,8 +15,8 @@ import (
 // so a keyword's postings are a contiguous key range served by a prefix
 // scan, and the index survives restarts (its root lives in the file
 // header next to the catalog's).
-type PersistentIndex struct {
-	tree *BTree
+type persistentIndex struct {
+	tree *btree
 	// mu is the owning store's lock: the tree has none of its own, and a
 	// read beside a Put could see a leaf in the middle of a split.
 	mu *sync.RWMutex
@@ -27,13 +27,13 @@ func postingKey(keyword, name string) string {
 	return strings.ToLower(keyword) + "\x00" + name
 }
 
-// postingsFit fails with ErrKeyTooLong when one of the object's posting
+// postingsFit fails with errKeyTooLong when one of the object's posting
 // keys would exceed what a tree key can hold. Store.Put asks before it
 // writes anything, so Add does not meet such a key on a live store.
 func postingsFit(obj *Object) error {
 	for _, k := range obj.Keywords {
-		if len(strings.ToLower(k))+1+len(obj.Name) > MaxKeyLen {
-			return fmt.Errorf("%w: posting %q of %q", ErrKeyTooLong, k, obj.Name)
+		if len(strings.ToLower(k))+1+len(obj.Name) > maxKeyLen {
+			return fmt.Errorf("%w: posting %q of %q", errKeyTooLong, k, obj.Name)
 		}
 	}
 	return nil
@@ -41,11 +41,11 @@ func postingsFit(obj *Object) error {
 
 // Add indexes every keyword of the object. Like Remove it is the owning
 // store's to call, under its write lock.
-func (ix *PersistentIndex) Add(obj *Object, oid OID) error {
+func (ix *persistentIndex) Add(obj *Object, oid OID) error {
 	for _, k := range obj.Keywords {
 		key := postingKey(k, obj.Name)
-		if len(key) > MaxKeyLen {
-			return fmt.Errorf("%w: posting %q", ErrKeyTooLong, key)
+		if len(key) > maxKeyLen {
+			return fmt.Errorf("%w: posting %q", errKeyTooLong, key)
 		}
 		if err := ix.tree.Put(key, oid); err != nil {
 			return err
@@ -55,7 +55,7 @@ func (ix *PersistentIndex) Add(obj *Object, oid OID) error {
 }
 
 // Remove un-indexes every keyword of the object.
-func (ix *PersistentIndex) Remove(obj *Object) error {
+func (ix *persistentIndex) Remove(obj *Object) error {
 	for _, k := range obj.Keywords {
 		if _, err := ix.tree.Delete(postingKey(k, obj.Name)); err != nil {
 			return err
@@ -68,7 +68,7 @@ func (ix *PersistentIndex) Remove(obj *Object) error {
 // every posting under the lower-cased keyword q, stopping when fn returns
 // false. name aliases a pinned tree page and must not be retained. Caller
 // holds the store lock.
-func (ix *PersistentIndex) postings(q string, fn func(name []byte, oid OID) bool) error {
+func (ix *persistentIndex) postings(q string, fn func(name []byte, oid OID) bool) error {
 	prefix := append(append(make([]byte, 0, len(q)+1), q...), 0)
 	return ix.tree.ascend(prefix, prefixEnd(prefix), func(key []byte, oid OID) bool {
 		return fn(key[len(prefix):], oid)
@@ -76,7 +76,7 @@ func (ix *PersistentIndex) postings(q string, fn func(name []byte, oid OID) bool
 }
 
 // Lookup returns the names (ascending) of objects carrying the keyword.
-func (ix *PersistentIndex) Lookup(keyword string) ([]string, error) {
+func (ix *persistentIndex) Lookup(keyword string) ([]string, error) {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
 	var names []string
@@ -88,7 +88,7 @@ func (ix *PersistentIndex) Lookup(keyword string) ([]string, error) {
 }
 
 // Postings returns the number of (keyword, object) pairs indexed.
-func (ix *PersistentIndex) Postings() (int, error) {
+func (ix *persistentIndex) Postings() (int, error) {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
 	return ix.tree.Len()
@@ -99,8 +99,8 @@ func (ix *PersistentIndex) Postings() (int, error) {
 // after a crash: index pages regress independently of the WAL-recovered
 // heap, so the stored image cannot be trusted).
 func (s *Store) loadPersistentIndexAfterRecovery(forceRebuild bool) error {
-	if root := s.file.IndexRoot(); root != InvalidPage && !forceRebuild {
-		ix := &PersistentIndex{tree: OpenBTree(s.pool, root), mu: &s.mu}
+	if root := s.file.IndexRoot(); root != invalidPage && !forceRebuild {
+		ix := &persistentIndex{tree: openBTree(s.pool, root), mu: &s.mu}
 		// Plausibility check: the tree must walk cleanly.
 		if _, err := ix.Postings(); err == nil {
 			s.pindex = ix
@@ -109,11 +109,11 @@ func (s *Store) loadPersistentIndexAfterRecovery(forceRebuild bool) error {
 		}
 		// Stale or torn: fall through and rebuild.
 	}
-	tree, err := NewBTree(s.pool)
+	tree, err := newBTree(s.pool)
 	if err != nil {
 		return err
 	}
-	ix := &PersistentIndex{tree: tree, mu: &s.mu}
+	ix := &persistentIndex{tree: tree, mu: &s.mu}
 	err = s.Scan(func(o *Object) bool {
 		s.mu.RLock()
 		oid, ok := s.byName[o.Name]

@@ -267,7 +267,7 @@ func runMatchPlan(t *testing.T, kind uint8, prog []byte) {
 		case op == 3: // outgrows its page once the page has neighbours
 			put(name, 3000)
 		case op == 4:
-			if err := s.Delete(name); (err == nil) != (old != nil) || err != nil && !errors.Is(err, ErrNotFound) {
+			if err := s.Delete(name); (err == nil) != (old != nil) || err != nil && !errors.Is(err, errNotFound) {
 				t.Fatalf("delete %q (stored: %v): %v", name, old != nil, err)
 			}
 			delete(model, name)
@@ -377,7 +377,7 @@ func TestNamesUnderChurn(t *testing.T) {
 				}
 				if round >= lag {
 					// Without a log, Abandon may have taken the name with it.
-					if err := s.Delete(name(round - lag)); err != nil && (tc.durable || !errors.Is(err, ErrNotFound)) {
+					if err := s.Delete(name(round - lag)); err != nil && (tc.durable || !errors.Is(err, errNotFound)) {
 						t.Fatalf("delete: %v", err)
 					}
 				}
@@ -563,14 +563,14 @@ func TestMatchPlanReportsCorruptCandidate(t *testing.T) {
 		}
 	}
 	corruptDataLength(t, s, "obj-5", 100)
-	if _, err := s.Match("kw5"); !errors.Is(err, ErrBadObject) {
-		t.Fatalf("Match of a corrupt candidate: %v, want ErrBadObject", err)
+	if _, err := s.Match("kw5"); !errors.Is(err, errBadObject) {
+		t.Fatalf("Match of a corrupt candidate: %v, want errBadObject", err)
 	}
 	if got, err := s.Match("kw4"); err != nil || len(got) != 1 {
 		t.Fatalf("Match beside a corrupt record = %v, %v; want obj-4", objNames(got), err)
 	}
-	if _, err := s.matchWalked("kw4"); !errors.Is(err, ErrBadObject) {
-		t.Fatalf("the walker over a corrupt record: %v, want ErrBadObject", err)
+	if _, err := s.matchWalked("kw4"); !errors.Is(err, errBadObject) {
+		t.Fatalf("the walker over a corrupt record: %v, want errBadObject", err)
 	}
 }
 
@@ -697,9 +697,9 @@ func TestPutRefusesPostingThatCannotBeIndexed(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	long := strings.Repeat("k", MaxKeyLen)
-	if _, err := s.Put(obj("too-long", []string{"fits", long}, 100)); !errors.Is(err, ErrKeyTooLong) {
-		t.Fatalf("Put with a %d-byte keyword: %v, want ErrKeyTooLong", len(long), err)
+	long := strings.Repeat("k", maxKeyLen)
+	if _, err := s.Put(obj("too-long", []string{"fits", long}, 100)); !errors.Is(err, errKeyTooLong) {
+		t.Fatalf("Put with a %d-byte keyword: %v, want errKeyTooLong", len(long), err)
 	}
 	if s.Has("too-long") || s.Stats().WALRecords != 0 {
 		t.Fatalf("the refused object left traces: stored %v, %d WAL records", s.Has("too-long"), s.Stats().WALRecords)

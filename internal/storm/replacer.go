@@ -2,24 +2,20 @@ package storm
 
 import "container/list"
 
-// Replacer chooses which buffer frame to evict. Only frames explicitly
+// replacer chooses which buffer frame to evict. Only frames explicitly
 // made evictable (pin count zero) are candidates. Implementations are not
 // safe for concurrent use; the buffer pool serializes access.
 //
 // This is the extensibility point StorM contributed (Bressan et al.,
 // SIGMOD 1999): new replacement policies plug in without touching the
 // buffer manager.
-type Replacer interface {
+type replacer interface {
 	// Name identifies the policy, e.g. "lru".
 	Name() string
-	// Insert makes frame evictable. The hint is policy-specific (the
-	// Priority policy interprets it as an eviction priority; others
-	// ignore it). Inserting an already-present frame refreshes it.
-	Insert(frame int, hint float64)
-	// Touch records an access to an evictable frame. Policies that do
-	// not distinguish access recency ignore it. Touching an absent frame
-	// is a no-op.
-	Touch(frame int)
+	// Insert makes frame evictable; the pool calls it when the frame's
+	// last pin goes, so it is the access a policy orders by. Inserting an
+	// already-present frame refreshes it.
+	Insert(frame int)
 	// Remove withdraws frame from candidacy (it was pinned or freed).
 	// Removing an absent frame is a no-op.
 	Remove(frame int)
@@ -30,54 +26,39 @@ type Replacer interface {
 	Len() int
 }
 
-// listReplacer is the shared machinery for LRU/MRU/FIFO: an ordered list
-// of frames plus an index. Variants differ in where Victim pops and
-// whether Touch moves the frame.
+// listReplacer is the shared machinery for LRU and MRU: an ordered list
+// of frames plus an index. The two differ in where Victim pops.
 type listReplacer struct {
 	name         string
 	order        *list.List // front = oldest
 	pos          map[int]*list.Element
-	touchMoves   bool // LRU moves on touch; FIFO does not
 	victimNewest bool // MRU evicts from the back
 }
 
-func newListReplacer(name string, touchMoves, victimNewest bool) *listReplacer {
+func newListReplacer(name string, victimNewest bool) *listReplacer {
 	return &listReplacer{
 		name:         name,
 		order:        list.New(),
 		pos:          make(map[int]*list.Element),
-		touchMoves:   touchMoves,
 		victimNewest: victimNewest,
 	}
 }
 
-// NewLRU returns a least-recently-used replacer.
-func NewLRU() Replacer { return newListReplacer("lru", true, false) }
+// newLRU returns a least-recently-used replacer.
+func newLRU() replacer { return newListReplacer("lru", false) }
 
-// NewMRU returns a most-recently-used replacer, which wins on sequential
+// newMRU returns a most-recently-used replacer, which wins on sequential
 // flooding scans (the canonical StorM demonstration workload).
-func NewMRU() Replacer { return newListReplacer("mru", true, true) }
-
-// NewFIFO returns a first-in-first-out replacer.
-func NewFIFO() Replacer { return newListReplacer("fifo", false, false) }
+func newMRU() replacer { return newListReplacer("mru", true) }
 
 func (r *listReplacer) Name() string { return r.name }
 
-func (r *listReplacer) Insert(frame int, _ float64) {
+func (r *listReplacer) Insert(frame int) {
 	if e, ok := r.pos[frame]; ok {
 		r.order.MoveToBack(e)
 		return
 	}
 	r.pos[frame] = r.order.PushBack(frame)
-}
-
-func (r *listReplacer) Touch(frame int) {
-	if !r.touchMoves {
-		return
-	}
-	if e, ok := r.pos[frame]; ok {
-		r.order.MoveToBack(e)
-	}
 }
 
 func (r *listReplacer) Remove(frame int) {
@@ -113,14 +94,14 @@ type clockReplacer struct {
 	hand   int
 }
 
-// NewClock returns a clock (second-chance) replacer.
-func NewClock() Replacer {
+// newClock returns a clock (second-chance) replacer.
+func newClock() replacer {
 	return &clockReplacer{ref: make(map[int]bool), idx: make(map[int]int)}
 }
 
 func (c *clockReplacer) Name() string { return "clock" }
 
-func (c *clockReplacer) Insert(frame int, _ float64) {
+func (c *clockReplacer) Insert(frame int) {
 	if _, ok := c.idx[frame]; ok {
 		c.ref[frame] = true
 		return
@@ -128,12 +109,6 @@ func (c *clockReplacer) Insert(frame int, _ float64) {
 	c.idx[frame] = len(c.frames)
 	c.frames = append(c.frames, frame)
 	c.ref[frame] = true
-}
-
-func (c *clockReplacer) Touch(frame int) {
-	if _, ok := c.idx[frame]; ok {
-		c.ref[frame] = true
-	}
 }
 
 func (c *clockReplacer) Remove(frame int) {
@@ -178,63 +153,15 @@ func (c *clockReplacer) Victim() (int, bool) {
 
 func (c *clockReplacer) Len() int { return len(c.frames) }
 
-// priorityReplacer evicts the frame with the lowest hint value, breaking
-// ties in FIFO order. Callers attach hints when unpinning (e.g. keep index
-// pages hot by giving them high priority).
-type priorityReplacer struct {
-	entries map[int]priEntry
-	seq     uint64
-}
-
-type priEntry struct {
-	pri float64
-	seq uint64
-}
-
-// NewPriority returns a priority-hint replacer.
-func NewPriority() Replacer { return &priorityReplacer{entries: make(map[int]priEntry)} }
-
-func (p *priorityReplacer) Name() string { return "priority" }
-
-func (p *priorityReplacer) Insert(frame int, hint float64) {
-	p.seq++
-	p.entries[frame] = priEntry{pri: hint, seq: p.seq}
-}
-
-func (p *priorityReplacer) Touch(int) {}
-
-func (p *priorityReplacer) Remove(frame int) { delete(p.entries, frame) }
-
-func (p *priorityReplacer) Victim() (int, bool) {
-	best, found := 0, false
-	var bestE priEntry
-	for f, e := range p.entries {
-		if !found || e.pri < bestE.pri || (e.pri == bestE.pri && e.seq < bestE.seq) {
-			best, bestE, found = f, e, true
-		}
-	}
-	if !found {
-		return 0, false
-	}
-	delete(p.entries, best)
-	return best, true
-}
-
-func (p *priorityReplacer) Len() int { return len(p.entries) }
-
-// NewReplacer constructs a replacer by policy name: "lru", "mru", "fifo",
-// "clock" or "priority". Unknown names fall back to LRU.
-func NewReplacer(name string) Replacer {
+// newReplacer constructs a replacer by policy name: "lru", "mru" or
+// "clock". Unknown names fall back to LRU.
+func newReplacer(name string) replacer {
 	switch name {
 	case "mru":
-		return NewMRU()
-	case "fifo":
-		return NewFIFO()
+		return newMRU()
 	case "clock":
-		return NewClock()
-	case "priority":
-		return NewPriority()
+		return newClock()
 	default:
-		return NewLRU()
+		return newLRU()
 	}
 }

@@ -2,7 +2,7 @@ package storm
 
 import "testing"
 
-func drain(r Replacer) []int {
+func drain(r replacer) []int {
 	var out []int
 	for {
 		f, ok := r.Victim()
@@ -13,12 +13,19 @@ func drain(r Replacer) []int {
 	}
 }
 
+// pinUnpin is what the pool does to the replacer when an evictable frame
+// is fetched and released again.
+func pinUnpin(r replacer, frame int) {
+	r.Remove(frame)
+	r.Insert(frame)
+}
+
 func TestLRUOrder(t *testing.T) {
-	r := NewLRU()
-	r.Insert(1, 0)
-	r.Insert(2, 0)
-	r.Insert(3, 0)
-	r.Touch(1) // 1 becomes most recent
+	r := newLRU()
+	r.Insert(1)
+	r.Insert(2)
+	r.Insert(3)
+	pinUnpin(r, 1) // 1 becomes most recent
 	got := drain(r)
 	want := []int{2, 3, 1}
 	for i := range want {
@@ -29,44 +36,34 @@ func TestLRUOrder(t *testing.T) {
 }
 
 func TestMRUOrder(t *testing.T) {
-	r := NewMRU()
-	r.Insert(1, 0)
-	r.Insert(2, 0)
-	r.Insert(3, 0)
+	r := newMRU()
+	r.Insert(1)
+	r.Insert(2)
+	r.Insert(3)
 	f, ok := r.Victim()
 	if !ok || f != 3 {
 		t.Fatalf("MRU victim = %d, want 3", f)
 	}
-	r.Touch(1)
+	pinUnpin(r, 1)
 	f, _ = r.Victim()
 	if f != 1 {
-		t.Fatalf("MRU victim after touch = %d, want 1", f)
-	}
-}
-
-func TestFIFOIgnoresTouch(t *testing.T) {
-	r := NewFIFO()
-	r.Insert(1, 0)
-	r.Insert(2, 0)
-	r.Touch(1) // must not move 1
-	f, _ := r.Victim()
-	if f != 1 {
-		t.Fatalf("FIFO victim = %d, want 1", f)
+		t.Fatalf("MRU victim after pin/unpin = %d, want 1", f)
 	}
 }
 
 func TestClockSecondChance(t *testing.T) {
-	r := NewClock()
-	r.Insert(1, 0)
-	r.Insert(2, 0)
-	r.Insert(3, 0)
+	r := newClock()
+	r.Insert(1)
+	r.Insert(2)
+	r.Insert(3)
 	// All ref bits set; first sweep clears them, so victim is 1 (hand order).
 	f, ok := r.Victim()
 	if !ok || f != 1 {
 		t.Fatalf("clock first victim = %d, want 1", f)
 	}
-	// Touch 2: it survives the next selection; 3's bit is already clear.
-	r.Touch(2)
+	// Pin and unpin 2: its bit is set again, so it survives the next
+	// selection; 3's bit is already clear.
+	pinUnpin(r, 2)
 	f, _ = r.Victim()
 	if f != 3 {
 		t.Fatalf("clock second victim = %d, want 3", f)
@@ -78,9 +75,9 @@ func TestClockSecondChance(t *testing.T) {
 }
 
 func TestClockRemoveKeepsRingConsistent(t *testing.T) {
-	r := NewClock()
+	r := newClock()
 	for i := 1; i <= 5; i++ {
-		r.Insert(i, 0)
+		r.Insert(i)
 	}
 	r.Remove(3)
 	r.Remove(1)
@@ -103,48 +100,24 @@ func TestClockRemoveKeepsRingConsistent(t *testing.T) {
 	}
 }
 
-func TestPriorityEvictsLowestHint(t *testing.T) {
-	r := NewPriority()
-	r.Insert(1, 5.0)
-	r.Insert(2, 1.0)
-	r.Insert(3, 3.0)
-	got := drain(r)
-	want := []int{2, 3, 1}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("priority order = %v, want %v", got, want)
-		}
-	}
-}
-
-func TestPriorityTieBreaksFIFO(t *testing.T) {
-	r := NewPriority()
-	r.Insert(7, 1.0)
-	r.Insert(8, 1.0)
-	f, _ := r.Victim()
-	if f != 7 {
-		t.Fatalf("tie broke to %d, want 7 (older)", f)
-	}
-}
-
 func TestReplacerCommonBehaviours(t *testing.T) {
-	for _, name := range []string{"lru", "mru", "fifo", "clock", "priority"} {
+	for _, name := range []string{"lru", "mru", "clock"} {
 		t.Run(name, func(t *testing.T) {
-			r := NewReplacer(name)
+			r := newReplacer(name)
 			if r.Name() != name {
 				t.Fatalf("Name = %q", r.Name())
 			}
 			if _, ok := r.Victim(); ok {
 				t.Fatal("empty replacer produced a victim")
 			}
-			r.Touch(99)  // absent: no-op
 			r.Remove(99) // absent: no-op
-			r.Insert(1, 0)
-			r.Insert(1, 0) // duplicate insert is a refresh, not a second entry
+			r.Insert(1)
+			r.Insert(1) // duplicate insert is a refresh, not a second entry
 			if r.Len() != 1 {
 				t.Fatalf("len after dup insert = %d", r.Len())
 			}
-			r.Insert(2, 1)
+			r.Insert(2)
+			pinUnpin(r, 2)
 			r.Remove(1)
 			f, ok := r.Victim()
 			if !ok || f != 2 {
@@ -158,7 +131,45 @@ func TestReplacerCommonBehaviours(t *testing.T) {
 }
 
 func TestNewReplacerUnknownFallsBackToLRU(t *testing.T) {
-	if r := NewReplacer("nonsense"); r.Name() != "lru" {
+	if r := newReplacer("nonsense"); r.Name() != "lru" {
 		t.Fatalf("fallback = %q", r.Name())
+	}
+}
+
+// TestPoolVictimOrder drives each policy through a pool of three frames:
+// pages a, b and c are unpinned in that order, a is fetched and unpinned
+// again, then a fourth page forces one eviction.
+func TestPoolVictimOrder(t *testing.T) {
+	for policy, want := range map[string]int{"lru": 1, "mru": 0, "clock": 2} {
+		t.Run(policy, func(t *testing.T) {
+			bp := newBufferPool(tempFile(t), 3, newReplacer(policy))
+			var ids []PageID
+			for i := 0; i < 3; i++ {
+				p, err := bp.NewPage()
+				if err != nil {
+					t.Fatal(err)
+				}
+				ids = append(ids, p.ID())
+			}
+			for _, id := range ids {
+				if err := bp.Unpin(id, false); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if _, err := bp.Fetch(ids[0]); err != nil {
+				t.Fatal(err)
+			}
+			if err := bp.Unpin(ids[0], false); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := bp.NewPage(); err != nil {
+				t.Fatal(err)
+			}
+			for i, id := range ids {
+				if _, resident := bp.table[id]; resident == (i == want) {
+					t.Fatalf("%s evicted the wrong page: want page %d (of a, b, c) gone, table %v", policy, want, bp.table)
+				}
+			}
+		})
 	}
 }

@@ -176,13 +176,13 @@ func TestScanRunVerifiesChecksums(t *testing.T) {
 	}
 	corruptPageOnDisk(t, path, victim)
 
-	if _, err := s.Match("kw"); !errors.Is(err, ErrChecksum) {
-		t.Fatalf("Match over a corrupt page: %v, want ErrChecksum", err)
+	if _, err := s.Match("kw"); !errors.Is(err, errChecksum) {
+		t.Fatalf("Match over a corrupt page: %v, want errChecksum", err)
 	}
 	seen := 0
 	err = s.Scan(func(*Object) bool { seen++; return true })
-	if !errors.Is(err, ErrChecksum) {
-		t.Fatalf("Scan over a corrupt page: %v, want ErrChecksum", err)
+	if !errors.Is(err, errChecksum) {
+		t.Fatalf("Scan over a corrupt page: %v, want errChecksum", err)
 	}
 	if seen == 0 || seen >= 300 {
 		t.Fatalf("Scan delivered %d objects; want those ahead of the corrupt page only", seen)
@@ -199,7 +199,7 @@ func corruptPageOnDisk(t *testing.T, path string, id PageID) {
 	}
 	defer f.Close()
 	var b [1]byte
-	off := int64(id)*PageSize + 100
+	off := int64(id)*pageSize + 100
 	if _, err := f.ReadAt(b[:], off); err != nil {
 		t.Fatal(err)
 	}
@@ -222,15 +222,15 @@ func TestScanFailsOnCorruptRecord(t *testing.T) {
 	// A page with a record that fails validation is never remembered, so
 	// the record fails every Match, not only the first to walk over it.
 	for attempt := 1; attempt <= 3; attempt++ {
-		if _, err := s.Match("no-such-keyword"); !errors.Is(err, ErrBadObject) {
-			t.Fatalf("Match %d over a corrupt record: %v, want ErrBadObject", attempt, err)
+		if _, err := s.Match("no-such-keyword"); !errors.Is(err, errBadObject) {
+			t.Fatalf("Match %d over a corrupt record: %v, want errBadObject", attempt, err)
 		}
 		if n := s.remembered(); n != 0 {
 			t.Fatalf("Match %d left keys of %d pages behind; the only page holds a corrupt record", attempt, n)
 		}
 	}
-	if err := s.Scan(func(*Object) bool { return true }); !errors.Is(err, ErrBadObject) {
-		t.Fatalf("Scan over a corrupt record: %v, want ErrBadObject", err)
+	if err := s.Scan(func(*Object) bool { return true }); !errors.Is(err, errBadObject) {
+		t.Fatalf("Scan over a corrupt record: %v, want errBadObject", err)
 	}
 }
 
@@ -275,19 +275,19 @@ func TestMatchVouchesForThePagesItReads(t *testing.T) {
 	if got, err := s.Match(elsewhere); err != nil || len(got) != 1 {
 		t.Fatalf("Match(%s), whose keys excuse the corrupt page = %d objects, %v; want its one object", elsewhere, len(got), err)
 	}
-	if _, err := s.Match(onVictim); !errors.Is(err, ErrChecksum) {
-		t.Fatalf("Match(%s), whose candidate page is the corrupt one: %v, want ErrChecksum", onVictim, err)
+	if _, err := s.Match(onVictim); !errors.Is(err, errChecksum) {
+		t.Fatalf("Match(%s), whose candidate page is the corrupt one: %v, want errChecksum", onVictim, err)
 	}
-	if err := s.Scan(func(*Object) bool { return true }); !errors.Is(err, ErrChecksum) {
-		t.Fatalf("Scan over a corrupt page: %v, want ErrChecksum", err)
+	if err := s.Scan(func(*Object) bool { return true }); !errors.Is(err, errChecksum) {
+		t.Fatalf("Scan over a corrupt page: %v, want errChecksum", err)
 	}
-	if _, err := s.Match(""); !errors.Is(err, ErrChecksum) {
-		t.Fatalf("the empty query walks every page: %v, want ErrChecksum", err)
+	if _, err := s.Match(""); !errors.Is(err, errChecksum) {
+		t.Fatalf("the empty query walks every page: %v, want errChecksum", err)
 	}
 	s.forgetKeys()
 	for attempt := 1; attempt <= 2; attempt++ {
-		if _, err := s.Match(elsewhere); !errors.Is(err, ErrChecksum) {
-			t.Fatalf("Match %d with nothing remembered: %v, want ErrChecksum", attempt, err)
+		if _, err := s.Match(elsewhere); !errors.Is(err, errChecksum) {
+			t.Fatalf("Match %d with nothing remembered: %v, want errChecksum", attempt, err)
 		}
 		if s.keys[at].Load() != nil {
 			t.Fatalf("Match %d remembered the corrupt page", attempt)
@@ -544,15 +544,15 @@ func TestFreeSpaceFirstFit(t *testing.T) {
 	for step := 0; step < 5000; step++ {
 		switch {
 		case len(flat) == 0 || rng.Intn(20) == 0:
-			v := rng.Intn(PageSize)
+			v := rng.Intn(pageSize)
 			tree.append(v)
 			flat = append(flat, v)
 		default:
-			i, v := rng.Intn(len(flat)), rng.Intn(PageSize)
+			i, v := rng.Intn(len(flat)), rng.Intn(pageSize)
 			tree.set(i, v)
 			flat[i] = v
 		}
-		from, need := rng.Intn(len(flat)+1), 1+rng.Intn(PageSize)
+		from, need := rng.Intn(len(flat)+1), 1+rng.Intn(pageSize)
 		want, sum := -1, 0
 		for i, v := range flat {
 			sum += v

@@ -16,7 +16,7 @@ import (
 
 // Store errors.
 var (
-	ErrNotFound = errors.New("storm: object not found")
+	errNotFound = errors.New("storm: object not found")
 )
 
 // OID locates an object record on disk.
@@ -33,7 +33,7 @@ type Options struct {
 	// BufferFrames is the buffer-pool size in pages. Zero defaults to 64.
 	BufferFrames int
 	// Policy names the buffer replacement strategy: "lru" (default),
-	// "mru", "fifo", "clock", "priority".
+	// "mru" or "clock".
 	Policy string
 	// PersistentCatalog maintains the name→location map in an on-disk
 	// B+tree whose root is recorded in the file header, so reopening a
@@ -68,19 +68,19 @@ type Store struct {
 	// Taken before mu; readers do not take it.
 	wmu  sync.Mutex
 	mu   sync.RWMutex
-	file *DiskFile
+	file *diskFile
 	pool *BufferPool
 
 	// catalog, when enabled, mirrors byName on disk.
-	catalog     *BTree
+	catalog     *btree
 	catalogRoot PageID
 
 	// pindex, when enabled, is the durable inverted keyword index.
-	pindex     *PersistentIndex
+	pindex     *persistentIndex
 	pindexRoot PageID
 
 	// wal, when enabled, makes operations crash-durable.
-	wal *WAL
+	wal *wal
 
 	// byName maps every stored name to its record; names lists them folded
 	// for the plan while the index is open. Both change in catalogSet and
@@ -137,20 +137,20 @@ func Open(path string, opts Options) (*Store, error) {
 		frames = 64
 	}
 	var (
-		file *DiskFile
+		file *diskFile
 		err  error
 	)
 	if _, statErr := os.Stat(path); statErr == nil {
-		file, err = OpenFile(path)
+		file, err = openFile(path)
 	} else {
-		file, err = CreateFile(path)
+		file, err = createFile(path)
 	}
 	if err != nil {
 		return nil, err
 	}
 	s := &Store{
 		file:   file,
-		pool:   NewBufferPool(file, frames, NewReplacer(opts.Policy)),
+		pool:   newBufferPool(file, frames, newReplacer(opts.Policy)),
 		byName: make(map[string]OID),
 		dirty:  file.isDirty(),
 	}
@@ -166,8 +166,8 @@ func Open(path string, opts Options) (*Store, error) {
 
 	fromTree := false
 	if opts.PersistentCatalog {
-		if root := file.MetaRoot(); root != InvalidPage {
-			s.catalog = OpenBTree(s.pool, root)
+		if root := file.MetaRoot(); root != invalidPage {
+			s.catalog = openBTree(s.pool, root)
 			s.catalogRoot = root
 			if err := s.loadCatalog(); err == nil {
 				fromTree = true
@@ -191,7 +191,7 @@ func Open(path string, opts Options) (*Store, error) {
 	}
 	replayed := 0
 	if opts.WALPath != "" {
-		wal, err := OpenWAL(opts.WALPath, opts.WALSync)
+		wal, err := openWAL(opts.WALPath, opts.WALSync)
 		if err != nil {
 			_ = file.Close() // already failing; the open error is what matters
 			return nil, err
@@ -264,7 +264,7 @@ func (s *Store) recover() (int, error) {
 			return err
 		case walDelete:
 			err := s.deleteUnlogged(r.Name)
-			if errors.Is(err, ErrNotFound) {
+			if errors.Is(err, errNotFound) {
 				return nil // already applied before the crash
 			}
 			return err
@@ -325,13 +325,13 @@ func (s *Store) markDirty() error {
 
 // forgetRoots clears the header's catalog and index roots as asked.
 func (s *Store) forgetRoots(catalog, index bool) error {
-	if catalog && s.file.MetaRoot() != InvalidPage {
-		if err := s.file.SetMetaRoot(InvalidPage); err != nil {
+	if catalog && s.file.MetaRoot() != invalidPage {
+		if err := s.file.SetMetaRoot(invalidPage); err != nil {
 			return err
 		}
 	}
-	if index && s.file.IndexRoot() != InvalidPage {
-		return s.file.SetIndexRoot(InvalidPage)
+	if index && s.file.IndexRoot() != invalidPage {
+		return s.file.SetIndexRoot(invalidPage)
 	}
 	return nil
 }
@@ -352,7 +352,7 @@ func (s *Store) loadCatalog() error {
 // buildCatalogTree creates the B+tree from the in-memory catalog and
 // records its root.
 func (s *Store) buildCatalogTree() error {
-	tree, err := NewBTree(s.pool)
+	tree, err := newBTree(s.pool)
 	if err != nil {
 		return err
 	}
@@ -475,7 +475,7 @@ func (s *Store) Pool() *BufferPool { return s.pool }
 // operation is logged before any page is touched.
 func (s *Store) Put(obj *Object) (OID, error) {
 	if obj.Name == "" {
-		return OID{}, fmt.Errorf("%w: empty name", ErrBadObject)
+		return OID{}, fmt.Errorf("%w: empty name", errBadObject)
 	}
 	if s.pindex != nil {
 		// Refused whole: an object in the heap with a posting missing
@@ -648,7 +648,7 @@ func (s *Store) Get(name string) (*Object, error) {
 	oid, ok := s.byName[name]
 	s.mu.RUnlock()
 	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrNotFound, name)
+		return nil, fmt.Errorf("%w: %q", errNotFound, name)
 	}
 	return s.GetOID(oid)
 }
@@ -664,7 +664,7 @@ func (s *Store) GetOID(oid OID) (*Object, error) {
 	rec, gerr := p.Get(oid.Slot)
 	if gerr != nil {
 		s.pool.Unpin(oid.Page, false)
-		return nil, fmt.Errorf("%w: oid %v", ErrNotFound, oid)
+		return nil, fmt.Errorf("%w: oid %v", errNotFound, oid)
 	}
 	obj, derr := decodeObject(rec)
 	if err := s.pool.Unpin(oid.Page, false); err != nil {
@@ -690,7 +690,7 @@ func (s *Store) Delete(name string) error {
 		// Logging a delete of an absent name would replay harmlessly,
 		// but checking first keeps the log minimal.
 		if !s.Has(name) {
-			err = fmt.Errorf("%w: %q", ErrNotFound, name)
+			err = fmt.Errorf("%w: %q", errNotFound, name)
 		} else {
 			err = s.wal.Append(&walRecord{Op: walDelete, Name: name})
 		}
@@ -712,7 +712,7 @@ func (s *Store) deleteUnlogged(name string) error {
 	defer s.mu.Unlock()
 	oid, ok := s.byName[name]
 	if !ok {
-		return fmt.Errorf("%w: %q", ErrNotFound, name)
+		return fmt.Errorf("%w: %q", errNotFound, name)
 	}
 	if err := s.markDirty(); err != nil {
 		return err
@@ -753,7 +753,7 @@ type scanBuf struct {
 
 // scanBufs recycles them.
 var scanBufs = sync.Pool{New: func() any {
-	return &scanBuf{pages: make([]byte, scanRunPages*PageSize)}
+	return &scanBuf{pages: make([]byte, scanRunPages*pageSize)}
 }}
 
 // walk is the one sequential page walker behind Scan and Match. It
@@ -841,7 +841,7 @@ func (s *Store) walkWindow(first int, window []PageID, buf *scanBuf, match *matc
 		err = visit(rec)
 		return err == nil
 	}
-	page := func(image *[PageSize]byte, slot *atomic.Pointer[pageKeys]) {
+	page := func(image *[pageSize]byte, slot *atomic.Pointer[pageKeys]) {
 		gather = nil
 		if match != nil && slot.Load() == nil {
 			gather = buf.keys.reset()
@@ -871,12 +871,12 @@ func (s *Store) walkWindow(first int, window []PageID, buf *scanBuf, match *matc
 			}
 			n = 1
 		} else {
-			run := buf.pages[:n*PageSize]
+			run := buf.pages[:n*pageSize]
 			if rerr := s.file.readRun(window[0], run); rerr != nil {
 				return rerr
 			}
 			for i := 0; i < n && err == nil; i++ {
-				page((*[PageSize]byte)(run[i*PageSize:]), &keys[i])
+				page((*[pageSize]byte)(run[i*pageSize:]), &keys[i])
 			}
 		}
 		if err != nil {

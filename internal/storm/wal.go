@@ -37,15 +37,15 @@ const (
 	walDelete = 2
 )
 
-// ErrBadWALRecord reports a corrupt (usually torn) log record.
-var ErrBadWALRecord = errors.New("storm: bad WAL record")
+// errBadWALRecord reports a corrupt (usually torn) log record.
+var errBadWALRecord = errors.New("storm: bad WAL record")
 
 // maxWALRecord bounds a record read so a torn length prefix cannot cause
 // a giant allocation.
-const maxWALRecord = PageSize * 2
+const maxWALRecord = pageSize * 2
 
-// WAL is an append-only operation log.
-type WAL struct {
+// wal is an append-only operation log.
+type wal struct {
 	f      *os.File
 	w      *bufio.Writer
 	sync   bool
@@ -63,18 +63,18 @@ type WAL struct {
 }
 
 // bindMetrics registers the WAL's metric families on reg.
-func (w *WAL) bindMetrics(reg *obs.Registry) {
+func (w *wal) bindMetrics(reg *obs.Registry) {
 	w.appends = reg.Counter("bestpeer_storm_wal_appends_total",
 		"Records appended to the write-ahead log.")
 	w.fsyncSeconds = reg.Histogram("bestpeer_storm_wal_fsync_seconds",
 		"Write-ahead log fsync latency per synced append.", obs.LatencyBuckets)
 }
 
-// OpenWAL opens (creating if needed) the log at path. When syncEvery is
+// openWAL opens (creating if needed) the log at path. When syncEvery is
 // true every append is fsynced — full durability at the cost of one
 // fsync per operation; otherwise the OS flushes lazily and a crash may
 // lose the most recent operations but never corrupts the store.
-func OpenWAL(path string, syncEvery bool) (*WAL, error) {
+func openWAL(path string, syncEvery bool) (*wal, error) {
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("storm: open wal: %w", err)
@@ -83,7 +83,7 @@ func OpenWAL(path string, syncEvery bool) (*WAL, error) {
 		_ = f.Close() // already failing; the seek error is what matters
 		return nil, err
 	}
-	return &WAL{f: f, w: bufio.NewWriter(f), sync: syncEvery}, nil
+	return &wal{f: f, w: bufio.NewWriter(f), sync: syncEvery}, nil
 }
 
 // walRecord is one replayable operation.
@@ -114,24 +114,24 @@ func decodeWALRecord(payload []byte) (*walRecord, error) {
 		rec := d.Bytes2()
 		obj, err := decodeObject(rec)
 		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrBadWALRecord, err)
+			return nil, fmt.Errorf("%w: %v", errBadWALRecord, err)
 		}
 		r.Obj = obj
 	}
 	if err := d.Finish(); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadWALRecord, err)
+		return nil, fmt.Errorf("%w: %v", errBadWALRecord, err)
 	}
 	if r.Op != walPut && r.Op != walDelete {
-		return nil, fmt.Errorf("%w: op %d", ErrBadWALRecord, r.Op)
+		return nil, fmt.Errorf("%w: op %d", errBadWALRecord, r.Op)
 	}
 	return r, nil
 }
 
 // Append writes one record, flushing (and fsyncing when configured)
 // before returning.
-func (w *WAL) Append(r *walRecord) error {
+func (w *wal) Append(r *walRecord) error {
 	if w.closed {
-		return ErrClosed
+		return errClosed
 	}
 	payload, err := encodeWALRecord(r)
 	if err != nil {
@@ -168,7 +168,7 @@ func (w *WAL) Append(r *walRecord) error {
 // Replay reads records from the start of the log, calling fn for each. A
 // torn or corrupt tail ends replay without error — those operations were
 // never acknowledged as durable.
-func (w *WAL) Replay(fn func(*walRecord) error) (int, error) {
+func (w *wal) Replay(fn func(*walRecord) error) (int, error) {
 	if _, err := w.f.Seek(0, io.SeekStart); err != nil {
 		return 0, err
 	}
@@ -204,9 +204,9 @@ func (w *WAL) Replay(fn func(*walRecord) error) (int, error) {
 }
 
 // Truncate discards the log contents (after a checkpoint).
-func (w *WAL) Truncate() error {
+func (w *wal) Truncate() error {
 	if w.closed {
-		return ErrClosed
+		return errClosed
 	}
 	if err := w.w.Flush(); err != nil {
 		return err
@@ -221,7 +221,7 @@ func (w *WAL) Truncate() error {
 }
 
 // Close flushes and closes the log.
-func (w *WAL) Close() error {
+func (w *wal) Close() error {
 	if w.closed {
 		return nil
 	}

@@ -315,7 +315,7 @@ func TestWALCrashRecoveryShadowModel(t *testing.T) {
 }
 
 // walSize returns the log's length in bytes after flushing its buffer.
-func walSize(w *WAL) (int64, error) {
+func walSize(w *wal) (int64, error) {
 	if err := w.w.Flush(); err != nil {
 		return 0, err
 	}
