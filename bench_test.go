@@ -1,10 +1,8 @@
 package bestpeer
 
-// One testing.B benchmark per table/figure of the paper's evaluation,
-// plus micro-benchmarks of the load-bearing components. Figure benches
-// run the deterministic simulator; each iteration regenerates the whole
-// figure. `go test -bench=. -benchmem` therefore reproduces every
-// experiment; `go run ./cmd/bpbench` prints the same data as tables.
+// Micro-benchmarks of the load-bearing components. The per-figure
+// benchmarks of the paper's evaluation live beside the simulator, in
+// internal/bench/figure_bench_test.go.
 
 import (
 	"fmt"
@@ -12,140 +10,10 @@ import (
 	"testing"
 
 	"bestpeer/internal/agent"
-	"bestpeer/internal/bench"
-	"bestpeer/internal/reconfig"
 	"bestpeer/internal/storm"
-	"bestpeer/internal/topology"
 	"bestpeer/internal/wire"
 	"bestpeer/internal/workload"
 )
-
-// reportCompletion attaches the headline series values to the bench
-// output, so -bench runs show the reproduced numbers.
-func reportCompletion(b *testing.B, fig *bench.Figure) {
-	b.Helper()
-	for _, s := range fig.Series {
-		if len(s.Points) > 0 {
-			b.ReportMetric(s.Last().Y, s.Name+"_ms")
-		}
-	}
-}
-
-func BenchmarkFig5aStar(b *testing.B) {
-	cost := bench.DefaultCost()
-	var fig *bench.Figure
-	for i := 0; i < b.N; i++ {
-		fig = bench.Fig5a(cost, 1)
-	}
-	reportCompletion(b, fig)
-}
-
-func BenchmarkFig5bTree(b *testing.B) {
-	cost := bench.DefaultCost()
-	var fig *bench.Figure
-	for i := 0; i < b.N; i++ {
-		fig = bench.Fig5b(cost, 1)
-	}
-	reportCompletion(b, fig)
-}
-
-func BenchmarkFig5cLine(b *testing.B) {
-	cost := bench.DefaultCost()
-	var fig *bench.Figure
-	for i := 0; i < b.N; i++ {
-		fig = bench.Fig5c(cost, 1)
-	}
-	reportCompletion(b, fig)
-}
-
-func BenchmarkFig6ResponseRate(b *testing.B) {
-	cost := bench.DefaultCost()
-	var fig *bench.Figure
-	for i := 0; i < b.N; i++ {
-		fig = bench.Fig6(cost, 1)
-	}
-	// Report the time by which each scheme had heard from all nodes.
-	for _, s := range fig.Series {
-		b.ReportMetric(s.Last().X, s.Name+"_all31_ms")
-	}
-}
-
-func BenchmarkFig7Answers(b *testing.B) {
-	cost := bench.DefaultCost()
-	var fig *bench.Figure
-	for i := 0; i < b.N; i++ {
-		fig = bench.Fig7(cost, 1)
-	}
-	for _, s := range fig.Series {
-		b.ReportMetric(s.Last().X, s.Name+"_lastanswer_ms")
-	}
-}
-
-func BenchmarkFig8aRuns(b *testing.B) {
-	cost := bench.DefaultCost()
-	var fig *bench.Figure
-	for i := 0; i < b.N; i++ {
-		fig = bench.Fig8a(cost, 1)
-	}
-	bp := fig.SeriesByName("BP")
-	gnu := fig.SeriesByName("Gnutella")
-	b.ReportMetric(bp.Points[0].Y, "BP_run1_ms")
-	b.ReportMetric(bp.Last().Y, "BP_run4_ms")
-	b.ReportMetric(gnu.Last().Y, "GNU_ms")
-}
-
-func BenchmarkFig8bPeers(b *testing.B) {
-	cost := bench.DefaultCost()
-	var fig *bench.Figure
-	for i := 0; i < b.N; i++ {
-		fig = bench.Fig8b(cost, 1)
-	}
-	reportCompletion(b, fig)
-}
-
-func BenchmarkAblationStrategies(b *testing.B) {
-	cost := bench.DefaultCost()
-	var fig *bench.Figure
-	for i := 0; i < b.N; i++ {
-		fig = bench.AblationStrategies(cost, 1)
-	}
-	reportCompletion(b, fig)
-}
-
-func BenchmarkAblationCompression(b *testing.B) {
-	cost := bench.DefaultCost()
-	for i := 0; i < b.N; i++ {
-		bench.AblationCompression(cost, 1)
-	}
-}
-
-func BenchmarkAblationColdClass(b *testing.B) {
-	cost := bench.DefaultCost()
-	for i := 0; i < b.N; i++ {
-		bench.AblationColdClass(cost, 1)
-	}
-}
-
-func BenchmarkAblationResultMode(b *testing.B) {
-	cost := bench.DefaultCost()
-	for i := 0; i < b.N; i++ {
-		bench.AblationResultMode(cost, 1)
-	}
-}
-
-// BenchmarkBestPeerRound measures one simulated BestPeer query round on a
-// 32-node tree (the core protocol hot path).
-func BenchmarkBestPeerRound(b *testing.B) {
-	spec := workload.Default(1)
-	p := bench.Params{
-		Cost: bench.DefaultCost(), Spec: spec, Query: spec.Keyword(7), IncludeData: true,
-	}
-	tp := topology.Tree(32, 2)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		bench.RunBestPeer(tp, p, 1, reconfig.Static{})
-	}
-}
 
 // Micro-benchmarks of the substrates.
 

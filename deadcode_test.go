@@ -114,7 +114,7 @@ func declName(o types.Object) string {
 }
 
 // optionFields names every field of an option struct under internal/: a
-// type whose name ends in Options or Config, and bench.Params. A facade
+// type whose name ends in Options or Config, and bench.params. A facade
 // alias shares its target's fields, so it is counted once.
 func optionFields(decls map[types.Object]*deadDecl) map[*types.Var]string {
 	fields := map[*types.Var]string{}
@@ -124,7 +124,7 @@ func optionFields(decls map[types.Object]*deadDecl) map[*types.Var]string {
 			!strings.HasPrefix(d.pkg.Path, internalPrefix) || deadcodeExempt[d.pkg.Path] {
 			continue
 		}
-		if name := declName(o); strings.HasSuffix(name, "Options") || strings.HasSuffix(name, "Config") || name == "bench.Params" {
+		if name := declName(o); strings.HasSuffix(name, "Options") || strings.HasSuffix(name, "Config") || name == "bench.params" {
 			for i := 0; i < st.NumFields(); i++ {
 				fields[st.Field(i)] = name + "." + st.Field(i).Name()
 			}

@@ -11,9 +11,9 @@ import (
 	"bestpeer/internal/workload"
 )
 
-func testParams(seed int64) Params {
+func testParams(seed int64) params {
 	spec := workload.Default(seed)
-	return Params{
+	return params{
 		Cost:        DefaultCost(),
 		Spec:        spec,
 		Query:       spec.Keyword(7),
@@ -36,14 +36,14 @@ func TestSchemesDeliverAllAnswers(t *testing.T) {
 		if want == 0 {
 			t.Fatalf("%s: workload produced no matches", name)
 		}
-		if got := RunCS(tp, p, false).TotalAnswers; got != want {
+		if got := runCS(tp, p, false).TotalAnswers; got != want {
 			t.Errorf("%s MCS answers = %d, want %d", name, got, want)
 		}
-		if got := RunCS(tp, p, true).TotalAnswers; got != want {
+		if got := runCS(tp, p, true).TotalAnswers; got != want {
 			t.Errorf("%s SCS answers = %d, want %d", name, got, want)
 		}
 		for _, strat := range []reconfig.Strategy{reconfig.Static{}, reconfig.MaxCount{}, reconfig.MinHops{}} {
-			runs := RunBestPeer(tp, p, 3, strat)
+			runs := runBestPeer(tp, p, 3, strat)
 			for r, res := range runs {
 				if res.TotalAnswers != want {
 					t.Errorf("%s BP(%s) round %d answers = %d, want %d",
@@ -51,7 +51,7 @@ func TestSchemesDeliverAllAnswers(t *testing.T) {
 				}
 			}
 		}
-		for r, res := range RunGnutella(tp, p, 2) {
+		for r, res := range runGnutella(tp, p, 2) {
 			if res.TotalAnswers != want {
 				t.Errorf("%s GNU round %d answers = %d, want %d", name, r, res.TotalAnswers, want)
 			}
@@ -62,14 +62,14 @@ func TestSchemesDeliverAllAnswers(t *testing.T) {
 func TestSimulationsDeterministic(t *testing.T) {
 	p := testParams(5)
 	tp := topology.Tree(24, 2)
-	a := RunBestPeer(tp, p, 3, reconfig.MaxCount{})
-	b := RunBestPeer(tp, p, 3, reconfig.MaxCount{})
+	a := runBestPeer(tp, p, 3, reconfig.MaxCount{})
+	b := runBestPeer(tp, p, 3, reconfig.MaxCount{})
 	for r := range a {
 		if a[r].Completion != b[r].Completion || a[r].TotalAnswers != b[r].TotalAnswers {
 			t.Fatalf("round %d nondeterministic: %v vs %v", r, a[r].Completion, b[r].Completion)
 		}
 	}
-	if RunCS(tp, p, false).Completion != RunCS(tp, p, false).Completion {
+	if runCS(tp, p, false).Completion != runCS(tp, p, false).Completion {
 		t.Fatal("CS nondeterministic")
 	}
 }
@@ -83,7 +83,7 @@ func TestTTLLimitsReach(t *testing.T) {
 	if want >= all {
 		t.Skip("workload has no matches beyond hop 3")
 	}
-	got := RunBestPeer(tp, p, 1, reconfig.Static{})[0].TotalAnswers
+	got := runBestPeer(tp, p, 1, reconfig.Static{})[0].TotalAnswers
 	if got != want {
 		t.Fatalf("TTL-limited answers = %d, want %d (full = %d)", got, want, all)
 	}
@@ -92,7 +92,7 @@ func TestTTLLimitsReach(t *testing.T) {
 // Fig 5(a) shape: SCS degrades sharply; MCS and BP-based schemes stay
 // close; BPS == BPR on a star.
 func TestFig5aShape(t *testing.T) {
-	fig := Fig5a(DefaultCost(), 1)
+	fig := fig5a(DefaultCost(), 1)
 	scs, _ := fig.SeriesByName("SCS").YAt(32)
 	mcs, _ := fig.SeriesByName("MCS").YAt(32)
 	bps, _ := fig.SeriesByName("BPS").YAt(32)
@@ -113,7 +113,7 @@ func TestFig5aShape(t *testing.T) {
 // Fig 5(b) shape: CS wins at level 1 (query-shipping beats code-shipping
 // on a flat network) but degrades with depth; BPR < BPS < CS at level 5.
 func TestFig5bShape(t *testing.T) {
-	fig := Fig5b(DefaultCost(), 1)
+	fig := fig5b(DefaultCost(), 1)
 	cs1, _ := fig.SeriesByName("CS").YAt(1)
 	bps1, _ := fig.SeriesByName("BPS").YAt(1)
 	if cs1 > bps1 {
@@ -132,7 +132,7 @@ func TestFig5bShape(t *testing.T) {
 
 // Fig 5(c) shape: on a deep line, BPR < BPS < CS.
 func TestFig5cShape(t *testing.T) {
-	fig := Fig5c(DefaultCost(), 1)
+	fig := fig5c(DefaultCost(), 1)
 	cs, _ := fig.SeriesByName("CS").YAt(32)
 	bps, _ := fig.SeriesByName("BPS").YAt(32)
 	bpr, _ := fig.SeriesByName("BPR").YAt(32)
@@ -148,11 +148,11 @@ func TestFig5cShape(t *testing.T) {
 // full coverage earlier; every scheme eventually hears from all 31
 // non-base nodes.
 func TestFig6Shape(t *testing.T) {
-	fig := Fig6(DefaultCost(), 1)
+	fig := fig6(DefaultCost(), 1)
 	cs := fig.SeriesByName("CS")
 	bps := fig.SeriesByName("BPS")
 	bpr := fig.SeriesByName("BPR")
-	for _, s := range []*Series{cs, bps, bpr} {
+	for _, s := range []*series{cs, bps, bpr} {
 		if s.Last().Y != 31 {
 			t.Errorf("%s reached %v nodes, want 31", s.Name, s.Last().Y)
 		}
@@ -172,7 +172,7 @@ func TestFig6Shape(t *testing.T) {
 // Fig 7 shape: all schemes converge to the same answer count; CS leads
 // early, BP-based schemes overtake.
 func TestFig7Shape(t *testing.T) {
-	fig := Fig7(DefaultCost(), 1)
+	fig := fig7(DefaultCost(), 1)
 	cs := fig.SeriesByName("CS")
 	bps := fig.SeriesByName("BPS")
 	bpr := fig.SeriesByName("BPR")
@@ -191,7 +191,7 @@ func TestFig7Shape(t *testing.T) {
 // Fig 8(a) shape: Gnutella flat across runs; BP run 1 expensive, runs
 // 2..4 sharply cheaper and below Gnutella.
 func TestFig8aShape(t *testing.T) {
-	fig := Fig8a(DefaultCost(), 1)
+	fig := fig8a(DefaultCost(), 1)
 	bp := fig.SeriesByName("BP")
 	gnu := fig.SeriesByName("Gnutella")
 	gmin, gmax := gnu.Points[0].Y, gnu.Points[0].Y
@@ -219,7 +219,7 @@ func TestFig8aShape(t *testing.T) {
 
 // Fig 8(b) shape: BP mean completion below Gnutella at every peer budget.
 func TestFig8bShape(t *testing.T) {
-	fig := Fig8b(DefaultCost(), 1)
+	fig := fig8b(DefaultCost(), 1)
 	bp := fig.SeriesByName("BP")
 	gnu := fig.SeriesByName("Gnutella")
 	for i := range bp.Points {
@@ -235,7 +235,7 @@ func TestFig8bShape(t *testing.T) {
 }
 
 func TestAblationStrategiesShape(t *testing.T) {
-	fig := AblationStrategies(DefaultCost(), 1)
+	fig := ablationStrategies(DefaultCost(), 1)
 	static := fig.SeriesByName("static")
 	maxcount := fig.SeriesByName("maxcount")
 	minhops := fig.SeriesByName("minhops")
@@ -243,7 +243,7 @@ func TestAblationStrategiesShape(t *testing.T) {
 	if static.Points[0].Y != static.Last().Y {
 		t.Errorf("static strategy changed across rounds: %+v", static.Points)
 	}
-	for _, s := range []*Series{maxcount, minhops} {
+	for _, s := range []*series{maxcount, minhops} {
 		if s.Last().Y >= s.Points[0].Y {
 			t.Errorf("%s did not improve: %v -> %v", s.Name, s.Points[0].Y, s.Last().Y)
 		}
@@ -254,7 +254,7 @@ func TestAblationStrategiesShape(t *testing.T) {
 }
 
 func TestAblationCompressionHelps(t *testing.T) {
-	fig := AblationCompression(DefaultCost(), 1)
+	fig := ablationCompression(DefaultCost(), 1)
 	off, _ := fig.Series[0].YAt(0)
 	on, _ := fig.Series[0].YAt(1)
 	if on >= off {
@@ -263,7 +263,7 @@ func TestAblationCompressionHelps(t *testing.T) {
 }
 
 func TestAblationColdClassCost(t *testing.T) {
-	fig := AblationColdClass(DefaultCost(), 1)
+	fig := ablationColdClass(DefaultCost(), 1)
 	cold, _ := fig.Series[0].YAt(1)
 	warm, _ := fig.Series[0].YAt(2)
 	if warm >= cold {
@@ -272,7 +272,7 @@ func TestAblationColdClassCost(t *testing.T) {
 }
 
 func TestAblationResultMode(t *testing.T) {
-	fig := AblationResultMode(DefaultCost(), 1)
+	fig := ablationResultMode(DefaultCost(), 1)
 	data, _ := fig.Series[0].YAt(1)
 	names, _ := fig.Series[0].YAt(2)
 	if names >= data {
@@ -281,7 +281,7 @@ func TestAblationResultMode(t *testing.T) {
 }
 
 func TestAblationShippingShape(t *testing.T) {
-	fig := AblationShipping(DefaultCost(), 1)
+	fig := ablationShipping(DefaultCost(), 1)
 	code := fig.SeriesByName("code-ship")
 	data := fig.SeriesByName("data-ship")
 	for i := range code.Points {
@@ -303,18 +303,18 @@ func TestDataShipConservesAnswers(t *testing.T) {
 	p.DataShip = true
 	tp := topology.Tree(12, 2)
 	want := expectedAnswers(tp, p.Spec, p.Query, 64)
-	got := RunBestPeer(tp, p, 1, reconfig.Static{})[0].TotalAnswers
+	got := runBestPeer(tp, p, 1, reconfig.Static{})[0].TotalAnswers
 	if got != want {
 		t.Fatalf("data-ship answers = %d, want %d", got, want)
 	}
 }
 
 func TestRenderProducesTable(t *testing.T) {
-	fig := &Figure{
+	fig := &figure{
 		ID: "t", Title: "test", XLabel: "x", YLabel: "y",
-		Series: []Series{
-			{Name: "a", Points: []Point{{1, 10}, {2, 20}}},
-			{Name: "b", Points: []Point{{1, 11}}},
+		Series: []series{
+			{Name: "a", Points: []point{{1, 10}, {2, 20}}},
+			{Name: "b", Points: []point{{1, 11}}},
 		},
 	}
 	var buf bytes.Buffer
@@ -354,7 +354,7 @@ func TestCostModelHelpers(t *testing.T) {
 func TestRunResultEventsSorted(t *testing.T) {
 	p := testParams(3)
 	tp := topology.Tree(16, 2)
-	res := RunBestPeer(tp, p, 1, reconfig.Static{})[0]
+	res := runBestPeer(tp, p, 1, reconfig.Static{})[0]
 	for i := 1; i < len(res.Events); i++ {
 		if res.Events[i].At < res.Events[i-1].At {
 			t.Fatal("events not time-sorted")
@@ -370,7 +370,7 @@ func TestRunResultEventsSorted(t *testing.T) {
 }
 
 func TestTrafficTableShape(t *testing.T) {
-	fig := TrafficTable(DefaultCost(), 1)
+	fig := trafficTable(DefaultCost(), 1)
 	cs := fig.SeriesByName("CS")
 	bps := fig.SeriesByName("BPS")
 	// On the star (x=1) answers travel one hop for both, so traffic is

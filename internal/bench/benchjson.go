@@ -14,20 +14,20 @@ import (
 // cluster's obs registries.
 type Report struct {
 	Seed    int64        `json:"seed"`
-	Figures []*Figure    `json:"figures,omitempty"`
+	Figures []*figure    `json:"figures,omitempty"`
 	Live    []*SchemeRun `json:"live,omitempty"`
 	// Convergence holds the per-strategy reconfiguration timelines when
 	// the convergence figure was requested.
-	Convergence []*StrategyTimeline `json:"convergence,omitempty"`
+	Convergence []*strategyTimeline `json:"convergence,omitempty"`
 	// Traffic holds the flood-vs-qroute message comparison when the
 	// traffic figure was requested.
-	Traffic *TrafficResult `json:"traffic,omitempty"`
+	Traffic *trafficResult `json:"traffic,omitempty"`
 	// Churn holds the churn-at-scale recall/repair comparison when the
 	// churn figure was requested.
-	Churn *ChurnResult `json:"churn,omitempty"`
+	Churn *churnResult `json:"churn,omitempty"`
 	// DHT holds the chord-vs-flood-vs-BPR comparison when the dht
 	// figure was requested.
-	DHT *DHTResult `json:"dht,omitempty"`
+	DHT *dhtResult `json:"dht,omitempty"`
 }
 
 // NewReport regenerates the named bpbench figure (the -fig values) at
@@ -38,18 +38,18 @@ type Report struct {
 func NewReport(fig string, seed int64, w io.Writer) (*Report, error) {
 	cost := DefaultCost()
 	r := &Report{Seed: seed}
-	add := func(figs ...*Figure) {
+	add := func(figs ...*figure) {
 		for _, f := range figs {
 			f.Render(w)
 		}
 		r.Figures = append(r.Figures, figs...)
 	}
-	convergence := func() {
-		add(FigConvergence(cost, seed))
-		r.Convergence = Convergence(cost, seed)
+	addConvergence := func() {
+		add(figConvergence(cost, seed))
+		r.Convergence = convergence(cost, seed)
 	}
-	churn := func() {
-		f, res := FigChurn(DefaultChurnParams(), seed)
+	addChurn := func() {
+		f, res := figChurn(defaultChurnParams(), seed)
 		add(f)
 		r.Churn = res
 		for _, sr := range res.Schemes {
@@ -62,41 +62,41 @@ func NewReport(fig string, seed int64, w io.Writer) (*Report, error) {
 
 	switch fig {
 	case "all", "nochurn":
-		add(AllFigures(cost, seed)...)
-		convergence()
-		r.Traffic = Traffic(cost, seed)
+		add(allFigures(cost, seed)...)
+		addConvergence()
+		r.Traffic = traffic(cost, seed)
 		if fig == "all" {
-			churn()
+			addChurn()
 		}
 	case "5a":
-		add(Fig5a(cost, seed))
+		add(fig5a(cost, seed))
 	case "5b":
-		add(Fig5b(cost, seed))
+		add(fig5b(cost, seed))
 	case "5c":
-		add(Fig5c(cost, seed))
+		add(fig5c(cost, seed))
 	case "6":
-		add(Fig6(cost, seed))
+		add(fig6(cost, seed))
 	case "7":
-		add(Fig7(cost, seed))
+		add(fig7(cost, seed))
 	case "8a":
-		add(Fig8a(cost, seed))
+		add(fig8a(cost, seed))
 	case "8b":
-		add(Fig8b(cost, seed))
+		add(fig8b(cost, seed))
 	case "ablations":
-		add(AblationStrategies(cost, seed), AblationCompression(cost, seed),
-			AblationColdClass(cost, seed), AblationResultMode(cost, seed),
-			AblationShipping(cost, seed))
+		add(ablationStrategies(cost, seed), ablationCompression(cost, seed),
+			ablationColdClass(cost, seed), ablationResultMode(cost, seed),
+			ablationShipping(cost, seed))
 	case "convergence":
-		convergence()
+		addConvergence()
 	case "traffic":
-		add(TrafficTable(cost, seed), FigTraffic(cost, seed))
-		r.Traffic = Traffic(cost, seed)
+		add(trafficTable(cost, seed), figTraffic(cost, seed))
+		r.Traffic = traffic(cost, seed)
 		fmt.Fprintf(w, "traffic totals: flood %d msgs, qroute %d msgs (expected answers %d)\n\n",
 			r.Traffic.FloodMsgs, r.Traffic.QRouteMsgs, r.Traffic.Expected)
 	case "churn":
-		churn()
+		addChurn()
 	case "dht":
-		figs, res := FigDHT(DefaultDHTParams(), seed)
+		figs, res := figDHT(defaultDHTParams(), seed)
 		add(figs...)
 		r.DHT = res
 		for _, sr := range res.Static {
@@ -118,12 +118,12 @@ func NewReport(fig string, seed int64, w io.Writer) (*Report, error) {
 // SchemeRun is one strategy's live-stack run.
 type SchemeRun struct {
 	Scheme  string      `json:"scheme"`
-	Rounds  []RoundStat `json:"rounds"`
-	Metrics LiveMetrics `json:"metrics"`
+	Rounds  []roundStat `json:"rounds"`
+	Metrics liveMetrics `json:"metrics"`
 }
 
-// RoundStat is one query round of a live run.
-type RoundStat struct {
+// roundStat is one query round of a live run.
+type roundStat struct {
 	CompletionMS    float64 `json:"completion_ms"`
 	Answers         int     `json:"answers"`
 	MaxHops         int     `json:"max_hops"`
@@ -132,11 +132,11 @@ type RoundStat struct {
 
 // AddRound appends a live round result to the scheme run.
 func (sr *SchemeRun) AddRound(res LiveResult) {
-	sr.Rounds = append(sr.Rounds, RoundStat{
+	sr.Rounds = append(sr.Rounds, roundStat{
 		CompletionMS:    float64(res.Completion) / float64(time.Millisecond),
 		Answers:         res.TotalAnswers,
 		MaxHops:         res.MaxHops,
-		AgentsForwarded: res.AgentsForwarded,
+		AgentsForwarded: res.agentsForwarded,
 	})
 }
 

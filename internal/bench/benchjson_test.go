@@ -66,7 +66,7 @@ func TestReportWriteFile(t *testing.T) {
 	run.AddRound(res)
 	run.Metrics = lc.Metrics()
 	rep := &Report{Seed: 11, Live: []*SchemeRun{run}}
-	rep.Figures = append(rep.Figures, Fig5a(DefaultCost(), 1))
+	rep.Figures = append(rep.Figures, fig5a(DefaultCost(), 1))
 
 	path := filepath.Join(t.TempDir(), "BENCH_test.json")
 	if err := rep.WriteFile(path); err != nil {

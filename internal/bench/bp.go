@@ -19,7 +19,7 @@ import (
 // non-static strategy the base reconfigures between rounds (BPR); with
 // reconfig.Static it is the paper's BPS.
 type bpSim struct {
-	p   Params
+	p   params
 	tp  *topology.Topology
 	net *netsim.Network
 
@@ -37,7 +37,7 @@ type bpSim struct {
 
 	// Per-round state.
 	seen   []bool
-	events []Event
+	events []event
 	baseAt string
 	mark   trafficMark
 
@@ -78,7 +78,7 @@ func nodeFromBody(b []byte) int {
 	return int(d.Uvarint())
 }
 
-func newBPSim(tp *topology.Topology, p Params) *bpSim {
+func newBPSim(tp *topology.Topology, p params) *bpSim {
 	p = p.withDefaults()
 	b := &bpSim{
 		p: p, tp: tp,
@@ -125,7 +125,7 @@ func (b *bpSim) handle(node int, env *wire.Envelope) {
 					int(env.Hops), b.simTime())
 			}
 			record := func() {
-				b.events = append(b.events, Event{
+				b.events = append(b.events, event{
 					Node:    origin,
 					Answers: hits,
 					Hops:    int(env.Hops),
@@ -302,7 +302,7 @@ func nodeFromEnvAddr(addr string) int {
 }
 
 // runRound issues one query from the base and runs to quiescence.
-func (b *bpSim) runRound() RunResult {
+func (b *bpSim) runRound() runResult {
 	b.seen = make([]bool, b.tp.N)
 	b.seen[b.tp.Base] = true
 	b.events = nil
@@ -323,9 +323,9 @@ func (b *bpSim) runRound() RunResult {
 			// The whole round is served from the base's answer cache:
 			// zero messages on the wire, same answer set as the run that
 			// populated it (the epoch guarantees no mutation since).
-			cached := val.([]Event)
-			res := RunResult{
-				Events: append([]Event(nil), cached...),
+			cached := val.([]event)
+			res := runResult{
+				Events: append([]event(nil), cached...),
 				Route:  "cached",
 			}
 			for _, e := range res.Events {
@@ -385,7 +385,7 @@ func (b *bpSim) runRound() RunResult {
 
 	res := b.mark.result(b.net, b.events, route)
 	if b.qr != nil {
-		b.qr.PutBase(b.p.Query, append([]Event(nil), b.events...),
+		b.qr.PutBase(b.p.Query, append([]event(nil), b.events...),
 			len(b.events)*48, len(b.events) == 0, epoch, b.simTime())
 	}
 	b.journal.Append(obs.Event{Kind: obs.EvQueryCompleted, Query: b.qid, Count: res.TotalAnswers})
@@ -394,7 +394,7 @@ func (b *bpSim) runRound() RunResult {
 
 // reconfigure applies the strategy to the base's observations from the
 // round just completed.
-func (b *bpSim) reconfigure(strategy reconfig.Strategy, res RunResult) {
+func (b *bpSim) reconfigure(strategy reconfig.Strategy, res runResult) {
 	// The effective budget never shrinks the base below its current
 	// degree: reconfiguration promotes promising peers, it must not
 	// disconnect whole regions of an already-joined network.
@@ -487,26 +487,26 @@ func (b *bpSim) reconfigure(strategy reconfig.Strategy, res RunResult) {
 	}
 }
 
-// RunBestPeer executes `rounds` repetitions of the query under the given
+// runBestPeer executes `rounds` repetitions of the query under the given
 // reconfiguration strategy (reconfig.Static == BPS; MaxCount/MinHops ==
-// BPR) and returns one RunResult per round.
-func RunBestPeer(tp *topology.Topology, p Params, rounds int, strategy reconfig.Strategy) []RunResult {
-	return RunBestPeerObserved(tp, p, rounds, strategy, nil)
+// BPR) and returns one runResult per round.
+func runBestPeer(tp *topology.Topology, p params, rounds int, strategy reconfig.Strategy) []runResult {
+	return runBestPeerObserved(tp, p, rounds, strategy, nil)
 }
 
-// RunBestPeerObserved is RunBestPeer with the base's structured events
+// runBestPeerObserved is runBestPeer with the base's structured events
 // journalled — query lifecycle, answer batches and reconfiguration
 // rationale flow through the same obs pipeline a live node feeds, so the
 // convergence timeline can be reconstructed from the journal alone.
 // A nil journal disables journalling.
-func RunBestPeerObserved(tp *topology.Topology, p Params, rounds int, strategy reconfig.Strategy, journal *obs.Journal) []RunResult {
+func runBestPeerObserved(tp *topology.Topology, p params, rounds int, strategy reconfig.Strategy, journal *obs.Journal) []runResult {
 	if strategy == nil {
 		strategy = reconfig.MaxCount{}
 	}
 	b := newBPSim(tp, p)
 	b.journal = journal
 	b.strategyName = strategy.Name()
-	out := make([]RunResult, 0, rounds)
+	out := make([]runResult, 0, rounds)
 	for r := 0; r < rounds; r++ {
 		res := b.runRound()
 		out = append(out, res)

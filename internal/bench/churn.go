@@ -8,12 +8,12 @@ import (
 	"bestpeer/internal/observatory"
 )
 
-// ChurnParams configures the churn-at-scale experiment: a mesh of Nodes
+// churnParams configures the churn-at-scale experiment: a mesh of Nodes
 // hosts under continuous session churn plus one correlated failure
 // burst, queried from a fixed set of bases while the overlay repairs
 // itself. The defaults reproduce the committed BENCH figure (10k nodes);
 // tests scale Nodes and Horizon down.
-type ChurnParams struct {
+type churnParams struct {
 	// Nodes is the fleet size; Degree the target direct-peer count.
 	Nodes  int
 	Degree int
@@ -50,11 +50,11 @@ type ChurnParams struct {
 	TTL int
 }
 
-// DefaultChurnParams is the committed-figure configuration: 10k nodes
+// defaultChurnParams is the committed-figure configuration: 10k nodes
 // under churn that keeps ~25% of the fleet offline at steady state, with
 // a 10% correlated failure burst mid-run.
-func DefaultChurnParams() ChurnParams {
-	return ChurnParams{
+func defaultChurnParams() churnParams {
+	return churnParams{
 		Nodes: 10_000, Degree: 4, Latency: 10 * time.Millisecond,
 		Horizon:     120 * time.Second,
 		MeanSession: 60 * time.Second, MeanDowntime: 20 * time.Second,
@@ -68,8 +68,8 @@ func DefaultChurnParams() ChurnParams {
 	}
 }
 
-// ChurnSample is one query round's aggregate view of the fleet.
-type ChurnSample struct {
+// churnSample is one query round's aggregate view of the fleet.
+type churnSample struct {
 	Round int     `json:"round"`
 	TMS   float64 `json:"t_ms"`
 	// Alive is the live host count when the round's queries were issued.
@@ -88,10 +88,10 @@ type ChurnSample struct {
 	CacheHitRate float64 `json:"cache_hit_rate"`
 }
 
-// ChurnSchemeRun is one scheme's full run.
-type ChurnSchemeRun struct {
+// churnSchemeRun is one scheme's full run.
+type churnSchemeRun struct {
 	Scheme  string        `json:"scheme"`
-	Samples []ChurnSample `json:"samples"`
+	Samples []churnSample `json:"samples"`
 	// MeanRecall averages every sample; FinalRecall is the last one.
 	MeanRecall  float64 `json:"mean_recall"`
 	FinalRecall float64 `json:"final_recall"`
@@ -117,17 +117,17 @@ type ChurnSchemeRun struct {
 	CacheLookups uint64 `json:"cache_lookups"`
 	// Health is the run's derived-signal timeline and alert transitions,
 	// recorded through the observatory health engine at simulated time.
-	Health *HealthTimeline `json:"health,omitempty"`
+	Health *healthTimeline `json:"health,omitempty"`
 }
 
-// HealthPoint is one health-series sample on the simulated clock.
-type HealthPoint struct {
+// healthPoint is one health-series sample on the simulated clock.
+type healthPoint struct {
 	TMS float64 `json:"t_ms"`
 	V   float64 `json:"v"`
 }
 
-// HealthAlert is one alert transition on the simulated clock.
-type HealthAlert struct {
+// healthAlert is one alert transition on the simulated clock.
+type healthAlert struct {
 	TMS       float64 `json:"t_ms"`
 	Rule      string  `json:"rule"`
 	Series    string  `json:"series"`
@@ -136,17 +136,17 @@ type HealthAlert struct {
 	Threshold float64 `json:"threshold"`
 }
 
-// HealthTimeline is one scheme's full health record: every derived
+// healthTimeline is one scheme's full health record: every derived
 // series plus the rule transitions, straight from the observatory
 // pipeline the live fleet uses.
-type HealthTimeline struct {
-	Series map[string][]HealthPoint `json:"series"`
-	Alerts []HealthAlert            `json:"alerts"`
+type healthTimeline struct {
+	Series map[string][]healthPoint `json:"series"`
+	Alerts []healthAlert            `json:"alerts"`
 }
 
 // AlertsFor returns the timeline's transitions for one rule, in order.
-func (tl *HealthTimeline) AlertsFor(rule string) []HealthAlert {
-	var out []HealthAlert
+func (tl *healthTimeline) AlertsFor(rule string) []healthAlert {
+	var out []healthAlert
 	for _, a := range tl.Alerts {
 		if a.Rule == rule {
 			out = append(out, a)
@@ -160,7 +160,7 @@ func (tl *HealthTimeline) AlertsFor(rule string) []HealthAlert {
 // churn repair rate — nodes/MeanSession departures per second, each
 // costing up to Degree backfilled edges — so only the correlated burst
 // can cross it.
-func churnHealthRules(p ChurnParams) []observatory.Rule {
+func churnHealthRules(p churnParams) []observatory.Rule {
 	steady := float64(p.Nodes) / p.MeanSession.Seconds() * float64(p.Degree)
 	return []observatory.Rule{
 		{Name: "recall-floor", Series: "recall", Below: true,
@@ -172,18 +172,18 @@ func churnHealthRules(p ChurnParams) []observatory.Rule {
 	}
 }
 
-// ChurnResult is the churn experiment's machine-readable output.
-type ChurnResult struct {
+// churnResult is the churn experiment's machine-readable output.
+type churnResult struct {
 	Nodes     int              `json:"nodes"`
 	Degree    int              `json:"degree"`
 	HorizonMS float64          `json:"horizon_ms"`
 	BurstAtMS float64          `json:"burst_at_ms"`
 	BurstFrac float64          `json:"burst_frac"`
-	Schemes   []ChurnSchemeRun `json:"schemes"`
+	Schemes   []churnSchemeRun `json:"schemes"`
 }
 
 // SchemeByName returns the named scheme run, or nil.
-func (r *ChurnResult) SchemeByName(name string) *ChurnSchemeRun {
+func (r *churnResult) SchemeByName(name string) *churnSchemeRun {
 	for i := range r.Schemes {
 		if r.Schemes[i].Scheme == name {
 			return &r.Schemes[i]
@@ -195,14 +195,14 @@ func (r *ChurnResult) SchemeByName(name string) *ChurnSchemeRun {
 // buildHealthTimeline folds the run's health engine back onto the
 // simulated clock: every derived series the engine retained plus the
 // alert transitions from its journal, timestamps relative to sim zero.
-func buildHealthTimeline(h *observatory.Health, member string) *HealthTimeline {
+func buildHealthTimeline(h *observatory.Health, member string) *healthTimeline {
 	epoch := time.Unix(0, 0).UTC()
-	tl := &HealthTimeline{Series: make(map[string][]HealthPoint)}
+	tl := &healthTimeline{Series: make(map[string][]healthPoint)}
 	ts := h.Series()
 	for _, name := range ts.Names(member) {
 		for _, p := range ts.Points(member, name) {
 			tl.Series[name] = append(tl.Series[name],
-				HealthPoint{TMS: ms(p.At.Sub(epoch)), V: p.V})
+				healthPoint{TMS: ms(p.At.Sub(epoch)), V: p.V})
 		}
 	}
 	events, _, _ := h.Journal().Since(0, 0)
@@ -210,7 +210,7 @@ func buildHealthTimeline(h *observatory.Health, member string) *HealthTimeline {
 		if e.Node != member {
 			continue
 		}
-		tl.Alerts = append(tl.Alerts, HealthAlert{
+		tl.Alerts = append(tl.Alerts, healthAlert{
 			TMS: ms(e.At.Sub(epoch)), Rule: e.Reason, Series: e.Strategy,
 			Firing: e.Kind == obs.EvAlertRaised, Value: e.Value, Threshold: e.Threshold,
 		})
@@ -219,7 +219,7 @@ func buildHealthTimeline(h *observatory.Health, member string) *HealthTimeline {
 }
 
 // finishChurnRun derives the summary statistics from the samples.
-func finishChurnRun(run *ChurnSchemeRun, p ChurnParams) {
+func finishChurnRun(run *churnSchemeRun, p churnParams) {
 	if len(run.Samples) == 0 {
 		run.RepairConvergenceRounds = -1
 		return
@@ -260,12 +260,12 @@ func finishChurnRun(run *ChurnSchemeRun, p ChurnParams) {
 	}
 }
 
-// Churn runs the churn-at-scale experiment for the three overlay schemes.
-func Churn(p ChurnParams, seed int64) *ChurnResult {
-	return &ChurnResult{
+// churn runs the churn-at-scale experiment for the three overlay schemes.
+func churn(p churnParams, seed int64) *churnResult {
+	return &churnResult{
 		Nodes: p.Nodes, Degree: p.Degree,
 		HorizonMS: ms(p.Horizon), BurstAtMS: ms(p.BurstAt), BurstFrac: p.BurstFrac,
-		Schemes: []ChurnSchemeRun{
+		Schemes: []churnSchemeRun{
 			runChurnScheme(p, "bpr", seed, newReconfigOverlay),
 			runChurnScheme(p, "bps", seed, newStaticOverlay),
 			runChurnScheme(p, "flood", seed, newFloodOverlay),
@@ -274,24 +274,24 @@ func Churn(p ChurnParams, seed int64) *ChurnResult {
 }
 
 // churnRecallFigure renders recall over time, one series per run.
-func churnRecallFigure(id, title string, p ChurnParams, runs []ChurnSchemeRun) *Figure {
-	fig := &Figure{
+func churnRecallFigure(id, title string, p churnParams, runs []churnSchemeRun) *figure {
+	fig := &figure{
 		ID:     id,
 		Title:  title + " (" + strconv.Itoa(p.Nodes) + " nodes, burst at " + p.BurstAt.String() + ")",
 		XLabel: "time (ms)", YLabel: "recall",
 	}
 	for _, run := range runs {
-		s := Series{Name: run.Scheme}
+		s := series{Name: run.Scheme}
 		for _, smp := range run.Samples {
-			s.Points = append(s.Points, Point{smp.TMS, smp.Recall})
+			s.Points = append(s.Points, point{smp.TMS, smp.Recall})
 		}
 		fig.Series = append(fig.Series, s)
 	}
 	return fig
 }
 
-// FigChurn renders recall over time per scheme.
-func FigChurn(p ChurnParams, seed int64) (*Figure, *ChurnResult) {
-	res := Churn(p, seed)
+// figChurn renders recall over time per scheme.
+func figChurn(p churnParams, seed int64) (*figure, *churnResult) {
+	res := churn(p, seed)
 	return churnRecallFigure("C1", "Recall under churn", p, res.Schemes), res
 }

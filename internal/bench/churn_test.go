@@ -8,8 +8,8 @@ import (
 // testChurnParams scales the committed-figure configuration down to a
 // tier-1 budget (~0.2s) while keeping the flood near its coverage edge,
 // where erosion is visible.
-func testChurnParams() ChurnParams {
-	p := DefaultChurnParams()
+func testChurnParams() churnParams {
+	p := defaultChurnParams()
 	p.Nodes = 2000
 	p.Horizon = 90 * time.Second
 	p.BurstAt = 45 * time.Second
@@ -20,7 +20,7 @@ func testChurnParams() ChurnParams {
 }
 
 func TestChurnSchemes(t *testing.T) {
-	res := Churn(testChurnParams(), 1)
+	res := churn(testChurnParams(), 1)
 	bpr := res.SchemeByName("bpr")
 	bps := res.SchemeByName("bps")
 	flood := res.SchemeByName("flood")
@@ -102,7 +102,7 @@ func TestChurnSchemes(t *testing.T) {
 	}
 	// ...repair-surge catches the burst's backfill spike on the schemes
 	// that repair, and clears once the overlay is rebuilt...
-	for _, r := range []*ChurnSchemeRun{bpr, flood} {
+	for _, r := range []*churnSchemeRun{bpr, flood} {
 		surge := r.Health.AlertsFor("repair-surge")
 		burstRaise := false
 		for _, a := range surge {
@@ -130,8 +130,8 @@ func TestChurnDeterministic(t *testing.T) {
 	p.Nodes = 500
 	p.Horizon = 45 * time.Second
 	p.BurstAt = 24 * time.Second
-	a := Churn(p, 7)
-	b := Churn(p, 7)
+	a := churn(p, 7)
+	b := churn(p, 7)
 	for i := range a.Schemes {
 		ra, rb := a.Schemes[i], b.Schemes[i]
 		if ra.Msgs != rb.Msgs || ra.MeanRecall != rb.MeanRecall || len(ra.Samples) != len(rb.Samples) {

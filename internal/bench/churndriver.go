@@ -128,7 +128,7 @@ func churnKeyword(kw int) string { return "kw" + strconv.Itoa(kw) }
 
 // churnDriver runs one scheme through the churn experiment.
 type churnDriver struct {
-	p      ChurnParams
+	p      churnParams
 	seed   int64
 	sim    *netsim.Sim
 	mesh   *netsim.Mesh
@@ -139,7 +139,7 @@ type churnDriver struct {
 	byKw   [][]int32 // keyword -> holder nodes (fixed membership)
 
 	queries []*churnQuery
-	run     ChurnSchemeRun
+	run     churnSchemeRun
 
 	// health folds each closed round into the observatory rule engine on
 	// the simulated clock; prev* carry the last round's cumulative
@@ -160,14 +160,14 @@ func (d *churnDriver) simTime() time.Time {
 // in a fixed order — whatever newScheme draws (the overlay family's
 // random edges), then the holder placement — and every scheme replays the
 // same trace, so runs differ by protocol alone.
-func runChurnScheme(p ChurnParams, name string, seed int64, newScheme func(*churnDriver) churnScheme) ChurnSchemeRun {
+func runChurnScheme(p churnParams, name string, seed int64, newScheme func(*churnDriver) churnScheme) churnSchemeRun {
 	d := &churnDriver{
 		p:      p,
 		seed:   seed,
 		sim:    netsim.NewSimSeeded(seed),
 		reg:    newAliveRegistry(p.Nodes),
 		health: observatory.NewHealth(churnHealthRules(p), 256, 1024),
-		run:    ChurnSchemeRun{Scheme: name},
+		run:    churnSchemeRun{Scheme: name},
 	}
 	d.mesh = netsim.NewMesh(d.sim, p.Nodes, p.Latency)
 	d.scheme = newScheme(d)
@@ -305,7 +305,7 @@ func (d *churnDriver) issueRound(round int) {
 	})
 }
 
-// closeRound finalizes a query round into one ChurnSample.
+// closeRound finalizes a query round into one churnSample.
 func (d *churnDriver) closeRound(round int, qs []*churnQuery, alive int, msgsBefore uint64, recallSum float64, nq int) {
 	hopSum, hopN := 0, 0
 	for _, q := range qs {
@@ -318,7 +318,7 @@ func (d *churnDriver) closeRound(round int, qs []*churnQuery, alive int, msgsBef
 		hopN += q.hopN
 		d.scheme.closed(q)
 	}
-	sample := ChurnSample{
+	sample := churnSample{
 		Round: round,
 		TMS:   ms(d.sim.Now()),
 		Alive: alive,
@@ -342,7 +342,7 @@ func (d *churnDriver) closeRound(round int, qs []*churnQuery, alive int, msgsBef
 // queries, cache hit rate only when the window had lookups (a quiet
 // window is not a collapse), and the repair rate as this window's edge
 // backfills over the round cadence.
-func (d *churnDriver) ingestHealth(sample ChurnSample, nq int) {
+func (d *churnDriver) ingestHealth(sample churnSample, nq int) {
 	window := d.p.SampleEvery.Seconds()
 	signals := map[string]float64{
 		"alive":                        float64(sample.Alive) / float64(d.p.Nodes),

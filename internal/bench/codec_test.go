@@ -9,7 +9,7 @@ import (
 )
 
 // TestModelMeetsCodec holds the simulator's treatment of compression
-// (CostModel.Compression applies to agents, queries and name lists;
+// (costModel.Compression applies to agents, queries and name lists;
 // "object payloads are random data and do not compress") against what the
 // real codec does with the same three messages built from workload.Spec.
 // The model constants are not touched here: the ratios are logged, and
@@ -56,7 +56,7 @@ func TestModelMeetsCodec(t *testing.T) {
 		Body: agent.EncodeResults(names, 2, wire.BPID{}, peer)})
 
 	model := DefaultCost().Compression
-	t.Logf("frame bytes / raw bytes: result batch (%d x %d B objects) %.3f, keyword-agent frame %.3f, hint batch (%d names) %.3f; CostModel.Compression %.2f",
+	t.Logf("frame bytes / raw bytes: result batch (%d x %d B objects) %.3f, keyword-agent frame %.3f, hint batch (%d names) %.3f; costModel.Compression %.2f",
 		len(results), spec.ObjectSize, payload, agentFrame, len(names), hints, model)
 	if payload < 0.99 {
 		t.Errorf("a workload.Spec result batch leaves the codec at %.3f of raw: the model says object payloads do not compress", payload)

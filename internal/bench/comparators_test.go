@@ -33,7 +33,7 @@ func TestComparatorsClosedForm(t *testing.T) {
 		queries := uint64(tp.N - 1)
 		markers := uint64(tp.N - 1)
 
-		check := func(scheme string, res RunResult, wantSent uint64) {
+		check := func(scheme string, res runResult, wantSent uint64) {
 			t.Helper()
 			if res.MsgsSent != wantSent || res.Msgs != wantSent {
 				t.Errorf("%s %s: sent %d, delivered %d; want %d",
@@ -49,14 +49,14 @@ func TestComparatorsClosedForm(t *testing.T) {
 				}
 			}
 		}
-		scs, mcs := RunCS(tp, p, true), RunCS(tp, p, false)
+		scs, mcs := runCS(tp, p, true), runCS(tp, p, false)
 		check("SCS", scs, queries+uint64(answerHops)+markers)
 		check("MCS", mcs, queries+uint64(answerHops)+markers)
 		if scs.Completion < mcs.Completion {
 			t.Errorf("%s: SCS finished in %v, before MCS's %v", tp.Name, scs.Completion, mcs.Completion)
 		}
 
-		gnu := RunGnutella(tp, p, 2)
+		gnu := runGnutella(tp, p, 2)
 		check("GNU", gnu[0], queries+uint64(answerHops))
 		if !reflect.DeepEqual(gnu[0], gnu[1]) {
 			t.Errorf("%s GNU: round 2 differs from round 1:\n%+v\n%+v", tp.Name, gnu[0], gnu[1])
@@ -64,7 +64,7 @@ func TestComparatorsClosedForm(t *testing.T) {
 		// Gnutella hits are name lists whatever the caller asks for.
 		names := p
 		names.IncludeData = false
-		if got := RunGnutella(tp, names, 1)[0]; got.Bytes != gnu[0].Bytes {
+		if got := runGnutella(tp, names, 1)[0]; got.Bytes != gnu[0].Bytes {
 			t.Errorf("%s GNU: %d bytes with data, %d names-only", tp.Name, gnu[0].Bytes, got.Bytes)
 		}
 		if mcs.Bytes <= gnu[0].Bytes {

@@ -14,11 +14,11 @@ import (
 // distance decreases across successive repeats of the same query, while
 // under BPS (Static) it stays exactly flat.
 func TestConvergenceShape(t *testing.T) {
-	timelines := Convergence(DefaultCost(), 42)
+	timelines := convergence(DefaultCost(), 42)
 	if len(timelines) != 2 {
 		t.Fatalf("Convergence returned %d timelines, want BPR and BPS", len(timelines))
 	}
-	var bpr, bps *StrategyTimeline
+	var bpr, bps *strategyTimeline
 	for _, st := range timelines {
 		if st.Strategy == "static" {
 			bps = st
@@ -87,9 +87,9 @@ func TestConvergenceShape(t *testing.T) {
 func TestConvergenceEventPipeline(t *testing.T) {
 	tp := topology.Random(32, 4, 7)
 	spec := fig8Spec(tp, 7)
-	p := Params{Cost: DefaultCost(), Spec: spec, Query: "needle", MaxPeers: 8}
+	p := params{Cost: DefaultCost(), Spec: spec, Query: "needle", MaxPeers: 8}
 	journal := obs.NewJournal("sim-base", 4096)
-	RunBestPeerObserved(tp, p, 2, reconfig.MaxCount{}, journal)
+	runBestPeerObserved(tp, p, 2, reconfig.MaxCount{}, journal)
 
 	events, _, missed := journal.Since(0, 0)
 	if missed != 0 {
@@ -116,5 +116,5 @@ func TestConvergenceEventPipeline(t *testing.T) {
 		t.Fatalf("round 1 empty: %+v", rounds[0])
 	}
 	// A nil journal must be a no-op, not a panic.
-	RunBestPeerObserved(tp, p, 1, reconfig.MaxCount{}, nil)
+	runBestPeerObserved(tp, p, 1, reconfig.MaxCount{}, nil)
 }

@@ -10,8 +10,8 @@ package bench
 
 import "time"
 
-// CostModel is the shared calibration for all schemes.
-type CostModel struct {
+// costModel is the shared calibration for all schemes.
+type costModel struct {
 	// Latency is one-way propagation delay between any two hosts.
 	Latency time.Duration
 	// Bandwidth is per-host link rate in bytes/second (charged once on
@@ -66,8 +66,8 @@ type CostModel struct {
 // a 100 Mbit/s shared LAN of 200 MHz machines. On this balance the wire
 // is fast relative to per-hop protocol work, so topology and routing —
 // not raw transfer — shape the results, as in the paper's testbed.
-func DefaultCost() CostModel {
-	return CostModel{
+func DefaultCost() costModel {
+	return costModel{
 		Latency:        500 * time.Microsecond,
 		Bandwidth:      1.25e7, // 100 Mbit/s
 		QuerySize:      128,
@@ -87,7 +87,7 @@ func DefaultCost() CostModel {
 }
 
 // compressed scales a compressible message size by the gzip ratio.
-func (c CostModel) compressed(n int) int {
+func (c costModel) compressed(n int) int {
 	if c.Compression <= 0 || c.Compression >= 1 {
 		return n
 	}
@@ -95,14 +95,14 @@ func (c CostModel) compressed(n int) int {
 }
 
 // scanCost is the CPU time to compare every local object with the query.
-func (c CostModel) scanCost(objects int) time.Duration {
+func (c costModel) scanCost(objects int) time.Duration {
 	return time.Duration(objects) * c.MatchPerObject
 }
 
 // resultSize is the wire size of a result batch carrying `hits` answers.
 // With data, each hit carries an object payload (incompressible); without
 // data only names travel (compressible).
-func (c CostModel) resultSize(hits, objectSize int, includeData bool) int {
+func (c costModel) resultSize(hits, objectSize int, includeData bool) int {
 	if hits == 0 {
 		return 0
 	}

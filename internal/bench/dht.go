@@ -11,11 +11,11 @@ import (
 	"bestpeer/internal/wire"
 )
 
-// DHTParams configures the T4 experiment: the chord DHT ("chd") against
+// dhtParams configures the T4 experiment: the chord DHT ("chd") against
 // flooding and reconfigurable BestPeer on exact-key and keyword
 // workloads, first over a converged static network with real wire
 // frames, then under the 10k-node churn trace of the C1 experiment.
-type DHTParams struct {
+type dhtParams struct {
 	// Nodes sizes the static network; SuccLen the chord successor lists.
 	Nodes   int
 	SuccLen int
@@ -43,24 +43,24 @@ type DHTParams struct {
 	RepublishEvery time.Duration
 	// Churn configures the shared churn trace; the bpr and flood
 	// baselines run the C1 model on it unchanged.
-	Churn ChurnParams
+	Churn churnParams
 }
 
-// DefaultDHTParams is the committed-figure configuration.
-func DefaultDHTParams() DHTParams {
-	return DHTParams{
+// defaultDHTParams is the committed-figure configuration.
+func defaultDHTParams() dhtParams {
+	return dhtParams{
 		Nodes: 64, SuccLen: 8, Keys: 128,
 		Keywords: 8, HoldersPerKeyword: 6, PublishedFrac: 0.75,
 		KeywordQueries: 32,
 		Degree:         4, TTL: 10, ChordTTL: 32,
 		Latency:        10 * time.Millisecond,
 		RepublishEvery: 5 * time.Second,
-		Churn:          DefaultChurnParams(),
+		Churn:          defaultChurnParams(),
 	}
 }
 
-// DHTStaticRun is one (scheme, workload) cell of the static comparison.
-type DHTStaticRun struct {
+// dhtStaticRun is one (scheme, workload) cell of the static comparison.
+type dhtStaticRun struct {
 	Scheme   string `json:"scheme"`
 	Workload string `json:"workload"` // "exact" or "keyword"
 	Lookups  int    `json:"lookups"`
@@ -75,21 +75,21 @@ type DHTStaticRun struct {
 	Bytes uint64 `json:"bytes"`
 }
 
-// DHTResult is the T4 experiment's machine-readable output.
-type DHTResult struct {
+// dhtResult is the T4 experiment's machine-readable output.
+type dhtResult struct {
 	Nodes int `json:"nodes"`
 	// HopBound is the acceptance ceiling on chord exact-key routing:
 	// ceil(log2 Nodes) + 1.
 	HopBound   int            `json:"hop_bound"`
-	Static     []DHTStaticRun `json:"static"`
+	Static     []dhtStaticRun `json:"static"`
 	ChurnNodes int            `json:"churn_nodes"`
 	// Churn holds the chd run plus the bpr and flood baselines on the
 	// same trace.
-	Churn []ChurnSchemeRun `json:"churn"`
+	Churn []churnSchemeRun `json:"churn"`
 }
 
 // StaticRun returns the named static cell, or nil.
-func (r *DHTResult) StaticRun(scheme, wl string) *DHTStaticRun {
+func (r *dhtResult) StaticRun(scheme, wl string) *dhtStaticRun {
 	for i := range r.Static {
 		if r.Static[i].Scheme == scheme && r.Static[i].Workload == wl {
 			return &r.Static[i]
@@ -99,7 +99,7 @@ func (r *DHTResult) StaticRun(scheme, wl string) *DHTStaticRun {
 }
 
 // ChurnRun returns the named churn run, or nil.
-func (r *DHTResult) ChurnRun(scheme string) *ChurnSchemeRun {
+func (r *dhtResult) ChurnRun(scheme string) *churnSchemeRun {
 	for i := range r.Churn {
 		if r.Churn[i].Scheme == scheme {
 			return &r.Churn[i]
@@ -132,7 +132,7 @@ type dhtPlan struct {
 	adj       [][]int
 }
 
-func newDHTPlan(p DHTParams, seed int64) *dhtPlan {
+func newDHTPlan(p dhtParams, seed int64) *dhtPlan {
 	rng := netsim.NewSimSeeded(seed).Rand()
 	plan := &dhtPlan{names: make([]string, p.Nodes)}
 	for i := range plan.names {
@@ -193,7 +193,7 @@ type dhtNet struct {
 	nw  *netsim.Network
 }
 
-func newDHTNet(p DHTParams, names []string, seed int64) *dhtNet {
+func newDHTNet(p dhtParams, names []string, seed int64) *dhtNet {
 	sim := netsim.NewSimSeeded(seed)
 	nw := netsim.NewNetwork(sim, netsim.Link{Latency: p.Latency})
 	for _, name := range names {
@@ -219,7 +219,7 @@ func gnuHitEnv(holder string) *wire.Envelope {
 
 // chordTables builds the converged routing state and an address index
 // over it.
-func chordTables(p DHTParams, names []string) (ring []*chord.Table, byAddr map[string]*chord.Table) {
+func chordTables(p dhtParams, names []string) (ring []*chord.Table, byAddr map[string]*chord.Table) {
 	ring = chord.ConvergedTables(names, p.SuccLen)
 	byAddr = make(map[string]*chord.Table, len(ring))
 	for _, tb := range ring {
@@ -261,7 +261,7 @@ func routeChord(n *dhtNet, byAddr map[string]*chord.Table, from string, k chord.
 // floodQuery floods term from base over the overlay, sending every
 // forwarded copy and every answer as a real frame. It returns the set of
 // matching nodes reached and the sum of their depths.
-func floodQuery(n *dhtNet, p DHTParams, plan *dhtPlan, base int, term string, matches func(node int) bool) (answers, depthSum int) {
+func floodQuery(n *dhtNet, p dhtParams, plan *dhtPlan, base int, term string, matches func(node int) bool) (answers, depthSum int) {
 	env := gnuQueryEnv(term)
 	type hop struct{ node, from, depth int }
 	visited := make([]bool, p.Nodes)
@@ -294,8 +294,8 @@ func floodQuery(n *dhtNet, p DHTParams, plan *dhtPlan, base int, term string, ma
 
 // runDHTStatic produces every (scheme, workload) cell. Each cell runs on
 // a fresh network so its counters isolate that scheme's traffic.
-func runDHTStatic(p DHTParams, plan *dhtPlan, seed int64) []DHTStaticRun {
-	var out []DHTStaticRun
+func runDHTStatic(p dhtParams, plan *dhtPlan, seed int64) []dhtStaticRun {
+	var out []dhtStaticRun
 	for _, scheme := range []string{"chd", "flood", "bpr"} {
 		out = append(out, dhtStaticExact(p, plan, scheme, seed))
 		out = append(out, dhtStaticKeyword(p, plan, scheme, seed))
@@ -303,7 +303,7 @@ func runDHTStatic(p DHTParams, plan *dhtPlan, seed int64) []DHTStaticRun {
 	return out
 }
 
-func finishStatic(n *dhtNet, run DHTStaticRun, recallSum float64, hopSum, answered int) DHTStaticRun {
+func finishStatic(n *dhtNet, run dhtStaticRun, recallSum float64, hopSum, answered int) dhtStaticRun {
 	n.sim.Run() // drain in-flight deliveries; counters were charged at Send
 	if run.Lookups > 0 {
 		run.Recall = recallSum / float64(run.Lookups)
@@ -320,9 +320,9 @@ func finishStatic(n *dhtNet, run DHTStaticRun, recallSum float64, hopSum, answer
 // so every scheme hunts the same host. Chord routes; flood searches;
 // BPR's learned routing has nothing to learn from keys that never
 // repeat, so it floods exactly like the reference.
-func dhtStaticExact(p DHTParams, plan *dhtPlan, scheme string, seed int64) DHTStaticRun {
+func dhtStaticExact(p dhtParams, plan *dhtPlan, scheme string, seed int64) dhtStaticRun {
 	n := newDHTNet(p, plan.names, seed)
-	run := DHTStaticRun{Scheme: scheme, Workload: "exact", Lookups: len(plan.exactKeys)}
+	run := dhtStaticRun{Scheme: scheme, Workload: "exact", Lookups: len(plan.exactKeys)}
 	ring, byAddr := chordTables(p, plan.names)
 	nameIdx := make(map[string]int, len(plan.names))
 	for i, name := range plan.names {
@@ -369,9 +369,9 @@ func dhtStaticExact(p DHTParams, plan *dhtPlan, scheme string, seed int64) DHTSt
 // BPR floods once per keyword, learns the holder set, then goes direct —
 // complete *and* cheap on repeats. This is the paper-side trade the
 // acceptance test pins: keyword workloads still favor BPR.
-func dhtStaticKeyword(p DHTParams, plan *dhtPlan, scheme string, seed int64) DHTStaticRun {
+func dhtStaticKeyword(p dhtParams, plan *dhtPlan, scheme string, seed int64) dhtStaticRun {
 	n := newDHTNet(p, plan.names, seed)
-	run := DHTStaticRun{Scheme: scheme, Workload: "keyword", Lookups: p.KeywordQueries}
+	run := dhtStaticRun{Scheme: scheme, Workload: "keyword", Lookups: p.KeywordQueries}
 	_, byAddr := chordTables(p, plan.names)
 	holds := func(kw, node int) bool {
 		for _, h := range plan.kwHolders[kw] {
@@ -442,16 +442,16 @@ func dhtStaticKeyword(p DHTParams, plan *dhtPlan, scheme string, seed int64) DHT
 	return finishStatic(n, run, recallSum, hopSum, answered)
 }
 
-// DHT runs the full T4 experiment: the static comparison plus the churn
+// dht runs the full T4 experiment: the static comparison plus the churn
 // runs (chd against the bpr and flood baselines on the same trace).
-func DHT(p DHTParams, seed int64) *DHTResult {
+func dht(p dhtParams, seed int64) *dhtResult {
 	plan := newDHTPlan(p, seed)
-	return &DHTResult{
+	return &dhtResult{
 		Nodes:      p.Nodes,
 		HopBound:   dhtHopBound(p.Nodes),
 		Static:     runDHTStatic(p, plan, seed),
 		ChurnNodes: p.Churn.Nodes,
-		Churn: []ChurnSchemeRun{
+		Churn: []churnSchemeRun{
 			runChurnScheme(p.Churn, "chd", seed, func(d *churnDriver) churnScheme { return newChordScheme(d, p) }),
 			runChurnScheme(p.Churn, "bpr", seed, newReconfigOverlay),
 			runChurnScheme(p.Churn, "flood", seed, newFloodOverlay),
@@ -459,25 +459,25 @@ func DHT(p DHTParams, seed int64) *DHTResult {
 	}
 }
 
-// FigDHT renders the T4 figures: per-scheme messages on each static
+// figDHT renders the T4 figures: per-scheme messages on each static
 // workload, and the recall-under-churn timeline with chd alongside the
 // C1 baselines.
-func FigDHT(p DHTParams, seed int64) ([]*Figure, *DHTResult) {
-	res := DHT(p, seed)
-	msgs := &Figure{
+func figDHT(p dhtParams, seed int64) ([]*figure, *dhtResult) {
+	res := dht(p, seed)
+	msgs := &figure{
 		ID:     "T4",
 		Title:  "DHT vs flood vs BPR: messages per lookup (" + strconv.Itoa(p.Nodes) + " nodes; x=1 exact, x=2 keyword)",
 		XLabel: "workload", YLabel: "messages per lookup",
 	}
 	for _, scheme := range []string{"chd", "flood", "bpr"} {
-		s := Series{Name: scheme}
+		s := series{Name: scheme}
 		for wi, wl := range []string{"exact", "keyword"} {
 			if run := res.StaticRun(scheme, wl); run != nil && run.Lookups > 0 {
-				s.Points = append(s.Points, Point{float64(wi + 1), float64(run.Msgs) / float64(run.Lookups)})
+				s.Points = append(s.Points, point{float64(wi + 1), float64(run.Msgs) / float64(run.Lookups)})
 			}
 		}
 		msgs.Series = append(msgs.Series, s)
 	}
 	churn := churnRecallFigure("T4c", "Recall under churn with chord", p.Churn, res.Churn)
-	return []*Figure{msgs, churn}, res
+	return []*figure{msgs, churn}, res
 }

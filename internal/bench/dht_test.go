@@ -8,8 +8,8 @@ import (
 
 // testDHTParams scales the churn leg down to the tier-1 budget; the
 // static leg already runs at the committed 64-node scale.
-func testDHTParams() DHTParams {
-	p := DefaultDHTParams()
+func testDHTParams() dhtParams {
+	p := defaultDHTParams()
 	p.Churn = testChurnParams()
 	return p
 }
@@ -17,7 +17,7 @@ func testDHTParams() DHTParams {
 // assertDHTClaims checks the T4 acceptance claims on a result — shared
 // between the fresh-run test and the committed-JSON test so the figure
 // on disk is held to exactly what the experiment promises.
-func assertDHTClaims(t *testing.T, res *DHTResult) {
+func assertDHTClaims(t *testing.T, res *dhtResult) {
 	t.Helper()
 	chdE := res.StaticRun("chd", "exact")
 	floodE := res.StaticRun("flood", "exact")
@@ -69,7 +69,7 @@ func assertDHTClaims(t *testing.T, res *DHTResult) {
 }
 
 func TestDHT(t *testing.T) {
-	res := DHT(testDHTParams(), 1)
+	res := dht(testDHTParams(), 1)
 	for _, sr := range res.Static {
 		t.Logf("static %-6s %-8s recall=%.3f hops=%.2f msgs=%d bytes=%d",
 			sr.Scheme, sr.Workload, sr.Recall, sr.MeanHops, sr.Msgs, sr.Bytes)
@@ -102,11 +102,11 @@ func TestBenchPR10JSON(t *testing.T) {
 	if report.DHT == nil {
 		t.Fatal("BENCH_PR10.json has no dht section")
 	}
-	if report.DHT.Nodes != DefaultDHTParams().Nodes {
-		t.Errorf("committed run used %d nodes, default is %d", report.DHT.Nodes, DefaultDHTParams().Nodes)
+	if report.DHT.Nodes != defaultDHTParams().Nodes {
+		t.Errorf("committed run used %d nodes, default is %d", report.DHT.Nodes, defaultDHTParams().Nodes)
 	}
-	if report.DHT.ChurnNodes != DefaultChurnParams().Nodes {
-		t.Errorf("committed churn used %d nodes, default is %d", report.DHT.ChurnNodes, DefaultChurnParams().Nodes)
+	if report.DHT.ChurnNodes != defaultChurnParams().Nodes {
+		t.Errorf("committed churn used %d nodes, default is %d", report.DHT.ChurnNodes, defaultChurnParams().Nodes)
 	}
 	assertDHTClaims(t, report.DHT)
 }

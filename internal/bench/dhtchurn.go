@@ -30,7 +30,7 @@ const cdFinal = 1 << 8 // B flag: next delivery is to the key's owner
 // leave, and stranded by a crash until the next republish.
 type chordScheme struct {
 	d       *churnDriver
-	p       DHTParams
+	p       dhtParams
 	key     []chord.Key
 	kwKey   []chord.Key
 	succs   [][]int32
@@ -45,7 +45,7 @@ type chordScheme struct {
 	fingerFloor int
 }
 
-func newChordScheme(d *churnDriver, p DHTParams) *chordScheme {
+func newChordScheme(d *churnDriver, p dhtParams) *chordScheme {
 	n := d.p.Nodes
 	c := &chordScheme{
 		d: d, p: p,

@@ -8,25 +8,25 @@ import (
 	"bestpeer/internal/workload"
 )
 
-// Point is one (x, y) sample of a series.
-type Point struct {
+// point is one (x, y) sample of a series.
+type point struct {
 	X float64
 	Y float64
 }
 
-// Series is one labelled curve of a figure.
-type Series struct {
+// series is one labelled curve of a figure.
+type series struct {
 	Name   string
-	Points []Point
+	Points []point
 }
 
-// Figure is the data behind one of the paper's plots.
-type Figure struct {
+// figure is the data behind one of the paper's plots.
+type figure struct {
 	ID     string
 	Title  string
 	XLabel string
 	YLabel string
-	Series []Series
+	Series []series
 }
 
 func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
@@ -34,8 +34,8 @@ func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond)
 // steadyBPR runs rounds of a reconfigurable BestPeer query and returns
 // the post-warm-up completion time (the paper's BPR numbers reflect the
 // reconfigured network; its first-run cost appears explicitly in Fig 8a).
-func steadyBPR(tp *topology.Topology, p Params, strategy reconfig.Strategy) RunResult {
-	runs := RunBestPeer(tp, p, 2, strategy)
+func steadyBPR(tp *topology.Topology, p params, strategy reconfig.Strategy) runResult {
+	runs := runBestPeer(tp, p, 2, strategy)
 	return runs[len(runs)-1]
 }
 
@@ -43,9 +43,9 @@ func steadyBPR(tp *topology.Topology, p Params, strategy reconfig.Strategy) RunR
 func defaultSpec(seed int64) *workload.Spec { return workload.Default(seed) }
 
 // fig5Params is the shared configuration of the topology experiments.
-func fig5Params(cost CostModel, seed int64) Params {
+func fig5Params(cost costModel, seed int64) params {
 	spec := defaultSpec(seed)
-	return Params{
+	return params{
 		Cost:        cost,
 		Spec:        spec,
 		Query:       spec.Keyword(7),
@@ -54,36 +54,36 @@ func fig5Params(cost CostModel, seed int64) Params {
 	}
 }
 
-// Fig5a reproduces Figure 5(a): completion time on the Star topology as
+// fig5a reproduces Figure 5(a): completion time on the Star topology as
 // the network grows, for SCS, MCS, BPS and BPR.
-func Fig5a(cost CostModel, seed int64) *Figure {
+func fig5a(cost costModel, seed int64) *figure {
 	p := fig5Params(cost, seed)
 	sizes := []int{2, 4, 8, 16, 24, 32}
-	fig := &Figure{
+	fig := &figure{
 		ID: "5a", Title: "Star topology: completion time vs nodes",
 		XLabel: "nodes", YLabel: "completion (ms)",
-		Series: []Series{{Name: "SCS"}, {Name: "MCS"}, {Name: "BPS"}, {Name: "BPR"}},
+		Series: []series{{Name: "SCS"}, {Name: "MCS"}, {Name: "BPS"}, {Name: "BPR"}},
 	}
 	for _, n := range sizes {
 		tp := topology.Star(n)
 		x := float64(n)
-		fig.Series[0].Points = append(fig.Series[0].Points, Point{x, ms(RunCS(tp, p, true).Completion)})
-		fig.Series[1].Points = append(fig.Series[1].Points, Point{x, ms(RunCS(tp, p, false).Completion)})
-		fig.Series[2].Points = append(fig.Series[2].Points, Point{x, ms(RunBestPeer(tp, p, 1, reconfig.Static{})[0].Completion)})
-		fig.Series[3].Points = append(fig.Series[3].Points, Point{x, ms(steadyBPR(tp, p, reconfig.MaxCount{}).Completion)})
+		fig.Series[0].Points = append(fig.Series[0].Points, point{x, ms(runCS(tp, p, true).Completion)})
+		fig.Series[1].Points = append(fig.Series[1].Points, point{x, ms(runCS(tp, p, false).Completion)})
+		fig.Series[2].Points = append(fig.Series[2].Points, point{x, ms(runBestPeer(tp, p, 1, reconfig.Static{})[0].Completion)})
+		fig.Series[3].Points = append(fig.Series[3].Points, point{x, ms(steadyBPR(tp, p, reconfig.MaxCount{}).Completion)})
 	}
 	return fig
 }
 
-// Fig5b reproduces Figure 5(b): completion time on the Tree topology as
+// fig5b reproduces Figure 5(b): completion time on the Tree topology as
 // depth grows (binary tree, capped at 48 nodes at level 5 exactly as the
 // paper did), for CS (multi-threaded), BPS and BPR.
-func Fig5b(cost CostModel, seed int64) *Figure {
+func fig5b(cost costModel, seed int64) *figure {
 	p := fig5Params(cost, seed)
-	fig := &Figure{
+	fig := &figure{
 		ID: "5b", Title: "Tree topology: completion time vs levels",
 		XLabel: "levels", YLabel: "completion (ms)",
-		Series: []Series{{Name: "CS"}, {Name: "BPS"}, {Name: "BPR"}},
+		Series: []series{{Name: "CS"}, {Name: "BPS"}, {Name: "BPR"}},
 	}
 	for levels := 1; levels <= 5; levels++ {
 		n := topology.TreeLevels(2, levels)
@@ -92,75 +92,75 @@ func Fig5b(cost CostModel, seed int64) *Figure {
 		}
 		tp := topology.Tree(n, 2)
 		x := float64(levels)
-		fig.Series[0].Points = append(fig.Series[0].Points, Point{x, ms(RunCS(tp, p, false).Completion)})
-		fig.Series[1].Points = append(fig.Series[1].Points, Point{x, ms(RunBestPeer(tp, p, 1, reconfig.Static{})[0].Completion)})
-		fig.Series[2].Points = append(fig.Series[2].Points, Point{x, ms(steadyBPR(tp, p, reconfig.MaxCount{}).Completion)})
+		fig.Series[0].Points = append(fig.Series[0].Points, point{x, ms(runCS(tp, p, false).Completion)})
+		fig.Series[1].Points = append(fig.Series[1].Points, point{x, ms(runBestPeer(tp, p, 1, reconfig.Static{})[0].Completion)})
+		fig.Series[2].Points = append(fig.Series[2].Points, point{x, ms(steadyBPR(tp, p, reconfig.MaxCount{}).Completion)})
 	}
 	return fig
 }
 
-// Fig5c reproduces Figure 5(c): completion time on the Line topology.
-func Fig5c(cost CostModel, seed int64) *Figure {
+// fig5c reproduces Figure 5(c): completion time on the Line topology.
+func fig5c(cost costModel, seed int64) *figure {
 	p := fig5Params(cost, seed)
 	sizes := []int{2, 4, 8, 16, 24, 32}
-	fig := &Figure{
+	fig := &figure{
 		ID: "5c", Title: "Line topology: completion time vs nodes",
 		XLabel: "nodes", YLabel: "completion (ms)",
-		Series: []Series{{Name: "CS"}, {Name: "BPS"}, {Name: "BPR"}},
+		Series: []series{{Name: "CS"}, {Name: "BPS"}, {Name: "BPR"}},
 	}
 	for _, n := range sizes {
 		tp := topology.Line(n)
 		x := float64(n)
-		fig.Series[0].Points = append(fig.Series[0].Points, Point{x, ms(RunCS(tp, p, false).Completion)})
-		fig.Series[1].Points = append(fig.Series[1].Points, Point{x, ms(RunBestPeer(tp, p, 1, reconfig.Static{})[0].Completion)})
-		fig.Series[2].Points = append(fig.Series[2].Points, Point{x, ms(steadyBPR(tp, p, reconfig.MaxCount{}).Completion)})
+		fig.Series[0].Points = append(fig.Series[0].Points, point{x, ms(runCS(tp, p, false).Completion)})
+		fig.Series[1].Points = append(fig.Series[1].Points, point{x, ms(runBestPeer(tp, p, 1, reconfig.Static{})[0].Completion)})
+		fig.Series[2].Points = append(fig.Series[2].Points, point{x, ms(steadyBPR(tp, p, reconfig.MaxCount{}).Completion)})
 	}
 	return fig
 }
 
 // responseSeries converts a run's events into (time, nodes-responded)
 // samples.
-func responseSeries(name string, res RunResult) Series {
-	s := Series{Name: name}
+func responseSeries(name string, res runResult) series {
+	s := series{Name: name}
 	seen := make(map[int]bool)
 	for _, e := range res.Events {
 		if !seen[e.Node] {
 			seen[e.Node] = true
-			s.Points = append(s.Points, Point{ms(e.At), float64(len(seen))})
+			s.Points = append(s.Points, point{ms(e.At), float64(len(seen))})
 		}
 	}
 	return s
 }
 
 // answerSeries converts a run's events into (time, cumulative answers).
-func answerSeries(name string, res RunResult) Series {
-	s := Series{Name: name}
+func answerSeries(name string, res runResult) series {
+	s := series{Name: name}
 	total := 0
 	for _, e := range res.Events {
 		total += e.Answers
-		s.Points = append(s.Points, Point{ms(e.At), float64(total)})
+		s.Points = append(s.Points, point{ms(e.At), float64(total)})
 	}
 	return s
 }
 
 // fig67Runs executes the 32-node tree experiment shared by Figures 6/7.
-func fig67Runs(cost CostModel, seed int64) (cs, bps, bpr RunResult) {
+func fig67Runs(cost costModel, seed int64) (cs, bps, bpr runResult) {
 	p := fig5Params(cost, seed)
 	tp := topology.Tree(32, 2)
-	cs = RunCS(tp, p, false)
-	bps = RunBestPeer(tp, p, 1, reconfig.Static{})[0]
+	cs = runCS(tp, p, false)
+	bps = runBestPeer(tp, p, 1, reconfig.Static{})[0]
 	bpr = steadyBPR(tp, p, reconfig.MaxCount{})
 	return
 }
 
-// Fig6 reproduces Figure 6: the rate at which nodes respond (32 nodes,
+// fig6 reproduces Figure 6: the rate at which nodes respond (32 nodes,
 // tree topology). Point (T, K): K nodes have responded by time T.
-func Fig6(cost CostModel, seed int64) *Figure {
+func fig6(cost costModel, seed int64) *figure {
 	cs, bps, bpr := fig67Runs(cost, seed)
-	return &Figure{
+	return &figure{
 		ID: "6", Title: "Rate at which answers are returned (32 nodes, tree)",
 		XLabel: "time (ms)", YLabel: "nodes responded",
-		Series: []Series{
+		Series: []series{
 			responseSeries("CS", cs),
 			responseSeries("BPS", bps),
 			responseSeries("BPR", bpr),
@@ -168,14 +168,14 @@ func Fig6(cost CostModel, seed int64) *Figure {
 	}
 }
 
-// Fig7 reproduces Figure 7: cumulative number of answers over time for
+// fig7 reproduces Figure 7: cumulative number of answers over time for
 // the same runs as Figure 6.
-func Fig7(cost CostModel, seed int64) *Figure {
+func fig7(cost costModel, seed int64) *figure {
 	cs, bps, bpr := fig67Runs(cost, seed)
-	return &Figure{
+	return &figure{
 		ID: "7", Title: "Number of answers returned over time (32 nodes, tree)",
 		XLabel: "time (ms)", YLabel: "answers",
-		Series: []Series{
+		Series: []series{
 			answerSeries("CS", cs),
 			answerSeries("BPS", bps),
 			answerSeries("BPR", bpr),
@@ -219,41 +219,41 @@ func fig8Spec(tp *topology.Topology, seed int64) *workload.Spec {
 	return spec
 }
 
-// Fig8a reproduces Figure 8(a): BestPeer vs Gnutella completion time per
+// fig8a reproduces Figure 8(a): BestPeer vs Gnutella completion time per
 // run of the same query (up to 8 direct peers, 4 runs). Gnutella is flat
 // across runs; BestPeer's first run pays the full route but subsequent
 // runs exploit reconfiguration.
-func Fig8a(cost CostModel, seed int64) *Figure {
+func fig8a(cost costModel, seed int64) *figure {
 	const n, peerBudget, rounds = 32, 8, 4
 	tp := topology.Random(n, peerBudget/2, seed) // sparse start; budget allows growth
 	spec := fig8Spec(tp, seed)
-	p := Params{
+	p := params{
 		Cost: cost, Spec: spec, Query: "needle",
 		MaxPeers: peerBudget, IncludeData: false, // names only, as in the paper
 	}
-	bp := RunBestPeer(tp, p, rounds, reconfig.MaxCount{})
-	gnu := RunGnutella(tp, p, rounds)
+	bp := runBestPeer(tp, p, rounds, reconfig.MaxCount{})
+	gnu := runGnutella(tp, p, rounds)
 
-	fig := &Figure{
+	fig := &figure{
 		ID: "8a", Title: "BestPeer vs Gnutella: completion time per run (8 peers)",
 		XLabel: "run", YLabel: "completion (ms)",
-		Series: []Series{{Name: "BP"}, {Name: "Gnutella"}},
+		Series: []series{{Name: "BP"}, {Name: "Gnutella"}},
 	}
 	for r := 0; r < rounds; r++ {
-		fig.Series[0].Points = append(fig.Series[0].Points, Point{float64(r + 1), ms(bp[r].Completion)})
-		fig.Series[1].Points = append(fig.Series[1].Points, Point{float64(r + 1), ms(gnu[r].Completion)})
+		fig.Series[0].Points = append(fig.Series[0].Points, point{float64(r + 1), ms(bp[r].Completion)})
+		fig.Series[1].Points = append(fig.Series[1].Points, point{float64(r + 1), ms(gnu[r].Completion)})
 	}
 	return fig
 }
 
-// Fig8b reproduces Figure 8(b): mean completion time over 4 runs as the
+// fig8b reproduces Figure 8(b): mean completion time over 4 runs as the
 // direct-peer budget grows.
-func Fig8b(cost CostModel, seed int64) *Figure {
+func fig8b(cost costModel, seed int64) *figure {
 	const n, rounds = 32, 4
-	fig := &Figure{
+	fig := &figure{
 		ID: "8b", Title: "BestPeer vs Gnutella: mean completion vs peers",
 		XLabel: "max direct peers", YLabel: "mean completion (ms)",
-		Series: []Series{{Name: "BP"}, {Name: "Gnutella"}},
+		Series: []series{{Name: "BP"}, {Name: "Gnutella"}},
 	}
 	for _, budget := range []int{2, 4, 6, 8, 10} {
 		deg := budget / 2
@@ -262,54 +262,54 @@ func Fig8b(cost CostModel, seed int64) *Figure {
 		}
 		tp := topology.Random(n, deg, seed)
 		spec := fig8Spec(tp, seed)
-		p := Params{
+		p := params{
 			Cost: cost, Spec: spec, Query: "needle",
 			MaxPeers: budget, IncludeData: false,
 		}
-		bp := RunBestPeer(tp, p, rounds, reconfig.MaxCount{})
-		gnu := RunGnutella(tp, p, rounds)
+		bp := runBestPeer(tp, p, rounds, reconfig.MaxCount{})
+		gnu := runGnutella(tp, p, rounds)
 		var bpSum, gnuSum time.Duration
 		for r := 0; r < rounds; r++ {
 			bpSum += bp[r].Completion
 			gnuSum += gnu[r].Completion
 		}
 		fig.Series[0].Points = append(fig.Series[0].Points,
-			Point{float64(budget), ms(bpSum / rounds)})
+			point{float64(budget), ms(bpSum / rounds)})
 		fig.Series[1].Points = append(fig.Series[1].Points,
-			Point{float64(budget), ms(gnuSum / rounds)})
+			point{float64(budget), ms(gnuSum / rounds)})
 	}
 	return fig
 }
 
-// AblationStrategies compares reconfiguration strategies (none, MaxCount,
+// ablationStrategies compares reconfiguration strategies (none, MaxCount,
 // MinHops) on a 32-node line over successive rounds — the design choice
 // §3.3 discusses.
-func AblationStrategies(cost CostModel, seed int64) *Figure {
+func ablationStrategies(cost costModel, seed int64) *figure {
 	p := fig5Params(cost, seed)
 	tp := topology.Line(32)
 	const rounds = 4
-	fig := &Figure{
+	fig := &figure{
 		ID: "A1", Title: "Ablation: reconfiguration strategy (32-node line)",
 		XLabel: "round", YLabel: "completion (ms)",
 	}
 	for _, strat := range []reconfig.Strategy{reconfig.Static{}, reconfig.MaxCount{}, reconfig.MinHops{}} {
-		s := Series{Name: strat.Name()}
-		for r, res := range RunBestPeer(tp, p, rounds, strat) {
-			s.Points = append(s.Points, Point{float64(r + 1), ms(res.Completion)})
+		s := series{Name: strat.Name()}
+		for r, res := range runBestPeer(tp, p, rounds, strat) {
+			s.Points = append(s.Points, point{float64(r + 1), ms(res.Completion)})
 		}
 		fig.Series = append(fig.Series, s)
 	}
 	return fig
 }
 
-// AblationCompression measures the effect of GZIP on completion time
+// ablationCompression measures the effect of GZIP on completion time
 // (Fig. 5 tree setup, gzip on vs off).
-func AblationCompression(cost CostModel, seed int64) *Figure {
+func ablationCompression(cost costModel, seed int64) *figure {
 	tp := topology.Tree(32, 2)
-	fig := &Figure{
+	fig := &figure{
 		ID: "A2", Title: "Ablation: GZIP compression (32 nodes, tree)",
 		XLabel: "gzip (1=on)", YLabel: "completion (ms)",
-		Series: []Series{{Name: "BPS"}},
+		Series: []series{{Name: "BPS"}},
 	}
 	for _, on := range []bool{false, true} {
 		c := cost
@@ -321,25 +321,25 @@ func AblationCompression(cost CostModel, seed int64) *Figure {
 		if on {
 			x = 1.0
 		}
-		res := RunBestPeer(tp, p, 1, reconfig.Static{})[0]
-		fig.Series[0].Points = append(fig.Series[0].Points, Point{x, ms(res.Completion)})
+		res := runBestPeer(tp, p, 1, reconfig.Static{})[0]
+		fig.Series[0].Points = append(fig.Series[0].Points, point{x, ms(res.Completion)})
 	}
 	return fig
 }
 
-// AblationColdClass isolates the class-shipping cost: round 1 (every peer
+// ablationColdClass isolates the class-shipping cost: round 1 (every peer
 // cold) vs round 2 (class cached everywhere).
-func AblationColdClass(cost CostModel, seed int64) *Figure {
+func ablationColdClass(cost costModel, seed int64) *figure {
 	p := fig5Params(cost, seed)
 	p.ColdStart = true // every peer must fetch the class on round 1
 	tp := topology.Tree(32, 2)
-	runs := RunBestPeer(tp, p, 2, reconfig.Static{})
-	return &Figure{
+	runs := runBestPeer(tp, p, 2, reconfig.Static{})
+	return &figure{
 		ID: "A3", Title: "Ablation: cold vs warm class cache (32 nodes, tree)",
 		XLabel: "round", YLabel: "completion (ms)",
-		Series: []Series{{
+		Series: []series{{
 			Name: "BPS",
-			Points: []Point{
+			Points: []point{
 				{1, ms(runs[0].Completion)},
 				{2, ms(runs[1].Completion)},
 			},
@@ -347,56 +347,56 @@ func AblationColdClass(cost CostModel, seed int64) *Figure {
 	}
 }
 
-// AblationResultMode compares returning full objects (mode 1) against
+// ablationResultMode compares returning full objects (mode 1) against
 // names only (hint mode) on the Fig. 5 tree setup.
-func AblationResultMode(cost CostModel, seed int64) *Figure {
+func ablationResultMode(cost costModel, seed int64) *figure {
 	tp := topology.Tree(32, 2)
-	fig := &Figure{
+	fig := &figure{
 		ID: "A4", Title: "Ablation: result mode — data vs names (32 nodes, tree)",
 		XLabel: "mode (1=data, 2=names)", YLabel: "completion (ms)",
-		Series: []Series{{Name: "BPS"}},
+		Series: []series{{Name: "BPS"}},
 	}
 	for i, includeData := range []bool{true, false} {
 		p := fig5Params(cost, seed)
 		p.IncludeData = includeData
-		res := RunBestPeer(tp, p, 1, reconfig.Static{})[0]
-		fig.Series[0].Points = append(fig.Series[0].Points, Point{float64(i + 1), ms(res.Completion)})
+		res := runBestPeer(tp, p, 1, reconfig.Static{})[0]
+		fig.Series[0].Points = append(fig.Series[0].Points, point{float64(i + 1), ms(res.Completion)})
 	}
 	return fig
 }
 
-// AblationShipping compares code-shipping (agents run at the data) with
+// ablationShipping compares code-shipping (agents run at the data) with
 // naive data-shipping (peers ship their whole store and the base filters
 // locally) — the runtime choice §6 of the paper proposes as future work.
-func AblationShipping(cost CostModel, seed int64) *Figure {
-	fig := &Figure{
+func ablationShipping(cost costModel, seed int64) *figure {
+	fig := &figure{
 		ID: "A5", Title: "Ablation: code-shipping vs data-shipping (tree)",
 		XLabel: "nodes", YLabel: "completion (ms)",
-		Series: []Series{{Name: "code-ship"}, {Name: "data-ship"}},
+		Series: []series{{Name: "code-ship"}, {Name: "data-ship"}},
 	}
 	for _, n := range []int{4, 8, 16, 32} {
 		tp := topology.Tree(n, 2)
 		p := fig5Params(cost, seed)
 		x := float64(n)
 		fig.Series[0].Points = append(fig.Series[0].Points,
-			Point{x, ms(RunBestPeer(tp, p, 1, reconfig.Static{})[0].Completion)})
+			point{x, ms(runBestPeer(tp, p, 1, reconfig.Static{})[0].Completion)})
 		p.DataShip = true
 		fig.Series[1].Points = append(fig.Series[1].Points,
-			Point{x, ms(RunBestPeer(tp, p, 1, reconfig.Static{})[0].Completion)})
+			point{x, ms(runBestPeer(tp, p, 1, reconfig.Static{})[0].Completion)})
 	}
 	return fig
 }
 
-// TrafficTable compares total network traffic per query across schemes
+// trafficTable compares total network traffic per query across schemes
 // and topologies (32 nodes) — the bandwidth-utilization dimension the
 // paper's evaluation methodology (§4.1) calls out. x encodes the
 // topology: 1 = star, 2 = tree, 3 = line.
-func TrafficTable(cost CostModel, seed int64) *Figure {
+func trafficTable(cost costModel, seed int64) *figure {
 	p := fig5Params(cost, seed)
-	fig := &Figure{
+	fig := &figure{
 		ID: "T1", Title: "Traffic per query in KB (32 nodes; 1=star 2=tree 3=line)",
 		XLabel: "topology", YLabel: "KB delivered",
-		Series: []Series{{Name: "CS"}, {Name: "BPS"}, {Name: "Gnutella"}},
+		Series: []series{{Name: "CS"}, {Name: "BPS"}, {Name: "Gnutella"}},
 	}
 	kb := func(b uint64) float64 { return float64(b) / 1024 }
 	for i, tp := range []*topology.Topology{
@@ -404,26 +404,26 @@ func TrafficTable(cost CostModel, seed int64) *Figure {
 	} {
 		x := float64(i + 1)
 		fig.Series[0].Points = append(fig.Series[0].Points,
-			Point{x, kb(RunCS(tp, p, false).Bytes)})
+			point{x, kb(runCS(tp, p, false).Bytes)})
 		fig.Series[1].Points = append(fig.Series[1].Points,
-			Point{x, kb(RunBestPeer(tp, p, 1, reconfig.Static{})[0].Bytes)})
+			point{x, kb(runBestPeer(tp, p, 1, reconfig.Static{})[0].Bytes)})
 		gp := p
 		gp.IncludeData = false // Gnutella never returns data in-band
 		fig.Series[2].Points = append(fig.Series[2].Points,
-			Point{x, kb(RunGnutella(tp, gp, 1)[0].Bytes)})
+			point{x, kb(runGnutella(tp, gp, 1)[0].Bytes)})
 	}
 	return fig
 }
 
-// AllFigures runs every experiment.
-func AllFigures(cost CostModel, seed int64) []*Figure {
-	return []*Figure{
-		Fig5a(cost, seed), Fig5b(cost, seed), Fig5c(cost, seed),
-		Fig6(cost, seed), Fig7(cost, seed),
-		Fig8a(cost, seed), Fig8b(cost, seed),
-		AblationStrategies(cost, seed), AblationCompression(cost, seed),
-		AblationColdClass(cost, seed), AblationResultMode(cost, seed),
-		AblationShipping(cost, seed), TrafficTable(cost, seed),
-		FigTraffic(cost, seed),
+// allFigures runs every experiment.
+func allFigures(cost costModel, seed int64) []*figure {
+	return []*figure{
+		fig5a(cost, seed), fig5b(cost, seed), fig5c(cost, seed),
+		fig6(cost, seed), fig7(cost, seed),
+		fig8a(cost, seed), fig8b(cost, seed),
+		ablationStrategies(cost, seed), ablationCompression(cost, seed),
+		ablationColdClass(cost, seed), ablationResultMode(cost, seed),
+		ablationShipping(cost, seed), trafficTable(cost, seed),
+		figTraffic(cost, seed),
 	}
 }

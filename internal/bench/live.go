@@ -23,18 +23,18 @@ type LiveResult struct {
 	Completion time.Duration
 	// TotalAnswers counts the results received.
 	TotalAnswers int
-	// AgentsForwarded sums, over all nodes, the clone-forwards performed
+	// agentsForwarded sums, over all nodes, the clone-forwards performed
 	// during the round — a load metric independent of wall-clock noise.
-	AgentsForwarded uint64
+	agentsForwarded uint64
 	// MaxHops is the largest hop count among the answers.
 	MaxHops int
 }
 
-// LiveCluster is a real BestPeer network running in-process: the
+// liveCluster is a real BestPeer network running in-process: the
 // reference the simulator's bpSim answers to on everything that does not
 // depend on time (TestLiveMatchesSimCounts), and the live section of a
 // bpbench report.
-type LiveCluster struct {
+type liveCluster struct {
 	dir   string
 	nodes []*core.Node
 	store []*storm.Store
@@ -46,12 +46,12 @@ type LiveCluster struct {
 // NewLiveCluster builds and wires a live network over tp. Each node's
 // store is populated from spec (use a small ObjectsPerNode — this is the
 // real storage engine).
-func NewLiveCluster(tp *topology.Topology, spec *workload.Spec, query string, strategy reconfig.Strategy, maxPeers int) (*LiveCluster, error) {
+func NewLiveCluster(tp *topology.Topology, spec *workload.Spec, query string, strategy reconfig.Strategy, maxPeers int) (*liveCluster, error) {
 	dir, err := os.MkdirTemp("", "bestpeer-live")
 	if err != nil {
 		return nil, err
 	}
-	lc := &LiveCluster{dir: dir, base: tp.Base, query: query, spec: spec}
+	lc := &liveCluster{dir: dir, base: tp.Base, query: query, spec: spec}
 	nw := transport.NewInProc()
 	for i := 0; i < tp.N; i++ {
 		st, err := storm.Open(filepath.Join(dir, fmt.Sprintf("n%d.storm", i)), storm.Options{})
@@ -91,11 +91,11 @@ func NewLiveCluster(tp *topology.Topology, spec *workload.Spec, query string, st
 }
 
 // Base returns the query-issuing node.
-func (lc *LiveCluster) Base() *core.Node { return lc.nodes[lc.base] }
+func (lc *liveCluster) Base() *core.Node { return lc.nodes[lc.base] }
 
 // settle waits, for at most limit, until the fleet has stopped talking:
 // every frame sent has been received, and two reads a tick apart agree.
-func (lc *LiveCluster) settle(limit time.Duration) {
+func (lc *liveCluster) settle(limit time.Duration) {
 	tick := time.NewTicker(2 * time.Millisecond)
 	defer tick.Stop()
 	expired := time.After(limit)
@@ -124,7 +124,7 @@ func (lc *LiveCluster) settle(limit time.Duration) {
 // expected number of answers and then for the flood itself to end, both
 // within the timeout: a node without matches owes the base no answer, so
 // its clones may still be travelling when the last answer is in.
-func (lc *LiveCluster) RunRound(timeout time.Duration) (LiveResult, error) {
+func (lc *liveCluster) RunRound(timeout time.Duration) (LiveResult, error) {
 	start := time.Now()
 	expected := 0
 	for i := range lc.nodes {
@@ -149,7 +149,7 @@ func (lc *LiveCluster) RunRound(timeout time.Duration) (LiveResult, error) {
 	for _, n := range lc.nodes {
 		after += n.Stats().AgentsForwarded
 	}
-	out := LiveResult{TotalAnswers: len(res.Answers), AgentsForwarded: after - before}
+	out := LiveResult{TotalAnswers: len(res.Answers), agentsForwarded: after - before}
 	for _, a := range res.Answers {
 		if a.At > out.Completion {
 			out.Completion = a.At
@@ -161,11 +161,11 @@ func (lc *LiveCluster) RunRound(timeout time.Duration) (LiveResult, error) {
 	return out, nil
 }
 
-// LiveMetrics is the observability section of one scheme's live run:
+// liveMetrics is the observability section of one scheme's live run:
 // network-wide message and agent counters summed over every node's
 // registry, the base's answer-hop histogram, and the base's full registry
 // snapshot for anything the headline numbers leave out.
-type LiveMetrics struct {
+type liveMetrics struct {
 	MessagesSent    uint64               `json:"messages_sent"`
 	MessagesDropped uint64               `json:"messages_dropped"`
 	AgentsExecuted  uint64               `json:"agents_executed"`
@@ -188,8 +188,8 @@ func sumFamily(s *obs.Snapshot, name string) uint64 {
 }
 
 // Metrics snapshots the cluster's registries into the report section.
-func (lc *LiveCluster) Metrics() LiveMetrics {
-	var out LiveMetrics
+func (lc *liveCluster) Metrics() liveMetrics {
+	var out liveMetrics
 	for _, n := range lc.nodes {
 		snap := n.Metrics().Snapshot()
 		out.MessagesSent += sumFamily(snap, "bestpeer_transport_messages_sent_total")
@@ -206,7 +206,7 @@ func (lc *LiveCluster) Metrics() LiveMetrics {
 }
 
 // Close shuts the cluster down and removes its on-disk state.
-func (lc *LiveCluster) Close() {
+func (lc *liveCluster) Close() {
 	for _, n := range lc.nodes {
 		_ = n.Close() // teardown is best-effort; nothing to report to
 	}

@@ -28,7 +28,7 @@ type liveCounts struct {
 	looped                                uint64 // duplicates the base itself dropped: clones that came back to it
 }
 
-func (lc *LiveCluster) counts() liveCounts {
+func (lc *liveCluster) counts() liveCounts {
 	var c liveCounts
 	for _, n := range lc.nodes {
 		st := n.Stats() // reads executed before forwarded; settled relies on it
@@ -59,7 +59,7 @@ func (lc *LiveCluster) counts() liveCounts {
 // A node counts its forwards before its execution, so once every node has
 // executed the clone count is final and the two other counters can only
 // climb to their targets; passing one fails at once.
-func settled(t *testing.T, what string, lc *LiveCluster, before liveCounts, fanOut, reached int) (got liveCounts, clones uint64) {
+func settled(t *testing.T, what string, lc *liveCluster, before liveCounts, fanOut, reached int) (got liveCounts, clones uint64) {
 	t.Helper()
 	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
 		now := lc.counts()
@@ -87,7 +87,7 @@ func settled(t *testing.T, what string, lc *LiveCluster, before liveCounts, fanO
 	return
 }
 
-func liveBase(t *testing.T, lc *LiveCluster) []int {
+func liveBase(t *testing.T, lc *liveCluster) []int {
 	t.Helper()
 	var peers []int
 	for _, addr := range lc.Base().PeerAddrs() {
@@ -120,11 +120,11 @@ func liveBase(t *testing.T, lc *LiveCluster) []int {
 func TestLiveMatchesSimCounts(t *testing.T) {
 	spec := liveSpec()
 	query := spec.Keyword(3)
-	p := Params{Cost: DefaultCost(), Spec: spec, Query: query, MaxPeers: 4, IncludeData: true}
+	p := params{Cost: DefaultCost(), Spec: spec, Query: query, MaxPeers: 4, IncludeData: true}
 
 	// sameMessages: on an acyclic overlay the fleet sends the model's
 	// clones, and the model's messages plus one lone span per silent node.
-	sameMessages := func(t *testing.T, what string, tp *topology.Topology, got liveCounts, clones uint64, model RunResult) {
+	sameMessages := func(t *testing.T, what string, tp *topology.Topology, got liveCounts, clones uint64, model runResult) {
 		t.Helper()
 		batches := uint64(len(model.Events))
 		silent := uint64(tp.N-1) - batches
@@ -136,7 +136,7 @@ func TestLiveMatchesSimCounts(t *testing.T) {
 
 	for _, tp := range []*topology.Topology{topology.Star(8), topology.Line(8), topology.Tree(15, 2)} {
 		t.Run("static/"+tp.Name, func(t *testing.T) {
-			model := RunBestPeer(tp, p, 1, reconfig.Static{})[0]
+			model := runBestPeer(tp, p, 1, reconfig.Static{})[0]
 			// The live node cuts an initial peer list to its budget; the
 			// model never shrinks a node below its degree.
 			lc, err := NewLiveCluster(tp, spec, query, reconfig.Static{}, tp.N)
@@ -153,8 +153,8 @@ func TestLiveMatchesSimCounts(t *testing.T) {
 			}
 			got, clones := settled(t, "round 1", lc, liveCounts{}, len(tp.Peers(tp.Base)), tp.N-1)
 			sameMessages(t, "round 1", tp, got, clones, model)
-			if live.AgentsForwarded != got.forwarded {
-				t.Fatalf("RunRound saw %d forwards of %d", live.AgentsForwarded, got.forwarded)
+			if live.agentsForwarded != got.forwarded {
+				t.Fatalf("RunRound saw %d forwards of %d", live.agentsForwarded, got.forwarded)
 			}
 			// One batch per answering node, at the same distance: the
 			// base's hop histogram is cumulative over integer bounds.
@@ -188,7 +188,7 @@ func TestLiveMatchesSimCounts(t *testing.T) {
 					t.Fatal(err)
 				}
 				defer lc.Close()
-				var first, last RunResult
+				var first, last runResult
 				for round := 1; round <= 4; round++ {
 					what := fmt.Sprintf("round %d", round)
 					before, fanOut := lc.counts(), len(lc.Base().Peers())
@@ -247,8 +247,8 @@ func TestLiveRoundWaitsOutTheFlood(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.TotalAnswers != 3 || res.AgentsForwarded != 6 {
-		t.Fatalf("answers %d, agents forwarded %d; want 3 and 6", res.TotalAnswers, res.AgentsForwarded)
+	if res.TotalAnswers != 3 || res.agentsForwarded != 6 {
+		t.Fatalf("answers %d, agents forwarded %d; want 3 and 6", res.TotalAnswers, res.agentsForwarded)
 	}
 	if m := lc.Metrics(); m.MessagesSent != 7+1+6 {
 		t.Fatalf("%d frames sent; want 7 agents, 1 result and 6 lone spans", m.MessagesSent)

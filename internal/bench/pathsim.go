@@ -35,7 +35,7 @@ const doneKind = wire.KindPeerProbeOK
 // algorithm is already at the server) and answers to the hop the query
 // came from; intermediate hops relay answers upstream immediately.
 type pathSim struct {
-	p   Params
+	p   params
 	tp  *topology.Topology
 	sc  pathScheme
 	net *netsim.Network
@@ -44,11 +44,11 @@ type pathSim struct {
 	route   []int // upstream hop per node (-1 unseen)
 	pending []int // completion markers a node still waits for, own scan included
 	next    int   // SCS: index of the base's next server
-	events  []Event
+	events  []event
 	mark    trafficMark
 }
 
-func newPathSim(tp *topology.Topology, p Params, sc pathScheme) *pathSim {
+func newPathSim(tp *topology.Topology, p params, sc pathScheme) *pathSim {
 	s := &pathSim{
 		p: p.withDefaults(), tp: tp, sc: sc,
 		route:   make([]int, tp.N),
@@ -126,7 +126,7 @@ func (s *pathSim) sendUp(node, hits, origin int, hops uint8) {
 func (s *pathSim) handleAnswer(node int, env *wire.Envelope) {
 	hits, origin := resultFromBody(env.Body)
 	if node == s.tp.Base {
-		s.events = append(s.events, Event{
+		s.events = append(s.events, event{
 			Node: origin, Answers: hits, Hops: int(env.Hops),
 			At: s.net.Sim().Now() - s.mark.started,
 		})
@@ -182,7 +182,7 @@ func (s *pathSim) sendQuery(to int) {
 }
 
 // runRound issues the query once from the base and runs to quiescence.
-func (s *pathSim) runRound() RunResult {
+func (s *pathSim) runRound() runResult {
 	for i := range s.route {
 		s.route[i] = -1
 	}
@@ -206,28 +206,28 @@ func (s *pathSim) runRound() RunResult {
 	return s.mark.result(s.net, s.events, "flood")
 }
 
-// RunCS executes one query under the client/server model. singleThread
+// runCS executes one query under the client/server model. singleThread
 // selects SCS (sequential dispatch, one server thread); otherwise MCS.
-func RunCS(tp *topology.Topology, p Params, singleThread bool) RunResult {
+func runCS(tp *topology.Topology, p params, singleThread bool) runResult {
 	return newPathSim(tp, p, pathScheme{
 		query: wire.KindCSQuery, answer: wire.KindCSAnswer,
 		relay: p.Cost.RelayCost, done: true, sequential: singleThread,
 	}).runRound()
 }
 
-// RunGnutella executes `rounds` repetitions of the query on one network.
+// runGnutella executes `rounds` repetitions of the query on one network.
 // The peer set is fixed, so every round traverses the same path — the
 // property the paper contrasts with BestPeer's reconfiguration. QueryHits
 // carry file-name lists only (the protocol never returns file data
 // in-band), which matches the Fig. 8 configuration where BestPeer also
 // returns name lists.
-func RunGnutella(tp *topology.Topology, p Params, rounds int) []RunResult {
+func runGnutella(tp *topology.Topology, p params, rounds int) []runResult {
 	p.IncludeData = false
 	s := newPathSim(tp, p, pathScheme{
 		query: wire.KindGnuQuery, answer: wire.KindGnuQueryHit,
 		relay: p.Cost.GnuRelay,
 	})
-	out := make([]RunResult, 0, rounds)
+	out := make([]runResult, 0, rounds)
 	for r := 0; r < rounds; r++ {
 		out = append(out, s.runRound())
 	}

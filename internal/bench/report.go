@@ -10,7 +10,7 @@ import (
 // Render writes the figure as an aligned text table: one row per distinct
 // X value, one column per series. Step-style series (Figures 6/7) render
 // each sample row.
-func (f *Figure) Render(w io.Writer) {
+func (f *figure) Render(w io.Writer) {
 	fmt.Fprintf(w, "Figure %s — %s\n", f.ID, f.Title)
 
 	// Collect the union of X values.
@@ -88,7 +88,7 @@ func trimFloat(v float64) string {
 }
 
 // SeriesByName returns the named series, or nil.
-func (f *Figure) SeriesByName(name string) *Series {
+func (f *figure) SeriesByName(name string) *series {
 	for i := range f.Series {
 		if f.Series[i].Name == name {
 			return &f.Series[i]
@@ -98,7 +98,7 @@ func (f *Figure) SeriesByName(name string) *Series {
 }
 
 // YAt returns the series' Y value at x (false if absent).
-func (s *Series) YAt(x float64) (float64, bool) {
+func (s *series) YAt(x float64) (float64, bool) {
 	for _, p := range s.Points {
 		if p.X == x {
 			return p.Y, true
@@ -108,9 +108,9 @@ func (s *Series) YAt(x float64) (float64, bool) {
 }
 
 // Last returns the final point of the series.
-func (s *Series) Last() Point {
+func (s *series) Last() point {
 	if len(s.Points) == 0 {
-		return Point{}
+		return point{}
 	}
 	return s.Points[len(s.Points)-1]
 }

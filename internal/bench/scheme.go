@@ -12,10 +12,10 @@ import (
 	"bestpeer/internal/workload"
 )
 
-// Params configures one simulated experiment.
-type Params struct {
+// params configures one simulated experiment.
+type params struct {
 	// Cost calibrates the simulated hardware and network.
-	Cost CostModel
+	Cost costModel
 	// Spec generates the per-node data (object counts drive scan and
 	// transfer costs).
 	Spec *workload.Spec
@@ -47,7 +47,7 @@ type Params struct {
 	QRoute qroute.Options
 }
 
-func (p Params) withDefaults() Params {
+func (p params) withDefaults() params {
 	if p.MaxPeers == 0 {
 		p.MaxPeers = 8
 	}
@@ -57,8 +57,8 @@ func (p Params) withDefaults() Params {
 	return p
 }
 
-// Event is one answer batch arriving at the base node.
-type Event struct {
+// event is one answer batch arriving at the base node.
+type event struct {
 	// Node is the answering node's index.
 	Node int
 	// Answers is how many results the batch carried.
@@ -69,12 +69,12 @@ type Event struct {
 	At time.Duration
 }
 
-// RunResult is one query execution's outcome.
-type RunResult struct {
+// runResult is one query execution's outcome.
+type runResult struct {
 	// Completion is when the last answer arrived (the paper's metric).
 	Completion time.Duration
 	// Events are the answer arrivals in time order.
-	Events []Event
+	Events []event
 	// TotalAnswers sums Events' answers.
 	TotalAnswers int
 	// Msgs and Bytes count delivered traffic during the run; MsgsSent
@@ -100,7 +100,7 @@ func nodeAddr(i int) string { return fmt.Sprintf("n%d", i) }
 // newSimNet builds the testbed every figure scheme runs on: one shared LAN
 // segment on a fresh clock, one host per topology node delivering to
 // handle.
-func newSimNet(tp *topology.Topology, cost CostModel, threads int, handle func(node int, env *wire.Envelope)) *netsim.Network {
+func newSimNet(tp *topology.Topology, cost costModel, threads int, handle func(node int, env *wire.Envelope)) *netsim.Network {
 	net := netsim.NewNetwork(netsim.NewSim(), netsim.Link{Latency: cost.Latency, Bandwidth: cost.Bandwidth})
 	net.UseSharedMedium()
 	for i := 0; i < tp.N; i++ {
@@ -122,9 +122,9 @@ func markTraffic(net *netsim.Network) trafficMark {
 
 // result assembles the round's outcome from the answer arrivals and what
 // the network carried since the mark.
-func (m trafficMark) result(net *netsim.Network, events []Event, route string) RunResult {
-	res := RunResult{
-		Events:   append([]Event(nil), events...),
+func (m trafficMark) result(net *netsim.Network, events []event, route string) runResult {
+	res := runResult{
+		Events:   append([]event(nil), events...),
 		Msgs:     net.MsgsDelivered - m.msgs,
 		Bytes:    net.BytesDelivered - m.bytes,
 		MsgsSent: net.MsgsSent - m.sent,

@@ -5,8 +5,8 @@ import (
 	"bestpeer/internal/topology"
 )
 
-// TrafficRound is one query round of the traffic experiment.
-type TrafficRound struct {
+// trafficRound is one query round of the traffic experiment.
+type trafficRound struct {
 	Round int `json:"round"`
 	// Route is how the round's fan-out was planned: "flood",
 	// "selective", "explore" or "cached" (zero-message answer-cache hit).
@@ -19,14 +19,14 @@ type TrafficRound struct {
 	Answers int `json:"answers"`
 }
 
-// TrafficResult compares the same repeated needle query with and without
+// trafficResult compares the same repeated needle query with and without
 // the qroute subsystem at the base.
-type TrafficResult struct {
+type trafficResult struct {
 	// Expected is the ground-truth match count reachable from the base.
 	Expected int `json:"expected"`
 	// Flood and QRoute are the per-round outcomes of the two schemes.
-	Flood  []TrafficRound `json:"flood"`
-	QRoute []TrafficRound `json:"qroute"`
+	Flood  []trafficRound `json:"flood"`
+	QRoute []trafficRound `json:"qroute"`
 	// FloodMsgs and QRouteMsgs total the messages sent across all rounds.
 	FloodMsgs  uint64 `json:"flood_msgs"`
 	QRouteMsgs uint64 `json:"qroute_msgs"`
@@ -55,28 +55,28 @@ func trafficQRoute(seed int64) qroute.Options {
 	}
 }
 
-// Traffic measures the traffic-reduction claim: the Fig-8 needle
+// traffic measures the traffic-reduction claim: the Fig-8 needle
 // workload on a 32-node random overlay, repeated for six rounds under a
 // static strategy, once flooding every round and once with the answer
 // cache + learned selective routing at the base. The base's store
 // mutates before rounds 3 and 5, invalidating the cache mid-run, so the
 // qroute scheme must re-prove recall through selective routes — not just
 // replay one warm cache entry.
-func Traffic(cost CostModel, seed int64) *TrafficResult {
+func traffic(cost costModel, seed int64) *trafficResult {
 	const n = 32
 	tp := topology.Random(n, 4, seed)
 	spec := fig8Spec(tp, seed)
-	p := Params{
+	p := params{
 		Cost: cost, Spec: spec, Query: "needle",
 		MaxPeers: 8, IncludeData: false,
 	}
-	out := &TrafficResult{
+	out := &trafficResult{
 		Expected: expectedAnswers(tp, spec, p.Query, p.withDefaults().TTL),
 	}
-	run := func(p Params) []TrafficRound {
+	run := func(p params) []trafficRound {
 		b := newBPSim(tp, p)
 		b.strategyName = "static"
-		rounds := make([]TrafficRound, 0, trafficRounds)
+		rounds := make([]trafficRound, 0, trafficRounds)
 		for r := 1; r <= trafficRounds; r++ {
 			if r == 3 || r == 5 {
 				// A store mutation at the base retires every cached
@@ -84,7 +84,7 @@ func Traffic(cost CostModel, seed int64) *TrafficResult {
 				b.qr.BumpEpoch()
 			}
 			res := b.runRound()
-			rounds = append(rounds, TrafficRound{
+			rounds = append(rounds, trafficRound{
 				Round: r, Route: res.Route, Msgs: res.MsgsSent,
 				Bytes: res.Bytes, Answers: res.TotalAnswers,
 			})
@@ -102,21 +102,21 @@ func Traffic(cost CostModel, seed int64) *TrafficResult {
 	return out
 }
 
-// FigTraffic renders the Traffic experiment as a figure: messages sent
+// figTraffic renders the Traffic experiment as a figure: messages sent
 // per round, flood vs qroute.
-func FigTraffic(cost CostModel, seed int64) *Figure {
-	tr := Traffic(cost, seed)
-	fig := &Figure{
+func figTraffic(cost costModel, seed int64) *figure {
+	tr := traffic(cost, seed)
+	fig := &figure{
 		ID:     "T2",
 		Title:  "Traffic: flood vs answer cache + selective routing (32 nodes, needle query)",
 		XLabel: "round", YLabel: "messages sent",
-		Series: []Series{{Name: "flood"}, {Name: "qroute"}},
+		Series: []series{{Name: "flood"}, {Name: "qroute"}},
 	}
 	for i := range tr.Flood {
 		fig.Series[0].Points = append(fig.Series[0].Points,
-			Point{float64(tr.Flood[i].Round), float64(tr.Flood[i].Msgs)})
+			point{float64(tr.Flood[i].Round), float64(tr.Flood[i].Msgs)})
 		fig.Series[1].Points = append(fig.Series[1].Points,
-			Point{float64(tr.QRoute[i].Round), float64(tr.QRoute[i].Msgs)})
+			point{float64(tr.QRoute[i].Round), float64(tr.QRoute[i].Msgs)})
 	}
 	return fig
 }

@@ -8,7 +8,7 @@ import "testing"
 // flood's recall — including across the mid-run store mutations that
 // force it off the warm cache.
 func TestTrafficSelectiveBeatsFlood(t *testing.T) {
-	tr := Traffic(DefaultCost(), 1)
+	tr := traffic(DefaultCost(), 1)
 	if len(tr.Flood) != trafficRounds || len(tr.QRoute) != trafficRounds {
 		t.Fatalf("rounds = %d/%d, want %d each", len(tr.Flood), len(tr.QRoute), trafficRounds)
 	}
