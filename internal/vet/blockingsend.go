@@ -21,7 +21,7 @@ func (blockingsend) Doc() string {
 	return "channel send on the message path without a select default or timeout case"
 }
 
-func (b blockingsend) Run(p *Pass) {
+func (b blockingsend) Run(p *pkgPass) {
 	if !b.applies(p.PkgPath) {
 		return
 	}

@@ -18,7 +18,7 @@ func (busypoll) Doc() string {
 	return "time.Sleep inside a loop; wait on a channel or select on a stop channel instead"
 }
 
-func (b busypoll) Run(p *Pass) {
+func (b busypoll) Run(p *pkgPass) {
 	if strings.Contains(p.PkgPath, "faultnet") {
 		return
 	}
@@ -36,7 +36,7 @@ func (b busypoll) Run(p *Pass) {
 }
 
 // isTimeSleep reports whether call is time.Sleep from the time package.
-func isTimeSleep(p *Pass, call *ast.CallExpr) bool {
+func isTimeSleep(p *pkgPass, call *ast.CallExpr) bool {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok || sel.Sel.Name != "Sleep" {
 		return false

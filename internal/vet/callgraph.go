@@ -36,55 +36,55 @@ import (
 // top of the graph are therefore under-approximate on dynamic calls and
 // must say so in their docs.
 
-// EdgeKind classifies how a call edge was resolved.
-type EdgeKind uint8
+// edgeKind classifies how a call edge was resolved.
+type edgeKind uint8
 
 const (
-	// EdgeStatic is a direct call of a declared function or method.
-	EdgeStatic EdgeKind = iota
-	// EdgeInterface is interface-method dispatch, resolved to every
+	// edgeStatic is a direct call of a declared function or method.
+	edgeStatic edgeKind = iota
+	// edgeInterface is interface-method dispatch, resolved to every
 	// loaded concrete method implementing a module-defined interface.
-	EdgeInterface
-	// EdgeMethodValue is a method value captured without being called;
+	edgeInterface
+	// edgeMethodValue is a method value captured without being called;
 	// it may run at any later time.
-	EdgeMethodValue
+	edgeMethodValue
 )
 
-func (k EdgeKind) String() string {
+func (k edgeKind) String() string {
 	switch k {
-	case EdgeStatic:
+	case edgeStatic:
 		return "static"
-	case EdgeInterface:
+	case edgeInterface:
 		return "interface"
-	case EdgeMethodValue:
+	case edgeMethodValue:
 		return "method-value"
 	}
 	return "edge(?)"
 }
 
-// LockMode distinguishes exclusive from shared acquisition.
-type LockMode uint8
+// lockMode distinguishes exclusive from shared acquisition.
+type lockMode uint8
 
 const (
-	// LockExclusive is Lock on a Mutex or RWMutex.
-	LockExclusive LockMode = iota
-	// LockShared is RLock on an RWMutex.
-	LockShared
+	// lockExclusive is Lock on a Mutex or RWMutex.
+	lockExclusive lockMode = iota
+	// lockShared is RLock on an RWMutex.
+	lockShared
 )
 
-// HeldLock is one mutex class held at a program point, with the
+// heldLock is one mutex class held at a program point, with the
 // position where it was acquired.
-type HeldLock struct {
+type heldLock struct {
 	Class types.Object // field or variable identifying the mutex
-	Mode  LockMode
+	Mode  lockMode
 	Pos   token.Pos
 }
 
-// CallSite is one resolved call (or method-value capture) inside a
+// callSite is one resolved call (or method-value capture) inside a
 // function body.
-type CallSite struct {
+type callSite struct {
 	Pos  token.Pos
-	Kind EdgeKind
+	Kind edgeKind
 	// Targets are the resolved declared-function targets (one for
 	// static edges, possibly many for interface dispatch). Generic
 	// instantiations are normalized to their Origin.
@@ -94,39 +94,34 @@ type CallSite struct {
 	// sync.Once.Do (which calls it before returning).
 	Lits []*ast.FuncLit
 	// Held are the mutex classes lexically held when the call runs.
-	Held []HeldLock
-	// Deferred marks a call site inside a defer statement: it runs at
-	// function exit, where the lexical held-set is an approximation.
-	Deferred bool
+	Held []heldLock
 }
 
-// LockUse is one direct mutex acquisition inside a function body.
-type LockUse struct {
+// lockUse is one direct mutex acquisition inside a function body.
+type lockUse struct {
 	Class types.Object
-	Mode  LockMode
+	Mode  lockMode
 	Pos   token.Pos
 	// Held are the classes already held when this acquisition happens —
 	// the intra-procedural lock-order edges.
-	Held []HeldLock
+	Held []heldLock
 }
 
-// FuncNode is one function in the program graph: a declaration (Obj and
-// Decl set) or a literal (Lit set).
-type FuncNode struct {
+// funcNode is one function in the program graph: a declaration (Obj set)
+// or a literal (Obj nil).
+type funcNode struct {
 	Obj  *types.Func
-	Decl *ast.FuncDecl
-	Lit  *ast.FuncLit
 	Pkg  *Package
 	Body *ast.BlockStmt
 
-	Sites []CallSite
-	Locks []LockUse
+	Sites []callSite
+	Locks []lockUse
 	// Gos are the go statements spawned from this body.
 	Gos []*ast.GoStmt
 }
 
 // Name returns a printable identifier for diagnostics.
-func (n *FuncNode) Name() string {
+func (n *funcNode) Name() string {
 	if n.Obj != nil {
 		return funcDisplayName(n.Obj)
 	}
@@ -156,8 +151,8 @@ func shortPkg(path string) string {
 	return path
 }
 
-// LockClassName renders a mutex class as pkg.Type.field or pkg.var.
-func LockClassName(obj types.Object) string {
+// lockClassName renders a mutex class as pkg.Type.field or pkg.var.
+func lockClassName(obj types.Object) string {
 	if obj == nil {
 		return "?"
 	}
@@ -202,18 +197,18 @@ func fieldOwner(field *types.Var) string {
 	return ""
 }
 
-// Program is the whole-program view the inter-procedural analyzers run
+// program is the whole-program view the inter-procedural analyzers run
 // over.
-type Program struct {
+type program struct {
 	Fset *token.FileSet
 	Pkgs []*Package
 
 	// nodes indexes declared functions by their (Origin) object.
-	nodes map[*types.Func]*FuncNode
+	nodes map[*types.Func]*funcNode
 	// lits indexes literal nodes by their AST node.
-	lits map[*ast.FuncLit]*FuncNode
+	lits map[*ast.FuncLit]*funcNode
 	// order is every node in deterministic (position) order.
-	order []*FuncNode
+	order []*funcNode
 
 	// ifaceImpls memoizes interface-method resolution.
 	ifaceImpls map[*types.Func][]*types.Func
@@ -222,26 +217,26 @@ type Program struct {
 
 	// acquires holds the transitive may-acquire fixpoint, computed on
 	// first use.
-	acquires     map[*FuncNode]map[types.Object]*Acquisition
+	acquires     map[*funcNode]map[types.Object]*acquisition
 	acquiresDone bool
 }
 
-// Acquisition explains how a function may come to hold a mutex class:
+// acquisition explains how a function may come to hold a mutex class:
 // either directly (Pos set, Via nil) or through a callee (Via set).
-type Acquisition struct {
+type acquisition struct {
 	Class types.Object
-	Mode  LockMode
+	Mode  lockMode
 	// Pos is the direct acquisition position (valid when Via is nil).
 	Pos token.Pos
 	// Via is the callee through which the acquisition is reachable,
 	// and CallPos the call site in the owning function.
-	Via     *FuncNode
+	Via     *funcNode
 	CallPos token.Pos
 }
 
 // NodeOf returns the graph node for a declared function (following
 // generic instantiations to their origin), or nil.
-func (pr *Program) NodeOf(f *types.Func) *FuncNode {
+func (pr *program) NodeOf(f *types.Func) *funcNode {
 	if f == nil {
 		return nil
 	}
@@ -249,26 +244,26 @@ func (pr *Program) NodeOf(f *types.Func) *FuncNode {
 }
 
 // LitNode returns the graph node for a function literal, or nil.
-func (pr *Program) LitNode(l *ast.FuncLit) *FuncNode { return pr.lits[l] }
+func (pr *program) LitNode(l *ast.FuncLit) *funcNode { return pr.lits[l] }
 
 // Nodes returns every function node in deterministic order.
-func (pr *Program) Nodes() []*FuncNode { return pr.order }
+func (pr *program) Nodes() []*funcNode { return pr.order }
 
-// BuildProgram constructs the call graph and flow facts for the loaded
+// buildProgram constructs the call graph and flow facts for the loaded
 // packages.
-func BuildProgram(pkgs []*Package) *Program {
-	pr := &Program{
+func buildProgram(pkgs []*Package) *program {
+	pr := &program{
 		Pkgs:       pkgs,
-		nodes:      make(map[*types.Func]*FuncNode),
-		lits:       make(map[*ast.FuncLit]*FuncNode),
+		nodes:      make(map[*types.Func]*funcNode),
+		lits:       make(map[*ast.FuncLit]*funcNode),
 		ifaceImpls: make(map[*types.Func][]*types.Func),
-		acquires:   make(map[*FuncNode]map[types.Object]*Acquisition),
+		acquires:   make(map[*funcNode]map[types.Object]*acquisition),
 	}
 	if len(pkgs) > 0 {
 		pr.Fset = pkgs[0].Fset
 	}
 
-	// Pass 1: create a node per function declaration and literal, and
+	// pkgPass 1: create a node per function declaration and literal, and
 	// collect the named types for interface resolution.
 	for _, pkg := range pkgs {
 		scope := pkg.Types.Scope()
@@ -287,12 +282,12 @@ func BuildProgram(pkgs []*Package) *Program {
 						return true
 					}
 					if obj, ok := pkg.Info.Defs[d.Name].(*types.Func); ok {
-						node := &FuncNode{Obj: obj, Decl: d, Pkg: pkg, Body: d.Body}
+						node := &funcNode{Obj: obj, Pkg: pkg, Body: d.Body}
 						pr.nodes[obj] = node
 						pr.order = append(pr.order, node)
 					}
 				case *ast.FuncLit:
-					node := &FuncNode{Lit: d, Pkg: pkg, Body: d.Body}
+					node := &funcNode{Pkg: pkg, Body: d.Body}
 					pr.lits[d] = node
 					pr.order = append(pr.order, node)
 				}
@@ -302,7 +297,7 @@ func BuildProgram(pkgs []*Package) *Program {
 	}
 	sort.Slice(pr.order, func(i, j int) bool { return pr.order[i].Body.Pos() < pr.order[j].Body.Pos() })
 
-	// Pass 2: resolve call sites and lock facts per body.
+	// pkgPass 2: resolve call sites and lock facts per body.
 	for _, node := range pr.order {
 		pr.analyzeBody(node)
 	}
@@ -312,7 +307,7 @@ func BuildProgram(pkgs []*Package) *Program {
 // moduleInterface reports whether the interface owning method m is
 // declared inside one of the loaded packages (as opposed to the
 // standard library).
-func (pr *Program) moduleInterface(m *types.Func) bool {
+func (pr *program) moduleInterface(m *types.Func) bool {
 	pkg := m.Pkg()
 	if pkg == nil {
 		return false
@@ -327,7 +322,7 @@ func (pr *Program) moduleInterface(m *types.Func) bool {
 
 // implementersOf resolves an interface method to the loaded concrete
 // methods that implement it.
-func (pr *Program) implementersOf(m *types.Func) []*types.Func {
+func (pr *program) implementersOf(m *types.Func) []*types.Func {
 	if impls, ok := pr.ifaceImpls[m]; ok {
 		return impls
 	}
@@ -367,25 +362,23 @@ func (pr *Program) implementersOf(m *types.Func) []*types.Func {
 // bodyEvent is one lock/unlock/call/method-value occurrence, ordered by
 // position to reconstruct the lexical lock state.
 type bodyEvent struct {
-	pos      token.Pos
-	kind     int // 0 lock, 1 unlock, 2 call, 3 method value
-	class    types.Object
-	mode     LockMode
-	call     *ast.CallExpr
-	target   *types.Func // method-value target (kind 3)
-	deferred bool
+	pos    token.Pos
+	kind   int // 0 lock, 1 unlock, 2 call, 3 method value
+	class  types.Object
+	mode   lockMode
+	call   *ast.CallExpr
+	target *types.Func // method-value target (kind 3)
 }
 
 // analyzeBody walks one function body (not descending into nested
 // literals — those are their own nodes) and fills in Sites, Locks, Gos.
-func (pr *Program) analyzeBody(node *FuncNode) {
+func (pr *program) analyzeBody(node *funcNode) {
 	info := node.Pkg.Info
 	var events []bodyEvent
 	// ast.Inspect visits parents before children, so these sets are
 	// populated before the nodes they classify are reached.
-	goCalls := make(map[*ast.CallExpr]bool)    // spawned on another goroutine
-	deferCalls := make(map[*ast.CallExpr]bool) // run at function exit
-	callFuns := make(map[ast.Expr]bool)        // selectors in call position
+	goCalls := make(map[*ast.CallExpr]bool) // spawned on another goroutine
+	callFuns := make(map[ast.Expr]bool)     // selectors in call position
 
 	ast.Inspect(node.Body, func(n ast.Node) bool {
 		switch x := n.(type) {
@@ -401,11 +394,8 @@ func (pr *Program) analyzeBody(node *FuncNode) {
 		case *ast.DeferStmt:
 			// A deferred Unlock never releases within the body; skip
 			// the whole call so it is not treated as a release point.
-			if _, _, ok := mutexMethod(info, x.Call, false); ok {
-				return false
-			}
-			deferCalls[x.Call] = true
-			return true
+			_, _, ok := mutexMethod(info, x.Call, false)
+			return !ok
 		case *ast.CallExpr:
 			callFuns[ast.Unparen(x.Fun)] = true
 			if goCalls[x] {
@@ -419,7 +409,7 @@ func (pr *Program) analyzeBody(node *FuncNode) {
 				events = append(events, bodyEvent{pos: x.Pos(), kind: 1, class: cls})
 				return true
 			}
-			events = append(events, bodyEvent{pos: x.Pos(), kind: 2, call: x, deferred: deferCalls[x]})
+			events = append(events, bodyEvent{pos: x.Pos(), kind: 2, call: x})
 			return true
 		case *ast.SelectorExpr:
 			if callFuns[x] {
@@ -441,18 +431,18 @@ func (pr *Program) analyzeBody(node *FuncNode) {
 	// Unlock on any path releases (favouring precision over recall,
 	// same as lockedsend); a deferred Unlock was skipped above so the
 	// lock stays held to the end of the body.
-	var held []HeldLock
-	snapshot := func() []HeldLock {
+	var held []heldLock
+	snapshot := func() []heldLock {
 		if len(held) == 0 {
 			return nil
 		}
-		return append([]HeldLock(nil), held...)
+		return append([]heldLock(nil), held...)
 	}
 	for _, e := range events {
 		switch e.kind {
 		case 0:
-			node.Locks = append(node.Locks, LockUse{Class: e.class, Mode: e.mode, Pos: e.pos, Held: snapshot()})
-			held = append(held, HeldLock{Class: e.class, Mode: e.mode, Pos: e.pos})
+			node.Locks = append(node.Locks, lockUse{Class: e.class, Mode: e.mode, Pos: e.pos, Held: snapshot()})
+			held = append(held, heldLock{Class: e.class, Mode: e.mode, Pos: e.pos})
 		case 1:
 			for i := len(held) - 1; i >= 0; i-- {
 				if held[i].Class == e.class {
@@ -461,14 +451,14 @@ func (pr *Program) analyzeBody(node *FuncNode) {
 				}
 			}
 		case 2:
-			site := CallSite{Pos: e.pos, Held: snapshot(), Deferred: e.deferred}
+			site := callSite{Pos: e.pos, Held: snapshot()}
 			pr.resolveCall(node, e.call, &site)
 			if len(site.Targets) > 0 || len(site.Lits) > 0 {
 				node.Sites = append(node.Sites, site)
 			}
 		case 3:
-			node.Sites = append(node.Sites, CallSite{
-				Pos: e.pos, Kind: EdgeMethodValue,
+			node.Sites = append(node.Sites, callSite{
+				Pos: e.pos, Kind: edgeMethodValue,
 				Targets: []*types.Func{e.target.Origin()},
 				Held:    snapshot(),
 			})
@@ -477,17 +467,17 @@ func (pr *Program) analyzeBody(node *FuncNode) {
 }
 
 // resolveCall fills site.Targets/Lits/Kind for one call expression.
-func (pr *Program) resolveCall(node *FuncNode, call *ast.CallExpr, site *CallSite) {
+func (pr *program) resolveCall(node *funcNode, call *ast.CallExpr, site *callSite) {
 	info := node.Pkg.Info
 	switch fun := ast.Unparen(call.Fun).(type) {
 	case *ast.FuncLit:
 		// Immediately-invoked literal: synchronous.
-		site.Kind = EdgeStatic
+		site.Kind = edgeStatic
 		site.Lits = append(site.Lits, fun)
 		return
 	case *ast.Ident:
 		if fn, ok := info.Uses[fun].(*types.Func); ok {
-			site.Kind = EdgeStatic
+			site.Kind = edgeStatic
 			site.Targets = []*types.Func{fn.Origin()}
 		}
 		return
@@ -497,11 +487,11 @@ func (pr *Program) resolveCall(node *FuncNode, call *ast.CallExpr, site *CallSit
 		if isPkgType(info.TypeOf(fun.X), "sync", "Once") && fun.Sel.Name == "Do" && len(call.Args) == 1 {
 			switch arg := ast.Unparen(call.Args[0]).(type) {
 			case *ast.FuncLit:
-				site.Kind = EdgeStatic
+				site.Kind = edgeStatic
 				site.Lits = append(site.Lits, arg)
 			case *ast.Ident:
 				if fn, ok := info.Uses[arg].(*types.Func); ok {
-					site.Kind = EdgeStatic
+					site.Kind = edgeStatic
 					site.Targets = []*types.Func{fn.Origin()}
 				}
 			}
@@ -516,12 +506,12 @@ func (pr *Program) resolveCall(node *FuncNode, call *ast.CallExpr, site *CallSit
 				if !pr.moduleInterface(fn) {
 					return // stdlib interface: implementations unknowable
 				}
-				site.Kind = EdgeInterface
+				site.Kind = edgeInterface
 				site.Targets = pr.implementersOf(fn)
 				return
 			}
 		}
-		site.Kind = EdgeStatic
+		site.Kind = edgeStatic
 		site.Targets = []*types.Func{fn.Origin()}
 	}
 }
@@ -550,20 +540,20 @@ func methodValueTarget(info *types.Info, sel *ast.SelectorExpr) *types.Func {
 // Mutexes reached through expressions with no object identity (map
 // entries, function results) return ok=false — they cannot be matched
 // across functions.
-func mutexMethod(info *types.Info, call *ast.CallExpr, acquire bool) (types.Object, LockMode, bool) {
+func mutexMethod(info *types.Info, call *ast.CallExpr, acquire bool) (types.Object, lockMode, bool) {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok {
 		return nil, 0, false
 	}
-	var mode LockMode
+	var mode lockMode
 	switch sel.Sel.Name {
 	case "Lock":
-		mode = LockExclusive
+		mode = lockExclusive
 		if !acquire {
 			return nil, 0, false
 		}
 	case "RLock":
-		mode = LockShared
+		mode = lockShared
 		if !acquire {
 			return nil, 0, false
 		}
@@ -604,17 +594,17 @@ func lockClassObj(info *types.Info, e ast.Expr) types.Object {
 // method-value edges are excluded here — following them would make
 // nearly everything acquire nearly everything; lockorder follows them
 // one level explicitly instead.
-func (pr *Program) Acquires(node *FuncNode) map[types.Object]*Acquisition {
+func (pr *program) Acquires(node *funcNode) map[types.Object]*acquisition {
 	pr.computeAcquires()
 	return pr.acquires[node]
 }
 
 // staticCallees resolves one site's synchronous callees to graph nodes.
-func (pr *Program) staticCallees(site *CallSite) []*FuncNode {
-	if site.Kind != EdgeStatic {
+func (pr *program) staticCallees(site *callSite) []*funcNode {
+	if site.Kind != edgeStatic {
 		return nil
 	}
-	var callees []*FuncNode
+	var callees []*funcNode
 	for _, t := range site.Targets {
 		if n := pr.NodeOf(t); n != nil {
 			callees = append(callees, n)
@@ -630,17 +620,17 @@ func (pr *Program) staticCallees(site *CallSite) []*FuncNode {
 
 // computeAcquires runs the may-acquire fixpoint over the whole graph,
 // so recursion and mutual recursion converge instead of being cut off.
-func (pr *Program) computeAcquires() {
+func (pr *program) computeAcquires() {
 	if pr.acquiresDone {
 		return
 	}
 	pr.acquiresDone = true
 	for _, n := range pr.order {
-		out := make(map[types.Object]*Acquisition)
+		out := make(map[types.Object]*acquisition)
 		for i := range n.Locks {
 			l := &n.Locks[i]
 			if _, ok := out[l.Class]; !ok {
-				out[l.Class] = &Acquisition{Class: l.Class, Mode: l.Mode, Pos: l.Pos}
+				out[l.Class] = &acquisition{Class: l.Class, Mode: l.Mode, Pos: l.Pos}
 			}
 		}
 		pr.acquires[n] = out
@@ -654,7 +644,7 @@ func (pr *Program) computeAcquires() {
 				for _, callee := range pr.staticCallees(site) {
 					for cls, acq := range pr.acquires[callee] {
 						if _, ok := out[cls]; !ok {
-							out[cls] = &Acquisition{Class: cls, Mode: acq.Mode, Via: callee, CallPos: site.Pos}
+							out[cls] = &acquisition{Class: cls, Mode: acq.Mode, Via: callee, CallPos: site.Pos}
 							changed = true
 						}
 					}
@@ -666,9 +656,9 @@ func (pr *Program) computeAcquires() {
 
 // AcquirePath renders the chain from a function to a concrete
 // acquisition for diagnostics: "via X (file:line) via Y (file:line)".
-func (pr *Program) AcquirePath(node *FuncNode, cls types.Object) string {
+func (pr *program) AcquirePath(node *funcNode, cls types.Object) string {
 	var b strings.Builder
-	seen := map[*FuncNode]bool{}
+	seen := map[*funcNode]bool{}
 	for node != nil && !seen[node] {
 		seen[node] = true
 		acq := pr.Acquires(node)[cls]

@@ -9,7 +9,7 @@ const cgPath = "bestpeer/internal/vet/testdata/src/callgraph"
 
 // loadCallgraph builds the program over the two-package callgraph
 // fixture (parent + leaf), exercising cross-package loading.
-func loadCallgraph(t *testing.T) *Program {
+func loadCallgraph(t *testing.T) *program {
 	t.Helper()
 	pkgs, err := Load(".", []string{"testdata/src/callgraph/..."})
 	if err != nil {
@@ -18,12 +18,12 @@ func loadCallgraph(t *testing.T) *Program {
 	if len(pkgs) != 2 {
 		t.Fatalf("loaded %d packages, want 2 (callgraph + leaf)", len(pkgs))
 	}
-	return BuildProgram(pkgs)
+	return buildProgram(pkgs)
 }
 
 // targetsOf resolves every target of every site in fn to graph nodes.
-func targetsOf(pr *Program, fn *FuncNode) map[*FuncNode]EdgeKind {
-	out := make(map[*FuncNode]EdgeKind)
+func targetsOf(pr *program, fn *funcNode) map[*funcNode]edgeKind {
+	out := make(map[*funcNode]edgeKind)
 	for i := range fn.Sites {
 		site := &fn.Sites[i]
 		for _, t := range site.Targets {
@@ -48,16 +48,16 @@ func TestCallGraphEdges(t *testing.T) {
 	cases := []struct {
 		caller string
 		callee string
-		kind   EdgeKind
+		kind   edgeKind
 	}{
 		// Generic instantiations — int and string — share one node.
-		{"CallsGeneric", "Generic", EdgeStatic},
+		{"CallsGeneric", "Generic", edgeStatic},
 		// Module-defined interface dispatch fans out to every
 		// implementation.
-		{"UseIface", "English.Greet", EdgeInterface},
-		{"UseIface", "French.Greet", EdgeInterface},
+		{"UseIface", "English.Greet", edgeInterface},
+		{"UseIface", "French.Greet", edgeInterface},
 		// A method value is a may-run-later edge.
-		{"MethodVal", "English.Greet", EdgeMethodValue},
+		{"MethodVal", "English.Greet", edgeMethodValue},
 	}
 	for _, c := range cases {
 		caller := funcByName(pr, cgPath, c.caller)
@@ -131,7 +131,7 @@ func TestCallGraphImmediateLiteral(t *testing.T) {
 
 // funcByName finds a declared function node by its package path and name
 // ("Func" or "Type.Method").
-func funcByName(pr *Program, pkgPath, name string) *FuncNode {
+func funcByName(pr *program, pkgPath, name string) *funcNode {
 	for _, n := range pr.order {
 		if n.Obj == nil || n.Pkg == nil || n.Pkg.Path != pkgPath {
 			continue

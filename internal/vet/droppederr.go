@@ -21,7 +21,7 @@ func (droppederr) Doc() string {
 	return "discarded error from Send/Write/Close without an explanatory comment"
 }
 
-func (droppederr) Run(p *Pass) {
+func (droppederr) Run(p *pkgPass) {
 	for _, file := range p.Files {
 		comments := commentLines(p.Fset, file)
 		ast.Inspect(file, func(n ast.Node) bool {
@@ -56,7 +56,7 @@ func (droppederr) Run(p *Pass) {
 
 // droppableCall reports whether call is to a Send/Write/Close function
 // or method whose last result is an error.
-func droppableCall(p *Pass, call *ast.CallExpr) (string, bool) {
+func droppableCall(p *pkgPass, call *ast.CallExpr) (string, bool) {
 	var name string
 	switch fun := call.Fun.(type) {
 	case *ast.Ident:

@@ -130,25 +130,24 @@ func TestSuppression(t *testing.T) {
 // rawFindings counts findings before suppression filtering.
 func rawFindings(pkg *Package) int {
 	var diags []Diagnostic
-	var prog *Program
+	var prog *program
 	for _, a := range All() {
 		switch an := a.(type) {
-		case PackageAnalyzer:
-			pass := &Pass{
+		case packageAnalyzer:
+			pass := &pkgPass{
 				Fset:     pkg.Fset,
 				Files:    pkg.Files,
 				PkgPath:  pkg.Path,
-				Pkg:      pkg.Types,
 				Info:     pkg.Info,
 				analyzer: a.Name(),
 				out:      &diags,
 			}
 			an.Run(pass)
-		case ProgramAnalyzer:
+		case programAnalyzer:
 			if prog == nil {
-				prog = BuildProgram([]*Package{pkg})
+				prog = buildProgram([]*Package{pkg})
 			}
-			an.RunProgram(&ProgramPass{Prog: prog, analyzer: a.Name(), out: &diags})
+			an.RunProgram(&progPass{Prog: prog, analyzer: a.Name(), out: &diags})
 		}
 	}
 	return len(diags)

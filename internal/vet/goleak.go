@@ -38,7 +38,7 @@ func (goleak) Doc() string {
 // are searched for unbounded loops.
 const spawnDepth = 6
 
-func (goleak) RunProgram(p *ProgramPass) {
+func (goleak) RunProgram(p *progPass) {
 	pr := p.Prog
 	for _, node := range pr.Nodes() {
 		for _, g := range node.Gos {
@@ -57,7 +57,7 @@ func (goleak) RunProgram(p *ProgramPass) {
 
 // spawnTarget resolves the function a go statement runs. The second
 // result describes the failure when no module-defined body is found.
-func spawnTarget(pr *Program, node *FuncNode, g *ast.GoStmt) (*FuncNode, string) {
+func spawnTarget(pr *program, node *funcNode, g *ast.GoStmt) (*funcNode, string) {
 	fun := ast.Unparen(g.Call.Fun)
 	if lit, ok := fun.(*ast.FuncLit); ok {
 		return pr.LitNode(lit), "is an unanalyzed literal"
@@ -82,12 +82,12 @@ func spawnTarget(pr *Program, node *FuncNode, g *ast.GoStmt) (*FuncNode, string)
 // reachableNodes returns root plus the module functions reachable from
 // it through static calls and synchronous literals, to spawnDepth.
 // Nested go statements are not followed: each spawn is its own root.
-func reachableNodes(pr *Program, root *FuncNode) []*FuncNode {
-	seen := map[*FuncNode]bool{root: true}
-	frontier := []*FuncNode{root}
-	out := []*FuncNode{root}
+func reachableNodes(pr *program, root *funcNode) []*funcNode {
+	seen := map[*funcNode]bool{root: true}
+	frontier := []*funcNode{root}
+	out := []*funcNode{root}
 	for depth := 0; depth < spawnDepth && len(frontier) > 0; depth++ {
-		var next []*FuncNode
+		var next []*funcNode
 		for _, n := range frontier {
 			for i := range n.Sites {
 				for _, callee := range pr.staticCallees(&n.Sites[i]) {
@@ -106,7 +106,7 @@ func reachableNodes(pr *Program, root *FuncNode) []*FuncNode {
 
 // checkSpawnLoops reports every unbounded loop in reached that lacks a
 // termination path, attributing it to the go statement g.
-func checkSpawnLoops(p *ProgramPass, g *ast.GoStmt, root, reached *FuncNode, tracked bool) {
+func checkSpawnLoops(p *progPass, g *ast.GoStmt, root, reached *funcNode, tracked bool) {
 	info := reached.Pkg.Info
 	inspectSameFunc(reached.Body, func(n ast.Node) bool {
 		loop, ok := n.(*ast.ForStmt)
@@ -196,7 +196,7 @@ func stopLikeChan(info *types.Info, e ast.Expr) bool {
 
 // isTracked reports whether the spawned body signals its own completion
 // to a sync.WaitGroup (wg.Done(), usually deferred).
-func isTracked(root *FuncNode) bool {
+func isTracked(root *funcNode) bool {
 	tracked := false
 	info := root.Pkg.Info
 	inspectSameFunc(root.Body, func(n ast.Node) bool {

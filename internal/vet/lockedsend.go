@@ -26,7 +26,7 @@ func (lockedsend) Doc() string {
 	return "network I/O (Send/Dial/net.Conn writes) while a mutex acquired in the same function is held"
 }
 
-func (lockedsend) Run(p *Pass) {
+func (lockedsend) Run(p *pkgPass) {
 	for _, file := range p.Files {
 		funcBodies(file, func(name string, body *ast.BlockStmt) {
 			runLockedSend(p, body)
@@ -41,7 +41,7 @@ type lockEvent struct {
 	detail string // callee description, for send
 }
 
-func runLockedSend(p *Pass, body *ast.BlockStmt) {
+func runLockedSend(p *pkgPass, body *ast.BlockStmt) {
 	var events []lockEvent
 	inspectSameFunc(body, func(n ast.Node) bool {
 		// A deferred Unlock never releases within the body; skip the
@@ -89,7 +89,7 @@ func runLockedSend(p *Pass, body *ast.BlockStmt) {
 // mutexCall reports whether call is sel.<method>() on a sync.Mutex or
 // sync.RWMutex for one of the given method names, returning the mutex
 // expression rendered as a key.
-func mutexCall(p *Pass, call *ast.CallExpr, methods ...string) (string, bool) {
+func mutexCall(p *pkgPass, call *ast.CallExpr, methods ...string) (string, bool) {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok {
 		return "", false
@@ -114,7 +114,7 @@ func mutexCall(p *Pass, call *ast.CallExpr, methods ...string) (string, bool) {
 // networkCall recognizes the project's network I/O shapes: any method
 // named Send, dialing (Dial/DialTimeout/DialDeadline), and Write/WriteAt
 // on a net.Conn.
-func networkCall(p *Pass, call *ast.CallExpr) (string, bool) {
+func networkCall(p *pkgPass, call *ast.CallExpr) (string, bool) {
 	switch fun := call.Fun.(type) {
 	case *ast.Ident:
 		switch fun.Name {

@@ -46,17 +46,17 @@ type lockEdgeKey struct{ from, to types.Object }
 // while from was held. node/at witness the edge.
 type lockEdge struct {
 	from, to types.Object
-	node     *FuncNode
+	node     *funcNode
 	pos      token.Pos // witness position in node
 	seq      int       // insertion order, for deterministic reports
 	via      string    // non-empty when the acquisition is inside a callee
 }
 
-func (lockorder) RunProgram(p *ProgramPass) {
+func (lockorder) RunProgram(p *progPass) {
 	pr := p.Prog
 	edges := make(map[lockEdgeKey]*lockEdge)
 	var order []lockEdgeKey
-	addEdge := func(from, to types.Object, node *FuncNode, pos token.Pos, via string) {
+	addEdge := func(from, to types.Object, node *funcNode, pos token.Pos, via string) {
 		if from == to {
 			// Same class on both ends (shared/shared re-entry, which is
 			// legal): not an ordering edge.
@@ -76,11 +76,11 @@ func (lockorder) RunProgram(p *ProgramPass) {
 			use := &node.Locks[i]
 			for _, h := range use.Held {
 				if h.Class == use.Class {
-					if h.Mode == LockShared && use.Mode == LockShared {
+					if h.Mode == lockShared && use.Mode == lockShared {
 						continue
 					}
 					p.Reportf(use.Pos, "%s acquired again while already held (locked at %s): self-deadlock",
-						LockClassName(use.Class), trimPos(pr.Fset.Position(h.Pos)))
+						lockClassName(use.Class), trimPos(pr.Fset.Position(h.Pos)))
 					continue
 				}
 				addEdge(h.Class, use.Class, node, use.Pos, "")
@@ -90,11 +90,11 @@ func (lockorder) RunProgram(p *ProgramPass) {
 		// may acquire.
 		for i := range node.Sites {
 			site := &node.Sites[i]
-			if len(site.Held) == 0 || site.Kind == EdgeMethodValue {
+			if len(site.Held) == 0 || site.Kind == edgeMethodValue {
 				continue
 			}
 			targets := pr.staticCallees(site)
-			if site.Kind == EdgeInterface {
+			if site.Kind == edgeInterface {
 				for _, t := range site.Targets {
 					if n := pr.NodeOf(t); n != nil {
 						targets = append(targets, n)
@@ -108,14 +108,14 @@ func (lockorder) RunProgram(p *ProgramPass) {
 						if h.Class != cls {
 							continue
 						}
-						if h.Mode == LockShared && acq.Mode == LockShared {
+						if h.Mode == lockShared && acq.Mode == lockShared {
 							continue
 						}
 						conflict = true
 					}
 					if conflict {
 						p.Reportf(site.Pos, "call to %s while holding %s, which it may acquire again (%s): self-deadlock",
-							callee.Name(), LockClassName(cls), pr.AcquirePath(callee, cls))
+							callee.Name(), lockClassName(cls), pr.AcquirePath(callee, cls))
 						continue
 					}
 					for _, h := range site.Held {
@@ -132,7 +132,7 @@ func (lockorder) RunProgram(p *ProgramPass) {
 
 // reportLockCycles finds cycles among distinct lock classes and reports
 // each once, ranked by length (shorter first).
-func reportLockCycles(p *ProgramPass, edges map[lockEdgeKey]*lockEdge, order []lockEdgeKey) {
+func reportLockCycles(p *progPass, edges map[lockEdgeKey]*lockEdge, order []lockEdgeKey) {
 	pr := p.Prog
 	succ := make(map[types.Object][]*lockEdge)
 	for _, k := range order {
@@ -181,7 +181,7 @@ func reportLockCycles(p *ProgramPass, edges map[lockEdgeKey]*lockEdge, order []l
 		// cycle discovered from each of its edges reports once.
 		names := make([]string, 0, len(best))
 		for _, e := range best {
-			names = append(names, LockClassName(e.from))
+			names = append(names, lockClassName(e.from))
 		}
 		sort.Strings(names)
 		key := strings.Join(names, "→")
@@ -205,7 +205,7 @@ func reportLockCycles(p *ProgramPass, edges map[lockEdgeKey]*lockEdge, order []l
 			if i > 0 {
 				b.WriteString("; ")
 			}
-			fmt.Fprintf(&b, "%s→%s in %s at %s", LockClassName(e.from), LockClassName(e.to),
+			fmt.Fprintf(&b, "%s→%s in %s at %s", lockClassName(e.from), lockClassName(e.to),
 				e.node.Name(), trimPos(pr.Fset.Position(e.pos)))
 			if e.via != "" {
 				fmt.Fprintf(&b, " (%s)", e.via)

@@ -27,7 +27,7 @@ func (nakedgo) Doc() string {
 	return "go statement spawning a function without a deferred recover (panic containment)"
 }
 
-func (nakedgo) Run(p *Pass) {
+func (nakedgo) Run(p *pkgPass) {
 	decls := packageFuncDecls(p)
 	for _, file := range p.Files {
 		ast.Inspect(file, func(n ast.Node) bool {
@@ -55,7 +55,7 @@ func (nakedgo) Run(p *Pass) {
 
 // packageFuncDecls maps every function object declared in the package to
 // its declaration.
-func packageFuncDecls(p *Pass) map[*types.Func]*ast.FuncDecl {
+func packageFuncDecls(p *pkgPass) map[*types.Func]*ast.FuncDecl {
 	decls := make(map[*types.Func]*ast.FuncDecl)
 	for _, file := range p.Files {
 		for _, d := range file.Decls {
@@ -72,7 +72,7 @@ func packageFuncDecls(p *Pass) map[*types.Func]*ast.FuncDecl {
 }
 
 // resolveFuncDecl resolves a call target to a same-package declaration.
-func resolveFuncDecl(p *Pass, decls map[*types.Func]*ast.FuncDecl, fun ast.Expr) *ast.FuncDecl {
+func resolveFuncDecl(p *pkgPass, decls map[*types.Func]*ast.FuncDecl, fun ast.Expr) *ast.FuncDecl {
 	var id *ast.Ident
 	switch f := fun.(type) {
 	case *ast.Ident:
@@ -92,7 +92,7 @@ func resolveFuncDecl(p *Pass, decls map[*types.Func]*ast.FuncDecl, fun ast.Expr)
 // hasDeferredRecover reports whether body defers a recover, either as a
 // func literal calling recover or as a call to a same-package function
 // whose body calls recover directly.
-func hasDeferredRecover(p *Pass, decls map[*types.Func]*ast.FuncDecl, body ast.Node) bool {
+func hasDeferredRecover(p *pkgPass, decls map[*types.Func]*ast.FuncDecl, body ast.Node) bool {
 	found := false
 	inspectSameFunc(body, func(n ast.Node) bool {
 		d, ok := n.(*ast.DeferStmt)

@@ -4,13 +4,13 @@
 // hardening work (DESIGN.md §5, §6).
 //
 // The framework deliberately mirrors golang.org/x/tools/go/analysis in
-// miniature — an Analyzer interface, a Pass carrying one type-checked
+// miniature — an Analyzer interface, a pkgPass carrying one type-checked
 // package, and Diagnostics keyed by position — but is built exclusively
 // on the standard library (go/ast, go/parser, go/types, go/importer) so
 // go.mod stays dependency-free.
 //
-// Since v2 the framework has two analyzer shapes: PackageAnalyzer (one
-// type-checked package at a time, like go/analysis) and ProgramAnalyzer
+// Since v2 the framework has two analyzer shapes: packageAnalyzer (one
+// type-checked package at a time, like go/analysis) and programAnalyzer
 // (the whole module at once, over the call-graph substrate in
 // callgraph.go). Run drives both from one analyzer list.
 //
@@ -47,12 +47,11 @@ func (d Diagnostic) String() string {
 	return fmt.Sprintf("%s:%d: [%s] %s", d.Pos.Filename, d.Pos.Line, d.Analyzer, d.Message)
 }
 
-// Pass carries one type-checked package through one analyzer.
-type Pass struct {
+// pkgPass carries one type-checked package through one analyzer.
+type pkgPass struct {
 	Fset    *token.FileSet
 	Files   []*ast.File
 	PkgPath string
-	Pkg     *types.Package
 	Info    *types.Info
 
 	analyzer string
@@ -60,7 +59,7 @@ type Pass struct {
 }
 
 // Reportf records a finding at pos.
-func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
+func (p *pkgPass) Reportf(pos token.Pos, format string, args ...any) {
 	*p.out = append(*p.out, Diagnostic{
 		Pos:      p.Fset.Position(pos),
 		Analyzer: p.analyzer,
@@ -69,18 +68,18 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 }
 
 // TypeOf returns the type of an expression, or nil when unknown.
-func (p *Pass) TypeOf(e ast.Expr) types.Type { return p.Info.TypeOf(e) }
+func (p *pkgPass) TypeOf(e ast.Expr) types.Type { return p.Info.TypeOf(e) }
 
-// ProgramPass carries the whole-program view through one ProgramAnalyzer.
-type ProgramPass struct {
-	Prog *Program
+// progPass carries the whole-program view through one programAnalyzer.
+type progPass struct {
+	Prog *program
 
 	analyzer string
 	out      *[]Diagnostic
 }
 
 // Reportf records a finding at pos.
-func (p *ProgramPass) Reportf(pos token.Pos, format string, args ...any) {
+func (p *progPass) Reportf(pos token.Pos, format string, args ...any) {
 	*p.out = append(*p.out, Diagnostic{
 		Pos:      p.Prog.Fset.Position(pos),
 		Analyzer: p.analyzer,
@@ -88,8 +87,8 @@ func (p *ProgramPass) Reportf(pos token.Pos, format string, args ...any) {
 	})
 }
 
-// Analyzer is one invariant checker: either a PackageAnalyzer or a
-// ProgramAnalyzer (or both, though none currently is).
+// Analyzer is one invariant checker: either a packageAnalyzer or a
+// programAnalyzer (or both, though none currently is).
 type Analyzer interface {
 	// Name is the short identifier used in output and in
 	// //bpvet:ignore comments.
@@ -98,17 +97,17 @@ type Analyzer interface {
 	Doc() string
 }
 
-// PackageAnalyzer inspects one type-checked package at a time.
-type PackageAnalyzer interface {
+// packageAnalyzer inspects one type-checked package at a time.
+type packageAnalyzer interface {
 	Analyzer
-	Run(p *Pass)
+	Run(p *pkgPass)
 }
 
-// ProgramAnalyzer inspects the whole loaded module at once, over the
+// programAnalyzer inspects the whole loaded module at once, over the
 // call-graph and flow-facts substrate.
-type ProgramAnalyzer interface {
+type programAnalyzer interface {
 	Analyzer
-	RunProgram(p *ProgramPass)
+	RunProgram(p *progPass)
 }
 
 // All returns the full bpvet analyzer suite in stable order.
@@ -132,15 +131,14 @@ func Run(pkgs []*Package, analyzers []Analyzer) []Diagnostic {
 	var diags []Diagnostic
 	for _, pkg := range pkgs {
 		for _, a := range analyzers {
-			pa, ok := a.(PackageAnalyzer)
+			pa, ok := a.(packageAnalyzer)
 			if !ok {
 				continue
 			}
-			pass := &Pass{
+			pass := &pkgPass{
 				Fset:     pkg.Fset,
 				Files:    pkg.Files,
 				PkgPath:  pkg.Path,
-				Pkg:      pkg.Types,
 				Info:     pkg.Info,
 				analyzer: a.Name(),
 				out:      &diags,
@@ -148,16 +146,16 @@ func Run(pkgs []*Package, analyzers []Analyzer) []Diagnostic {
 			pa.Run(pass)
 		}
 	}
-	var prog *Program
+	var prog *program
 	for _, a := range analyzers {
-		pa, ok := a.(ProgramAnalyzer)
+		pa, ok := a.(programAnalyzer)
 		if !ok {
 			continue
 		}
 		if prog == nil {
-			prog = BuildProgram(pkgs)
+			prog = buildProgram(pkgs)
 		}
-		pa.RunProgram(&ProgramPass{Prog: prog, analyzer: a.Name(), out: &diags})
+		pa.RunProgram(&progPass{Prog: prog, analyzer: a.Name(), out: &diags})
 	}
 
 	directives, bad := collectIgnores(pkgs)
@@ -180,7 +178,6 @@ func Run(pkgs []*Package, analyzers []Analyzer) []Diagnostic {
 type ignoreDirective struct {
 	Pos       token.Position
 	Analyzers []string
-	Reason    string
 }
 
 // collectIgnores scans every comment in pkgs for bpvet:ignore
@@ -214,7 +211,7 @@ func collectIgnores(pkgs []*Package) ([]ignoreDirective, []Diagnostic) {
 								strings.Join(names, ", ")),
 						})
 					default:
-						dirs = append(dirs, ignoreDirective{Pos: pos, Analyzers: names, Reason: reason})
+						dirs = append(dirs, ignoreDirective{Pos: pos, Analyzers: names})
 					}
 				}
 			}
