@@ -126,7 +126,7 @@ func TestChaosSnapshotAccountsForLoss(t *testing.T) {
 	}
 
 	// Exact topology reconstruction from /peers, regardless of event loss.
-	topo := snap.Topology()
+	topo := snap.topology()
 	for i, node := range nodes {
 		want := node.PeerAddrs()
 		got := topo[node.Addr()]

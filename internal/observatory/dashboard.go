@@ -11,8 +11,8 @@ var sparkTicks = []rune("▁▂▃▄▅▆▇█")
 
 // sparkline renders values min-max normalized into block glyphs; a
 // flat series renders as a run of the lowest glyph.
-func sparkline(points []TSPoint, width int) string {
-	points = Downsample(points, width)
+func sparkline(points []tsPoint, width int) string {
+	points = downsample(points, width)
 	if len(points) == 0 {
 		return ""
 	}
@@ -40,8 +40,8 @@ func sparkline(points []TSPoint, width int) string {
 // section per member with each derived series' sparkline and latest
 // value, then the firing alerts, then the rule set.
 func renderDashboard(c *Collector) string {
-	h := c.Health()
-	view := h.View()
+	h := c.health
+	view := h.view()
 	var b strings.Builder
 	fmt.Fprintf(&b, "fleet health · %d members · %d firing\n",
 		len(view.Members), len(view.Active))

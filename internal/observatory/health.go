@@ -61,8 +61,8 @@ func (r Rule) safe(v float64) bool {
 	return v <= r.Clear
 }
 
-// Alert is one firing (or just-cleared) rule instance on one member.
-type Alert struct {
+// alert is one firing (or just-cleared) rule instance on one member.
+type alert struct {
 	Rule   string `json:"rule"`
 	Series string `json:"series"`
 	Member string `json:"member"`
@@ -92,10 +92,10 @@ type ruleState struct {
 type Health struct {
 	mu      sync.Mutex
 	rules   []Rule
-	ts      *SeriesStore
+	ts      *seriesStore
 	journal *obs.Journal
 	states  map[string]map[string]*ruleState // member -> rule name -> state
-	active  map[string]map[string]*Alert     // member -> rule name -> firing alert
+	active  map[string]map[string]*alert     // member -> rule name -> firing alert
 	lastAt  time.Time
 }
 
@@ -105,15 +105,15 @@ type Health struct {
 func NewHealth(rules []Rule, seriesCap, journalCap int) *Health {
 	return &Health{
 		rules:   append([]Rule(nil), rules...),
-		ts:      NewSeriesStore(seriesCap),
+		ts:      newSeriesStore(seriesCap),
 		journal: obs.NewJournal("observatory", journalCap),
 		states:  make(map[string]map[string]*ruleState),
-		active:  make(map[string]map[string]*Alert),
+		active:  make(map[string]map[string]*alert),
 	}
 }
 
 // Series exposes the underlying time-series store.
-func (h *Health) Series() *SeriesStore { return h.ts }
+func (h *Health) Series() *seriesStore { return h.ts }
 
 // Journal exposes the alert event journal.
 func (h *Health) Journal() *obs.Journal { return h.journal }
@@ -123,16 +123,16 @@ func (h *Health) Journal() *obs.Journal { return h.journal }
 // alerts that transitioned (fired or cleared) during this ingest.
 // exemplar, when non-empty, is attached to fired alerts and their
 // journal events.
-func (h *Health) Ingest(member string, at time.Time, signals map[string]float64, exemplar string) []Alert {
+func (h *Health) Ingest(member string, at time.Time, signals map[string]float64, exemplar string) []alert {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	for name, v := range signals {
-		h.ts.Add(member, name, TSPoint{At: at, V: v})
+		h.ts.Add(member, name, tsPoint{At: at, V: v})
 	}
 	if at.After(h.lastAt) {
 		h.lastAt = at
 	}
-	var transitions []Alert
+	var transitions []alert
 	for _, r := range h.rules {
 		v, ok := signals[r.Series]
 		if !ok {
@@ -192,8 +192,8 @@ func (h *Health) state(member, rule string) *ruleState {
 
 // transition records a fire/clear: updates the active set and appends
 // the journal event. Caller holds h.mu.
-func (h *Health) transition(r Rule, member string, firing bool, at, since time.Time, v float64, exemplar string) Alert {
-	a := Alert{
+func (h *Health) transition(r Rule, member string, firing bool, at, since time.Time, v float64, exemplar string) alert {
+	a := alert{
 		Rule: r.Name, Series: r.Series, Member: member,
 		Firing: firing, At: at, Since: since,
 		Value: v, Threshold: r.Fire,
@@ -204,7 +204,7 @@ func (h *Health) transition(r Rule, member string, firing bool, at, since time.T
 		a.Exemplar = exemplar
 		byRule, ok := h.active[member]
 		if !ok {
-			byRule = make(map[string]*Alert)
+			byRule = make(map[string]*alert)
 			h.active[member] = byRule
 		}
 		cp := a
@@ -229,12 +229,12 @@ func (h *Health) transition(r Rule, member string, firing bool, at, since time.T
 	return a
 }
 
-// Active returns the currently firing alerts, ordered by member then
+// activeAlerts returns the currently firing alerts, ordered by member then
 // rule name.
-func (h *Health) Active() []Alert {
+func (h *Health) activeAlerts() []alert {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	var out []Alert
+	var out []alert
 	for _, byRule := range h.active {
 		for _, a := range byRule {
 			out = append(out, *a)
@@ -249,34 +249,34 @@ func (h *Health) Active() []Alert {
 	return out
 }
 
-// MemberHealth is one member's line in the fleet health view: the
+// memberHealth is one member's line in the fleet health view: the
 // latest value of each derived series plus the member's firing alerts.
-type MemberHealth struct {
+type memberHealth struct {
 	Signals map[string]float64 `json:"signals"`
-	Alerts  []Alert            `json:"alerts,omitempty"`
+	Alerts  []alert            `json:"alerts,omitempty"`
 }
 
 // HealthView is the /fleet/health payload.
 type HealthView struct {
 	At      time.Time               `json:"at"`
 	Rules   []Rule                  `json:"rules"`
-	Members map[string]MemberHealth `json:"members"`
-	Active  []Alert                 `json:"active"`
+	Members map[string]memberHealth `json:"members"`
+	Active  []alert                 `json:"active"`
 }
 
-// View assembles the fleet-wide health summary.
-func (h *Health) View() HealthView {
-	active := h.Active()
+// view assembles the fleet-wide health summary.
+func (h *Health) view() HealthView {
+	active := h.activeAlerts()
 	h.mu.Lock()
 	view := HealthView{
 		At:      h.lastAt,
 		Rules:   append([]Rule(nil), h.rules...),
-		Members: make(map[string]MemberHealth),
+		Members: make(map[string]memberHealth),
 		Active:  active,
 	}
 	h.mu.Unlock()
 	for _, member := range h.ts.Members() {
-		mh := MemberHealth{Signals: make(map[string]float64)}
+		mh := memberHealth{Signals: make(map[string]float64)}
 		for _, name := range h.ts.Names(member) {
 			if p, ok := h.ts.Last(member, name); ok {
 				mh.Signals[name] = p.V
@@ -293,19 +293,19 @@ func (h *Health) View() HealthView {
 }
 
 // Derived signal names. Each is computed per scrape window by
-// DeriveSignals from a member's metric deltas, journal events and
+// deriveSignals from a member's metric deltas, journal events and
 // liveness.
 const (
 	// SigUp is 1 when the member's admin endpoint answered, 0 when not.
 	SigUp = "up"
-	// SigSendQueueDepth is the transport's summed send-queue depth — a
+	// sigSendQueueDepth is the transport's summed send-queue depth — a
 	// level, not a rate; saturation means deliveries are not draining.
-	SigSendQueueDepth = "send_queue_depth"
-	// SigSuspectChurnPerS is peer-suspect transitions per second.
-	SigSuspectChurnPerS = "suspect_churn_per_s"
-	// SigJournalOverflowPerS is journal evictions per second — the rate
+	sigSendQueueDepth = "send_queue_depth"
+	// sigSuspectChurnPerS is peer-suspect transitions per second.
+	sigSuspectChurnPerS = "suspect_churn_per_s"
+	// sigJournalOverflowPerS is journal evictions per second — the rate
 	// at which the member is losing observability history.
-	SigJournalOverflowPerS = "journal_overflow_per_s"
+	sigJournalOverflowPerS = "journal_overflow_per_s"
 	// SigCacheHitRate is the qroute answer-cache hit fraction over the
 	// window, only emitted when the window saw lookups.
 	SigCacheHitRate = "cache_hit_rate"
@@ -314,8 +314,8 @@ const (
 	SigRepairAddedPerS = "repair_added_per_s"
 )
 
-// MemberSample is one scrape's raw material for signal derivation.
-type MemberSample struct {
+// memberSample is one scrape's raw material for signal derivation.
+type memberSample struct {
 	At      time.Time
 	Up      bool
 	Metrics *obs.Snapshot
@@ -325,11 +325,11 @@ type MemberSample struct {
 	Evicted uint64
 }
 
-// DeriveSignals folds two consecutive samples of one member into the
+// deriveSignals folds two consecutive samples of one member into the
 // derived signal map. Rates use the inter-sample wall-clock window;
 // the first sample of a member (prev.At zero) yields levels only,
 // because there is no window to rate over.
-func DeriveSignals(prev, cur MemberSample) map[string]float64 {
+func deriveSignals(prev, cur memberSample) map[string]float64 {
 	signals := make(map[string]float64)
 	if cur.Up {
 		signals[SigUp] = 1
@@ -340,7 +340,7 @@ func DeriveSignals(prev, cur MemberSample) map[string]float64 {
 	if cur.Metrics == nil {
 		return signals
 	}
-	signals[SigSendQueueDepth] = cur.Metrics.Total("bestpeer_transport_send_queue_depth")
+	signals[sigSendQueueDepth] = cur.Metrics.Total("bestpeer_transport_send_queue_depth")
 	window := 0.0
 	if !prev.At.IsZero() && cur.At.After(prev.At) {
 		window = cur.At.Sub(prev.At).Seconds()
@@ -354,9 +354,9 @@ func DeriveSignals(prev, cur MemberSample) map[string]float64 {
 			suspects++
 		}
 	}
-	signals[SigSuspectChurnPerS] = float64(suspects) / window
+	signals[sigSuspectChurnPerS] = float64(suspects) / window
 	if cur.Evicted >= prev.Evicted {
-		signals[SigJournalOverflowPerS] = float64(cur.Evicted-prev.Evicted) / window
+		signals[sigJournalOverflowPerS] = float64(cur.Evicted-prev.Evicted) / window
 	}
 	d := cur.Metrics.DeltaSince(prev.Metrics)
 	hits := d.Total("bestpeer_qroute_cache_hits_total")
@@ -368,10 +368,10 @@ func DeriveSignals(prev, cur MemberSample) map[string]float64 {
 	return signals
 }
 
-// DefaultRules is the stock rule set for a live fleet scraped every
+// defaultRules is the stock rule set for a live fleet scraped every
 // few seconds. Thresholds assume interactive scale; benches and tests
 // substitute scaled sets via SetRules.
-func DefaultRules() []Rule {
+func defaultRules() []Rule {
 	return []Rule{
 		{
 			Name: "member-down", Series: SigUp, Below: true,
@@ -379,17 +379,17 @@ func DefaultRules() []Rule {
 			Fire: 0.5, Clear: 0.5, Hold: 0, ClearHold: 0,
 		},
 		{
-			Name: "suspect-churn", Series: SigSuspectChurnPerS,
+			Name: "suspect-churn", Series: sigSuspectChurnPerS,
 			Help: "peers are crossing the suspect threshold faster than steady-state loss explains; look for a partition or a dead neighbor",
 			Fire: 0.5, Clear: 0.1, Hold: 2 * time.Second, ClearHold: 5 * time.Second,
 		},
 		{
-			Name: "send-queue-saturation", Series: SigSendQueueDepth,
+			Name: "send-queue-saturation", Series: sigSendQueueDepth,
 			Help: "outbound send queues are not draining; deliveries are stalled behind a hung or unreachable destination",
 			Fire: 32, Clear: 8, Hold: 2 * time.Second, ClearHold: 5 * time.Second,
 		},
 		{
-			Name: "journal-overflow", Series: SigJournalOverflowPerS,
+			Name: "journal-overflow", Series: sigJournalOverflowPerS,
 			Help: "the member is evicting journal events faster than the observatory scrapes them; raise JournalCapacity or the scrape rate",
 			Fire: 50, Clear: 10, Hold: 2 * time.Second, ClearHold: 5 * time.Second,
 		},

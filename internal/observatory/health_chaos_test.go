@@ -72,7 +72,7 @@ func scrapeUntil(col *Collector, cursor uint64, deadline time.Duration) ([]alert
 	end := time.Now().Add(deadline)
 	for {
 		col.Scrape()
-		if keys, next := drainAlerts(col.Health(), cursor); len(keys) > 0 {
+		if keys, next := drainAlerts(col.health, cursor); len(keys) > 0 {
 			return keys, next
 		}
 		if time.Now().After(end) {
@@ -120,13 +120,13 @@ func TestChaosFaultsRaiseExactAlerts(t *testing.T) {
 	// The cache-collapse hold outlasts the whole test on purpose: a
 	// fresh fleet's cold cache is not a collapse, and proving that rule
 	// needs the sustained-lookup regime of the churn bench.
-	col.Health().rules = []Rule{
+	col.health.rules = []Rule{
 		{Name: "member-down", Series: SigUp, Below: true, Fire: 0.5, Clear: 0.5},
-		{Name: "suspect-churn", Series: SigSuspectChurnPerS,
+		{Name: "suspect-churn", Series: sigSuspectChurnPerS,
 			Fire: 0.5, Clear: 0.25, ClearHold: 200 * time.Millisecond},
-		{Name: "send-queue-saturation", Series: SigSendQueueDepth,
+		{Name: "send-queue-saturation", Series: sigSendQueueDepth,
 			Fire: 24, Clear: 8, Hold: 400 * time.Millisecond},
-		{Name: "journal-overflow", Series: SigJournalOverflowPerS,
+		{Name: "journal-overflow", Series: sigJournalOverflowPerS,
 			Fire: 50, Clear: 10, Hold: 400 * time.Millisecond},
 		{Name: "cache-hit-collapse", Series: SigCacheHitRate, Below: true,
 			Fire: 0.1, Clear: 0.3, Hold: 5 * time.Minute},
@@ -152,7 +152,7 @@ func TestChaosFaultsRaiseExactAlerts(t *testing.T) {
 		time.Sleep(100 * time.Millisecond)
 	}
 	cursor := uint64(0)
-	if keys, _ := drainAlerts(col.Health(), cursor); len(keys) != 0 {
+	if keys, _ := drainAlerts(col.health, cursor); len(keys) != 0 {
 		t.Fatalf("false positives under 25%% loss: %+v", keys)
 	}
 
@@ -166,9 +166,9 @@ func TestChaosFaultsRaiseExactAlerts(t *testing.T) {
 		t.Fatalf("partition transitions = %+v, want suspect-churn raised on %s", keys, aAdmin)
 	}
 	// The raise carries full provenance: series, value past threshold.
-	events, _, _ := col.Health().Journal().Since(0, 0)
+	events, _, _ := col.health.Journal().Since(0, 0)
 	raise := events[len(events)-1]
-	if raise.Strategy != SigSuspectChurnPerS || raise.Value <= raise.Threshold {
+	if raise.Strategy != sigSuspectChurnPerS || raise.Value <= raise.Threshold {
 		t.Fatalf("raise provenance = %+v", raise)
 	}
 	// Heal; the suspect episode is over, so the next quiet windows
@@ -211,11 +211,11 @@ func TestChaosFaultsRaiseExactAlerts(t *testing.T) {
 
 	// End state: member-down is the only firing alert, and the journal
 	// holds no transitions beyond the ones each phase asserted.
-	active := col.Health().Active()
+	active := col.health.activeAlerts()
 	if len(active) != 1 || active[0].Rule != "member-down" || active[0].Member != dAdmin {
 		t.Fatalf("final active set = %+v", active)
 	}
-	if keys, _ := drainAlerts(col.Health(), cursor); len(keys) != 0 {
+	if keys, _ := drainAlerts(col.health, cursor); len(keys) != 0 {
 		t.Fatalf("unasserted transitions: %+v", keys)
 	}
 }

@@ -8,7 +8,7 @@ import (
 )
 
 // ingestAt feeds one signal value at second sec and returns transitions.
-func ingestAt(h *Health, member string, sec int, series string, v float64) []Alert {
+func ingestAt(h *Health, member string, sec int, series string, v float64) []alert {
 	return h.Ingest(member, ts(sec), map[string]float64{series: v}, "")
 }
 
@@ -39,7 +39,7 @@ func TestRuleHysteresisAndHold(t *testing.T) {
 	if !tr[0].Since.Equal(ts(2)) || tr[0].Value != 25 || tr[0].Threshold != 10 {
 		t.Fatalf("fire provenance = %+v", tr[0])
 	}
-	if act := h.Active(); len(act) != 1 || act[0].Rule != "churn" || act[0].Member != "m" {
+	if act := h.activeAlerts(); len(act) != 1 || act[0].Rule != "churn" || act[0].Member != "m" {
 		t.Fatalf("active = %+v", act)
 	}
 	// Dead band (between Clear and Fire) neither clears nor re-fires.
@@ -58,8 +58,8 @@ func TestRuleHysteresisAndHold(t *testing.T) {
 	if len(tr) != 1 || tr[0].Firing {
 		t.Fatalf("sustained recovery transitions = %+v", tr)
 	}
-	if len(h.Active()) != 0 {
-		t.Fatalf("active after clear = %+v", h.Active())
+	if len(h.activeAlerts()) != 0 {
+		t.Fatalf("active after clear = %+v", h.activeAlerts())
 	}
 
 	// The journal holds exactly one raise and one clear, with provenance.
@@ -113,13 +113,13 @@ func TestBelowRuleAndExemplar(t *testing.T) {
 
 func TestHealthView(t *testing.T) {
 	h := NewHealth([]Rule{{Name: "down", Series: SigUp, Below: true, Fire: 0.5, Clear: 0.5}}, 0, 0)
-	h.Ingest("a", ts(1), map[string]float64{SigUp: 1, SigSendQueueDepth: 3}, "")
+	h.Ingest("a", ts(1), map[string]float64{SigUp: 1, sigSendQueueDepth: 3}, "")
 	h.Ingest("b", ts(2), map[string]float64{SigUp: 0}, "")
-	v := h.View()
+	v := h.view()
 	if !v.At.Equal(ts(2)) || len(v.Rules) != 1 {
 		t.Fatalf("view = %+v", v)
 	}
-	if v.Members["a"].Signals[SigSendQueueDepth] != 3 || len(v.Members["a"].Alerts) != 0 {
+	if v.Members["a"].Signals[sigSendQueueDepth] != 3 || len(v.Members["a"].Alerts) != 0 {
 		t.Fatalf("member a = %+v", v.Members["a"])
 	}
 	mb := v.Members["b"]
@@ -140,28 +140,28 @@ func TestDeriveSignals(t *testing.T) {
 	reg.GaugeFunc("bestpeer_transport_send_queue_depth", "d", func() float64 { return depth })
 	hits.Add(10)
 	misses.Add(10)
-	prev := MemberSample{At: ts(0), Up: true, Metrics: reg.Snapshot()}
+	prev := memberSample{At: ts(0), Up: true, Metrics: reg.Snapshot()}
 
 	hits.Add(6)
 	misses.Add(2)
 	repairs.Add(20)
 	depth = 40
-	cur := MemberSample{
+	cur := memberSample{
 		At: ts(10), Up: true, Metrics: reg.Snapshot(),
 		Events: []obs.Event{
 			{Kind: obs.EvPeerSuspect}, {Kind: obs.EvPeerSuspect}, {Kind: obs.EvPeerAdded},
 		},
 		Evicted: 30,
 	}
-	sig := DeriveSignals(prev, cur)
-	if sig[SigUp] != 1 || sig[SigSendQueueDepth] != 40 {
+	sig := deriveSignals(prev, cur)
+	if sig[SigUp] != 1 || sig[sigSendQueueDepth] != 40 {
 		t.Fatalf("levels = %+v", sig)
 	}
-	if sig[SigSuspectChurnPerS] != 0.2 {
-		t.Fatalf("suspect churn = %v, want 0.2", sig[SigSuspectChurnPerS])
+	if sig[sigSuspectChurnPerS] != 0.2 {
+		t.Fatalf("suspect churn = %v, want 0.2", sig[sigSuspectChurnPerS])
 	}
-	if sig[SigJournalOverflowPerS] != 3 {
-		t.Fatalf("overflow = %v, want 3", sig[SigJournalOverflowPerS])
+	if sig[sigJournalOverflowPerS] != 3 {
+		t.Fatalf("overflow = %v, want 3", sig[sigJournalOverflowPerS])
 	}
 	// Window deltas: 6 hits, 2 misses -> 0.75; 20 repairs over 10s -> 2/s.
 	if sig[SigCacheHitRate] != 0.75 {
@@ -173,27 +173,27 @@ func TestDeriveSignals(t *testing.T) {
 
 	// No lookups in the window: the hit-rate signal is absent, not zero,
 	// so a cold cache cannot fake a collapse.
-	idle := MemberSample{At: ts(20), Up: true, Metrics: reg.Snapshot(), Evicted: 30}
-	sig = DeriveSignals(cur, idle)
+	idle := memberSample{At: ts(20), Up: true, Metrics: reg.Snapshot(), Evicted: 30}
+	sig = deriveSignals(cur, idle)
 	if _, ok := sig[SigCacheHitRate]; ok {
 		t.Fatalf("idle window emitted hit rate: %+v", sig)
 	}
-	if sig[SigSuspectChurnPerS] != 0 || sig[SigJournalOverflowPerS] != 0 {
+	if sig[sigSuspectChurnPerS] != 0 || sig[sigJournalOverflowPerS] != 0 {
 		t.Fatalf("idle rates = %+v", sig)
 	}
 
 	// A down member yields only up=0 — stale levels must not feed rules.
-	sig = DeriveSignals(cur, MemberSample{At: ts(30), Up: false})
+	sig = deriveSignals(cur, memberSample{At: ts(30), Up: false})
 	if len(sig) != 1 || sig[SigUp] != 0 {
 		t.Fatalf("down signals = %+v", sig)
 	}
 
 	// First sample of a member: levels only, no rates.
-	sig = DeriveSignals(MemberSample{}, cur)
-	if _, ok := sig[SigSuspectChurnPerS]; ok {
+	sig = deriveSignals(memberSample{}, cur)
+	if _, ok := sig[sigSuspectChurnPerS]; ok {
 		t.Fatalf("first sample emitted rates: %+v", sig)
 	}
-	if sig[SigSendQueueDepth] != 40 {
+	if sig[sigSendQueueDepth] != 40 {
 		t.Fatalf("first sample levels = %+v", sig)
 	}
 }

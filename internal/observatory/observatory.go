@@ -29,8 +29,8 @@ const maxEventsPerPage = 512
 // wedge the scrape loop; the remainder is picked up next interval.
 const maxScrapePages = 64
 
-// NodeView is one member's contribution to a fleet snapshot.
-type NodeView struct {
+// nodeView is one member's contribution to a fleet snapshot.
+type nodeView struct {
 	// Admin is the member's admin endpoint (host:port) as registered
 	// with the collector.
 	Admin string `json:"admin"`
@@ -57,7 +57,7 @@ type NodeView struct {
 // FleetSnapshot is one merged view of the whole fleet.
 type FleetSnapshot struct {
 	At    time.Time   `json:"at"`
-	Nodes []*NodeView `json:"nodes"`
+	Nodes []*nodeView `json:"nodes"`
 	// Events is every journal event the collector has accumulated, in
 	// collection order (per-member order preserved).
 	Events []obs.Event `json:"events"`
@@ -66,10 +66,10 @@ type FleetSnapshot struct {
 	Missed uint64 `json:"missed"`
 }
 
-// Topology returns the overlay graph: each member's overlay address
+// topology returns the overlay graph: each member's overlay address
 // mapped to its sorted direct-peer list. Members whose overlay address
 // is unknown (never scraped successfully) are keyed by admin address.
-func (s *FleetSnapshot) Topology() map[string][]string {
+func (s *FleetSnapshot) topology() map[string][]string {
 	out := make(map[string][]string, len(s.Nodes))
 	for _, n := range s.Nodes {
 		key := n.Node
@@ -81,8 +81,8 @@ func (s *FleetSnapshot) Topology() map[string][]string {
 	return out
 }
 
-// Rounds folds the accumulated fleet events into a convergence timeline.
-func (s *FleetSnapshot) Rounds() []Round { return Timeline(s.Events) }
+// rounds folds the accumulated fleet events into a convergence timeline.
+func (s *FleetSnapshot) rounds() []Round { return Timeline(s.Events) }
 
 // FleetTrace is a query trace assembled across the fleet: the base
 // node's span list extended with spans synthesized from other members'
@@ -109,8 +109,8 @@ type Collector struct {
 	mu      sync.Mutex
 	members []string
 	cursors map[string]uint64
-	views   map[string]*NodeView
-	samples map[string]MemberSample
+	views   map[string]*nodeView
+	samples map[string]memberSample
 	events  []obs.Event
 	missed  uint64
 }
@@ -120,22 +120,19 @@ type Collector struct {
 func NewCollector(members ...string) *Collector {
 	c := &Collector{
 		client:  &http.Client{Timeout: 5 * time.Second},
-		health:  NewHealth(DefaultRules(), 0, 0),
+		health:  NewHealth(defaultRules(), 0, 0),
 		cursors: make(map[string]uint64),
-		views:   make(map[string]*NodeView),
-		samples: make(map[string]MemberSample),
+		views:   make(map[string]*nodeView),
+		samples: make(map[string]memberSample),
 	}
 	for _, m := range members {
-		c.AddMember(m)
+		c.addMember(m)
 	}
 	return c
 }
 
-// Health returns the collector's fleet health engine.
-func (c *Collector) Health() *Health { return c.health }
-
-// AddMember registers another member admin endpoint.
-func (c *Collector) AddMember(addr string) {
+// addMember registers another member admin endpoint.
+func (c *Collector) addMember(addr string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for _, m := range c.members {
@@ -146,8 +143,8 @@ func (c *Collector) AddMember(addr string) {
 	c.members = append(c.members, addr)
 }
 
-// Members returns the registered member admin addresses.
-func (c *Collector) Members() []string {
+// memberList returns the registered member admin addresses.
+func (c *Collector) memberList() []string {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return append([]string(nil), c.members...)
@@ -173,8 +170,8 @@ func (c *Collector) getJSON(addr, path string, v any) error {
 // cursor), peer set, health and metrics. It returns the refreshed view;
 // journal events and missed counts are appended to the fleet
 // accumulators by the caller.
-func (c *Collector) scrapeMember(addr string, cursor uint64) (*NodeView, []obs.Event, uint64, uint64) {
-	view := &NodeView{Admin: addr, Peers: []string{}}
+func (c *Collector) scrapeMember(addr string, cursor uint64) (*nodeView, []obs.Event, uint64, uint64) {
+	view := &nodeView{Admin: addr, Peers: []string{}}
 	var collected []obs.Event
 	var missed uint64
 	next := cursor
@@ -219,7 +216,7 @@ func (c *Collector) scrapeMember(addr string, cursor uint64) (*NodeView, []obs.E
 // events; ring overflow between scrapes lands in Missed, never silently.
 // Unreachable members keep their last view with Err set.
 func (c *Collector) Scrape() *FleetSnapshot {
-	for _, addr := range c.Members() {
+	for _, addr := range c.memberList() {
 		c.ScrapeOne(addr)
 	}
 	return c.Snapshot()
@@ -240,7 +237,7 @@ func (c *Collector) ScrapeOne(addr string) {
 	view, events, missed, next := c.scrapeMember(addr, cursor)
 	up := view.Err == ""
 
-	cur := MemberSample{
+	cur := memberSample{
 		At: time.Now(), Up: up,
 		Metrics: view.Metrics,
 		Events:  events,
@@ -253,7 +250,7 @@ func (c *Collector) ScrapeOne(addr string) {
 			exemplar = cur.Metrics.TailExemplar("bestpeer_node_answer_hops")
 		}
 	}
-	c.health.Ingest(addr, cur.At, DeriveSignals(prevSample, cur), exemplar)
+	c.health.Ingest(addr, cur.At, deriveSignals(prevSample, cur), exemplar)
 
 	c.mu.Lock()
 	if view.Err != "" && prev != nil {
@@ -292,18 +289,18 @@ func (c *Collector) Snapshot() *FleetSnapshot {
 		if v, ok := c.views[addr]; ok {
 			snap.Nodes = append(snap.Nodes, v)
 		} else {
-			snap.Nodes = append(snap.Nodes, &NodeView{Admin: addr, Peers: []string{}, Err: "not scraped yet"})
+			snap.Nodes = append(snap.Nodes, &nodeView{Admin: addr, Peers: []string{}, Err: "not scraped yet"})
 		}
 	}
 	return snap
 }
 
-// AssembleTrace builds the cross-node trace for a query from the
+// assembleTrace builds the cross-node trace for a query from the
 // accumulated fleet events plus the base node's own trace (fetched from
 // its admin endpoint when the base is known). Spans recorded by the base
 // win; spans seen only in member journals are appended and counted as
 // recovered.
-func (c *Collector) AssembleTrace(id string) *FleetTrace {
+func (c *Collector) assembleTrace(id string) *FleetTrace {
 	c.mu.Lock()
 	var events []obs.Event
 	base, baseAdmin := "", ""

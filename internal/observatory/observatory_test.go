@@ -129,7 +129,7 @@ func TestFleetScrapeAndTraceAssembly(t *testing.T) {
 		}
 	}
 	// Topology reconstructed from /peers must match each node exactly.
-	topo := snap.Topology()
+	topo := snap.topology()
 	for i, n := range nodes {
 		want := n.PeerAddrs()
 		got := topo[n.Addr()]
@@ -144,7 +144,7 @@ func TestFleetScrapeAndTraceAssembly(t *testing.T) {
 	}
 
 	// The fleet timeline contains the query with answers from 2 hops.
-	rounds := snap.Rounds()
+	rounds := snap.rounds()
 	if len(rounds) != 1 || rounds[0].Query != res.ID.String() {
 		t.Fatalf("rounds = %+v", rounds)
 	}
@@ -156,7 +156,7 @@ func TestFleetScrapeAndTraceAssembly(t *testing.T) {
 
 	// Cross-node trace assembly: the base's spans plus node 1's
 	// journalled forward of the agent toward node 2.
-	ft := c.AssembleTrace(res.ID.String())
+	ft := c.assembleTrace(res.ID.String())
 	if ft.Base != nodes[0].Addr() {
 		t.Fatalf("trace base = %q, want %s", ft.Base, nodes[0].Addr())
 	}

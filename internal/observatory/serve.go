@@ -11,7 +11,7 @@ import (
 	"bestpeer/internal/obs"
 )
 
-// NewMux builds the observatory HTTP handler:
+// newMux builds the observatory HTTP handler:
 //
 //	/fleet              scrape every member and return the fleet snapshot
 //	/fleet/topology     the overlay graph from the latest scrape
@@ -24,16 +24,16 @@ import (
 //
 // Every endpoint scrapes on demand, so a snapshot is never staler than
 // its request.
-func NewMux(c *Collector) *http.ServeMux {
+func newMux(c *Collector) *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/fleet", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, c.Scrape())
 	})
 	mux.HandleFunc("/fleet/topology", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, c.Scrape().Topology())
+		writeJSON(w, http.StatusOK, c.Scrape().topology())
 	})
 	mux.HandleFunc("/fleet/convergence", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, c.Scrape().Rounds())
+		writeJSON(w, http.StatusOK, c.Scrape().rounds())
 	})
 	mux.HandleFunc("/fleet/trace/", func(w http.ResponseWriter, r *http.Request) {
 		id := strings.TrimPrefix(r.URL.Path, "/fleet/trace/")
@@ -42,7 +42,7 @@ func NewMux(c *Collector) *http.ServeMux {
 			return
 		}
 		c.Scrape() // pick up the latest journal entries first
-		ft := c.AssembleTrace(id)
+		ft := c.assembleTrace(id)
 		if ft.Base == "" && len(ft.Spans) == 0 && len(ft.Events) == 0 {
 			writeError(w, http.StatusNotFound, "unknown query id "+id)
 			return
@@ -51,7 +51,7 @@ func NewMux(c *Collector) *http.ServeMux {
 	})
 	mux.HandleFunc("/fleet/timeseries", func(w http.ResponseWriter, r *http.Request) {
 		c.Scrape()
-		ts := c.Health().Series()
+		ts := c.health.Series()
 		member := r.URL.Query().Get("member")
 		series := r.URL.Query().Get("series")
 		points := 0
@@ -67,18 +67,18 @@ func NewMux(c *Collector) *http.ServeMux {
 			writeError(w, http.StatusNotFound, "unknown member "+member)
 			return
 		}
-		out := make(map[string]map[string][]TSPoint)
+		out := make(map[string]map[string][]tsPoint)
 		for m, byName := range ts.All() {
 			if member != "" && m != member {
 				continue
 			}
-			filtered := make(map[string][]TSPoint)
+			filtered := make(map[string][]tsPoint)
 			for name, pts := range byName {
 				if series != "" && name != series {
 					continue
 				}
 				if points > 0 {
-					pts = Downsample(pts, points)
+					pts = downsample(pts, points)
 				}
 				filtered[name] = pts
 			}
@@ -88,7 +88,7 @@ func NewMux(c *Collector) *http.ServeMux {
 	})
 	mux.HandleFunc("/fleet/health", func(w http.ResponseWriter, r *http.Request) {
 		c.Scrape()
-		writeJSON(w, http.StatusOK, c.Health().View())
+		writeJSON(w, http.StatusOK, c.health.view())
 	})
 	mux.HandleFunc("/fleet/alerts", func(w http.ResponseWriter, r *http.Request) {
 		c.Scrape()
@@ -110,9 +110,9 @@ func NewMux(c *Collector) *http.ServeMux {
 			}
 			max = v
 		}
-		writeJSON(w, http.StatusOK, AlertsPage{
-			Active: c.Health().Active(),
-			Events: c.Health().Journal().Page(since, max),
+		writeJSON(w, http.StatusOK, alertsPage{
+			Active: c.health.activeAlerts(),
+			Events: c.health.Journal().Page(since, max),
 		})
 	})
 	mux.HandleFunc("/fleet/dashboard", func(w http.ResponseWriter, r *http.Request) {
@@ -123,10 +123,10 @@ func NewMux(c *Collector) *http.ServeMux {
 	return mux
 }
 
-// AlertsPage is the /fleet/alerts payload: the firing set plus one
+// alertsPage is the /fleet/alerts payload: the firing set plus one
 // page of the alert event journal.
-type AlertsPage struct {
-	Active []Alert        `json:"active"`
+type alertsPage struct {
+	Active []alert        `json:"active"`
 	Events obs.EventsPage `json:"events"`
 }
 
@@ -146,8 +146,8 @@ func writeError(w http.ResponseWriter, status int, msg string) {
 	writeJSON(w, status, map[string]string{"error": msg})
 }
 
-// Server is a running observatory HTTP endpoint.
-type Server struct {
+// server is a running observatory HTTP endpoint.
+type server struct {
 	ln  net.Listener
 	srv *http.Server
 }
@@ -156,7 +156,7 @@ type Server struct {
 // Like the node admin endpoint, an empty addr means "127.0.0.1:0" and a
 // bare ":port" binds loopback — the observatory aggregates fleet
 // internals and is unauthenticated.
-func StartServer(addr string, c *Collector) (*Server, error) {
+func StartServer(addr string, c *Collector) (*server, error) {
 	switch {
 	case addr == "":
 		addr = "127.0.0.1:0"
@@ -167,16 +167,16 @@ func StartServer(addr string, c *Collector) (*Server, error) {
 	if err != nil {
 		return nil, fmt.Errorf("observatory: listen: %w", err)
 	}
-	srv := &http.Server{Handler: NewMux(c)}
+	srv := &http.Server{Handler: newMux(c)}
 	go func() {
 		defer func() { recover() }() // a crashed observatory must not take the process down
 		_ = srv.Serve(ln)            // returns ErrServerClosed on Close; nothing to report
 	}()
-	return &Server{ln: ln, srv: srv}, nil
+	return &server{ln: ln, srv: srv}, nil
 }
 
 // Addr returns the bound address of the observatory endpoint.
-func (s *Server) Addr() string { return s.ln.Addr().String() }
+func (s *server) Addr() string { return s.ln.Addr().String() }
 
 // Close stops the observatory endpoint.
-func (s *Server) Close() error { return s.srv.Close() }
+func (s *server) Close() error { return s.srv.Close() }

@@ -55,7 +55,7 @@ func TestServeRoutes(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	srv := httptest.NewServer(NewMux(NewCollector(admins...)))
+	srv := httptest.NewServer(newMux(NewCollector(admins...)))
 	defer srv.Close()
 
 	var snap FleetSnapshot
@@ -93,7 +93,7 @@ func TestServeRoutes(t *testing.T) {
 
 	// The scrape above ingested signals, so the timeseries knows both
 	// members (keyed by admin address).
-	var series map[string]map[string][]TSPoint
+	var series map[string]map[string][]tsPoint
 	getJSON(t, srv, "/fleet/timeseries", http.StatusOK, &series)
 	if len(series) != 2 {
 		t.Fatalf("/fleet/timeseries members = %v", series)
@@ -122,7 +122,7 @@ func TestServeRoutes(t *testing.T) {
 		t.Fatalf("healthy fleet has active alerts: %+v", hv.Active)
 	}
 
-	var alerts AlertsPage
+	var alerts alertsPage
 	getJSON(t, srv, "/fleet/alerts", http.StatusOK, &alerts)
 	if len(alerts.Active) != 0 || alerts.Events.Total != 0 {
 		t.Fatalf("/fleet/alerts = %+v", alerts)
@@ -145,7 +145,7 @@ func TestServeRoutes(t *testing.T) {
 func TestServeClosedCollector(t *testing.T) {
 	nw := transport.NewInProc()
 	nodes, admins := fleet(t, nw, 1, 0)
-	srv := httptest.NewServer(NewMux(NewCollector(admins...)))
+	srv := httptest.NewServer(newMux(NewCollector(admins...)))
 	defer srv.Close()
 
 	// One good scrape, then the member goes away entirely.
@@ -171,7 +171,7 @@ func TestServeClosedCollector(t *testing.T) {
 	if hv.Members[admins[0]].Signals[SigUp] != 0 {
 		t.Fatalf("dead member up signal = %+v", hv.Members[admins[0]])
 	}
-	var alerts AlertsPage
+	var alerts alertsPage
 	getJSON(t, srv, "/fleet/alerts", http.StatusOK, &alerts)
 	if len(alerts.Active) != 1 || alerts.Active[0].Rule != "member-down" {
 		t.Fatalf("alerts = %+v", alerts.Active)

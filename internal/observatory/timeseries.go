@@ -6,41 +6,41 @@ import (
 	"time"
 )
 
-// TSPoint is one sample of a derived signal.
-type TSPoint struct {
+// tsPoint is one sample of a derived signal.
+type tsPoint struct {
 	At time.Time `json:"at"`
 	V  float64   `json:"v"`
 }
 
-// Ring is a fixed-capacity time series. When full it does not evict:
+// ring is a fixed-capacity time series. When full it does not evict:
 // it pairwise-merges adjacent points (mean value, midpoint timestamp),
 // halving the resolution so the retained window keeps doubling. A ring
 // of capacity 256 scraping every 2s holds ~8.5 minutes at full
 // resolution, ~17 at half, and so on — old history degrades gracefully
 // instead of vanishing, which is what a convergence-lag rule needs.
-// Ring is not safe for concurrent use; SeriesStore adds the lock.
-type Ring struct {
+// ring is not safe for concurrent use; seriesStore adds the lock.
+type ring struct {
 	cap    int
-	points []TSPoint
+	points []tsPoint
 }
 
-// NewRing creates a ring holding at most capacity points (minimum 2,
+// newRing creates a ring holding at most capacity points (minimum 2,
 // rounded down to even so pairwise merging is exact).
-func NewRing(capacity int) *Ring {
+func newRing(capacity int) *ring {
 	if capacity < 2 {
 		capacity = 2
 	}
 	capacity &^= 1
-	return &Ring{cap: capacity, points: make([]TSPoint, 0, capacity)}
+	return &ring{cap: capacity, points: make([]tsPoint, 0, capacity)}
 }
 
 // Add appends one sample, downsampling first when the ring is full.
-func (r *Ring) Add(p TSPoint) {
+func (r *ring) Add(p tsPoint) {
 	if len(r.points) >= r.cap {
 		merged := r.points[:0]
 		for i := 0; i+1 < len(r.points); i += 2 {
 			a, b := r.points[i], r.points[i+1]
-			merged = append(merged, TSPoint{
+			merged = append(merged, tsPoint{
 				At: a.At.Add(b.At.Sub(a.At) / 2),
 				V:  (a.V + b.V) / 2,
 			})
@@ -51,51 +51,51 @@ func (r *Ring) Add(p TSPoint) {
 }
 
 // Points returns a copy of the retained samples, oldest first.
-func (r *Ring) Points() []TSPoint {
-	return append([]TSPoint(nil), r.points...)
+func (r *ring) Points() []tsPoint {
+	return append([]tsPoint(nil), r.points...)
 }
 
 // Last returns the most recent sample, false when empty.
-func (r *Ring) Last() (TSPoint, bool) {
+func (r *ring) Last() (tsPoint, bool) {
 	if len(r.points) == 0 {
-		return TSPoint{}, false
+		return tsPoint{}, false
 	}
 	return r.points[len(r.points)-1], true
 }
 
-// DefaultSeriesCapacity is the per-series ring size used by
-// NewSeriesStore when given zero.
-const DefaultSeriesCapacity = 256
+// defaultSeriesCapacity is the per-series ring size used by
+// newSeriesStore when given zero.
+const defaultSeriesCapacity = 256
 
-// SeriesStore keeps one Ring per (member, series) pair. It is safe for
+// seriesStore keeps one ring per (member, series) pair. It is safe for
 // concurrent use.
-type SeriesStore struct {
+type seriesStore struct {
 	mu  sync.Mutex
 	cap int
-	m   map[string]map[string]*Ring // member -> series -> ring
+	m   map[string]map[string]*ring // member -> series -> ring
 }
 
-// NewSeriesStore creates a store whose rings hold capacity points each
-// (≤ 0 selects DefaultSeriesCapacity).
-func NewSeriesStore(capacity int) *SeriesStore {
+// newSeriesStore creates a store whose rings hold capacity points each
+// (≤ 0 selects defaultSeriesCapacity).
+func newSeriesStore(capacity int) *seriesStore {
 	if capacity <= 0 {
-		capacity = DefaultSeriesCapacity
+		capacity = defaultSeriesCapacity
 	}
-	return &SeriesStore{cap: capacity, m: make(map[string]map[string]*Ring)}
+	return &seriesStore{cap: capacity, m: make(map[string]map[string]*ring)}
 }
 
 // Add records one sample for the member's series.
-func (s *SeriesStore) Add(member, series string, p TSPoint) {
+func (s *seriesStore) Add(member, series string, p tsPoint) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	byName, ok := s.m[member]
 	if !ok {
-		byName = make(map[string]*Ring)
+		byName = make(map[string]*ring)
 		s.m[member] = byName
 	}
 	r, ok := byName[series]
 	if !ok {
-		r = NewRing(s.cap)
+		r = newRing(s.cap)
 		byName[series] = r
 	}
 	r.Add(p)
@@ -103,7 +103,7 @@ func (s *SeriesStore) Add(member, series string, p TSPoint) {
 
 // Points returns the member's series samples, oldest first, nil when
 // the member or series is unknown.
-func (s *SeriesStore) Points(member, series string) []TSPoint {
+func (s *seriesStore) Points(member, series string) []tsPoint {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if r, ok := s.m[member][series]; ok {
@@ -113,17 +113,17 @@ func (s *SeriesStore) Points(member, series string) []TSPoint {
 }
 
 // Last returns the member's most recent sample for the series.
-func (s *SeriesStore) Last(member, series string) (TSPoint, bool) {
+func (s *seriesStore) Last(member, series string) (tsPoint, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if r, ok := s.m[member][series]; ok {
 		return r.Last()
 	}
-	return TSPoint{}, false
+	return tsPoint{}, false
 }
 
 // Members returns the known member keys, sorted.
-func (s *SeriesStore) Members() []string {
+func (s *seriesStore) Members() []string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	out := make([]string, 0, len(s.m))
@@ -136,7 +136,7 @@ func (s *SeriesStore) Members() []string {
 
 // Names returns the member's series names, sorted; nil for an unknown
 // member.
-func (s *SeriesStore) Names(member string) []string {
+func (s *seriesStore) Names(member string) []string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	byName, ok := s.m[member]
@@ -152,7 +152,7 @@ func (s *SeriesStore) Names(member string) []string {
 }
 
 // Has reports whether the member has any series.
-func (s *SeriesStore) Has(member string) bool {
+func (s *seriesStore) Has(member string) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	_, ok := s.m[member]
@@ -161,12 +161,12 @@ func (s *SeriesStore) Has(member string) bool {
 
 // All returns every member's every series, for serving. The nested
 // maps are fresh copies.
-func (s *SeriesStore) All() map[string]map[string][]TSPoint {
+func (s *seriesStore) All() map[string]map[string][]tsPoint {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make(map[string]map[string][]TSPoint, len(s.m))
+	out := make(map[string]map[string][]tsPoint, len(s.m))
 	for member, byName := range s.m {
-		series := make(map[string][]TSPoint, len(byName))
+		series := make(map[string][]tsPoint, len(byName))
 		for name, r := range byName {
 			series[name] = r.Points()
 		}
@@ -175,19 +175,19 @@ func (s *SeriesStore) All() map[string]map[string][]TSPoint {
 	return out
 }
 
-// Downsample reduces points to at most max samples by pairwise
+// downsample reduces points to at most max samples by pairwise
 // averaging passes — the same degradation the ring itself applies —
 // for callers serving wide windows to narrow clients.
-func Downsample(points []TSPoint, max int) []TSPoint {
+func downsample(points []tsPoint, max int) []tsPoint {
 	if max < 2 {
 		max = 2
 	}
-	out := append([]TSPoint(nil), points...)
+	out := append([]tsPoint(nil), points...)
 	for len(out) > max {
-		merged := make([]TSPoint, 0, (len(out)+1)/2)
+		merged := make([]tsPoint, 0, (len(out)+1)/2)
 		for i := 0; i+1 < len(out); i += 2 {
 			a, b := out[i], out[i+1]
-			merged = append(merged, TSPoint{
+			merged = append(merged, tsPoint{
 				At: a.At.Add(b.At.Sub(a.At) / 2),
 				V:  (a.V + b.V) / 2,
 			})
