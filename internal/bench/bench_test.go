@@ -332,11 +332,11 @@ func TestCostModelHelpers(t *testing.T) {
 	if c.compressed(1000) >= 1000 {
 		t.Fatal("compression did not shrink")
 	}
-	c.Compression = 1.0
+	c.compression = 1.0
 	if c.compressed(1000) != 1000 {
 		t.Fatal("ratio 1.0 should be identity")
 	}
-	c.Compression = 0
+	c.compression = 0
 	if c.compressed(1000) != 1000 {
 		t.Fatal("ratio 0 should be identity (disabled)")
 	}

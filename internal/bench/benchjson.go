@@ -119,7 +119,7 @@ func NewReport(fig string, seed int64, w io.Writer) (*Report, error) {
 type SchemeRun struct {
 	Scheme  string      `json:"scheme"`
 	Rounds  []roundStat `json:"rounds"`
-	Metrics liveMetrics `json:"metrics"`
+	Metrics LiveMetrics `json:"metrics"`
 }
 
 // roundStat is one query round of a live run.

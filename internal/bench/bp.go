@@ -108,9 +108,9 @@ func (b *bpSim) simTime() time.Time {
 // under code-shipping, a bare query under data-shipping.
 func (b *bpSim) requestSize() int {
 	if b.p.DataShip {
-		return b.p.Cost.compressed(b.p.Cost.QuerySize)
+		return b.p.Cost.compressed(b.p.Cost.querySize)
 	}
-	return b.p.Cost.compressed(b.p.Cost.AgentSize)
+	return b.p.Cost.compressed(b.p.Cost.agentSize)
 }
 
 func (b *bpSim) handle(node int, env *wire.Envelope) {
@@ -225,7 +225,7 @@ func (b *bpSim) wantHops(node, hops int, via string) {
 
 func (b *bpSim) shipClass(owner, requester int) {
 	b.send(owner, requester, wire.KindClassShip, 1, 0, nil,
-		b.p.Cost.compressed(b.p.Cost.ClassSize))
+		b.p.Cost.compressed(b.p.Cost.classSize))
 }
 
 func (b *bpSim) installClass(node int, env *wire.Envelope) {
@@ -242,7 +242,7 @@ func (b *bpSim) installClass(node int, env *wire.Envelope) {
 		hops, via := b.pendingHops[node], b.pendingVia[node]
 		b.pendingHops[node] = -1
 		b.pendingVia[node] = ""
-		b.execute(node, hops, b.p.Cost.ClassInstall, via)
+		b.execute(node, hops, b.p.Cost.classInstall, via)
 	}
 }
 
@@ -252,7 +252,7 @@ func (b *bpSim) installClass(node int, env *wire.Envelope) {
 func (b *bpSim) execute(node, hops int, extra time.Duration, via string) {
 	cost := b.p.Cost.AgentStartup + extra + b.p.Cost.scanCost(b.p.Spec.ObjectsPerNode)
 	if b.p.DataShip {
-		cost = b.p.Cost.QueryStartup // just package the data
+		cost = b.p.Cost.queryStartup // just package the data
 	}
 	host := b.net.Host(nodeAddr(node))
 	host.Exec(cost, func() {

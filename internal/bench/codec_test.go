@@ -9,7 +9,7 @@ import (
 )
 
 // TestModelMeetsCodec holds the simulator's treatment of compression
-// (costModel.Compression applies to agents, queries and name lists;
+// (CostModel.compression applies to agents, queries and name lists;
 // "object payloads are random data and do not compress") against what the
 // real codec does with the same three messages built from workload.Spec.
 // The model constants are not touched here: the ratios are logged, and
@@ -55,7 +55,7 @@ func TestModelMeetsCodec(t *testing.T) {
 	hints := ratio(&wire.Envelope{Kind: wire.KindHint, ID: id, TTL: 1, Hops: 2, From: peer, To: base,
 		Body: agent.EncodeResults(names, 2, wire.BPID{}, peer)})
 
-	model := DefaultCost().Compression
+	model := DefaultCost().compression
 	t.Logf("frame bytes / raw bytes: result batch (%d x %d B objects) %.3f, keyword-agent frame %.3f, hint batch (%d names) %.3f; costModel.Compression %.2f",
 		len(results), spec.ObjectSize, payload, agentFrame, len(names), hints, model)
 	if payload < 0.99 {

@@ -36,7 +36,7 @@ const convergenceRounds = 6
 // after the first round, so mean answer hops fall; under BPS the overlay
 // never changes and the trend is flat. The timeline is folded from the
 // base's event journal, not from simulator internals.
-func convergence(cost costModel, seed int64) []*strategyTimeline {
+func convergence(cost CostModel, seed int64) []*strategyTimeline {
 	const n, peerBudget = 32, 8
 	tp := topology.Random(n, peerBudget/2, seed) // sparse start; budget allows growth
 	spec := fig8Spec(tp, seed)
@@ -69,7 +69,7 @@ func convergence(cost costModel, seed int64) []*strategyTimeline {
 // figConvergence renders the convergence timelines as a figure: mean
 // answer hops per round, one series per strategy (BPR = maxcount,
 // BPS = static).
-func figConvergence(cost costModel, seed int64) *figure {
+func figConvergence(cost CostModel, seed int64) *figure {
 	fig := &figure{
 		ID: "convergence", Title: "Reconfiguration convergence: mean answer hops per round (32 nodes, random)",
 		XLabel: "round", YLabel: "mean answer hops",

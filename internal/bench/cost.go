@@ -10,40 +10,40 @@ package bench
 
 import "time"
 
-// costModel is the shared calibration for all schemes.
-type costModel struct {
-	// Latency is one-way propagation delay between any two hosts.
-	Latency time.Duration
-	// Bandwidth is per-host link rate in bytes/second (charged once on
+// CostModel is the shared calibration for all schemes.
+type CostModel struct {
+	// latency is one-way propagation delay between any two hosts.
+	latency time.Duration
+	// bandwidth is per-host link rate in bytes/second (charged once on
 	// the sender's uplink and once on the receiver's downlink).
-	Bandwidth float64
+	bandwidth float64
 
-	// QuerySize is the wire size of a plain query (CS and Gnutella).
-	QuerySize int
-	// AgentSize is a serialized agent: packet header, class name, state.
-	AgentSize int
-	// ClassSize is the class payload shipped to a node lacking the
+	// querySize is the wire size of a plain query (CS and Gnutella).
+	querySize int
+	// agentSize is a serialized agent: packet header, class name, state.
+	agentSize int
+	// classSize is the class payload shipped to a node lacking the
 	// agent's class.
-	ClassSize int
-	// ResultOverhead is the fixed portion of a result/hit message.
-	ResultOverhead int
-	// NameSize is the per-hit size when only names travel (hints,
+	classSize int
+	// resultOverhead is the fixed portion of a result/hit message.
+	resultOverhead int
+	// nameSize is the per-hit size when only names travel (hints,
 	// Gnutella QueryHits, the Fig. 8 setup).
-	NameSize int
+	nameSize int
 
-	// Compression is the gzip ratio applied to compressible messages
+	// compression is the gzip ratio applied to compressible messages
 	// (agents, queries, name lists); object payloads are random data
 	// and do not compress.
-	Compression float64
+	compression float64
 
 	// AgentStartup is the cost of reconstructing an incoming agent and
 	// preparing its thread of execution — the code-shipping overhead
 	// that makes CS win on flat topologies.
 	AgentStartup time.Duration
-	// ClassInstall is the extra cost of installing a shipped class.
-	ClassInstall time.Duration
-	// QueryStartup is a CS/Gnutella server's per-query setup cost.
-	QueryStartup time.Duration
+	// classInstall is the extra cost of installing a shipped class.
+	classInstall time.Duration
+	// queryStartup is a CS/Gnutella server's per-query setup cost.
+	queryStartup time.Duration
 	// ForwardCost is the CPU cost of receiving a descriptor, checking it
 	// for duplication/expiry and cloning it to each peer — paid per hop
 	// by BestPeer agents, Gnutella queries and CS queries alike. It is
@@ -52,62 +52,62 @@ type costModel struct {
 	ForwardCost time.Duration
 	// MatchPerObject is the per-object comparison cost during the scan.
 	MatchPerObject time.Duration
-	// RelayCost is the CPU cost of relaying one message along the
+	// relayCost is the CPU cost of relaying one message along the
 	// return path (CS answers).
-	RelayCost time.Duration
-	// GnuRelay is the per-hop cost of a Gnutella servant processing and
+	relayCost time.Duration
+	// gnuRelay is the per-hop cost of a Gnutella servant processing and
 	// re-routing a QueryHit descriptor. FURI is a full Java servant with
 	// a GUI; per-descriptor handling on a 200 MHz machine is substantial
 	// and is what makes path-routed hits expensive in Fig. 8.
-	GnuRelay time.Duration
+	gnuRelay time.Duration
 }
 
 // DefaultCost returns the calibration used throughout the evaluation:
 // a 100 Mbit/s shared LAN of 200 MHz machines. On this balance the wire
 // is fast relative to per-hop protocol work, so topology and routing —
 // not raw transfer — shape the results, as in the paper's testbed.
-func DefaultCost() costModel {
-	return costModel{
-		Latency:        500 * time.Microsecond,
-		Bandwidth:      1.25e7, // 100 Mbit/s
-		QuerySize:      128,
-		AgentSize:      2048,
-		ClassSize:      6144,
-		ResultOverhead: 96,
-		NameSize:       48,
-		Compression:    0.55,
+func DefaultCost() CostModel {
+	return CostModel{
+		latency:        500 * time.Microsecond,
+		bandwidth:      1.25e7, // 100 Mbit/s
+		querySize:      128,
+		agentSize:      2048,
+		classSize:      6144,
+		resultOverhead: 96,
+		nameSize:       48,
+		compression:    0.55,
 		AgentStartup:   25 * time.Millisecond,
-		ClassInstall:   15 * time.Millisecond,
-		QueryStartup:   2 * time.Millisecond,
+		classInstall:   15 * time.Millisecond,
+		queryStartup:   2 * time.Millisecond,
 		ForwardCost:    8 * time.Millisecond,
 		MatchPerObject: 60 * time.Microsecond,
-		RelayCost:      15 * time.Millisecond,
-		GnuRelay:       25 * time.Millisecond,
+		relayCost:      15 * time.Millisecond,
+		gnuRelay:       25 * time.Millisecond,
 	}
 }
 
 // compressed scales a compressible message size by the gzip ratio.
-func (c costModel) compressed(n int) int {
-	if c.Compression <= 0 || c.Compression >= 1 {
+func (c CostModel) compressed(n int) int {
+	if c.compression <= 0 || c.compression >= 1 {
 		return n
 	}
-	return int(float64(n) * c.Compression)
+	return int(float64(n) * c.compression)
 }
 
 // scanCost is the CPU time to compare every local object with the query.
-func (c costModel) scanCost(objects int) time.Duration {
+func (c CostModel) scanCost(objects int) time.Duration {
 	return time.Duration(objects) * c.MatchPerObject
 }
 
 // resultSize is the wire size of a result batch carrying `hits` answers.
 // With data, each hit carries an object payload (incompressible); without
 // data only names travel (compressible).
-func (c costModel) resultSize(hits, objectSize int, includeData bool) int {
+func (c CostModel) resultSize(hits, objectSize int, includeData bool) int {
 	if hits == 0 {
 		return 0
 	}
 	if includeData {
-		return c.ResultOverhead + hits*(c.NameSize+objectSize)
+		return c.resultOverhead + hits*(c.nameSize+objectSize)
 	}
-	return c.compressed(c.ResultOverhead + hits*c.NameSize)
+	return c.compressed(c.resultOverhead + hits*c.nameSize)
 }

@@ -43,7 +43,7 @@ func steadyBPR(tp *topology.Topology, p params, strategy reconfig.Strategy) runR
 func defaultSpec(seed int64) *workload.Spec { return workload.Default(seed) }
 
 // fig5Params is the shared configuration of the topology experiments.
-func fig5Params(cost costModel, seed int64) params {
+func fig5Params(cost CostModel, seed int64) params {
 	spec := defaultSpec(seed)
 	return params{
 		Cost:        cost,
@@ -56,7 +56,7 @@ func fig5Params(cost costModel, seed int64) params {
 
 // fig5a reproduces Figure 5(a): completion time on the Star topology as
 // the network grows, for SCS, MCS, BPS and BPR.
-func fig5a(cost costModel, seed int64) *figure {
+func fig5a(cost CostModel, seed int64) *figure {
 	p := fig5Params(cost, seed)
 	sizes := []int{2, 4, 8, 16, 24, 32}
 	fig := &figure{
@@ -78,7 +78,7 @@ func fig5a(cost costModel, seed int64) *figure {
 // fig5b reproduces Figure 5(b): completion time on the Tree topology as
 // depth grows (binary tree, capped at 48 nodes at level 5 exactly as the
 // paper did), for CS (multi-threaded), BPS and BPR.
-func fig5b(cost costModel, seed int64) *figure {
+func fig5b(cost CostModel, seed int64) *figure {
 	p := fig5Params(cost, seed)
 	fig := &figure{
 		ID: "5b", Title: "Tree topology: completion time vs levels",
@@ -100,7 +100,7 @@ func fig5b(cost costModel, seed int64) *figure {
 }
 
 // fig5c reproduces Figure 5(c): completion time on the Line topology.
-func fig5c(cost costModel, seed int64) *figure {
+func fig5c(cost CostModel, seed int64) *figure {
 	p := fig5Params(cost, seed)
 	sizes := []int{2, 4, 8, 16, 24, 32}
 	fig := &figure{
@@ -144,7 +144,7 @@ func answerSeries(name string, res runResult) series {
 }
 
 // fig67Runs executes the 32-node tree experiment shared by Figures 6/7.
-func fig67Runs(cost costModel, seed int64) (cs, bps, bpr runResult) {
+func fig67Runs(cost CostModel, seed int64) (cs, bps, bpr runResult) {
 	p := fig5Params(cost, seed)
 	tp := topology.Tree(32, 2)
 	cs = runCS(tp, p, false)
@@ -155,7 +155,7 @@ func fig67Runs(cost costModel, seed int64) (cs, bps, bpr runResult) {
 
 // fig6 reproduces Figure 6: the rate at which nodes respond (32 nodes,
 // tree topology). Point (T, K): K nodes have responded by time T.
-func fig6(cost costModel, seed int64) *figure {
+func fig6(cost CostModel, seed int64) *figure {
 	cs, bps, bpr := fig67Runs(cost, seed)
 	return &figure{
 		ID: "6", Title: "Rate at which answers are returned (32 nodes, tree)",
@@ -170,7 +170,7 @@ func fig6(cost costModel, seed int64) *figure {
 
 // fig7 reproduces Figure 7: cumulative number of answers over time for
 // the same runs as Figure 6.
-func fig7(cost costModel, seed int64) *figure {
+func fig7(cost CostModel, seed int64) *figure {
 	cs, bps, bpr := fig67Runs(cost, seed)
 	return &figure{
 		ID: "7", Title: "Number of answers returned over time (32 nodes, tree)",
@@ -223,7 +223,7 @@ func fig8Spec(tp *topology.Topology, seed int64) *workload.Spec {
 // run of the same query (up to 8 direct peers, 4 runs). Gnutella is flat
 // across runs; BestPeer's first run pays the full route but subsequent
 // runs exploit reconfiguration.
-func fig8a(cost costModel, seed int64) *figure {
+func fig8a(cost CostModel, seed int64) *figure {
 	const n, peerBudget, rounds = 32, 8, 4
 	tp := topology.Random(n, peerBudget/2, seed) // sparse start; budget allows growth
 	spec := fig8Spec(tp, seed)
@@ -248,7 +248,7 @@ func fig8a(cost costModel, seed int64) *figure {
 
 // fig8b reproduces Figure 8(b): mean completion time over 4 runs as the
 // direct-peer budget grows.
-func fig8b(cost costModel, seed int64) *figure {
+func fig8b(cost CostModel, seed int64) *figure {
 	const n, rounds = 32, 4
 	fig := &figure{
 		ID: "8b", Title: "BestPeer vs Gnutella: mean completion vs peers",
@@ -284,7 +284,7 @@ func fig8b(cost costModel, seed int64) *figure {
 // ablationStrategies compares reconfiguration strategies (none, MaxCount,
 // MinHops) on a 32-node line over successive rounds — the design choice
 // §3.3 discusses.
-func ablationStrategies(cost costModel, seed int64) *figure {
+func ablationStrategies(cost CostModel, seed int64) *figure {
 	p := fig5Params(cost, seed)
 	tp := topology.Line(32)
 	const rounds = 4
@@ -304,7 +304,7 @@ func ablationStrategies(cost costModel, seed int64) *figure {
 
 // ablationCompression measures the effect of GZIP on completion time
 // (Fig. 5 tree setup, gzip on vs off).
-func ablationCompression(cost costModel, seed int64) *figure {
+func ablationCompression(cost CostModel, seed int64) *figure {
 	tp := topology.Tree(32, 2)
 	fig := &figure{
 		ID: "A2", Title: "Ablation: GZIP compression (32 nodes, tree)",
@@ -314,7 +314,7 @@ func ablationCompression(cost costModel, seed int64) *figure {
 	for _, on := range []bool{false, true} {
 		c := cost
 		if !on {
-			c.Compression = 1.0
+			c.compression = 1.0
 		}
 		p := fig5Params(c, seed)
 		x := 0.0
@@ -329,7 +329,7 @@ func ablationCompression(cost costModel, seed int64) *figure {
 
 // ablationColdClass isolates the class-shipping cost: round 1 (every peer
 // cold) vs round 2 (class cached everywhere).
-func ablationColdClass(cost costModel, seed int64) *figure {
+func ablationColdClass(cost CostModel, seed int64) *figure {
 	p := fig5Params(cost, seed)
 	p.ColdStart = true // every peer must fetch the class on round 1
 	tp := topology.Tree(32, 2)
@@ -349,7 +349,7 @@ func ablationColdClass(cost costModel, seed int64) *figure {
 
 // ablationResultMode compares returning full objects (mode 1) against
 // names only (hint mode) on the Fig. 5 tree setup.
-func ablationResultMode(cost costModel, seed int64) *figure {
+func ablationResultMode(cost CostModel, seed int64) *figure {
 	tp := topology.Tree(32, 2)
 	fig := &figure{
 		ID: "A4", Title: "Ablation: result mode — data vs names (32 nodes, tree)",
@@ -368,7 +368,7 @@ func ablationResultMode(cost costModel, seed int64) *figure {
 // ablationShipping compares code-shipping (agents run at the data) with
 // naive data-shipping (peers ship their whole store and the base filters
 // locally) — the runtime choice §6 of the paper proposes as future work.
-func ablationShipping(cost costModel, seed int64) *figure {
+func ablationShipping(cost CostModel, seed int64) *figure {
 	fig := &figure{
 		ID: "A5", Title: "Ablation: code-shipping vs data-shipping (tree)",
 		XLabel: "nodes", YLabel: "completion (ms)",
@@ -391,7 +391,7 @@ func ablationShipping(cost costModel, seed int64) *figure {
 // and topologies (32 nodes) — the bandwidth-utilization dimension the
 // paper's evaluation methodology (§4.1) calls out. x encodes the
 // topology: 1 = star, 2 = tree, 3 = line.
-func trafficTable(cost costModel, seed int64) *figure {
+func trafficTable(cost CostModel, seed int64) *figure {
 	p := fig5Params(cost, seed)
 	fig := &figure{
 		ID: "T1", Title: "Traffic per query in KB (32 nodes; 1=star 2=tree 3=line)",
@@ -416,7 +416,7 @@ func trafficTable(cost costModel, seed int64) *figure {
 }
 
 // allFigures runs every experiment.
-func allFigures(cost costModel, seed int64) []*figure {
+func allFigures(cost CostModel, seed int64) []*figure {
 	return []*figure{
 		fig5a(cost, seed), fig5b(cost, seed), fig5c(cost, seed),
 		fig6(cost, seed), fig7(cost, seed),

@@ -30,11 +30,11 @@ type LiveResult struct {
 	MaxHops int
 }
 
-// liveCluster is a real BestPeer network running in-process: the
+// LiveCluster is a real BestPeer network running in-process: the
 // reference the simulator's bpSim answers to on everything that does not
 // depend on time (TestLiveMatchesSimCounts), and the live section of a
 // bpbench report.
-type liveCluster struct {
+type LiveCluster struct {
 	dir   string
 	nodes []*core.Node
 	store []*storm.Store
@@ -46,12 +46,12 @@ type liveCluster struct {
 // NewLiveCluster builds and wires a live network over tp. Each node's
 // store is populated from spec (use a small ObjectsPerNode — this is the
 // real storage engine).
-func NewLiveCluster(tp *topology.Topology, spec *workload.Spec, query string, strategy reconfig.Strategy, maxPeers int) (*liveCluster, error) {
+func NewLiveCluster(tp *topology.Topology, spec *workload.Spec, query string, strategy reconfig.Strategy, maxPeers int) (*LiveCluster, error) {
 	dir, err := os.MkdirTemp("", "bestpeer-live")
 	if err != nil {
 		return nil, err
 	}
-	lc := &liveCluster{dir: dir, base: tp.Base, query: query, spec: spec}
+	lc := &LiveCluster{dir: dir, base: tp.Base, query: query, spec: spec}
 	nw := transport.NewInProc()
 	for i := 0; i < tp.N; i++ {
 		st, err := storm.Open(filepath.Join(dir, fmt.Sprintf("n%d.storm", i)), storm.Options{})
@@ -90,12 +90,12 @@ func NewLiveCluster(tp *topology.Topology, spec *workload.Spec, query string, st
 	return lc, nil
 }
 
-// Base returns the query-issuing node.
-func (lc *liveCluster) Base() *core.Node { return lc.nodes[lc.base] }
+// baseNode returns the query-issuing node.
+func (lc *LiveCluster) baseNode() *core.Node { return lc.nodes[lc.base] }
 
 // settle waits, for at most limit, until the fleet has stopped talking:
 // every frame sent has been received, and two reads a tick apart agree.
-func (lc *liveCluster) settle(limit time.Duration) {
+func (lc *LiveCluster) settle(limit time.Duration) {
 	tick := time.NewTicker(2 * time.Millisecond)
 	defer tick.Stop()
 	expired := time.After(limit)
@@ -124,7 +124,7 @@ func (lc *liveCluster) settle(limit time.Duration) {
 // expected number of answers and then for the flood itself to end, both
 // within the timeout: a node without matches owes the base no answer, so
 // its clones may still be travelling when the last answer is in.
-func (lc *liveCluster) RunRound(timeout time.Duration) (LiveResult, error) {
+func (lc *LiveCluster) RunRound(timeout time.Duration) (LiveResult, error) {
 	start := time.Now()
 	expected := 0
 	for i := range lc.nodes {
@@ -136,7 +136,7 @@ func (lc *liveCluster) RunRound(timeout time.Duration) (LiveResult, error) {
 	for _, n := range lc.nodes {
 		before += n.Stats().AgentsForwarded
 	}
-	res, err := lc.Base().Query(&agent.KeywordAgent{Query: lc.query}, core.QueryOptions{
+	res, err := lc.baseNode().Query(&agent.KeywordAgent{Query: lc.query}, core.QueryOptions{
 		Timeout:     timeout,
 		WaitAnswers: expected,
 		SkipLocal:   true,
@@ -161,11 +161,11 @@ func (lc *liveCluster) RunRound(timeout time.Duration) (LiveResult, error) {
 	return out, nil
 }
 
-// liveMetrics is the observability section of one scheme's live run:
+// LiveMetrics is the observability section of one scheme's live run:
 // network-wide message and agent counters summed over every node's
 // registry, the base's answer-hop histogram, and the base's full registry
 // snapshot for anything the headline numbers leave out.
-type liveMetrics struct {
+type LiveMetrics struct {
 	MessagesSent    uint64               `json:"messages_sent"`
 	MessagesDropped uint64               `json:"messages_dropped"`
 	AgentsExecuted  uint64               `json:"agents_executed"`
@@ -188,8 +188,8 @@ func sumFamily(s *obs.Snapshot, name string) uint64 {
 }
 
 // Metrics snapshots the cluster's registries into the report section.
-func (lc *liveCluster) Metrics() liveMetrics {
-	var out liveMetrics
+func (lc *LiveCluster) Metrics() LiveMetrics {
+	var out LiveMetrics
 	for _, n := range lc.nodes {
 		snap := n.Metrics().Snapshot()
 		out.MessagesSent += sumFamily(snap, "bestpeer_transport_messages_sent_total")
@@ -197,7 +197,7 @@ func (lc *liveCluster) Metrics() liveMetrics {
 		out.AgentsExecuted += sumFamily(snap, "bestpeer_node_agents_executed_total")
 		out.AgentsForwarded += sumFamily(snap, "bestpeer_node_agents_forwarded_total")
 	}
-	base := lc.Base().Metrics().Snapshot()
+	base := lc.baseNode().Metrics().Snapshot()
 	if f := base.Family("bestpeer_node_answer_hops"); f != nil && len(f.Metrics) > 0 {
 		out.AnswerHops = f.Metrics[0].Buckets
 	}
@@ -206,7 +206,7 @@ func (lc *liveCluster) Metrics() liveMetrics {
 }
 
 // Close shuts the cluster down and removes its on-disk state.
-func (lc *liveCluster) Close() {
+func (lc *LiveCluster) Close() {
 	for _, n := range lc.nodes {
 		_ = n.Close() // teardown is best-effort; nothing to report to
 	}

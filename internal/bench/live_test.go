@@ -28,7 +28,7 @@ type liveCounts struct {
 	looped                                uint64 // duplicates the base itself dropped: clones that came back to it
 }
 
-func (lc *liveCluster) counts() liveCounts {
+func (lc *LiveCluster) counts() liveCounts {
 	var c liveCounts
 	for _, n := range lc.nodes {
 		st := n.Stats() // reads executed before forwarded; settled relies on it
@@ -36,7 +36,7 @@ func (lc *liveCluster) counts() liveCounts {
 		c.executed += st.AgentsExecuted
 		c.forwarded += st.AgentsForwarded
 		c.duplicates += st.DuplicatesDropped
-		if n == lc.Base() {
+		if n == lc.baseNode() {
 			c.looped = st.DuplicatesDropped
 		}
 	}
@@ -59,7 +59,7 @@ func (lc *liveCluster) counts() liveCounts {
 // A node counts its forwards before its execution, so once every node has
 // executed the clone count is final and the two other counters can only
 // climb to their targets; passing one fails at once.
-func settled(t *testing.T, what string, lc *liveCluster, before liveCounts, fanOut, reached int) (got liveCounts, clones uint64) {
+func settled(t *testing.T, what string, lc *LiveCluster, before liveCounts, fanOut, reached int) (got liveCounts, clones uint64) {
 	t.Helper()
 	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
 		now := lc.counts()
@@ -87,10 +87,10 @@ func settled(t *testing.T, what string, lc *liveCluster, before liveCounts, fanO
 	return
 }
 
-func liveBase(t *testing.T, lc *liveCluster) []int {
+func liveBase(t *testing.T, lc *LiveCluster) []int {
 	t.Helper()
 	var peers []int
-	for _, addr := range lc.Base().PeerAddrs() {
+	for _, addr := range lc.baseNode().PeerAddrs() {
 		var i int
 		if _, err := fmt.Sscanf(addr, "live-%d", &i); err != nil {
 			t.Fatalf("peer address %q: %v", addr, err)
@@ -191,7 +191,7 @@ func TestLiveMatchesSimCounts(t *testing.T) {
 				var first, last runResult
 				for round := 1; round <= 4; round++ {
 					what := fmt.Sprintf("round %d", round)
-					before, fanOut := lc.counts(), len(lc.Base().Peers())
+					before, fanOut := lc.counts(), len(lc.baseNode().Peers())
 					model := sim.runRound()
 					live, err := lc.RunRound(5 * time.Second)
 					if err != nil {
@@ -268,7 +268,7 @@ func TestLiveStaticNetworkStable(t *testing.T) {
 	}
 	defer lc.Close()
 
-	before := lc.Base().PeerAddrs()
+	before := lc.baseNode().PeerAddrs()
 	r1, err := lc.RunRound(5 * time.Second)
 	if err != nil {
 		t.Fatal(err)
@@ -277,7 +277,7 @@ func TestLiveStaticNetworkStable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	after := lc.Base().PeerAddrs()
+	after := lc.baseNode().PeerAddrs()
 	if len(before) != len(after) {
 		t.Fatalf("static peer set changed: %v -> %v", before, after)
 	}

@@ -98,11 +98,11 @@ func (s *pathSim) handleQuery(node int, env *wire.Envelope) {
 		host.Exec(s.p.Cost.ForwardCost, func() {
 			for _, w := range targets {
 				fwd := env.Forwarded(nodeAddr(node), nodeAddr(w))
-				s.net.Send(nodeAddr(node), nodeAddr(w), fwd, s.p.Cost.compressed(s.p.Cost.QuerySize))
+				s.net.Send(nodeAddr(node), nodeAddr(w), fwd, s.p.Cost.compressed(s.p.Cost.querySize))
 			}
 		})
 	}
-	host.Exec(s.p.Cost.QueryStartup+s.p.Cost.scanCost(s.p.Spec.ObjectsPerNode), func() {
+	host.Exec(s.p.Cost.queryStartup+s.p.Cost.scanCost(s.p.Spec.ObjectsPerNode), func() {
 		if hits := s.p.Spec.MatchCount(node, s.p.Query); hits > 0 {
 			s.sendUp(node, hits, node, env.Hops)
 		}
@@ -178,7 +178,7 @@ func (s *pathSim) sendQuery(to int) {
 		TTL: uint8(clampHops(s.p.TTL)), Hops: 1,
 		From: base, To: nodeAddr(to),
 	}
-	s.net.Send(base, nodeAddr(to), env, s.p.Cost.compressed(s.p.Cost.QuerySize))
+	s.net.Send(base, nodeAddr(to), env, s.p.Cost.compressed(s.p.Cost.querySize))
 }
 
 // runRound issues the query once from the base and runs to quiescence.
@@ -211,7 +211,7 @@ func (s *pathSim) runRound() runResult {
 func runCS(tp *topology.Topology, p params, singleThread bool) runResult {
 	return newPathSim(tp, p, pathScheme{
 		query: wire.KindCSQuery, answer: wire.KindCSAnswer,
-		relay: p.Cost.RelayCost, done: true, sequential: singleThread,
+		relay: p.Cost.relayCost, done: true, sequential: singleThread,
 	}).runRound()
 }
 
@@ -225,7 +225,7 @@ func runGnutella(tp *topology.Topology, p params, rounds int) []runResult {
 	p.IncludeData = false
 	s := newPathSim(tp, p, pathScheme{
 		query: wire.KindGnuQuery, answer: wire.KindGnuQueryHit,
-		relay: p.Cost.GnuRelay,
+		relay: p.Cost.gnuRelay,
 	})
 	out := make([]runResult, 0, rounds)
 	for r := 0; r < rounds; r++ {

@@ -15,7 +15,7 @@ import (
 // params configures one simulated experiment.
 type params struct {
 	// Cost calibrates the simulated hardware and network.
-	Cost costModel
+	Cost CostModel
 	// Spec generates the per-node data (object counts drive scan and
 	// transfer costs).
 	Spec *workload.Spec
@@ -100,8 +100,8 @@ func nodeAddr(i int) string { return fmt.Sprintf("n%d", i) }
 // newSimNet builds the testbed every figure scheme runs on: one shared LAN
 // segment on a fresh clock, one host per topology node delivering to
 // handle.
-func newSimNet(tp *topology.Topology, cost costModel, threads int, handle func(node int, env *wire.Envelope)) *netsim.Network {
-	net := netsim.NewNetwork(netsim.NewSim(), netsim.Link{Latency: cost.Latency, Bandwidth: cost.Bandwidth})
+func newSimNet(tp *topology.Topology, cost CostModel, threads int, handle func(node int, env *wire.Envelope)) *netsim.Network {
+	net := netsim.NewNetwork(netsim.NewSim(), netsim.Link{Latency: cost.latency, Bandwidth: cost.bandwidth})
 	net.UseSharedMedium()
 	for i := 0; i < tp.N; i++ {
 		h := net.AddHost(nodeAddr(i), netsim.HostConfig{Threads: threads})

@@ -62,7 +62,7 @@ func trafficQRoute(seed int64) qroute.Options {
 // mutates before rounds 3 and 5, invalidating the cache mid-run, so the
 // qroute scheme must re-prove recall through selective routes — not just
 // replay one warm cache entry.
-func traffic(cost costModel, seed int64) *trafficResult {
+func traffic(cost CostModel, seed int64) *trafficResult {
 	const n = 32
 	tp := topology.Random(n, 4, seed)
 	spec := fig8Spec(tp, seed)
@@ -104,7 +104,7 @@ func traffic(cost costModel, seed int64) *trafficResult {
 
 // figTraffic renders the Traffic experiment as a figure: messages sent
 // per round, flood vs qroute.
-func figTraffic(cost costModel, seed int64) *figure {
+func figTraffic(cost CostModel, seed int64) *figure {
 	tr := traffic(cost, seed)
 	fig := &figure{
 		ID:     "T2",

@@ -50,8 +50,8 @@ func TestFingerStartWraps(t *testing.T) {
 }
 
 func TestTableSingleNodeOwnsEverything(t *testing.T) {
-	self := RefFor("solo")
-	tb := NewTable(self, 4)
+	self := refFor("solo")
+	tb := newTable(self, 4)
 	for _, k := range []Key{0, self.Key, self.Key + 1, ^Key(0)} {
 		if !tb.Owns(k) {
 			t.Fatalf("solo node must own key %d", k)

@@ -27,15 +27,15 @@ const Bits = 64
 // 2^64, which is exactly uint64 overflow.
 type Key uint64
 
-// HashBytes maps arbitrary bytes onto the identifier circle.
-func HashBytes(b []byte) Key {
+// hashBytes maps arbitrary bytes onto the identifier circle.
+func hashBytes(b []byte) Key {
 	sum := sha1.Sum(b)
 	return Key(binary.BigEndian.Uint64(sum[:8]))
 }
 
 // HashString maps a string (a transport address, a keyword, a BPID's
 // string form) onto the identifier circle.
-func HashString(s string) Key { return HashBytes([]byte(s)) }
+func HashString(s string) Key { return hashBytes([]byte(s)) }
 
 // Between reports whether x lies strictly inside the clockwise interval
 // (a, b) on the circle. When a == b the interval is the whole circle
@@ -69,9 +69,9 @@ type NodeRef struct {
 // IsZero reports whether the reference is unset.
 func (r NodeRef) IsZero() bool { return r.Addr == "" }
 
-// RefFor builds the canonical reference for a node address: its ring key
+// refFor builds the canonical reference for a node address: its ring key
 // is the hash of the address itself, so every participant derives the
 // same placement without coordination.
-func RefFor(addr string) NodeRef {
+func refFor(addr string) NodeRef {
 	return NodeRef{Key: HashString(addr), Addr: addr}
 }

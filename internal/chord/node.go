@@ -13,12 +13,12 @@ import (
 
 // Protocol errors.
 var (
-	// ErrUnroutable reports that a lookup ran out of live candidates or
+	// errUnroutable reports that a lookup ran out of live candidates or
 	// exceeded the hop bound before reaching the key's owner.
-	ErrUnroutable = errors.New("chord: key unroutable")
-	// ErrBadReply reports a response of the wrong kind or with a remote
+	errUnroutable = errors.New("chord: key unroutable")
+	// errBadReply reports a response of the wrong kind or with a remote
 	// error string.
-	ErrBadReply = errors.New("chord: bad reply")
+	errBadReply = errors.New("chord: bad reply")
 )
 
 // failThreshold is how many consecutive RPC failures mark an address
@@ -52,7 +52,7 @@ type Config struct {
 
 func (c Config) withDefaults() Config {
 	if c.Successors <= 0 {
-		c.Successors = DefaultSuccessors
+		c.Successors = defaultSuccessors
 	}
 	if c.StabilizeEvery <= 0 {
 		c.StabilizeEvery = 500 * time.Millisecond
@@ -100,12 +100,12 @@ type Node struct {
 // or Join to start maintenance.
 func New(network transport.Network, addr string, cfg Config) *Node {
 	cfg = cfg.withDefaults()
-	self := RefFor(addr)
+	self := refFor(addr)
 	n := &Node{
 		network: network,
 		cfg:     cfg,
 		self:    self,
-		t:       NewTable(self, cfg.Successors),
+		t:       newTable(self, cfg.Successors),
 		fails:   make(map[string]int),
 		stop:    make(chan struct{}),
 		lookups: cfg.Metrics.Counter("bestpeer_chord_lookups_total",
@@ -160,10 +160,10 @@ func (n *Node) Join(seed string) error {
 	}
 	succ := resp.Owner
 	if succ.IsZero() || succ.Addr == n.self.Addr {
-		succ = RefFor(seed)
+		succ = refFor(seed)
 	}
 	n.mu.Lock()
-	n.t.SetSuccessors([]NodeRef{succ})
+	n.t.setSuccessors([]NodeRef{succ})
 	n.mu.Unlock()
 	if p, perr := n.rpcProbe(succ.Addr); perr == nil {
 		var sp NodeRef
@@ -171,8 +171,8 @@ func (n *Node) Join(seed string) error {
 			sp = p.Pred
 		}
 		n.mu.Lock()
-		n.t.AdoptFromProbe(succ, sp, p.Succs)
-		succ = n.t.Successor()
+		n.t.adoptFromProbe(succ, sp, p.Succs)
+		succ = n.t.successor()
 		n.mu.Unlock()
 	}
 	n.notifyPeer(succ)
@@ -186,8 +186,8 @@ func (n *Node) Join(seed string) error {
 // for failure detection. The node stops afterwards.
 func (n *Node) Leave() error {
 	n.mu.Lock()
-	succ := n.t.Successor()
-	pred, hasPred := n.t.Predecessor()
+	succ := n.t.successor()
+	pred, hasPred := n.t.predecessor()
 	n.mu.Unlock()
 	var firstErr error
 	if succ.Addr != n.self.Addr {
@@ -247,12 +247,12 @@ type Snapshot struct {
 func (n *Node) Snapshot() Snapshot {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	s := Snapshot{Self: n.self, Successors: n.t.Successors()}
-	if p, ok := n.t.Predecessor(); ok {
+	s := Snapshot{Self: n.self, Successors: n.t.successors()}
+	if p, ok := n.t.predecessor(); ok {
 		s.Predecessor = &p
 	}
 	seen := make(map[string]bool)
-	for _, f := range n.t.Fingers() {
+	for _, f := range n.t.fingerCopy() {
 		if f.IsZero() || seen[f.Addr] {
 			continue
 		}
@@ -287,7 +287,7 @@ func (n *Node) Owns(k Key) bool {
 func (n *Node) route(k Key, hops uint64) (NodeRef, uint64, error) {
 	for attempt := 0; attempt <= n.cfg.Successors+1; attempt++ {
 		if hops > maxHops {
-			return NodeRef{}, hops, fmt.Errorf("%w: %d hops", ErrUnroutable, hops)
+			return NodeRef{}, hops, fmt.Errorf("%w: %d hops", errUnroutable, hops)
 		}
 		n.mu.Lock()
 		owner, hop, done := n.t.NextHop(k, n.failingLocked)
@@ -307,7 +307,7 @@ func (n *Node) route(k Key, hops uint64) (NodeRef, uint64, error) {
 		}
 		return resp.Owner, resp.Hops, nil
 	}
-	return NodeRef{}, hops, ErrUnroutable
+	return NodeRef{}, hops, errUnroutable
 }
 
 // failingLocked is the routing veto; the caller holds n.mu.
@@ -325,9 +325,9 @@ func (n *Node) isFailing(addr string) bool {
 func (n *Node) dropFailed(addr string) {
 	n.mu.Lock()
 	n.fails[addr]++
-	wasSucc := n.t.Successor().Addr == addr
-	changed := n.t.RemoveFailed(addr)
-	succ := n.t.Successor()
+	wasSucc := n.t.successor().Addr == addr
+	changed := n.t.removeFailed(addr)
+	succ := n.t.successor()
 	n.mu.Unlock()
 	if changed && wasSucc {
 		n.journalNeighbor("successor", succ.Addr)
@@ -379,15 +379,15 @@ func (n *Node) maintainLoop() {
 func (n *Node) Stabilize() {
 	n.stabilizes.Inc()
 	n.mu.Lock()
-	succ := n.t.Successor()
-	pred, hasPred := n.t.Predecessor()
+	succ := n.t.successor()
+	pred, hasPred := n.t.predecessor()
 	n.mu.Unlock()
 	if succ.Addr == n.self.Addr {
 		// Alone — unless someone notified us: adopt the predecessor as
 		// successor so a two-node ring closes.
 		if hasPred && pred.Addr != n.self.Addr {
 			n.mu.Lock()
-			n.t.SetSuccessors([]NodeRef{pred})
+			n.t.setSuccessors([]NodeRef{pred})
 			n.mu.Unlock()
 			n.journalNeighbor("successor", pred.Addr)
 			n.notifyPeer(pred)
@@ -404,8 +404,8 @@ func (n *Node) Stabilize() {
 		sp = resp.Pred
 	}
 	n.mu.Lock()
-	changed := n.t.AdoptFromProbe(succ, sp, resp.Succs)
-	newSucc := n.t.Successor()
+	changed := n.t.adoptFromProbe(succ, sp, resp.Succs)
+	newSucc := n.t.successor()
 	n.mu.Unlock()
 	if changed {
 		n.journalNeighbor("successor", newSucc.Addr)
@@ -437,7 +437,7 @@ func (n *Node) fixFingersRound() {
 			return
 		}
 		n.mu.Lock()
-		n.t.SetFinger(idx, owner)
+		n.t.setFinger(idx, owner)
 		n.mu.Unlock()
 	}
 }
@@ -451,7 +451,7 @@ func (n *Node) RefreshFingers() {
 			continue
 		}
 		n.mu.Lock()
-		n.t.SetFinger(i, owner)
+		n.t.setFinger(i, owner)
 		n.mu.Unlock()
 	}
 }
@@ -461,7 +461,7 @@ func (n *Node) RefreshFingers() {
 // Exported so hosts and tests can force convergence.
 func (n *Node) CheckPredecessor() {
 	n.mu.Lock()
-	pred, ok := n.t.Predecessor()
+	pred, ok := n.t.predecessor()
 	dead := ok && n.failingLocked(pred.Addr)
 	n.mu.Unlock()
 	if !ok {
@@ -475,7 +475,7 @@ func (n *Node) CheckPredecessor() {
 	n.mu.Lock()
 	stillPred := n.t.pred.Addr == pred.Addr
 	if stillPred {
-		n.t.DropPredecessor()
+		n.t.dropPredecessor()
 	}
 	n.mu.Unlock()
 	if stillPred {
@@ -533,11 +533,11 @@ func (n *Node) handleLookup(m *lookupReq) *wire.Envelope {
 func (n *Node) handleNotify(m *notifyMsg) *wire.Envelope {
 	if m.Leaving {
 		n.mu.Lock()
-		wasSucc := n.t.Successor().Addr == m.Self.Addr
-		wasPred := func() bool { p, ok := n.t.Predecessor(); return ok && p.Addr == m.Self.Addr }()
-		changed := n.t.Depart(m.Self, m.Repl)
-		succ := n.t.Successor()
-		predR, hasPred := n.t.Predecessor()
+		wasSucc := n.t.successor().Addr == m.Self.Addr
+		wasPred := func() bool { p, ok := n.t.predecessor(); return ok && p.Addr == m.Self.Addr }()
+		changed := n.t.depart(m.Self, m.Repl)
+		succ := n.t.successor()
+		predR, hasPred := n.t.predecessor()
 		n.mu.Unlock()
 		if changed && wasSucc {
 			n.journalNeighbor("successor", succ.Addr)
@@ -551,7 +551,7 @@ func (n *Node) handleNotify(m *notifyMsg) *wire.Envelope {
 		}
 	} else {
 		n.mu.Lock()
-		changed := n.t.Notify(m.Self)
+		changed := n.t.notify(m.Self)
 		n.mu.Unlock()
 		n.noteOK(m.Self.Addr)
 		if changed {
@@ -566,8 +566,8 @@ func (n *Node) handleProbe(m *probeReq) *wire.Envelope {
 		n.noteOK(m.From.Addr)
 	}
 	n.mu.Lock()
-	resp := &probeOK{Version: chordProbeVersion, Self: n.self, Succs: n.t.Successors()}
-	if p, ok := n.t.Predecessor(); ok {
+	resp := &probeOK{Version: chordProbeVersion, Self: n.self, Succs: n.t.successors()}
+	if p, ok := n.t.predecessor(); ok {
 		resp.HasPred = true
 		resp.Pred = p
 	}
@@ -587,7 +587,7 @@ func (m *probeOK) remoteErr() string  { return m.Err }
 
 // rpc performs one transport.Call and decodes its reply, which must be of
 // kind want, into out. A failed exchange counts in rpcFails; any answer
-// proves addr alive, and a wrong kind or a remote error is ErrBadReply.
+// proves addr alive, and a wrong kind or a remote error is errBadReply.
 func (n *Node) rpc(addr string, req *wire.Envelope, want wire.Kind, out reply) error {
 	resp, err := transport.Call(n.network, addr, req, want)
 	if err != nil && !errors.Is(err, transport.ErrUnexpectedReply) {
@@ -596,13 +596,13 @@ func (n *Node) rpc(addr string, req *wire.Envelope, want wire.Kind, out reply) e
 	}
 	n.noteOK(addr)
 	if err != nil {
-		return fmt.Errorf("%w: %v", ErrBadReply, err)
+		return fmt.Errorf("%w: %v", errBadReply, err)
 	}
 	if _, err := unmarshal(resp.Body, out, want.String()); err != nil {
 		return err
 	}
 	if out.remoteErr() != "" {
-		return fmt.Errorf("%w: %s", ErrBadReply, out.remoteErr())
+		return fmt.Errorf("%w: %s", errBadReply, out.remoteErr())
 	}
 	return nil
 }

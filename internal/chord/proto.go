@@ -7,8 +7,8 @@ import (
 	"bestpeer/internal/wire"
 )
 
-// ErrBadMessage reports a malformed chord-protocol payload.
-var ErrBadMessage = errors.New("chord: malformed message")
+// errBadMessage reports a malformed chord-protocol payload.
+var errBadMessage = errors.New("chord: malformed message")
 
 // Payload versions this build emits. Every chord body leads with its
 // version so fields can grow without new message kinds: a newer version
@@ -45,11 +45,11 @@ func LookupOKEnvelope(owner NodeRef, hops int) *wire.Envelope {
 }
 
 // unmarshal parses b into m; what names the payload in the error, which
-// wraps ErrBadMessage.
+// wraps errBadMessage.
 func unmarshal[M wire.Message](b []byte, m M, what string) (M, error) {
 	if err := wire.Unmarshal(b, m); err != nil {
 		var none M
-		return none, fmt.Errorf("%w: %s: %v", ErrBadMessage, what, err)
+		return none, fmt.Errorf("%w: %s: %v", errBadMessage, what, err)
 	}
 	return m, nil
 }

@@ -15,24 +15,24 @@ func messages() []wiretest.Case {
 		wiretest.Of("lookupreq", chordLookupVersion, &lookupReq{
 			Version: chordLookupVersion, Key: HashString("needle"), Hops: 3}),
 		wiretest.Of("lookupok", chordLookupVersion, &lookupOK{
-			Version: chordLookupVersion, Err: "no route", Owner: RefFor("n7:100"), Hops: 5}).
-			Seeded(&lookupOK{Version: chordLookupVersion, Owner: RefFor("n7:100"), Hops: 5}),
+			Version: chordLookupVersion, Err: "no route", Owner: refFor("n7:100"), Hops: 5}).
+			Seeded(&lookupOK{Version: chordLookupVersion, Owner: refFor("n7:100"), Hops: 5}),
 		wiretest.Of("notifymsg", chordNotifyVersion, &notifyMsg{
-			Version: chordNotifyVersion, Self: RefFor("n3:100"),
-			Leaving: true, Repl: RefFor("n4:100")}),
+			Version: chordNotifyVersion, Self: refFor("n3:100"),
+			Leaving: true, Repl: refFor("n4:100")}),
 		wiretest.Of("notifyok", chordNotifyVersion, &notifyOK{
 			Version: chordNotifyVersion, Err: "stale"}).
 			Seeded(&notifyOK{Version: chordNotifyVersion}),
 		wiretest.Of("probereq", chordProbeVersion, &probeReq{
-			Version: chordProbeVersion, From: RefFor("n1:100")}),
+			Version: chordProbeVersion, From: refFor("n1:100")}),
 		wiretest.Of("probeok", chordProbeVersion, &probeOK{
-			Version: chordProbeVersion, Err: "busy", Self: RefFor("n2:100"),
-			HasPred: true, Pred: RefFor("n1:100"),
-			Succs: []NodeRef{RefFor("n3:100"), RefFor("n4:100")}}).
+			Version: chordProbeVersion, Err: "busy", Self: refFor("n2:100"),
+			HasPred: true, Pred: refFor("n1:100"),
+			Succs: []NodeRef{refFor("n3:100"), refFor("n4:100")}}).
 			Seeded(&probeOK{
-				Version: chordProbeVersion, Self: RefFor("n2:100"),
-				HasPred: true, Pred: RefFor("n1:100"),
-				Succs: []NodeRef{RefFor("n3:100"), RefFor("n4:100")}}),
+				Version: chordProbeVersion, Self: refFor("n2:100"),
+				HasPred: true, Pred: refFor("n1:100"),
+				Succs: []NodeRef{refFor("n3:100"), refFor("n4:100")}}),
 	}
 }
 
@@ -51,7 +51,7 @@ func TestHostileCounts(t *testing.T) {
 	wiretest.Hostile(t, messages(), func(b []byte, m wire.Message) error {
 		_, err := unmarshal(b, m, "hostile")
 		return err
-	}, ErrBadMessage)
+	}, errBadMessage)
 }
 
 func FuzzChordCodecs(f *testing.F) { wiretest.Fuzz(f, messages()) }

@@ -12,18 +12,18 @@ import "sort"
 func ConvergedTables(addrs []string, succLen int) []*Table {
 	refs := make([]NodeRef, len(addrs))
 	for i, a := range addrs {
-		refs[i] = RefFor(a)
+		refs[i] = refFor(a)
 	}
 	sort.Slice(refs, func(i, j int) bool { return refs[i].Key < refs[j].Key })
 	tables := make([]*Table, len(refs))
 	for i, self := range refs {
-		tb := NewTable(self, succLen)
+		tb := newTable(self, succLen)
 		var succs []NodeRef
 		for s := 1; s <= succLen; s++ {
 			succs = append(succs, refs[(i+s)%len(refs)])
 		}
-		tb.SetSuccessors(succs)
-		tb.Notify(refs[(i+len(refs)-1)%len(refs)])
+		tb.setSuccessors(succs)
+		tb.notify(refs[(i+len(refs)-1)%len(refs)])
 		for f := 0; f < Bits; f++ {
 			start := fingerStart(self.Key, f)
 			// Owner of start: the ref at minimal clockwise distance.
@@ -34,7 +34,7 @@ func ConvergedTables(addrs []string, succLen int) []*Table {
 					best, bestDist = j, d
 				}
 			}
-			tb.SetFinger(f, refs[best])
+			tb.setFinger(f, refs[best])
 		}
 		tables[i] = tb
 	}

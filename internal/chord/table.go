@@ -13,17 +13,17 @@ type Table struct {
 	succLen int
 }
 
-// DefaultSuccessors is the successor-list length when a Table or Node is
+// defaultSuccessors is the successor-list length when a Table or Node is
 // configured with zero. With independent failure probability p, a
 // lookup strands only when all r successors die inside one stabilize
 // interval — p^r, vanishing already at small r.
-const DefaultSuccessors = 4
+const defaultSuccessors = 4
 
-// NewTable returns the state of a node that is alone on its ring: it is
+// newTable returns the state of a node that is alone on its ring: it is
 // its own successor and owns every key.
-func NewTable(self NodeRef, succLen int) *Table {
+func newTable(self NodeRef, succLen int) *Table {
 	if succLen <= 0 {
-		succLen = DefaultSuccessors
+		succLen = defaultSuccessors
 	}
 	return &Table{self: self, succs: []NodeRef{self}, succLen: succLen}
 }
@@ -31,26 +31,26 @@ func NewTable(self NodeRef, succLen int) *Table {
 // Self returns the node's own reference.
 func (t *Table) Self() NodeRef { return t.self }
 
-// Successor returns the immediate successor — self when alone.
-func (t *Table) Successor() NodeRef {
+// successor returns the immediate successor — self when alone.
+func (t *Table) successor() NodeRef {
 	if len(t.succs) == 0 {
 		return t.self
 	}
 	return t.succs[0]
 }
 
-// Successors returns a copy of the successor list.
-func (t *Table) Successors() []NodeRef {
+// successors returns a copy of the successor list.
+func (t *Table) successors() []NodeRef {
 	return append([]NodeRef(nil), t.succs...)
 }
 
-// Predecessor returns the known predecessor, if any.
-func (t *Table) Predecessor() (NodeRef, bool) {
+// predecessor returns the known predecessor, if any.
+func (t *Table) predecessor() (NodeRef, bool) {
 	return t.pred, !t.pred.IsZero()
 }
 
-// Fingers returns a copy of the finger table; unset entries are zero.
-func (t *Table) Fingers() []NodeRef {
+// fingerCopy returns a copy of the finger table; unset entries are zero.
+func (t *Table) fingerCopy() []NodeRef {
 	return append([]NodeRef(nil), t.fingers[:]...)
 }
 
@@ -59,7 +59,7 @@ func (t *Table) Fingers() []NodeRef {
 // successor present the answer is conservatively false; routing resolves
 // ownership via the predecessor's interval instead.
 func (t *Table) Owns(k Key) bool {
-	if t.Successor().Addr == t.self.Addr {
+	if t.successor().Addr == t.self.Addr {
 		return true
 	}
 	if t.pred.IsZero() {
@@ -74,7 +74,7 @@ func (t *Table) Owns(k Key) bool {
 // preceding finger, or the successor when no finger helps. failing, when
 // non-nil, vetoes candidates the caller's failure detector distrusts.
 func (t *Table) NextHop(k Key, failing func(addr string) bool) (owner NodeRef, hop NodeRef, done bool) {
-	succ := t.Successor()
+	succ := t.successor()
 	if succ.Addr == t.self.Addr || BetweenRightIncl(t.self.Key, k, succ.Key) {
 		return succ, NodeRef{}, true
 	}
@@ -107,9 +107,9 @@ func (t *Table) closestPreceding(k Key, failing func(addr string) bool) NodeRef 
 	return NodeRef{}
 }
 
-// SetSuccessors replaces the successor list, deduplicating by address
+// setSuccessors replaces the successor list, deduplicating by address
 // and trimming to the configured length. An empty list resets to self.
-func (t *Table) SetSuccessors(list []NodeRef) {
+func (t *Table) setSuccessors(list []NodeRef) {
 	t.succs = t.succs[:0]
 	seen := make(map[string]bool, len(list))
 	for _, r := range list {
@@ -127,31 +127,31 @@ func (t *Table) SetSuccessors(list []NodeRef) {
 	}
 }
 
-// AdoptFromProbe folds one stabilize probe of the immediate successor
+// adoptFromProbe folds one stabilize probe of the immediate successor
 // into the table: the successor's predecessor x becomes the new
 // successor when it sits between self and the old successor (a node
 // joined in front of us), and the successor's own list backs up ours.
 // It reports whether the immediate successor changed.
-func (t *Table) AdoptFromProbe(succ NodeRef, succPred NodeRef, succSuccs []NodeRef) bool {
+func (t *Table) adoptFromProbe(succ NodeRef, succPred NodeRef, succSuccs []NodeRef) bool {
 	head := succ
 	if !succPred.IsZero() && succPred.Addr != t.self.Addr &&
 		Between(t.self.Key, succPred.Key, succ.Key) {
 		head = succPred
 	}
-	old := t.Successor()
+	old := t.successor()
 	merged := make([]NodeRef, 0, 2+len(succSuccs))
 	merged = append(merged, head)
 	if head.Addr != succ.Addr {
 		merged = append(merged, succ)
 	}
 	merged = append(merged, succSuccs...)
-	t.SetSuccessors(merged)
-	return t.Successor().Addr != old.Addr
+	t.setSuccessors(merged)
+	return t.successor().Addr != old.Addr
 }
 
-// Notify offers cand as a predecessor candidate (the chord notify rule)
+// notify offers cand as a predecessor candidate (the chord notify rule)
 // and reports whether the predecessor changed.
-func (t *Table) Notify(cand NodeRef) bool {
+func (t *Table) notify(cand NodeRef) bool {
 	if cand.IsZero() || cand.Addr == t.self.Addr {
 		return false
 	}
@@ -163,20 +163,20 @@ func (t *Table) Notify(cand NodeRef) bool {
 	return false
 }
 
-// SetFinger records the owner of finger interval i.
-func (t *Table) SetFinger(i int, r NodeRef) {
+// setFinger records the owner of finger interval i.
+func (t *Table) setFinger(i int, r NodeRef) {
 	if i >= 0 && i < len(t.fingers) && r.Addr != t.self.Addr {
 		t.fingers[i] = r
 	}
 }
 
-// DropPredecessor forgets the predecessor (check-predecessor found it
+// dropPredecessor forgets the predecessor (check-predecessor found it
 // dead); the next notify re-learns it.
-func (t *Table) DropPredecessor() { t.pred = NodeRef{} }
+func (t *Table) dropPredecessor() { t.pred = NodeRef{} }
 
-// RemoveFailed purges a dead node from every slot: predecessor, the
+// removeFailed purges a dead node from every slot: predecessor, the
 // successor list, and all fingers. It reports whether anything changed.
-func (t *Table) RemoveFailed(addr string) bool {
+func (t *Table) removeFailed(addr string) bool {
 	changed := false
 	if t.pred.Addr == addr {
 		t.pred = NodeRef{}
@@ -203,23 +203,23 @@ func (t *Table) RemoveFailed(addr string) bool {
 	return changed
 }
 
-// Depart processes a graceful-leave handoff: leaving disappears from the
+// depart processes a graceful-leave handoff: leaving disappears from the
 // table and repl (the leaver's other neighbor) fills the hole — as a
 // predecessor candidate when the leaver was our predecessor, and as a
 // successor candidate when the leaver headed our successor list.
-func (t *Table) Depart(leaving, repl NodeRef) bool {
+func (t *Table) depart(leaving, repl NodeRef) bool {
 	wasPred := t.pred.Addr == leaving.Addr
-	wasSucc := t.Successor().Addr == leaving.Addr
-	changed := t.RemoveFailed(leaving.Addr)
+	wasSucc := t.successor().Addr == leaving.Addr
+	changed := t.removeFailed(leaving.Addr)
 	if repl.IsZero() || repl.Addr == t.self.Addr {
 		return changed
 	}
 	if wasPred {
-		changed = t.Notify(repl) || changed
+		changed = t.notify(repl) || changed
 	}
-	if wasSucc && (t.Successor().Addr == t.self.Addr ||
-		Between(t.self.Key, repl.Key, t.Successor().Key)) {
-		t.SetSuccessors(append([]NodeRef{repl}, t.succs...))
+	if wasSucc && (t.successor().Addr == t.self.Addr ||
+		Between(t.self.Key, repl.Key, t.successor().Key)) {
+		t.setSuccessors(append([]NodeRef{repl}, t.succs...))
 		changed = true
 	}
 	return changed

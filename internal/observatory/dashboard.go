@@ -11,7 +11,7 @@ var sparkTicks = []rune("▁▂▃▄▅▆▇█")
 
 // sparkline renders values min-max normalized into block glyphs; a
 // flat series renders as a run of the lowest glyph.
-func sparkline(points []tsPoint, width int) string {
+func sparkline(points []TSPoint, width int) string {
 	points = downsample(points, width)
 	if len(points) == 0 {
 		return ""

@@ -61,8 +61,8 @@ func (r Rule) safe(v float64) bool {
 	return v <= r.Clear
 }
 
-// alert is one firing (or just-cleared) rule instance on one member.
-type alert struct {
+// Alert is one firing (or just-cleared) rule instance on one member.
+type Alert struct {
 	Rule   string `json:"rule"`
 	Series string `json:"series"`
 	Member string `json:"member"`
@@ -92,10 +92,10 @@ type ruleState struct {
 type Health struct {
 	mu      sync.Mutex
 	rules   []Rule
-	ts      *seriesStore
+	ts      *SeriesStore
 	journal *obs.Journal
 	states  map[string]map[string]*ruleState // member -> rule name -> state
-	active  map[string]map[string]*alert     // member -> rule name -> firing alert
+	active  map[string]map[string]*Alert     // member -> rule name -> firing alert
 	lastAt  time.Time
 }
 
@@ -108,12 +108,12 @@ func NewHealth(rules []Rule, seriesCap, journalCap int) *Health {
 		ts:      newSeriesStore(seriesCap),
 		journal: obs.NewJournal("observatory", journalCap),
 		states:  make(map[string]map[string]*ruleState),
-		active:  make(map[string]map[string]*alert),
+		active:  make(map[string]map[string]*Alert),
 	}
 }
 
 // Series exposes the underlying time-series store.
-func (h *Health) Series() *seriesStore { return h.ts }
+func (h *Health) Series() *SeriesStore { return h.ts }
 
 // Journal exposes the alert event journal.
 func (h *Health) Journal() *obs.Journal { return h.journal }
@@ -123,16 +123,16 @@ func (h *Health) Journal() *obs.Journal { return h.journal }
 // alerts that transitioned (fired or cleared) during this ingest.
 // exemplar, when non-empty, is attached to fired alerts and their
 // journal events.
-func (h *Health) Ingest(member string, at time.Time, signals map[string]float64, exemplar string) []alert {
+func (h *Health) Ingest(member string, at time.Time, signals map[string]float64, exemplar string) []Alert {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	for name, v := range signals {
-		h.ts.Add(member, name, tsPoint{At: at, V: v})
+		h.ts.add(member, name, TSPoint{At: at, V: v})
 	}
 	if at.After(h.lastAt) {
 		h.lastAt = at
 	}
-	var transitions []alert
+	var transitions []Alert
 	for _, r := range h.rules {
 		v, ok := signals[r.Series]
 		if !ok {
@@ -192,8 +192,8 @@ func (h *Health) state(member, rule string) *ruleState {
 
 // transition records a fire/clear: updates the active set and appends
 // the journal event. Caller holds h.mu.
-func (h *Health) transition(r Rule, member string, firing bool, at, since time.Time, v float64, exemplar string) alert {
-	a := alert{
+func (h *Health) transition(r Rule, member string, firing bool, at, since time.Time, v float64, exemplar string) Alert {
+	a := Alert{
 		Rule: r.Name, Series: r.Series, Member: member,
 		Firing: firing, At: at, Since: since,
 		Value: v, Threshold: r.Fire,
@@ -204,7 +204,7 @@ func (h *Health) transition(r Rule, member string, firing bool, at, since time.T
 		a.Exemplar = exemplar
 		byRule, ok := h.active[member]
 		if !ok {
-			byRule = make(map[string]*alert)
+			byRule = make(map[string]*Alert)
 			h.active[member] = byRule
 		}
 		cp := a
@@ -231,10 +231,10 @@ func (h *Health) transition(r Rule, member string, firing bool, at, since time.T
 
 // activeAlerts returns the currently firing alerts, ordered by member then
 // rule name.
-func (h *Health) activeAlerts() []alert {
+func (h *Health) activeAlerts() []Alert {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	var out []alert
+	var out []Alert
 	for _, byRule := range h.active {
 		for _, a := range byRule {
 			out = append(out, *a)
@@ -253,7 +253,7 @@ func (h *Health) activeAlerts() []alert {
 // latest value of each derived series plus the member's firing alerts.
 type memberHealth struct {
 	Signals map[string]float64 `json:"signals"`
-	Alerts  []alert            `json:"alerts,omitempty"`
+	Alerts  []Alert            `json:"alerts,omitempty"`
 }
 
 // HealthView is the /fleet/health payload.
@@ -261,7 +261,7 @@ type HealthView struct {
 	At      time.Time               `json:"at"`
 	Rules   []Rule                  `json:"rules"`
 	Members map[string]memberHealth `json:"members"`
-	Active  []alert                 `json:"active"`
+	Active  []Alert                 `json:"active"`
 }
 
 // view assembles the fleet-wide health summary.
@@ -275,10 +275,10 @@ func (h *Health) view() HealthView {
 		Active:  active,
 	}
 	h.mu.Unlock()
-	for _, member := range h.ts.Members() {
+	for _, member := range h.ts.members() {
 		mh := memberHealth{Signals: make(map[string]float64)}
 		for _, name := range h.ts.Names(member) {
-			if p, ok := h.ts.Last(member, name); ok {
+			if p, ok := h.ts.last(member, name); ok {
 				mh.Signals[name] = p.V
 			}
 		}

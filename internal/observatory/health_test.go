@@ -8,7 +8,7 @@ import (
 )
 
 // ingestAt feeds one signal value at second sec and returns transitions.
-func ingestAt(h *Health, member string, sec int, series string, v float64) []alert {
+func ingestAt(h *Health, member string, sec int, series string, v float64) []Alert {
 	return h.Ingest(member, ts(sec), map[string]float64{series: v}, "")
 }
 

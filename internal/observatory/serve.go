@@ -63,16 +63,16 @@ func newMux(c *Collector) *http.ServeMux {
 			}
 			points = n
 		}
-		if member != "" && !ts.Has(member) {
+		if member != "" && !ts.has(member) {
 			writeError(w, http.StatusNotFound, "unknown member "+member)
 			return
 		}
-		out := make(map[string]map[string][]tsPoint)
-		for m, byName := range ts.All() {
+		out := make(map[string]map[string][]TSPoint)
+		for m, byName := range ts.all() {
 			if member != "" && m != member {
 				continue
 			}
-			filtered := make(map[string][]tsPoint)
+			filtered := make(map[string][]TSPoint)
 			for name, pts := range byName {
 				if series != "" && name != series {
 					continue
@@ -126,7 +126,7 @@ func newMux(c *Collector) *http.ServeMux {
 // alertsPage is the /fleet/alerts payload: the firing set plus one
 // page of the alert event journal.
 type alertsPage struct {
-	Active []alert        `json:"active"`
+	Active []Alert        `json:"active"`
 	Events obs.EventsPage `json:"events"`
 }
 
@@ -146,8 +146,8 @@ func writeError(w http.ResponseWriter, status int, msg string) {
 	writeJSON(w, status, map[string]string{"error": msg})
 }
 
-// server is a running observatory HTTP endpoint.
-type server struct {
+// Server is a running observatory HTTP endpoint.
+type Server struct {
 	ln  net.Listener
 	srv *http.Server
 }
@@ -156,7 +156,7 @@ type server struct {
 // Like the node admin endpoint, an empty addr means "127.0.0.1:0" and a
 // bare ":port" binds loopback — the observatory aggregates fleet
 // internals and is unauthenticated.
-func StartServer(addr string, c *Collector) (*server, error) {
+func StartServer(addr string, c *Collector) (*Server, error) {
 	switch {
 	case addr == "":
 		addr = "127.0.0.1:0"
@@ -172,11 +172,11 @@ func StartServer(addr string, c *Collector) (*server, error) {
 		defer func() { recover() }() // a crashed observatory must not take the process down
 		_ = srv.Serve(ln)            // returns ErrServerClosed on Close; nothing to report
 	}()
-	return &server{ln: ln, srv: srv}, nil
+	return &Server{ln: ln, srv: srv}, nil
 }
 
 // Addr returns the bound address of the observatory endpoint.
-func (s *server) Addr() string { return s.ln.Addr().String() }
+func (s *Server) Addr() string { return s.ln.Addr().String() }
 
 // Close stops the observatory endpoint.
-func (s *server) Close() error { return s.srv.Close() }
+func (s *Server) Close() error { return s.srv.Close() }

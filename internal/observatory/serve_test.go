@@ -93,7 +93,7 @@ func TestServeRoutes(t *testing.T) {
 
 	// The scrape above ingested signals, so the timeseries knows both
 	// members (keyed by admin address).
-	var series map[string]map[string][]tsPoint
+	var series map[string]map[string][]TSPoint
 	getJSON(t, srv, "/fleet/timeseries", http.StatusOK, &series)
 	if len(series) != 2 {
 		t.Fatalf("/fleet/timeseries members = %v", series)

@@ -6,8 +6,8 @@ import (
 	"time"
 )
 
-// tsPoint is one sample of a derived signal.
-type tsPoint struct {
+// TSPoint is one sample of a derived signal.
+type TSPoint struct {
 	At time.Time `json:"at"`
 	V  float64   `json:"v"`
 }
@@ -18,10 +18,10 @@ type tsPoint struct {
 // of capacity 256 scraping every 2s holds ~8.5 minutes at full
 // resolution, ~17 at half, and so on — old history degrades gracefully
 // instead of vanishing, which is what a convergence-lag rule needs.
-// ring is not safe for concurrent use; seriesStore adds the lock.
+// ring is not safe for concurrent use; SeriesStore adds the lock.
 type ring struct {
 	cap    int
-	points []tsPoint
+	points []TSPoint
 }
 
 // newRing creates a ring holding at most capacity points (minimum 2,
@@ -31,16 +31,16 @@ func newRing(capacity int) *ring {
 		capacity = 2
 	}
 	capacity &^= 1
-	return &ring{cap: capacity, points: make([]tsPoint, 0, capacity)}
+	return &ring{cap: capacity, points: make([]TSPoint, 0, capacity)}
 }
 
 // Add appends one sample, downsampling first when the ring is full.
-func (r *ring) Add(p tsPoint) {
+func (r *ring) Add(p TSPoint) {
 	if len(r.points) >= r.cap {
 		merged := r.points[:0]
 		for i := 0; i+1 < len(r.points); i += 2 {
 			a, b := r.points[i], r.points[i+1]
-			merged = append(merged, tsPoint{
+			merged = append(merged, TSPoint{
 				At: a.At.Add(b.At.Sub(a.At) / 2),
 				V:  (a.V + b.V) / 2,
 			})
@@ -51,14 +51,14 @@ func (r *ring) Add(p tsPoint) {
 }
 
 // Points returns a copy of the retained samples, oldest first.
-func (r *ring) Points() []tsPoint {
-	return append([]tsPoint(nil), r.points...)
+func (r *ring) Points() []TSPoint {
+	return append([]TSPoint(nil), r.points...)
 }
 
 // Last returns the most recent sample, false when empty.
-func (r *ring) Last() (tsPoint, bool) {
+func (r *ring) Last() (TSPoint, bool) {
 	if len(r.points) == 0 {
-		return tsPoint{}, false
+		return TSPoint{}, false
 	}
 	return r.points[len(r.points)-1], true
 }
@@ -67,9 +67,9 @@ func (r *ring) Last() (tsPoint, bool) {
 // newSeriesStore when given zero.
 const defaultSeriesCapacity = 256
 
-// seriesStore keeps one ring per (member, series) pair. It is safe for
+// SeriesStore keeps one ring per (member, series) pair. It is safe for
 // concurrent use.
-type seriesStore struct {
+type SeriesStore struct {
 	mu  sync.Mutex
 	cap int
 	m   map[string]map[string]*ring // member -> series -> ring
@@ -77,15 +77,15 @@ type seriesStore struct {
 
 // newSeriesStore creates a store whose rings hold capacity points each
 // (≤ 0 selects defaultSeriesCapacity).
-func newSeriesStore(capacity int) *seriesStore {
+func newSeriesStore(capacity int) *SeriesStore {
 	if capacity <= 0 {
 		capacity = defaultSeriesCapacity
 	}
-	return &seriesStore{cap: capacity, m: make(map[string]map[string]*ring)}
+	return &SeriesStore{cap: capacity, m: make(map[string]map[string]*ring)}
 }
 
-// Add records one sample for the member's series.
-func (s *seriesStore) Add(member, series string, p tsPoint) {
+// add records one sample for the member's series.
+func (s *SeriesStore) add(member, series string, p TSPoint) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	byName, ok := s.m[member]
@@ -103,7 +103,7 @@ func (s *seriesStore) Add(member, series string, p tsPoint) {
 
 // Points returns the member's series samples, oldest first, nil when
 // the member or series is unknown.
-func (s *seriesStore) Points(member, series string) []tsPoint {
+func (s *SeriesStore) Points(member, series string) []TSPoint {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if r, ok := s.m[member][series]; ok {
@@ -112,18 +112,18 @@ func (s *seriesStore) Points(member, series string) []tsPoint {
 	return nil
 }
 
-// Last returns the member's most recent sample for the series.
-func (s *seriesStore) Last(member, series string) (tsPoint, bool) {
+// last returns the member's most recent sample for the series.
+func (s *SeriesStore) last(member, series string) (TSPoint, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if r, ok := s.m[member][series]; ok {
 		return r.Last()
 	}
-	return tsPoint{}, false
+	return TSPoint{}, false
 }
 
-// Members returns the known member keys, sorted.
-func (s *seriesStore) Members() []string {
+// members returns the known member keys, sorted.
+func (s *SeriesStore) members() []string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	out := make([]string, 0, len(s.m))
@@ -136,7 +136,7 @@ func (s *seriesStore) Members() []string {
 
 // Names returns the member's series names, sorted; nil for an unknown
 // member.
-func (s *seriesStore) Names(member string) []string {
+func (s *SeriesStore) Names(member string) []string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	byName, ok := s.m[member]
@@ -151,22 +151,22 @@ func (s *seriesStore) Names(member string) []string {
 	return out
 }
 
-// Has reports whether the member has any series.
-func (s *seriesStore) Has(member string) bool {
+// has reports whether the member has any series.
+func (s *SeriesStore) has(member string) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	_, ok := s.m[member]
 	return ok
 }
 
-// All returns every member's every series, for serving. The nested
+// all returns every member's every series, for serving. The nested
 // maps are fresh copies.
-func (s *seriesStore) All() map[string]map[string][]tsPoint {
+func (s *SeriesStore) all() map[string]map[string][]TSPoint {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make(map[string]map[string][]tsPoint, len(s.m))
+	out := make(map[string]map[string][]TSPoint, len(s.m))
 	for member, byName := range s.m {
-		series := make(map[string][]tsPoint, len(byName))
+		series := make(map[string][]TSPoint, len(byName))
 		for name, r := range byName {
 			series[name] = r.Points()
 		}
@@ -178,16 +178,16 @@ func (s *seriesStore) All() map[string]map[string][]tsPoint {
 // downsample reduces points to at most max samples by pairwise
 // averaging passes — the same degradation the ring itself applies —
 // for callers serving wide windows to narrow clients.
-func downsample(points []tsPoint, max int) []tsPoint {
+func downsample(points []TSPoint, max int) []TSPoint {
 	if max < 2 {
 		max = 2
 	}
-	out := append([]tsPoint(nil), points...)
+	out := append([]TSPoint(nil), points...)
 	for len(out) > max {
-		merged := make([]tsPoint, 0, (len(out)+1)/2)
+		merged := make([]TSPoint, 0, (len(out)+1)/2)
 		for i := 0; i+1 < len(out); i += 2 {
 			a, b := out[i], out[i+1]
-			merged = append(merged, tsPoint{
+			merged = append(merged, TSPoint{
 				At: a.At.Add(b.At.Sub(a.At) / 2),
 				V:  (a.V + b.V) / 2,
 			})

@@ -10,14 +10,14 @@ func ts(sec int) time.Time { return time.Unix(int64(sec), 0).UTC() }
 func TestRingDownsamples(t *testing.T) {
 	r := newRing(4)
 	for i := 0; i < 4; i++ {
-		r.Add(tsPoint{At: ts(i), V: float64(i)})
+		r.Add(TSPoint{At: ts(i), V: float64(i)})
 	}
 	if len(r.points) != 4 {
 		t.Fatalf("len = %d, want 4", len(r.points))
 	}
 	// The fifth add merges the four retained points pairwise first:
 	// (0,1)->0.5 and (2,3)->2.5, then appends 4.
-	r.Add(tsPoint{At: ts(4), V: 4})
+	r.Add(TSPoint{At: ts(4), V: 4})
 	pts := r.Points()
 	if len(pts) != 3 {
 		t.Fatalf("after downsample len = %d, want 3: %+v", len(pts), pts)
@@ -37,7 +37,7 @@ func TestRingDownsamples(t *testing.T) {
 	// The retention window keeps the oldest history (degraded), so a
 	// long run never loses the left edge entirely.
 	for i := 5; i < 100; i++ {
-		r.Add(tsPoint{At: ts(i), V: float64(i)})
+		r.Add(TSPoint{At: ts(i), V: float64(i)})
 	}
 	pts = r.Points()
 	if len(pts) > 4 {
@@ -50,10 +50,10 @@ func TestRingDownsamples(t *testing.T) {
 
 func TestSeriesStore(t *testing.T) {
 	s := newSeriesStore(8)
-	s.Add("m1", "up", tsPoint{At: ts(1), V: 1})
-	s.Add("m1", "depth", tsPoint{At: ts(1), V: 5})
-	s.Add("m2", "up", tsPoint{At: ts(1), V: 0})
-	if got := s.Members(); len(got) != 2 || got[0] != "m1" || got[1] != "m2" {
+	s.add("m1", "up", TSPoint{At: ts(1), V: 1})
+	s.add("m1", "depth", TSPoint{At: ts(1), V: 5})
+	s.add("m2", "up", TSPoint{At: ts(1), V: 0})
+	if got := s.members(); len(got) != 2 || got[0] != "m1" || got[1] != "m2" {
 		t.Fatalf("members = %v", got)
 	}
 	if got := s.Names("m1"); len(got) != 2 || got[0] != "depth" || got[1] != "up" {
@@ -68,16 +68,16 @@ func TestSeriesStore(t *testing.T) {
 	if pts := s.Points("m1", "missing"); pts != nil {
 		t.Fatalf("missing series points = %+v", pts)
 	}
-	all := s.All()
+	all := s.all()
 	if len(all) != 2 || len(all["m1"]) != 2 {
 		t.Fatalf("all = %+v", all)
 	}
 }
 
 func TestDownsampleHelper(t *testing.T) {
-	var pts []tsPoint
+	var pts []TSPoint
 	for i := 0; i < 100; i++ {
-		pts = append(pts, tsPoint{At: ts(i), V: float64(i)})
+		pts = append(pts, TSPoint{At: ts(i), V: float64(i)})
 	}
 	out := downsample(pts, 16)
 	if len(out) > 16 || len(out) < 8 {
