@@ -26,10 +26,10 @@ type meshDelivery struct {
 
 // MeshStats counts mesh traffic.
 type MeshStats struct {
-	// Sent is messages submitted; Delivered reached a live host; LostDead
+	// Sent is messages submitted; delivered reached a live host; lostDead
 	// were addressed to a host that was down at delivery time — exactly
 	// how a crash manifests to its neighbors.
-	Sent, Delivered, LostDead uint64
+	Sent, delivered, lostDead uint64
 }
 
 // Mesh is an integer-indexed host fabric for large-scale simulations: n
@@ -120,10 +120,10 @@ func (m *Mesh) pump() {
 		m.ring[m.head] = meshDelivery{}
 		m.head++
 		if !m.alive[d.to] {
-			m.stats.LostDead++
+			m.stats.lostDead++
 			continue
 		}
-		m.stats.Delivered++
+		m.stats.delivered++
 		m.handler(d.to, d.msg)
 	}
 	if m.head == len(m.ring) {

@@ -30,7 +30,7 @@ func TestMeshDeliversWithLatency(t *testing.T) {
 		t.Fatalf("payloads scrambled: %+v", got)
 	}
 	st := m.Stats()
-	if st.Sent != 2 || st.Delivered != 2 || st.LostDead != 0 {
+	if st.Sent != 2 || st.delivered != 2 || st.lostDead != 0 {
 		t.Fatalf("stats = %+v", st)
 	}
 }
@@ -48,7 +48,7 @@ func TestMeshDeadHostLosesInFlight(t *testing.T) {
 	if delivered != 0 {
 		t.Fatalf("delivered %d to a dead host", delivered)
 	}
-	if st := m.Stats(); st.LostDead != 1 {
+	if st := m.Stats(); st.lostDead != 1 {
 		t.Fatalf("stats = %+v, want 1 lost-dead", st)
 	}
 	if m.AliveCount() != 1 {

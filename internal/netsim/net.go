@@ -16,9 +16,9 @@ type Link struct {
 	Bandwidth float64 // bytes per second; <=0 means infinite
 }
 
-// TransferTime returns the serialization delay for n bytes at this link's
+// transferTime returns the serialization delay for n bytes at this link's
 // bandwidth.
-func (l Link) TransferTime(n int) time.Duration {
+func (l Link) transferTime(n int) time.Duration {
 	if l.Bandwidth <= 0 || n <= 0 {
 		return 0
 	}
@@ -38,19 +38,18 @@ type Handler func(env *wire.Envelope)
 
 // Host is one machine in the simulated network.
 type Host struct {
-	net  *Network
 	addr string
 
-	cpu      *Resource
-	uplink   *Resource
-	downlink *Resource
+	cpu      *resource
+	uplink   *resource
+	downlink *resource
 	handler  Handler
 
 	// Stats.
-	MsgsSent  uint64
-	MsgsRecvd uint64
-	BytesSent uint64
-	BytesRecv uint64
+	msgsSent  uint64
+	msgsRecvd uint64
+	bytesSent uint64
+	bytesRecv uint64
 }
 
 // SetHandler installs the function invoked for each delivered message.
@@ -71,7 +70,7 @@ type Network struct {
 	// resource at the link's bandwidth, instead of per-host
 	// uplinks/downlinks. Total bytes on the wire then directly determine
 	// completion time — the regime the paper's testbed ran in.
-	medium *Resource
+	medium *resource
 
 	// Global stats. Sent counters increment at the moment of Send (the
 	// scheme's traffic cost); delivered counters at handler dispatch.
@@ -84,7 +83,7 @@ type Network struct {
 // UseSharedMedium switches the network to shared-segment transfer
 // scheduling. Call before any Send.
 func (n *Network) UseSharedMedium() {
-	n.medium = NewResource(n.sim, 1)
+	n.medium = newResource(n.sim, 1)
 }
 
 // NewNetwork creates an empty network using sim as its clock; link
@@ -111,11 +110,10 @@ func (n *Network) AddHost(addr string, cfg HostConfig) *Host {
 		threads = 1
 	}
 	h := &Host{
-		net:      n,
 		addr:     addr,
-		cpu:      NewResource(n.sim, threads),
-		uplink:   NewResource(n.sim, 1),
-		downlink: NewResource(n.sim, 1),
+		cpu:      newResource(n.sim, threads),
+		uplink:   newResource(n.sim, 1),
+		downlink: newResource(n.sim, 1),
 	}
 	n.hosts[addr] = h
 	return h
@@ -143,16 +141,16 @@ func (n *Network) Send(from, to string, env *wire.Envelope, size int) {
 	if size <= 0 {
 		size = env.WireSize()
 	}
-	xfer := n.link.TransferTime(size)
+	xfer := n.link.transferTime(size)
 
-	src.MsgsSent++
-	src.BytesSent += uint64(size)
+	src.msgsSent++
+	src.bytesSent += uint64(size)
 	n.MsgsSent++
 	n.BytesSent += uint64(size)
 
 	deliver := func() {
-		dst.MsgsRecvd++
-		dst.BytesRecv += uint64(size)
+		dst.msgsRecvd++
+		dst.bytesRecv += uint64(size)
 		n.MsgsDelivered++
 		n.BytesDelivered += uint64(size)
 		if dst.handler != nil {

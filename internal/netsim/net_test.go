@@ -13,16 +13,16 @@ func testEnv(kind wire.Kind, body int) *wire.Envelope {
 
 func TestLinkTransferTime(t *testing.T) {
 	l := Link{Bandwidth: 1000} // 1000 B/s
-	if got := l.TransferTime(500); got != 500*time.Millisecond {
+	if got := l.transferTime(500); got != 500*time.Millisecond {
 		t.Fatalf("transfer time = %v", got)
 	}
-	if got := (Link{}).TransferTime(1 << 20); got != 0 {
+	if got := (Link{}).transferTime(1 << 20); got != 0 {
 		t.Fatalf("infinite bandwidth transfer = %v", got)
 	}
-	if got := l.TransferTime(0); got != 0 {
+	if got := l.transferTime(0); got != 0 {
 		t.Fatalf("zero-byte transfer = %v", got)
 	}
-	if got := l.TransferTime(-5); got != 0 {
+	if got := l.transferTime(-5); got != 0 {
 		t.Fatalf("negative size transfer = %v", got)
 	}
 }
@@ -63,13 +63,13 @@ func TestSendDefaultsToWireSize(t *testing.T) {
 	env := testEnv(wire.KindResult, 100)
 	n.Send("a", "b", env, 0)
 	s.Run()
-	if a.BytesSent != uint64(env.WireSize()) {
-		t.Fatalf("bytes sent = %d, want %d", a.BytesSent, env.WireSize())
+	if a.bytesSent != uint64(env.WireSize()) {
+		t.Fatalf("bytes sent = %d, want %d", a.bytesSent, env.WireSize())
 	}
-	if b.BytesRecv != a.BytesSent || b.MsgsRecvd != 1 || a.MsgsSent != 1 {
+	if b.bytesRecv != a.bytesSent || b.msgsRecvd != 1 || a.msgsSent != 1 {
 		t.Fatalf("stats: %+v %+v", a, b)
 	}
-	if n.MsgsDelivered != 1 || n.BytesDelivered != a.BytesSent {
+	if n.MsgsDelivered != 1 || n.BytesDelivered != a.bytesSent {
 		t.Fatalf("network stats: %d msgs %d bytes", n.MsgsDelivered, n.BytesDelivered)
 	}
 }

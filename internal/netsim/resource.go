@@ -2,11 +2,11 @@ package netsim
 
 import "time"
 
-// Resource is a FIFO multi-server queue: up to Servers jobs are in service
+// resource is a FIFO multi-server queue: up to Servers jobs are in service
 // simultaneously, the rest wait in arrival order. It models both host CPUs
 // (Servers = thread count) and link capacity (Servers = 1 gives
 // store-and-forward serialization on the link).
-type Resource struct {
+type resource struct {
 	sim     *Sim
 	servers int
 	busy    int
@@ -18,18 +18,18 @@ type job struct {
 	done func()
 }
 
-// NewResource creates a resource with the given number of servers
+// newResource creates a resource with the given number of servers
 // (must be >= 1).
-func NewResource(sim *Sim, servers int) *Resource {
+func newResource(sim *Sim, servers int) *resource {
 	if servers < 1 {
 		servers = 1
 	}
-	return &Resource{sim: sim, servers: servers}
+	return &resource{sim: sim, servers: servers}
 }
 
 // Submit enqueues a job that occupies one server for dur, then calls done
 // (done may be nil). Jobs start in FIFO order as servers free up.
-func (r *Resource) Submit(dur time.Duration, done func()) {
+func (r *resource) Submit(dur time.Duration, done func()) {
 	if dur < 0 {
 		dur = 0
 	}
@@ -40,7 +40,7 @@ func (r *Resource) Submit(dur time.Duration, done func()) {
 	r.queue = append(r.queue, job{dur, done})
 }
 
-func (r *Resource) start(j job) {
+func (r *resource) start(j job) {
 	r.busy++
 	r.sim.After(j.dur, func() {
 		r.busy--

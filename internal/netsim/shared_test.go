@@ -54,11 +54,11 @@ func TestSharedMediumStatsStillCounted(t *testing.T) {
 	b.SetHandler(func(env *wire.Envelope) {})
 	n.Send("a", "b", testEnv(wire.KindAgent, 16), 0)
 	s.Run()
-	if a.MsgsSent != 1 || b.MsgsRecvd != 1 || n.MsgsDelivered != 1 {
-		t.Fatalf("stats lost on shared medium: %d/%d/%d", a.MsgsSent, b.MsgsRecvd, n.MsgsDelivered)
+	if a.msgsSent != 1 || b.msgsRecvd != 1 || n.MsgsDelivered != 1 {
+		t.Fatalf("stats lost on shared medium: %d/%d/%d", a.msgsSent, b.msgsRecvd, n.MsgsDelivered)
 	}
-	if b.BytesRecv == 0 || n.BytesDelivered != b.BytesRecv {
-		t.Fatalf("byte accounting wrong: %d vs %d", b.BytesRecv, n.BytesDelivered)
+	if b.bytesRecv == 0 || n.BytesDelivered != b.bytesRecv {
+		t.Fatalf("byte accounting wrong: %d vs %d", b.bytesRecv, n.BytesDelivered)
 	}
 }
 

@@ -105,7 +105,7 @@ func TestSimDeterminism(t *testing.T) {
 
 func TestResourceSingleServerSerializes(t *testing.T) {
 	s := NewSim()
-	r := NewResource(s, 1)
+	r := newResource(s, 1)
 	var ends []time.Duration
 	for i := 0; i < 3; i++ {
 		r.Submit(10*time.Millisecond, func() { ends = append(ends, s.Now()) })
@@ -124,7 +124,7 @@ func TestResourceSingleServerSerializes(t *testing.T) {
 
 func TestResourceMultiServerParallel(t *testing.T) {
 	s := NewSim()
-	r := NewResource(s, 3)
+	r := newResource(s, 3)
 	var ends []time.Duration
 	for i := 0; i < 3; i++ {
 		r.Submit(10*time.Millisecond, func() { ends = append(ends, s.Now()) })
@@ -139,7 +139,7 @@ func TestResourceMultiServerParallel(t *testing.T) {
 
 func TestResourceFIFOOrder(t *testing.T) {
 	s := NewSim()
-	r := NewResource(s, 1)
+	r := newResource(s, 1)
 	var order []int
 	for i := 0; i < 5; i++ {
 		i := i
@@ -155,7 +155,7 @@ func TestResourceFIFOOrder(t *testing.T) {
 
 func TestResourceZeroAndNegativeDuration(t *testing.T) {
 	s := NewSim()
-	r := NewResource(s, 1)
+	r := newResource(s, 1)
 	ran := 0
 	r.Submit(0, func() { ran++ })
 	r.Submit(-time.Second, func() { ran++ })
@@ -170,7 +170,7 @@ func TestResourceZeroAndNegativeDuration(t *testing.T) {
 
 func TestResourceServersFloor(t *testing.T) {
 	s := NewSim()
-	r := NewResource(s, 0)
+	r := newResource(s, 0)
 	if r.servers != 1 {
 		t.Fatalf("servers = %d, want floor of 1", r.servers)
 	}

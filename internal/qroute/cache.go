@@ -37,12 +37,12 @@ func (o CacheOptions) withDefaults() CacheOptions {
 	return o
 }
 
-// Cache is a bounded LRU answer cache versioned by a store-mutation
+// cache is a bounded LRU answer cache versioned by a store-mutation
 // epoch. Entries are tagged with the epoch observed *before* their value
 // was computed; BumpEpoch (wired to storm.Store.OnMutation) makes every
 // older entry unservable, so a cached answer can never reflect a store
 // state older than the last committed mutation. Safe for concurrent use.
-type Cache struct {
+type cache struct {
 	epoch atomic.Uint64
 
 	mu      sync.Mutex
@@ -70,9 +70,9 @@ type entry struct {
 	sites []string
 }
 
-// NewCache returns an empty cache.
-func NewCache(opt CacheOptions) *Cache {
-	return &Cache{
+// newCache returns an empty cache.
+func newCache(opt CacheOptions) *cache {
+	return &cache{
 		opt:     opt.withDefaults(),
 		entries: make(map[string]*list.Element),
 		lru:     list.New(),
@@ -80,12 +80,12 @@ func NewCache(opt CacheOptions) *Cache {
 }
 
 // Epoch returns the current store-mutation epoch.
-func (c *Cache) Epoch() uint64 { return c.epoch.Load() }
+func (c *cache) Epoch() uint64 { return c.epoch.Load() }
 
 // BumpEpoch advances the epoch and drops every entry tagged with an
 // older one. It returns how many entries were invalidated. Entries
 // inserted concurrently with a stale pre-bump epoch are caught at Get.
-func (c *Cache) BumpEpoch() int {
+func (c *cache) BumpEpoch() int {
 	cur := c.epoch.Add(1)
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -105,7 +105,7 @@ func (c *Cache) BumpEpoch() int {
 // Get returns the value cached under key if it is still servable: same
 // epoch, within its freshness TTL. negative reports whether the entry
 // records "no answers".
-func (c *Cache) Get(key string, now time.Time) (val any, negative, ok bool) {
+func (c *cache) Get(key string, now time.Time) (val any, negative, ok bool) {
 	cur := c.epoch.Load()
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -145,14 +145,14 @@ func (c *Cache) Get(key string, now time.Time) (val any, negative, ok bool) {
 // the entry rather than being masked by it). size is the accounted
 // payload size in bytes. Values larger than the byte budget are not
 // cached. It returns how many entries were evicted to make room.
-func (c *Cache) Put(key string, val any, size int, negative bool, epoch uint64, now time.Time) int {
+func (c *cache) Put(key string, val any, size int, negative bool, epoch uint64, now time.Time) int {
 	return c.PutFrom(key, val, size, negative, epoch, now, nil)
 }
 
 // PutFrom is Put with answer provenance: sites lists the peer addresses
 // the cached value's answers came from, so DropSite can evict entries
 // whose provenance departs the overlay.
-func (c *Cache) PutFrom(key string, val any, size int, negative bool, epoch uint64, now time.Time, sites []string) int {
+func (c *cache) PutFrom(key string, val any, size int, negative bool, epoch uint64, now time.Time, sites []string) int {
 	if size > maxBytes {
 		return 0
 	}
@@ -187,7 +187,7 @@ func (c *Cache) PutFrom(key string, val any, size int, negative bool, epoch uint
 // DropSite evicts every entry whose provenance includes addr — the
 // cache-affinity half of forgetting a departed neighbor. It returns how
 // many entries were dropped.
-func (c *Cache) DropSite(addr string) int {
+func (c *cache) DropSite(addr string) int {
 	if addr == "" {
 		return 0
 	}
@@ -211,7 +211,7 @@ func (c *Cache) DropSite(addr string) int {
 }
 
 // removeLocked unlinks el; callers hold c.mu.
-func (c *Cache) removeLocked(el *list.Element) {
+func (c *cache) removeLocked(el *list.Element) {
 	e := el.Value.(*entry)
 	c.lru.Remove(el)
 	delete(c.entries, e.key)
@@ -236,7 +236,7 @@ type CacheStats struct {
 }
 
 // Stats snapshots the cache.
-func (c *Cache) Stats() CacheStats {
+func (c *cache) Stats() CacheStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return CacheStats{

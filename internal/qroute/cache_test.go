@@ -9,7 +9,7 @@ import (
 var t0 = time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
 
 func TestCacheHitMissAndNegative(t *testing.T) {
-	c := NewCache(CacheOptions{})
+	c := newCache(CacheOptions{})
 	if _, _, ok := c.Get("k", t0); ok {
 		t.Fatal("empty cache must miss")
 	}
@@ -29,7 +29,7 @@ func TestCacheHitMissAndNegative(t *testing.T) {
 }
 
 func TestCacheTTLExpiry(t *testing.T) {
-	c := NewCache(CacheOptions{TTL: 10 * time.Second})
+	c := newCache(CacheOptions{TTL: 10 * time.Second})
 	c.Put("pos", 1, 1, false, c.Epoch(), t0)
 	c.Put("neg", nil, 0, true, c.Epoch(), t0)
 	// Negative entries age out on the short TTL, positive ones survive.
@@ -51,7 +51,7 @@ func TestCacheTTLExpiry(t *testing.T) {
 }
 
 func TestCacheEpochInvalidation(t *testing.T) {
-	c := NewCache(CacheOptions{})
+	c := newCache(CacheOptions{})
 	c.Put("a", 1, 1, false, c.Epoch(), t0)
 	c.Put("b", 2, 1, false, c.Epoch(), t0)
 	if n := c.BumpEpoch(); n != 2 {
@@ -74,7 +74,7 @@ func TestCacheEpochInvalidation(t *testing.T) {
 }
 
 func TestCacheLRUEvictionByEntries(t *testing.T) {
-	c := NewCache(CacheOptions{})
+	c := newCache(CacheOptions{})
 	for i := 0; i < maxEntries; i++ {
 		c.Put(fmt.Sprintf("k%d", i), i, 1, false, c.Epoch(), t0)
 	}
@@ -96,7 +96,7 @@ func TestCacheLRUEvictionByEntries(t *testing.T) {
 
 func TestCacheByteCapacityAccounting(t *testing.T) {
 	const u = maxBytes / 10
-	c := NewCache(CacheOptions{})
+	c := newCache(CacheOptions{})
 	c.Put("a", "x", 4*u, false, c.Epoch(), t0)
 	c.Put("b", "y", 4*u, false, c.Epoch(), t0)
 	if s := c.Stats(); s.Bytes != 8*u {

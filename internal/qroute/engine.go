@@ -24,8 +24,8 @@ type Options struct {
 // their metric families. All methods are safe for concurrent use; a nil
 // *Engine is valid and means "disabled" (lookups miss, plans flood).
 type Engine struct {
-	cache *Cache
-	index *RoutingIndex
+	cache *cache
+	index *routingIndex
 
 	hitBase, hitServe, hitNeg *obs.Counter
 	missBase, missServe       *obs.Counter
@@ -46,8 +46,8 @@ func NewEngine(opt Options, reg *obs.Registry) *Engine {
 		reg = obs.NewRegistry()
 	}
 	e := &Engine{
-		cache: NewCache(opt.Cache),
-		index: NewRoutingIndex(opt.Route),
+		cache: newCache(opt.Cache),
+		index: newRoutingIndex(opt.Route),
 	}
 	const (
 		hits   = "bestpeer_qroute_cache_hits_total"
@@ -136,7 +136,7 @@ func (e *Engine) GetBase(key string, now time.Time) (val any, negative, ok bool)
 }
 
 // PutBase caches a whole-query answer set at the base node. epoch must
-// have been read before the query ran (see Cache.Put).
+// have been read before the query ran (see cache.Put).
 func (e *Engine) PutBase(key string, val any, size int, negative bool, epoch uint64, now time.Time) {
 	e.PutBaseFrom(key, val, size, negative, epoch, now, nil)
 }

@@ -86,22 +86,22 @@ type termStats struct {
 	seen time.Time           // last observation, for term eviction
 }
 
-// RoutingIndex learns, per query-term fingerprint, which first-hop
+// routingIndex learns, per query-term fingerprint, which first-hop
 // neighbors produce answers and how deep those answers sit. The query
 // path asks it for a Plan: either a confident selective route (top-f
 // neighbors, TTL scoped to the learned answer depth plus slack) or a
 // full flood when confidence is low. Safe for concurrent use.
-type RoutingIndex struct {
+type routingIndex struct {
 	mu    sync.Mutex
 	opt   RouteOptions
 	terms map[string]*termStats
 	rng   *rand.Rand
 }
 
-// NewRoutingIndex returns an empty index.
-func NewRoutingIndex(opt RouteOptions) *RoutingIndex {
+// newRoutingIndex returns an empty index.
+func newRoutingIndex(opt RouteOptions) *routingIndex {
 	opt = opt.withDefaults()
-	return &RoutingIndex{
+	return &routingIndex{
 		opt:   opt,
 		terms: make(map[string]*termStats),
 		rng:   rand.New(rand.NewSource(opt.Seed)),
@@ -111,7 +111,7 @@ func NewRoutingIndex(opt RouteOptions) *RoutingIndex {
 // Observe credits via — the base's first-hop neighbor an answer batch
 // travelled through — with answers hits for each query term, and records
 // the depth the batch was produced at.
-func (x *RoutingIndex) Observe(terms []string, via string, answers, hops int, now time.Time) {
+func (x *routingIndex) Observe(terms []string, via string, answers, hops int, now time.Time) {
 	if via == "" || answers <= 0 || len(terms) == 0 {
 		return
 	}
@@ -139,7 +139,7 @@ func (x *RoutingIndex) Observe(terms []string, via string, answers, hops int, no
 
 // evictTermLocked drops the least recently observed term when the index
 // is at capacity; callers hold x.mu.
-func (x *RoutingIndex) evictTermLocked() {
+func (x *routingIndex) evictTermLocked() {
 	if len(x.terms) < maxTerms {
 		return
 	}
@@ -172,7 +172,7 @@ type Plan struct {
 // and default TTL. Low confidence — an unknown term mix, decayed history
 // or no scored neighbor among the candidates — falls back to a full
 // flood, so selective routing can only ever save traffic, not recall.
-func (x *RoutingIndex) Select(terms []string, neighbors []string, ttl uint8, now time.Time) Plan {
+func (x *routingIndex) Select(terms []string, neighbors []string, ttl uint8, now time.Time) Plan {
 	flood := Plan{Targets: neighbors, TTL: ttl}
 	if len(terms) == 0 || len(neighbors) == 0 {
 		return flood
@@ -228,7 +228,7 @@ func (x *RoutingIndex) Select(terms []string, neighbors []string, ttl uint8, now
 }
 
 // Terms returns how many term fingerprints the index currently tracks.
-func (x *RoutingIndex) Terms() int {
+func (x *routingIndex) Terms() int {
 	x.mu.Lock()
 	defer x.mu.Unlock()
 	return len(x.terms)
@@ -239,7 +239,7 @@ func (x *RoutingIndex) Terms() int {
 // long-lived node under churn does not accumulate unbounded dead-neighbor
 // state. Terms left with no scored neighbor are dropped entirely. It
 // returns how many per-term counters were evicted.
-func (x *RoutingIndex) Forget(neighbor string) int {
+func (x *routingIndex) Forget(neighbor string) int {
 	if neighbor == "" {
 		return 0
 	}

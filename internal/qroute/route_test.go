@@ -8,9 +8,9 @@ import (
 
 // noExplore builds an index with exploration disabled so selection is
 // deterministic.
-func noExplore(opt RouteOptions) *RoutingIndex {
+func noExplore(opt RouteOptions) *routingIndex {
 	opt.Epsilon = -1
-	return NewRoutingIndex(opt)
+	return newRoutingIndex(opt)
 }
 
 func TestSelectFloodsWithoutHistory(t *testing.T) {
@@ -60,7 +60,7 @@ func TestSelectConfidenceDecays(t *testing.T) {
 }
 
 func TestSelectEpsilonExploration(t *testing.T) {
-	x := NewRoutingIndex(RouteOptions{Epsilon: 1.0}) // always explore
+	x := newRoutingIndex(RouteOptions{Epsilon: 1.0}) // always explore
 	x.Observe([]string{"jazz"}, "a", 10, 2, t0)
 	p := x.Select([]string{"jazz"}, []string{"a", "b"}, 7, t0.Add(time.Second))
 	if p.Selective || !p.Explored {
