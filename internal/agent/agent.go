@@ -27,11 +27,11 @@ import (
 
 // Registry and engine errors.
 var (
-	ErrUnknownClass  = errors.New("agent: unknown class")
-	ErrNotInstalled  = errors.New("agent: class not installed at this node")
-	ErrBadClassBlob  = errors.New("agent: class payload failed verification")
-	ErrBadPacket     = errors.New("agent: malformed agent packet")
-	ErrDuplicateName = errors.New("agent: class already registered")
+	errUnknownClass  = errors.New("agent: unknown class")
+	errNotInstalled  = errors.New("agent: class not installed at this node")
+	errBadClassBlob  = errors.New("agent: class payload failed verification")
+	errBadPacket     = errors.New("agent: malformed agent packet")
+	errDuplicateName = errors.New("agent: class already registered")
 )
 
 // Result is one answer produced by an agent at a peer. Mode 2 (§2 of the
@@ -121,7 +121,7 @@ func (r *Registry) Register(f Factory) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if _, dup := r.factories[f.Class()]; dup {
-		return fmt.Errorf("%w: %q", ErrDuplicateName, f.Class())
+		return fmt.Errorf("%w: %q", errDuplicateName, f.Class())
 	}
 	r.factories[f.Class()] = f
 	r.installed[f.Class()] = true
@@ -135,7 +135,7 @@ func (r *Registry) RegisterDormant(f Factory) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if _, dup := r.factories[f.Class()]; dup {
-		return fmt.Errorf("%w: %q", ErrDuplicateName, f.Class())
+		return fmt.Errorf("%w: %q", errDuplicateName, f.Class())
 	}
 	r.factories[f.Class()] = f
 	return nil
@@ -162,10 +162,10 @@ func (r *Registry) Code(class string) ([]byte, error) {
 	defer r.mu.Unlock()
 	f, ok := r.factories[class]
 	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrUnknownClass, class)
+		return nil, fmt.Errorf("%w: %q", errUnknownClass, class)
 	}
 	if !r.installed[class] {
-		return nil, fmt.Errorf("%w: %q", ErrNotInstalled, class)
+		return nil, fmt.Errorf("%w: %q", errNotInstalled, class)
 	}
 	r.CodeServed++
 	return f.Code(), nil
@@ -179,14 +179,14 @@ func (r *Registry) Install(class string, code []byte) error {
 	defer r.mu.Unlock()
 	f, ok := r.factories[class]
 	if !ok {
-		return fmt.Errorf("%w: %q (not linked into this binary)", ErrUnknownClass, class)
+		return fmt.Errorf("%w: %q (not linked into this binary)", errUnknownClass, class)
 	}
 	if r.installed[class] {
 		return nil
 	}
 	want := f.Code()
 	if len(code) != len(want) || crc32.ChecksumIEEE(code) != crc32.ChecksumIEEE(want) {
-		return fmt.Errorf("%w: %q", ErrBadClassBlob, class)
+		return fmt.Errorf("%w: %q", errBadClassBlob, class)
 	}
 	r.installed[class] = true
 	r.Installs++
@@ -201,13 +201,13 @@ func (r *Registry) New(class string, state []byte) (Agent, error) {
 	inst := r.installed[class]
 	r.mu.RUnlock()
 	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrUnknownClass, class)
+		return nil, fmt.Errorf("%w: %q", errUnknownClass, class)
 	}
 	if !inst {
 		r.mu.Lock()
 		r.ExecDenied++
 		r.mu.Unlock()
-		return nil, fmt.Errorf("%w: %q", ErrNotInstalled, class)
+		return nil, fmt.Errorf("%w: %q", errNotInstalled, class)
 	}
 	return f.New(state)
 }
@@ -254,10 +254,10 @@ func DecodePacket(body []byte) (*Packet, error) {
 	p.AccessLevel = int(d.Varint())
 	p.Mode = d.Uint8()
 	if err := d.Finish(); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadPacket, err)
+		return nil, fmt.Errorf("%w: %v", errBadPacket, err)
 	}
 	if p.Class == "" {
-		return nil, fmt.Errorf("%w: empty class", ErrBadPacket)
+		return nil, fmt.Errorf("%w: empty class", errBadPacket)
 	}
 	return p, nil
 }
@@ -306,7 +306,7 @@ func DecodeResults(body []byte) (*ResultBatch, error) {
 	// refused before anything is allocated for it.
 	n := d.Uvarint()
 	if n > uint64(d.Remaining()/2) {
-		return nil, ErrBadPacket
+		return nil, errBadPacket
 	}
 	if n > 0 {
 		b.Results = make([]Result, 0, n)
@@ -315,7 +315,7 @@ func DecodeResults(body []byte) (*ResultBatch, error) {
 		b.Results = append(b.Results, Result{Name: d.String(), Data: d.BytesView()})
 	}
 	if err := d.Finish(); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadPacket, err)
+		return nil, fmt.Errorf("%w: %v", errBadPacket, err)
 	}
 	return b, nil
 }

@@ -49,7 +49,7 @@ func TestRegistryRegisterAndNew(t *testing.T) {
 	if got.(*KeywordAgent).Query != "jazz" {
 		t.Fatalf("reconstructed query = %q", got.(*KeywordAgent).Query)
 	}
-	for _, class := range []string{KeywordClass, FilterClass, DigestClass, TopKClass} {
+	for _, class := range []string{KeywordClass, filterClass, digestClass, topKClass} {
 		if !r.Installed(class) {
 			t.Fatalf("builtin class %s not installed", class)
 		}
@@ -61,23 +61,23 @@ func TestRegistryDuplicateRejected(t *testing.T) {
 	if err := r.Register(NewKeywordFactory()); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.Register(NewKeywordFactory()); !errors.Is(err, ErrDuplicateName) {
+	if err := r.Register(NewKeywordFactory()); !errors.Is(err, errDuplicateName) {
 		t.Fatalf("dup register: %v", err)
 	}
-	if err := r.RegisterDormant(NewKeywordFactory()); !errors.Is(err, ErrDuplicateName) {
+	if err := r.RegisterDormant(NewKeywordFactory()); !errors.Is(err, errDuplicateName) {
 		t.Fatalf("dup dormant: %v", err)
 	}
 }
 
 func TestRegistryUnknownClass(t *testing.T) {
 	r := NewRegistry()
-	if _, err := r.New("nope", nil); !errors.Is(err, ErrUnknownClass) {
+	if _, err := r.New("nope", nil); !errors.Is(err, errUnknownClass) {
 		t.Fatalf("New unknown: %v", err)
 	}
-	if _, err := r.Code("nope"); !errors.Is(err, ErrUnknownClass) {
+	if _, err := r.Code("nope"); !errors.Is(err, errUnknownClass) {
 		t.Fatalf("Code unknown: %v", err)
 	}
-	if err := r.Install("nope", nil); !errors.Is(err, ErrUnknownClass) {
+	if err := r.Install("nope", nil); !errors.Is(err, errUnknownClass) {
 		t.Fatalf("Install unknown: %v", err)
 	}
 }
@@ -92,14 +92,14 @@ func TestClassShippingLifecycle(t *testing.T) {
 	if dest.Installed(KeywordClass) {
 		t.Fatal("dormant class reported installed")
 	}
-	if _, err := dest.New(KeywordClass, nil); !errors.Is(err, ErrNotInstalled) {
+	if _, err := dest.New(KeywordClass, nil); !errors.Is(err, errNotInstalled) {
 		t.Fatalf("dormant New: %v", err)
 	}
 	if dest.ExecDenied != 1 {
 		t.Fatalf("ExecDenied = %d", dest.ExecDenied)
 	}
 	// Dormant node cannot serve code either.
-	if _, err := dest.Code(KeywordClass); !errors.Is(err, ErrNotInstalled) {
+	if _, err := dest.Code(KeywordClass); !errors.Is(err, errNotInstalled) {
 		t.Fatalf("dormant Code: %v", err)
 	}
 
@@ -138,10 +138,10 @@ func TestInstallRejectsTamperedBlob(t *testing.T) {
 	code, _ := origin.Code(KeywordClass)
 	bad := append([]byte(nil), code...)
 	bad[10] ^= 0xFF
-	if err := dest.Install(KeywordClass, bad); !errors.Is(err, ErrBadClassBlob) {
+	if err := dest.Install(KeywordClass, bad); !errors.Is(err, errBadClassBlob) {
 		t.Fatalf("tampered blob: %v", err)
 	}
-	if err := dest.Install(KeywordClass, code[:len(code)-1]); !errors.Is(err, ErrBadClassBlob) {
+	if err := dest.Install(KeywordClass, code[:len(code)-1]); !errors.Is(err, errBadClassBlob) {
 		t.Fatalf("truncated blob: %v", err)
 	}
 	if dest.Installed(KeywordClass) {
@@ -179,7 +179,7 @@ func TestPacketRejectsGarbage(t *testing.T) {
 	e.BPID(wire.BPID{})
 	e.Varint(0)
 	e.Uint8(1)
-	if _, err := DecodePacket(e.Bytes()); !errors.Is(err, ErrBadPacket) {
+	if _, err := DecodePacket(e.Bytes()); !errors.Is(err, errBadPacket) {
 		t.Fatalf("empty class: %v", err)
 	}
 	p := &Packet{Class: "c"}
@@ -226,7 +226,7 @@ func TestDecodeResultsHostileCount(t *testing.T) {
 	runtime.ReadMemStats(&before)
 	_, err := DecodeResults(body)
 	runtime.ReadMemStats(&after)
-	if !errors.Is(err, ErrBadPacket) {
+	if !errors.Is(err, errBadPacket) {
 		t.Fatalf("a %d-byte body announcing %d results: %v", len(body), wire.MaxFrameSize, err)
 	}
 	if cost, d := after.TotalAlloc-before.TotalAlloc, time.Since(start); cost > 4<<10 || d > 100*time.Millisecond {

@@ -74,13 +74,13 @@ func (f *keywordFactory) New(state []byte) (Agent, error) {
 	d := wire.NewDecoder(state)
 	a := &KeywordAgent{Query: d.String()}
 	if err := d.Finish(); err != nil {
-		return nil, fmt.Errorf("%w: keyword state: %v", ErrBadPacket, err)
+		return nil, fmt.Errorf("%w: keyword state: %v", errBadPacket, err)
 	}
 	return a, nil
 }
 
-// FilterClass is the class name of the shipped-filter agent.
-const FilterClass = "storm.filter"
+// filterClass is the class name of the shipped-filter agent.
+const filterClass = "storm.filter"
 
 // FilterAgent realizes computational-power sharing (§3.2.3): the
 // requester's filter expression executes at the provider against the
@@ -93,7 +93,7 @@ type FilterAgent struct {
 }
 
 // Class implements Agent.
-func (a *FilterAgent) Class() string { return FilterClass }
+func (a *FilterAgent) Class() string { return filterClass }
 
 // State implements Agent.
 func (a *FilterAgent) State() ([]byte, error) {
@@ -135,16 +135,16 @@ type filterFactory struct{ code []byte }
 
 // NewFilterFactory returns the factory for the shipped-filter class.
 func NewFilterFactory() Factory {
-	return &filterFactory{code: classBlob(FilterClass, 9*1024)}
+	return &filterFactory{code: classBlob(filterClass, 9*1024)}
 }
 
-func (f *filterFactory) Class() string { return FilterClass }
+func (f *filterFactory) Class() string { return filterClass }
 func (f *filterFactory) Code() []byte  { return f.code }
 func (f *filterFactory) New(state []byte) (Agent, error) {
 	d := wire.NewDecoder(state)
 	a := &FilterAgent{Expr: d.String(), IncludeData: d.Bool()}
 	if err := d.Finish(); err != nil {
-		return nil, fmt.Errorf("%w: filter state: %v", ErrBadPacket, err)
+		return nil, fmt.Errorf("%w: filter state: %v", errBadPacket, err)
 	}
 	if _, err := CompileFilter(a.Expr); err != nil {
 		return nil, err
@@ -152,8 +152,8 @@ func (f *filterFactory) New(state []byte) (Agent, error) {
 	return a, nil
 }
 
-// DigestClass is the class name of the digesting agent.
-const DigestClass = "storm.digest"
+// digestClass is the class name of the digesting agent.
+const digestClass = "storm.digest"
 
 // DigestAgent demonstrates the paper's "processed and meaningful
 // information" return: instead of raw files, each match is summarized as
@@ -163,7 +163,7 @@ type DigestAgent struct {
 }
 
 // Class implements Agent.
-func (a *DigestAgent) Class() string { return DigestClass }
+func (a *DigestAgent) Class() string { return digestClass }
 
 // State implements Agent.
 func (a *DigestAgent) State() ([]byte, error) {
@@ -194,16 +194,16 @@ type digestFactory struct{ code []byte }
 
 // NewDigestFactory returns the factory for the digest class.
 func NewDigestFactory() Factory {
-	return &digestFactory{code: classBlob(DigestClass, 4*1024)}
+	return &digestFactory{code: classBlob(digestClass, 4*1024)}
 }
 
-func (f *digestFactory) Class() string { return DigestClass }
+func (f *digestFactory) Class() string { return digestClass }
 func (f *digestFactory) Code() []byte  { return f.code }
 func (f *digestFactory) New(state []byte) (Agent, error) {
 	d := wire.NewDecoder(state)
 	a := &DigestAgent{Query: d.String()}
 	if err := d.Finish(); err != nil {
-		return nil, fmt.Errorf("%w: digest state: %v", ErrBadPacket, err)
+		return nil, fmt.Errorf("%w: digest state: %v", errBadPacket, err)
 	}
 	return a, nil
 }

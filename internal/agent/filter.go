@@ -32,8 +32,8 @@ import (
 //	name~report | (keyword=finance & !data~draft)
 //	kind=active
 
-// ErrFilterSyntax reports a malformed filter expression.
-var ErrFilterSyntax = errors.New("agent: filter syntax error")
+// errFilterSyntax reports a malformed filter expression.
+var errFilterSyntax = errors.New("agent: filter syntax error")
 
 // Predicate is a compiled filter.
 type Predicate func(*storm.Object) bool
@@ -47,7 +47,7 @@ func CompileFilter(src string) (Predicate, error) {
 		return nil, err
 	}
 	if p.tok != tokEOF {
-		return nil, fmt.Errorf("%w: unexpected %q at offset %d", ErrFilterSyntax, p.lit, p.off)
+		return nil, fmt.Errorf("%w: unexpected %q at offset %d", errFilterSyntax, p.lit, p.off)
 	}
 	return pred, nil
 }
@@ -189,7 +189,7 @@ func (p *filterParser) parseNot() (Predicate, error) {
 			return nil, err
 		}
 		if p.tok != tokRParen {
-			return nil, fmt.Errorf("%w: missing ')' at offset %d", ErrFilterSyntax, p.off)
+			return nil, fmt.Errorf("%w: missing ')' at offset %d", errFilterSyntax, p.off)
 		}
 		p.next()
 		return inner, nil
@@ -200,7 +200,7 @@ func (p *filterParser) parseNot() (Predicate, error) {
 
 func (p *filterParser) parsePred() (Predicate, error) {
 	if p.tok != tokWord {
-		return nil, fmt.Errorf("%w: expected field at offset %d, got %q", ErrFilterSyntax, p.off, p.lit)
+		return nil, fmt.Errorf("%w: expected field at offset %d, got %q", errFilterSyntax, p.off, p.lit)
 	}
 	field := strings.ToLower(p.lit)
 	p.next()
@@ -209,12 +209,12 @@ func (p *filterParser) parsePred() (Predicate, error) {
 	switch op {
 	case tokEq, tokTilde, tokGT, tokLT:
 	default:
-		return nil, fmt.Errorf("%w: expected operator after %q at offset %d", ErrFilterSyntax, field, p.off)
+		return nil, fmt.Errorf("%w: expected operator after %q at offset %d", errFilterSyntax, field, p.off)
 	}
 	p.next()
 
 	if p.tok != tokWord {
-		return nil, fmt.Errorf("%w: expected value at offset %d", ErrFilterSyntax, p.off)
+		return nil, fmt.Errorf("%w: expected value at offset %d", errFilterSyntax, p.off)
 	}
 	value := p.lit
 	p.next()
@@ -267,7 +267,7 @@ func compilePred(field string, op filterToken, value string) (Predicate, error) 
 	case "size":
 		n, err := strconv.Atoi(value)
 		if err != nil {
-			return nil, fmt.Errorf("%w: size wants a number, got %q", ErrFilterSyntax, value)
+			return nil, fmt.Errorf("%w: size wants a number, got %q", errFilterSyntax, value)
 		}
 		switch op {
 		case tokEq:
@@ -285,13 +285,13 @@ func compilePred(field string, op filterToken, value string) (Predicate, error) 
 		case "active":
 			want = storm.ActiveObject
 		default:
-			return nil, fmt.Errorf("%w: kind wants static|active, got %q", ErrFilterSyntax, value)
+			return nil, fmt.Errorf("%w: kind wants static|active, got %q", errFilterSyntax, value)
 		}
 		if op == tokEq {
 			return func(o *storm.Object) bool { return o.Kind == want }, nil
 		}
 	default:
-		return nil, fmt.Errorf("%w: unknown field %q", ErrFilterSyntax, field)
+		return nil, fmt.Errorf("%w: unknown field %q", errFilterSyntax, field)
 	}
-	return nil, fmt.Errorf("%w: operator not supported for field %q", ErrFilterSyntax, field)
+	return nil, fmt.Errorf("%w: operator not supported for field %q", errFilterSyntax, field)
 }

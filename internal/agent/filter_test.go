@@ -95,8 +95,8 @@ func TestFilterSyntaxErrors(t *testing.T) {
 		"@#$",
 	}
 	for _, src := range bad {
-		if _, err := CompileFilter(src); !errors.Is(err, ErrFilterSyntax) {
-			t.Errorf("CompileFilter(%q) = %v, want ErrFilterSyntax", src, err)
+		if _, err := CompileFilter(src); !errors.Is(err, errFilterSyntax) {
+			t.Errorf("CompileFilter(%q) = %v, want errFilterSyntax", src, err)
 		}
 	}
 }

@@ -75,7 +75,7 @@ func FuzzFingerprint(f *testing.F) {
 		f.Add(ag.Class(), st)
 	}
 	f.Add(KeywordClass, []byte{0xFF, 0x00})
-	f.Add(FilterClass, []byte{})
+	f.Add(filterClass, []byte{})
 	reg := NewRegistry()
 	if err := RegisterBuiltins(reg); err != nil {
 		f.Fatal(err)

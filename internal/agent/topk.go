@@ -7,8 +7,8 @@ import (
 	"bestpeer/internal/wire"
 )
 
-// TopKClass is the class name of the top-K agent.
-const TopKClass = "storm.topk"
+// topKClass is the class name of the top-K agent.
+const topKClass = "storm.topk"
 
 // TopKAgent returns only the K largest objects matching a keyword at
 // each peer — an example of a parameterized agent whose selection logic
@@ -25,12 +25,12 @@ type TopKAgent struct {
 }
 
 // Class implements Agent.
-func (a *TopKAgent) Class() string { return TopKClass }
+func (a *TopKAgent) Class() string { return topKClass }
 
 // State implements Agent.
 func (a *TopKAgent) State() ([]byte, error) {
 	if a.K <= 0 {
-		return nil, fmt.Errorf("%w: topk K must be positive, got %d", ErrBadPacket, a.K)
+		return nil, fmt.Errorf("%w: topk K must be positive, got %d", errBadPacket, a.K)
 	}
 	var e wire.Encoder
 	e.String(a.Query)
@@ -84,19 +84,19 @@ type topKFactory struct{ code []byte }
 
 // NewTopKFactory returns the factory for the top-K class.
 func NewTopKFactory() Factory {
-	return &topKFactory{code: classBlob(TopKClass, 5*1024)}
+	return &topKFactory{code: classBlob(topKClass, 5*1024)}
 }
 
-func (f *topKFactory) Class() string { return TopKClass }
+func (f *topKFactory) Class() string { return topKClass }
 func (f *topKFactory) Code() []byte  { return f.code }
 func (f *topKFactory) New(state []byte) (Agent, error) {
 	d := wire.NewDecoder(state)
 	a := &TopKAgent{Query: d.String(), K: int(d.Uvarint()), IncludeData: d.Bool()}
 	if err := d.Finish(); err != nil {
-		return nil, fmt.Errorf("%w: topk state: %v", ErrBadPacket, err)
+		return nil, fmt.Errorf("%w: topk state: %v", errBadPacket, err)
 	}
 	if a.K <= 0 {
-		return nil, fmt.Errorf("%w: topk K = %d", ErrBadPacket, a.K)
+		return nil, fmt.Errorf("%w: topk K = %d", errBadPacket, a.K)
 	}
 	return a, nil
 }

@@ -76,7 +76,7 @@ func TestTopKStateRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := r.New(TopKClass, st)
+	got, err := r.New(topKClass, st)
 	if err != nil {
 		t.Fatal(err)
 	}

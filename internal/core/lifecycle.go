@@ -36,7 +36,7 @@ func (n *Node) Leave() error {
 	n.mu.Lock()
 	if n.closed {
 		n.mu.Unlock()
-		return ErrNodeClosed
+		return errNodeClosed
 	}
 	if n.leaving {
 		n.mu.Unlock()

@@ -25,8 +25,8 @@ import (
 	"bestpeer/internal/wire"
 )
 
-// ErrNodeClosed is returned by operations on a node after Close.
-var ErrNodeClosed = errors.New("core: node closed")
+// errNodeClosed is returned by operations on a node after Close.
+var errNodeClosed = errors.New("core: node closed")
 
 // Peer is a directly connected peer: identity plus current address.
 type Peer struct {
@@ -386,7 +386,7 @@ func (n *Node) RecentTraces(max int) []*obs.QueryTrace {
 // the node closes.
 func (n *Node) ServeAdmin(addr string) (*obs.AdminServer, error) {
 	if n.isClosed() {
-		return nil, ErrNodeClosed
+		return nil, errNodeClosed
 	}
 	srv, err := obs.StartAdmin(addr, obs.AdminConfig{
 		Registry: n.metrics,

@@ -579,10 +579,10 @@ func TestProbe(t *testing.T) {
 func TestQueryAfterCloseFails(t *testing.T) {
 	c := newCluster(t, 1, nil, nil)
 	c.nodes[0].Close()
-	if _, err := c.nodes[0].Query(&agent.KeywordAgent{Query: "q"}, QueryOptions{}); err != ErrNodeClosed {
+	if _, err := c.nodes[0].Query(&agent.KeywordAgent{Query: "q"}, QueryOptions{}); err != errNodeClosed {
 		t.Fatalf("query after close: %v", err)
 	}
-	if _, err := c.nodes[0].Fetch("x", nil, time.Millisecond); err != ErrNodeClosed {
+	if _, err := c.nodes[0].Fetch("x", nil, time.Millisecond); err != errNodeClosed {
 		t.Fatalf("fetch after close: %v", err)
 	}
 }

@@ -7,15 +7,15 @@ import (
 	"bestpeer/internal/wire"
 )
 
-// ErrBadMessage reports a malformed core-protocol payload.
-var ErrBadMessage = errors.New("core: malformed message")
+// errBadMessage reports a malformed core-protocol payload.
+var errBadMessage = errors.New("core: malformed message")
 
 // unmarshal parses b into m; what names the payload in the error, which
-// wraps ErrBadMessage.
+// wraps errBadMessage.
 func unmarshal[M wire.Message](b []byte, m M, what string) (M, error) {
 	if err := wire.Unmarshal(b, m); err != nil {
 		var none M
-		return none, fmt.Errorf("%w: %s: %v", ErrBadMessage, what, err)
+		return none, fmt.Errorf("%w: %s: %v", errBadMessage, what, err)
 	}
 	return m, nil
 }

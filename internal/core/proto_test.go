@@ -42,7 +42,7 @@ func TestHostileCounts(t *testing.T) {
 	wiretest.Hostile(t, messages(), func(b []byte, m wire.Message) error {
 		_, err := unmarshal(b, m, "hostile")
 		return err
-	}, ErrBadMessage)
+	}, errBadMessage)
 }
 
 func FuzzDecodeDepart(f *testing.F) { wiretest.Fuzz(f, messages()[:1]) }

@@ -134,7 +134,7 @@ func (q *queryState) snapshot() ([]Answer, []Answer) {
 // (unless disabled). Query is safe to call from multiple goroutines.
 func (n *Node) Query(ag agent.Agent, opts QueryOptions) (*QueryResult, error) {
 	if n.isClosed() {
-		return nil, ErrNodeClosed
+		return nil, errNodeClosed
 	}
 	state, err := ag.State()
 	if err != nil {
@@ -538,7 +538,7 @@ func (n *Node) reconfigure(qid wire.MsgID, answers, hints []Answer) bool {
 // exchange with that peer.
 func (n *Node) Fetch(peerAddr string, names []string, timeout time.Duration) ([]agent.Result, error) {
 	if n.isClosed() {
-		return nil, ErrNodeClosed
+		return nil, errNodeClosed
 	}
 	if timeout <= 0 {
 		timeout = probeTimeout

@@ -11,8 +11,8 @@ import (
 	"bestpeer/internal/wire"
 )
 
-// ErrClientClosed reports that Close interrupted a retry backoff.
-var ErrClientClosed = errors.New("liglo: client closed")
+// errClientClosed reports that Close interrupted a retry backoff.
+var errClientClosed = errors.New("liglo: client closed")
 
 // Failure handling: the retries of a failed RegisterAny round, Rejoin or
 // Deregister call (retries+1 attempts in all) after a backoff that doubles
@@ -66,7 +66,7 @@ func NewClient(network transport.Network, reg *obs.Registry) *Client {
 }
 
 // Close interrupts any in-flight retry backoff; blocked RegisterAny and
-// Rejoin calls return promptly with ErrClientClosed joined to the last
+// Rejoin calls return promptly with errClientClosed joined to the last
 // transport error. Close is idempotent and safe for concurrent use.
 func (c *Client) Close() error {
 	c.stopOnce.Do(func() { close(c.stop) })
@@ -117,7 +117,7 @@ func (r *deregisterResp) status() string { return r.Err }
 // callRing performs one logical exchange about a BPID whose issuing server
 // is primary, decoding the answer into out: try the primary, fall back to
 // the RegisterAny list on transport failure, and follow KindRingRedirect
-// replies to the owning server. A fallback that answers ErrWrongHome (a
+// replies to the owning server. A fallback that answers errWrongHome (a
 // standalone server) is a miss, not an answer, so without a ring the
 // primary's transport error stands and the caller retries the home.
 func (c *Client) callRing(op, primary string, req *wire.Envelope, out statusReply) error {
@@ -154,7 +154,7 @@ func (c *Client) callRing(op, primary string, req *wire.Envelope, out statusRepl
 		if _, err := unmarshal(resp.Body, out, op+" reply"); err != nil {
 			return err
 		}
-		if target == primary || out.status() != ErrWrongHome.Error() {
+		if target == primary || out.status() != errWrongHome.Error() {
 			return nil
 		}
 	}
@@ -169,19 +169,19 @@ func statusErr(text string) error {
 	switch text {
 	case "":
 		return nil
-	case ErrUnknown.Error():
-		return ErrUnknown
-	case ErrWrongHome.Error():
-		return ErrWrongHome
-	case ErrFull.Error():
-		return ErrFull
+	case errUnknown.Error():
+		return errUnknown
+	case errWrongHome.Error():
+		return errWrongHome
+	case errFull.Error():
+		return errFull
 	}
 	return errors.New(text)
 }
 
 // Register asks the server for a BPID, reporting myAddr as the current
 // address. It returns the issued identity and the initial direct-peer
-// list. A capacity-limited server returns ErrFull — seek another server.
+// list. A capacity-limited server returns errFull — seek another server.
 func (c *Client) Register(server, myAddr string) (wire.BPID, []PeerInfo, error) {
 	resp, err := c.call("register", server, reply(wire.KindLigloRegister, wire.Marshal(&registerReq{Addr: myAddr})), wire.KindLigloRegisterd)
 	if err != nil {
@@ -201,7 +201,7 @@ func (c *Client) Register(server, myAddr string) (wire.BPID, []PeerInfo, error) 
 // "the node has to seek for another LIGLO" behaviour when a server is at
 // capacity or down. A round where every server was unreachable is
 // retried with exponential backoff, bounded by retries; a round where
-// every server answered ErrFull is terminal (backing off will not free
+// every server answered errFull is terminal (backing off will not free
 // capacity a human did not). The client keeps servers as the fallback of
 // later lookups, rejoins and deregisters.
 func (c *Client) RegisterAny(servers []string, myAddr string) (wire.BPID, []PeerInfo, error) {
@@ -219,7 +219,7 @@ func (c *Client) RegisterAny(servers []string, myAddr string) (wire.BPID, []Peer
 			if err == nil {
 				return id, peers, nil
 			}
-			if !errors.Is(err, ErrFull) {
+			if !errors.Is(err, errFull) {
 				allFull = false
 			}
 			lastErr = err
@@ -228,14 +228,14 @@ func (c *Client) RegisterAny(servers []string, myAddr string) (wire.BPID, []Peer
 			return wire.BPID{}, nil, lastErr
 		}
 		if !c.sleep(backoffBase << round) {
-			return wire.BPID{}, nil, errors.Join(ErrClientClosed, lastErr)
+			return wire.BPID{}, nil, errors.Join(errClientClosed, lastErr)
 		}
 	}
 }
 
 // Rejoin reports the node's current address to its home server after a
 // reconnect, retrying transport failures with exponential backoff.
-// Protocol rejections (ErrUnknown, ErrWrongHome) are terminal.
+// Protocol rejections (errUnknown, errWrongHome) are terminal.
 func (c *Client) Rejoin(id wire.BPID, myAddr string) error {
 	return c.retry(func() error {
 		r := new(rejoinResp)
@@ -249,7 +249,7 @@ func (c *Client) Rejoin(id wire.BPID, myAddr string) error {
 // Deregister announces a graceful leave to the node's home server so the
 // member is marked offline immediately, without waiting for a probe sweep
 // to time out. Transport failures retry with exponential backoff; protocol
-// rejections (ErrUnknown, ErrWrongHome) are terminal. The BPID stays
+// rejections (errUnknown, errWrongHome) are terminal. The BPID stays
 // valid — Rejoin brings the member back under the same identity.
 func (c *Client) Deregister(id wire.BPID) error {
 	return c.retry(func() error {
@@ -266,11 +266,11 @@ func (c *Client) Deregister(id wire.BPID) error {
 func (c *Client) retry(once func() error) error {
 	for round := 0; ; round++ {
 		err := once()
-		if err == nil || errors.Is(err, ErrUnknown) || errors.Is(err, ErrWrongHome) || round >= retries {
+		if err == nil || errors.Is(err, errUnknown) || errors.Is(err, errWrongHome) || round >= retries {
 			return err
 		}
 		if !c.sleep(backoffBase << round) {
-			return errors.Join(ErrClientClosed, err)
+			return errors.Join(errClientClosed, err)
 		}
 	}
 }
@@ -286,7 +286,7 @@ func (c *Client) Lookup(id wire.BPID) (addr string, online bool, err error) {
 		return "", false, err
 	}
 	if !r.Found {
-		return "", false, fmt.Errorf("%w: %v", ErrUnknown, id)
+		return "", false, fmt.Errorf("%w: %v", errUnknown, id)
 	}
 	return r.Addr, r.Online, nil
 }

@@ -84,8 +84,8 @@ func TestDeregisterRejections(t *testing.T) {
 
 	bogus := id
 	bogus.Node = 999
-	if err := cli.Deregister(bogus); !errors.Is(err, ErrUnknown) {
-		t.Fatalf("unknown member: err = %v, want ErrUnknown", err)
+	if err := cli.Deregister(bogus); !errors.Is(err, errUnknown) {
+		t.Fatalf("unknown member: err = %v, want errUnknown", err)
 	}
 
 	// A request that reaches a server it is not homed at is rejected
@@ -98,8 +98,8 @@ func TestDeregisterRejections(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Err != ErrWrongHome.Error() {
-		t.Fatalf("foreign home: err = %q, want %q", r.Err, ErrWrongHome.Error())
+	if r.Err != errWrongHome.Error() {
+		t.Fatalf("foreign home: err = %q, want %q", r.Err, errWrongHome.Error())
 	}
 
 	// The real member is untouched by both rejections.

@@ -70,7 +70,7 @@ func TestCapacityRejection(t *testing.T) {
 	_, srv, cli := newPair(t, ServerConfig{Capacity: 2})
 	cli.Register(srv.Addr(), "a")
 	cli.Register(srv.Addr(), "b")
-	if _, _, err := cli.Register(srv.Addr(), "c"); !errors.Is(err, ErrFull) {
+	if _, _, err := cli.Register(srv.Addr(), "c"); !errors.Is(err, errFull) {
 		t.Fatalf("over-capacity register: %v", err)
 	}
 	if srv.rejected.Value() != 1 {
@@ -134,7 +134,7 @@ func TestRejoinUpdatesAddress(t *testing.T) {
 func TestRejoinUnknownMember(t *testing.T) {
 	_, srv, cli := newPair(t, ServerConfig{})
 	bad := wire.BPID{LIGLO: srv.Addr(), Node: 999}
-	if err := cli.Rejoin(bad, "x"); !errors.Is(err, ErrUnknown) {
+	if err := cli.Rejoin(bad, "x"); !errors.Is(err, errUnknown) {
 		t.Fatalf("rejoin unknown: %v", err)
 	}
 }
@@ -151,7 +151,7 @@ func TestWrongHomeRejected(t *testing.T) {
 	// A BPID issued by s1 presented to s2 (forced by rewriting LIGLO).
 	foreign := wire.BPID{LIGLO: s2.Addr(), Node: id.Node}
 	// s2 never issued node id; but LIGLO matches, so it is "unknown".
-	if _, _, err := cli.Lookup(foreign); !errors.Is(err, ErrUnknown) {
+	if _, _, err := cli.Lookup(foreign); !errors.Is(err, errUnknown) {
 		t.Fatalf("lookup foreign: %v", err)
 	}
 	// Present s1's BPID but dial s2 via a doctored identity: the
@@ -167,7 +167,7 @@ func TestWrongHomeRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	r, _ := unmarshal(resp.Body, new(lookupResp), "lookup reply")
-	if r.Err != ErrWrongHome.Error() {
+	if r.Err != errWrongHome.Error() {
 		t.Fatalf("wrong-home lookup err = %q", r.Err)
 	}
 }
@@ -200,7 +200,7 @@ func TestTwoServersIndependentNamespaces(t *testing.T) {
 
 func TestLookupUnknownNode(t *testing.T) {
 	_, srv, cli := newPair(t, ServerConfig{})
-	if _, _, err := cli.Lookup(wire.BPID{LIGLO: srv.Addr(), Node: 42}); !errors.Is(err, ErrUnknown) {
+	if _, _, err := cli.Lookup(wire.BPID{LIGLO: srv.Addr(), Node: 42}); !errors.Is(err, errUnknown) {
 		t.Fatalf("lookup unknown: %v", err)
 	}
 }
@@ -402,7 +402,7 @@ func TestNoExpiryByDefault(t *testing.T) {
 }
 
 // TestStandaloneFallbackIsNotAnAnswer: without a ring, a second server
-// from the RegisterAny list answers a rejoin with ErrWrongHome. That is a
+// from the RegisterAny list answers a rejoin with errWrongHome. That is a
 // miss, not an answer: the home's transport error stands and the client
 // retries the home, three rounds of two calls.
 func TestStandaloneFallbackIsNotAnAnswer(t *testing.T) {
@@ -423,7 +423,7 @@ func TestStandaloneFallbackIsNotAnAnswer(t *testing.T) {
 	}
 	home.Close()
 	err = cli.Rejoin(id, "n1")
-	if err == nil || errors.Is(err, ErrWrongHome) {
+	if err == nil || errors.Is(err, errWrongHome) {
 		t.Fatalf("rejoin with the home down = %v, want the home's transport error", err)
 	}
 	if got := cli.calls["rejoin"].Value(); got != 2*(retries+1) {

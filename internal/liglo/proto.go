@@ -18,18 +18,18 @@ import (
 
 // Protocol errors.
 var (
-	ErrBadRequest = errors.New("liglo: malformed request")
-	ErrFull       = errors.New("liglo: server at capacity, seek another LIGLO")
-	ErrUnknown    = errors.New("liglo: unknown member")
-	ErrWrongHome  = errors.New("liglo: BPID belongs to a different server")
+	errBadRequest = errors.New("liglo: malformed request")
+	errFull       = errors.New("liglo: server at capacity, seek another LIGLO")
+	errUnknown    = errors.New("liglo: unknown member")
+	errWrongHome  = errors.New("liglo: BPID belongs to a different server")
 )
 
 // unmarshal parses b into m; what names the payload in the error, which
-// wraps ErrBadRequest.
+// wraps errBadRequest.
 func unmarshal[M wire.Message](b []byte, m M, what string) (M, error) {
 	if err := wire.Unmarshal(b, m); err != nil {
 		var none M
-		return none, fmt.Errorf("%w: %s: %v", ErrBadRequest, what, err)
+		return none, fmt.Errorf("%w: %s: %v", errBadRequest, what, err)
 	}
 	return m, nil
 }

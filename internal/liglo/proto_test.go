@@ -16,7 +16,7 @@ func ringMessages() []wiretest.Case {
 			Version: ringRedirectVersion, Addr: "liglo-2", Key: 0xDEADBEEF}),
 		wiretest.Of("replicatemsg", ringReplicateVersion, &replicateMsg{
 			Version: ringReplicateVersion, From: "liglo-1",
-			Records: []RingRecord{
+			Records: []ringRecord{
 				{ID: wire.BPID{LIGLO: "liglo-1", Node: 1}, Addr: "n1:100", Online: true},
 				{ID: wire.BPID{LIGLO: "liglo-1", Node: 2}, Addr: "n2:100", Departed: true},
 			}}),
@@ -64,7 +64,7 @@ func TestHostileCounts(t *testing.T) {
 	wiretest.Hostile(t, messages(), func(b []byte, m wire.Message) error {
 		_, err := unmarshal(b, m, "hostile")
 		return err
-	}, ErrBadRequest)
+	}, errBadRequest)
 }
 
 func FuzzRingCodecs(f *testing.F) { wiretest.Fuzz(f, ringMessages()) }

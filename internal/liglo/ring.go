@@ -77,7 +77,7 @@ func (s *Server) startRing() error {
 func (s *Server) Ring() *chord.Node { return s.ring }
 
 // routeID decides who serves a request for id. Outside ring mode this
-// is the legacy rule: local members only, ErrWrongHome otherwise. In
+// is the legacy rule: local members only, errWrongHome otherwise. In
 // ring mode a foreign BPID hashes to a ring position; we serve it from
 // the replica table when we own that position and redirect to the owner
 // otherwise. Must be called without s.mu held — resolving the owner can
@@ -87,7 +87,7 @@ func (s *Server) routeID(id wire.BPID) (int, chord.NodeRef, chord.Key, error) {
 		return routeLocal, chord.NodeRef{}, 0, nil
 	}
 	if s.ring == nil {
-		return 0, chord.NodeRef{}, 0, ErrWrongHome
+		return 0, chord.NodeRef{}, 0, errWrongHome
 	}
 	key := chord.HashString(id.LIGLO)
 	if s.ring.Owns(key) {
@@ -118,7 +118,7 @@ func (s *Server) foreignRejoin(r *rejoinReq) *wire.Envelope {
 	defer s.mu.Unlock()
 	rec, ok := s.foreign[r.ID.String()]
 	if !ok {
-		return reply(wire.KindLigloStatus, wire.Marshal(&rejoinResp{Err: ErrUnknown.Error()}))
+		return reply(wire.KindLigloStatus, wire.Marshal(&rejoinResp{Err: errUnknown.Error()}))
 	}
 	rec.Addr = r.Addr
 	rec.Online = true
@@ -149,7 +149,7 @@ func (s *Server) foreignDeregister(r *deregisterReq) *wire.Envelope {
 	rec, ok := s.foreign[r.ID.String()]
 	if !ok {
 		s.mu.Unlock()
-		return reply(wire.KindLigloStatus, wire.Marshal(&deregisterResp{Err: ErrUnknown.Error()}))
+		return reply(wire.KindLigloStatus, wire.Marshal(&deregisterResp{Err: errUnknown.Error()}))
 	}
 	rec.Online = false
 	rec.Departed = true
@@ -179,12 +179,12 @@ func (s *Server) handleReplicate(m *replicateMsg) *wire.Envelope {
 // snapshotRecords collects everything this server can vouch for: its
 // own members plus the replicas it already holds, so replication chains
 // survive consecutive failures.
-func (s *Server) snapshotRecords() []RingRecord {
+func (s *Server) snapshotRecords() []ringRecord {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make([]RingRecord, 0, len(s.members)+len(s.foreign))
+	out := make([]ringRecord, 0, len(s.members)+len(s.foreign))
 	for node, m := range s.members {
-		out = append(out, RingRecord{
+		out = append(out, ringRecord{
 			ID:       wire.BPID{LIGLO: s.Addr(), Node: node},
 			Addr:     m.addr,
 			Online:   m.online,
@@ -232,7 +232,7 @@ func (s *Server) ReplicateNow() int {
 }
 
 // replicateTo ships one record batch to a successor.
-func (s *Server) replicateTo(addr string, records []RingRecord) error {
+func (s *Server) replicateTo(addr string, records []ringRecord) error {
 	req := reply(wire.KindRingReplicate, wire.Marshal(&replicateMsg{
 		Version: ringReplicateVersion, From: s.Addr(), Records: records,
 	}))
@@ -245,7 +245,7 @@ func (s *Server) replicateTo(addr string, records []RingRecord) error {
 		return err
 	}
 	if m.Err != "" {
-		return ErrBadRequest
+		return errBadRequest
 	}
 	return nil
 }

@@ -249,11 +249,11 @@ func TestClientRejoinAfterOwnerLeaves(t *testing.T) {
 		t.Fatal("deregistered member still online")
 	}
 
-	// An unknown BPID from the departed issuer is a clean ErrUnknown,
+	// An unknown BPID from the departed issuer is a clean errUnknown,
 	// not a transport error.
 	bogus := wire.BPID{LIGLO: servers[0].Addr(), Node: id.Node + 999}
-	if _, _, err := rc.Lookup(bogus); !errors.Is(err, ErrUnknown) {
-		t.Fatalf("bogus lookup err = %v, want ErrUnknown", err)
+	if _, _, err := rc.Lookup(bogus); !errors.Is(err, errUnknown) {
+		t.Fatalf("bogus lookup err = %v, want errUnknown", err)
 	}
 }
 

@@ -27,9 +27,9 @@ func (m *redirectMsg) Fields(f *wire.Fields) {
 	f.Uvarint(&m.Key)
 }
 
-// RingRecord is one replicated member entry: the full resolution state a
+// ringRecord is one replicated member entry: the full resolution state a
 // successor needs to serve lookups for a BPID when its issuer is gone.
-type RingRecord struct {
+type ringRecord struct {
 	ID       wire.BPID
 	Addr     string
 	Online   bool
@@ -37,7 +37,7 @@ type RingRecord struct {
 }
 
 // Fields describes a record as it travels inside a replication batch.
-func (r *RingRecord) Fields(f *wire.Fields) {
+func (r *ringRecord) Fields(f *wire.Fields) {
 	f.BPID(&r.ID)
 	f.String(&r.Addr)
 	f.Bool(&r.Online)
@@ -50,13 +50,13 @@ func (r *RingRecord) Fields(f *wire.Fields) {
 type replicateMsg struct {
 	Version uint64
 	From    string // sending server
-	Records []RingRecord
+	Records []ringRecord
 }
 
 func (m *replicateMsg) Fields(f *wire.Fields) {
 	f.Version(&m.Version, ringReplicateVersion)
 	f.String(&m.From)
-	wire.List(f, &m.Records, maxRingRecords, (*RingRecord).Fields)
+	wire.List(f, &m.Records, maxRingRecords, (*ringRecord).Fields)
 }
 
 // replicateOK (KindRingReplicateOK) acknowledges a replication batch.

@@ -15,7 +15,7 @@ import (
 // ServerConfig tunes a LIGLO server.
 type ServerConfig struct {
 	// Capacity caps the number of members; further registrations are
-	// rejected with ErrFull so the node seeks another server. Zero means
+	// rejected with errFull so the node seeks another server. Zero means
 	// unlimited.
 	Capacity int
 	// InitialPeers is how many (BPID, addr) pairs a fresh registrant
@@ -61,7 +61,7 @@ type Server struct {
 	// foreign holds replicated records for BPIDs issued by other ring
 	// servers, keyed by BPID string. Served when this server owns the
 	// issuer's ring key.
-	foreign map[string]RingRecord
+	foreign map[string]ringRecord
 	closed  bool
 
 	// Ring mode (nil / zero outside it).
@@ -121,7 +121,7 @@ func NewServer(network transport.Network, addr string, cfg ServerConfig) (*Serve
 		listener:  l,
 		cfg:       cfg,
 		members:   make(map[uint64]*member),
-		foreign:   make(map[string]RingRecord),
+		foreign:   make(map[string]ringRecord),
 		metrics:   reg,
 		stopProbe: make(chan struct{}),
 		registers: reg.Counter("bestpeer_liglo_registers_total",
@@ -270,7 +270,7 @@ func (s *Server) handleRegister(r *registerReq) *wire.Envelope {
 
 	if s.cfg.Capacity > 0 && len(s.members) >= s.cfg.Capacity {
 		s.rejected.Inc()
-		return reply(wire.KindLigloRegisterd, wire.Marshal(&registerResp{Err: ErrFull.Error()}))
+		return reply(wire.KindLigloRegisterd, wire.Marshal(&registerResp{Err: errFull.Error()}))
 	}
 	s.nextID++
 	m := &member{node: s.nextID, addr: r.Addr, online: true, lastSeen: time.Now()}
@@ -348,7 +348,7 @@ func (s *Server) handleRejoin(r *rejoinReq) *wire.Envelope {
 	defer s.mu.Unlock()
 	m, ok := s.members[r.ID.Node]
 	if !ok {
-		return reply(wire.KindLigloStatus, wire.Marshal(&rejoinResp{Err: ErrUnknown.Error()}))
+		return reply(wire.KindLigloStatus, wire.Marshal(&rejoinResp{Err: errUnknown.Error()}))
 	}
 	cameBack := !m.online
 	m.addr = r.Addr
@@ -383,7 +383,7 @@ func (s *Server) handleDeregister(r *deregisterReq) *wire.Envelope {
 	m, ok := s.members[r.ID.Node]
 	if !ok {
 		s.mu.Unlock()
-		return reply(wire.KindLigloStatus, wire.Marshal(&deregisterResp{Err: ErrUnknown.Error()}))
+		return reply(wire.KindLigloStatus, wire.Marshal(&deregisterResp{Err: errUnknown.Error()}))
 	}
 	wasOnline := m.online
 	m.online = false

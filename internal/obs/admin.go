@@ -24,7 +24,7 @@ type AdminConfig struct {
 	Cache    func() any // payload for /cache (qroute stats); nil serves 404
 }
 
-// NewAdminMux builds the admin HTTP handler:
+// newAdminMux builds the admin HTTP handler:
 //
 //	/metrics       Prometheus text exposition
 //	/metrics.json  JSON snapshot of every metric family
@@ -34,7 +34,7 @@ type AdminConfig struct {
 //	/events        event journal page (?since=<cursor>&max=<n>)
 //	/queries/      recent query traces (ids); /queries/<id> is one trace
 //	/debug/pprof/  the standard runtime profiles
-func NewAdminMux(cfg AdminConfig) *http.ServeMux {
+func newAdminMux(cfg AdminConfig) *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
@@ -162,7 +162,7 @@ func StartAdmin(addr string, cfg AdminConfig) (*AdminServer, error) {
 	if err != nil {
 		return nil, fmt.Errorf("obs: admin listen: %w", err)
 	}
-	srv := &http.Server{Handler: NewAdminMux(cfg)}
+	srv := &http.Server{Handler: newAdminMux(cfg)}
 	go func() {
 		defer func() { recover() }() // a crashed admin endpoint must not take the node down
 		_ = srv.Serve(ln)            // returns ErrServerClosed on Close; nothing to report

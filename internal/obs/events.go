@@ -167,8 +167,8 @@ type Event struct {
 	Threshold float64 `json:"threshold,omitempty"`
 }
 
-// DefaultJournalCapacity is the ring size when NewJournal gets zero.
-const DefaultJournalCapacity = 1024
+// defaultJournalCapacity is the ring size when NewJournal gets zero.
+const defaultJournalCapacity = 1024
 
 // Journal is a fixed-capacity ring buffer of events with a monotonically
 // increasing sequence cursor. When the ring wraps, the oldest events are
@@ -186,10 +186,10 @@ type Journal struct {
 }
 
 // NewJournal creates a journal whose events are stamped with the node
-// name. capacity ≤ 0 selects DefaultJournalCapacity.
+// name. capacity ≤ 0 selects defaultJournalCapacity.
 func NewJournal(node string, capacity int) *Journal {
 	if capacity <= 0 {
-		capacity = DefaultJournalCapacity
+		capacity = defaultJournalCapacity
 	}
 	return &Journal{node: node, buf: make([]Event, capacity)}
 }

@@ -150,12 +150,11 @@ type metric struct {
 
 // family groups every instance of one metric name.
 type family struct {
-	name    string
-	help    string
-	typ     metricType
-	buckets []float64
-	byKey   map[string]*metric
-	order   []string
+	name  string
+	help  string
+	typ   metricType
+	byKey map[string]*metric
+	order []string
 }
 
 // Registry holds metric families. The zero value is not usable; use
@@ -193,8 +192,7 @@ func (r *Registry) getOrCreate(name, help string, typ metricType, buckets []floa
 	defer r.mu.Unlock()
 	f, ok := r.families[name]
 	if !ok {
-		f = &family{name: name, help: help, typ: typ, buckets: buckets,
-			byKey: make(map[string]*metric)}
+		f = &family{name: name, help: help, typ: typ, byKey: make(map[string]*metric)}
 		r.families[name] = f
 		r.order = append(r.order, name)
 	}

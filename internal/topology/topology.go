@@ -25,8 +25,8 @@ type Topology struct {
 // Peers returns node i's direct peers. The slice must not be mutated.
 func (t *Topology) Peers(i int) []int { return t.adj[i] }
 
-// Edges returns the total number of undirected edges.
-func (t *Topology) Edges() int {
+// edgeCount returns the total number of undirected edges.
+func (t *Topology) edgeCount() int {
 	total := 0
 	for _, p := range t.adj {
 		total += len(p)
@@ -143,7 +143,7 @@ func Random(n, degree int, seed int64) *Topology {
 		return false
 	}
 	wantEdges := n * degree / 2
-	for tries := 0; t.Edges() < wantEdges && tries < n*degree*10; tries++ {
+	for tries := 0; t.edgeCount() < wantEdges && tries < n*degree*10; tries++ {
 		a, b := rng.Intn(n), rng.Intn(n)
 		if a == b || has(a, b) {
 			continue

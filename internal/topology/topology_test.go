@@ -18,8 +18,8 @@ func TestStarShape(t *testing.T) {
 			t.Fatalf("leaf %d peers = %v", i, s.Peers(i))
 		}
 	}
-	if depth(s) != 1 || s.Edges() != 7 || !connected(s) {
-		t.Fatalf("depth=%d edges=%d", depth(s), s.Edges())
+	if depth(s) != 1 || s.edgeCount() != 7 || !connected(s) {
+		t.Fatalf("depth=%d edges=%d", depth(s), s.edgeCount())
 	}
 }
 
@@ -33,8 +33,8 @@ func TestLineShape(t *testing.T) {
 			t.Fatalf("inner node %d degree = %d", i, len(l.Peers(i)))
 		}
 	}
-	if depth(l) != 4 || l.Edges() != 4 {
-		t.Fatalf("depth=%d edges=%d", depth(l), l.Edges())
+	if depth(l) != 4 || l.edgeCount() != 4 {
+		t.Fatalf("depth=%d edges=%d", depth(l), l.edgeCount())
 	}
 }
 
@@ -92,7 +92,7 @@ func TestRandomConnectedAndDeterministic(t *testing.T) {
 	if !connected(a) {
 		t.Fatal("random graph disconnected")
 	}
-	if a.Edges() != b.Edges() {
+	if a.edgeCount() != b.edgeCount() {
 		t.Fatal("random graph not deterministic")
 	}
 	for i := 0; i < a.N; i++ {
@@ -107,7 +107,7 @@ func TestRandomConnectedAndDeterministic(t *testing.T) {
 		}
 	}
 	c := Random(40, 4, 8)
-	if c.Edges() == a.Edges() && sameAdj(a, c) {
+	if c.edgeCount() == a.edgeCount() && sameAdj(a, c) {
 		t.Fatal("different seeds produced identical graphs")
 	}
 }
@@ -158,7 +158,7 @@ func TestTopologyProperties(t *testing.T) {
 			for i := 0; i < tp.N; i++ {
 				sum += len(tp.Peers(i))
 			}
-			if sum != 2*tp.Edges() {
+			if sum != 2*tp.edgeCount() {
 				return false
 			}
 		}

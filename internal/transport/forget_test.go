@@ -136,7 +136,7 @@ func TestOnSuspectRecoveryTransition(t *testing.T) {
 	}
 
 	// The peer comes up; keep sending (sends during backoff are dropped
-	// with ErrPeerSuspect) until one gets through and clears the mark.
+	// with errPeerSuspect) until one gets through and clears the mark.
 	c := newCollector()
 	recv, err := NewMessenger(nw, "rt-late", c.handle)
 	if err != nil {
@@ -146,7 +146,7 @@ func TestOnSuspectRecoveryTransition(t *testing.T) {
 	deadline := time.Now().Add(5 * time.Second)
 	recovered := false
 	for !recovered && time.Now().Before(deadline) {
-		_ = snd.Send("rt-late", env(wire.KindAgent, "retry")) // ErrPeerSuspect during backoff is expected
+		_ = snd.Send("rt-late", env(wire.KindAgent, "retry")) // errPeerSuspect during backoff is expected
 		select {
 		case s := <-transitions:
 			if s {

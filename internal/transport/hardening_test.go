@@ -60,7 +60,7 @@ func (h *hangNet) Dial(addr string) (net.Conn, error) {
 
 // TestSendNeverBlocksOnHungDial is the contract the query fan-out relies
 // on: Send returns immediately even while the destination's dial hangs,
-// overflow is reported as ErrQueueFull, and the caller never waits out
+// overflow is reported as errQueueFull, and the caller never waits out
 // the dial timeout.
 func TestSendNeverBlocksOnHungDial(t *testing.T) {
 	nw := newHangNet(NewInProc())
@@ -77,7 +77,7 @@ func TestSendNeverBlocksOnHungDial(t *testing.T) {
 	var full int
 	for i := 0; i < 20; i++ {
 		err := m.Send("tarpit", env(wire.KindAgent, "m"))
-		if errors.Is(err, ErrQueueFull) {
+		if errors.Is(err, errQueueFull) {
 			full++
 		} else if err != nil {
 			t.Fatalf("send %d: %v", i, err)
@@ -88,7 +88,7 @@ func TestSendNeverBlocksOnHungDial(t *testing.T) {
 		t.Fatalf("20 sends took %v with a hung dial; Send must not block", elapsed)
 	}
 	if full == 0 {
-		t.Fatal("queue of 4 absorbed 20 sends without ErrQueueFull")
+		t.Fatal("queue of 4 absorbed 20 sends without errQueueFull")
 	}
 	if m.Stats().Dropped == 0 {
 		t.Fatal("overflowed sends not counted as dropped")
@@ -114,7 +114,7 @@ func TestSuspectBackoffAndRecovery(t *testing.T) {
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		err := m.Send("flaky", env(wire.KindAgent, "m"))
-		if errors.Is(err, ErrPeerSuspect) {
+		if errors.Is(err, errPeerSuspect) {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -123,7 +123,7 @@ func TestSuspectBackoffAndRecovery(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 	if !suspect(m, "flaky") {
-		t.Fatal("Suspect() disagrees with ErrPeerSuspect from Send")
+		t.Fatal("Suspect() disagrees with errPeerSuspect from Send")
 	}
 
 	// Bring the peer up; once the backoff window lapses the next send
@@ -187,7 +187,7 @@ func TestHandlerPanicContained(t *testing.T) {
 
 // TestSendDuringClose hammers Send from many goroutines while Close
 // runs. The race detector guards the internals; the assertions guard
-// the contract that post-close sends fail with ErrMessengerClosed.
+// the contract that post-close sends fail with errMessengerClosed.
 func TestSendDuringClose(t *testing.T) {
 	nw := NewInProc()
 	c := newCollector()
@@ -226,7 +226,7 @@ func TestSendDuringClose(t *testing.T) {
 	close(stop)
 	wg.Wait()
 
-	if err := m.Send("recv", env(wire.KindAgent, "late")); !errors.Is(err, ErrMessengerClosed) {
-		t.Fatalf("send after close = %v, want ErrMessengerClosed", err)
+	if err := m.Send("recv", env(wire.KindAgent, "late")); !errors.Is(err, errMessengerClosed) {
+		t.Fatalf("send after close = %v, want errMessengerClosed", err)
 	}
 }

@@ -13,14 +13,14 @@ import (
 
 // Messenger errors.
 var (
-	// ErrMessengerClosed reports use after Close.
-	ErrMessengerClosed = errors.New("transport: messenger closed")
-	// ErrQueueFull reports that a destination's bounded send queue is
+	// errMessengerClosed reports use after Close.
+	errMessengerClosed = errors.New("transport: messenger closed")
+	// errQueueFull reports that a destination's bounded send queue is
 	// full; the message was dropped rather than blocking the caller.
-	ErrQueueFull = errors.New("transport: send queue full")
-	// ErrPeerSuspect reports that the destination has failed repeatedly
+	errQueueFull = errors.New("transport: send queue full")
+	// errPeerSuspect reports that the destination has failed repeatedly
 	// and is being skipped until its backoff expires.
-	ErrPeerSuspect = errors.New("transport: peer suspect, backing off")
+	errPeerSuspect = errors.New("transport: peer suspect, backing off")
 )
 
 // writeTimeout bounds one envelope write on an established connection
@@ -35,7 +35,7 @@ const (
 // the defaults noted on each field.
 type Options struct {
 	// QueueSize bounds each destination's send queue. A full queue makes
-	// Send return ErrQueueFull instead of blocking. Default 128.
+	// Send return errQueueFull instead of blocking. Default 128.
 	QueueSize int
 	// FailThreshold is how many consecutive delivery failures mark a
 	// destination suspect. Default 3.
@@ -86,7 +86,7 @@ func (o Options) withDefaults() Options {
 // per-destination queue drained by a dedicated worker, so a slow or
 // unreachable peer can never block the caller. Per-destination ordering
 // is preserved. A destination that fails FailThreshold times in a row is
-// marked suspect and skipped (Send returns ErrPeerSuspect) until an
+// marked suspect and skipped (Send returns errPeerSuspect) until an
 // exponential backoff expires; one successful delivery clears it.
 type Messenger struct {
 	network  Network
@@ -329,15 +329,15 @@ func (m *Messenger) invokeHandler(env *wire.Envelope) {
 }
 
 // Send enqueues env for asynchronous delivery to the endpoint at to.
-// It never blocks: a full queue returns ErrQueueFull and a destination
-// in failure backoff returns ErrPeerSuspect. A nil return means the
+// It never blocks: a full queue returns errQueueFull and a destination
+// in failure backoff returns errPeerSuspect. A nil return means the
 // envelope was accepted for delivery, not that it arrived — transport is
 // best-effort, exactly like the lossy networks the paper assumes.
 func (m *Messenger) Send(to string, env *wire.Envelope) error {
 	m.mu.Lock()
 	if m.closed {
 		m.mu.Unlock()
-		return ErrMessengerClosed
+		return errMessengerClosed
 	}
 	q, ok := m.outs[to]
 	if !ok {
@@ -351,7 +351,7 @@ func (m *Messenger) Send(to string, env *wire.Envelope) error {
 	if until, suspect := q.suspended(); suspect {
 		m.droppedSuspect.Inc()
 		m.opts.Journal.Append(obs.Event{Kind: obs.EvMessageDropped, Peer: to, Reason: "suspect"})
-		return fmt.Errorf("%w: %s for another %v", ErrPeerSuspect, to, time.Until(until).Round(time.Millisecond))
+		return fmt.Errorf("%w: %s for another %v", errPeerSuspect, to, time.Until(until).Round(time.Millisecond))
 	}
 	select {
 	case q.ch <- env:
@@ -359,7 +359,7 @@ func (m *Messenger) Send(to string, env *wire.Envelope) error {
 	default:
 		m.droppedQueue.Inc()
 		m.opts.Journal.Append(obs.Event{Kind: obs.EvMessageDropped, Peer: to, Reason: "queue-full"})
-		return fmt.Errorf("%w: %s", ErrQueueFull, to)
+		return fmt.Errorf("%w: %s", errQueueFull, to)
 	}
 }
 

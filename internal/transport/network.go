@@ -42,13 +42,13 @@ func (TCP) Dial(addr string) (net.Conn, error) {
 	return net.Dial("tcp", addr)
 }
 
-// DeadlineDialer is implemented by networks that support bounded dials
+// deadlineDialer is implemented by networks that support bounded dials
 // natively; DialTimeout uses it when available.
-type DeadlineDialer interface {
+type deadlineDialer interface {
 	DialDeadline(addr string, timeout time.Duration) (net.Conn, error)
 }
 
-// DialDeadline implements DeadlineDialer using the kernel's own timeout.
+// DialDeadline implements deadlineDialer using the kernel's own timeout.
 func (TCP) DialDeadline(addr string, timeout time.Duration) (net.Conn, error) {
 	return net.DialTimeout("tcp", addr, timeout)
 }
@@ -62,7 +62,7 @@ func DialTimeout(nw Network, addr string, timeout time.Duration) (net.Conn, erro
 	if timeout <= 0 {
 		return nw.Dial(addr)
 	}
-	if d, ok := nw.(DeadlineDialer); ok {
+	if d, ok := nw.(deadlineDialer); ok {
 		return d.DialDeadline(addr, timeout)
 	}
 	type result struct {

@@ -180,7 +180,7 @@ func TestMessengerDialFailure(t *testing.T) {
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		err := m.Send("ghost", env(wire.KindAgent, "x"))
-		if errors.Is(err, ErrPeerSuspect) {
+		if errors.Is(err, errPeerSuspect) {
 			break
 		}
 		if err != nil {
@@ -325,7 +325,7 @@ func TestMessengerClosedSendFails(t *testing.T) {
 	if err := m.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Send("x", env(wire.KindAgent, "late")); err != ErrMessengerClosed {
+	if err := m.Send("x", env(wire.KindAgent, "late")); err != errMessengerClosed {
 		t.Fatalf("send after close: %v", err)
 	}
 	if err := m.Close(); err != nil {

@@ -76,7 +76,7 @@ func TestConnEnvelopesShareNoMemory(t *testing.T) {
 		if i%8 == 7 {
 			e.Body = bytes.Repeat([]byte("compressible "), 100)
 		}
-		if err := WriteEnvelope(&stream, e); err != nil {
+		if err := writeEnvelope(&stream, e); err != nil {
 			t.Fatal(err)
 		}
 		sent = append(sent, e)
@@ -116,12 +116,12 @@ func TestReadEnvelopeZeroLength(t *testing.T) {
 		frame []byte
 		want  error
 	}{
-		{"zero length prefix", []byte{0, 0, 0, 0, 0}, ErrBadFrame},
-		{"zero length prefix, gzip flag", []byte{0, 0, 0, 0, flagGzip}, ErrBadFrame},
-		{"length beyond the maximum", []byte{0xFF, 0xFF, 0xFF, 0xFF, 0}, ErrFrameTooLarge},
+		{"zero length prefix", []byte{0, 0, 0, 0, 0}, errBadFrame},
+		{"zero length prefix, gzip flag", []byte{0, 0, 0, 0, flagGzip}, errBadFrame},
+		{"length beyond the maximum", []byte{0xFF, 0xFF, 0xFF, 0xFF, 0}, errFrameTooLarge},
 	} {
-		if _, err := ReadEnvelope(bytes.NewReader(tc.frame)); !errors.Is(err, tc.want) {
-			t.Errorf("ReadEnvelope(%s): %v, want %v", tc.name, err, tc.want)
+		if _, err := readEnvelope(bytes.NewReader(tc.frame)); !errors.Is(err, tc.want) {
+			t.Errorf("readEnvelope(%s): %v, want %v", tc.name, err, tc.want)
 		}
 		if _, err := DecodeEnvelope(tc.frame); !errors.Is(err, tc.want) {
 			t.Errorf("DecodeEnvelope(%s): %v, want %v", tc.name, err, tc.want)

@@ -7,8 +7,8 @@ import (
 	"slices"
 )
 
-// ErrTruncated is returned when a reader runs out of input mid-field.
-var ErrTruncated = errors.New("wire: truncated payload")
+// errTruncated is returned when a reader runs out of input mid-field.
+var errTruncated = errors.New("wire: truncated payload")
 
 // maxFieldLen bounds variable-length fields inside payloads so a corrupt
 // length prefix cannot trigger a giant allocation.
@@ -61,8 +61,8 @@ func (e *Encoder) Bytes2(b []byte) {
 	e.buf = append(e.buf, b...)
 }
 
-// MsgID appends a fixed-width message identifier.
-func (e *Encoder) MsgID(id MsgID) { e.buf = append(e.buf, id[:]...) }
+// msgID appends a fixed-width message identifier.
+func (e *Encoder) msgID(id MsgID) { e.buf = append(e.buf, id[:]...) }
 
 // BPID appends a BestPeer identity.
 func (e *Encoder) BPID(b BPID) {
@@ -101,7 +101,7 @@ func (d *Decoder) Finish() error {
 
 func (d *Decoder) fail() {
 	if d.err == nil {
-		d.err = ErrTruncated
+		d.err = errTruncated
 	}
 }
 
@@ -173,8 +173,8 @@ func (d *Decoder) BytesView() []byte {
 	return d.buf[d.pos-int(n) : d.pos : d.pos]
 }
 
-// MsgID reads a fixed-width message identifier.
-func (d *Decoder) MsgID() MsgID {
+// msgID reads a fixed-width message identifier.
+func (d *Decoder) msgID() MsgID {
 	var id MsgID
 	if d.err != nil || len(d.buf)-d.pos < len(id) {
 		d.fail()

@@ -18,7 +18,7 @@ func TestEncoderDecoderAllFields(t *testing.T) {
 	e.Bool(false)
 	e.String("keyword")
 	e.Bytes2([]byte{1, 2, 3})
-	e.MsgID(id)
+	e.msgID(id)
 	e.BPID(bp)
 
 	d := NewDecoder(e.Bytes())
@@ -40,7 +40,7 @@ func TestEncoderDecoderAllFields(t *testing.T) {
 	if b := d.Bytes2(); len(b) != 3 || b[0] != 1 || b[2] != 3 {
 		t.Fatalf("Bytes2 = %v", b)
 	}
-	if got := d.MsgID(); got != id {
+	if got := d.msgID(); got != id {
 		t.Fatal("MsgID mismatch")
 	}
 	if got := d.BPID(); got != bp {
@@ -78,7 +78,7 @@ func TestDecoderErrorSticks(t *testing.T) {
 	if d.Uvarint() != 0 || d.String() != "" || d.Bytes2() != nil {
 		t.Fatal("post-error reads should return zero values")
 	}
-	if d.MsgID() != (MsgID{}) {
+	if d.msgID() != (MsgID{}) {
 		t.Fatal("post-error MsgID should be zero")
 	}
 	if err := d.Finish(); err == nil {

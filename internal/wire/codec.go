@@ -15,8 +15,8 @@ import (
 
 // Codec errors.
 var (
-	ErrFrameTooLarge = errors.New("wire: frame exceeds maximum size")
-	ErrBadFrame      = errors.New("wire: malformed frame")
+	errFrameTooLarge = errors.New("wire: frame exceeds maximum size")
+	errBadFrame      = errors.New("wire: malformed frame")
 )
 
 // MaxFrameSize bounds a single encoded envelope. Agents carrying class
@@ -70,13 +70,13 @@ var gzipEncoders = sync.Pool{New: func() any {
 // allocated.
 func EncodeEnvelope(e *Envelope) ([]byte, error) {
 	if !e.Kind.Valid() {
-		return nil, fmt.Errorf("%w: invalid kind %d", ErrBadFrame, e.Kind)
+		return nil, fmt.Errorf("%w: invalid kind %d", errBadFrame, e.Kind)
 	}
 	// Each extension is encoded once: the emitted bytes are what is
 	// length-checked.
 	trace, span, qroute := e.extPayloads()
 	if max(len(trace), len(span), len(qroute)) > math.MaxUint16 {
-		return nil, fmt.Errorf("%w: extension too large", ErrBadFrame)
+		return nil, fmt.Errorf("%w: extension too large", errBadFrame)
 	}
 	size := e.wireSize(trace, span, qroute)
 	// The body is laid out behind the reserved header, so a frame that
@@ -103,7 +103,7 @@ func EncodeEnvelope(e *Envelope) ([]byte, error) {
 		}
 	}
 	if len(frame)-4 > MaxFrameSize {
-		return nil, ErrFrameTooLarge
+		return nil, errFrameTooLarge
 	}
 	binary.BigEndian.PutUint32(frame[0:4], uint32(len(frame)-4))
 	frame[4] = flags
@@ -184,23 +184,23 @@ func appendExt(buf []byte, tag uint8, payload []byte) []byte {
 // envelope's Body is a capacity-clipped view of raw, not a copy.
 func decodeBody(raw []byte) (*Envelope, error) {
 	if len(raw) < 3+16+2 {
-		return nil, ErrBadFrame
+		return nil, errBadFrame
 	}
 	e := &Envelope{Kind: Kind(raw[0]), TTL: raw[1], Hops: raw[2]}
 	if !e.Kind.Valid() {
-		return nil, fmt.Errorf("%w: unknown kind %d", ErrBadFrame, raw[0])
+		return nil, fmt.Errorf("%w: unknown kind %d", errBadFrame, raw[0])
 	}
 	copy(e.ID[:], raw[3:19])
 	p := 19
 
 	readStr := func() (string, error) {
 		if len(raw)-p < 2 {
-			return "", ErrBadFrame
+			return "", errBadFrame
 		}
 		n := int(binary.BigEndian.Uint16(raw[p:]))
 		p += 2
 		if len(raw)-p < n {
-			return "", ErrBadFrame
+			return "", errBadFrame
 		}
 		s := string(raw[p : p+n])
 		p += n
@@ -214,12 +214,12 @@ func decodeBody(raw []byte) (*Envelope, error) {
 		return nil, err
 	}
 	if len(raw)-p < 4 {
-		return nil, ErrBadFrame
+		return nil, errBadFrame
 	}
 	bn := int(binary.BigEndian.Uint32(raw[p:]))
 	p += 4
 	if len(raw)-p < bn {
-		return nil, fmt.Errorf("%w: body length %d, have %d", ErrBadFrame, bn, len(raw)-p)
+		return nil, fmt.Errorf("%w: body length %d, have %d", errBadFrame, bn, len(raw)-p)
 	}
 	if bn > 0 {
 		e.Body = raw[p : p+bn : p+bn]
@@ -229,13 +229,13 @@ func decodeBody(raw []byte) (*Envelope, error) {
 	// skipped so older encoders' frames and future fields both parse.
 	for p < len(raw) {
 		if len(raw)-p < extHeaderSize {
-			return nil, fmt.Errorf("%w: truncated extension header", ErrBadFrame)
+			return nil, fmt.Errorf("%w: truncated extension header", errBadFrame)
 		}
 		tag := raw[p]
 		en := int(binary.BigEndian.Uint16(raw[p+1:]))
 		p += extHeaderSize
 		if len(raw)-p < en {
-			return nil, fmt.Errorf("%w: extension %d truncated", ErrBadFrame, tag)
+			return nil, fmt.Errorf("%w: extension %d truncated", errBadFrame, tag)
 		}
 		payload := raw[p : p+en]
 		p += en
@@ -258,7 +258,7 @@ func decodeBody(raw []byte) (*Envelope, error) {
 			continue // unknown extension: tolerated and dropped
 		}
 		if err := f.finish(); err != nil {
-			return nil, fmt.Errorf("%w: extension %d: %v", ErrBadFrame, tag, err)
+			return nil, fmt.Errorf("%w: extension %d: %v", errBadFrame, tag, err)
 		}
 	}
 	return e, nil
@@ -270,14 +270,14 @@ func decodeBody(raw []byte) (*Envelope, error) {
 // caller must not write to or reuse frame while the envelope is in use.
 func DecodeEnvelope(frame []byte) (*Envelope, error) {
 	if len(frame) < 5 {
-		return nil, ErrBadFrame
+		return nil, errBadFrame
 	}
 	n := binary.BigEndian.Uint32(frame[0:4])
 	if n > MaxFrameSize {
-		return nil, ErrFrameTooLarge
+		return nil, errFrameTooLarge
 	}
 	if int(n) != len(frame)-4 {
-		return nil, fmt.Errorf("%w: declared %d bytes, have %d", ErrBadFrame, n, len(frame)-4)
+		return nil, fmt.Errorf("%w: declared %d bytes, have %d", errBadFrame, n, len(frame)-4)
 	}
 	return decodeFlagged(frame[4], frame[5:])
 }
@@ -337,7 +337,7 @@ func inflate(payload []byte) ([]byte, error) {
 		n, err := z.zr.Read(raw[len(raw):min(cap(raw), MaxFrameSize+1)])
 		raw = raw[:len(raw)+n]
 		if len(raw) > MaxFrameSize {
-			return nil, ErrFrameTooLarge
+			return nil, errFrameTooLarge
 		}
 		if err == io.EOF {
 			break
@@ -358,8 +358,8 @@ func FrameCompressed(frame []byte) bool {
 	return len(frame) >= frameHeaderSize && frame[4]&flagGzip != 0
 }
 
-// WriteEnvelope encodes the envelope and writes the frame to w.
-func WriteEnvelope(w io.Writer, e *Envelope) error {
+// writeEnvelope encodes the envelope and writes the frame to w.
+func writeEnvelope(w io.Writer, e *Envelope) error {
 	frame, err := EncodeEnvelope(e)
 	if err != nil {
 		return err
@@ -368,19 +368,19 @@ func WriteEnvelope(w io.Writer, e *Envelope) error {
 	return err
 }
 
-// ReadEnvelope reads one frame from r and decodes it. It blocks until a
+// readEnvelope reads one frame from r and decodes it. It blocks until a
 // full frame is available or the stream ends.
-func ReadEnvelope(r io.Reader) (*Envelope, error) {
+func readEnvelope(r io.Reader) (*Envelope, error) {
 	var hdr [5]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, err
 	}
 	n := binary.BigEndian.Uint32(hdr[0:4])
 	if n == 0 {
-		return nil, ErrBadFrame // the length counts the flags byte just read
+		return nil, errBadFrame // the length counts the flags byte just read
 	}
 	if n > MaxFrameSize {
-		return nil, ErrFrameTooLarge
+		return nil, errFrameTooLarge
 	}
 	// payload is this envelope's alone: its Body is a view of it.
 	payload := make([]byte, n-1)
@@ -392,23 +392,22 @@ func ReadEnvelope(r io.Reader) (*Envelope, error) {
 
 // Conn wraps a bidirectional byte stream with buffered envelope I/O.
 type Conn struct {
-	rw io.ReadWriter
 	br *bufio.Reader
 	bw *bufio.Writer
 }
 
 // NewConn wraps rw for envelope exchange.
 func NewConn(rw io.ReadWriter) *Conn {
-	return &Conn{rw: rw, br: bufio.NewReader(rw), bw: bufio.NewWriter(rw)}
+	return &Conn{br: bufio.NewReader(rw), bw: bufio.NewWriter(rw)}
 }
 
 // Send encodes, writes and flushes one envelope.
 func (c *Conn) Send(e *Envelope) error {
-	if err := WriteEnvelope(c.bw, e); err != nil {
+	if err := writeEnvelope(c.bw, e); err != nil {
 		return err
 	}
 	return c.bw.Flush()
 }
 
 // Recv reads the next envelope.
-func (c *Conn) Recv() (*Envelope, error) { return ReadEnvelope(c.br) }
+func (c *Conn) Recv() (*Envelope, error) { return readEnvelope(c.br) }

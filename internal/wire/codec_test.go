@@ -65,7 +65,7 @@ func TestEncodeDecodeEmptyBody(t *testing.T) {
 }
 
 func TestEncodeRejectsInvalidKind(t *testing.T) {
-	if _, err := EncodeEnvelope(&Envelope{Kind: KindInvalid}); err == nil {
+	if _, err := EncodeEnvelope(&Envelope{Kind: kindInvalid}); err == nil {
 		t.Fatal("expected error for invalid kind")
 	}
 	if _, err := EncodeEnvelope(&Envelope{Kind: kindSentinel}); err == nil {
@@ -143,8 +143,8 @@ func TestDecodeRejectsTruncatedFrames(t *testing.T) {
 func TestDecodeRejectsOversizeDeclaredLength(t *testing.T) {
 	frame := make([]byte, 16)
 	binary.BigEndian.PutUint32(frame, MaxFrameSize+1)
-	if _, err := DecodeEnvelope(frame); !errors.Is(err, ErrFrameTooLarge) {
-		t.Fatalf("want ErrFrameTooLarge, got %v", err)
+	if _, err := DecodeEnvelope(frame); !errors.Is(err, errFrameTooLarge) {
+		t.Fatalf("want errFrameTooLarge, got %v", err)
 	}
 }
 
@@ -166,12 +166,12 @@ func TestReadWriteStream(t *testing.T) {
 		{Kind: KindLigloRegister, ID: NewMsgID(), TTL: 1},
 	}
 	for _, e := range want {
-		if err := WriteEnvelope(&buf, e); err != nil {
+		if err := writeEnvelope(&buf, e); err != nil {
 			t.Fatalf("write: %v", err)
 		}
 	}
 	for i, w := range want {
-		got, err := ReadEnvelope(&buf)
+		got, err := readEnvelope(&buf)
 		if err != nil {
 			t.Fatalf("read %d: %v", i, err)
 		}
@@ -179,7 +179,7 @@ func TestReadWriteStream(t *testing.T) {
 			t.Fatalf("stream message %d mismatch:\n have %+v\n want %+v", i, got, w)
 		}
 	}
-	if _, err := ReadEnvelope(&buf); err != io.EOF {
+	if _, err := readEnvelope(&buf); err != io.EOF {
 		t.Fatalf("want io.EOF at end of stream, got %v", err)
 	}
 }
@@ -237,8 +237,8 @@ func TestKindString(t *testing.T) {
 			t.Fatalf("kind %d should be valid", k)
 		}
 	}
-	if KindInvalid.Valid() {
-		t.Fatal("KindInvalid must not be valid")
+	if kindInvalid.Valid() {
+		t.Fatal("kindInvalid must not be valid")
 	}
 }
 
@@ -414,8 +414,8 @@ func TestTruncatedExtensionRejected(t *testing.T) {
 		frame = binary.BigEndian.AppendUint32(frame, uint32(cut+1))
 		frame = append(frame, 0)
 		frame = append(frame, raw[:cut]...)
-		if _, err := DecodeEnvelope(frame); !errors.Is(err, ErrBadFrame) {
-			t.Fatalf("cut=%d: want ErrBadFrame, got %v", cut, err)
+		if _, err := DecodeEnvelope(frame); !errors.Is(err, errBadFrame) {
+			t.Fatalf("cut=%d: want errBadFrame, got %v", cut, err)
 		}
 	}
 }
@@ -440,21 +440,21 @@ func TestCorruptExtensionPayloadRejected(t *testing.T) {
 	frame = binary.BigEndian.AppendUint32(frame, uint32(len(raw)+1))
 	frame = append(frame, 0)
 	frame = append(frame, raw...)
-	if _, err := DecodeEnvelope(frame); !errors.Is(err, ErrBadFrame) {
-		t.Fatalf("want ErrBadFrame for corrupt trace payload, got %v", err)
+	if _, err := DecodeEnvelope(frame); !errors.Is(err, errBadFrame) {
+		t.Fatalf("want errBadFrame for corrupt trace payload, got %v", err)
 	}
 }
 
 func TestOversizeExtensionRejected(t *testing.T) {
 	e := sampleEnvelope()
 	e.Trace = &TraceContext{QueryID: NewMsgID(), Base: strings.Repeat("x", 1<<16)}
-	if _, err := EncodeEnvelope(e); !errors.Is(err, ErrBadFrame) {
-		t.Fatalf("want ErrBadFrame for oversize trace, got %v", err)
+	if _, err := EncodeEnvelope(e); !errors.Is(err, errBadFrame) {
+		t.Fatalf("want errBadFrame for oversize trace, got %v", err)
 	}
 	e = sampleEnvelope()
 	e.Span = &TraceSpan{Peer: strings.Repeat("y", 1<<16)}
-	if _, err := EncodeEnvelope(e); !errors.Is(err, ErrBadFrame) {
-		t.Fatalf("want ErrBadFrame for oversize span, got %v", err)
+	if _, err := EncodeEnvelope(e); !errors.Is(err, errBadFrame) {
+		t.Fatalf("want errBadFrame for oversize span, got %v", err)
 	}
 }
 
@@ -585,7 +585,7 @@ func TestCorruptQRoutePayloadRejected(t *testing.T) {
 	frame = binary.BigEndian.AppendUint32(frame, uint32(len(raw)+1))
 	frame = append(frame, 0)
 	frame = append(frame, raw...)
-	if _, err := DecodeEnvelope(frame); !errors.Is(err, ErrBadFrame) {
-		t.Fatalf("want ErrBadFrame for corrupt qroute payload, got %v", err)
+	if _, err := DecodeEnvelope(frame); !errors.Is(err, errBadFrame) {
+		t.Fatalf("want errBadFrame for corrupt qroute payload, got %v", err)
 	}
 }

@@ -9,7 +9,7 @@ type Kind uint8
 // share one envelope format so that transports and the simulator can route
 // any of them.
 const (
-	KindInvalid Kind = iota
+	kindInvalid Kind = iota
 
 	// BestPeer protocol.
 	KindAgent       // a serialized mobile agent travelling to a peer
@@ -26,8 +26,8 @@ const (
 	// and Gnutella frames, and every later kind's value depends on them.
 	KindCSQuery  // plain query shipped to a server
 	KindCSAnswer // answers returned along the query path
-	KindGnuPing
-	KindGnuPong
+	kindGnuPing
+	kindGnuPong
 	KindGnuQuery
 	KindGnuQueryHit
 
@@ -37,7 +37,7 @@ const (
 	KindLigloRejoin    // reconnect: report current address
 	KindLigloLookup    // resolve a BPID to its current address/status
 	KindLigloStatus    // lookup reply
-	KindLigloProbe     // server-initiated liveness validation
+	kindLigloProbe     // server-initiated liveness validation
 	KindLigloPeers     // request a fresh peer list
 	KindLigloPeersList // peer list reply
 
@@ -71,7 +71,7 @@ const (
 )
 
 var kindNames = [...]string{
-	KindInvalid:         "invalid",
+	kindInvalid:         "invalid",
 	KindAgent:           "agent",
 	KindResult:          "result",
 	KindHint:            "hint",
@@ -82,8 +82,8 @@ var kindNames = [...]string{
 	KindPeerProbeOK:     "peer-probe-ok",
 	KindCSQuery:         "cs-query",
 	KindCSAnswer:        "cs-answer",
-	KindGnuPing:         "gnu-ping",
-	KindGnuPong:         "gnu-pong",
+	kindGnuPing:         "gnu-ping",
+	kindGnuPong:         "gnu-pong",
 	KindGnuQuery:        "gnu-query",
 	KindGnuQueryHit:     "gnu-query-hit",
 	KindLigloRegister:   "liglo-register",
@@ -91,7 +91,7 @@ var kindNames = [...]string{
 	KindLigloRejoin:     "liglo-rejoin",
 	KindLigloLookup:     "liglo-lookup",
 	KindLigloStatus:     "liglo-status",
-	KindLigloProbe:      "liglo-probe",
+	kindLigloProbe:      "liglo-probe",
 	KindLigloPeers:      "liglo-peers",
 	KindLigloPeersList:  "liglo-peers-list",
 	KindSpan:            "span",
@@ -119,7 +119,7 @@ func (k Kind) String() string {
 }
 
 // Valid reports whether k names a defined message kind.
-func (k Kind) Valid() bool { return k > KindInvalid && k < kindSentinel }
+func (k Kind) Valid() bool { return k > kindInvalid && k < kindSentinel }
 
 // Envelope frames every message exchanged in the system. TTL and Hops are
 // maintained redundantly, exactly as the paper describes: TTL is

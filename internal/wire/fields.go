@@ -115,9 +115,9 @@ func (f *Fields) Bytes(p *[]byte) {
 // MsgID visits a fixed-width message identifier.
 func (f *Fields) MsgID(p *MsgID) {
 	if f.decoding {
-		*p = f.dec.MsgID()
+		*p = f.dec.msgID()
 	} else {
-		f.enc.MsgID(*p)
+		f.enc.msgID(*p)
 	}
 }
 

@@ -76,7 +76,7 @@ func FuzzDecodeEnvelope(f *testing.F) {
 }
 
 // FuzzEncodeEnvelope: for an arbitrary kind, body and set of extensions
-// the frame round-trips through DecodeEnvelope and through ReadEnvelope,
+// the frame round-trips through DecodeEnvelope and through readEnvelope,
 // is never longer than header + raw, and is either the always-deflate
 // reference's frame byte for byte (the probe let it through, or it is
 // under the probe's floor) or the stored form of the same raw bytes (the
@@ -138,9 +138,9 @@ func FuzzEncodeEnvelope(f *testing.F) {
 		if err != nil || !reflect.DeepEqual(decoded, e) {
 			t.Fatalf("DecodeEnvelope round trip: %v", err)
 		}
-		read, err := ReadEnvelope(bytes.NewReader(frame))
+		read, err := readEnvelope(bytes.NewReader(frame))
 		if err != nil || !reflect.DeepEqual(read, e) {
-			t.Fatalf("ReadEnvelope round trip: %v", err)
+			t.Fatalf("readEnvelope round trip: %v", err)
 		}
 	})
 }

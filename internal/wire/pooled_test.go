@@ -165,7 +165,7 @@ func TestPooledCodecConcurrent(t *testing.T) {
 					t.Errorf("goroutine %d: envelope %d encoded differently (%v)", g, i, err)
 					return
 				}
-				back, err := ReadEnvelope(bytes.NewReader(frame))
+				back, err := readEnvelope(bytes.NewReader(frame))
 				if err != nil || !reflect.DeepEqual(back, envs[i]) {
 					t.Errorf("goroutine %d: envelope %d does not round-trip (%v)", g, i, err)
 					return
@@ -210,11 +210,11 @@ func TestInflateLimit(t *testing.T) {
 		t.Fatalf("a frame inflating to exactly MaxFrameSize must decode: %v", err)
 	}
 	over := gzipFrame(t, append(atLimit, 0))
-	if _, err := DecodeEnvelope(over); !errors.Is(err, ErrFrameTooLarge) {
-		t.Fatalf("DecodeEnvelope of MaxFrameSize+1 inflated bytes: %v, want ErrFrameTooLarge", err)
+	if _, err := DecodeEnvelope(over); !errors.Is(err, errFrameTooLarge) {
+		t.Fatalf("DecodeEnvelope of MaxFrameSize+1 inflated bytes: %v, want errFrameTooLarge", err)
 	}
-	if _, err := ReadEnvelope(bytes.NewReader(over)); !errors.Is(err, ErrFrameTooLarge) {
-		t.Fatalf("ReadEnvelope of MaxFrameSize+1 inflated bytes: %v, want ErrFrameTooLarge", err)
+	if _, err := readEnvelope(bytes.NewReader(over)); !errors.Is(err, errFrameTooLarge) {
+		t.Fatalf("readEnvelope of MaxFrameSize+1 inflated bytes: %v, want errFrameTooLarge", err)
 	}
 }
 
