@@ -317,14 +317,18 @@ func resultsSize(results []agent.Result) int {
 
 // handleResult routes an incoming answer batch to its query, recording
 // any piggybacked trace span first. The batch is decoded only for a live
-// query: an answer that arrives after its query finished costs a lookup.
+// query: a result under any other ID is a fetch reply for deliverReply,
+// and an answer that arrives after its query finished costs two lookups.
 func (n *Node) handleResult(env *wire.Envelope, hint bool) {
 	if env.Span != nil {
 		n.tracer.Record(env.ID, *env.Span)
 	}
 	v, ok := n.queries.Load(env.ID)
 	if !ok {
-		return // late answer for a finished query
+		if !hint {
+			n.deliverReply(env) // a fetch reply; a late answer finds no entry
+		}
+		return
 	}
 	batch, err := agent.DecodeResults(env.Body)
 	if err != nil {

@@ -180,7 +180,7 @@ func (n *Node) handlePeerList(env *wire.Envelope) {
 
 // PeersOfPeer asks a direct peer for its current peer list, synchronously.
 func (n *Node) PeersOfPeer(addr string, timeout time.Duration) ([]Peer, bool) {
-	env, ok := n.ask(addr, wire.KindPeerList, wire.KindPeerListOK, timeout)
+	env, ok := n.ask(addr, wire.KindPeerList, wire.KindPeerListOK, nil, 1, timeout)
 	if !ok {
 		return nil, false
 	}

@@ -8,6 +8,7 @@ import (
 
 	"bestpeer/internal/agent"
 	"bestpeer/internal/liglo"
+	"bestpeer/internal/obs"
 	"bestpeer/internal/reconfig"
 	"bestpeer/internal/storm"
 	"bestpeer/internal/topology"
@@ -362,6 +363,36 @@ func TestFetchRemovedObjectReturnsEmpty(t *testing.T) {
 	}
 	if len(got) != 0 {
 		t.Fatalf("fetched deleted object: %+v", got)
+	}
+}
+
+// TestFetchIsNotAnAnswer: a fetch reply completes the fetch and nothing
+// else — no agent-answered event for a query that was never issued, and
+// no sample in the answer-hops histogram.
+func TestFetchIsNotAnAnswer(t *testing.T) {
+	c := newCluster(t, 2, static, func(i int, s *storm.Store) {
+		if i == 1 {
+			s.Put(&storm.Object{Name: "doc", Keywords: []string{"k"}, Data: []byte("body")})
+		}
+	})
+	c.wire(topology.Line(2))
+	base := c.nodes[0]
+	got, err := base.Fetch(c.nodes[1].Addr(), []string{"doc"}, 2*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 1 || string(got[0].Data) != "body" {
+		t.Fatalf("fetched = %+v", got)
+	}
+	if n := countEvents(base, obs.EvAgentAnswered, "", ""); n != 0 {
+		t.Fatalf("a fetch reply was journalled as %d agent answers", n)
+	}
+	if fam := base.Metrics().Snapshot().Family("bestpeer_node_answer_hops"); fam != nil {
+		for _, m := range fam.Metrics {
+			if m.Count != 0 {
+				t.Fatalf("a fetch reply was counted as an answer: answer_hops count=%d sum=%v", m.Count, m.Sum)
+			}
+		}
 	}
 }
 

@@ -71,9 +71,7 @@ type queryState struct {
 	hints   []Answer
 	target  int
 	done    chan struct{}
-	first   chan struct{} // closed when the first reply batch arrives
 	closed  bool
-	replied bool
 
 	// terms are the query's routing-fingerprint terms, set once before
 	// the state is published and read by handleResult to credit the
@@ -87,7 +85,6 @@ func newQueryState(target int) *queryState {
 		start:  time.Now(),
 		target: target,
 		done:   make(chan struct{}),
-		first:  make(chan struct{}),
 	}
 }
 
@@ -96,10 +93,6 @@ func (q *queryState) deliver(batch *agent.ResultBatch, hint, cached bool) {
 	defer q.mu.Unlock()
 	if q.closed {
 		return
-	}
-	if !q.replied {
-		q.replied = true
-		close(q.first)
 	}
 	at := time.Since(q.start)
 	for _, r := range batch.Results {
@@ -540,62 +533,37 @@ func (n *Node) Fetch(peerAddr string, names []string, timeout time.Duration) ([]
 	if n.isClosed() {
 		return nil, errNodeClosed
 	}
-	if timeout <= 0 {
-		timeout = probeTimeout
+	body := wire.Marshal(&fetchReq{
+		Names:       names,
+		Base:        n.Addr(),
+		BaseID:      n.ID(),
+		AccessLevel: n.cfg.AccessLevel,
+	})
+	// One reply batch is expected. A request or reply lost on a faulty
+	// network gets exactly one retransmission (the peer simply re-serves
+	// the same names; fetches are idempotent).
+	env, ok := n.ask(peerAddr, wire.KindFetch, wire.KindResult, body, 2, timeout)
+	if !ok {
+		return nil, fmt.Errorf("core: fetch from %s timed out", peerAddr)
 	}
-	fid := wire.NewMsgID()
-	qs := newQueryState(0)
-	n.queries.Store(fid, qs)
-	defer n.queries.Delete(fid)
-
-	req := func() *wire.Envelope {
-		return &wire.Envelope{
-			Kind: wire.KindFetch,
-			ID:   fid,
-			TTL:  1,
-			From: n.Addr(),
-			To:   peerAddr,
-			Body: wire.Marshal(&fetchReq{
-				Names:       names,
-				Base:        n.Addr(),
-				BaseID:      n.ID(),
-				AccessLevel: n.cfg.AccessLevel,
-			}),
-		}
+	batch, err := agent.DecodeResults(env.Body)
+	if err != nil {
+		return nil, fmt.Errorf("core: fetch from %s: %w", peerAddr, err)
 	}
-
-	// One reply batch is expected; wait on the first-reply signal rather
-	// than polling. The window is split in two so a request or reply
-	// lost on a faulty network gets exactly one retransmission (the peer
-	// simply re-serves the same names; fetches are idempotent).
-	const attempts = 2
-	per := timeout / attempts
-	for a := 0; a < attempts; a++ {
-		n.send(peerAddr, req())
-		select {
-		case <-qs.first:
-			answers, _ := qs.snapshot()
-			out := make([]agent.Result, len(answers))
-			for i, ans := range answers {
-				out[i] = ans.Result
-			}
-			return out, nil
-		case <-time.After(per):
-		}
-	}
-	return nil, fmt.Errorf("core: fetch from %s timed out", peerAddr)
+	return batch.Results, nil
 }
 
 // Probe checks whether a peer is alive by round-tripping a probe message.
 func (n *Node) Probe(addr string, timeout time.Duration) bool {
-	_, ok := n.ask(addr, wire.KindPeerProbe, wire.KindPeerProbeOK, timeout)
+	_, ok := n.ask(addr, wire.KindPeerProbe, wire.KindPeerProbeOK, nil, 1, timeout)
 	return ok
 }
 
-// ask sends a one-hop request of kind to addr and waits up to timeout
-// (probeTimeout when zero) for the reply carrying the request's ID, which
-// must be of kind want.
-func (n *Node) ask(addr string, kind, want wire.Kind, timeout time.Duration) (*wire.Envelope, bool) {
+// ask sends a one-hop request of kind with body to addr and waits up to
+// timeout (probeTimeout when zero) for the reply carrying the request's
+// ID, which must be of kind want. The window is split among tries sends
+// under that one ID, so a late reply to an earlier send still counts.
+func (n *Node) ask(addr string, kind, want wire.Kind, body []byte, tries int, timeout time.Duration) (*wire.Envelope, bool) {
 	if timeout <= 0 {
 		timeout = probeTimeout
 	}
@@ -603,13 +571,15 @@ func (n *Node) ask(addr string, kind, want wire.Kind, timeout time.Duration) (*w
 	ch := make(chan *wire.Envelope, 1)
 	n.replies.Store(id, ch)
 	defer n.replies.Delete(id)
-	n.send(addr, &wire.Envelope{Kind: kind, ID: id, TTL: 1, From: n.Addr(), To: addr})
-	select {
-	case env := <-ch:
-		return env, env.Kind == want
-	case <-time.After(timeout):
-		return nil, false
+	for i := 0; i < tries; i++ {
+		n.send(addr, &wire.Envelope{Kind: kind, ID: id, TTL: 1, From: n.Addr(), To: addr, Body: body})
+		select {
+		case env := <-ch:
+			return env, env.Kind == want
+		case <-time.After(timeout / time.Duration(tries)):
+		}
 	}
+	return nil, false
 }
 
 // deliverReply completes an outstanding ask. A late reply finds no entry

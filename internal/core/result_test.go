@@ -69,11 +69,6 @@ func TestLateUnparsableAnswerIsDropped(t *testing.T) {
 	n.handle(garbage)
 
 	answers, hints := live.snapshot()
-	select {
-	case <-live.first:
-		t.Fatal("a dropped answer marked the live query as replied")
-	default:
-	}
 	if len(answers)+len(hints) != 0 || live.closed {
 		t.Fatalf("dropped answers reached the live query: %d answers, %d hints, closed %v", len(answers), len(hints), live.closed)
 	}
