@@ -171,11 +171,12 @@ stress:
 loc:
 	@find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' | xargs cat | wc -l
 
-# The dead-code fence (deadcode_test.go) lists with a reason, in three
+# The dead-code fence (deadcode_test.go) lists with a reason, in four
 # sections of testdata/deadcode.allow: [unreachable] declarations under
 # internal/ that no command, example, benchmark/ file or facade export
 # reaches; [facade] entries no binary reads; [unset] option fields that
-# only tests set. It runs in `make test` too and skips under -race, so
+# only tests set; [exported] exported names under internal/ that no other
+# package's code names. It runs in `make test` too and skips under -race, so
 # `make race` alone misses it.
 deadcode:
 	$(GO) test -count=1 -run 'TestDeadCode' -v .
