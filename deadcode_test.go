@@ -204,16 +204,10 @@ func facadeClosure(facade *types.Package) map[*types.TypeName]bool {
 				}
 			}
 			reach(t.Underlying())
-		case *types.Pointer:
-			reach(t.Elem())
-		case *types.Slice:
-			reach(t.Elem())
-		case *types.Array:
-			reach(t.Elem())
-		case *types.Chan:
-			reach(t.Elem())
 		case *types.Map:
 			reach(t.Key())
+			reach(t.Elem())
+		case interface{ Elem() types.Type }: // pointer, slice, array, chan
 			reach(t.Elem())
 		case *types.Signature:
 			for _, tup := range []*types.Tuple{t.Params(), t.Results()} {
