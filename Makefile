@@ -55,7 +55,8 @@ chaos:
 	$(GO) test -race -run 'TestChaos' ./...
 	$(GO) test -race ./internal/transport/...
 
-# Short fuzz passes over the wire codec, the agent packet decoders and
+# Short fuzz passes over the wire codec (its small-frame deflate kernel
+# against the stdlib inflater among them), the agent packet decoders and
 # every package's table of control messages (wiretest.Fuzz).
 # Each target gets a few seconds — enough to shake out regressions in
 # the corpus without turning CI into a fuzz farm.
@@ -70,6 +71,7 @@ MATCHFUZZTIME ?= 30s
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzDecodeEnvelope -fuzztime $(FUZZTIME) ./internal/wire/
 	$(GO) test -run '^$$' -fuzz FuzzEncodeEnvelope -fuzztime $(FUZZTIME) ./internal/wire/
+	$(GO) test -run '^$$' -fuzz FuzzSmallDeflate -fuzztime $(FUZZTIME) ./internal/wire/
 	$(GO) test -run '^$$' -fuzz FuzzDecoder -fuzztime $(FUZZTIME) ./internal/wire/
 	$(GO) test -run '^$$' -fuzz FuzzExtensions -fuzztime $(FUZZTIME) ./internal/wire/
 	$(GO) test -run '^$$' -fuzz FuzzDecodePacket -fuzztime $(FUZZTIME) ./internal/agent/

@@ -143,12 +143,14 @@ func TestAllocBudgetEnvelope(t *testing.T) {
 	}{
 		// Encode: the extension's encoder (it grows once or twice more
 		// for a span than for a trace context), the body behind its
-		// header, and for a frame that deflates the kept compressed
-		// frame. Decode: the inflated body if there is one (and, for a
-		// dynamic-Huffman block, the link tables compress/flate builds),
-		// the envelope, From, To, and the extension with its strings;
-		// Body is a view.
-		{"agent", true, 4, 6},
+		// header, and for a frame that deflates at level 6 (256 B raw
+		// or more) the kept compressed frame; a smaller one is deflated
+		// on the stack and copied over the body. Decode: the inflated
+		// body if there is one (and, for a dynamic-Huffman block, the
+		// link tables compress/flate builds; a fixed block, as every
+		// frame under 256 B raw is, builds none), the envelope, From,
+		// To, and the extension with its strings; Body is a view.
+		{"agent", true, 3, 6},
 		{"result-random", false, 5, 6}, // the probe stops it: stored both ways
 		{"result-text", true, 6, 12},   // the probe lets it through; + the inflater's link tables
 	} {

@@ -28,6 +28,13 @@ const MaxFrameSize = 16 << 20
 // tiny control messages grow under gzip, so they travel as stored frames.
 const compressionThreshold = 128
 
+// fixedCeiling is the raw size from which a frame is left to the probe
+// and level-6 deflate; under it deflateFixed deflates it. A fixed-Huffman
+// block has no code-length header to pay for, which beats level 6 on
+// short bodies, but it cannot adapt to skewed text, which loses to it on
+// longer ones (DESIGN.md §4 has the measurements).
+const fixedCeiling = 256
+
 // probeFloor is the raw size from which the incompressibility probe is
 // asked: the plug-in entropy estimate reads about 255/(2n ln 2) bits per
 // byte low, 0.18 at 1 KB, so below it random bytes look compressible.
@@ -66,8 +73,9 @@ var gzipEncoders = sync.Pool{New: func() any {
 //	uint32 length | uint8 flags | body
 //
 // where body is the envelope fields, gzip-compressed when that is tried
-// (see mayCompress) and comes out smaller. The returned slice is freshly
-// allocated.
+// and comes out smaller: never under compressionThreshold bytes, by
+// deflateFixed under fixedCeiling, from there by level-6 deflate if
+// mayCompress lets it. The returned slice is freshly allocated.
 func EncodeEnvelope(e *Envelope) ([]byte, error) {
 	if !e.Kind.Valid() {
 		return nil, fmt.Errorf("%w: invalid kind %d", errBadFrame, e.Kind)
@@ -79,12 +87,27 @@ func EncodeEnvelope(e *Envelope) ([]byte, error) {
 		return nil, fmt.Errorf("%w: extension too large", errBadFrame)
 	}
 	size := e.wireSize(trace, span, qroute)
+	// An inflated body over MaxFrameSize is what every decoder refuses;
+	// the stored form is checked again below, after its flags byte.
+	if size > MaxFrameSize {
+		return nil, errFrameTooLarge
+	}
 	// The body is laid out behind the reserved header, so a frame that
 	// travels stored is finished in place.
 	frame := encodeBody(make([]byte, frameHeaderSize, frameHeaderSize+size), e, trace, span, qroute)
 
 	var flags byte
-	if raw := frame[frameHeaderSize:]; len(raw) >= compressionThreshold && mayCompress(raw) {
+	switch raw := frame[frameHeaderSize:]; {
+	case len(raw) < compressionThreshold:
+	case len(raw) < fixedCeiling:
+		var member [fixedMemberMax]byte
+		// Kept only when it shrinks, so it fits over the raw bytes
+		// already in frame.
+		if n := deflateFixed(&member, raw); n < len(raw) {
+			frame = frame[:frameHeaderSize+copy(raw, member[:n])]
+			flags |= flagGzip
+		}
+	case mayCompress(raw):
 		z := gzipEncoders.Get().(*gzipEncoder)
 		z.buf.Reset()
 		z.zw.Reset(&z.buf)

@@ -10,6 +10,7 @@ import (
 // and workload packages this one cannot) need of the internals.
 const (
 	CompressionThreshold = compressionThreshold
+	FixedCeiling         = fixedCeiling
 	ProbeFloor           = probeFloor
 	FrameHeaderSize      = frameHeaderSize
 )
@@ -21,6 +22,19 @@ var RawBody = rawBody
 func StoredFrame(raw []byte) []byte {
 	frame := binary.BigEndian.AppendUint32(make([]byte, 0, frameHeaderSize+len(raw)), uint32(len(raw)+1))
 	return append(append(frame, 0), raw...)
+}
+
+// KernelEncode is what EncodeEnvelope must send for a raw body of
+// CompressionThreshold to FixedCeiling-1 bytes: the small-frame kernel's
+// gzip frame when it is shorter than raw, the stored form otherwise.
+func KernelEncode(e *Envelope) []byte {
+	raw := rawBody(e)
+	var member [fixedMemberMax]byte
+	if n := deflateFixed(&member, raw); n < len(raw) {
+		frame := binary.BigEndian.AppendUint32(nil, uint32(n+1))
+		return append(append(frame, flagGzip), member[:n]...)
+	}
+	return StoredFrame(raw)
 }
 
 // ReferenceEncode is the always-deflate encoder, the oracle the probe is

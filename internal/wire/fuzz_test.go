@@ -2,6 +2,8 @@ package wire
 
 import (
 	"bytes"
+	"compress/gzip"
+	"io"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -77,10 +79,11 @@ func FuzzDecodeEnvelope(f *testing.F) {
 
 // FuzzEncodeEnvelope: for an arbitrary kind, body and set of extensions
 // the frame round-trips through DecodeEnvelope and through readEnvelope,
-// is never longer than header + raw, and is either the always-deflate
-// reference's frame byte for byte (the probe let it through, or it is
-// under the probe's floor) or the stored form of the same raw bytes (the
-// probe stopped it). The body is the fuzzer's bytes repeated, then padded
+// is never longer than header + raw, and is the deflated frame its size
+// calls for byte for byte — the small-frame kernel's from the compression
+// threshold up to the fixed ceiling, the always-deflate reference's from
+// there (the probe let it through, or it is under the probe's floor) — or
+// the stored form of the same raw bytes (the probe stopped it). The body is the fuzzer's bytes repeated, then padded
 // with seeded random bytes, so sizes either side of the floor and bodies
 // of every mix of repetitive and incompressible are within reach.
 func FuzzEncodeEnvelope(f *testing.F) {
@@ -126,9 +129,13 @@ func FuzzEncodeEnvelope(f *testing.F) {
 		if len(frame) > frameHeaderSize+len(raw) {
 			t.Fatalf("a %d-byte frame for %d raw bytes", len(frame), len(raw))
 		}
-		if !bytes.Equal(frame, ReferenceEncode(e)) {
+		want := ReferenceEncode(e)
+		if len(raw) >= compressionThreshold && len(raw) < fixedCeiling {
+			want = KernelEncode(e)
+		}
+		if !bytes.Equal(frame, want) {
 			if len(raw) < probeFloor {
-				t.Fatalf("%d raw bytes, under the probe's floor, and the frame is not the reference's", len(raw))
+				t.Fatalf("%d raw bytes, under the probe's floor, and the frame is not the one its size calls for", len(raw))
 			}
 			if !bytes.Equal(frame, StoredFrame(raw)) {
 				t.Fatal("the frame is neither the reference's nor the stored form of the raw bytes")
@@ -143,6 +150,51 @@ func FuzzEncodeEnvelope(f *testing.F) {
 			t.Fatalf("readEnvelope round trip: %v", err)
 		}
 	})
+}
+
+// FuzzSmallDeflate: for any body the small-frame kernel may be given
+// (under fixedCeiling bytes), the stdlib gzip reader returns exactly the
+// body from the kernel's member, and the member is the same on every call
+// and carries the header gzip.Writer writes.
+func FuzzSmallDeflate(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte("a"))
+	f.Add(bytes.Repeat([]byte{0}, fixedCeiling-1))
+	f.Add([]byte("abc#bcdefghij%abcdefghij"))
+	f.Add(rawBody(&Envelope{Kind: KindAgent, ID: MsgID{1}, TTL: 7, Hops: 1, From: "127.0.0.1:54321", To: "127.0.0.1:54322",
+		Body:  []byte("\x07keyword\x05\x03kw7\x0f127.0.0.1:54321\x00\x00\x00\x01"),
+		Trace: &TraceContext{QueryID: MsgID{1}, Base: "127.0.0.1:54321"}}))
+
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		raw = raw[:min(len(raw), fixedCeiling-1)]
+		var member, again [fixedMemberMax]byte
+		n := deflateFixed(&member, raw)
+		if m := deflateFixed(&again, raw); m != n || member != again {
+			t.Fatal("two calls on the same body wrote different members")
+		}
+		if !bytes.Equal(member[:len(gzipHeader)], gzipWriterHeader(t)) {
+			t.Fatalf("header % x, gzip.Writer writes % x", member[:len(gzipHeader)], gzipWriterHeader(t))
+		}
+		zr, err := gzip.NewReader(bytes.NewReader(member[:n]))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := io.ReadAll(zr)
+		if err != nil || !bytes.Equal(got, raw) {
+			t.Fatalf("inflated %d bytes (%v), want the %d-byte body", len(got), err, len(raw))
+		}
+	})
+}
+
+// gzipWriterHeader is the member header gzip.Writer writes at its
+// default level.
+func gzipWriterHeader(t *testing.T) []byte {
+	var z bytes.Buffer
+	zw := gzip.NewWriter(&z)
+	if err := zw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return z.Bytes()[:len(gzipHeader)]
 }
 
 // FuzzDecoder: the payload decoder must survive arbitrary inputs.

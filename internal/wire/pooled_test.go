@@ -218,6 +218,44 @@ func TestInflateLimit(t *testing.T) {
 	}
 }
 
+// TestEncodeRefusesWhatDecodeRefuses: EncodeEnvelope sends no frame that
+// DecodeEnvelope refuses. A body that inflates to exactly MaxFrameSize
+// bytes is the largest a decoder takes (TestInflateLimit); one byte more
+// is refused before anything is deflated, however well it would compress,
+// and so is a body at the limit that cannot shrink, whose stored frame
+// would declare MaxFrameSize+1 bytes.
+func TestEncodeRefusesWhatDecodeRefuses(t *testing.T) {
+	e := sampleEnvelope()
+	bodyAtLimit := MaxFrameSize - envelopeHeaderSize - len(e.From) - len(e.To)
+	random := make([]byte, bodyAtLimit)
+	rand.New(rand.NewSource(1)).Read(random)
+	for _, tc := range []struct {
+		name string
+		body []byte
+		ok   bool
+	}{
+		{"zeros at the limit", make([]byte, bodyAtLimit), true},
+		{"zeros one byte over", make([]byte, bodyAtLimit+1), false},
+		{"zeros 100 bytes over", make([]byte, bodyAtLimit+100), false},
+		{"random at the limit", random, false},
+	} {
+		e.Body = tc.body
+		frame, err := EncodeEnvelope(e)
+		if !tc.ok {
+			if !errors.Is(err, errFrameTooLarge) {
+				t.Errorf("%s: EncodeEnvelope sent a %d-byte frame (%v), want errFrameTooLarge", tc.name, len(frame), err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if got, err := DecodeEnvelope(frame); err != nil || len(got.Body) != len(tc.body) {
+			t.Fatalf("%s: the frame does not decode: %v", tc.name, err)
+		}
+	}
+}
+
 // TestInflateSizeHintIsOnlyAHint: the ISIZE trailer sizes the buffer but
 // decides nothing. Overstated, it must not buy a large allocation for a
 // small frame; understated — honestly, by a multi-member stream whose
