@@ -100,11 +100,6 @@ type Registry struct {
 	mu        sync.RWMutex
 	factories map[string]Factory
 	installed map[string]bool
-
-	// Stats.
-	Installs   uint64
-	ExecDenied uint64
-	CodeServed uint64
 }
 
 // NewRegistry returns an empty registry.
@@ -158,8 +153,8 @@ func (r *Registry) Known(class string) bool {
 
 // Code returns the shippable payload for an installed class.
 func (r *Registry) Code(class string) ([]byte, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
+	r.mu.RLock()
+	defer r.mu.RUnlock()
 	f, ok := r.factories[class]
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", errUnknownClass, class)
@@ -167,7 +162,6 @@ func (r *Registry) Code(class string) ([]byte, error) {
 	if !r.installed[class] {
 		return nil, fmt.Errorf("%w: %q", errNotInstalled, class)
 	}
-	r.CodeServed++
 	return f.Code(), nil
 }
 
@@ -189,7 +183,6 @@ func (r *Registry) Install(class string, code []byte) error {
 		return fmt.Errorf("%w: %q", errBadClassBlob, class)
 	}
 	r.installed[class] = true
-	r.Installs++
 	return nil
 }
 
@@ -204,9 +197,6 @@ func (r *Registry) New(class string, state []byte) (Agent, error) {
 		return nil, fmt.Errorf("%w: %q", errUnknownClass, class)
 	}
 	if !inst {
-		r.mu.Lock()
-		r.ExecDenied++
-		r.mu.Unlock()
 		return nil, fmt.Errorf("%w: %q", errNotInstalled, class)
 	}
 	return f.New(state)

@@ -131,8 +131,7 @@ func (n *Node) handleDepart(env *wire.Envelope) {
 	if removed {
 		n.journal.Append(obs.Event{Kind: obs.EvPeerDropped, Peer: from, Reason: "depart"})
 	}
-	n.msgr.Forget(from)
-	n.qr.ForgetNeighbor(from)
+	n.release(from)
 	if leaving {
 		return
 	}
@@ -360,10 +359,17 @@ func (n *Node) dropDead(suspect func(Peer) bool, probeTO time.Duration, reason s
 	n.mu.Unlock()
 	for _, p := range drops {
 		n.journal.Append(obs.Event{Kind: obs.EvPeerDropped, Peer: p.Addr, Reason: reason})
-		n.msgr.Forget(p.Addr)
-		n.qr.ForgetNeighbor(p.Addr)
+		n.release(p.Addr)
 	}
 	return dropped
+}
+
+// release frees what this node holds for an address it no longer talks
+// to: the transport send queue and suspect state, and the routing
+// counters and cached answers learned from it.
+func (n *Node) release(addr string) {
+	n.msgr.Forget(addr)
+	n.qr.ForgetNeighbor(addr)
 }
 
 // held returns the addresses no backfill may adopt — this node's and its

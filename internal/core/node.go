@@ -541,7 +541,8 @@ func (n *Node) Join(servers []string) error {
 // Rejoin re-announces the node's current address to its LIGLO server and
 // refreshes every peer's address via that peer's own LIGLO (§2). Peers
 // that are offline or unknown are dropped — the node will meet new peers
-// through reconfiguration.
+// through reconfiguration. What the node held for a dropped peer, or for
+// the old address of a peer that moved, is released.
 func (n *Node) Rejoin() error {
 	n.mu.Lock()
 	id := n.id
@@ -554,6 +555,7 @@ func (n *Node) Rejoin() error {
 		return err
 	}
 	var fresh []Peer
+	var stale []string
 	for _, p := range peers {
 		if p.ID.IsZero() {
 			fresh = append(fresh, p) // no identity to check; keep as-is
@@ -562,7 +564,11 @@ func (n *Node) Rejoin() error {
 		addr, online, err := n.lgc.Lookup(p.ID)
 		if err != nil || !online {
 			n.journal.Append(obs.Event{Kind: obs.EvPeerDropped, Peer: p.Addr, Reason: "offline"})
+			stale = append(stale, p.Addr)
 			continue
+		}
+		if addr != p.Addr {
+			stale = append(stale, p.Addr)
 		}
 		p.Addr = addr
 		fresh = append(fresh, p)
@@ -572,6 +578,9 @@ func (n *Node) Rejoin() error {
 	n.peers = fresh
 	n.peerGen++
 	n.mu.Unlock()
+	for _, addr := range stale {
+		n.release(addr)
+	}
 	return nil
 }
 

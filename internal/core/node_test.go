@@ -9,6 +9,7 @@ import (
 	"bestpeer/internal/agent"
 	"bestpeer/internal/liglo"
 	"bestpeer/internal/obs"
+	"bestpeer/internal/qroute"
 	"bestpeer/internal/reconfig"
 	"bestpeer/internal/storm"
 	"bestpeer/internal/topology"
@@ -566,6 +567,7 @@ func TestRejoinDropsOfflinePeers(t *testing.T) {
 
 	st1, _ := storm.Open(filepath.Join(t.TempDir(), "a.storm"), storm.Options{})
 	defer st1.Close()
+	st1.Put(&storm.Object{Name: "a-obj", Keywords: []string{"kw-a"}})
 	a, err := NewNode(Config{Network: nw, ListenAddr: "pa", Store: st1})
 	if err != nil {
 		t.Fatal(err)
@@ -575,7 +577,8 @@ func TestRejoinDropsOfflinePeers(t *testing.T) {
 
 	st2, _ := storm.Open(filepath.Join(t.TempDir(), "b.storm"), storm.Options{})
 	defer st2.Close()
-	b, err := NewNode(Config{Network: nw, ListenAddr: "pb", Store: st2})
+	b, err := NewNode(Config{Network: nw, ListenAddr: "pb", Store: st2,
+		QRoute: qroute.Options{Enable: true}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -583,6 +586,12 @@ func TestRejoinDropsOfflinePeers(t *testing.T) {
 	b.Join([]string{srv.Addr()})
 	if len(b.Peers()) != 1 {
 		t.Fatalf("b peers = %v", b.Peers())
+	}
+	// b sends to a and learns it as an answerer: a send queue and
+	// routing state that the drop must release.
+	res, err := b.Query(&agent.KeywordAgent{Query: "kw-a"}, QueryOptions{Timeout: 2 * time.Second, WaitAnswers: 1})
+	if err != nil || len(res.Answers) != 1 {
+		t.Fatalf("query via a = %+v, %v", res, err)
 	}
 
 	// a disappears; the validator notices; b's rejoin drops it.
@@ -594,6 +603,12 @@ func TestRejoinDropsOfflinePeers(t *testing.T) {
 	}
 	if len(b.Peers()) != 0 {
 		t.Fatalf("offline peer kept: %v", b.Peers())
+	}
+	if b.msgr.Forget("pa") {
+		t.Fatal("the dropped peer's send queue outlived the drop")
+	}
+	if n := b.qr.ForgetNeighbor("pa"); n != 0 {
+		t.Fatalf("%d routing entries for the dropped peer outlived the drop", n)
 	}
 }
 

@@ -302,6 +302,52 @@ func TestChaosSweepSurvivesHungMember(t *testing.T) {
 	}
 }
 
+// TestChaosSweepSparesMidSweepRegistrant: a sweep judges only the
+// members it probed, at the address it probed. While it waits on a hung
+// dial, one member registers and the hung one rejoins elsewhere; neither
+// may read offline afterwards, while a member the sweep did reach and
+// found dead does.
+func TestChaosSweepSparesMidSweepRegistrant(t *testing.T) {
+	inner := transport.NewInProc()
+	fab := faultnet.New(inner, 1)
+	srv, err := NewServer(fab, "liglo-1", ServerConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	cli := NewClient(inner, nil)
+	ids := make(map[string]wire.BPID)
+	register := func(addr string) { // nothing listens on any of these addresses
+		t.Helper()
+		if ids[addr], _, err = cli.Register(srv.Addr(), addr); err != nil {
+			t.Fatal(err)
+		}
+	}
+	register("gone")
+	register("moving")
+	fab.HangDial("moving")
+	t.Cleanup(func() { fab.HealDial("moving") })
+
+	swept := make(chan int, 1)
+	go func() { swept <- srv.CheckNow() }()
+	for fab.Stats().DialsAttempted == 0 { // the sweep has chosen its targets
+		time.Sleep(time.Millisecond)
+	}
+	register("late")
+	if err := cli.Rejoin(ids["moving"], "moved"); err != nil {
+		t.Fatal(err)
+	}
+	fab.HealDial("moving") // the dial goes on, and is refused, instead of waiting out its bound
+	if online := <-swept; online != 0 {
+		t.Fatalf("sweep found %d members online, want 0", online)
+	}
+	for addr, want := range map[string]bool{"gone": false, "moving": true, "late": true} {
+		if _, online, err := cli.Lookup(ids[addr]); err != nil || online != want {
+			t.Fatalf("%s after the sweep: online = %v (err %v), want %v", addr, online, err, want)
+		}
+	}
+}
+
 func TestOfflineMembersExcludedFromPeerList(t *testing.T) {
 	_, srv, cli := newPair(t, ServerConfig{InitialPeers: 10})
 	cli.Register(srv.Addr(), "ghost-1")

@@ -35,13 +35,6 @@ type RingConfig struct {
 	ReplicateEvery time.Duration
 }
 
-// Routing outcomes for a BPID in ring mode.
-const (
-	routeLocal    = iota // our own member table
-	routeForeign         // we own the key: serve from the replica table
-	routeRedirect        // another server owns the key
-)
-
 // startRing builds and starts the server's chord node, then the
 // replication loop. Called from NewServer after the listener is up —
 // chord RPCs to this server dispatch through the same accept loop.
@@ -76,132 +69,87 @@ func (s *Server) startRing() error {
 // use it for admin snapshots; tests use it to force convergence.
 func (s *Server) Ring() *chord.Node { return s.ring }
 
-// routeID decides who serves a request for id. Outside ring mode this
-// is the legacy rule: local members only, errWrongHome otherwise. In
-// ring mode a foreign BPID hashes to a ring position; we serve it from
-// the replica table when we own that position and redirect to the owner
-// otherwise. Must be called without s.mu held — resolving the owner can
-// take ring RPCs.
-func (s *Server) routeID(id wire.BPID) (int, chord.NodeRef, chord.Key, error) {
-	if id.LIGLO == s.Addr() {
-		return routeLocal, chord.NodeRef{}, 0, nil
-	}
-	if s.ring == nil {
-		return 0, chord.NodeRef{}, 0, errWrongHome
-	}
-	key := chord.HashString(id.LIGLO)
-	if s.ring.Owns(key) {
-		return routeForeign, chord.NodeRef{}, key, nil
-	}
-	owner, _, err := s.ring.FindOwner(key)
-	if err != nil {
-		return 0, chord.NodeRef{}, key, err
-	}
-	if owner.Addr == s.Addr() {
-		return routeForeign, chord.NodeRef{}, key, nil
-	}
-	return routeRedirect, owner, key, nil
+// answersFor reports whether this server is the authority for id: it
+// issued id, or its ring owns the issuer's key. Such a record is served,
+// swept and replicated from here, and no pushed replica replaces it.
+// Must be called without s.mu held — the ring check takes the chord
+// node's lock.
+func (s *Server) answersFor(id wire.BPID) bool {
+	return id.LIGLO == s.Addr() || s.ring != nil && s.ring.Owns(chord.HashString(id.LIGLO))
 }
 
-// redirectReply names the owning server for a key we do not own.
-func (s *Server) redirectReply(op string, owner chord.NodeRef, key chord.Key) *wire.Envelope {
+// route decides who serves a request for id: nil when this server does,
+// else a redirect naming the server that owns id's ring key. Outside ring
+// mode a BPID this server did not issue is errWrongHome. Must be called
+// without s.mu held — resolving the owner can take ring RPCs.
+func (s *Server) route(op string, id wire.BPID) (*wire.Envelope, error) {
+	if s.answersFor(id) {
+		return nil, nil
+	}
+	if s.ring == nil {
+		return nil, errWrongHome
+	}
+	key := chord.HashString(id.LIGLO)
+	owner, _, err := s.ring.FindOwner(key)
+	if err != nil {
+		return nil, err
+	}
+	if owner.Addr == s.Addr() {
+		return nil, nil
+	}
 	s.redirects.Inc()
 	s.cfg.Journal.Append(obs.Event{Kind: obs.EvRingRedirected, Peer: owner.Addr, Reason: op})
 	return reply(wire.KindRingRedirect, wire.Marshal(&redirectMsg{
 		Version: ringRedirectVersion, Addr: owner.Addr, Key: uint64(key),
-	}))
+	})), nil
 }
 
-// foreignRejoin serves a rejoin for a replicated record we own.
-func (s *Server) foreignRejoin(r *rejoinReq) *wire.Envelope {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	rec, ok := s.foreign[r.ID.String()]
-	if !ok {
-		return reply(wire.KindLigloStatus, wire.Marshal(&rejoinResp{Err: errUnknown.Error()}))
-	}
-	rec.Addr = r.Addr
-	rec.Online = true
-	rec.Departed = false
-	s.foreign[r.ID.String()] = rec
-	s.rejoins.Inc()
-	s.cfg.Journal.Append(obs.Event{Kind: obs.EvMemberOnline, Peer: r.Addr, Reason: "rejoin"})
-	return reply(wire.KindLigloStatus, wire.Marshal(&rejoinResp{}))
-}
-
-// foreignLookup serves a lookup from the replica table.
-func (s *Server) foreignLookup(r *lookupReq) *wire.Envelope {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.lookups.Inc()
-	rec, ok := s.foreign[r.ID.String()]
-	if !ok {
-		return reply(wire.KindLigloStatus, wire.Marshal(&lookupResp{Found: false}))
-	}
-	return reply(wire.KindLigloStatus, wire.Marshal(&lookupResp{
-		Found: true, Addr: rec.Addr, Online: rec.Online,
-	}))
-}
-
-// foreignDeregister marks a replicated record gracefully departed.
-func (s *Server) foreignDeregister(r *deregisterReq) *wire.Envelope {
-	s.mu.Lock()
-	rec, ok := s.foreign[r.ID.String()]
-	if !ok {
-		s.mu.Unlock()
-		return reply(wire.KindLigloStatus, wire.Marshal(&deregisterResp{Err: errUnknown.Error()}))
-	}
-	rec.Online = false
-	rec.Departed = true
-	s.foreign[r.ID.String()] = rec
-	addr := rec.Addr
-	s.mu.Unlock()
-	s.deregisters.Inc()
-	s.cfg.Journal.Append(obs.Event{Kind: obs.EvMemberDeregistered, Peer: addr})
-	return reply(wire.KindLigloStatus, wire.Marshal(&deregisterResp{}))
-}
-
-// handleReplicate folds a replication batch into the replica table.
-// Records for our own members are skipped — the primary table is the
-// authority for those.
+// handleReplicate folds a replication batch into the member table. A
+// pushed record never replaces one this server answers for: it is the
+// authority there, and the push may be older than its own writes. A
+// record it lacks is taken even so, which is how a key's new owner
+// learns it — except under this server's own address, where a record it
+// lacks belongs to an earlier run and nextID would issue its Node again.
 func (s *Server) handleReplicate(m *replicateMsg) *wire.Envelope {
+	answers := make([]bool, len(m.Records))
+	for i, r := range m.Records {
+		answers[i] = s.answersFor(r.ID)
+	}
 	s.mu.Lock()
-	for _, r := range m.Records {
-		if r.ID.LIGLO == s.Addr() {
+	for i, r := range m.Records {
+		rec := s.members[r.ID]
+		if r.ID.LIGLO == s.Addr() || rec != nil && answers[i] {
 			continue
 		}
-		s.foreign[r.ID.String()] = r
+		if rec == nil {
+			rec = new(record)
+			s.members[r.ID] = rec
+		}
+		rec.ringRecord = r
 	}
 	s.mu.Unlock()
 	return reply(wire.KindRingReplicateOK, wire.Marshal(&replicateOK{Version: ringReplicateVersion}))
 }
 
-// snapshotRecords collects everything this server can vouch for: its
-// own members plus the replicas it already holds, so replication chains
-// survive consecutive failures.
+// snapshotRecords collects every record this server holds, its own
+// members and the replicas alike, so replication chains survive
+// consecutive failures.
 func (s *Server) snapshotRecords() []ringRecord {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make([]ringRecord, 0, len(s.members)+len(s.foreign))
-	for node, m := range s.members {
-		out = append(out, ringRecord{
-			ID:       wire.BPID{LIGLO: s.Addr(), Node: node},
-			Addr:     m.addr,
-			Online:   m.online,
-			Departed: m.departed,
-		})
-	}
-	for _, r := range s.foreign {
-		out = append(out, r)
+	out := make([]ringRecord, 0, len(s.members))
+	for _, rec := range s.members {
+		out = append(out, rec.ringRecord)
 	}
 	return out
 }
 
-// ForeignRecords returns how many replicated records the server holds.
+// ForeignRecords returns how many replicated records the server holds:
+// every record but the ones it issued.
 func (s *Server) ForeignRecords() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.foreign)
+	return len(s.members) - int(s.nextID)
 }
 
 // ReplicateNow pushes the full record set to every current ring
@@ -271,7 +219,7 @@ func (s *Server) replicateLoop() {
 // Leave departs the ring gracefully: the record set is pushed to the
 // successors one last time, the chord neighbors get their handoff, and
 // the server shuts down. Members keep their BPIDs — the new key owner
-// serves them from its replica table.
+// serves them from the replicas it holds.
 func (s *Server) Leave() error {
 	if s.ring != nil {
 		s.ReplicateNow()

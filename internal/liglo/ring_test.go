@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"bestpeer/internal/chord"
 	"bestpeer/internal/transport"
 	"bestpeer/internal/wire"
 )
@@ -306,5 +307,91 @@ func TestRingHintsSpanServers(t *testing.T) {
 			t.Fatalf("hints from %s include departed %v: %v",
 				servers[2].Addr(), first, peers)
 		}
+	}
+}
+
+// orphanedRing registers n1:100 at liglo-1 of a three-server ring,
+// replicates it, crashes liglo-1 and converges the survivors. It returns
+// the BPID and the survivors, the key owner first.
+func orphanedRing(t *testing.T) (transport.Network, wire.BPID, []*Server) {
+	t.Helper()
+	nw, servers := ringServers(t, 3)
+	convergeRing(servers...)
+	c := NewClient(nw, nil)
+	t.Cleanup(func() { c.Close() })
+	id, _, err := c.Register(servers[0].Addr(), "n1:100")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if acked := servers[0].ReplicateNow(); acked != 2 {
+		t.Fatalf("replicated to %d successors, want 2", acked)
+	}
+	_ = servers[0].Close()
+	survivors := servers[1:]
+	convergeRing(survivors...)
+	convergeRing(survivors...)
+	owns := func(s *Server) bool { return s.Ring().Owns(chord.HashString(id.LIGLO)) }
+	if !owns(survivors[0]) {
+		survivors[0], survivors[1] = survivors[1], survivors[0]
+	}
+	if !owns(survivors[0]) || owns(survivors[1]) {
+		t.Fatalf("want exactly one survivor to own %v's key", id)
+	}
+	return nw, id, survivors
+}
+
+// TestRingSweepCoversOrphanedRecords: once its issuer has crashed, a
+// member is swept by the server that owns its key. A dead member must
+// read offline and never be handed out as an initial peer.
+func TestRingSweepCoversOrphanedRecords(t *testing.T) {
+	nw, id, survivors := orphanedRing(t)
+	for _, s := range survivors {
+		s.CheckNow() // nothing listens on n1:100
+		s.ReplicateNow()
+	}
+
+	rc := ringClient(nw, survivors)
+	defer rc.Close()
+	if addr, online, err := rc.Lookup(id); err != nil || online {
+		t.Fatalf("lookup of a dead orphan = (%s, %v, %v), want offline", addr, online, err)
+	}
+	for _, s := range survivors {
+		_, peers, err := rc.Register(s.Addr(), "fresh:100")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range peers {
+			if p.ID == id {
+				t.Fatalf("%s handed out the dead orphan %v: %v", s.Addr(), id, peers)
+			}
+		}
+	}
+}
+
+// TestRingOwnerWriteSurvivesAntiEntropy: the server that owns a key is
+// the authority for its records. A rejoin it served must survive an
+// older replica pushed by another survivor.
+func TestRingOwnerWriteSurvivesAntiEntropy(t *testing.T) {
+	nw, id, survivors := orphanedRing(t)
+	rc := ringClient(nw, survivors)
+	defer rc.Close()
+	if err := rc.Rejoin(id, "n1:200"); err != nil {
+		t.Fatalf("rejoin at the new owner: %v", err)
+	}
+	if acked := survivors[1].ReplicateNow(); acked != 1 {
+		t.Fatalf("replicated to %d successors, want 1", acked)
+	}
+	if addr, online, err := rc.Lookup(id); err != nil || addr != "n1:200" || !online {
+		t.Fatalf("lookup after a stale push = (%s, %v, %v), want (n1:200, true)", addr, online, err)
+	}
+
+	// The owner's push carries the rejoin to the other survivor, which
+	// serves it once the owner is gone too.
+	survivors[0].ReplicateNow()
+	_ = survivors[0].Close()
+	convergeRing(survivors[1])
+	convergeRing(survivors[1])
+	if addr, online, err := rc.Lookup(id); err != nil || addr != "n1:200" || !online {
+		t.Fatalf("lookup at the last survivor = (%s, %v, %v), want (n1:200, true)", addr, online, err)
 	}
 }

@@ -1,8 +1,10 @@
 package liglo
 
 import (
+	"cmp"
 	"net"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 	"time"
 
@@ -36,16 +38,16 @@ type ServerConfig struct {
 	Ring *RingConfig
 }
 
-type member struct {
-	node     uint64
-	addr     string
-	online   bool
+// record is one member entry, issued here or replicated from another
+// ring server: the state that travels between servers, plus when this
+// server last heard from the member itself (zero for a replica it has
+// only been pushed). Departed marks an explicit graceful leave
+// (Deregister): the member's process often stays alive so it can Rejoin
+// later, so the liveness sweep must not take a successful dial as
+// evidence the member is back. Only Rejoin clears it.
+type record struct {
+	ringRecord
 	lastSeen time.Time
-	// departed marks an explicit graceful leave (Deregister). The
-	// member's process often stays alive so it can Rejoin later — the
-	// liveness sweep must not take a successful dial as evidence the
-	// member is back. Only Rejoin clears the flag.
-	departed bool
 }
 
 // Server is one LIGLO server: it issues BPIDs, records member addresses
@@ -55,13 +57,15 @@ type Server struct {
 	listener net.Listener
 	cfg      ServerConfig
 
-	mu      sync.Mutex
-	nextID  uint64
-	members map[uint64]*member
-	// foreign holds replicated records for BPIDs issued by other ring
-	// servers, keyed by BPID string. Served when this server owns the
-	// issuer's ring key.
-	foreign map[string]ringRecord
+	mu sync.Mutex
+	// nextID is the last Node issued, and so also how many members this
+	// server issued: records are never deleted, and replicas under this
+	// server's own address are refused (handleReplicate).
+	nextID uint64
+	// members holds every record the server knows: the BPIDs it issued
+	// and, in ring mode, the replicas other servers pushed. It serves
+	// the ones it answers for (answersFor) and redirects the rest.
+	members map[wire.BPID]*record
 	closed  bool
 
 	// Ring mode (nil / zero outside it).
@@ -120,8 +124,7 @@ func NewServer(network transport.Network, addr string, cfg ServerConfig) (*Serve
 		network:   network,
 		listener:  l,
 		cfg:       cfg,
-		members:   make(map[uint64]*member),
-		foreign:   make(map[string]ringRecord),
+		members:   make(map[wire.BPID]*record),
 		metrics:   reg,
 		stopProbe: make(chan struct{}),
 		registers: reg.Counter("bestpeer_liglo_registers_total",
@@ -164,11 +167,11 @@ func NewServer(network transport.Network, addr string, cfg ServerConfig) (*Serve
 // it issues.
 func (s *Server) Addr() string { return s.listener.Addr().String() }
 
-// Members returns the number of registered members.
+// Members returns the number of members this server issued.
 func (s *Server) Members() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.members)
+	return int(s.nextID)
 }
 
 func (s *Server) acceptLoop() {
@@ -268,93 +271,62 @@ func (s *Server) handleRegister(r *registerReq) *wire.Envelope {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 
-	if s.cfg.Capacity > 0 && len(s.members) >= s.cfg.Capacity {
+	if s.cfg.Capacity > 0 && s.nextID >= uint64(s.cfg.Capacity) {
 		s.rejected.Inc()
 		return reply(wire.KindLigloRegisterd, wire.Marshal(&registerResp{Err: errFull.Error()}))
 	}
 	s.nextID++
-	m := &member{node: s.nextID, addr: r.Addr, online: true, lastSeen: time.Now()}
-	peers := s.peerListLocked(m.node, s.cfg.InitialPeers)
-	s.members[m.node] = m
+	id := wire.BPID{LIGLO: s.Addr(), Node: s.nextID}
+	peers := s.peerListLocked(id, s.cfg.InitialPeers)
+	s.members[id] = &record{ringRecord: ringRecord{ID: id, Addr: r.Addr, Online: true}, lastSeen: time.Now()}
 	s.registers.Inc()
 	s.cfg.Journal.Append(obs.Event{Kind: obs.EvMemberRegistered, Peer: r.Addr})
 
-	return reply(wire.KindLigloRegisterd, wire.Marshal(&registerResp{
-		ID:    wire.BPID{LIGLO: s.Addr(), Node: m.node},
-		Peers: peers,
-	}))
+	return reply(wire.KindLigloRegisterd, wire.Marshal(&registerResp{ID: id, Peers: peers}))
 }
 
-// peerListLocked selects up to limit online members (excluding self) as
-// a member's direct peers, preferring the most recently seen. In ring
-// mode the locally-issued table holds only this server's registrants, so
-// remaining slots are filled from replicated foreign records — without
-// them a fleet spread across ring servers would bootstrap with zero
-// connectivity. Caller holds s.mu.
-func (s *Server) peerListLocked(exclude uint64, limit int) []PeerInfo {
-	var online []*member
-	for _, m := range s.members {
-		if m.node != exclude && m.online {
-			online = append(online, m)
+// peerListLocked selects up to limit online members other than exclude
+// as a member's direct peers, most recently seen first. In ring mode the
+// replicas count too: without them a fleet spread across ring servers
+// would bootstrap with zero connectivity. Replicas this server has not
+// heard from sort last. Caller holds s.mu.
+func (s *Server) peerListLocked(exclude wire.BPID, limit int) []PeerInfo {
+	var online []*record
+	for _, rec := range s.members {
+		if rec.Online && !rec.Departed && rec.ID != exclude {
+			online = append(online, rec)
 		}
 	}
-	sort.Slice(online, func(i, j int) bool {
-		if !online[i].lastSeen.Equal(online[j].lastSeen) {
-			return online[i].lastSeen.After(online[j].lastSeen)
-		}
-		return online[i].node < online[j].node
+	slices.SortFunc(online, func(a, b *record) int {
+		return cmp.Or(b.lastSeen.Compare(a.lastSeen),
+			strings.Compare(a.ID.LIGLO, b.ID.LIGLO), cmp.Compare(a.ID.Node, b.ID.Node))
 	})
-	if len(online) > limit {
-		online = online[:limit]
-	}
-	peers := make([]PeerInfo, 0, len(online))
-	for _, m := range online {
-		peers = append(peers, PeerInfo{
-			ID:   wire.BPID{LIGLO: s.Addr(), Node: m.node},
-			Addr: m.addr,
-		})
-	}
-	if len(peers) < limit && len(s.foreign) > 0 {
-		ids := make([]string, 0, len(s.foreign))
-		for id, rec := range s.foreign {
-			if rec.Online && !rec.Departed {
-				ids = append(ids, id)
-			}
-		}
-		sort.Strings(ids)
-		for _, id := range ids {
-			if len(peers) >= limit {
-				break
-			}
-			rec := s.foreign[id]
-			peers = append(peers, PeerInfo{ID: rec.ID, Addr: rec.Addr})
-		}
+	peers := make([]PeerInfo, min(len(online), limit))
+	for i := range peers {
+		peers[i] = PeerInfo{ID: online[i].ID, Addr: online[i].Addr}
 	}
 	return peers
 }
 
 func (s *Server) handleRejoin(r *rejoinReq) *wire.Envelope {
-	where, owner, key, err := s.routeID(r.ID)
+	redirect, err := s.route("rejoin", r.ID)
 	if err != nil {
 		return reply(wire.KindLigloStatus, wire.Marshal(&rejoinResp{Err: err.Error()}))
 	}
-	switch where {
-	case routeForeign:
-		return s.foreignRejoin(r)
-	case routeRedirect:
-		return s.redirectReply("rejoin", owner, key)
+	if redirect != nil {
+		return redirect
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	m, ok := s.members[r.ID.Node]
+	rec, ok := s.members[r.ID]
 	if !ok {
 		return reply(wire.KindLigloStatus, wire.Marshal(&rejoinResp{Err: errUnknown.Error()}))
 	}
-	cameBack := !m.online
-	m.addr = r.Addr
-	m.online = true
-	m.departed = false // an explicit rejoin ends a graceful departure
-	m.lastSeen = time.Now()
+	cameBack := !rec.Online
+	rec.Addr = r.Addr
+	rec.Online = true
+	rec.Departed = false // an explicit rejoin ends a graceful departure
+	rec.lastSeen = time.Now()
 	s.rejoins.Inc()
 	if cameBack {
 		s.cfg.Journal.Append(obs.Event{Kind: obs.EvMemberOnline, Peer: r.Addr, Reason: "rejoin"})
@@ -369,27 +341,24 @@ func (s *Server) handleRejoin(r *rejoinReq) *wire.Envelope {
 // deregistered member is pinned there — its process may stay up awaiting
 // a Rejoin, and a dialable address is not consent to rejoin the overlay.
 func (s *Server) handleDeregister(r *deregisterReq) *wire.Envelope {
-	where, owner, key, err := s.routeID(r.ID)
+	redirect, err := s.route("deregister", r.ID)
 	if err != nil {
 		return reply(wire.KindLigloStatus, wire.Marshal(&deregisterResp{Err: err.Error()}))
 	}
-	switch where {
-	case routeForeign:
-		return s.foreignDeregister(r)
-	case routeRedirect:
-		return s.redirectReply("deregister", owner, key)
+	if redirect != nil {
+		return redirect
 	}
 	s.mu.Lock()
-	m, ok := s.members[r.ID.Node]
+	rec, ok := s.members[r.ID]
 	if !ok {
 		s.mu.Unlock()
 		return reply(wire.KindLigloStatus, wire.Marshal(&deregisterResp{Err: errUnknown.Error()}))
 	}
-	wasOnline := m.online
-	m.online = false
-	m.departed = true
-	m.lastSeen = time.Now()
-	addr := m.addr
+	wasOnline := rec.Online
+	rec.Online = false
+	rec.Departed = true
+	rec.lastSeen = time.Now()
+	addr := rec.Addr
 	s.mu.Unlock()
 	s.deregisters.Inc()
 	s.cfg.Journal.Append(obs.Event{Kind: obs.EvMemberDeregistered, Peer: addr})
@@ -400,27 +369,24 @@ func (s *Server) handleDeregister(r *deregisterReq) *wire.Envelope {
 }
 
 func (s *Server) handleLookup(r *lookupReq) *wire.Envelope {
-	where, owner, key, err := s.routeID(r.ID)
+	redirect, err := s.route("lookup", r.ID)
 	if err != nil {
 		return reply(wire.KindLigloStatus, wire.Marshal(&lookupResp{Err: err.Error()}))
 	}
-	switch where {
-	case routeForeign:
-		return s.foreignLookup(r)
-	case routeRedirect:
-		return s.redirectReply("lookup", owner, key)
+	if redirect != nil {
+		return redirect
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.lookups.Inc()
-	m, ok := s.members[r.ID.Node]
+	rec, ok := s.members[r.ID]
 	if !ok {
 		return reply(wire.KindLigloStatus, wire.Marshal(&lookupResp{Found: false}))
 	}
 	return reply(wire.KindLigloStatus, wire.Marshal(&lookupResp{
 		Found:  true,
-		Addr:   m.addr,
-		Online: m.online,
+		Addr:   rec.Addr,
+		Online: rec.Online,
 	}))
 }
 
@@ -430,15 +396,11 @@ func (s *Server) handleLookup(r *lookupReq) *wire.Envelope {
 func (s *Server) handlePeers(r *peersReq) *wire.Envelope {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	exclude := uint64(0)
-	if r.Self.LIGLO == s.Addr() {
-		exclude = r.Self.Node
-	}
 	limit := s.cfg.InitialPeers
 	if r.Max > 0 {
 		limit = r.Max
 	}
-	return reply(wire.KindLigloPeersList, wire.Marshal(&peersResp{Peers: s.peerListLocked(exclude, limit)}))
+	return reply(wire.KindLigloPeersList, wire.Marshal(&peersResp{Peers: s.peerListLocked(r.Self, limit)}))
 }
 
 // probeLoop periodically validates member addresses — members are not
@@ -463,39 +425,34 @@ func (s *Server) probeLoop() {
 	}
 }
 
-// CheckNow probes every member's address once, concurrently and each dial
-// bounded by transport.DialBound, and updates its online status: a hung
-// member costs one bound, not the whole sweep. Gracefully-departed
-// members are not probed — their process answering the door is not a
-// rejoin. Returns how many members are online after the sweep.
+// CheckNow probes the address of every record the server answers for
+// once, concurrently and each dial bounded by transport.DialBound, and
+// updates the online status of exactly the records it probed: a hung
+// member costs one bound, not the whole sweep, and a member that
+// registers, rejoins or leaves meanwhile keeps what it said.
+// Gracefully-departed members are not probed — their process answering
+// the door is not a rejoin. Returns how many probed members answered.
 func (s *Server) CheckNow() int {
 	s.mu.Lock()
-	type target struct {
-		node uint64
-		addr string
-	}
-	targets := make([]target, 0, len(s.members))
-	for _, m := range s.members {
-		if m.departed {
-			continue
+	targets := make([]ringRecord, 0, len(s.members))
+	for _, rec := range s.members {
+		if !rec.Departed {
+			targets = append(targets, rec.ringRecord)
 		}
-		targets = append(targets, target{m.node, m.addr})
 	}
 	s.mu.Unlock()
+	targets = slices.DeleteFunc(targets, func(t ringRecord) bool { return !s.answersFor(t.ID) })
 
-	alive := make(map[uint64]bool, len(targets))
-	var aliveMu sync.Mutex
+	alive := make([]bool, len(targets))
 	var wg sync.WaitGroup
-	for _, t := range targets {
+	for i, t := range targets {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			defer s.contain()
-			if conn, err := transport.DialTimeout(s.network, t.addr, transport.DialBound); err == nil {
+			if conn, err := transport.DialTimeout(s.network, t.Addr, transport.DialBound); err == nil {
 				_ = conn.Close() // liveness probe: the dial succeeding is the signal
-				aliveMu.Lock()
-				alive[t.node] = true
-				aliveMu.Unlock()
+				alive[i] = true
 			}
 		}()
 	}
@@ -506,24 +463,25 @@ func (s *Server) CheckNow() int {
 	offline := 0
 	now := time.Now()
 	var transitions []obs.Event
-	for node, m := range s.members {
-		if m.departed {
-			continue
+	for i, t := range targets {
+		rec := s.members[t.ID]
+		if rec.Departed || rec.Addr != t.Addr {
+			continue // a deregister or rejoin is newer than the dial
 		}
-		was := m.online
-		if alive[node] {
-			m.online = true
-			m.lastSeen = now
+		was := rec.Online
+		if alive[i] {
+			rec.Online = true
+			rec.lastSeen = now
 			online++
 			if !was {
-				transitions = append(transitions, obs.Event{Kind: obs.EvMemberOnline, Peer: m.addr, Reason: "probe"})
+				transitions = append(transitions, obs.Event{Kind: obs.EvMemberOnline, Peer: rec.Addr, Reason: "probe"})
 			}
 			continue
 		}
-		m.online = false
+		rec.Online = false
 		offline++
 		if was {
-			transitions = append(transitions, obs.Event{Kind: obs.EvMemberOffline, Peer: m.addr, Reason: "probe"})
+			transitions = append(transitions, obs.Event{Kind: obs.EvMemberOffline, Peer: rec.Addr, Reason: "probe"})
 		}
 	}
 	s.mu.Unlock()

@@ -144,12 +144,12 @@ func TestSimSeededRandDeterministic(t *testing.T) {
 	}
 }
 
-func TestSimShardedQueueTotalOrder(t *testing.T) {
-	// Events landing on different shards must still execute in exact
-	// (time, sequence) order — the sharding is an implementation detail.
+func TestSimQueueTotalOrder(t *testing.T) {
+	// Events execute in exact (time, sequence) order: FIFO among
+	// simultaneous events.
 	s := NewSim()
 	var got []int
-	// Interleave times so shard heads constantly compete.
+	// Interleave times so the heap reorders constantly.
 	for i := 0; i < 1000; i++ {
 		i := i
 		at := time.Duration((i*7)%13) * time.Millisecond
@@ -177,7 +177,7 @@ func BenchmarkSimSchedule(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		s.At(time.Duration(i), fn)
-		if s.pending > 1<<16 {
+		if len(s.events) > 1<<16 {
 			s.Run()
 		}
 	}

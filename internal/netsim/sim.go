@@ -15,8 +15,8 @@ import (
 	"time"
 )
 
-// event is a scheduled callback. Events are stored by value in the shard
-// heaps: at churn-simulation scale (tens of millions of events across
+// event is a scheduled callback. Events are stored by value in the
+// heap: at churn-simulation scale (tens of millions of events across
 // 10k+ modeled nodes) one pointer allocation per event dominated the
 // profile of the earlier pointer-heap design.
 type event struct {
@@ -25,9 +25,8 @@ type event struct {
 	fn  func()
 }
 
-// eventLess is the global event order: time, then scheduling sequence.
-// Every pop compares shard heads with it, so the order is identical to a
-// single queue's regardless of how events spread across shards.
+// eventLess is the event order: time, then scheduling sequence. It is
+// total, so one run's events always replay in the same order.
 func eventLess(a, b *event) bool {
 	if a.at != b.at {
 		return a.at < b.at
@@ -35,66 +34,60 @@ func eventLess(a, b *event) bool {
 	return a.seq < b.seq
 }
 
-// eventShard is one value-typed binary min-heap of events. Sharding
-// keeps each heap short (log of a fraction of the total), and the
-// hand-rolled sift avoids container/heap's interface boxing on the
-// simulator's hottest path.
-type eventShard struct {
-	heap []event
-}
+// eventHeap is a value-typed binary min-heap of events. The hand-rolled
+// sift avoids container/heap's interface boxing on the simulator's
+// hottest path.
+type eventHeap []event
 
-func (h *eventShard) push(e event) {
-	h.heap = append(h.heap, e)
-	i := len(h.heap) - 1
+func (h *eventHeap) push(e event) {
+	*h = append(*h, e)
+	q := *h
+	i := len(q) - 1
 	for i > 0 {
 		p := (i - 1) / 2
-		if !eventLess(&h.heap[i], &h.heap[p]) {
+		if !eventLess(&q[i], &q[p]) {
 			break
 		}
-		h.heap[i], h.heap[p] = h.heap[p], h.heap[i]
+		q[i], q[p] = q[p], q[i]
 		i = p
 	}
 }
 
-func (h *eventShard) pop() event {
-	root := h.heap[0]
-	n := len(h.heap) - 1
-	h.heap[0] = h.heap[n]
-	h.heap[n] = event{} // release the callback for GC
-	h.heap = h.heap[:n]
+func (h *eventHeap) pop() event {
+	q := *h
+	root := q[0]
+	n := len(q) - 1
+	q[0] = q[n]
+	q[n] = event{} // release the callback for GC
+	q = q[:n]
+	*h = q
 	i := 0
 	for {
 		l, r, m := 2*i+1, 2*i+2, i
-		if l < n && eventLess(&h.heap[l], &h.heap[m]) {
+		if l < n && eventLess(&q[l], &q[m]) {
 			m = l
 		}
-		if r < n && eventLess(&h.heap[r], &h.heap[m]) {
+		if r < n && eventLess(&q[r], &q[m]) {
 			m = r
 		}
 		if m == i {
 			break
 		}
-		h.heap[i], h.heap[m] = h.heap[m], h.heap[i]
+		q[i], q[m] = q[m], q[i]
 		i = m
 	}
 	return root
 }
 
-// simShards is the event-queue shard count. Events land on shards round-
-// robin by scheduling sequence; a pop scans the (few) shard heads for the
-// global minimum, so total order is preserved exactly.
-const simShards = 8
-
 // Sim is a discrete-event simulation engine. The zero value is not ready;
 // use NewSim or NewSimSeeded.
 type Sim struct {
-	now     time.Duration
-	seq     uint64
-	shards  [simShards]eventShard
-	pending int
-	steps   uint64
-	limit   uint64 // safety valve against runaway simulations
-	rng     *rand.Rand
+	now    time.Duration
+	seq    uint64
+	events eventHeap
+	steps  uint64
+	limit  uint64 // safety valve against runaway simulations
+	rng    *rand.Rand
 }
 
 // NewSim returns an engine positioned at time zero with a fixed default
@@ -126,8 +119,7 @@ func (s *Sim) At(t time.Duration, fn func()) {
 		panic(fmt.Sprintf("netsim: scheduling at %v before now %v", t, s.now))
 	}
 	s.seq++
-	s.shards[s.seq%simShards].push(event{at: t, seq: s.seq, fn: fn})
-	s.pending++
+	s.events.push(event{at: t, seq: s.seq, fn: fn})
 }
 
 // After schedules fn d after the current time. Negative delays are
@@ -139,45 +131,16 @@ func (s *Sim) After(d time.Duration, fn func()) {
 	s.At(s.now+d, fn)
 }
 
-// peekShard returns the shard holding the globally next event; ok is
-// false when no events are queued.
-func (s *Sim) peekShard() (int, bool) {
-	best := -1
-	for i := range s.shards {
-		h := s.shards[i].heap
-		if len(h) == 0 {
-			continue
-		}
-		if best < 0 || eventLess(&h[0], &s.shards[best].heap[0]) {
-			best = i
-		}
-	}
-	return best, best >= 0
-}
-
 // Run executes events until the queue drains and returns the final time.
 func (s *Sim) Run() time.Duration {
-	for s.pending > 0 {
-		s.step()
+	for len(s.events) > 0 {
+		e := s.events.pop()
+		s.now = e.at
+		s.steps++
+		if s.steps > s.limit {
+			panic("netsim: event limit exceeded; simulation is likely divergent")
+		}
+		e.fn()
 	}
 	return s.now
-}
-
-func (s *Sim) step() {
-	i, ok := s.peekShard()
-	if !ok {
-		return
-	}
-	s.stepShard(i)
-}
-
-func (s *Sim) stepShard(i int) {
-	e := s.shards[i].pop()
-	s.pending--
-	s.now = e.at
-	s.steps++
-	if s.steps > s.limit {
-		panic("netsim: event limit exceeded; simulation is likely divergent")
-	}
-	e.fn()
 }
