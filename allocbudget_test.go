@@ -142,17 +142,17 @@ func TestAllocBudgetEnvelope(t *testing.T) {
 		encode, decode float64
 	}{
 		// Encode: the extension's encoder (it grows once or twice more
-		// for a span than for a trace context), the body behind its
-		// header, and for a frame that deflates at level 6 (256 B raw
-		// or more) the kept compressed frame; a smaller one is deflated
-		// on the stack and copied over the body. Decode: the inflated
+		// for a span than for a trace context) and the body behind its
+		// header; a deflated body, from the pooled level-6 writer or the
+		// fixed-block kernel's stack buffer, is copied over the raw one
+		// (it is kept only when shorter). Decode: the inflated
 		// body if there is one (and, for a dynamic-Huffman block, the
 		// link tables compress/flate builds; a fixed block, as every
 		// frame under 256 B raw is, builds none), the envelope, From,
 		// To, and the extension with its strings; Body is a view.
 		{"agent", true, 3, 6},
 		{"result-random", false, 5, 6}, // the probe stops it: stored both ways
-		{"result-text", true, 6, 12},   // the probe lets it through; + the inflater's link tables
+		{"result-text", true, 5, 12},   // the probe lets it through; + the inflater's link tables
 	} {
 		env := frames[tc.name]
 		frame, err := wire.EncodeEnvelope(env)
@@ -168,6 +168,24 @@ func TestAllocBudgetEnvelope(t *testing.T) {
 		if got := testing.AllocsPerRun(200, func() { _, _ = wire.DecodeEnvelope(frame) }); got > tc.decode {
 			t.Errorf("DecodeEnvelope(%s frame): %v allocs, budget %v", tc.name, got, tc.decode)
 		}
+	}
+	// The executing hop's send side as core and the messenger run it:
+	// the batch into a warm body, the envelope into a warm frame. Left is
+	// the span extension's encoder growing; the frame is the one
+	// EncodeEnvelope makes.
+	results, send := hopResults(false), hopResultFrame(false)
+	var warmBody, warmFrame []byte
+	sendSide := func() {
+		warmBody = agent.AppendResults(warmBody[:0], results, 2, wire.BPID{}, hopPeer)
+		send.Body = warmBody
+		warmFrame, _ = wire.AppendEnvelope(warmFrame[:0], send)
+	}
+	sendSide()
+	if want, err := wire.EncodeEnvelope(send); err != nil || !bytes.Equal(warmFrame, want) {
+		t.Fatalf("AppendEnvelope into a warm frame: %d bytes differ from EncodeEnvelope's %d (%v)", len(warmFrame), len(want), err)
+	}
+	if got := testing.AllocsPerRun(200, sendSide); got > 4 {
+		t.Errorf("AppendResults + AppendEnvelope(result-random) into warm buffers: %v allocs, budget 4", got)
 	}
 	// Ten results: the batch, its address, the result slice, ten names;
 	// each Data is a view of the body.
@@ -300,12 +318,25 @@ func TestAllocBudgetMatch(t *testing.T) {
 	}
 }
 
+// BenchmarkEnvelopeEncode encodes each hop frame into a fresh buffer
+// (EncodeEnvelope) and, under <frame>-append, into a warm one as the
+// messenger's pooled frames take it (AppendEnvelope).
 func BenchmarkEnvelopeEncode(b *testing.B) {
 	for name, env := range hopFrames(b) {
 		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := wire.EncodeEnvelope(env); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(name+"-append", func(b *testing.B) {
+			var frame []byte
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				var err error
+				if frame, err = wire.AppendEnvelope(frame[:0], env); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -19,6 +19,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"slices"
 	"sync"
 
 	"bestpeer/internal/storm"
@@ -253,18 +254,23 @@ func DecodePacket(body []byte) (*Packet, error) {
 }
 
 // EncodeResults serializes a result batch for a KindResult or KindHint
-// envelope body. answered is the hop count at the answering peer, which
-// MinHops reconfiguration consumes.
+// envelope body into a fresh buffer; it is AppendResults(nil, …).
 func EncodeResults(results []Result, hops int, from wire.BPID, fromAddr string) []byte {
-	// Sized once from a bound (every varint at its longest): result
+	return AppendResults(nil, results, hops, from, fromAddr)
+}
+
+// AppendResults appends the encoding of a result batch to dst and
+// returns the extended slice. hops is the hop count at the answering
+// peer, which MinHops reconfiguration consumes.
+func AppendResults(dst []byte, results []Result, hops int, from wire.BPID, fromAddr string) []byte {
+	// Grown once from a bound (every varint at its longest): result
 	// batches carry the objects themselves, and growing to 10 KB by
 	// doubling allocates the batch twice over.
 	size := len(fromAddr) + len(from.LIGLO) + 5*binary.MaxVarintLen64
 	for _, r := range results {
 		size += len(r.Name) + len(r.Data) + 2*binary.MaxVarintLen32
 	}
-	var e wire.Encoder
-	e.Grow(size)
+	e := wire.NewEncoder(slices.Grow(dst, size))
 	e.String(fromAddr)
 	e.BPID(from)
 	e.Varint(int64(hops))

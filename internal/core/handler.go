@@ -294,16 +294,19 @@ func (n *Node) executeAgent(env *wire.Envelope, packet *agent.Packet, arrived ti
 	} else if served {
 		rqr = &wire.QRoute{Cached: true, Epoch: sEpoch}
 	}
+	body := wire.GetBuffer()
+	*body = agent.AppendResults(*body, results, int(env.Hops), n.ID(), n.Addr())
 	n.send(packet.Base, &wire.Envelope{
 		Kind:   kind,
 		ID:     env.ID, // answers carry the query id so the base can route them
 		TTL:    1,
 		From:   n.Addr(),
 		To:     packet.Base,
-		Body:   agent.EncodeResults(results, int(env.Hops), n.ID(), n.Addr()),
+		Body:   *body,
 		Span:   span,
 		QRoute: rqr,
 	})
+	wire.PutBuffer(body) // send has encoded it
 }
 
 // resultsSize estimates a result set's cache footprint.
@@ -374,14 +377,17 @@ func (n *Node) handleFetch(env *wire.Envelope) {
 		}
 		results = append(results, agent.Result{Name: name, Data: data})
 	}
+	body := wire.GetBuffer()
+	*body = agent.AppendResults(*body, results, 0, n.ID(), n.Addr())
 	n.send(req.Base, &wire.Envelope{
 		Kind: wire.KindResult,
 		ID:   env.ID, // fetch reply carries the fetch id
 		TTL:  1,
 		From: n.Addr(),
 		To:   req.Base,
-		Body: agent.EncodeResults(results, 0, n.ID(), n.Addr()),
+		Body: *body,
 	})
+	wire.PutBuffer(body) // send has encoded it
 }
 
 // handleClassWant serves a class payload to a node that lacks it. If

@@ -25,6 +25,9 @@ func obj(name string, kws []string, size int) *Object {
 	for i := range data {
 		data[i] = byte(i)
 	}
+	if size == 0 {
+		data = nil // a store reads an empty payload back as nil (wire.Decoder.Bytes2)
+	}
 	return &Object{Name: name, Keywords: kws, Data: data}
 }
 

@@ -82,12 +82,14 @@ func (o Options) withDefaults() Options {
 // messenger owns a listener; incoming connections are read in their own
 // goroutines and every decoded envelope is handed to the handler.
 //
-// Outgoing delivery is asynchronous: Send enqueues onto a bounded
-// per-destination queue drained by a dedicated worker, so a slow or
-// unreachable peer can never block the caller. Per-destination ordering
-// is preserved. A destination that fails FailThreshold times in a row is
-// marked suspect and skipped (Send returns errPeerSuspect) until an
-// exponential backoff expires; one successful delivery clears it.
+// Outgoing delivery is asynchronous: Send encodes the envelope into a
+// pooled frame and enqueues that onto a bounded per-destination queue
+// drained by a dedicated worker, so a slow or unreachable peer can never
+// block the caller, and the envelope is the caller's again on return.
+// Per-destination ordering is preserved. A destination that fails
+// FailThreshold times in a row is marked suspect and skipped (Send
+// returns errPeerSuspect) until an exponential backoff expires; one
+// successful delivery clears it.
 type Messenger struct {
 	network  Network
 	listener net.Listener
@@ -328,11 +330,14 @@ func (m *Messenger) invokeHandler(env *wire.Envelope) {
 	m.handler(env)
 }
 
-// Send enqueues env for asynchronous delivery to the endpoint at to.
-// It never blocks: a full queue returns errQueueFull and a destination
-// in failure backoff returns errPeerSuspect. A nil return means the
-// envelope was accepted for delivery, not that it arrived — transport is
-// best-effort, exactly like the lossy networks the paper assumes.
+// Send encodes env and enqueues the frame for asynchronous delivery to
+// the endpoint at to. It never blocks: a full queue returns errQueueFull,
+// a destination in failure backoff returns errPeerSuspect, and an
+// envelope that does not encode returns the codec's error. The envelope
+// and its Body are the caller's again when Send returns. A nil return
+// means the frame was accepted for delivery, not that it arrived —
+// transport is best-effort, exactly like the lossy networks the paper
+// assumes.
 func (m *Messenger) Send(to string, env *wire.Envelope) error {
 	m.mu.Lock()
 	if m.closed {
@@ -353,10 +358,19 @@ func (m *Messenger) Send(to string, env *wire.Envelope) error {
 		m.opts.Journal.Append(obs.Event{Kind: obs.EvMessageDropped, Peer: to, Reason: "suspect"})
 		return fmt.Errorf("%w: %s for another %v", errPeerSuspect, to, time.Until(until).Round(time.Millisecond))
 	}
+	frame := wire.GetBuffer()
+	var err error
+	if *frame, err = wire.AppendEnvelope(*frame, env); err != nil {
+		wire.PutBuffer(frame)
+		m.droppedEncode.Inc()
+		m.opts.Journal.Append(obs.Event{Kind: obs.EvMessageDropped, Peer: to, Reason: "encode"})
+		return fmt.Errorf("transport: encoding for %s: %w", to, err)
+	}
 	select {
-	case q.ch <- env:
+	case q.ch <- frame:
 		return nil
 	default:
+		wire.PutBuffer(frame)
 		m.droppedQueue.Inc()
 		m.opts.Journal.Append(obs.Event{Kind: obs.EvMessageDropped, Peer: to, Reason: "queue-full"})
 		return fmt.Errorf("%w: %s", errQueueFull, to)
@@ -390,13 +404,14 @@ func (m *Messenger) Close() error {
 	return nil
 }
 
-// sendQueue is one destination's bounded queue plus the single worker
-// goroutine that drains it. The worker owns conn; failure state is
-// shared with Send under qmu.
+// sendQueue is one destination's bounded queue of encoded frames plus
+// the single worker goroutine that drains it. The worker owns conn and
+// every frame it takes off ch; failure state is shared with Send under
+// qmu.
 type sendQueue struct {
 	m    *Messenger
 	addr string
-	ch   chan *wire.Envelope
+	ch   chan *[]byte
 
 	stopped  chan struct{} // closed by Forget; ends the worker early
 	stopOnce sync.Once
@@ -412,7 +427,7 @@ func newSendQueue(m *Messenger, addr string) *sendQueue {
 	return &sendQueue{
 		m:       m,
 		addr:    addr,
-		ch:      make(chan *wire.Envelope, m.opts.QueueSize),
+		ch:      make(chan *[]byte, m.opts.QueueSize),
 		stopped: make(chan struct{}),
 	}
 }
@@ -491,40 +506,36 @@ func (q *sendQueue) run() {
 		case <-q.m.done:
 			return
 		case <-q.stopped:
-			// Forgotten: account queued envelopes as dropped, then
+			// Forgotten: account queued frames as dropped, then
 			// release everything. A Send racing Forget on the stale
-			// queue pointer at worst loses its envelope — transport is
+			// queue pointer at worst loses its frame — transport is
 			// best-effort and the peer is gone anyway.
 			for {
 				select {
-				case <-q.ch:
+				case frame := <-q.ch:
+					wire.PutBuffer(frame)
 					q.m.droppedForget.Inc()
 					q.m.opts.Journal.Append(obs.Event{Kind: obs.EvMessageDropped, Peer: q.addr, Reason: "forget"})
 				default:
 					return
 				}
 			}
-		case env := <-q.ch:
-			q.deliver(env)
+		case frame := <-q.ch:
+			q.deliver(*frame)
+			wire.PutBuffer(frame)
 		}
 	}
 }
 
-// deliver writes one envelope, re-dialing a stale cached connection
-// once. Failures are counted; the envelope is dropped, never retried —
-// upper layers own retry policy.
-func (q *sendQueue) deliver(env *wire.Envelope) {
+// deliver writes one frame, re-dialing a stale cached connection once.
+// Failures are counted; the frame is dropped, never retried — upper
+// layers own retry policy.
+func (q *sendQueue) deliver(frame []byte) {
 	if _, suspect := q.suspended(); suspect {
 		// Enqueued before the destination went suspect; don't burn a
 		// dial timeout per queued message on a peer known to be bad.
 		q.m.droppedSuspect.Inc()
 		q.m.opts.Journal.Append(obs.Event{Kind: obs.EvMessageDropped, Peer: q.addr, Reason: "suspect"})
-		return
-	}
-	frame, err := wire.EncodeEnvelope(env)
-	if err != nil {
-		q.m.droppedEncode.Inc()
-		q.m.opts.Journal.Append(obs.Event{Kind: obs.EvMessageDropped, Peer: q.addr, Reason: "encode"})
 		return
 	}
 	if q.conn == nil {

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"slices"
 )
 
 // errTruncated is returned when a reader runs out of input mid-field.
@@ -21,15 +20,15 @@ type Encoder struct {
 	buf []byte
 }
 
+// NewEncoder returns an encoder that appends to dst: Bytes returns dst
+// extended by what was encoded.
+func NewEncoder(dst []byte) *Encoder { return &Encoder{buf: dst} }
+
 // Bytes returns the encoded payload.
 func (e *Encoder) Bytes() []byte { return e.buf }
 
 // Len returns the number of bytes encoded so far.
 func (e *Encoder) Len() int { return len(e.buf) }
-
-// Grow makes room for n more bytes, so a caller that knows (a bound on)
-// the payload size allocates once instead of growing by doubling.
-func (e *Encoder) Grow(n int) { e.buf = slices.Grow(e.buf, n) }
 
 // Uvarint appends an unsigned varint.
 func (e *Encoder) Uvarint(v uint64) { e.buf = binary.AppendUvarint(e.buf, v) }
