@@ -93,13 +93,22 @@ func NewLiveCluster(tp *topology.Topology, spec *workload.Spec, query string, st
 // baseNode returns the query-issuing node.
 func (lc *LiveCluster) baseNode() *core.Node { return lc.nodes[lc.base] }
 
+// settleQuiet is how long the fleet's message counters must stand still
+// before settle believes the flood is over. A frame a node has received
+// but not yet forwarded is invisible to them while its handler runs, so
+// the window must outlast a handler the OS has descheduled on a loaded
+// machine, not just one tick.
+const settleQuiet = 20 * time.Millisecond
+
 // settle waits, for at most limit, until the fleet has stopped talking:
-// every frame sent has been received, and two reads a tick apart agree.
+// every frame sent has been received, and the counters have not moved
+// for settleQuiet.
 func (lc *LiveCluster) settle(limit time.Duration) {
 	tick := time.NewTicker(2 * time.Millisecond)
 	defer tick.Stop()
 	expired := time.After(limit)
 	var last [3]uint64
+	quietSince := time.Now()
 	for {
 		var now [3]uint64
 		for _, n := range lc.nodes {
@@ -108,10 +117,11 @@ func (lc *LiveCluster) settle(limit time.Duration) {
 			now[1] += s.Received
 			now[2] += s.Dropped
 		}
-		if now[0] == now[1] && now == last {
+		if now != last || now[0] != now[1] {
+			last, quietSince = now, time.Now()
+		} else if time.Since(quietSince) >= settleQuiet {
 			return
 		}
-		last = now
 		select {
 		case <-tick.C:
 		case <-expired:
