@@ -30,10 +30,42 @@ type soakSlot struct {
 
 func (s *soakSlot) up() bool { return s.node != nil }
 
+// soakTTL is the recovery query's TTL, which bounds its oracle too.
+const soakTTL = 7
+
+// reachableMatches is the recovery query's oracle: the matches held by
+// the slots the base (slot 0) reaches over the peer sets as they stand,
+// within ttl hops, itself excluded (the query skips local matches). An
+// agent with TTL t reaches exactly distance t.
+func reachableMatches(slots []*soakSlot, ttl int, matches func(slot int) int) int {
+	slotOf := make(map[string]int, len(slots))
+	for i, s := range slots {
+		slotOf[s.node.Addr()] = i
+	}
+	reached := make([]bool, len(slots))
+	reached[0] = true
+	frontier, total := []int{0}, 0
+	for hop := 0; hop < ttl && len(frontier) > 0; hop++ {
+		var next []int
+		for _, i := range frontier {
+			for _, addr := range slots[i].node.PeerAddrs() {
+				if j, ok := slotOf[addr]; ok && !reached[j] {
+					reached[j] = true
+					next = append(next, j)
+					total += matches(j)
+				}
+			}
+		}
+		frontier = next
+	}
+	return total
+}
+
 // TestChurnSoak runs a live 8-node fleet (real stores, real agents,
 // in-process transport, a real LIGLO server) under continuous
-// kill/restart churn with queries flowing throughout, then asserts the
-// fleet recovers recall once churn stops and that a full teardown leaks
+// kill/restart churn with queries flowing throughout, then asserts that
+// once churn stops the base gets every answer its overlay reaches (and
+// at least half of all the fleet holds), and that a full teardown leaks
 // no goroutines. `make churnsoak` runs it race-enabled with a longer
 // budget via CHURNSOAK_MS.
 func TestChurnSoak(t *testing.T) {
@@ -147,7 +179,10 @@ func TestChurnSoak(t *testing.T) {
 	for i := 1; i < fleet; i++ {
 		expected += spec.MatchCount(i, query)
 	}
-	var answers int
+	if expected == 0 {
+		t.Fatal("workload planted no matches; the soak cannot measure recall")
+	}
+	var answers, reachable int
 	for attempt := 0; attempt < 15; attempt++ {
 		// Force one heal cycle fleet-wide instead of waiting on the
 		// background loops: drop edges to dead generations, then
@@ -162,9 +197,13 @@ func TestChurnSoak(t *testing.T) {
 			s.node.SetPeers(alive)
 			s.node.RepairRound("soak-recovery", 150*time.Millisecond)
 		}
+		// The query waits for what the overlay can deliver, not for
+		// what the fleet holds: a slot no path reaches cannot answer.
+		reachable = reachableMatches(slots, soakTTL, func(i int) int { return spec.MatchCount(i, query) })
 		res, err := slots[0].node.Query(&agent.KeywordAgent{Query: query}, core.QueryOptions{
 			Timeout:     2 * time.Second,
-			WaitAnswers: expected,
+			TTL:         soakTTL,
+			WaitAnswers: reachable,
 			SkipLocal:   true,
 		})
 		if err == nil {
@@ -175,16 +214,16 @@ func TestChurnSoak(t *testing.T) {
 		}
 		time.Sleep(300 * time.Millisecond)
 	}
-	if expected == 0 {
-		t.Fatal("workload planted no matches; the soak cannot measure recall")
-	}
 	for i, s := range slots {
 		t.Logf("slot %d gen %d addr %s peers %v", i, s.gen, s.node.Addr(), s.node.PeerAddrs())
+	}
+	if answers != reachable {
+		t.Errorf("post-churn recovery: %d answers, but the overlay reaches %d", answers, reachable)
 	}
 	if floor := expected / 2; answers < floor {
 		t.Errorf("post-churn recall %d/%d below floor %d", answers, expected, floor)
 	}
-	t.Logf("recovery: %d/%d answers", answers, expected)
+	t.Logf("recovery: %d/%d answers, %d reachable", answers, expected, reachable)
 
 	// Full teardown must return the process to its goroutine baseline:
 	// every node generation's repair loop, send workers and agent
