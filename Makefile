@@ -136,7 +136,8 @@ dhtbench:
 	$(GO) run ./cmd/bpbench -fig dht -json $(DHTJSON)
 
 # Bounded race-enabled churn soak: a live 8-node fleet under kill/restart
-# churn with queries flowing, asserting post-churn recall recovery and
+# churn with queries flowing, asserting that the base then gets every
+# answer its overlay reaches (at least half of all the fleet holds) and
 # zero leaked goroutines. ~60s of churn plus recovery and teardown.
 CHURNSOAK_MS ?= 60000
 churnsoak:
@@ -151,10 +152,11 @@ churnbench:
 # Load-sensitive flake hunt: three busy loops per core (killed on exit,
 # however the run ends) beside `go test -count=STRESS_COUNT -cpu 1`, then
 # the failure count. A plain -count run on an idle machine misses the
-# scheduling races a loaded runner hits. The default runs core's leave
-# and repair tests; the test binary is built before the load starts.
+# scheduling races a loaded runner hits. The default runs core's leave,
+# repair and peer-edit tests; the test binary is built before the load
+# starts.
 STRESS_COUNT ?= 40
-STRESS_RUN ?= ^Test(Leave|Leaver|Repair|Replenish|Sweep|Rejoined|Hint)
+STRESS_RUN ?= ^Test(Leave|Leaver|Repair|Replenish|Sweep|Rejoined|Hint|PeerEdit)
 STRESS_PKG ?= ./internal/core/
 stress:
 	$(GO) test -count=1 -run '^$$' $(STRESS_PKG)

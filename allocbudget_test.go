@@ -141,18 +141,18 @@ func TestAllocBudgetEnvelope(t *testing.T) {
 		gzip           bool
 		encode, decode float64
 	}{
-		// Encode: the extension's encoder (it grows once or twice more
-		// for a span than for a trace context) and the body behind its
-		// header; a deflated body, from the pooled level-6 writer or the
-		// fixed-block kernel's stack buffer, is copied over the raw one
-		// (it is kept only when shorter). Decode: the inflated
+		// Encode: the frame, grown once for the fields and again when
+		// the extension encoded behind them overruns the room left (the
+		// agent's trace context does); a deflated body, from the pooled
+		// level-6 writer or the fixed-block kernel's stack buffer, is
+		// copied over the raw one (it is kept only when shorter). Decode: the inflated
 		// body if there is one (and, for a dynamic-Huffman block, the
 		// link tables compress/flate builds; a fixed block, as every
 		// frame under 256 B raw is, builds none), the envelope, From,
 		// To, and the extension with its strings; Body is a view.
-		{"agent", true, 3, 6},
-		{"result-random", false, 5, 6}, // the probe stops it: stored both ways
-		{"result-text", true, 5, 12},   // the probe lets it through; + the inflater's link tables
+		{"agent", true, 2, 6},
+		{"result-random", false, 1, 6}, // the probe stops it: stored both ways
+		{"result-text", true, 1, 12},   // the probe lets it through; + the inflater's link tables
 	} {
 		env := frames[tc.name]
 		frame, err := wire.EncodeEnvelope(env)
@@ -170,9 +170,8 @@ func TestAllocBudgetEnvelope(t *testing.T) {
 		}
 	}
 	// The executing hop's send side as core and the messenger run it:
-	// the batch into a warm body, the envelope into a warm frame. Left is
-	// the span extension's encoder growing; the frame is the one
-	// EncodeEnvelope makes.
+	// the batch into a warm body, the envelope and its span extension
+	// into a warm frame, which is the one EncodeEnvelope makes.
 	results, send := hopResults(false), hopResultFrame(false)
 	var warmBody, warmFrame []byte
 	sendSide := func() {
@@ -184,8 +183,8 @@ func TestAllocBudgetEnvelope(t *testing.T) {
 	if want, err := wire.EncodeEnvelope(send); err != nil || !bytes.Equal(warmFrame, want) {
 		t.Fatalf("AppendEnvelope into a warm frame: %d bytes differ from EncodeEnvelope's %d (%v)", len(warmFrame), len(want), err)
 	}
-	if got := testing.AllocsPerRun(200, sendSide); got > 4 {
-		t.Errorf("AppendResults + AppendEnvelope(result-random) into warm buffers: %v allocs, budget 4", got)
+	if got := testing.AllocsPerRun(200, sendSide); got > 0 {
+		t.Errorf("AppendResults + AppendEnvelope(result-random) into warm buffers: %v allocs, budget 0", got)
 	}
 	// Ten results: the batch, its address, the result slice, ten names;
 	// each Data is a view of the body.

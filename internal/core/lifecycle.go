@@ -3,6 +3,7 @@ package core
 import (
 	"hash/fnv"
 	"math/rand"
+	"slices"
 	"sync"
 	"time"
 
@@ -44,10 +45,10 @@ func (n *Node) Leave() error {
 	}
 	n.leaving = true
 	id := n.id
-	old := append([]Peer(nil), n.peers...)
-	n.peers = nil
-	n.peerGen++
 	n.mu.Unlock()
+	// Leaving is already set, so nothing can be added from here on and
+	// the set clears for good.
+	_, old := n.editPeers(obs.Event{Reason: "leave"}, func([]Peer) []Peer { return nil })
 
 	// Hints are the departing node's other peers — each recipient gets
 	// candidates it can adopt to replace the lost edge — but only those
@@ -61,7 +62,6 @@ func (n *Node) Leave() error {
 			}
 		}
 		n.departTo(p.Addr, wire.NewMsgID(), hints)
-		n.journal.Append(obs.Event{Kind: obs.EvPeerDropped, Peer: p.Addr, Reason: "leave"})
 	}
 
 	reason := "deregistered"
@@ -110,29 +110,12 @@ func (n *Node) handleDepart(env *wire.Envelope) {
 	from := env.From
 	n.m.departsReceived.Inc()
 
-	n.mu.Lock()
-	removed := false
-	keep := n.peers[:0:0]
-	for _, p := range n.peers {
-		if p.Addr == from {
-			removed = true
-			continue
-		}
-		keep = append(keep, p)
-	}
-	if removed {
-		n.peers = keep
-		n.peerGen++
-	}
-	leaving := n.leaving
-	n.mu.Unlock()
-
 	n.journal.Append(obs.Event{Kind: obs.EvDepartReceived, Peer: from, Count: len(m.Hints)})
-	if removed {
-		n.journal.Append(obs.Event{Kind: obs.EvPeerDropped, Peer: from, Reason: "depart"})
-	}
+	_, dropped := n.editPeers(obs.Event{Reason: "depart"}, func(cur []Peer) []Peer {
+		return slices.DeleteFunc(cur, func(p Peer) bool { return p.Addr == from })
+	})
 	n.release(from)
-	if leaving {
+	if n.Leaving() {
 		return
 	}
 
@@ -154,7 +137,7 @@ func (n *Node) handleDepart(env *wire.Envelope) {
 	if len(stash) > 0 {
 		n.stashHints(stash)
 	}
-	if removed && added == 0 {
+	if len(dropped) > 0 && added == 0 {
 		n.kickRepair("depart")
 	}
 }
@@ -307,61 +290,29 @@ func (n *Node) probeAll(peers []Peer, probeTO time.Duration) []bool {
 
 // dropDead probes the direct peers that suspect picks and drops the
 // unresponsive ones, journalled with reason, releasing each one's
-// transport queue and learned routing state. The shrink is guarded by the peer-set generation
-// counter: if the set changed while the probes were in flight (a
-// reconfiguration, a Leave, a Rejoin), the stale result is discarded
-// rather than clobbering the newer set; the change schedules its own
-// round. It returns how many peers were dropped.
+// transport queue and learned routing state. The drop applies to the set
+// as it stands once the probes are back: a peer something else dropped
+// meanwhile is neither journalled nor released twice. It returns how
+// many peers were dropped.
 func (n *Node) dropDead(suspect func(Peer) bool, probeTO time.Duration, reason string) int {
-	n.mu.Lock()
-	peers := append([]Peer(nil), n.peers...)
-	gen := n.peerGen
-	n.mu.Unlock()
-	var suspects []Peer
-	for _, p := range peers {
-		if suspect(p) {
-			suspects = append(suspects, p)
-		}
-	}
+	suspects := slices.DeleteFunc(n.Peers(), func(p Peer) bool { return !suspect(p) })
 	answered := n.probeAll(suspects, probeTO)
-	var drops []Peer
+	var dead []string
 	for i, p := range suspects {
 		if !answered[i] {
-			drops = append(drops, p)
+			dead = append(dead, p.Addr)
 		}
 	}
-	if len(drops) == 0 {
+	if len(dead) == 0 {
 		return 0
 	}
-	n.mu.Lock()
-	if n.peerGen != gen {
-		n.mu.Unlock()
-		return 0
-	}
-	dropped := 0
-	keep := n.peers[:0:0]
-	for _, p := range n.peers {
-		isDead := false
-		for _, d := range drops {
-			if d.Addr == p.Addr {
-				isDead = true
-				break
-			}
-		}
-		if isDead {
-			dropped++
-			continue
-		}
-		keep = append(keep, p)
-	}
-	n.peers = keep
-	n.peerGen++
-	n.mu.Unlock()
-	for _, p := range drops {
-		n.journal.Append(obs.Event{Kind: obs.EvPeerDropped, Peer: p.Addr, Reason: reason})
+	_, dropped := n.editPeers(obs.Event{Reason: reason}, func(cur []Peer) []Peer {
+		return slices.DeleteFunc(cur, func(p Peer) bool { return slices.Contains(dead, p.Addr) })
+	})
+	for _, p := range dropped {
 		n.release(p.Addr)
 	}
-	return dropped
+	return len(dropped)
 }
 
 // release frees what this node holds for an address it no longer talks

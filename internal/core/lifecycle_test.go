@@ -280,22 +280,23 @@ func TestPeersOfPeer(t *testing.T) {
 }
 
 // heldReplyNet is a node's view of the network with a LIGLO stub in it:
-// while armed, the reply to the next call made to server is read off the
-// wire — so the server has answered — and then kept from the caller until
-// release is closed.
+// while armed, the reply to the call made to server after the skipped
+// ones is read off the wire — so the server has answered — and then kept
+// from the caller until release is closed.
 type heldReplyNet struct {
 	transport.Network
 	server string
 
 	mu      sync.Mutex
+	skip    int           // calls to let through before the held one
 	fetched chan struct{} // closed once the held reply has been read
 	release chan struct{}
 }
 
-func (h *heldReplyNet) arm() (fetched <-chan struct{}, release chan<- struct{}) {
+func (h *heldReplyNet) arm(skip int) (fetched <-chan struct{}, release chan<- struct{}) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	h.fetched, h.release = make(chan struct{}), make(chan struct{})
+	h.skip, h.fetched, h.release = skip, make(chan struct{}), make(chan struct{})
 	return h.fetched, h.release
 }
 
@@ -305,6 +306,10 @@ func (h *heldReplyNet) Dial(addr string) (net.Conn, error) {
 	defer h.mu.Unlock()
 	if err != nil || addr != h.server || h.fetched == nil {
 		return conn, err
+	}
+	if h.skip > 0 {
+		h.skip--
+		return conn, nil
 	}
 	held := &heldReplyConn{Conn: conn, fetched: h.fetched, release: h.release}
 	h.fetched, h.release = nil, nil
@@ -341,7 +346,7 @@ func TestReplenishOrdersLigloReplyAgainstDepart(t *testing.T) {
 	a.SetPeers([]Peer{{Addr: b.Addr()}})
 	b.SetPeers([]Peer{{Addr: a.Addr()}})
 
-	fetched, release := stub.arm()
+	fetched, release := stub.arm(0)
 	type result struct {
 		added int
 		err   error

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -92,8 +93,7 @@ type Node struct {
 
 	mu      sync.Mutex
 	id      wire.BPID
-	peers   []Peer
-	peerGen uint64 // bumped on every peer-set mutation
+	peers   []Peer // written only by editPeers
 	closed  bool
 	leaving bool // set by Leave; suppresses repair and peer adoption
 	admin   *obs.AdminServer
@@ -437,38 +437,11 @@ func (n *Node) PeerAddrs() []string {
 }
 
 // SetPeers replaces the direct-peer set (used by topology builders and
-// tests). The set is clamped to MaxPeers.
+// tests). The set is clamped to MaxPeers. Nothing is released for a
+// peer it drops: a static topology replaced each session redials the
+// peers it keeps.
 func (n *Node) SetPeers(peers []Peer) {
-	n.mu.Lock()
-	if len(peers) > n.cfg.MaxPeers {
-		peers = peers[:n.cfg.MaxPeers]
-	}
-	old := n.peers
-	n.peers = append([]Peer(nil), peers...)
-	n.peerGen++
-	n.mu.Unlock()
-	n.journalPeerDiff(old, peers, "topology")
-}
-
-// journalPeerDiff emits peer-added/peer-dropped events for the change
-// from old to new, tagged with why the set changed.
-func (n *Node) journalPeerDiff(old, cur []Peer, reason string) {
-	was := make(map[string]bool, len(old))
-	for _, p := range old {
-		was[p.Addr] = true
-	}
-	is := make(map[string]bool, len(cur))
-	for _, p := range cur {
-		is[p.Addr] = true
-		if !was[p.Addr] {
-			n.journal.Append(obs.Event{Kind: obs.EvPeerAdded, Peer: p.Addr, Reason: reason})
-		}
-	}
-	for _, p := range old {
-		if !is[p.Addr] {
-			n.journal.Append(obs.Event{Kind: obs.EvPeerDropped, Peer: p.Addr, Reason: reason})
-		}
-	}
+	n.editPeers(obs.Event{Reason: "topology"}, func([]Peer) []Peer { return peers })
 }
 
 // AddPeer appends a direct peer if there is room and it is not already
@@ -476,28 +449,60 @@ func (n *Node) journalPeerDiff(old, cur []Peer, reason string) {
 func (n *Node) AddPeer(p Peer) bool { return n.addPeerReason(p, "added") }
 
 // addPeerReason is AddPeer with an explicit journal reason ("added",
-// "depart-hint", "repair"). A node that has left the overlay (Leave)
-// adopts no peers until it joins again, so a straggling Depart hint or
-// repair round cannot resurrect edges on a departed node. It vets no
-// candidate: the repair paths adopt only peers that answered a probe.
+// "depart-hint", "repair"). It vets no candidate: the repair paths adopt
+// only peers that answered a probe.
 func (n *Node) addPeerReason(p Peer, reason string) bool {
+	added, _ := n.editPeers(obs.Event{Reason: reason}, func(cur []Peer) []Peer { return append(cur, p) })
+	return len(added) > 0
+}
+
+// editPeers is the one place the direct-peer set changes. Under n.mu it
+// hands edit a copy of the set as it stands (edit runs under the lock,
+// so it must not block) and installs what edit returns, under one rule: addresses are unique, the first MaxPeers are
+// kept, and a node that has left (Leave) adds no peer until an edit
+// clears leaving (Join, Rejoin), so a straggling Depart hint, repair
+// round or reconfiguration cannot resurrect edges on a departed node.
+// Each address dropped, then each added, is journalled once from tmpl
+// (its reason, and a reconfiguration's query and strategy). It returns
+// the peers added and dropped; releasing a dropped peer is the caller's
+// call.
+func (n *Node) editPeers(tmpl obs.Event, edit func(cur []Peer) []Peer) (added, dropped []Peer) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if n.leaving {
-		return false
-	}
-	for _, q := range n.peers {
-		if q.Addr == p.Addr {
-			return false
+	old := n.peers
+	next := edit(slices.Clone(old))
+	set := make([]Peer, 0, min(len(next), n.cfg.MaxPeers))
+	for _, p := range next {
+		fresh := !holds(old, p.Addr)
+		if holds(set, p.Addr) || len(set) == n.cfg.MaxPeers || (fresh && n.leaving) {
+			continue
+		}
+		set = append(set, p)
+		if fresh {
+			added = append(added, p)
 		}
 	}
-	if len(n.peers) >= n.cfg.MaxPeers {
-		return false
+	for _, p := range old {
+		if !holds(set, p.Addr) {
+			dropped = append(dropped, p)
+		}
 	}
-	n.peers = append(n.peers, p)
-	n.peerGen++
-	n.journal.Append(obs.Event{Kind: obs.EvPeerAdded, Peer: p.Addr, Reason: reason})
-	return true
+	n.peers = set
+	journal := func(kind obs.EventKind, peers []Peer) {
+		for _, p := range peers {
+			ev := tmpl
+			ev.Kind, ev.Peer = kind, p.Addr
+			n.journal.Append(ev)
+		}
+	}
+	journal(obs.EvPeerDropped, dropped)
+	journal(obs.EvPeerAdded, added)
+	return added, dropped
+}
+
+// holds reports whether peers has one at addr.
+func holds(peers []Peer, addr string) bool {
+	return slices.ContainsFunc(peers, func(p Peer) bool { return p.Addr == addr })
 }
 
 // AdoptIdentity installs a BPID issued in an earlier session, so a
@@ -516,24 +521,17 @@ func (n *Node) Join(servers []string) error {
 	if err != nil {
 		return err
 	}
-	n.mu.Lock()
-	n.id = id
-	n.leaving = false // a fresh join re-enters the overlay after a Leave
-	n.peers = n.peers[:0]
-	for _, p := range peers {
-		if len(n.peers) >= n.cfg.MaxPeers {
-			break
-		}
-		n.peers = append(n.peers, Peer{ID: p.ID, Addr: p.Addr})
+	initial := make([]Peer, len(peers))
+	for i, p := range peers {
+		initial[i] = Peer{ID: p.ID, Addr: p.Addr}
 	}
-	n.peerGen++
-	count := len(n.peers)
-	joined := append([]Peer(nil), n.peers...)
-	n.mu.Unlock()
+	added, _ := n.editPeers(obs.Event{Reason: "join"}, func([]Peer) []Peer {
+		n.id = id
+		n.leaving = false // a fresh join re-enters the overlay after a Leave
+		return initial
+	})
+	count := len(added)
 	n.journal.Append(obs.Event{Kind: obs.EvJoined, Count: count})
-	for _, p := range joined {
-		n.journal.Append(obs.Event{Kind: obs.EvPeerAdded, Peer: p.Addr, Reason: "join"})
-	}
 	n.log.Info("joined bestpeer network", "bpid", id.String(), "initial_peers", count)
 	return nil
 }
@@ -544,42 +542,44 @@ func (n *Node) Join(servers []string) error {
 // through reconfiguration. What the node held for a dropped peer, or for
 // the old address of a peer that moved, is released.
 func (n *Node) Rejoin() error {
-	n.mu.Lock()
-	id := n.id
-	peers := append([]Peer(nil), n.peers...)
-	n.mu.Unlock()
+	id := n.ID()
 	if id.IsZero() {
 		return errors.New("core: Rejoin before Join")
 	}
 	if err := n.lgc.Rejoin(id, n.Addr()); err != nil {
 		return err
 	}
-	var fresh []Peer
-	var stale []string
-	for _, p := range peers {
+	// moved maps each looked-up address to the peer's current one, or to
+	// "" when it is offline or unknown. The edit applies it to the set as
+	// it stands after the lookups, so a Depart, drop or adoption that
+	// lands meanwhile is kept.
+	moved := make(map[string]string)
+	for _, p := range n.Peers() {
 		if p.ID.IsZero() {
-			fresh = append(fresh, p) // no identity to check; keep as-is
-			continue
+			continue // no identity to check; keep as-is
 		}
 		addr, online, err := n.lgc.Lookup(p.ID)
 		if err != nil || !online {
-			n.journal.Append(obs.Event{Kind: obs.EvPeerDropped, Peer: p.Addr, Reason: "offline"})
-			stale = append(stale, p.Addr)
-			continue
+			addr = ""
 		}
-		if addr != p.Addr {
-			stale = append(stale, p.Addr)
-		}
-		p.Addr = addr
-		fresh = append(fresh, p)
+		moved[p.Addr] = addr
 	}
-	n.mu.Lock()
-	n.leaving = false // rejoining re-enters the overlay after a Leave
-	n.peers = fresh
-	n.peerGen++
-	n.mu.Unlock()
-	for _, addr := range stale {
-		n.release(addr)
+	_, dropped := n.editPeers(obs.Event{Reason: "offline"}, func(cur []Peer) []Peer {
+		n.leaving = false // rejoining re-enters the overlay after a Leave
+		fresh := cur[:0]
+		for _, p := range cur {
+			if addr, ok := moved[p.Addr]; ok {
+				if addr == "" {
+					continue
+				}
+				p.Addr = addr
+			}
+			fresh = append(fresh, p)
+		}
+		return fresh
+	})
+	for _, p := range dropped {
+		n.release(p.Addr)
 	}
 	return nil
 }

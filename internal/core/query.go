@@ -386,19 +386,16 @@ func answersSize(lists ...[]Answer) int {
 
 // reconfigure applies the node's strategy to what this query revealed:
 // every answering peer plus every current direct peer is scored, the
-// strategy picks the best k, and any remaining slots are refilled with
-// current peers so the node never strands itself. The full rationale —
-// every candidate's score, rank and k-cut outcome — is journalled.
+// strategy picks the best k, and the picks that were not direct peers
+// fill the set's free slots. The full rationale — every candidate's
+// score, rank and k-cut outcome — is journalled.
 func (n *Node) reconfigure(qid wire.MsgID, answers, hints []Answer) bool {
 	me := n.Addr()
 	direct := make(map[string]Peer)
-	n.mu.Lock()
-	for _, p := range n.peers {
+	for _, p := range n.Peers() {
 		direct[p.Addr] = p
 	}
 	k := n.cfg.MaxPeers
-	oldPeers := append([]Peer(nil), n.peers...)
-	n.mu.Unlock()
 
 	byAddr := make(map[string]*reconfig.Observation)
 	note := func(a Answer) {
@@ -440,45 +437,25 @@ func (n *Node) reconfigure(qid wire.MsgID, answers, hints []Answer) bool {
 	for _, o := range byAddr {
 		cands = append(cands, *o)
 	}
-	// The effective budget never shrinks the node below its current
-	// degree: promotion must not disconnect it from regions only
-	// reachable through existing peers.
-	if len(oldPeers) > k {
-		k = len(oldPeers)
-	}
 	selected := n.strategy.Select(cands, k)
 
 	// Figure-2 semantics: current peers are retained; the strategy ranks
 	// which newly observed peers fill the remaining budget. Dead peers
-	// are dropped by Rejoin, freeing slots.
-	newSet := append([]Peer(nil), oldPeers...)
-	chosen := make(map[string]bool, k)
-	for _, p := range newSet {
-		chosen[p.Addr] = true
-	}
-	for _, o := range selected {
-		if len(newSet) >= k {
-			break
-		}
-		if !chosen[o.Addr] {
-			newSet = append(newSet, Peer{ID: o.ID, Addr: o.Addr})
-			chosen[o.Addr] = true
-		}
-	}
-
-	changed := len(newSet) != len(oldPeers)
-	if !changed {
-		old := make(map[string]bool, len(oldPeers))
-		for _, p := range oldPeers {
-			old[p.Addr] = true
-		}
-		for _, p := range newSet {
-			if !old[p.Addr] {
-				changed = true
-				break
+	// are dropped by repair and Rejoin, freeing slots. The picks join the
+	// set as it stands now, not as it stood before Select: a peer that
+	// was direct then and has been dropped since (a Depart, a sweep) is
+	// not brought back, and a Leave meanwhile refuses every pick.
+	strategy := n.strategy.Name()
+	added, _ := n.editPeers(obs.Event{Reason: "reconfig", Query: qid.String(), Strategy: strategy},
+		func(cur []Peer) []Peer {
+			for _, o := range selected {
+				if !o.Direct {
+					cur = append(cur, Peer{ID: o.ID, Addr: o.Addr})
+				}
 			}
-		}
-	}
+			return cur
+		})
+
 	// Journal the decision rationale whether or not the set changed: a
 	// round where every candidate lost to the incumbents is as much a
 	// decision as one that promotes peers.
@@ -493,37 +470,24 @@ func (n *Node) reconfigure(qid wire.MsgID, answers, hints []Answer) bool {
 			Selected: d.Selected,
 		})
 	}
-	added := newSet[len(oldPeers):]
 	n.journal.Append(obs.Event{
 		Kind:     obs.EvReconfigured,
 		Query:    qid.String(),
-		Strategy: n.strategy.Name(),
+		Strategy: strategy,
 		K:        k,
 		Count:    len(added),
 		Scores:   scores,
 	})
-	if changed {
-		n.mu.Lock()
-		n.peers = newSet
-		n.peerGen++
-		n.mu.Unlock()
-		n.m.reconfigs.Inc()
-		addrs := make([]string, len(newSet))
-		for i, p := range newSet {
-			addrs[i] = p.Addr
-		}
-		for _, p := range added {
-			n.journal.Append(obs.Event{
-				Kind:     obs.EvPeerAdded,
-				Query:    qid.String(),
-				Strategy: n.strategy.Name(),
-				Peer:     p.Addr,
-				Reason:   "reconfig",
-			})
-		}
-		n.log.Info("reconfigured peer set", "strategy", n.strategy.Name(), "peers", addrs)
+	if len(added) == 0 {
+		return false
 	}
-	return changed
+	n.m.reconfigs.Inc()
+	addrs := make([]string, len(added))
+	for i, p := range added {
+		addrs[i] = p.Addr
+	}
+	n.log.Info("reconfigured peer set", "strategy", strategy, "added", addrs)
+	return true
 }
 
 // Fetch performs the mode-2 follow-up: retrieve the named objects from a

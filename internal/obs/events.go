@@ -34,12 +34,14 @@ var (
 	// EvJoined: the node registered with a LIGLO server and adopted a
 	// BPID; Count is the number of initial peers received.
 	EvJoined = EventKind{"joined"}
-	// EvPeerAdded: a peer entered the direct-peer set. Reason says how
-	// ("join", "reconfig", "topology", "added"); reconfig additions also
-	// carry Query and Strategy.
+	// EvPeerAdded: a peer entered the direct-peer set. Reason names the
+	// edit ("join", "reconfig", "topology", "added", "repair",
+	// "depart-hint", "offline" for the new address of a peer Rejoin
+	// found moved); reconfig additions also carry Query and Strategy.
 	EvPeerAdded = EventKind{"peer-added"}
-	// EvPeerDropped: a peer left the direct-peer set ("unresponsive"
-	// from a sweep, "offline" from Rejoin, "topology" from SetPeers).
+	// EvPeerDropped: a peer left the direct-peer set ("suspect" from a
+	// repair round, "depart", "leave", "offline" from Rejoin, "topology"
+	// from SetPeers, "join" for what a Join replaced).
 	EvPeerDropped = EventKind{"peer-dropped"}
 	// EvReconfigured: the post-query strategy decision, with the full
 	// per-candidate rationale in Scores (rank and k-cut selection).

@@ -121,7 +121,7 @@ func TestReadEnvelopeZeroLength(t *testing.T) {
 		{"zero length prefix, gzip flag", []byte{0, 0, 0, 0, flagGzip}, errBadFrame},
 		{"length beyond the maximum", []byte{0xFF, 0xFF, 0xFF, 0xFF, 0}, errFrameTooLarge},
 	} {
-		if _, err := readEnvelope(bytes.NewReader(tc.frame)); !errors.Is(err, tc.want) {
+		if _, err := readEnvelope(bytes.NewReader(tc.frame), new([frameHeaderSize]byte)); !errors.Is(err, tc.want) {
 			t.Errorf("readEnvelope(%s): %v, want %v", tc.name, err, tc.want)
 		}
 		if _, err := DecodeEnvelope(tc.frame); !errors.Is(err, tc.want) {

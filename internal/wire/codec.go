@@ -80,30 +80,32 @@ func EncodeEnvelope(e *Envelope) ([]byte, error) { return AppendEnvelope(nil, e)
 // where body is the envelope fields, gzip-compressed when that is tried
 // and comes out smaller: never under compressionThreshold bytes, by
 // deflateFixed under fixedCeiling, from there by level-6 deflate if
-// mayCompress lets it. dst grows at most once, to hold the stored form;
-// a compressed body is written over it. On error dst is returned as it
+// mayCompress lets it. dst grows to hold the stored form — once for the
+// fields, and again only if the extensions behind them overrun that; a
+// compressed body is written over it. On error dst is returned as it
 // came. The frame does not alias e: e and its Body are the caller's
 // again when AppendEnvelope returns.
 func AppendEnvelope(dst []byte, e *Envelope) ([]byte, error) {
 	if !e.Kind.Valid() {
 		return dst, fmt.Errorf("%w: invalid kind %d", errBadFrame, e.Kind)
 	}
-	// Each extension is encoded once: the emitted bytes are what is
-	// length-checked.
-	trace, span, qroute := e.extPayloads()
-	if max(len(trace), len(span), len(qroute)) > math.MaxUint16 {
-		return dst, fmt.Errorf("%w: extension too large", errBadFrame)
-	}
-	size := e.wireSize(trace, span, qroute)
-	// An inflated body over MaxFrameSize is what every decoder refuses;
-	// the stored form is checked again below, after its flags byte.
-	if size > MaxFrameSize {
+	// A body that alone exceeds MaxFrameSize is refused before it is
+	// copied. The body is laid out behind the reserved header, so a frame
+	// that travels stored is finished in place.
+	fields := envelopeHeaderSize + len(e.From) + len(e.To) + len(e.Body)
+	if fields > MaxFrameSize {
 		return dst, errFrameTooLarge
 	}
-	// The body is laid out behind the reserved header, so a frame that
-	// travels stored is finished in place.
 	start := len(dst)
-	frame := encodeBody(slices.Grow(dst, frameHeaderSize+size)[:start+frameHeaderSize], e, trace, span, qroute)
+	frame, fits := encodeBody(slices.Grow(dst, frameHeaderSize+fields)[:start+frameHeaderSize], e)
+	if !fits {
+		return dst, fmt.Errorf("%w: extension too large", errBadFrame)
+	}
+	// An inflated body over MaxFrameSize is what every decoder refuses;
+	// the stored form is checked again below, after its flags byte.
+	if len(frame)-start-frameHeaderSize > MaxFrameSize {
+		return dst, errFrameTooLarge
+	}
 
 	var flags byte
 	switch raw := frame[start+frameHeaderSize:]; {
@@ -185,8 +187,9 @@ const (
 const extHeaderSize = 1 + 2
 
 // encodeBody appends the envelope fields to buf in a fixed order,
-// followed by the already encoded extension records (nil when absent).
-func encodeBody(buf []byte, e *Envelope, trace, span, qroute []byte) []byte {
+// followed by its extension records. It reports whether every extension
+// payload fit its length field.
+func encodeBody(buf []byte, e *Envelope) ([]byte, bool) {
 	buf = append(buf, byte(e.Kind), e.TTL, e.Hops)
 	buf = append(buf, e.ID[:]...)
 	buf = binary.BigEndian.AppendUint16(buf, uint16(len(e.From)))
@@ -195,23 +198,47 @@ func encodeBody(buf []byte, e *Envelope, trace, span, qroute []byte) []byte {
 	buf = append(buf, e.To...)
 	buf = binary.BigEndian.AppendUint32(buf, uint32(len(e.Body)))
 	buf = append(buf, e.Body...)
-	if e.Trace != nil {
-		buf = appendExt(buf, extTrace, trace)
-	}
-	if e.Span != nil {
-		buf = appendExt(buf, extSpan, span)
-	}
-	if e.QRoute != nil {
-		buf = appendExt(buf, extQRoute, qroute)
-	}
-	return buf
+	return appendExts(buf, e)
 }
 
-// appendExt writes one (tag | length | payload) extension record.
-func appendExt(buf []byte, tag uint8, payload []byte) []byte {
-	buf = append(buf, tag)
-	buf = binary.BigEndian.AppendUint16(buf, uint16(len(payload)))
-	return append(buf, payload...)
+// appendExts appends a record per extension e carries: its tag, a
+// uint16 length that is filled in once the payload has been encoded
+// behind it, then the payload. It reports whether every payload fit its
+// length field. The calls are concrete so that the visitor stays on the
+// stack (see decodeBody).
+func appendExts(buf []byte, e *Envelope) ([]byte, bool) {
+	var f Fields
+	fits := true
+	if e.Trace != nil {
+		at := len(buf)
+		f.enc.buf = append(buf, extTrace, 0, 0)
+		e.Trace.Fields(&f)
+		buf = f.enc.buf
+		fits = sealExt(buf, at) && fits
+	}
+	if e.Span != nil {
+		at := len(buf)
+		f.enc.buf = append(buf, extSpan, 0, 0)
+		e.Span.Fields(&f)
+		buf = f.enc.buf
+		fits = sealExt(buf, at) && fits
+	}
+	if e.QRoute != nil {
+		at := len(buf)
+		f.enc.buf = append(buf, extQRoute, 0, 0)
+		e.QRoute.Fields(&f)
+		buf = f.enc.buf
+		fits = sealExt(buf, at) && fits
+	}
+	return buf, fits
+}
+
+// sealExt writes the length of the extension record that starts at at
+// and runs to the end of buf, and reports whether it fits in a uint16.
+func sealExt(buf []byte, at int) bool {
+	n := len(buf) - at - extHeaderSize
+	binary.BigEndian.PutUint16(buf[at+1:], uint16(n))
+	return n <= math.MaxUint16
 }
 
 // decodeBody parses the fixed layout produced by encodeBody. The
@@ -399,10 +426,9 @@ func FrameCompressed(frame []byte) bool {
 // bytes is still read into one allocation.
 const readStep = 64 << 10
 
-// readEnvelope reads one frame from r and decodes it. It blocks until a
-// full frame is available or the stream ends.
-func readEnvelope(r io.Reader) (*Envelope, error) {
-	var hdr [5]byte
+// readEnvelope reads one frame from r and decodes it, reading its header
+// into hdr. It blocks until a full frame is available or the stream ends.
+func readEnvelope(r io.Reader, hdr *[frameHeaderSize]byte) (*Envelope, error) {
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, err
 	}
@@ -461,6 +487,10 @@ func PutBuffer(b *[]byte) {
 type Conn struct {
 	br *bufio.Reader
 	bw *bufio.Writer
+	// hdr is read into by every Recv: held here, it is allocated once per
+	// connection, where a local would escape through io.Reader once per
+	// frame.
+	hdr [frameHeaderSize]byte
 }
 
 // NewConn wraps rw for envelope exchange.
@@ -481,4 +511,4 @@ func (c *Conn) Send(e *Envelope) error {
 }
 
 // Recv reads the next envelope.
-func (c *Conn) Recv() (*Envelope, error) { return readEnvelope(c.br) }
+func (c *Conn) Recv() (*Envelope, error) { return readEnvelope(c.br, &c.hdr) }

@@ -174,44 +174,9 @@ func (e *Envelope) Forwarded(from, to string) *Envelope {
 
 // WireSize returns the approximate number of bytes the envelope occupies on
 // the wire before compression. The simulator uses it to charge bandwidth.
-func (e *Envelope) WireSize() int { return e.wireSize(e.extPayloads()) }
-
-// wireSize is the length of what encodeBody lays out, given the encoded
-// extension payloads.
-func (e *Envelope) wireSize(trace, span, qroute []byte) int {
-	n := envelopeHeaderSize + len(e.From) + len(e.To) + len(e.Body)
-	if e.Trace != nil {
-		n += extHeaderSize + len(trace)
-	}
-	if e.Span != nil {
-		n += extHeaderSize + len(span)
-	}
-	if e.QRoute != nil {
-		n += extHeaderSize + len(qroute)
-	}
-	return n
-}
-
-// extPayloads encodes the payload of each extension the envelope carries
-// (nil for an absent one). The calls are concrete so that the visitor
-// stays on the stack (see decodeBody).
-func (e *Envelope) extPayloads() (trace, span, qroute []byte) {
-	if e.Trace != nil {
-		var f Fields
-		e.Trace.Fields(&f)
-		trace = f.enc.buf
-	}
-	if e.Span != nil {
-		var f Fields
-		e.Span.Fields(&f)
-		span = f.enc.buf
-	}
-	if e.QRoute != nil {
-		var f Fields
-		e.QRoute.Fields(&f)
-		qroute = f.enc.buf
-	}
-	return trace, span, qroute
+func (e *Envelope) WireSize() int {
+	exts, _ := appendExts(nil, e)
+	return envelopeHeaderSize + len(e.From) + len(e.To) + len(e.Body) + len(exts)
 }
 
 // envelopeHeaderSize is the fixed overhead of an encoded envelope: kind,

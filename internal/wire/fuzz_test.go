@@ -145,7 +145,7 @@ func FuzzEncodeEnvelope(f *testing.F) {
 		if err != nil || !reflect.DeepEqual(decoded, e) {
 			t.Fatalf("DecodeEnvelope round trip: %v", err)
 		}
-		read, err := readEnvelope(bytes.NewReader(frame))
+		read, err := readEnvelope(bytes.NewReader(frame), new([frameHeaderSize]byte))
 		if err != nil || !reflect.DeepEqual(read, e) {
 			t.Fatalf("readEnvelope round trip: %v", err)
 		}

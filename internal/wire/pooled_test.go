@@ -165,7 +165,7 @@ func TestPooledCodecConcurrent(t *testing.T) {
 					t.Errorf("goroutine %d: envelope %d encoded differently (%v)", g, i, err)
 					return
 				}
-				back, err := readEnvelope(bytes.NewReader(frame))
+				back, err := readEnvelope(bytes.NewReader(frame), new([frameHeaderSize]byte))
 				if err != nil || !reflect.DeepEqual(back, envs[i]) {
 					t.Errorf("goroutine %d: envelope %d does not round-trip (%v)", g, i, err)
 					return
@@ -213,7 +213,7 @@ func TestInflateLimit(t *testing.T) {
 	if _, err := DecodeEnvelope(over); !errors.Is(err, errFrameTooLarge) {
 		t.Fatalf("DecodeEnvelope of MaxFrameSize+1 inflated bytes: %v, want errFrameTooLarge", err)
 	}
-	if _, err := readEnvelope(bytes.NewReader(over)); !errors.Is(err, errFrameTooLarge) {
+	if _, err := readEnvelope(bytes.NewReader(over), new([frameHeaderSize]byte)); !errors.Is(err, errFrameTooLarge) {
 		t.Fatalf("readEnvelope of MaxFrameSize+1 inflated bytes: %v, want errFrameTooLarge", err)
 	}
 }
