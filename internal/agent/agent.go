@@ -69,6 +69,12 @@ type Context struct {
 	// ActiveNodes resolves active-element names for active objects.
 	// May be nil when the node shares only static files.
 	ActiveNodes *ActiveSet
+	// Arena, when not nil, is the buffer the keyword-matching agents
+	// (keyword, top-k, digest) have the store copy their hits' data into
+	// (storm.Store.MatchInto): the Data of the Results they return may be
+	// views of it, valid until its owner reuses it. Nil gives each hit a
+	// fresh copy.
+	Arena *[]byte
 }
 
 // Agent is a mobile task. Implementations must be stateless apart from

@@ -46,7 +46,7 @@ func (a *KeywordAgent) State() ([]byte, error) {
 // Execute implements Agent: scan the local store and return matching
 // objects, rendering active objects through their active elements.
 func (a *KeywordAgent) Execute(ctx *Context) ([]Result, error) {
-	matches, err := ctx.Store.Match(a.Query)
+	matches, err := ctx.Store.MatchInto(a.Query, ctx.Arena)
 	if err != nil {
 		return nil, err
 	}
@@ -174,7 +174,7 @@ func (a *DigestAgent) State() ([]byte, error) {
 
 // Execute implements Agent.
 func (a *DigestAgent) Execute(ctx *Context) ([]Result, error) {
-	matches, err := ctx.Store.Match(a.Query)
+	matches, err := ctx.Store.MatchInto(a.Query, ctx.Arena)
 	if err != nil {
 		return nil, err
 	}

@@ -42,7 +42,7 @@ func (a *TopKAgent) State() ([]byte, error) {
 // Execute implements Agent: match, rank by rendered size descending
 // (ties by name for determinism), keep K.
 func (a *TopKAgent) Execute(ctx *Context) ([]Result, error) {
-	matches, err := ctx.Store.Match(a.Query)
+	matches, err := ctx.Store.MatchInto(a.Query, ctx.Arena)
 	if err != nil {
 		return nil, err
 	}

@@ -241,6 +241,10 @@ func (n *Node) executeAgent(env *wire.Envelope, packet *agent.Packet, arrived ti
 			span.Matches = len(results)
 		}
 	} else {
+		// The hits' data is copied into a pooled arena, so the results
+		// may be views of it until the send below has encoded them.
+		arena := wire.GetBuffer()
+		defer wire.PutBuffer(arena)
 		ctx := &agent.Context{
 			Store:       n.store,
 			NodeAddr:    n.Addr(),
@@ -248,6 +252,7 @@ func (n *Node) executeAgent(env *wire.Envelope, packet *agent.Packet, arrived ti
 			Requester:   packet.BaseID,
 			AccessLevel: packet.AccessLevel,
 			ActiveNodes: n.active,
+			Arena:       arena,
 		}
 		start := time.Now()
 		results, execErr = ag.Execute(ctx)
@@ -258,7 +263,7 @@ func (n *Node) executeAgent(env *wire.Envelope, packet *agent.Packet, arrived ti
 			span.Matches = len(results)
 		}
 		if sKey != "" && execErr == nil {
-			n.qr.PutServe(sKey, results, resultsSize(results),
+			n.qr.PutServe(sKey, ownResults(results), resultsSize(results),
 				len(results) == 0, sEpoch, time.Now())
 		}
 	}
@@ -306,7 +311,28 @@ func (n *Node) executeAgent(env *wire.Envelope, packet *agent.Packet, arrived ti
 		Span:   span,
 		QRoute: rqr,
 	})
-	wire.PutBuffer(body) // send has encoded it
+	wire.PutBuffer(body) // send has encoded it; the arena goes back on return
+}
+
+// ownResults copies a result set out of whatever buffers its Data views,
+// into one allocation holding every Data, for a consumer that keeps it.
+// Each Data is clipped to its length, as in a decoded batch.
+func ownResults(results []agent.Result) []agent.Result {
+	size := 0
+	for _, r := range results {
+		size += len(r.Data)
+	}
+	buf := make([]byte, 0, size)
+	out := make([]agent.Result, len(results))
+	for i, r := range results {
+		out[i].Name = r.Name
+		if r.Data != nil {
+			start := len(buf)
+			buf = append(buf, r.Data...)
+			out[i].Data = buf[start:len(buf):len(buf)]
+		}
+	}
+	return out
 }
 
 // resultsSize estimates a result set's cache footprint.

@@ -116,10 +116,14 @@ func (q *queryState) deliver(batch *agent.ResultBatch, hint, cached bool) {
 	}
 }
 
-func (q *queryState) snapshot() ([]Answer, []Answer) {
+// collect closes the state and hands its answers and hints over: a batch
+// that arrives later is dropped, as once the target is met, so nothing
+// appends to the slices again.
+func (q *queryState) collect() ([]Answer, []Answer) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	return append([]Answer(nil), q.answers...), append([]Answer(nil), q.hints...)
+	q.closed = true
+	return q.answers, q.hints
 }
 
 // Query broadcasts ag to the network and collects answers. After
@@ -279,7 +283,7 @@ func (n *Node) Query(ag agent.Agent, opts QueryOptions) (*QueryResult, error) {
 	case <-qs.done:
 	case <-time.After(timeout):
 	}
-	answers, hints := qs.snapshot()
+	answers, hints := qs.collect()
 
 	res := &QueryResult{
 		ID:      qid,

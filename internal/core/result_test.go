@@ -68,9 +68,10 @@ func TestLateUnparsableAnswerIsDropped(t *testing.T) {
 	garbage.ID = liveID // the same bytes for the live query: refused by the decoder
 	n.handle(garbage)
 
-	answers, hints := live.snapshot()
-	if len(answers)+len(hints) != 0 || live.closed {
-		t.Fatalf("dropped answers reached the live query: %d answers, %d hints, closed %v", len(answers), len(hints), live.closed)
+	closed := live.closed // before collect, which closes it
+	answers, hints := live.collect()
+	if len(answers)+len(hints) != 0 || closed {
+		t.Fatalf("dropped answers reached the live query: %d answers, %d hints, closed %v", len(answers), len(hints), closed)
 	}
 	for _, ev := range events(n)[before:] {
 		if ev.Kind == obs.EvAgentAnswered {

@@ -26,7 +26,7 @@ func FuzzDecodeObject(f *testing.F) {
 	f.Add(bytes.Repeat([]byte{0xFF}, 32))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		o, err := decodeObject(data)
+		o, err := decodeObject(data, nil)
 		if err != nil {
 			return
 		}
@@ -34,7 +34,7 @@ func FuzzDecodeObject(f *testing.F) {
 		if err != nil {
 			t.Fatalf("decoded object failed to re-encode: %v", err)
 		}
-		back, err := decodeObject(re)
+		back, err := decodeObject(re, nil)
 		if err != nil {
 			t.Fatalf("re-encoded object failed to decode: %v", err)
 		}
@@ -109,7 +109,7 @@ func FuzzRecordMatches(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, rec []byte, query string) {
 		hit, err := recordMatches(rec, strings.ToLower(query), nil)
-		o, derr := decodeObject(rec)
+		o, derr := decodeObject(rec, nil)
 		if (err != nil) != (derr != nil) {
 			t.Fatalf("recordMatches error %v, decodeObject error %v", err, derr)
 		}

@@ -75,8 +75,12 @@ func encodeObject(o *Object) ([]byte, error) {
 	return e.Bytes(), nil
 }
 
-// decodeObject parses a page record into an Object.
-func decodeObject(rec []byte) (*Object, error) {
+// decodeObject parses a page record into an Object. With arena nil its
+// Data is a fresh copy. Otherwise the data is appended to *arena and Data
+// is a view of it clipped to its length (cap == len), so an append to Data
+// reallocates instead of writing over what follows; a view stays valid
+// when a later append moves the arena, since it keeps the old array.
+func decodeObject(rec []byte, arena *[]byte) (*Object, error) {
 	d := wire.NewDecoder(rec)
 	if v := d.Uint8(); v != objectRecordVersion {
 		return nil, fmt.Errorf("%w: record version %d", errBadObject, v)
@@ -94,9 +98,18 @@ func decodeObject(rec []byte) (*Object, error) {
 			o.Keywords = append(o.Keywords, d.String())
 		}
 	}
-	o.Data = d.Bytes2()
+	data := d.BytesView()
 	if err := d.Finish(); err != nil {
 		return nil, fmt.Errorf("%w: %v", errBadObject, err)
+	}
+	switch {
+	case len(data) == 0:
+	case arena == nil:
+		o.Data = append([]byte(nil), data...)
+	default:
+		start := len(*arena)
+		*arena = append(*arena, data...)
+		o.Data = (*arena)[start:len(*arena):len(*arena)]
 	}
 	return o, nil
 }
@@ -131,7 +144,7 @@ func (o *Object) Matches(query string) bool {
 func recordMatches(rec []byte, q string, gather *keyBuf) (bool, error) {
 	hit, ok := matchRecord(rec, q, gather)
 	if !ok {
-		_, err := decodeObject(rec)
+		_, err := decodeObject(rec, nil)
 		if err == nil {
 			err = errBadObject // unreachable while the contract holds
 		}

@@ -48,7 +48,7 @@ func (s *Store) matchKeyless(q string) ([]*Object, error) {
 		if err != nil || !hit {
 			return err
 		}
-		obj, err := decodeObject(rec)
+		obj, err := decodeObject(rec, nil)
 		if err == nil {
 			out = append(out, obj)
 		}
@@ -159,11 +159,11 @@ func checkNamesCurrent(t *testing.T, s *Store) {
 }
 
 // checkPlan holds the ways to answer a query equal on s — the same objects
-// in the same order: Match (the plan, where an index is open), the page
-// walker with whatever it remembers at this point (nothing after a reopen,
-// everything but the pages the last step changed after a write, everything
-// from the second query on), the walker with no memory, and a
-// decode-everything scan through Object.Matches.
+// in the same order: Match (the plan, where an index is open), MatchInto
+// (checkArenas), the page walker with whatever it remembers at this point
+// (nothing after a reopen, everything but the pages the last step changed
+// after a write, everything from the second query on), the walker with no
+// memory, and a decode-everything scan through Object.Matches.
 func checkPlan(t *testing.T, s *Store, queries []string) {
 	t.Helper()
 	for _, q := range queries {
@@ -171,7 +171,7 @@ func checkPlan(t *testing.T, s *Store, queries []string) {
 		if err != nil {
 			t.Fatalf("Match(%q): %v", q, err)
 		}
-		walked, err := s.matchWalked(strings.ToLower(q))
+		walked, err := s.matchWalked(strings.ToLower(q), nil)
 		if err != nil {
 			t.Fatalf("walker(%q): %v", q, err)
 		}
@@ -186,6 +186,7 @@ func checkPlan(t *testing.T, s *Store, queries []string) {
 		if !reflect.DeepEqual(got, walked) {
 			t.Fatalf("Match(%q) = %v, the walker says %v", q, objNames(got), objNames(walked))
 		}
+		checkArenas(t, s, q, got)
 		if !reflect.DeepEqual(walked, keyless) {
 			t.Fatalf("walker(%q) = %v, without its memory it says %v", q, objNames(walked), objNames(keyless))
 		}
@@ -193,6 +194,44 @@ func checkPlan(t *testing.T, s *Store, queries []string) {
 			t.Fatalf("key-less walker(%q) = %v, MatchFunc(Matches) says %v", q, objNames(keyless), objNames(ref))
 		}
 		checkNameArm(t, s, strings.ToLower(q))
+	}
+}
+
+// checkArenas holds MatchInto(q) to Match's answer want — the same
+// objects in the same order, with the same bytes — into three arenas: an
+// empty one, one holding bytes already, and one whose room the first hit
+// fills, so every later hit grows it while earlier views point into the
+// array it left. Every Data must be clipped (cap == len), the bytes that
+// were there must be left alone, and the arena must have grown by exactly
+// the hits' data.
+func checkArenas(t *testing.T, s *Store, q string, want []*Object) {
+	t.Helper()
+	room := 0
+	if len(want) > 0 {
+		room = len(want[0].Data)
+	}
+	for _, arena := range [][]byte{nil, []byte("held bytes"), make([]byte, 0, room)} {
+		prior := string(arena)
+		got, err := s.MatchInto(q, &arena)
+		if err != nil {
+			t.Fatalf("MatchInto(%q) into %d bytes: %v", q, len(prior), err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("MatchInto(%q) into %d bytes = %v, Match says %v", q, len(prior), objNames(got), objNames(want))
+		}
+		if string(arena[:len(prior)]) != prior {
+			t.Fatalf("MatchInto(%q) overwrote the arena's %q with %q", q, prior, arena[:len(prior)])
+		}
+		size := len(prior)
+		for _, o := range got {
+			if cap(o.Data) != len(o.Data) {
+				t.Fatalf("MatchInto(%q): %q's Data has cap %d, len %d", q, o.Name, cap(o.Data), len(o.Data))
+			}
+			size += len(o.Data)
+		}
+		if len(arena) != size {
+			t.Fatalf("MatchInto(%q) left the arena at %d bytes, %d before and %d of hits", q, len(arena), len(prior), size-len(prior))
+		}
 	}
 }
 
@@ -569,7 +608,7 @@ func TestMatchPlanReportsCorruptCandidate(t *testing.T) {
 	if got, err := s.Match("kw4"); err != nil || len(got) != 1 {
 		t.Fatalf("Match beside a corrupt record = %v, %v; want obj-4", objNames(got), err)
 	}
-	if _, err := s.matchWalked("kw4"); !errors.Is(err, errBadObject) {
+	if _, err := s.matchWalked("kw4", nil); !errors.Is(err, errBadObject) {
 		t.Fatalf("the walker over a corrupt record: %v, want errBadObject", err)
 	}
 }

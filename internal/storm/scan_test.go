@@ -601,7 +601,7 @@ func TestRecordMatchesRandom(t *testing.T) {
 		}
 		query := word(3)
 		hit, err := recordMatches(rec, strings.ToLower(query), nil)
-		back, derr := decodeObject(rec)
+		back, derr := decodeObject(rec, nil)
 		if (err != nil) != (derr != nil) {
 			t.Fatalf("record %x: recordMatches error %v, decodeObject error %v", rec, err, derr)
 		}

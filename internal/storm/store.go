@@ -424,7 +424,7 @@ func (s *Store) rebuildCatalog(withNames bool) error {
 		dirty := false
 		if withNames {
 			p.Records(func(slot Slot, rec []byte) bool {
-				obj, err := decodeObject(rec)
+				obj, err := decodeObject(rec, nil)
 				if err != nil {
 					decodeErr = err
 					return false
@@ -573,7 +573,7 @@ func (s *Store) readObjectAt(oid OID) (*Object, error) {
 	rec, gerr := p.Get(oid.Slot)
 	var obj *Object
 	if gerr == nil {
-		obj, gerr = decodeObject(rec)
+		obj, gerr = decodeObject(rec, nil)
 	}
 	if err := s.pool.Unpin(oid.Page, false); err != nil {
 		return nil, err
@@ -666,7 +666,7 @@ func (s *Store) GetOID(oid OID) (*Object, error) {
 		s.pool.Unpin(oid.Page, false)
 		return nil, fmt.Errorf("%w: oid %v", errNotFound, oid)
 	}
-	obj, derr := decodeObject(rec)
+	obj, derr := decodeObject(rec, nil)
 	if err := s.pool.Unpin(oid.Page, false); err != nil {
 		return nil, err
 	}
@@ -894,7 +894,7 @@ func (s *Store) walkWindow(first int, window []PageID, buf *scanBuf, match *matc
 func (s *Store) Scan(fn func(*Object) bool) error {
 	var batch []*Object
 	return s.walk(nil, func(rec []byte) error {
-		obj, err := decodeObject(rec)
+		obj, err := decodeObject(rec, nil)
 		if err == nil {
 			batch = append(batch, obj)
 		}
@@ -920,20 +920,30 @@ func (s *Store) Scan(fn func(*Object) bool) error {
 // return the same objects in the same order, and vouch for the same thing:
 // Match fails on a corrupt page or record it reads, not on one it has no
 // reason to read. Scan, MatchFunc and CompactTo read — and vouch for —
-// every page.
+// every page. Each object's Data is a fresh copy: Match is MatchInto with
+// no arena.
 func (s *Store) Match(query string) ([]*Object, error) {
-	q := strings.ToLower(query)
-	if s.pindex != nil {
-		return s.matchPlanned(q)
-	}
-	return s.matchWalked(q)
+	return s.MatchInto(query, nil)
 }
 
-// matchWalked is Match by the page walker. q is the query lower-cased.
-func (s *Store) matchWalked(q string) ([]*Object, error) {
+// MatchInto is Match with the hits' data copied into *arena instead of one
+// fresh buffer each: every Data is a read-only view of the arena clipped
+// to its length (cap == len), valid for as long as the caller keeps the
+// arena's bytes — grown by this call or not — unchanged. A nil arena gives
+// Match's fresh copies.
+func (s *Store) MatchInto(query string, arena *[]byte) ([]*Object, error) {
+	q := strings.ToLower(query)
+	if s.pindex != nil {
+		return s.matchPlanned(q, arena)
+	}
+	return s.matchWalked(q, arena)
+}
+
+// matchWalked is MatchInto by the page walker. q is the query lower-cased.
+func (s *Store) matchWalked(q string, arena *[]byte) ([]*Object, error) {
 	var out []*Object
 	err := s.walk(&matchQuery{q: q, kq: "\x00" + q + "\x00"}, func(rec []byte) error {
-		obj, err := decodeObject(rec)
+		obj, err := decodeObject(rec, arena)
 		if err == nil {
 			out = append(out, obj)
 		}
@@ -942,7 +952,7 @@ func (s *Store) matchWalked(q string) ([]*Object, error) {
 	return out, err
 }
 
-// matchPlanned is Match without the walk, under one hold of the read lock:
+// matchPlanned is MatchInto without the walk, under one hold of the read lock:
 // the locations the postings of q carry (the keyword-equality arm), then
 // those of the catalog names containing q (the name arm, one pass over the
 // folded names: nameList.match), sorted by page and slot — which is the
@@ -951,7 +961,7 @@ func (s *Store) matchWalked(q string) ([]*Object, error) {
 // byte makes the posting prefix ambiguous, and a posting that points at an
 // empty slot or at a record that no longer matches is skipped, never
 // answered. q is the query lower-cased.
-func (s *Store) matchPlanned(q string) ([]*Object, error) {
+func (s *Store) matchPlanned(q string, arena *[]byte) ([]*Object, error) {
 	if q == "" {
 		return nil, nil
 	}
@@ -996,7 +1006,7 @@ func (s *Store) matchPlanned(q string) ([]*Object, error) {
 			var hit bool
 			if hit, err = recordMatches(rec, q, nil); hit {
 				var obj *Object
-				if obj, err = decodeObject(rec); err == nil {
+				if obj, err = decodeObject(rec, arena); err == nil {
 					out = append(out, obj)
 				}
 			}

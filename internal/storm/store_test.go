@@ -422,7 +422,7 @@ func TestObjectEncodeDecodeRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := decodeObject(rec)
+	got, err := decodeObject(rec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -433,15 +433,15 @@ func TestObjectEncodeDecodeRoundTrip(t *testing.T) {
 }
 
 func TestDecodeObjectRejectsGarbage(t *testing.T) {
-	if _, err := decodeObject([]byte{99, 1, 2, 3}); err == nil {
+	if _, err := decodeObject([]byte{99, 1, 2, 3}, nil); err == nil {
 		t.Fatal("bad version accepted")
 	}
-	if _, err := decodeObject(nil); err == nil {
+	if _, err := decodeObject(nil, nil); err == nil {
 		t.Fatal("empty record accepted")
 	}
 	o := &Object{Name: "x", Data: []byte("d")}
 	rec, _ := encodeObject(o)
-	if _, err := decodeObject(append(rec, 0)); err == nil {
+	if _, err := decodeObject(append(rec, 0), nil); err == nil {
 		t.Fatal("trailing byte accepted")
 	}
 }

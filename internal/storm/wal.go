@@ -112,7 +112,7 @@ func decodeWALRecord(payload []byte) (*walRecord, error) {
 	r := &walRecord{Op: d.Uint8(), Name: d.String()}
 	if r.Op == walPut {
 		rec := d.Bytes2()
-		obj, err := decodeObject(rec)
+		obj, err := decodeObject(rec, nil)
 		if err != nil {
 			return nil, fmt.Errorf("%w: %v", errBadWALRecord, err)
 		}

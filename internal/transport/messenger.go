@@ -93,6 +93,7 @@ func (o Options) withDefaults() Options {
 type Messenger struct {
 	network  Network
 	listener net.Listener
+	addr     string // listener.Addr().String(), formatted once
 	handler  func(*wire.Envelope)
 	opts     Options
 
@@ -217,6 +218,7 @@ func NewMessengerOpts(network Network, addr string, handler func(*wire.Envelope)
 	m := &Messenger{
 		network:  network,
 		listener: l,
+		addr:     l.Addr().String(),
 		handler:  handler,
 		opts:     opts.withDefaults(),
 		outs:     make(map[string]*sendQueue),
@@ -230,7 +232,7 @@ func NewMessengerOpts(network Network, addr string, handler func(*wire.Envelope)
 }
 
 // Addr returns the bound address.
-func (m *Messenger) Addr() string { return m.listener.Addr().String() }
+func (m *Messenger) Addr() string { return m.addr }
 
 // Forget releases every resource held for the destination: its send
 // queue, worker goroutine, cached connection and suspect/backoff state.
