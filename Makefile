@@ -105,15 +105,15 @@ adminsmoke:
 	$(GO) test -race -count=1 -run 'TestLigloRingSmoke' ./cmd/liglo/
 
 # Allocation budget of one query hop: exact allocs/op bounds on the
-# envelope codec and Store.Match — the warm scan of a plain store, its
-# first scan after open and the plan of an indexed one — (they run in
-# `make test` too, and skip under -race), then the same operations' ns/op,
-# B/op and allocs/op for the log (StoreMatchCold/scan, /scan-first and
-# /plan among them, each at 1k, 10k and 100k objects: ≈ 1 min and a
-# 100 MB store more than the rest). Only the counts gate; timings on a
-# shared runner do not.
+# envelope codec, Store.Match — the warm plan of a plain and of an indexed
+# store, and the first after open — and the buffer pool's replacer (they
+# run in `make test` too; the root package's skip under -race), then the
+# same operations' ns/op, B/op and allocs/op for the log
+# (StoreMatchCold/plain, /plain-first and /indexed among them, each at 1k,
+# 10k and 100k objects: ≈ 1 min and a 100 MB store more than the rest).
+# Only the counts gate; timings on a shared runner do not.
 perfcheck:
-	$(GO) test -count=1 -run 'TestAllocBudget' -v .
+	$(GO) test -count=1 -run 'TestAllocBudget' -v . ./internal/storm/
 	$(GO) test -run '^$$' -bench 'Envelope|Match' -benchmem .
 
 # Machine-readable benchmark report: every simulated figure (including

@@ -81,7 +81,8 @@ func hopFrames(tb testing.TB) map[string]*wire.Envelope {
 
 // hopStore is the paper's per-node store, 1000 × 1 KB objects, behind the
 // daemon's default 64-frame pool; indexed, it is what `bestpeer -index`
-// opens, and Match plans instead of walking.
+// opens, and keeps the keyword index tree beside the plan every store
+// makes.
 type hopStore struct {
 	*storm.Store
 	spec *workload.Spec
@@ -121,8 +122,8 @@ func (h *hopStore) open(tb testing.TB) {
 	h.Store = store
 }
 
-// reopen closes the store and opens it again: an empty pool, and a walker
-// that remembers nothing — the first Match after a restart.
+// reopen closes the store and opens it again: an empty pool, and the plan
+// Open builds — the first Match after a restart.
 func (h *hopStore) reopen(tb testing.TB) {
 	tb.Helper()
 	if err := h.Close(); err != nil {
@@ -237,26 +238,23 @@ func TestAllocBudgetMatch(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items at random under the race detector")
 	}
-	// Per hit: the Object, its name, its keyword slice and one keyword, its
-	// data, and a replacer list node if the hit's page is resident (the
-	// walk reads only the pages its keys do not excuse, the plan only its
-	// candidates'); the plan adds the candidate list's growth. Per scan: the
-	// answer slice's growth, ⌈log₂ hits⌉ + 1 reallocations — c = 6 covers 32
-	// hits; the query's "\x00q\x00" form and the closures stay on the
-	// stack. Per plan: the posting range's two bounds, two closures, the
-	// tree pages' list nodes. Nothing per object or page stored, scanned,
-	// skipped or planned over. MatchInto with a warm arena (one an earlier
-	// match grew, then emptied) copies the data into it: one allocation
-	// fewer per hit.
+	// Every store plans its Match from memory, so a plain and an indexed
+	// store pay the same. Per hit: the Object, its name, its keyword slice
+	// and one keyword, and its data. Per call: the answer slice's growth,
+	// ⌈log₂ hits⌉ + 1 reallocations — c = 6 covers 32 hits; the candidate
+	// list is pooled, and the twin's lookup, the names' pass, the closures
+	// and the pool's replacer allocate nothing. Nothing per object or page
+	// stored. MatchInto with a warm arena (one an earlier match grew, then
+	// emptied) copies the data into it: one allocation fewer per hit.
 	for _, tc := range []struct {
 		name            string
 		indexed, arena  bool
 		perHit, perCall int
 	}{
-		{"scan", false, false, 6, 6},
-		{"plan", true, false, 7, 8},
-		{"scan-arena", false, true, 5, 6},
-		{"plan-arena", true, true, 6, 8},
+		{"plain", false, false, 5, 6},
+		{"indexed", true, false, 5, 6},
+		{"plain-arena", false, true, 4, 6},
+		{"indexed-arena", true, true, 4, 6},
 	} {
 		store := newHopStore(t, tc.indexed)
 		for _, kw := range []string{store.spec.Keyword(7), "no-object-has-this"} {
@@ -279,17 +277,14 @@ func TestAllocBudgetMatch(t *testing.T) {
 		}
 	}
 
-	// The first Match after open reads every page and leaves the walker's
-	// memory behind: per page the keys' one string and the two views of it;
-	// a list node for each page Open's catalog rebuild left resident (at
-	// most the pool's frames); a scan buffer and the key scratch's growth
-	// if the pool of them is empty, and whatever the runtime allocates
-	// beside a call measured once (32 covers them). Paid once per page
-	// version, not per Match.
+	// The first Match after open pays what any Match does, plus, measured
+	// once, a candidate list if the pool of them is empty and whatever the
+	// runtime allocates beside the call (16 covers them): Open built the
+	// plan, so nothing is paid per page.
 	store := newHopStore(t, false)
 	store.reopen(t)
 	kw := store.spec.Keyword(7)
-	hits, pages := store.spec.MatchCount(0, kw), store.Stats().DataPages
+	hits := store.spec.MatchCount(0, kw)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	m, err := store.Match(kw)
@@ -297,16 +292,17 @@ func TestAllocBudgetMatch(t *testing.T) {
 	if err != nil || len(m) != hits {
 		t.Fatalf("first Match(%q) = %d objects, %v; want %d", kw, len(m), err, hits)
 	}
-	if got, budget := after.Mallocs-before.Mallocs, uint64(hits*6+6+2*pages+64+32); got > budget {
-		t.Errorf("first Match(%q) after open: %d allocs, budget %d hits x 6 + 6 + 2 x %d pages + 64 frames + 32 = %d", kw, got, hits, pages, budget)
+	if got, budget := after.Mallocs-before.Mallocs, uint64(hits*5+6+16); got > budget {
+		t.Errorf("first Match(%q) after open: %d allocs, budget %d hits x 5 + 6 + 16 = %d", kw, got, hits, budget)
 	}
 
 	// A writer beside the plan: Put a fresh name and Delete it, on an
 	// indexed store. What the plan's folded names cost it is an append per
 	// fresh name and, once stale entries outnumber live ones, a rebuild
-	// into the same buffers — amortised nothing: the pair allocates what
-	// it did before the plan kept them (20), plus at most one. 3000 pairs
-	// on 1000 live objects rebuild twice.
+	// into the same buffers — amortised nothing; what its twin costs is
+	// the fresh keyword's list, bound and dropped again. The pair keeps
+	// the budget it had before the plan was kept (20), plus one. 3000
+	// pairs on 1000 live objects rebuild the names twice.
 	store = newHopStore(t, true)
 	fresh := make([]*storm.Object, 3001)
 	for i := range fresh {
@@ -373,17 +369,18 @@ func BenchmarkEnvelopeDecode(b *testing.B) {
 
 // BenchmarkStoreMatchCold is Store.Match as a peer runs it, at 1k, 10k and
 // 100k objects (100k, a 100 MB store, not under -short): the store is 5 to
-// 500 times the pool, so most pages come from the file — the pages the
-// walker's keys do not excuse for the scan (keys warmed before the timer),
-// every page for the first scan after open (keys cold: each iteration
-// reopens the store outside the timer), the hits' pages for the plan an
-// indexed store makes. A store is populated once per size and kept across
-// the runs that size b.N.
+// 500 times the pool, so most of the pages of a query's hits come from the
+// file. plain is a store with no tree beside the plan, warmed by one Match
+// before the timer; plain-first is a restart: Open, which builds the
+// plan, and the first Match, timed together (each iteration closes the
+// store outside the timer); indexed a store that also keeps the keyword
+// index tree. A store is populated once per size and kept across the runs
+// that size b.N.
 func BenchmarkStoreMatchCold(b *testing.B) {
 	for _, tc := range []struct {
 		name            string
 		indexed, reopen bool
-	}{{"scan", false, false}, {"scan-first", false, true}, {"plan", true, false}} {
+	}{{"plain", false, false}, {"plain-first", false, true}, {"indexed", true, false}} {
 		b.Run(tc.name, func(b *testing.B) {
 			dir := b.TempDir()
 			for _, objects := range []int{1_000, 10_000, 100_000} {
@@ -410,8 +407,11 @@ func BenchmarkStoreMatchCold(b *testing.B) {
 					for i := 0; i < b.N; i++ {
 						if tc.reopen {
 							b.StopTimer()
-							store.reopen(b)
+							if err := store.Close(); err != nil {
+								b.Fatal(err)
+							}
 							b.StartTimer()
+							store.open(b)
 						}
 						if _, err := store.Match(store.spec.Keyword(i % 100)); err != nil {
 							b.Fatal(err)

@@ -164,8 +164,8 @@ func BenchmarkWALAppend(b *testing.B) {
 }
 
 // BenchmarkIndexedLookup compares, on the paper's 1000-object store, the
-// raw posting lookup and the Match an indexed store plans from it with the
-// Match an unindexed twin store scans for.
+// raw posting lookup of the index tree with the Match every store plans
+// from memory, on an indexed and a plain store.
 func BenchmarkIndexedLookup(b *testing.B) {
 	spec := workload.Default(1)
 	open := func(name string, indexed bool) *storm.Store {
@@ -188,7 +188,7 @@ func BenchmarkIndexedLookup(b *testing.B) {
 			}
 		}
 	})
-	for name, store := range map[string]*storm.Store{"plan": indexed, "scan": plain} {
+	for name, store := range map[string]*storm.Store{"indexed": indexed, "plain": plain} {
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, err := store.Match(spec.Keyword(i % 100)); err != nil {

@@ -67,7 +67,6 @@ func TestAdminEndpointSmoke(t *testing.T) {
 		"bestpeer_storm_objects",
 		"# TYPE bestpeer_storm_pool_misses counter",
 		"# TYPE bestpeer_storm_scan_pages_read_total counter",
-		"# TYPE bestpeer_storm_scan_pages_skipped_total counter",
 	} {
 		if !strings.Contains(metrics, family) {
 			t.Errorf("/metrics is missing family %s", family)

@@ -57,7 +57,7 @@ func main() {
 	policy := flag.String("policy", "lru", "buffer replacement policy: lru, mru or clock (any other name is lru)")
 	access := flag.Int("access", 0, "access level presented to peers")
 	catalog := flag.Bool("catalog", false, "maintain a persistent B+tree catalog")
-	index := flag.Bool("index", false, "maintain a persistent inverted keyword index; queries at this node are answered from it instead of a store scan")
+	index := flag.Bool("index", false, "maintain a persistent inverted keyword index on disk: it serves keyword lookups (Store.LookupKeyword) and survives restarts; queries plan from memory with or without it")
 	wal := flag.String("wal", "", "write-ahead log path (empty disables)")
 	walSync := flag.Bool("wal-sync", false, "fsync the WAL on every operation")
 	admin := flag.String("admin", "", "serve the admin endpoint (/metrics, /healthz, /queries, /events, /cache, pprof) on this address; ':port' binds loopback only; empty disables")

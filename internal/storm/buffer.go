@@ -49,6 +49,7 @@ func newBufferPool(file *diskFile, n int, rep replacer) *BufferPool {
 	if rep == nil {
 		rep = newLRU()
 	}
+	rep.reserve(n)
 	bp := &BufferPool{
 		file:   file,
 		frames: make([]Page, n),

@@ -3,6 +3,7 @@ package storm
 import (
 	"bytes"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -44,39 +45,39 @@ func FuzzDecodeObject(f *testing.F) {
 	})
 }
 
-// checkGatheredKeys holds the keys recordMatches gathers from one intact
-// record to what the walker's skips rest on: they never excuse a query the
-// record matches and, NUL bytes aside, excuse every query it does not —
-// a field is compared whole, not as part of its neighbours. o is rec
-// decoded, hit what recordMatches said without gathering.
-func checkGatheredKeys(t *testing.T, o *Object, rec []byte, query string, hit bool) {
+// checkRecordKeys holds recordKeys, which the keyword twin reads records
+// with, to decodeObject on a record it accepts, o: the name and exactly
+// the object's keywords. Bound into a twin, the record is listed once
+// under each distinct folded keyword, and unbound it leaves nothing.
+func checkRecordKeys(t *testing.T, o *Object, rec []byte) {
 	t.Helper()
-	q := strings.ToLower(query)
-	var buf keyBuf
-	buf.reset()
-	if again, err := recordMatches(rec, q, &buf); err != nil || again != hit {
-		t.Fatalf("recordMatches(%q) = %v, %v while gathering, %v without", query, again, err, hit)
+	var keywords []string
+	name, _, ok := recordKeys(rec, func(k []byte) { keywords = append(keywords, string(k)) })
+	if !ok || string(name) != o.Name || !slices.Equal(keywords, o.Keywords) {
+		t.Fatalf("recordKeys = %q, %q, %v; the record holds %+v", name, keywords, ok, o)
 	}
-	keys := buf.keys()
-	if keys == nil {
-		if n := len(buf.names) + len(buf.keywords); n <= maxPageKeys {
-			t.Fatalf("%d bytes of keys were not kept, the bound is %d", n, maxPageKeys)
+	var twin keywordTwin
+	oid := OID{Page: 3, Slot: 7}
+	twin.bind(rec, oid)
+	folded := make(map[string]bool)
+	for _, k := range o.Keywords {
+		folded[strings.ToLower(k)] = true
+		if l := twin.lists[strings.ToLower(k)]; l == nil || !slices.Equal(*l, []OID{oid}) {
+			t.Fatalf("the twin lists %v under %q of %+v", l, k, o)
 		}
-		return
 	}
-	excused := keys.excuses(q, "\x00"+q+"\x00")
-	if hit && excused {
-		t.Fatalf("keys %q excuse the query %q, which %+v matches", keys, query, o)
+	if len(twin.lists) != len(folded) {
+		t.Fatalf("the twin has %d keywords for the %d of %+v", len(twin.lists), len(folded), o)
 	}
-	if !hit && !excused && q != "" && !strings.Contains(q+o.Name+strings.Join(o.Keywords, ""), "\x00") {
-		t.Fatalf("keys %q do not excuse the query %q, which %+v does not match", keys, query, o)
+	if twin.unbind(rec, oid); len(twin.lists) != 0 {
+		t.Fatalf("unbound, the twin still lists %d keywords of %+v", len(twin.lists), o)
 	}
 }
 
 // FuzzRecordMatches holds recordMatches to its contract: for arbitrary
 // record bytes and query it answers what decodeObject followed by
 // Object.Matches answers, and it fails exactly when decodeObject fails;
-// and the keys it gathers on the way to checkGatheredKeys.
+// and recordKeys to checkRecordKeys.
 func FuzzRecordMatches(f *testing.F) {
 	record := func(o *Object) []byte {
 		rec, err := encodeObject(o)
@@ -108,7 +109,7 @@ func FuzzRecordMatches(f *testing.F) {
 	f.Add(record(&Object{Name: "a\x00b", Keywords: []string{"k\x00w", "kw"}}), "k")
 
 	f.Fuzz(func(t *testing.T, rec []byte, query string) {
-		hit, err := recordMatches(rec, strings.ToLower(query), nil)
+		hit, err := recordMatches(rec, strings.ToLower(query))
 		o, derr := decodeObject(rec, nil)
 		if (err != nil) != (derr != nil) {
 			t.Fatalf("recordMatches error %v, decodeObject error %v", err, derr)
@@ -122,6 +123,6 @@ func FuzzRecordMatches(f *testing.F) {
 		if want := o.Matches(query); hit != want {
 			t.Fatalf("recordMatches(%q) = %v, Matches = %v for %+v", query, hit, want, o)
 		}
-		checkGatheredKeys(t, o, rec, query, hit)
+		checkRecordKeys(t, o, rec)
 	})
 }

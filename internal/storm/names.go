@@ -12,8 +12,7 @@ import (
 // starts[i] is where names[i] begins in folded. A name deleted since, or
 // listed twice because it was deleted or moved and set again, is still
 // here: a reader looks each hit up in byName, which has the current
-// location or none. Kept only while the index is open — without it Match
-// walks and nothing reads the list — by Store.catalogSet and
+// location or none. Kept on every store by Store.catalogSet and
 // Store.catalogUnset, within 2 × live + 64 entries. Guarded by Store.mu.
 type nameList struct {
 	folded []byte
@@ -21,10 +20,10 @@ type nameList struct {
 	names  []string
 }
 
-// catalogSet binds name to oid in byName and, with the index open, lists a
-// name byName did not hold. Caller holds s.mu or is Open.
+// catalogSet binds name to oid in byName and lists a name byName did not
+// hold. Caller holds s.mu or is Open.
 func (s *Store) catalogSet(name string, oid OID) {
-	if _, ok := s.byName[name]; !ok && s.pindex != nil {
+	if _, ok := s.byName[name]; !ok {
 		s.names.add(name)
 	}
 	s.byName[name] = oid

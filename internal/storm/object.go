@@ -136,13 +136,12 @@ func (o *Object) Matches(query string) bool {
 // already lower-cased (strings.ToLower). The contract, held by
 // FuzzRecordMatches: for every rec and query the answer equals
 // decodeObject(rec).Matches(query), and the error is decodeObject's own
-// whenever — and only when — decodeObject fails, so a corrupt record
-// fails a Match exactly as it fails a Scan. ASCII fields are compared
-// in place; a field with a non-ASCII byte goes through strings.ToLower
-// so multi-byte case pairs fold as Matches folds them. gather, when not
-// nil, is also handed the fields the answer was read from.
-func recordMatches(rec []byte, q string, gather *keyBuf) (bool, error) {
-	hit, ok := matchRecord(rec, q, gather)
+// whenever — and only when — decodeObject fails, so a corrupt candidate
+// fails a Match exactly as it fails a Scan. ASCII fields are compared in
+// place; a field with a non-ASCII byte goes through strings.ToLower so
+// multi-byte case pairs fold as Matches folds them.
+func recordMatches(rec []byte, q string) (bool, error) {
+	hit, ok := matchRecord(rec, q)
 	if !ok {
 		_, err := decodeObject(rec, nil)
 		if err == nil {
@@ -155,86 +154,48 @@ func recordMatches(rec []byte, q string, gather *keyBuf) (bool, error) {
 
 // matchRecord walks the record layout of encodeObject; ok is false for a
 // record decodeObject rejects.
-func matchRecord(rec []byte, q string, gather *keyBuf) (hit, ok bool) {
-	if len(rec) == 0 || rec[0] != objectRecordVersion {
+func matchRecord(rec []byte, q string) (hit, ok bool) {
+	name, p, ok := recordKeys(rec, func(k []byte) {
+		hit = hit || (q != "" && lowerEquals(k, q))
+	})
+	if !ok {
 		return false, false
 	}
-	name, p, ok := recordField(rec, 1)
+	if _, p, ok = recordField(rec, p); !ok || p != len(rec) {
+		return false, false // data, then nothing
+	}
+	return hit || (q != "" && lowerContains(name, q)), true
+}
+
+// recordKeys walks the record layout of encodeObject up to its data: it
+// hands each keyword, as stored, to keyword and returns the name and the
+// offset of the data field. ok is false where the layout breaks; the
+// keywords ahead of the break have been handed over by then.
+func recordKeys(rec []byte, keyword func(k []byte)) (name []byte, p int, ok bool) {
+	if len(rec) == 0 || rec[0] != objectRecordVersion {
+		return nil, 0, false
+	}
+	name, p, ok = recordField(rec, 1)
 	if !ok || p == len(rec) {
-		return false, false
+		return nil, 0, false
 	}
 	p++ // the kind byte
 	if _, p, ok = recordField(rec, p); !ok {
-		return false, false // active class
+		return nil, 0, false // active class
 	}
 	keywords, w := binary.Uvarint(rec[p:])
 	if w <= 0 || keywords > maxRecordSize {
-		return false, false
+		return nil, 0, false
 	}
 	p += w
 	for ; keywords > 0; keywords-- {
 		var k []byte
 		if k, p, ok = recordField(rec, p); !ok {
-			return false, false
+			return nil, 0, false
 		}
-		hit = hit || (q != "" && lowerEquals(k, q))
-		if gather != nil {
-			gather.keywords = append(append(gather.keywords, k...), 0)
-		}
+		keyword(k)
 	}
-	if _, p, ok = recordField(rec, p); !ok || p != len(rec) {
-		return false, false // data, then nothing
-	}
-	if gather != nil {
-		gather.names = append(append(gather.names, name...), 0)
-	}
-	return hit || (q != "" && lowerContains(name, q)), true
-}
-
-// pageKeys is what the page walker remembers of a heap page it has read
-// and verified (Store.walk): the names and keywords of the page's live
-// records, folded as Object.Matches folds them, each field between NULs.
-// They never answer a query; they only show that the page cannot.
-type pageKeys struct {
-	names    string // "name1\x00name2\x00"
-	keywords string // "\x00kw1\x00kw2\x00"
-}
-
-// excuses reports that no record the keys were taken from matches q, the
-// query lower-cased (kq = "\x00" + q + "\x00"). A record matches only if q
-// is a substring of its folded name or equals one of its folded keywords,
-// and the keys hold both verbatim; a NUL inside a field or in q can make
-// the answer false for a page without a match, never true for a page with
-// one. The empty query is a substring of anything and excuses no page.
-func (k *pageKeys) excuses(q, kq string) bool {
-	return !strings.Contains(k.names, q) && !strings.Contains(k.keywords, kq)
-}
-
-// maxPageKeys bounds what is remembered of one page: a page whose names
-// and keywords come to more is never remembered and always read.
-const maxPageKeys = pageSize / 8
-
-// keyBuf gathers, through matchRecord, the names and keywords of the
-// records of one page, unfolded.
-type keyBuf struct{ names, keywords []byte }
-
-func (b *keyBuf) reset() *keyBuf {
-	b.names, b.keywords = b.names[:0], append(b.keywords[:0], 0)
-	return b
-}
-
-// keys folds what was gathered since reset into the page's keys, or
-// returns nil if that is more than maxPageKeys. Folding the fields
-// together is folding them one by one: strings.ToLower maps rune by rune,
-// and a NUL neither changes nor joins the runes on either side of it.
-func (b *keyBuf) keys() *pageKeys {
-	if len(b.names)+len(b.keywords) > maxPageKeys {
-		return nil
-	}
-	names, keywords := lowerBytes(b.names), lowerBytes(b.keywords)
-	b.names = append(names, keywords...) // the scratch keeps what it grew to
-	all := string(b.names)
-	return &pageKeys{names: all[:len(names)], keywords: all[len(names):]}
+	return name, p, true
 }
 
 // lowerBytes returns strings.ToLower(string(b)) as bytes, in place when b

@@ -6,14 +6,17 @@ import (
 	"math/rand"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
 	"testing"
 )
 
-// planStores are the store kinds Match is held equal over: the walker
-// alone, the plan, and the plan beside WAL recovery.
+// planStores are the store kinds Match is held equal over: names and
+// twin built by Open's decoding page pass, beside the index tree, beside
+// the tree and WAL recovery, and built by the page pass that trusts the
+// catalog tree beside WAL recovery without the index.
 var planStores = []struct {
 	name    string
 	durable bool // a WAL: the model survives Abandon
@@ -25,6 +28,9 @@ var planStores = []struct {
 	}},
 	{"wal-catalog-index", true, func(dir string) Options {
 		return Options{BufferFrames: 8, PersistentCatalog: true, PersistentIndex: true, WALPath: filepath.Join(dir, "data.wal")}
+	}},
+	{"wal-catalog", true, func(dir string) Options {
+		return Options{BufferFrames: 8, PersistentCatalog: true, WALPath: filepath.Join(dir, "data.wal")}
 	}},
 }
 
@@ -38,13 +44,13 @@ var (
 	planQueries  = []string{"kw", "Kw", "a", "A", "a\x00b", "a\x00", "b", "İ", "i̇", "ſ", "s", "\u212a", "K", "k", "alpha", "ALPHA", "stra", "x", "x\x00", "-", "", "absent"}
 )
 
-// matchKeyless is the walker without its memory — every page read, every
-// record put to recordMatches — which is what matchWalked was before the
-// walker remembered anything: the reference the keyed walk is held to.
+// matchKeyless is Match by the page walker — every page read, every
+// record put to recordMatches — which is what Match was before it planned:
+// the reference the plan is held to.
 func (s *Store) matchKeyless(q string) ([]*Object, error) {
 	var out []*Object
-	err := s.walk(nil, func(rec []byte) error {
-		hit, err := recordMatches(rec, q, nil)
+	err := s.walk(func(rec []byte) error {
+		hit, err := recordMatches(rec, q)
 		if err != nil || !hit {
 			return err
 		}
@@ -57,63 +63,51 @@ func (s *Store) matchKeyless(q string) ([]*Object, error) {
 	return out, err
 }
 
-// forgetKeys drops everything the walker remembers, as a reopen does.
-func (s *Store) forgetKeys() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for i := range s.keys {
-		s.keys[i].Store(nil)
-	}
-}
-
-// remembered counts the pages the walker holds keys of.
-func (s *Store) remembered() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	n := 0
-	for i := range s.keys {
-		if s.keys[i].Load() != nil {
-			n++
-		}
-	}
-	return n
-}
-
-// checkKeysCurrent is the invariant every skip rests on: whatever the
-// walker remembers of a page is what gathering the page's records afresh
-// gives. A mutation that changed a page and left its keys behind fails
-// here, whether or not a query happens to notice. The three slices that
-// describe the heap stay parallel.
-func checkKeysCurrent(t *testing.T, s *Store) {
+// checkTwinCurrent is the invariant the plan's keyword arm rests on: the
+// twin lists exactly the postings gathered afresh from the heap — each
+// live record's location under each distinct keyword it carries, folded
+// with strings.ToLower, once — and keeps no keyword without a location. A
+// mutation that changed a record and left the twin behind fails here,
+// whether or not a query happens to notice. The two slices that describe
+// the heap stay parallel.
+func checkTwinCurrent(t *testing.T, s *Store) {
 	t.Helper()
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	if len(s.keys) != len(s.dataPages) || s.free.n != len(s.dataPages) {
-		t.Fatalf("%d data pages, %d key slots, %d free-space leaves", len(s.dataPages), len(s.keys), s.free.n)
+	if s.free.n != len(s.dataPages) {
+		t.Fatalf("%d data pages, %d free-space leaves", len(s.dataPages), s.free.n)
 	}
-	for i, id := range s.dataPages {
-		k := s.keys[i].Load()
-		if k == nil {
-			continue
-		}
+	fresh := make(map[string][]OID)
+	for _, id := range s.dataPages {
 		p, err := s.pool.Fetch(id)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var fresh keyBuf
-		fresh.reset()
-		p.Records(func(_ Slot, rec []byte) bool {
-			if _, err := recordMatches(rec, "", &fresh); err != nil {
+		p.Records(func(slot Slot, rec []byte) bool {
+			o, err := decodeObject(rec, nil)
+			if err != nil {
 				t.Fatalf("page %d: %v", id, err)
+			}
+			oid := OID{Page: id, Slot: slot}
+			for _, k := range o.Keywords {
+				k = strings.ToLower(k)
+				if l := fresh[k]; len(l) == 0 || l[len(l)-1] != oid {
+					fresh[k] = append(l, oid)
+				}
 			}
 			return true
 		})
-		if want := fresh.keys(); want == nil || *k != *want {
-			t.Fatalf("page %d: the walker remembers %q, the page holds %q", id, k, want)
-		}
 		if err := s.pool.Unpin(id, false); err != nil {
 			t.Fatal(err)
 		}
+	}
+	twin := make(map[string][]OID, len(s.twin.lists))
+	for k, l := range s.twin.lists {
+		twin[k] = slices.Clone(*l)
+		slices.SortFunc(twin[k], compareOIDs)
+	}
+	if !reflect.DeepEqual(twin, fresh) {
+		t.Fatalf("the twin lists %v, the heap holds %v", twin, fresh)
 	}
 }
 
@@ -121,18 +115,11 @@ func checkKeysCurrent(t *testing.T, s *Store) {
 // catalog holds is listed, the buffer is the listed names folded and
 // NUL-terminated one after the other, each start offset is where its name
 // begins, and stale entries are bounded — at most 2 × live + 64 in all.
-// A store without the index, which never plans, lists nothing.
 func checkNamesCurrent(t *testing.T, s *Store) {
 	t.Helper()
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	l := &s.names
-	if s.pindex == nil {
-		if len(l.names)+len(l.starts)+len(l.folded) != 0 {
-			t.Fatalf("a store without the index lists %d names", len(l.names))
-		}
-		return
-	}
 	listed := make(map[string]bool, len(l.names))
 	var want []byte
 	if len(l.starts) != len(l.names) {
@@ -159,11 +146,9 @@ func checkNamesCurrent(t *testing.T, s *Store) {
 }
 
 // checkPlan holds the ways to answer a query equal on s — the same objects
-// in the same order: Match (the plan, where an index is open), MatchInto
-// (checkArenas), the page walker with whatever it remembers at this point
-// (nothing after a reopen, everything but the pages the last step changed
-// after a write, everything from the second query on), the walker with no
-// memory, and a decode-everything scan through Object.Matches.
+// in the same order: Match (the plan), MatchInto (checkArenas), the walker
+// that reads every page (matchKeyless), and a decode-everything scan
+// through Object.Matches.
 func checkPlan(t *testing.T, s *Store, queries []string) {
 	t.Helper()
 	for _, q := range queries {
@@ -171,13 +156,9 @@ func checkPlan(t *testing.T, s *Store, queries []string) {
 		if err != nil {
 			t.Fatalf("Match(%q): %v", q, err)
 		}
-		walked, err := s.matchWalked(strings.ToLower(q), nil)
+		walked, err := s.matchKeyless(strings.ToLower(q))
 		if err != nil {
 			t.Fatalf("walker(%q): %v", q, err)
-		}
-		keyless, err := s.matchKeyless(strings.ToLower(q))
-		if err != nil {
-			t.Fatalf("key-less walker(%q): %v", q, err)
 		}
 		ref, err := s.MatchFunc(func(o *Object) bool { return o.Matches(q) })
 		if err != nil {
@@ -187,11 +168,8 @@ func checkPlan(t *testing.T, s *Store, queries []string) {
 			t.Fatalf("Match(%q) = %v, the walker says %v", q, objNames(got), objNames(walked))
 		}
 		checkArenas(t, s, q, got)
-		if !reflect.DeepEqual(walked, keyless) {
-			t.Fatalf("walker(%q) = %v, without its memory it says %v", q, objNames(walked), objNames(keyless))
-		}
-		if !reflect.DeepEqual(keyless, ref) {
-			t.Fatalf("key-less walker(%q) = %v, MatchFunc(Matches) says %v", q, objNames(keyless), objNames(ref))
+		if !reflect.DeepEqual(walked, ref) {
+			t.Fatalf("walker(%q) = %v, MatchFunc(Matches) says %v", q, objNames(walked), objNames(ref))
 		}
 		checkNameArm(t, s, strings.ToLower(q))
 	}
@@ -262,12 +240,11 @@ func objNames(objs []*Object) []string {
 
 // runMatchPlan interprets prog as a sequence of Put / Replace-in-place /
 // Replace-that-moves / Delete / Checkpoint / close-reopen / Abandon-recover
-// steps on a store of the given kind, and after every step holds what the
-// walker remembers to checkKeysCurrent, the plan's folded names to
-// checkNamesCurrent, Match to checkPlan and the store's content to a model
-// of what was put. The queries start one further on at each step, so each
-// of them is at some point the first after a write — the one that meets
-// the keys partly dropped.
+// steps on a store of the given kind, and after every step holds the
+// plan's twin to checkTwinCurrent, its folded names to checkNamesCurrent,
+// Match to checkPlan and the store's content to a model of what was put.
+// The queries start one further on at each step, so each of them is at
+// some point the first after a write or a reopen.
 func runMatchPlan(t *testing.T, kind uint8, prog []byte) {
 	tc := planStores[int(kind)%len(planStores)]
 	dir := t.TempDir()
@@ -335,13 +312,10 @@ func runMatchPlan(t *testing.T, kind uint8, prog []byte) {
 				}
 			}
 		}
-		checkKeysCurrent(t, s)
+		checkTwinCurrent(t, s)
 		checkNamesCurrent(t, s)
 		at := step % len(planQueries)
 		checkPlan(t, s, append(planQueries[at:len(planQueries):len(planQueries)], planQueries[:at]...))
-		if s.Stats().DataPages > 0 && s.remembered() == 0 {
-			t.Fatalf("step %d: %d queries left nothing remembered", step, len(planQueries))
-		}
 		all, err := s.MatchFunc(func(*Object) bool { return true })
 		if err != nil {
 			t.Fatal(err)
@@ -357,11 +331,10 @@ func runMatchPlan(t *testing.T, kind uint8, prog []byte) {
 	}
 }
 
-// FuzzMatchPlan is the differential proof the query plan and the walker's
-// memory rest on: over arbitrary mutation, checkpoint, reopen and crash
-// sequences on every store kind, the planned Match equals the walker —
-// keys warm, partly dropped or cold — equals the walker without keys equals
-// MatchFunc(Matches).
+// FuzzMatchPlan is the differential proof the query plan rests on: over
+// arbitrary mutation, checkpoint, reopen and crash sequences on every store
+// kind, the twin is current, and the planned Match equals the walker that
+// reads every page equals MatchFunc(Matches).
 func FuzzMatchPlan(f *testing.F) {
 	for kind := range planStores {
 		kind := uint8(kind)
@@ -387,16 +360,17 @@ func TestMatchPlanRandom(t *testing.T) {
 }
 
 // TestNamesUnderChurn runs a writer like publish-mix's — Put a fresh name,
-// Delete the one put a fixed lag earlier — for 2000 rounds on the indexed
-// store kinds, through a close/reopen and an Abandon-recover. runMatchPlan's
-// 64 steps never list enough stale names to rebuild; here the list is held
-// to checkNamesCurrent after every round, must have been rebuilt, and the
-// plan is held to the walker every 100 rounds.
+// Delete the one put a fixed lag earlier — for 2000 rounds on every store
+// kind, through a close/reopen and an Abandon-recover.
+// runMatchPlan's 64 steps never list enough stale names to rebuild; here
+// the list is held to checkNamesCurrent after every round, must have been
+// rebuilt, and the plan is held to the walker and checkTwinCurrent every
+// 100 rounds.
 func TestNamesUnderChurn(t *testing.T) {
 	const rounds, lag = 2000, 40
 	name := func(round int) string { return fmt.Sprintf("%s-%04d", []string{"Pub", "PÜB"}[round%2], round) }
 	queries := []string{"pub-00", "püb-01", "PUB-1", "-19", "kw3", "absent"}
-	for _, tc := range planStores[1:] {
+	for _, tc := range planStores {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
 			open := func() *Store {
@@ -435,6 +409,7 @@ func TestNamesUnderChurn(t *testing.T) {
 				}
 				checkNamesCurrent(t, s)
 				if round%100 == 0 || round == rounds-1 {
+					checkTwinCurrent(t, s)
 					checkPlan(t, s, queries)
 				}
 			}
@@ -560,9 +535,10 @@ func TestMatchPlanCases(t *testing.T) {
 	checkPlan(t, s, queries)
 }
 
-// TestMatchPlanSkipsStalePostings: a posting is a hint. One that points at
-// an empty slot, at a slot past the directory, at a record that does not
-// carry the keyword or at a page that is not a heap page is skipped.
+// TestMatchPlanSkipsStalePostings: the index tree serves LookupKeyword, and
+// Match does not read it, so a posting in the tree that points at an empty
+// slot, at a slot past the directory, at a record that does not carry the
+// keyword or at a page that is not a heap page cannot reach an answer.
 func TestMatchPlanSkipsStalePostings(t *testing.T) {
 	s := tempStore(t, Options{PersistentIndex: true})
 	for i := 0; i < 3; i++ {
@@ -593,7 +569,8 @@ func TestMatchPlanSkipsStalePostings(t *testing.T) {
 }
 
 // TestMatchPlanReportsCorruptCandidate: the plan fails on a corrupt record
-// it reads, and — unlike the walker — not on one it has no reason to read.
+// it reads, and not on one it has no reason to read; a Scan reads, and
+// fails on, every record.
 func TestMatchPlanReportsCorruptCandidate(t *testing.T) {
 	s := tempStore(t, Options{PersistentIndex: true})
 	for i := 0; i < 10; i++ {
@@ -608,8 +585,8 @@ func TestMatchPlanReportsCorruptCandidate(t *testing.T) {
 	if got, err := s.Match("kw4"); err != nil || len(got) != 1 {
 		t.Fatalf("Match beside a corrupt record = %v, %v; want obj-4", objNames(got), err)
 	}
-	if _, err := s.matchWalked("kw4", nil); !errors.Is(err, errBadObject) {
-		t.Fatalf("the walker over a corrupt record: %v, want errBadObject", err)
+	if err := s.Scan(func(*Object) bool { return true }); !errors.Is(err, errBadObject) {
+		t.Fatalf("Scan over a corrupt record: %v, want errBadObject", err)
 	}
 }
 
@@ -727,8 +704,8 @@ func TestSessionWithoutIndexForgetsIt(t *testing.T) {
 
 // TestPutRefusesPostingThatCannotBeIndexed: an object one of whose posting
 // keys exceeds a tree key is refused before anything is written — not left
-// in the heap with postings missing, where the walker would find it and
-// the plan would not.
+// in the heap with postings missing, where Match would find it and
+// LookupKeyword would not.
 func TestPutRefusesPostingThatCannotBeIndexed(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(filepath.Join(dir, "data.storm"), Options{PersistentIndex: true, WALPath: filepath.Join(dir, "data.wal")})

@@ -1,6 +1,6 @@
 package storm
 
-import "container/list"
+import "slices"
 
 // replacer chooses which buffer frame to evict. Only frames explicitly
 // made evictable (pin count zero) are candidates. Implementations are not
@@ -24,24 +24,26 @@ type replacer interface {
 	Victim() (frame int, ok bool)
 	// Len returns the number of evictable frames.
 	Len() int
+	// reserve sizes the policy's state for frames 0 … n-1. The pool calls
+	// it once with its frame count, so Insert, Remove and Victim allocate
+	// nothing; Insert grows the state for a larger frame.
+	reserve(n int)
 }
 
-// listReplacer is the shared machinery for LRU and MRU: an ordered list
-// of frames plus an index. The two differ in where Victim pops.
+// listReplacer is the shared machinery for LRU and MRU: a doubly linked
+// list of the evictable frames, oldest first, threaded through two slices
+// indexed by frame + 1. Index 0 is the list's head: next[0] is the oldest
+// frame + 1 and prev[0] the newest. A frame off the list has next -1. The
+// two policies differ in which end Victim pops.
 type listReplacer struct {
 	name         string
-	order        *list.List // front = oldest
-	pos          map[int]*list.Element
-	victimNewest bool // MRU evicts from the back
+	prev, next   []int32
+	n            int
+	victimNewest bool // MRU evicts the newest
 }
 
 func newListReplacer(name string, victimNewest bool) *listReplacer {
-	return &listReplacer{
-		name:         name,
-		order:        list.New(),
-		pos:          make(map[int]*list.Element),
-		victimNewest: victimNewest,
-	}
+	return &listReplacer{name: name, prev: []int32{0}, next: []int32{0}, victimNewest: victimNewest}
 }
 
 // newLRU returns a least-recently-used replacer.
@@ -53,75 +55,87 @@ func newMRU() replacer { return newListReplacer("mru", true) }
 
 func (r *listReplacer) Name() string { return r.name }
 
-func (r *listReplacer) Insert(frame int) {
-	if e, ok := r.pos[frame]; ok {
-		r.order.MoveToBack(e)
-		return
+func (r *listReplacer) reserve(n int) {
+	for len(r.next) <= n {
+		r.prev, r.next = append(r.prev, 0), append(r.next, -1)
 	}
-	r.pos[frame] = r.order.PushBack(frame)
+}
+
+func (r *listReplacer) Insert(frame int) {
+	r.reserve(frame + 1)
+	r.Remove(frame)
+	i, last := int32(frame+1), r.prev[0]
+	r.prev[i], r.next[i] = last, 0
+	r.next[last], r.prev[0] = i, i
+	r.n++
 }
 
 func (r *listReplacer) Remove(frame int) {
-	if e, ok := r.pos[frame]; ok {
-		r.order.Remove(e)
-		delete(r.pos, frame)
+	i := frame + 1
+	if i >= len(r.next) || r.next[i] < 0 {
+		return
 	}
+	p, n := r.prev[i], r.next[i]
+	r.next[p], r.prev[n] = n, p
+	r.next[i] = -1
+	r.n--
 }
 
 func (r *listReplacer) Victim() (int, bool) {
-	var e *list.Element
+	i := r.next[0]
 	if r.victimNewest {
-		e = r.order.Back()
-	} else {
-		e = r.order.Front()
+		i = r.prev[0]
 	}
-	if e == nil {
+	if i == 0 {
 		return 0, false
 	}
-	f := e.Value.(int)
-	r.order.Remove(e)
-	delete(r.pos, f)
-	return f, true
+	r.Remove(int(i - 1))
+	return int(i - 1), true
 }
 
-func (r *listReplacer) Len() int { return r.order.Len() }
+func (r *listReplacer) Len() int { return r.n }
 
 // clockReplacer approximates LRU with reference bits and a sweeping hand.
+// ref and at are indexed by frame; at is the frame's place in the ring,
+// -1 off it.
 type clockReplacer struct {
 	frames []int // ring of frame ids
-	ref    map[int]bool
-	idx    map[int]int // frame -> position in ring
+	ref    []bool
+	at     []int32
 	hand   int
 }
 
 // newClock returns a clock (second-chance) replacer.
-func newClock() replacer {
-	return &clockReplacer{ref: make(map[int]bool), idx: make(map[int]int)}
-}
+func newClock() replacer { return &clockReplacer{} }
 
 func (c *clockReplacer) Name() string { return "clock" }
 
+func (c *clockReplacer) reserve(n int) {
+	for len(c.at) < n {
+		c.ref, c.at = append(c.ref, false), append(c.at, -1)
+	}
+	c.frames = slices.Grow(c.frames, max(0, n-len(c.frames)))
+}
+
 func (c *clockReplacer) Insert(frame int) {
-	if _, ok := c.idx[frame]; ok {
-		c.ref[frame] = true
+	c.reserve(frame + 1)
+	c.ref[frame] = true
+	if c.at[frame] >= 0 {
 		return
 	}
-	c.idx[frame] = len(c.frames)
+	c.at[frame] = int32(len(c.frames))
 	c.frames = append(c.frames, frame)
-	c.ref[frame] = true
 }
 
 func (c *clockReplacer) Remove(frame int) {
-	i, ok := c.idx[frame]
-	if !ok {
+	if frame >= len(c.at) || c.at[frame] < 0 {
 		return
 	}
-	last := len(c.frames) - 1
+	i, last := c.at[frame], len(c.frames)-1
 	c.frames[i] = c.frames[last]
-	c.idx[c.frames[i]] = i
+	c.at[c.frames[i]] = i
 	c.frames = c.frames[:last]
-	delete(c.idx, frame)
-	delete(c.ref, frame)
+	c.at[frame], c.ref[frame] = -1, false
 	if c.hand > last {
 		c.hand = 0
 	}

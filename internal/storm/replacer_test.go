@@ -1,6 +1,10 @@
 package storm
 
-import "testing"
+import (
+	"math/rand"
+	"slices"
+	"testing"
+)
 
 func drain(r replacer) []int {
 	var out []int
@@ -171,5 +175,81 @@ func TestPoolVictimOrder(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestAllocBudgetReplacer: every policy keeps its order in state sized
+// once from the pool's frames, so the Insert (an Unpin), Remove (a Fetch of
+// an evictable frame) and Victim (an eviction) of a warm pool allocate
+// nothing.
+func TestAllocBudgetReplacer(t *testing.T) {
+	const frames = 64
+	for _, name := range []string{"lru", "mru", "clock"} {
+		r := newReplacer(name)
+		r.reserve(frames)
+		next := 0
+		got := testing.AllocsPerRun(1000, func() {
+			for f := 0; f < frames; f++ {
+				r.Insert((f + next) % frames)
+			}
+			r.Remove(next % frames)
+			pinUnpin(r, (next+7)%frames)
+			for r.Len() > 0 {
+				if _, ok := r.Victim(); !ok {
+					t.Fatalf("%s: no victim among %d evictable frames", name, r.Len())
+				}
+			}
+			next++
+		})
+		if got != 0 {
+			t.Errorf("%s: an Insert/Remove/Victim cycle over %d frames allocates %v times, budget 0", name, frames, got)
+		}
+	}
+}
+
+// TestListReplacerMatchesModel drives LRU and MRU through random Insert,
+// Remove and Victim calls beside a plain slice of the evictable frames,
+// oldest first: the linked slices must keep the same order.
+func TestListReplacerMatchesModel(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for _, newest := range []bool{false, true} {
+		r := newListReplacer("model", newest)
+		r.reserve(8)
+		var model []int
+		drop := func(f int) {
+			if i := slices.Index(model, f); i >= 0 {
+				model = slices.Delete(model, i, i+1)
+			}
+		}
+		for step := 0; step < 20000; step++ {
+			f := rng.Intn(12) // frames past the reserved 8 grow the state
+			switch rng.Intn(3) {
+			case 0:
+				r.Insert(f)
+				drop(f)
+				model = append(model, f)
+			case 1:
+				r.Remove(f)
+				drop(f)
+			default:
+				got, ok := r.Victim()
+				if ok != (len(model) > 0) {
+					t.Fatalf("step %d: Victim ok=%v with %d evictable", step, ok, len(model))
+				}
+				if ok {
+					want := model[0]
+					if newest {
+						want = model[len(model)-1]
+					}
+					if got != want {
+						t.Fatalf("step %d (MRU %v): victim %d, want %d of %v", step, newest, got, want, model)
+					}
+					drop(got)
+				}
+			}
+			if r.Len() != len(model) {
+				t.Fatalf("step %d: Len %d, model %d", step, r.Len(), len(model))
+			}
+		}
 	}
 }

@@ -209,8 +209,9 @@ func corruptPageOnDisk(t *testing.T, path string, id PageID) {
 	}
 }
 
-// TestScanFailsOnCorruptRecord: a record decodeObject rejects fails Match
-// too, although Match no longer decodes the records it passes over.
+// TestScanFailsOnCorruptRecord: a record decodeObject rejects fails every
+// Match that names it as a candidate, by keyword or by name, and every
+// Scan; a Match with no reason to read it does not fail.
 func TestScanFailsOnCorruptRecord(t *testing.T) {
 	s := tempStore(t, Options{})
 	for i := 0; i < 10; i++ {
@@ -219,25 +220,28 @@ func TestScanFailsOnCorruptRecord(t *testing.T) {
 		}
 	}
 	corruptDataLength(t, s, "obj-5", 100)
-	// A page with a record that fails validation is never remembered, so
-	// the record fails every Match, not only the first to walk over it.
 	for attempt := 1; attempt <= 3; attempt++ {
-		if _, err := s.Match("no-such-keyword"); !errors.Is(err, errBadObject) {
-			t.Fatalf("Match %d over a corrupt record: %v, want errBadObject", attempt, err)
+		for _, q := range []string{"kw", "KW", "obj-5", "obj-"} {
+			if _, err := s.Match(q); !errors.Is(err, errBadObject) {
+				t.Fatalf("Match(%q) %d, whose candidates hold a corrupt record: %v, want errBadObject", q, attempt, err)
+			}
 		}
-		if n := s.remembered(); n != 0 {
-			t.Fatalf("Match %d left keys of %d pages behind; the only page holds a corrupt record", attempt, n)
+		if got, err := s.Match("obj-4"); err != nil || len(got) != 1 {
+			t.Fatalf("Match(obj-4) %d beside a corrupt record = %d objects, %v; want obj-4", attempt, len(got), err)
 		}
-	}
-	if err := s.Scan(func(*Object) bool { return true }); !errors.Is(err, errBadObject) {
-		t.Fatalf("Scan over a corrupt record: %v, want errBadObject", err)
+		if got, err := s.Match("no-such-keyword"); err != nil || len(got) != 0 {
+			t.Fatalf("Match %d with no candidate = %d objects, %v; want none", attempt, len(got), err)
+		}
+		if err := s.Scan(func(*Object) bool { return true }); !errors.Is(err, errBadObject) {
+			t.Fatalf("Scan %d over a corrupt record: %v, want errBadObject", attempt, err)
+		}
 	}
 }
 
-// TestMatchVouchesForThePagesItReads: the walker's error contract once it
-// remembers. A page corrupt on disk fails a Match that has to read it —
-// every page while nothing is remembered, a candidate page afterwards —
-// and a Scan always; it does not fail a Match whose keys excuse the page.
+// TestMatchVouchesForThePagesItReads: the plan's error contract. A page
+// corrupt on disk fails every Match whose candidates lie on it, and every
+// Scan; it does not fail a Match whose candidates lie elsewhere, nor the
+// empty query, which has none.
 func TestMatchVouchesForThePagesItReads(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "data.storm")
 	s, err := Open(path, Options{BufferFrames: 4})
@@ -253,8 +257,7 @@ func TestMatchVouchesForThePagesItReads(t *testing.T) {
 	if err := s.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	at := len(s.dataPages) / 2
-	victim := s.dataPages[at]
+	victim := s.dataPages[len(s.dataPages)/2]
 	if resident(s.pool, victim) {
 		t.Fatalf("page %d is resident; the test needs it read from the file", victim)
 	}
@@ -266,31 +269,21 @@ func TestMatchVouchesForThePagesItReads(t *testing.T) {
 			elsewhere = kw
 		}
 	}
-	if got, err := s.Match(elsewhere); err != nil || len(got) != 1 || s.remembered() != len(s.dataPages) {
-		t.Fatalf("first Match(%s) = %d objects, %v, %d of %d pages remembered", elsewhere, len(got), err, s.remembered(), len(s.dataPages))
-	}
 
 	corruptPageOnDisk(t, path, victim)
 
-	if got, err := s.Match(elsewhere); err != nil || len(got) != 1 {
-		t.Fatalf("Match(%s), whose keys excuse the corrupt page = %d objects, %v; want its one object", elsewhere, len(got), err)
-	}
-	if _, err := s.Match(onVictim); !errors.Is(err, errChecksum) {
-		t.Fatalf("Match(%s), whose candidate page is the corrupt one: %v, want errChecksum", onVictim, err)
-	}
-	if err := s.Scan(func(*Object) bool { return true }); !errors.Is(err, errChecksum) {
-		t.Fatalf("Scan over a corrupt page: %v, want errChecksum", err)
-	}
-	if _, err := s.Match(""); !errors.Is(err, errChecksum) {
-		t.Fatalf("the empty query walks every page: %v, want errChecksum", err)
-	}
-	s.forgetKeys()
 	for attempt := 1; attempt <= 2; attempt++ {
-		if _, err := s.Match(elsewhere); !errors.Is(err, errChecksum) {
-			t.Fatalf("Match %d with nothing remembered: %v, want errChecksum", attempt, err)
+		if got, err := s.Match(elsewhere); err != nil || len(got) != 1 {
+			t.Fatalf("Match(%s) %d, whose candidate is elsewhere = %d objects, %v; want its one object", elsewhere, attempt, len(got), err)
 		}
-		if s.keys[at].Load() != nil {
-			t.Fatalf("Match %d remembered the corrupt page", attempt)
+		if _, err := s.Match(onVictim); !errors.Is(err, errChecksum) {
+			t.Fatalf("Match(%s) %d, whose candidate page is the corrupt one: %v, want errChecksum", onVictim, attempt, err)
+		}
+		if got, err := s.Match(""); err != nil || len(got) != 0 {
+			t.Fatalf("the empty query %d = %d objects, %v; want none", attempt, len(got), err)
+		}
+		if err := s.Scan(func(*Object) bool { return true }); !errors.Is(err, errChecksum) {
+			t.Fatalf("Scan %d over a corrupt page: %v, want errChecksum", attempt, err)
 		}
 	}
 }
@@ -319,11 +312,9 @@ func corruptDataLength(t *testing.T, s *Store, name string, size int) {
 // on a store many times its pool, so run reads, pooled reads of dirty
 // pages and dirty evictions interleave. The scanners check every answer:
 // the stable objects exactly, the churning ones for torn content. Run
-// under -race. On the plain store Match is the walker with its memory:
-// scanners publish the keys of the pages they read while writers drop the
-// keys of the pages they change. On the indexed store Match is the plan:
-// tree and heap reads under one lock hold, beside writers splitting leaves
-// and moving records.
+// under -race. Match is the plan: twin, names and heap read under one
+// lock hold, beside writers moving records (and, on the indexed kinds,
+// splitting the tree's leaves).
 func TestConcurrentScannersAndWriters(t *testing.T) {
 	for _, tc := range planStores {
 		t.Run(tc.name, func(t *testing.T) {
@@ -443,8 +434,8 @@ func concurrentScannersAndWriters(t *testing.T, s *Store) {
 		}(r)
 	}
 	// The writers run in phases. Between two of them no page changes while
-	// the scanners go on publishing keys, so what the walker remembers and
-	// what it answers can be held to the pages and to the writers' model.
+	// the scanners go on, so the plan's twin and names and what it answers
+	// can be held to the pages and to the writers' model.
 	for phase := 0; phase < phases; phase++ {
 		var writing sync.WaitGroup
 		for w := 0; w < writers; w++ {
@@ -455,14 +446,14 @@ func concurrentScannersAndWriters(t *testing.T, s *Store) {
 			}(w)
 		}
 		writing.Wait()
-		checkKeysCurrent(t, s)
+		checkTwinCurrent(t, s)
 		checkNamesCurrent(t, s)
 		moving, err := s.Match("churn")
 		if err != nil {
 			t.Fatal(err)
 		}
-		if keyless, err := s.matchKeyless("churn"); err != nil || !reflect.DeepEqual(moving, keyless) {
-			t.Fatalf("phase %d: Match(churn) = %v, without the walker's memory %v, %v", phase, objNames(moving), objNames(keyless), err)
+		if walked, err := s.matchKeyless("churn"); err != nil || !reflect.DeepEqual(moving, walked) {
+			t.Fatalf("phase %d: Match(churn) = %v, a walk of every page %v, %v", phase, objNames(moving), objNames(walked), err)
 		}
 		if want := len(models[0]) + len(models[1]); len(moving) != want {
 			t.Fatalf("phase %d: Match(churn) = %d objects, the writers' model holds %d", phase, len(moving), want)
@@ -600,7 +591,7 @@ func TestRecordMatchesRandom(t *testing.T) {
 			rec = append(rec, byte(rng.Intn(256)))
 		}
 		query := word(3)
-		hit, err := recordMatches(rec, strings.ToLower(query), nil)
+		hit, err := recordMatches(rec, strings.ToLower(query))
 		back, derr := decodeObject(rec, nil)
 		if (err != nil) != (derr != nil) {
 			t.Fatalf("record %x: recordMatches error %v, decodeObject error %v", rec, err, derr)
@@ -609,15 +600,15 @@ func TestRecordMatchesRandom(t *testing.T) {
 			t.Fatalf("record %x, query %q: recordMatches %v, Matches %v", rec, query, hit, !hit)
 		}
 		if derr == nil {
-			checkGatheredKeys(t, back, rec, query, hit)
+			checkRecordKeys(t, back, rec)
 		}
 	}
 }
 
-// TestLowerBytesFoldsFieldwise: keyBuf.keys folds a page's fields in one
-// pass over the NUL-delimited buffer; that must be what folding each field
-// on its own gives, also where a field ends inside a multi-byte sequence
-// or is not UTF-8 at all.
+// TestLowerBytesFoldsFieldwise: lowerBytes, which the plan's names and
+// twin fold with, is strings.ToLower — over a NUL-delimited buffer of
+// fields, what folding each field on its own gives, also where a field
+// ends inside a multi-byte sequence or is not UTF-8 at all.
 func TestLowerBytesFoldsFieldwise(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	alphabet := []string{"a", "Z", "K", "İ", "K", "ſ", "ß", "É", "\xff", "\xc4", "\xe2\x84", "\xe2", "\xb0", "-", ""}
@@ -638,8 +629,8 @@ func TestLowerBytesFoldsFieldwise(t *testing.T) {
 }
 
 // TestStoreCountersDelta: what the store counts is published as counters,
-// so a scraper's Snapshot.DeltaSince reads increases — pages read and
-// skipped per Match, pool traffic, log records — where it used to be
+// so a scraper's Snapshot.DeltaSince reads increases — pages a Scan walks,
+// pages a Match fetches, pool traffic, log records — where it used to be
 // handed the running totals as if they were levels.
 func TestStoreCountersDelta(t *testing.T) {
 	reg := obs.NewRegistry()
@@ -656,39 +647,43 @@ func TestStoreCountersDelta(t *testing.T) {
 		}
 	}
 	pages := float64(s.Stats().DataPages)
-	const (
-		read    = "bestpeer_storm_scan_pages_read_total"
-		skipped = "bestpeer_storm_scan_pages_skipped_total"
-	)
-	match := func() *obs.Snapshot {
+	const read = "bestpeer_storm_scan_pages_read_total"
+	delta := func(op func()) *obs.Snapshot {
 		before := reg.Snapshot()
-		if got, err := s.Match("kw7"); err != nil || len(got) != 3 {
-			t.Fatalf("Match(kw7) = %d objects, %v; want 3", len(got), err)
-		}
+		op()
 		return reg.Snapshot().DeltaSince(before)
 	}
-	first, second := match(), match()
-	if first.Value(read) != pages || first.Value(skipped) != 0 {
-		t.Errorf("first Match: %v pages read, %v skipped; want all %v read", first.Value(read), first.Value(skipped), pages)
+	for i := 1; i <= 2; i++ {
+		d := delta(func() {
+			if got, err := s.Match("kw7"); err != nil || len(got) != 3 {
+				t.Fatalf("Match(kw7) = %d objects, %v; want 3", len(got), err)
+			}
+		})
+		// The plan fetches the 1-3 pages of its hits through the pool, and
+		// walks none.
+		if fetched := d.Value("bestpeer_storm_pool_hits") + d.Value("bestpeer_storm_pool_misses"); d.Value(read) != 0 || fetched < 1 || fetched > 3 {
+			t.Errorf("Match %d: %v pages walked, %v fetched; want none walked and the 1-3 pages of its hits fetched", i, d.Value(read), fetched)
+		}
+		if n := d.Value("bestpeer_storm_wal_records"); n != 0 {
+			t.Errorf("a Match logged %v records", n)
+		}
+		if n := d.Value("bestpeer_storm_objects"); n != 90 {
+			t.Errorf("objects = %v in a delta; a gauge passes through as a level", n)
+		}
 	}
-	if r, sk := second.Value(read), second.Value(skipped); r < 1 || r > 3 || r+sk != pages {
-		t.Errorf("second Match: %v pages read, %v skipped; want the 1-3 pages of its hits read and the rest of %v skipped", r, sk, pages)
-	}
-	// A skipped page is neither a pool hit nor a miss.
-	if visits := second.Value("bestpeer_storm_pool_hits") + second.Value("bestpeer_storm_pool_misses"); visits != second.Value(read) {
-		t.Errorf("second Match: %v pool hits + misses for %v pages read", visits, second.Value(read))
-	}
-	if n := second.Value("bestpeer_storm_wal_records"); n != 0 {
-		t.Errorf("a Match logged %v records", n)
+	scan := delta(func() {
+		if err := s.Scan(func(*Object) bool { return true }); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if scan.Value(read) != pages {
+		t.Errorf("Scan walked %v pages of %v", scan.Value(read), pages)
 	}
 	if n := reg.Snapshot().Value("bestpeer_storm_wal_records"); n != 90 {
 		t.Errorf("wal_records = %v after 90 puts", n)
 	}
-	if n := second.Value("bestpeer_storm_objects"); n != 90 {
-		t.Errorf("objects = %v in a delta; a gauge passes through as a level", n)
-	}
-	for _, name := range []string{read, skipped, "bestpeer_storm_pool_hits", "bestpeer_storm_pool_misses", "bestpeer_storm_pool_evictions", "bestpeer_storm_wal_records"} {
-		if f := second.Family(name); f == nil || f.Type != "counter" {
+	for _, name := range []string{read, "bestpeer_storm_pool_hits", "bestpeer_storm_pool_misses", "bestpeer_storm_pool_evictions", "bestpeer_storm_wal_records"} {
+		if f := scan.Family(name); f == nil || f.Type != "counter" {
 			t.Errorf("%s is published as %+v, want a counter", name, f)
 		}
 	}

@@ -28,6 +28,14 @@ type OID struct {
 // String renders the OID as "page.slot".
 func (o OID) String() string { return fmt.Sprintf("%d.%d", o.Page, o.Slot) }
 
+// compareOIDs orders locations by page, then slot: page order.
+func compareOIDs(a, b OID) int {
+	if a.Page != b.Page {
+		return cmp.Compare(a.Page, b.Page)
+	}
+	return cmp.Compare(a.Slot, b.Slot)
+}
+
 // Options configures a Store.
 type Options struct {
 	// BufferFrames is the buffer-pool size in pages. Zero defaults to 64.
@@ -52,10 +60,10 @@ type Options struct {
 	// operations.
 	WALSync bool
 	// PersistentIndex maintains a durable inverted keyword index in an
-	// on-disk B+tree. While it is open Store.Match answers from it instead
-	// of walking every page (see Store.LookupKeyword for the raw posting
-	// list). Rebuilt by scan when the on-disk image is missing, implausible
-	// or was not closed cleanly.
+	// on-disk B+tree that survives restarts and serves Store.LookupKeyword
+	// (the raw posting list). Match does not read it: every store plans its
+	// Match from memory. Rebuilt by scan when the on-disk image is missing,
+	// implausible or was not closed cleanly.
 	PersistentIndex bool
 }
 
@@ -83,20 +91,20 @@ type Store struct {
 	wal *wal
 
 	// byName maps every stored name to its record; names lists them folded
-	// for the plan while the index is open. Both change in catalogSet and
-	// catalogUnset only (and names once in Open).
+	// for the plan's name arm. Both change in catalogSet and catalogUnset
+	// only. twin is the plan's keyword arm.
 	byName map[string]OID
 	names  nameList
+	twin   keywordTwin
 	// dataPages lists the heap pages in ascending id order; free holds
 	// each one's reclaimable bytes at the same index, for deterministic
-	// lowest-page-first placement, and keys what the walker remembers of
-	// it (nil: nothing). All three grow and change in pageChanged only.
+	// lowest-page-first placement. Both grow and change in pageChanged
+	// only.
 	dataPages []PageID
 	free      freeSpace
-	keys      []atomic.Pointer[pageKeys]
 
-	// Heap pages walk has read, and pages their keys excused.
-	pagesRead, pagesSkipped atomic.Uint64
+	// Heap pages walk has read.
+	pagesRead atomic.Uint64
 
 	// dirty mirrors the file header's dirty mark: pages have changed since
 	// the last checkpoint. Guarded by mu; see markDirty.
@@ -158,7 +166,8 @@ func Open(path string, opts Options) (*Store, error) {
 	// heap. A root left by a session that did not end in a checkpoint
 	// (tree pages regress independently of heap pages), or belonging to a
 	// tree this session will not maintain, is forgotten here and the tree
-	// rebuilt by scan when next asked for: Match trusts the index it finds.
+	// rebuilt by scan when next asked for: LookupKeyword trusts the index
+	// it finds.
 	if err := s.forgetRoots(s.dirty || !opts.PersistentCatalog, s.dirty || !opts.PersistentIndex); err != nil {
 		_ = file.Close() // already failing; the open error is what matters
 		return nil, err
@@ -176,6 +185,7 @@ func Open(path string, opts Options) (*Store, error) {
 				// to the authoritative scan and rebuild the tree below.
 				s.catalog = nil
 				s.byName = make(map[string]OID)
+				s.names = nameList{}
 			}
 		}
 	}
@@ -212,9 +222,6 @@ func Open(path string, opts Options) (*Store, error) {
 			_ = file.Close() // already failing; the open error is what matters
 			return nil, err
 		}
-		// The plan is open: catalogSet lists names from here on, and the
-		// names already stored are listed now.
-		s.names.rebuild(s.byName)
 	}
 	return s, nil
 }
@@ -243,11 +250,8 @@ func (s *Store) RegisterMetrics(reg *obs.Registry) {
 		"Operations logged since the WAL was opened (0 when disabled).",
 		func() float64 { return float64(s.Stats().WALRecords) })
 	reg.CounterFunc("bestpeer_storm_scan_pages_read_total",
-		"Heap pages read by Scan and Match walks.",
+		"Heap pages read by Scan walks (Scan, MatchFunc, CompactTo).",
 		func() float64 { return float64(s.Stats().PagesRead) })
-	reg.CounterFunc("bestpeer_storm_scan_pages_skipped_total",
-		"Heap pages a Match walk did not read: their remembered keys rule the query out.",
-		func() float64 { return float64(s.Stats().PagesSkipped) })
 	if s.wal != nil {
 		s.wal.bindMetrics(reg)
 	}
@@ -403,10 +407,10 @@ func (s *Store) catalogDelete(name string) error {
 	return s.syncCatalogRoot()
 }
 
-// rebuildCatalog scans every heap page to reconstruct the free-space map
-// and data-page list, skipping catalog B+tree pages. When withNames is
-// true it also decodes each record to rebuild the name index (the path
-// taken when no persistent catalog is available).
+// rebuildCatalog scans every heap page to reconstruct the free-space map,
+// the data-page list and the keyword twin, skipping catalog B+tree pages.
+// When withNames is true it also decodes each record to rebuild the name
+// index (the path taken when no persistent catalog is available).
 func (s *Store) rebuildCatalog(withNames bool) error {
 	n := s.file.PageCount()
 	for id := PageID(1); uint32(id) < n; id++ {
@@ -422,8 +426,9 @@ func (s *Store) rebuildCatalog(withNames bool) error {
 		}
 		var decodeErr error
 		dirty := false
-		if withNames {
-			p.Records(func(slot Slot, rec []byte) bool {
+		p.Records(func(slot Slot, rec []byte) bool {
+			oid := OID{Page: id, Slot: slot}
+			if withNames {
 				obj, err := decodeObject(rec, nil)
 				if err != nil {
 					decodeErr = err
@@ -445,10 +450,11 @@ func (s *Store) rebuildCatalog(withNames bool) error {
 					dirty = true
 					return true
 				}
-				s.catalogSet(obj.Name, OID{Page: id, Slot: slot})
-				return true
-			})
-		}
+				s.catalogSet(obj.Name, oid)
+			}
+			s.twin.bind(rec, oid)
+			return true
+		})
 		s.pageChanged(id, p.AvailableSpace())
 		if err := s.pool.Unpin(id, dirty); err != nil {
 			return err
@@ -529,8 +535,13 @@ func (s *Store) putUnlogged(obj *Object) (OID, error) {
 		if err != nil {
 			return OID{}, err
 		}
+		// On either arm the old record's keywords go before its bytes do.
+		if oldRec, gerr := p.Get(old.Slot); gerr == nil {
+			s.twin.unbind(oldRec, old)
+		}
 		uerr := p.Update(old.Slot, rec)
 		if uerr == nil {
+			s.twin.bind(rec, old)
 			s.pageChanged(old.Page, p.AvailableSpace())
 			err = s.pool.Unpin(old.Page, true)
 			if err == nil {
@@ -582,20 +593,16 @@ func (s *Store) readObjectAt(oid OID) (*Object, error) {
 }
 
 // pageChanged is the one call every change to a heap page makes: it
-// records the page's reclaimable bytes and forgets what the walker
-// remembered of it, so no mutation can do one without the other. A page
-// not listed yet — ids only grow — is appended. Caller holds s.mu or is
-// Open.
+// records the page's reclaimable bytes. A page not listed yet — ids only
+// grow — is appended. Caller holds s.mu or is Open.
 func (s *Store) pageChanged(id PageID, free int) {
 	i := sort.Search(len(s.dataPages), func(i int) bool { return s.dataPages[i] >= id })
 	if i == len(s.dataPages) {
 		s.dataPages = append(s.dataPages, id)
-		s.keys = append(s.keys, atomic.Pointer[pageKeys]{})
 		s.free.append(free)
 		return
 	}
 	s.free.set(i, free)
-	s.keys[i].Store(nil)
 }
 
 // insertLocked places rec on a page with room, allocating a new page when
@@ -610,6 +617,9 @@ func (s *Store) insertLocked(name string, rec []byte) (OID, error) {
 			return OID{}, err
 		}
 		slot, ierr := p.Insert(rec)
+		if ierr == nil {
+			s.twin.bind(rec, OID{Page: id, Slot: slot})
+		}
 		s.pageChanged(id, p.AvailableSpace())
 		if err := s.pool.Unpin(id, ierr == nil); err != nil {
 			return OID{}, err
@@ -633,6 +643,7 @@ func (s *Store) insertLocked(name string, rec []byte) (OID, error) {
 		s.pool.Unpin(id, false)
 		return OID{}, ierr
 	}
+	s.twin.bind(rec, OID{Page: id, Slot: slot})
 	s.pageChanged(id, p.AvailableSpace())
 	if err := s.pool.Unpin(id, true); err != nil {
 		return OID{}, err
@@ -728,6 +739,9 @@ func (s *Store) deleteUnlogged(name string) error {
 	if err != nil {
 		return err
 	}
+	if rec, gerr := p.Get(oid.Slot); gerr == nil {
+		s.twin.unbind(rec, oid)
+	}
 	if derr := p.Delete(oid.Slot); derr != nil {
 		s.pool.Unpin(oid.Page, false)
 		return derr
@@ -744,23 +758,17 @@ func (s *Store) deleteUnlogged(name string) error {
 // file read, and so how long it holds the store's read lock at a time.
 const scanRunPages = 32
 
-// scanBuf is what one walk works in: the buffer page runs are read into
-// and the scratch a page's keys are gathered in.
-type scanBuf struct {
-	pages []byte
-	keys  keyBuf
-}
-
-// scanBufs recycles them.
+// scanBufs recycles the buffers page runs are read into.
 var scanBufs = sync.Pool{New: func() any {
-	return &scanBuf{pages: make([]byte, scanRunPages*pageSize)}
+	b := make([]byte, scanRunPages*pageSize)
+	return &b
 }}
 
-// walk is the one sequential page walker behind Scan and Match. It
-// visits the data pages in page order, scanRunPages at a time: under
-// one hold of the read lock it calls visit for each live record of the
-// window (rec aliases page memory and must not be retained), then, with
-// the lock released, calls between — which returns false to stop.
+// walk is the one sequential page walker behind Scan. It visits the data
+// pages in page order, scanRunPages at a time: under one hold of the read
+// lock it calls visit for each live record of the window (rec aliases page
+// memory and must not be retained), then, with the lock released, calls
+// between — which returns false to stop.
 //
 // Within a window, a run of consecutive page ids the pool does not hold
 // is read from the file with a single read into a scan buffer, verified
@@ -770,25 +778,16 @@ var scanBufs = sync.Pool{New: func() any {
 // the pool. Reading past the pool is sound because the read lock keeps
 // writers out and a non-resident page's disk image is current (see
 // BufferPool.coldRun).
-//
-// Scan walks every page (match nil). For a Match, visit sees only the
-// records that match, and the walker uses its memory: a page whose keys
-// excuse it (pageKeys.excuses) is not read at all, and a page read without
-// keys leaves them behind for the next Match — unless a record on it
-// failed, so a corrupt record fails every Match that comes to it. Keys are
-// published under the read lock, by whichever scanner gets there, dropped
-// under the write lock by pageChanged, and never leave memory.
-func (s *Store) walk(match *matchQuery, visit func(rec []byte) error, between func() bool) error {
+func (s *Store) walk(visit func(rec []byte) error, between func() bool) error {
 	s.mu.RLock()
 	// dataPages is append-only: a clipped view stays what it was.
 	pages := s.dataPages[:len(s.dataPages):len(s.dataPages)]
 	s.mu.RUnlock()
 
-	buf := scanBufs.Get().(*scanBuf)
+	buf := scanBufs.Get().(*[]byte)
 	defer scanBufs.Put(buf)
 	for first := 0; first < len(pages); first += scanRunPages {
-		window := pages[first:min(first+scanRunPages, len(pages))]
-		err := s.walkWindow(first, window, buf, match, visit)
+		err := s.walkWindow(pages[first:min(first+scanRunPages, len(pages))], *buf, visit)
 		// Records ahead of a failure are still delivered, and a consumer
 		// that stops among them never learns of it.
 		if between != nil && !between() {
@@ -801,89 +800,44 @@ func (s *Store) walk(match *matchQuery, visit func(rec []byte) error, between fu
 	return nil
 }
 
-// matchQuery is a Match's query, lower-cased, in the two forms a page's
-// keys are asked it: q, and kq = "\x00" + q + "\x00".
-type matchQuery struct{ q, kq string }
-
-// wanted reports how many of the leading pages, whose keys are given,
-// must be read: all for a scan, for a Match all up to the first excused.
-func (m *matchQuery) wanted(keys []atomic.Pointer[pageKeys]) int {
-	if m != nil {
-		for i := range keys {
-			if k := keys[i].Load(); k != nil && k.excuses(m.q, m.kq) {
-				return i
-			}
-		}
-	}
-	return len(keys)
-}
-
-// walkWindow visits the records of the given pages, dataPages[first:],
-// under the read lock.
-func (s *Store) walkWindow(first int, window []PageID, buf *scanBuf, match *matchQuery, visit func(rec []byte) error) error {
+// walkWindow visits the records of the given pages under the read lock.
+func (s *Store) walkWindow(window []PageID, buf []byte, visit func(rec []byte) error) error {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	keys := s.keys[first : first+len(window)]
-	read, skipped := 0, 0
-	defer func() {
-		s.pagesRead.Add(uint64(read))
-		s.pagesSkipped.Add(uint64(skipped))
-	}()
+	read := 0
+	defer func() { s.pagesRead.Add(uint64(read)) }()
 	var err error
-	var gather *keyBuf // not nil: the page being visited has no keys yet
 	each := func(_ Slot, rec []byte) bool {
-		if match != nil {
-			var hit bool
-			if hit, err = recordMatches(rec, match.q, gather); err != nil || !hit {
-				return err == nil
-			}
-		}
 		err = visit(rec)
 		return err == nil
 	}
-	page := func(image *[pageSize]byte, slot *atomic.Pointer[pageKeys]) {
-		gather = nil
-		if match != nil && slot.Load() == nil {
-			gather = buf.keys.reset()
-		}
-		imageRecords(image, each)
-		if gather != nil && err == nil {
-			slot.Store(gather.keys())
-		}
-	}
 	for len(window) > 0 {
-		want := match.wanted(keys)
-		if want == 0 {
-			window, keys = window[1:], keys[1:]
-			skipped++
-			continue
-		}
-		n := s.pool.coldRun(window[:want])
+		n := s.pool.coldRun(window)
 		if n == 0 {
 			id := window[0]
 			p, ferr := s.pool.Fetch(id)
 			if ferr != nil {
 				return ferr
 			}
-			page(&p.buf, &keys[0])
+			p.Records(each)
 			if uerr := s.pool.Unpin(id, false); uerr != nil {
 				return uerr
 			}
 			n = 1
 		} else {
-			run := buf.pages[:n*pageSize]
+			run := buf[:n*pageSize]
 			if rerr := s.file.readRun(window[0], run); rerr != nil {
 				return rerr
 			}
 			for i := 0; i < n && err == nil; i++ {
-				page((*[pageSize]byte)(run[i*pageSize:]), &keys[i])
+				imageRecords((*[pageSize]byte)(run[i*pageSize:]), each)
 			}
 		}
 		if err != nil {
 			return err
 		}
 		read += n
-		window, keys = window[n:], keys[n:]
+		window = window[n:]
 	}
 	return nil
 }
@@ -893,7 +847,7 @@ func (s *Store) walkWindow(first int, window []PageID, buf *scanBuf, match *matc
 // runs without the store lock held.
 func (s *Store) Scan(fn func(*Object) bool) error {
 	var batch []*Object
-	return s.walk(nil, func(rec []byte) error {
+	return s.walk(func(rec []byte) error {
 		obj, err := decodeObject(rec, nil)
 		if err == nil {
 			batch = append(batch, obj)
@@ -912,16 +866,13 @@ func (s *Store) Scan(fn func(*Object) bool) error {
 }
 
 // Match returns every object satisfying the keyword query, in page order.
-// This is the operation the StorM search agent performs at each peer. The
-// query is evaluated on the encoded records (recordMatches), so only the
-// hits are decoded and copied out of their pages. With the keyword index
-// open the candidates come from it (matchPlanned); otherwise the pages are
-// walked, all but those the walker remembers cannot answer (walk). The two
-// return the same objects in the same order, and vouch for the same thing:
-// Match fails on a corrupt page or record it reads, not on one it has no
-// reason to read. Scan, MatchFunc and CompactTo read — and vouch for —
-// every page. Each object's Data is a fresh copy: Match is MatchInto with
-// no arena.
+// This is the operation the StorM search agent performs at each peer. It
+// plans from memory (matchPlanned): only the records the query can match
+// are read, and only the hits are decoded and copied out of their pages.
+// Match fails on a corrupt page or record that it reads as a candidate,
+// not on one it has no reason to read; Scan, MatchFunc and CompactTo read
+// — and vouch for — every page. Each object's Data is a fresh copy: Match
+// is MatchInto with no arena.
 func (s *Store) Match(query string) ([]*Object, error) {
 	return s.MatchInto(query, nil)
 }
@@ -932,63 +883,42 @@ func (s *Store) Match(query string) ([]*Object, error) {
 // arena's bytes — grown by this call or not — unchanged. A nil arena gives
 // Match's fresh copies.
 func (s *Store) MatchInto(query string, arena *[]byte) ([]*Object, error) {
-	q := strings.ToLower(query)
-	if s.pindex != nil {
-		return s.matchPlanned(q, arena)
-	}
-	return s.matchWalked(q, arena)
+	return s.matchPlanned(strings.ToLower(query), arena)
 }
 
-// matchWalked is MatchInto by the page walker. q is the query lower-cased.
-func (s *Store) matchWalked(q string, arena *[]byte) ([]*Object, error) {
-	var out []*Object
-	err := s.walk(&matchQuery{q: q, kq: "\x00" + q + "\x00"}, func(rec []byte) error {
-		obj, err := decodeObject(rec, arena)
-		if err == nil {
-			out = append(out, obj)
-		}
-		return err
-	}, nil)
-	return out, err
-}
+// candBufs recycles the candidate lists of matchPlanned.
+var candBufs = sync.Pool{New: func() any { return new([]OID) }}
 
-// matchPlanned is MatchInto without the walk, under one hold of the read lock:
-// the locations the postings of q carry (the keyword-equality arm), then
-// those of the catalog names containing q (the name arm, one pass over the
-// folded names: nameList.match), sorted by page and slot — which is the
-// order the walk visits records in — and each distinct page fetched once.
-// Every candidate is put to recordMatches again: a keyword holding a NUL
-// byte makes the posting prefix ambiguous, and a posting that points at an
-// empty slot or at a record that no longer matches is skipped, never
-// answered. q is the query lower-cased.
+// matchPlanned is MatchInto without a walk, under one hold of the read
+// lock: the locations the keyword twin lists under q (the keyword-equality
+// arm), then those of the catalog names containing q (the name arm, one
+// pass over the folded names: nameList.match), sorted by page and slot —
+// which is page order — and each distinct page fetched once. Every
+// candidate is put to recordMatches again, which reads the record as it
+// is now. q is the query lower-cased.
 func (s *Store) matchPlanned(q string, arena *[]byte) ([]*Object, error) {
 	if q == "" {
 		return nil, nil
 	}
+	buf := candBufs.Get().(*[]OID)
+	defer candBufs.Put(buf)
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	var cands []OID
-	err := s.pindex.postings(q, func(_ []byte, oid OID) bool {
-		cands = append(cands, oid)
-		return true
-	})
-	if err != nil {
-		return nil, err
+	cands := (*buf)[:0]
+	if l := s.twin.lists[q]; l != nil {
+		cands = append(cands, *l...)
 	}
 	s.names.match(q, func(name string) {
 		if oid, ok := s.byName[name]; ok { // not deleted since it was listed
 			cands = append(cands, oid)
 		}
 	})
-	slices.SortFunc(cands, func(a, b OID) int {
-		if a.Page != b.Page {
-			return cmp.Compare(a.Page, b.Page)
-		}
-		return cmp.Compare(a.Slot, b.Slot)
-	})
+	*buf = cands
+	slices.SortFunc(cands, compareOIDs)
 	cands = slices.Compact(cands) // an object both arms found, or a name listed twice
 
 	var out []*Object
+	var err error
 	for len(cands) > 0 && err == nil {
 		id := cands[0].Page
 		p, ferr := s.pool.Fetch(id)
@@ -997,14 +927,14 @@ func (s *Store) matchPlanned(q string, arena *[]byte) ([]*Object, error) {
 		}
 		for ; len(cands) > 0 && cands[0].Page == id && err == nil; cands = cands[1:] {
 			if p.Type() != pageTypeSlotted {
-				continue
+				continue // a catalog entry the tree held wrongly
 			}
 			rec, gerr := p.Get(cands[0].Slot)
 			if gerr != nil {
 				continue
 			}
 			var hit bool
-			if hit, err = recordMatches(rec, q, nil); hit {
+			if hit, err = recordMatches(rec, q); hit {
 				var obj *Object
 				if obj, err = decodeObject(rec, arena); err == nil {
 					out = append(out, obj)
@@ -1082,10 +1012,8 @@ type StoreStats struct {
 	PoolHits, PoolMisses, PoolEvictions uint64
 	// HitRate is the fraction of fetches served from memory.
 	HitRate float64
-	// PagesRead counts the heap pages Scan and Match walks have read,
-	// PagesSkipped those a Match did not read because what the walker
-	// remembers of them rules its query out.
-	PagesRead, PagesSkipped uint64
+	// PagesRead counts the heap pages Scan walks have read.
+	PagesRead uint64
 	// WALRecords counts operations logged since the WAL was opened
 	// (zero when the WAL is disabled).
 	WALRecords uint64
@@ -1106,7 +1034,7 @@ func (s *Store) Stats() StoreStats {
 	st.TotalPages = int(s.file.PageCount())
 	st.PoolHits, st.PoolMisses, st.PoolEvictions = s.pool.Counters()
 	st.HitRate = s.pool.HitRate()
-	st.PagesRead, st.PagesSkipped = s.pagesRead.Load(), s.pagesSkipped.Load()
+	st.PagesRead = s.pagesRead.Load()
 	if s.wal != nil {
 		st.WALRecords = s.wal.Appended.Load()
 	}
