@@ -230,3 +230,37 @@ func TestSendDuringClose(t *testing.T) {
 		t.Fatalf("send after close = %v, want errMessengerClosed", err)
 	}
 }
+
+// TestDefaultQueueRidesOutStall: with default options, a burst of
+// span-sized frames queued while the worker is held (here by a hung
+// dial) is accepted whole and delivered once the worker runs again. A
+// busy flood reports about this many frames to its base in the ~50 ms
+// a worker can be descheduled on a loaded host.
+func TestDefaultQueueRidesOutStall(t *testing.T) {
+	const burst = 1000
+	hn := newHangNet(NewInProc())
+	c := newCollector()
+	recv, err := NewMessenger(hn, "stall-recv", c.handle)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer recv.Close()
+	send, err := NewMessenger(hn, "stall-send", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer send.Close()
+
+	hn.hang(recv.Addr())
+	for i := 0; i < burst; i++ {
+		if err := send.Send(recv.Addr(), env(wire.KindSpan, "")); err != nil {
+			hn.release(recv.Addr())
+			t.Fatalf("send %d of %d behind a stalled worker: %v", i+1, burst, err)
+		}
+	}
+	hn.release(recv.Addr())
+	c.waitFor(t, burst)
+	if d := send.Stats().Dropped; d != 0 {
+		t.Fatalf("%d frames dropped", d)
+	}
+}

@@ -31,11 +31,21 @@ const (
 	backoffMax   = 10 * time.Second
 )
 
+// defaultQueueSize is deep enough to ride out a stalled worker: a node
+// relaying a busy flood reports ~20 000 small frames/s to one base
+// (a span per hop and per duplicate), and a worker descheduled for one
+// OS time slice on a loaded host falls ~6 ms behind. 128 frames covered
+// that and no more, so stalls dropped frames from a healthy peer; 1024
+// cover ~50 ms. The queue holds pointers to pooled frames, so the depth
+// costs 8 KiB per destination until frames actually wait in it.
+const defaultQueueSize = 1024
+
 // Options tunes the messenger's failure handling. The zero value selects
 // the defaults noted on each field.
 type Options struct {
 	// QueueSize bounds each destination's send queue. A full queue makes
-	// Send return errQueueFull instead of blocking. Default 128.
+	// Send return errQueueFull instead of blocking. Default
+	// defaultQueueSize.
 	QueueSize int
 	// FailThreshold is how many consecutive delivery failures mark a
 	// destination suspect. Default 3.
@@ -64,7 +74,7 @@ type Options struct {
 
 func (o Options) withDefaults() Options {
 	if o.QueueSize <= 0 {
-		o.QueueSize = 128
+		o.QueueSize = defaultQueueSize
 	}
 	if o.FailThreshold <= 0 {
 		o.FailThreshold = 3
