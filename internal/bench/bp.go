@@ -392,89 +392,49 @@ func (b *bpSim) runRound() runResult {
 	return res
 }
 
-// reconfigure applies the strategy to the base's observations from the
-// round just completed.
+// reconfigure runs the live node's reconfiguration round
+// (reconfig.Round) on the base's observations from the round just
+// completed.
 func (b *bpSim) reconfigure(strategy reconfig.Strategy, res runResult) {
-	// The effective budget never shrinks the base below its current
-	// degree: reconfiguration promotes promising peers, it must not
-	// disconnect whole regions of an already-joined network.
-	budget := b.p.MaxPeers
-	if cur := len(b.peers[b.tp.Base]); cur > budget {
-		budget = cur
+	base := b.peers[b.tp.Base]
+	direct := make([]reconfig.Observation, len(base))
+	for i, w := range base {
+		direct[i] = reconfig.Observation{Addr: nodeAddr(w)}
 	}
-	direct := make(map[int]bool)
-	for _, w := range b.peers[b.tp.Base] {
-		direct[w] = true
-	}
-	byNode := make(map[int]*reconfig.Observation)
-	for _, e := range res.Events {
-		o, ok := byNode[e.Node]
-		if !ok {
-			o = &reconfig.Observation{Addr: nodeAddr(e.Node), Direct: direct[e.Node], Hops: e.Hops}
-			byNode[e.Node] = o
-		}
-		o.Answers += e.Answers
-		o.Bytes += e.Answers * b.p.Spec.ObjectSize
-		if e.Hops > o.Hops {
-			o.Hops = e.Hops
+	seen := func(yield func(reconfig.Observation)) {
+		for _, e := range res.Events {
+			yield(reconfig.Observation{
+				Addr: nodeAddr(e.Node), Answers: e.Answers, Bytes: e.Answers * b.p.Spec.ObjectSize, Hops: e.Hops,
+			})
 		}
 	}
-	for w := range direct {
-		if _, ok := byNode[w]; !ok {
-			byNode[w] = &reconfig.Observation{Addr: nodeAddr(w), Direct: true, Hops: 1}
-		}
-	}
-	cands := make([]reconfig.Observation, 0, len(byNode))
-	for _, o := range byNode {
-		cands = append(cands, *o)
-	}
-	selected := strategy.Select(cands, budget)
+	picks, why := reconfig.Round(strategy, direct, seen, b.p.MaxPeers)
 
-	// Figure-2 semantics: current peers are retained (they are proven
-	// connectivity into the rest of the network); the strategy ranks
-	// which newly observed peers fill the remaining budget. Peers are
-	// replaced, rather than augmented, only when they die (the live
-	// node's Rejoin drops offline peers).
-	chosen := make(map[int]bool)
-	next := append([]int(nil), b.peers[b.tp.Base]...)
-	for _, w := range next {
-		chosen[w] = true
-	}
+	// Figure-2 semantics, as on the live node: current peers are retained
+	// (they are proven connectivity into the rest of the network) and the
+	// picks fill the remaining budget.
+	next := append([]int(nil), base...)
 	var added []int
-	for _, o := range selected {
-		if len(next) >= budget {
+	for _, o := range picks {
+		if len(next) >= b.p.MaxPeers {
 			break
 		}
 		w := nodeFromEnvAddr(o.Addr)
-		if !chosen[w] {
-			next = append(next, w)
-			added = append(added, w)
-			chosen[w] = true
-		}
+		next = append(next, w)
+		added = append(added, w)
 	}
 	sort.Ints(next)
 	b.peers[b.tp.Base] = next
 
 	// Journal the decision with the strategy's full rationale, exactly
 	// like the live node's reconfigure.
-	scores := make([]obs.PeerScore, 0, len(cands))
-	for _, d := range reconfig.Explain(strategy, cands, budget) {
-		scores = append(scores, obs.PeerScore{
-			Addr:     d.Addr,
-			Answers:  d.Answers,
-			Bytes:    d.Bytes,
-			Hops:     d.Hops,
-			Rank:     d.Rank,
-			Selected: d.Selected,
-		})
-	}
 	b.journal.Append(obs.Event{
 		Kind:     obs.EvReconfigured,
 		Query:    b.qid,
 		Strategy: strategy.Name(),
-		K:        budget,
+		K:        b.p.MaxPeers,
 		Count:    len(added),
-		Scores:   scores,
+		Scores:   reconfig.Scores(why),
 	})
 	for _, w := range added {
 		b.journal.Append(obs.Event{

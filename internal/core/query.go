@@ -388,74 +388,43 @@ func answersSize(lists ...[]Answer) int {
 	return size
 }
 
-// reconfigure applies the node's strategy to what this query revealed:
-// every answering peer plus every current direct peer is scored, the
-// strategy picks the best k, and the picks that were not direct peers
+// reconfigure runs one reconfiguration round (reconfig.Round) on what
+// this query revealed: every answering peer and every current direct peer
+// is a candidate, and the strategy's picks that were not direct peers
 // fill the set's free slots. The full rationale — every candidate's
 // score, rank and k-cut outcome — is journalled.
 func (n *Node) reconfigure(qid wire.MsgID, answers, hints []Answer) bool {
 	me := n.Addr()
-	direct := make(map[string]Peer)
-	for _, p := range n.Peers() {
-		direct[p.Addr] = p
+	peers := n.Peers()
+	direct := make([]reconfig.Observation, len(peers))
+	for i, p := range peers {
+		direct[i] = reconfig.Observation{ID: p.ID, Addr: p.Addr}
+	}
+	seen := func(yield func(reconfig.Observation)) {
+		for _, l := range [][]Answer{answers, hints} {
+			for _, a := range l {
+				if a.PeerAddr != me && a.PeerAddr != "" {
+					yield(reconfig.Observation{
+						ID: a.PeerID, Addr: a.PeerAddr, Answers: 1, Bytes: len(a.Result.Data), Hops: a.Hops,
+					})
+				}
+			}
+		}
 	}
 	k := n.cfg.MaxPeers
+	picks, why := reconfig.Round(n.strategy, direct, seen, k)
 
-	byAddr := make(map[string]*reconfig.Observation)
-	note := func(a Answer) {
-		if a.PeerAddr == me || a.PeerAddr == "" {
-			return
-		}
-		o, ok := byAddr[a.PeerAddr]
-		if !ok {
-			_, isDirect := direct[a.PeerAddr]
-			o = &reconfig.Observation{
-				ID:     a.PeerID,
-				Addr:   a.PeerAddr,
-				Hops:   a.Hops,
-				Direct: isDirect,
-			}
-			byAddr[a.PeerAddr] = o
-		}
-		o.Answers++
-		o.Bytes += len(a.Result.Data)
-		if a.Hops > o.Hops {
-			o.Hops = a.Hops
-		}
-	}
-	for _, a := range answers {
-		note(a)
-	}
-	for _, a := range hints {
-		note(a)
-	}
-	// Current direct peers that did not answer still compete (with zero
-	// answers), so Static keeps them and MaxCount may drop them.
-	for addr, p := range direct {
-		if _, ok := byAddr[addr]; !ok {
-			byAddr[addr] = &reconfig.Observation{ID: p.ID, Addr: addr, Direct: true, Hops: 1}
-		}
-	}
-
-	cands := make([]reconfig.Observation, 0, len(byAddr))
-	for _, o := range byAddr {
-		cands = append(cands, *o)
-	}
-	selected := n.strategy.Select(cands, k)
-
-	// Figure-2 semantics: current peers are retained; the strategy ranks
-	// which newly observed peers fill the remaining budget. Dead peers
-	// are dropped by repair and Rejoin, freeing slots. The picks join the
-	// set as it stands now, not as it stood before Select: a peer that
-	// was direct then and has been dropped since (a Depart, a sweep) is
-	// not brought back, and a Leave meanwhile refuses every pick.
+	// Figure-2 semantics: current peers are retained; the picks fill the
+	// remaining budget. Dead peers are dropped by repair and Rejoin,
+	// freeing slots. The picks join the set as it stands now, not as it
+	// stood before the round: a peer that was direct then and has been
+	// dropped since (a Depart, a sweep) is not brought back, and a Leave
+	// meanwhile refuses every pick.
 	strategy := n.strategy.Name()
 	added, _ := n.editPeers(obs.Event{Reason: "reconfig", Query: qid.String(), Strategy: strategy},
 		func(cur []Peer) []Peer {
-			for _, o := range selected {
-				if !o.Direct {
-					cur = append(cur, Peer{ID: o.ID, Addr: o.Addr})
-				}
+			for _, o := range picks {
+				cur = append(cur, Peer{ID: o.ID, Addr: o.Addr})
 			}
 			return cur
 		})
@@ -463,24 +432,13 @@ func (n *Node) reconfigure(qid wire.MsgID, answers, hints []Answer) bool {
 	// Journal the decision rationale whether or not the set changed: a
 	// round where every candidate lost to the incumbents is as much a
 	// decision as one that promotes peers.
-	scores := make([]obs.PeerScore, 0, len(cands))
-	for _, d := range reconfig.Explain(n.strategy, cands, k) {
-		scores = append(scores, obs.PeerScore{
-			Addr:     d.Addr,
-			Answers:  d.Answers,
-			Bytes:    d.Bytes,
-			Hops:     d.Hops,
-			Rank:     d.Rank,
-			Selected: d.Selected,
-		})
-	}
 	n.journal.Append(obs.Event{
 		Kind:     obs.EvReconfigured,
 		Query:    qid.String(),
 		Strategy: strategy,
 		K:        k,
 		Count:    len(added),
-		Scores:   scores,
+		Scores:   reconfig.Scores(why),
 	})
 	if len(added) == 0 {
 		return false

@@ -6,8 +6,11 @@
 package reconfig
 
 import (
+	"slices"
 	"sort"
+	"strings"
 
+	"bestpeer/internal/obs"
 	"bestpeer/internal/wire"
 )
 
@@ -153,6 +156,64 @@ func Explain(s Strategy, obs []Observation, k int) []Decision {
 		return decisions[i].Addr < decisions[j].Addr
 	})
 	return decisions
+}
+
+// Round is one reconfiguration round, the one the node and the simulator
+// both run after a query. seen yields what the query revealed, one
+// observation per answer or answer batch: a peer's are summed (answers,
+// bytes) and keep the deepest hop. direct is the current direct peers (ID
+// and Addr); one that did not answer competes with 0 answers at 1 hop, so
+// Static keeps it and MaxCount may rank it last. The candidates are
+// ranked once, by Explain, in address order whatever order seen yields
+// them in: why is that ranking, and picks are its selected candidates
+// that are not yet direct peers, in rank order. Applying the picks is the
+// caller's: the current peers stay and the picks fill the free slots.
+func Round(s Strategy, direct []Observation, seen func(yield func(Observation)), k int) (picks []Observation, why []Decision) {
+	at := make(map[string]int)
+	cands := make([]Observation, 0, 2*len(direct)) // the direct peers and as many others
+	seen(func(o Observation) {
+		i, ok := at[o.Addr]
+		if !ok {
+			i = len(cands)
+			at[o.Addr] = i
+			cands = append(cands, Observation{ID: o.ID, Addr: o.Addr})
+		}
+		c := &cands[i]
+		c.Answers += o.Answers
+		c.Bytes += o.Bytes
+		c.Hops = max(c.Hops, o.Hops)
+	})
+	for _, p := range direct {
+		if i, ok := at[p.Addr]; ok {
+			cands[i].Direct = true
+			continue
+		}
+		cands = append(cands, Observation{ID: p.ID, Addr: p.Addr, Hops: 1, Direct: true})
+	}
+	slices.SortFunc(cands, func(a, b Observation) int { return strings.Compare(a.Addr, b.Addr) })
+	why = Explain(s, cands, k)
+	for _, d := range why {
+		if d.Selected && !d.Direct {
+			picks = append(picks, d.Observation)
+		}
+	}
+	return picks, why
+}
+
+// Scores is a round's rationale as the event journal records it.
+func Scores(why []Decision) []obs.PeerScore {
+	scores := make([]obs.PeerScore, len(why))
+	for i, d := range why {
+		scores[i] = obs.PeerScore{
+			Addr:     d.Addr,
+			Answers:  d.Answers,
+			Bytes:    d.Bytes,
+			Hops:     d.Hops,
+			Rank:     d.Rank,
+			Selected: d.Selected,
+		}
+	}
+	return scores
 }
 
 // ByName returns the strategy with the given name: "maxcount", "minhops"

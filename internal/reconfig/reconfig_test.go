@@ -2,11 +2,13 @@ package reconfig
 
 import (
 	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 )
 
-func obs(addr string, answers, hops int, direct bool) Observation {
+func observe(addr string, answers, hops int, direct bool) Observation {
 	return Observation{Addr: addr, Answers: answers, Hops: hops, Direct: direct}
 }
 
@@ -20,10 +22,10 @@ func addrs(sel []Observation) []string {
 
 func TestMaxCountKeepsTopAnswerers(t *testing.T) {
 	in := []Observation{
-		obs("a", 3, 1, true),
-		obs("b", 10, 2, false),
-		obs("c", 0, 1, true),
-		obs("d", 7, 3, false),
+		observe("a", 3, 1, true),
+		observe("b", 10, 2, false),
+		observe("c", 0, 1, true),
+		observe("d", 7, 3, false),
 	}
 	got := addrs(MaxCount{}.Select(in, 2))
 	if len(got) != 2 || got[0] != "b" || got[1] != "d" {
@@ -46,9 +48,9 @@ func TestMaxCountTieBreaks(t *testing.T) {
 
 func TestMinHopsPrefersFarAnswerers(t *testing.T) {
 	in := []Observation{
-		obs("near", 9, 1, true),
-		obs("far", 2, 5, false),
-		obs("mid", 4, 3, false),
+		observe("near", 9, 1, true),
+		observe("far", 2, 5, false),
+		observe("mid", 4, 3, false),
 	}
 	got := addrs(MinHops{}.Select(in, 2))
 	if got[0] != "far" || got[1] != "mid" {
@@ -58,8 +60,8 @@ func TestMinHopsPrefersFarAnswerers(t *testing.T) {
 
 func TestMinHopsTieBreaksByAnswers(t *testing.T) {
 	in := []Observation{
-		obs("few", 1, 4, false),
-		obs("many", 8, 4, false),
+		observe("few", 1, 4, false),
+		observe("many", 8, 4, false),
 	}
 	got := addrs(MinHops{}.Select(in, 1))
 	if got[0] != "many" {
@@ -69,9 +71,9 @@ func TestMinHopsTieBreaksByAnswers(t *testing.T) {
 
 func TestStaticKeepsOnlyCurrentDirectPeers(t *testing.T) {
 	in := []Observation{
-		obs("stranger", 99, 4, false),
-		obs("old-1", 0, 1, true),
-		obs("old-2", 1, 1, true),
+		observe("stranger", 99, 4, false),
+		observe("old-1", 0, 1, true),
+		observe("old-2", 1, 1, true),
 	}
 	got := addrs(Static{}.Select(in, 5))
 	if len(got) != 2 || got[0] != "old-1" || got[1] != "old-2" {
@@ -80,7 +82,7 @@ func TestStaticKeepsOnlyCurrentDirectPeers(t *testing.T) {
 }
 
 func TestSelectClamping(t *testing.T) {
-	in := []Observation{obs("a", 1, 1, false), obs("b", 2, 1, false)}
+	in := []Observation{observe("a", 1, 1, false), observe("b", 2, 1, false)}
 	if got := (MaxCount{}).Select(in, 0); len(got) != 0 {
 		t.Fatalf("k=0 returned %v", got)
 	}
@@ -93,7 +95,7 @@ func TestSelectClamping(t *testing.T) {
 }
 
 func TestSelectDoesNotMutateInput(t *testing.T) {
-	in := []Observation{obs("a", 1, 1, false), obs("b", 9, 1, false)}
+	in := []Observation{observe("a", 1, 1, false), observe("b", 9, 1, false)}
 	MaxCount{}.Select(in, 1)
 	if in[0].Addr != "a" || in[1].Addr != "b" {
 		t.Fatal("Select reordered the caller's slice")
@@ -102,10 +104,10 @@ func TestSelectDoesNotMutateInput(t *testing.T) {
 
 func TestExplainRanksAndCuts(t *testing.T) {
 	in := []Observation{
-		obs("a", 3, 1, true),
-		obs("b", 10, 2, false),
-		obs("c", 0, 1, true),
-		obs("d", 7, 3, false),
+		observe("a", 3, 1, true),
+		observe("b", 10, 2, false),
+		observe("c", 0, 1, true),
+		observe("d", 7, 3, false),
 	}
 	d := Explain(MaxCount{}, in, 2)
 	if len(d) != 4 {
@@ -125,8 +127,8 @@ func TestExplainRanksAndCuts(t *testing.T) {
 
 func TestExplainStaticLeavesStrangersUnranked(t *testing.T) {
 	in := []Observation{
-		obs("stranger", 99, 4, false),
-		obs("old", 0, 1, true),
+		observe("stranger", 99, 4, false),
+		observe("old", 0, 1, true),
 	}
 	d := Explain(Static{}, in, 8)
 	if d[0].Addr != "old" || d[0].Rank != 1 || !d[0].Selected {
@@ -138,7 +140,7 @@ func TestExplainStaticLeavesStrangersUnranked(t *testing.T) {
 }
 
 func TestExplainNegativeKSelectsAllRanked(t *testing.T) {
-	in := []Observation{obs("a", 1, 1, false), obs("b", 2, 1, false)}
+	in := []Observation{observe("a", 1, 1, false), observe("b", 2, 1, false)}
 	for _, d := range Explain(MaxCount{}, in, -1) {
 		if !d.Selected {
 			t.Fatalf("k<0 must select every ranked candidate, got %+v", d)
@@ -217,5 +219,94 @@ func TestStrategyProperties(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRound: one reconfiguration round, from raw per-answer observations
+// and the current direct peers to the journal's decisions and the picks.
+func TestRound(t *testing.T) {
+	heard := func(addr string, answers, bytes, hops int) Observation {
+		return Observation{Addr: addr, Answers: answers, Bytes: bytes, Hops: hops}
+	}
+	peer := func(addr string) Observation { return Observation{Addr: addr} }
+	type line struct {
+		addr                 string
+		answers, bytes, hops int
+		direct, selected     bool
+		rank                 int
+	}
+	for _, tc := range []struct {
+		name   string
+		s      Strategy
+		direct []Observation
+		seen   []Observation
+		k      int
+		why    []line
+		picks  []string
+	}{{
+		name:  "a peer's answers are summed and its deepest hop kept",
+		s:     MaxCount{},
+		seen:  []Observation{heard("a", 1, 10, 2), heard("b", 1, 5, 1), heard("a", 2, 20, 4), heard("a", 1, 10, 3)},
+		k:     4,
+		why:   []line{{"a", 4, 40, 4, false, true, 1}, {"b", 1, 5, 1, false, true, 2}},
+		picks: []string{"a", "b"},
+	}, {
+		name:   "a silent direct peer competes at 0 answers and 1 hop",
+		s:      MinHops{},
+		direct: []Observation{peer("quiet"), peer("heard")},
+		seen:   []Observation{heard("heard", 2, 0, 1), heard("far", 1, 0, 1)},
+		k:      2,
+		why:    []line{{"heard", 2, 0, 1, true, true, 1}, {"far", 1, 0, 1, false, true, 2}, {"quiet", 0, 0, 1, true, false, 3}},
+		picks:  []string{"far"},
+	}, {
+		name:   "picks skip direct peers and come in rank order",
+		s:      MaxCount{},
+		direct: []Observation{peer("d1"), peer("d2")},
+		seen:   []Observation{heard("x", 1, 0, 2), heard("d1", 9, 0, 1), heard("y", 5, 0, 3), heard("z", 3, 0, 2)},
+		k:      3,
+		why: []line{{"d1", 9, 0, 1, true, true, 1}, {"y", 5, 0, 3, false, true, 2}, {"z", 3, 0, 2, false, true, 3},
+			{"x", 1, 0, 2, false, false, 4}, {"d2", 0, 0, 1, true, false, 5}},
+		picks: []string{"y", "z"},
+	}, {
+		name:   "Static picks nothing",
+		s:      Static{},
+		direct: []Observation{peer("d2"), peer("d1")},
+		seen:   []Observation{heard("stranger", 9, 0, 3), heard("d2", 1, 0, 1)},
+		k:      8,
+		why:    []line{{"d1", 0, 0, 1, true, true, 1}, {"d2", 1, 0, 1, true, true, 2}, {"stranger", 9, 0, 3, false, false, 0}},
+	}, {
+		name:   "the decisions do not depend on the order of the answers",
+		s:      Static{},
+		direct: []Observation{peer("e"), peer("c"), peer("a")},
+		seen:   []Observation{heard("d", 1, 0, 2), heard("c", 1, 0, 1), heard("b", 1, 0, 3), heard("c", 1, 0, 1)},
+		k:      2,
+		why: []line{{"a", 0, 0, 1, true, true, 1}, {"c", 2, 0, 1, true, true, 2}, {"e", 0, 0, 1, true, false, 3},
+			{"b", 1, 0, 3, false, false, 0}, {"d", 1, 0, 2, false, false, 0}},
+	}} {
+		t.Run(tc.name, func(t *testing.T) {
+			// Every row holds whatever order the answers and the direct
+			// peers come in.
+			rng := rand.New(rand.NewSource(1))
+			seen, direct := slices.Clone(tc.seen), slices.Clone(tc.direct)
+			for shuffle := 0; shuffle < 8; shuffle++ {
+				picks, why := Round(tc.s, direct, func(yield func(Observation)) {
+					for _, o := range seen {
+						yield(o)
+					}
+				}, tc.k)
+				got := make([]line, len(why))
+				for i, d := range why {
+					got[i] = line{d.Addr, d.Answers, d.Bytes, d.Hops, d.Direct, d.Selected, d.Rank}
+				}
+				if !reflect.DeepEqual(got, tc.why) {
+					t.Fatalf("answers %v, direct peers %v: decisions\n got %v\nwant %v", seen, direct, got, tc.why)
+				}
+				if a := addrs(picks); !slices.Equal(a, tc.picks) {
+					t.Fatalf("answers %v, direct peers %v: picks = %v, want %v", seen, direct, a, tc.picks)
+				}
+				rng.Shuffle(len(seen), func(i, j int) { seen[i], seen[j] = seen[j], seen[i] })
+				rng.Shuffle(len(direct), func(i, j int) { direct[i], direct[j] = direct[j], direct[i] })
+			}
+		})
 	}
 }

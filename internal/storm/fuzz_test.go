@@ -48,7 +48,8 @@ func FuzzDecodeObject(f *testing.F) {
 // checkRecordKeys holds recordKeys, which the keyword twin reads records
 // with, to decodeObject on a record it accepts, o: the name and exactly
 // the object's keywords. Bound into a twin, the record is listed once
-// under each distinct folded keyword, and unbound it leaves nothing.
+// under each distinct folded keyword, and unbound it leaves nothing and
+// reports each keyword folded so that its posting key is the tree's.
 func checkRecordKeys(t *testing.T, o *Object, rec []byte) {
 	t.Helper()
 	var keywords []string
@@ -69,8 +70,14 @@ func checkRecordKeys(t *testing.T, o *Object, rec []byte) {
 	if len(twin.lists) != len(folded) {
 		t.Fatalf("the twin has %d keywords for the %d of %+v", len(twin.lists), len(folded), o)
 	}
-	if twin.unbind(rec, oid); len(twin.lists) != 0 {
+	var unbound []string
+	if twin.unbind(rec, oid, func(k []byte) { unbound = append(unbound, string(k)) }); len(twin.lists) != 0 {
 		t.Fatalf("unbound, the twin still lists %d keywords of %+v", len(twin.lists), o)
+	}
+	for i, k := range o.Keywords {
+		if postingKey(unbound[i], o.Name) != postingKey(k, o.Name) {
+			t.Fatalf("unbind folds keyword %q of %+v to %q, whose posting is not the tree's", k, o, unbound[i])
+		}
 	}
 }
 

@@ -54,10 +54,11 @@ func (ix *persistentIndex) Add(obj *Object, oid OID) error {
 	return nil
 }
 
-// Remove un-indexes every keyword of the object.
-func (ix *persistentIndex) Remove(obj *Object) error {
-	for _, k := range obj.Keywords {
-		if _, err := ix.tree.Delete(postingKey(k, obj.Name)); err != nil {
+// Remove deletes the given postings: the composite keys of a record's
+// keywords, as Store.unbind gathers them.
+func (ix *persistentIndex) Remove(postings []string) error {
+	for _, key := range postings {
+		if _, err := ix.tree.Delete(key); err != nil {
 			return err
 		}
 	}
@@ -170,11 +171,11 @@ func (s *Store) indexAdd(obj *Object, oid OID) error {
 	return s.syncIndexRoot()
 }
 
-func (s *Store) indexRemove(obj *Object) error {
+func (s *Store) indexRemove(postings []string) error {
 	if s.pindex == nil {
 		return nil
 	}
-	if err := s.pindex.Remove(obj); err != nil {
+	if err := s.pindex.Remove(postings); err != nil {
 		return err
 	}
 	return s.syncIndexRoot()

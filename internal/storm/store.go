@@ -522,28 +522,26 @@ func (s *Store) putUnlogged(obj *Object) (OID, error) {
 	}
 
 	if old, exists := s.byName[obj.Name]; exists {
-		// The replaced object's postings must go before its bytes do.
-		if s.pindex != nil {
-			if oldObj, rerr := s.readObjectAt(old); rerr == nil {
-				if ierr := s.indexRemove(oldObj); ierr != nil {
-					return OID{}, ierr
-				}
-			}
-		}
 		// Try an in-place update first.
 		p, err := s.pool.Fetch(old.Page)
 		if err != nil {
 			return OID{}, err
 		}
-		// On either arm the old record's keywords go before its bytes do.
+		// On either arm the old record's keywords go before its bytes do,
+		// and its postings once the page is unpinned, before the new ones
+		// come.
+		var stale []string
 		if oldRec, gerr := p.Get(old.Slot); gerr == nil {
-			s.twin.unbind(oldRec, old)
+			stale = s.unbind(oldRec, old, obj.Name)
 		}
 		uerr := p.Update(old.Slot, rec)
 		if uerr == nil {
 			s.twin.bind(rec, old)
 			s.pageChanged(old.Page, p.AvailableSpace())
 			err = s.pool.Unpin(old.Page, true)
+			if err == nil {
+				err = s.indexRemove(stale)
+			}
 			if err == nil {
 				err = s.indexAdd(obj, old)
 			}
@@ -556,6 +554,9 @@ func (s *Store) putUnlogged(obj *Object) (OID, error) {
 		}
 		s.pageChanged(old.Page, p.AvailableSpace())
 		if err := s.pool.Unpin(old.Page, true); err != nil {
+			return OID{}, err
+		}
+		if err := s.indexRemove(stale); err != nil {
 			return OID{}, err
 		}
 		s.catalogUnset(obj.Name)
@@ -574,22 +575,17 @@ func (s *Store) putUnlogged(obj *Object) (OID, error) {
 	return oid, nil
 }
 
-// readObjectAt decodes the object at oid straight through the buffer
-// pool, without taking the store mutex (callers may hold it).
-func (s *Store) readObjectAt(oid OID) (*Object, error) {
-	p, err := s.pool.Fetch(oid.Page)
-	if err != nil {
-		return nil, err
+// unbind takes the record rec at oid, named name, off the keyword twin.
+// On a store that keeps the posting tree it returns the record's posting
+// keys, for indexRemove once rec's page is unpinned: a tree update
+// beside a pinned heap page can run a small pool out of frames.
+func (s *Store) unbind(rec []byte, oid OID, name string) (postings []string) {
+	var posting func(key []byte)
+	if s.pindex != nil {
+		posting = func(key []byte) { postings = append(postings, postingKey(string(key), name)) }
 	}
-	rec, gerr := p.Get(oid.Slot)
-	var obj *Object
-	if gerr == nil {
-		obj, gerr = decodeObject(rec, nil)
-	}
-	if err := s.pool.Unpin(oid.Page, false); err != nil {
-		return nil, err
-	}
-	return obj, gerr
+	s.twin.unbind(rec, oid, posting)
+	return postings
 }
 
 // pageChanged is the one call every change to a heap page makes: it
@@ -728,19 +724,13 @@ func (s *Store) deleteUnlogged(name string) error {
 	if err := s.markDirty(); err != nil {
 		return err
 	}
-	if s.pindex != nil {
-		if oldObj, rerr := s.readObjectAt(oid); rerr == nil {
-			if ierr := s.indexRemove(oldObj); ierr != nil {
-				return ierr
-			}
-		}
-	}
 	p, err := s.pool.Fetch(oid.Page)
 	if err != nil {
 		return err
 	}
+	var stale []string
 	if rec, gerr := p.Get(oid.Slot); gerr == nil {
-		s.twin.unbind(rec, oid)
+		stale = s.unbind(rec, oid, name)
 	}
 	if derr := p.Delete(oid.Slot); derr != nil {
 		s.pool.Unpin(oid.Page, false)
@@ -748,6 +738,9 @@ func (s *Store) deleteUnlogged(name string) error {
 	}
 	s.pageChanged(oid.Page, p.AvailableSpace())
 	if err := s.pool.Unpin(oid.Page, true); err != nil {
+		return err
+	}
+	if err := s.indexRemove(stale); err != nil {
 		return err
 	}
 	s.catalogUnset(name)

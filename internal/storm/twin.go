@@ -42,10 +42,15 @@ func (t *keywordTwin) bind(rec []byte, oid OID) {
 }
 
 // unbind takes oid off the lists of rec's keywords: rec is the record
-// stored there, read before its bytes change or go.
-func (t *keywordTwin) unbind(rec []byte, oid OID) {
+// stored there, read before its bytes change or go. folded, when not nil,
+// is called with each keyword of rec as the twin folds it (the scratch,
+// not to be retained).
+func (t *keywordTwin) unbind(rec []byte, oid OID, folded func(key []byte)) {
 	recordKeys(rec, func(k []byte) {
 		key := t.key(k)
+		if folded != nil {
+			folded(key)
+		}
 		l := t.lists[string(key)]
 		if l == nil {
 			return // the keyword's second copy in rec
