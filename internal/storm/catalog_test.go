@@ -1,6 +1,7 @@
 package storm
 
 import (
+	"errors"
 	"fmt"
 	"path/filepath"
 	"testing"
@@ -114,6 +115,61 @@ func TestCatalogFileOpensWithoutCatalogOption(t *testing.T) {
 	}
 	if _, err := r.Get("x050"); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestOpenWithoutCatalogRefusesBadRecord: Open without the catalog reads
+// every record's name from its page, and a record decodeObject rejects
+// fails the open with errBadObject — a break in the name, and breaks after
+// the keywords: a data field that runs past the record, and one that
+// leaves a trailing byte.
+func TestOpenWithoutCatalogRefusesBadRecord(t *testing.T) {
+	const size = 100 // < 128: the data length is one byte, just ahead of the data
+	for _, tc := range []struct {
+		name   string
+		damage func(rec []byte)
+	}{
+		{"name-runs-past-record", func(rec []byte) { rec[1] = 127 }},
+		{"data-runs-past-record", func(rec []byte) { rec[len(rec)-size-1] = size + 1 }},
+		{"trailing-byte", func(rec []byte) { rec[len(rec)-size-1] = size - 1 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "data.storm")
+			s, err := Open(path, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 10; i++ {
+				if _, err := s.Put(obj(fmt.Sprintf("obj-%d", i), []string{"kw"}, size)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			oid := s.byName["obj-5"]
+			p, err := s.pool.Fetch(oid.Page)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rec, err := p.Get(oid.Slot)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tc.damage(rec)
+			if _, err := decodeObject(rec, nil); !errors.Is(err, errBadObject) {
+				t.Fatalf("decodeObject of the damaged record: %v, want errBadObject", err)
+			}
+			if err := s.pool.Unpin(oid.Page, true); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if r, err := Open(path, Options{}); !errors.Is(err, errBadObject) {
+				if err == nil {
+					r.Close()
+				}
+				t.Fatalf("Open over the damaged record: %v, want errBadObject", err)
+			}
+		})
 	}
 }
 
