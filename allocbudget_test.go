@@ -374,13 +374,14 @@ func BenchmarkEnvelopeDecode(b *testing.B) {
 // before the timer; plain-first is a restart: Open, which builds the
 // plan, and the first Match, timed together (each iteration closes the
 // store outside the timer); indexed a store that also keeps the keyword
-// index tree. A store is populated once per size and kept across the runs
-// that size b.N.
+// index tree. scan is the same query by MatchFunc, which reads every page
+// through the pool, at 1k and 10k only. A store is populated once per size
+// and kept across the runs that size b.N.
 func BenchmarkStoreMatchCold(b *testing.B) {
 	for _, tc := range []struct {
-		name            string
-		indexed, reopen bool
-	}{{"plain", false, false}, {"plain-first", false, true}, {"indexed", true, false}} {
+		name                  string
+		indexed, reopen, scan bool
+	}{{"plain", false, false, false}, {"plain-first", false, true, false}, {"indexed", true, false, false}, {"scan", false, false, true}} {
 		b.Run(tc.name, func(b *testing.B) {
 			dir := b.TempDir()
 			for _, objects := range []int{1_000, 10_000, 100_000} {
@@ -391,7 +392,7 @@ func BenchmarkStoreMatchCold(b *testing.B) {
 					}
 				})
 				b.Run(fmt.Sprintf("%dk", objects/1000), func(b *testing.B) {
-					if objects > 10_000 && testing.Short() {
+					if objects > 10_000 && (testing.Short() || tc.scan) {
 						b.Skip("a 100 MB store")
 					}
 					if store == nil {
@@ -413,7 +414,12 @@ func BenchmarkStoreMatchCold(b *testing.B) {
 							b.StartTimer()
 							store.open(b)
 						}
-						if _, err := store.Match(store.spec.Keyword(i % 100)); err != nil {
+						if tc.scan {
+							q := store.spec.Keyword(i % 100)
+							if _, err := store.MatchFunc(func(o *storm.Object) bool { return o.Matches(q) }); err != nil {
+								b.Fatal(err)
+							}
+						} else if _, err := store.Match(store.spec.Keyword(i % 100)); err != nil {
 							b.Fatal(err)
 						}
 					}

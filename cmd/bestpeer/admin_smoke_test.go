@@ -66,7 +66,6 @@ func TestAdminEndpointSmoke(t *testing.T) {
 		"bestpeer_liglo_client_calls_total",
 		"bestpeer_storm_objects",
 		"# TYPE bestpeer_storm_pool_misses counter",
-		"# TYPE bestpeer_storm_scan_pages_read_total counter",
 	} {
 		if !strings.Contains(metrics, family) {
 			t.Errorf("/metrics is missing family %s", family)

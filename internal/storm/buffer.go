@@ -98,27 +98,6 @@ func (b *BufferPool) Fetch(id PageID) (*Page, error) {
 	return &b.frames[f], nil
 }
 
-// coldRun reports how many leading ids are consecutive page ids with no
-// frame in the pool, and counts them as misses: the caller is about to
-// read them from the file itself (diskFile.readRun) instead of fetching
-// them one by one. That is only sound while no writer can dirty those
-// pages — Store.walk holds the store's read lock across the call and the
-// read — because a non-resident page's disk image is current: a dirty
-// frame is written back before it leaves the table.
-func (b *BufferPool) coldRun(ids []PageID) int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	n := 0
-	for n < len(ids) && (n == 0 || ids[n] == ids[n-1]+1) {
-		if _, resident := b.table[ids[n]]; resident {
-			break
-		}
-		n++
-	}
-	b.Misses += uint64(n)
-	return n
-}
-
 // NewPage allocates a fresh page on disk, pins it and returns it.
 func (b *BufferPool) NewPage() (*Page, error) {
 	b.mu.Lock()

@@ -234,34 +234,6 @@ func (d *diskFile) ReadPage(id PageID, p *Page) error {
 	return p.verify(id)
 }
 
-// readRun reads the len(buf)/pageSize consecutive pages starting at
-// first into buf with a single read, verifying every page's checksum and
-// id exactly as ReadPage does. Sequential scans use it to read past the
-// buffer pool; each page counts in Reads.
-func (d *diskFile) readRun(first PageID, buf []byte) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.closed {
-		return errClosed
-	}
-	n := len(buf) / pageSize
-	if first == invalidPage || uint64(first)+uint64(n) > uint64(d.pages) {
-		return fmt.Errorf("storm: read of pages %d..%d beyond end (%d pages)", first, uint64(first)+uint64(n)-1, d.pages)
-	}
-	// A short read must fail here: the scan buffer is reused, so bytes a
-	// read did not overwrite could be an older, well-formed image.
-	if got, err := d.f.ReadAt(buf[:n*pageSize], int64(first)*pageSize); got < n*pageSize {
-		return fmt.Errorf("storm: read pages %d..%d: %w", first, int(first)+n-1, err)
-	}
-	d.Reads += uint64(n)
-	for i := 0; i < n; i++ {
-		if err := verifyImage((*[pageSize]byte)(buf[i*pageSize:]), first+PageID(i)); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // WritePage seals p and writes it at its id.
 func (d *diskFile) WritePage(p *Page) error {
 	d.mu.Lock()

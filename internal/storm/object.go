@@ -155,16 +155,27 @@ func recordMatches(rec []byte, q string) (bool, error) {
 // matchRecord walks the record layout of encodeObject; ok is false for a
 // record decodeObject rejects.
 func matchRecord(rec []byte, q string) (hit, ok bool) {
-	name, p, ok := recordKeys(rec, func(k []byte) {
+	name, ok := recordName(rec, func(k []byte) {
 		hit = hit || (q != "" && lowerEquals(k, q))
 	})
 	if !ok {
 		return false, false
 	}
-	if _, p, ok = recordField(rec, p); !ok || p != len(rec) {
-		return false, false // data, then nothing
-	}
 	return hit || (q != "" && lowerContains(name, q)), true
+}
+
+// recordName walks the whole record layout of encodeObject: recordKeys,
+// then the data and nothing after it. It returns the name; ok is false for
+// a record decodeObject rejects.
+func recordName(rec []byte, keyword func(k []byte)) (name []byte, ok bool) {
+	name, p, ok := recordKeys(rec, keyword)
+	if !ok {
+		return nil, false
+	}
+	if _, p, ok = recordField(rec, p); !ok || p != len(rec) {
+		return nil, false // data, then nothing
+	}
+	return name, true
 }
 
 // recordKeys walks the record layout of encodeObject up to its data: it

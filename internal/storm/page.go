@@ -274,20 +274,13 @@ func (p *Page) compact() {
 
 // Records calls fn for every live record in the page. fn must not retain
 // the slice. Iteration stops if fn returns false.
-func (p *Page) Records(fn func(s Slot, rec []byte) bool) { imageRecords(&p.buf, fn) }
-
-// imageRecords is Records over one page's bytes wherever they live: a
-// pooled frame or a window of a scan buffer (see Store.walk).
-func imageRecords(buf *[pageSize]byte, fn func(s Slot, rec []byte) bool) {
-	slots := int(binary.BigEndian.Uint16(buf[8:10]))
-	for s := 0; s < slots; s++ {
-		pos := slotPos(Slot(s))
-		off := int(binary.BigEndian.Uint16(buf[pos : pos+2]))
+func (p *Page) Records(fn func(s Slot, rec []byte) bool) {
+	for s := Slot(0); int(s) < p.SlotCount(); s++ {
+		off, length := p.slotEntry(s)
 		if off == 0 {
 			continue
 		}
-		length := int(binary.BigEndian.Uint16(buf[pos+2 : pos+4]))
-		if !fn(Slot(s), buf[off:off+length]) {
+		if !fn(s, p.buf[off:off+length]) {
 			return
 		}
 	}
@@ -301,15 +294,12 @@ func (p *Page) seal() {
 }
 
 // verify checks the stored checksum after a page is read from disk.
-func (p *Page) verify(want PageID) error { return verifyImage(&p.buf, want) }
-
-// verifyImage is verify over one page's bytes wherever they live.
-func verifyImage(buf *[pageSize]byte, want PageID) error {
-	sum := crc32.ChecksumIEEE(buf[4:])
-	if stored := binary.BigEndian.Uint32(buf[0:4]); stored != sum {
+func (p *Page) verify(want PageID) error {
+	sum := crc32.ChecksumIEEE(p.buf[4:])
+	if stored := binary.BigEndian.Uint32(p.buf[0:4]); stored != sum {
 		return fmt.Errorf("%w: page %d", errChecksum, want)
 	}
-	if id := PageID(binary.BigEndian.Uint32(buf[4:8])); id != want {
+	if id := p.ID(); id != want {
 		return fmt.Errorf("storm: page id mismatch: read %d, want %d", id, want)
 	}
 	return nil

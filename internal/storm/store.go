@@ -9,7 +9,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	"bestpeer/internal/obs"
 )
@@ -44,11 +43,12 @@ type Options struct {
 	// "mru" or "clock".
 	Policy string
 	// PersistentCatalog maintains the name→location map in an on-disk
-	// B+tree whose root is recorded in the file header, so reopening a
-	// large store does not decode every object record. The catalog is
-	// valid for cleanly closed files; a file whose catalog is missing or
-	// implausible, or that was not closed cleanly, falls back to the full
-	// scan.
+	// B+tree whose root is recorded in the file header. Open reads every
+	// heap page either way, for the keyword twin; with the tree it takes
+	// the names from it instead of from each record, which spares only a
+	// field walk per record. The catalog is trusted for cleanly closed
+	// files; a file whose catalog is missing or implausible, or that was
+	// not closed cleanly, reads the names from the heap.
 	PersistentCatalog bool
 	// WALPath, when non-empty, enables a write-ahead log at that path:
 	// every Put/Delete is logged before the page mutation and replayed
@@ -102,9 +102,6 @@ type Store struct {
 	// only.
 	dataPages []PageID
 	free      freeSpace
-
-	// Heap pages walk has read.
-	pagesRead atomic.Uint64
 
 	// dirty mirrors the file header's dirty mark: pages have changed since
 	// the last checkpoint. Guarded by mu; see markDirty.
@@ -249,9 +246,6 @@ func (s *Store) RegisterMetrics(reg *obs.Registry) {
 	reg.CounterFunc("bestpeer_storm_wal_records",
 		"Operations logged since the WAL was opened (0 when disabled).",
 		func() float64 { return float64(s.Stats().WALRecords) })
-	reg.CounterFunc("bestpeer_storm_scan_pages_read_total",
-		"Heap pages read by Scan walks (Scan, MatchFunc, CompactTo).",
-		func() float64 { return float64(s.Stats().PagesRead) })
 	if s.wal != nil {
 		s.wal.bindMetrics(reg)
 	}
@@ -409,8 +403,9 @@ func (s *Store) catalogDelete(name string) error {
 
 // rebuildCatalog scans every heap page to reconstruct the free-space map,
 // the data-page list and the keyword twin, skipping catalog B+tree pages.
-// When withNames is true it also decodes each record to rebuild the name
-// index (the path taken when no persistent catalog is available).
+// When withNames is true it also reads each record's name, checking the
+// whole record as decodeObject does, to rebuild the name index (the path
+// taken when no persistent catalog is available).
 func (s *Store) rebuildCatalog(withNames bool) error {
 	n := s.file.PageCount()
 	for id := PageID(1); uint32(id) < n; id++ {
@@ -429,12 +424,12 @@ func (s *Store) rebuildCatalog(withNames bool) error {
 		p.Records(func(slot Slot, rec []byte) bool {
 			oid := OID{Page: id, Slot: slot}
 			if withNames {
-				obj, err := decodeObject(rec, nil)
-				if err != nil {
-					decodeErr = err
+				name, ok := recordName(rec, func([]byte) {})
+				if !ok {
+					decodeErr = fmt.Errorf("%w: record %v", errBadObject, oid)
 					return false
 				}
-				if _, dup := s.byName[obj.Name]; dup {
+				if _, dup := s.byName[string(name)]; dup {
 					// Crash-regressed pages can hold two live copies of a
 					// replaced object (the new record's page reached disk,
 					// the old record's tombstone did not). Keep the first
@@ -450,7 +445,7 @@ func (s *Store) rebuildCatalog(withNames bool) error {
 					dirty = true
 					return true
 				}
-				s.catalogSet(obj.Name, oid)
+				s.catalogSet(string(name), oid)
 			}
 			s.twin.bind(rec, oid)
 			return true
@@ -747,40 +742,34 @@ func (s *Store) deleteUnlogged(name string) error {
 	return s.catalogDelete(name)
 }
 
-// scanRunPages bounds how many pages a sequential scan reads with one
-// file read, and so how long it holds the store's read lock at a time.
-const scanRunPages = 32
-
-// scanBufs recycles the buffers page runs are read into.
-var scanBufs = sync.Pool{New: func() any {
-	b := make([]byte, scanRunPages*pageSize)
-	return &b
-}}
-
 // walk is the one sequential page walker behind Scan. It visits the data
-// pages in page order, scanRunPages at a time: under one hold of the read
-// lock it calls visit for each live record of the window (rec aliases page
-// memory and must not be retained), then, with the lock released, calls
-// between — which returns false to stop.
-//
-// Within a window, a run of consecutive page ids the pool does not hold
-// is read from the file with a single read into a scan buffer, verified
-// page by page and walked there, so a scan larger than the pool neither
-// pays one read per page nor evicts the frames Put and Get keep hot. A
-// resident page, which may be dirty, is always pinned and read through
-// the pool. Reading past the pool is sound because the read lock keeps
-// writers out and a non-resident page's disk image is current (see
-// BufferPool.coldRun).
+// pages in page order, each fetched through the buffer pool like any other
+// read: under the read lock it calls visit for each live record of the
+// page (rec aliases page memory and must not be retained) and unpins the
+// page, then, with the lock released, calls between — which returns false
+// to stop.
 func (s *Store) walk(visit func(rec []byte) error, between func() bool) error {
 	s.mu.RLock()
 	// dataPages is append-only: a clipped view stays what it was.
 	pages := s.dataPages[:len(s.dataPages):len(s.dataPages)]
 	s.mu.RUnlock()
 
-	buf := scanBufs.Get().(*[]byte)
-	defer scanBufs.Put(buf)
-	for first := 0; first < len(pages); first += scanRunPages {
-		err := s.walkWindow(pages[first:min(first+scanRunPages, len(pages))], *buf, visit)
+	var err error
+	each := func(_ Slot, rec []byte) bool {
+		err = visit(rec)
+		return err == nil
+	}
+	for _, id := range pages {
+		s.mu.RLock()
+		p, ferr := s.pool.Fetch(id)
+		if ferr == nil {
+			p.Records(each)
+			ferr = s.pool.Unpin(id, false)
+		}
+		s.mu.RUnlock()
+		if err == nil {
+			err = ferr
+		}
 		// Records ahead of a failure are still delivered, and a consumer
 		// that stops among them never learns of it.
 		if between != nil && !between() {
@@ -789,48 +778,6 @@ func (s *Store) walk(visit func(rec []byte) error, between func() bool) error {
 		if err != nil {
 			return err
 		}
-	}
-	return nil
-}
-
-// walkWindow visits the records of the given pages under the read lock.
-func (s *Store) walkWindow(window []PageID, buf []byte, visit func(rec []byte) error) error {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	read := 0
-	defer func() { s.pagesRead.Add(uint64(read)) }()
-	var err error
-	each := func(_ Slot, rec []byte) bool {
-		err = visit(rec)
-		return err == nil
-	}
-	for len(window) > 0 {
-		n := s.pool.coldRun(window)
-		if n == 0 {
-			id := window[0]
-			p, ferr := s.pool.Fetch(id)
-			if ferr != nil {
-				return ferr
-			}
-			p.Records(each)
-			if uerr := s.pool.Unpin(id, false); uerr != nil {
-				return uerr
-			}
-			n = 1
-		} else {
-			run := buf[:n*pageSize]
-			if rerr := s.file.readRun(window[0], run); rerr != nil {
-				return rerr
-			}
-			for i := 0; i < n && err == nil; i++ {
-				imageRecords((*[pageSize]byte)(run[i*pageSize:]), each)
-			}
-		}
-		if err != nil {
-			return err
-		}
-		read += n
-		window = window[n:]
 	}
 	return nil
 }
@@ -1005,8 +952,6 @@ type StoreStats struct {
 	PoolHits, PoolMisses, PoolEvictions uint64
 	// HitRate is the fraction of fetches served from memory.
 	HitRate float64
-	// PagesRead counts the heap pages Scan walks have read.
-	PagesRead uint64
 	// WALRecords counts operations logged since the WAL was opened
 	// (zero when the WAL is disabled).
 	WALRecords uint64
@@ -1027,7 +972,6 @@ func (s *Store) Stats() StoreStats {
 	st.TotalPages = int(s.file.PageCount())
 	st.PoolHits, st.PoolMisses, st.PoolEvictions = s.pool.Counters()
 	st.HitRate = s.pool.HitRate()
-	st.PagesRead = s.pagesRead.Load()
 	if s.wal != nil {
 		st.WALRecords = s.wal.Appended.Load()
 	}
