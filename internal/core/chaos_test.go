@@ -31,7 +31,6 @@ import (
 // tests spend milliseconds (not default seconds) waiting out faults.
 func chaosTransport() transport.Options {
 	return transport.Options{
-		QueueSize:     256,
 		FailThreshold: 2,
 		BackoffBase:   50 * time.Millisecond,
 	}

@@ -44,7 +44,6 @@ func TestChaosSnapshotAccountsForLoss(t *testing.T) {
 			// missed-event accounting, not just the happy path.
 			JournalCapacity: journalCapacity,
 			Transport: transport.Options{
-				QueueSize:     256,
 				FailThreshold: 2,
 				BackoffBase:   50 * time.Millisecond,
 			},

@@ -98,12 +98,12 @@ func TestChaosFaultsRaiseExactAlerts(t *testing.T) {
 	// absurd failure count so saturation cannot leak a suspect-churn
 	// alert; the dial timeout is the queue's drain clock.
 	fastFail := transport.Options{
-		QueueSize: 256, FailThreshold: 2,
-		BackoffBase: 50 * time.Millisecond,
+		FailThreshold: 2,
+		BackoffBase:   50 * time.Millisecond,
 	}
 	patient := transport.Options{
-		QueueSize: 256, FailThreshold: 1 << 20,
-		BackoffBase: 50 * time.Millisecond,
+		FailThreshold: 1 << 20,
+		BackoffBase:   50 * time.Millisecond,
 	}
 	a, aAdmin, _ := chaosNode(t, fab, "chaos-a", fastFail)
 	b, bAdmin, _ := chaosNode(t, fab, "chaos-b", fastFail)

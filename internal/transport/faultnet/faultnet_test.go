@@ -45,7 +45,6 @@ func env(body string) *wire.Envelope {
 // fastOpts keeps messenger failure handling snappy under injected faults.
 func fastOpts() transport.Options {
 	return transport.Options{
-		QueueSize:   512,
 		BackoffBase: 20 * time.Millisecond,
 	}
 }
